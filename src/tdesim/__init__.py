@@ -13,11 +13,13 @@ from .errors import (
     CycleMisalignmentError,
     InvariantViolationError,
     OverlappingSlotError,
+    RegisterSizeError,
     SimulationError,
     UnknownSlotError,
     ZeroProbabilityError,
 )
 from .registers import (
+    MAX_STATE_BYTES,
     BasisLevel,
     DensityOperator,
     PureState,

@@ -28,13 +28,14 @@ import re
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .errors import CircuitExecutionError, CircuitParseError
+from .errors import CircuitExecutionError, CircuitParseError, RegisterSizeError
 from .registers import (
     DensityOperator,
     PureState,
     Register,
     SlotId,
     State,
+    check_state_size,
     partial_trace,
     relabel_cycles,
     tensor,
@@ -214,7 +215,8 @@ def _parse_gate_name(token: str, line: int):
 def parse_circuit(text: str) -> CircuitProgram:
     """Parse and statically check a program.
 
-    Cycle alignment, slot existence, and expansion feasibility are all
+    Cycle alignment, slot existence, expansion feasibility, and the size
+    of every state the program builds (at most MAX_STATE_BYTES) are all
     verified here, so a parsed program is guaranteed runnable.
     """
     directives = []
@@ -313,7 +315,16 @@ def _static_check(directives):
     site_cycles = {}
     dims = {}
     discarded = set()
-    expandable = True
+    expandable = True  # the state is still pure
+
+    def fits(ln):
+        dim = 1
+        for site, cs in site_cycles.items():
+            dim *= dims[site] ** len(cs)
+        try:
+            check_state_size(dim, pure=expandable)
+        except RegisterSizeError as exc:
+            _fail(ln, str(exc))
 
     def live(site, ln):
         if site in discarded:
@@ -330,6 +341,7 @@ def _static_check(directives):
             if not expandable:
                 _fail(ln, "expansion after discard needs a pure state")
             _apply_expansion(site_cycles, delta)
+            fits(ln)
 
     for i, d in enumerate(directives):
         if isinstance(d, Output) and i != len(directives) - 1:
@@ -344,6 +356,7 @@ def _static_check(directives):
             site_cycles[d.site] = cs | {d.cycle}
             dims[d.site] = dim
             discarded.discard(d.site)
+            fits(d.line)
         elif isinstance(d, Cnot):
             live(d.control, d.line)
             live(d.target, d.line)
@@ -356,11 +369,12 @@ def _static_check(directives):
             site_cycles[d.site] = {c + d.delta for c in site_cycles[d.site]}
         elif isinstance(d, Discard):
             live(d.site, d.line)
-            if len(site_cycles) - len(discarded) == 1:
+            if len(site_cycles) == 1:
                 _fail(d.line, "cannot discard the only remaining site")
             discarded.add(d.site)
             del site_cycles[d.site]
             expandable = False
+            fits(d.line)
         elif isinstance(d, Output):
             live(d.site, d.line)
             if d.cycle not in site_cycles[d.site]:

@@ -38,10 +38,8 @@ from .registers import (
     level_index,
     level_label,
     partial_trace,
-    permute_slots,
     relabel_cycles,
     tensor,
-    to_density,
 )
 
 Ensemble = Sequence  # of (weight, PureState) pairs
@@ -161,25 +159,31 @@ def apply_gate(state: State, gate: Gate, targets: Sequence[SlotLike]) -> State:
         )
     if len(set(slots)) != len(slots):
         raise ValueError("gate targets must be distinct")
-    for s in slots:
-        reg.index_of(s)
+    axes = [reg.index_of(s) for s in slots]
     cycles = {s.cycle for s in slots}
     if len(cycles) > 1:
         raise CycleMisalignmentError(
             f"gate {gate.name!r} spans cycles {sorted(cycles)}; "
             "slots at different cycles are separate tensor factors"
         )
-    rest = [s for s in reg.slots if s not in slots]
-    front = permute_slots(state, slots + rest)
-    dims = [front.register.dims[i] for i in range(len(slots))]
-    lifted = _lift_logical(gate.matrix, dims)
-    op = np.kron(lifted, np.eye(front.register.dim // int(np.prod(dims))))
-    if isinstance(front, PureState):
-        moved = PureState(front.register, op @ front.amplitudes)
-    else:
-        moved = DensityOperator(front.register,
-                                op @ front.matrix @ op.conj().T)
-    return permute_slots(moved, reg.slots)
+    dims = [reg.dims[a] for a in axes]
+    lifted = _lift_logical(gate.matrix, dims).reshape(dims + dims)
+    if isinstance(state, PureState):
+        psi = state.amplitudes.reshape(reg.dims)
+        return PureState(reg, _left_multiply(lifted, psi, axes))
+    n = len(reg.slots)
+    rho = state.matrix.reshape(reg.dims + reg.dims)
+    rho = _left_multiply(lifted, rho, axes)
+    rho = _left_multiply(lifted.conj(), rho, [n + a for a in axes])
+    return DensityOperator(reg, rho.reshape(reg.dim, reg.dim))
+
+
+def _left_multiply(op: np.ndarray, t: np.ndarray, axes) -> np.ndarray:
+    """Apply op, shaped (out dims..., in dims...), to the given axes of t
+    and leave every other axis where it was."""
+    k = len(axes)
+    out = np.tensordot(op, t, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
 
 
 def _shift_all(state: State, delta: int) -> State:
@@ -392,39 +396,47 @@ def project(state: State, slot: SlotLike, outcome,
     rest = [t for t in reg.slots if t != s]
     if not rest:
         p = _scalar_probability(state, proj)
-        if p < 1e-12:
-            raise ZeroProbabilityError(
-                f"outcome {label!r} on {s} has probability {p:.3e}"
-            )
+        _check_probability(p, label, s)
         return MeasurementOutcome(label, p, None)
 
-    front = permute_slots(state, [s] + rest)
-    rest_dim = front.register.dim // dim
+    axis = reg.index_of(s)
     rest_reg = Register(tuple(rest),
                         tuple(reg.dims[reg.index_of(t)] for t in rest))
 
-    if isinstance(front, PureState) and chi is not None:
-        mat = front.amplitudes.reshape(dim, rest_dim)
-        coeffs = chi.conj() @ mat
-        p = float(np.linalg.norm(coeffs) ** 2)
-        if p < 1e-12:
-            raise ZeroProbabilityError(
-                f"outcome {label!r} on {s} has probability {p:.3e}"
+    if isinstance(state, PureState):
+        # M: the amplitudes as a (slot, rest) matrix
+        m = np.moveaxis(state.amplitudes.reshape(reg.dims), axis, 0)
+        m = m.reshape(dim, rest_reg.dim)
+        if chi is not None:
+            post = chi.conj() @ m
+            p = float(np.linalg.norm(post) ** 2)
+            _check_probability(p, label, s)
+            return MeasurementOutcome(
+                label, p, PureState(rest_reg, post / np.sqrt(p))
             )
-        return MeasurementOutcome(
-            label, p, PureState(rest_reg, coeffs / np.sqrt(p))
-        )
-
-    rho = to_density(front).matrix.reshape(dim, rest_dim, dim, rest_dim)
-    block = np.einsum("mk,kjml->jl", proj, rho)
+        # Tr_slot[(P x I)|psi><psi|] = (P M)^T M^*
+        block = (proj @ m).T @ m.conj()
+    else:
+        n = len(reg.slots)
+        rho = state.matrix.reshape(reg.dims + reg.dims)
+        # The outcome index replaces the slot's row axis at the front;
+        # tracing it against the slot's column axis (still at n + axis)
+        # leaves the rest rows then the rest columns.
+        block = np.trace(np.tensordot(proj, rho, axes=(1, axis)),
+                         axis1=0, axis2=n + axis)
+        block = block.reshape(rest_reg.dim, rest_reg.dim)
     p = float(np.trace(block).real)
-    if p < 1e-12:
-        raise ZeroProbabilityError(
-            f"outcome {label!r} on {s} has probability {p:.3e}"
-        )
+    _check_probability(p, label, s)
     return MeasurementOutcome(
         label, p, DensityOperator(rest_reg, block / p)
     )
+
+
+def _check_probability(p: float, label: str, slot) -> None:
+    if p < 1e-12:
+        raise ZeroProbabilityError(
+            f"outcome {label!r} on {slot} has probability {p:.3e}"
+        )
 
 
 def _scalar_probability(state: State, proj: np.ndarray) -> float:

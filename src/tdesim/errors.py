@@ -28,6 +28,10 @@ class ZeroProbabilityError(SimulationError):
     """Conditioning on an outcome whose probability is numerically zero."""
 
 
+class RegisterSizeError(SimulationError):
+    """A state would need more memory than registers.MAX_STATE_BYTES."""
+
+
 class InvariantViolationError(SimulationError):
     """A state or derived quantity failed a physical sanity check
     (negative eigenvalue beyond tolerance, broken entropy bound, ...)."""

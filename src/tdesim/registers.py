@@ -14,16 +14,25 @@ so ``basis_index`` of (0, 1) on a two-qubit register is 1.
 from __future__ import annotations
 
 import enum
-import string
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .errors import OverlappingSlotError, InvariantViolationError, UnknownSlotError
+from .errors import (
+    InvariantViolationError,
+    OverlappingSlotError,
+    RegisterSizeError,
+    UnknownSlotError,
+)
 
 ATOL = 1e-12
 PSD_FLOOR = -1e-10
+
+# Largest state the simulator will build: a pure state on a register of
+# dimension d holds 16*d bytes of complex128 amplitudes, a density matrix
+# 16*d**2 bytes.
+MAX_STATE_BYTES = 256 * 2**20
 
 _LEVEL_CHARS = {2: "01", 3: "v01"}
 
@@ -275,6 +284,18 @@ def maximally_mixed(register: Register) -> DensityOperator:
     return DensityOperator(register, np.eye(register.dim) / register.dim)
 
 
+def check_state_size(dim: int, pure: bool) -> None:
+    """Refuse a pure state (or density matrix) of dimension dim that would
+    hold more than MAX_STATE_BYTES."""
+    need = 16 * dim if pure else 16 * dim * dim
+    if need > MAX_STATE_BYTES:
+        kind = "pure state" if pure else "density matrix"
+        raise RegisterSizeError(
+            f"a {kind} of dimension {dim} needs {need / 2**20:.0f} MiB, "
+            f"over the {MAX_STATE_BYTES // 2**20} MiB limit"
+        )
+
+
 def tensor(a: State, b: State) -> State:
     """Tensor product of two states on slot-disjoint registers.
 
@@ -282,48 +303,47 @@ def tensor(a: State, b: State) -> State:
     """
     reg = Register(a.register.slots + b.register.slots,
                    a.register.dims + b.register.dims)
-    if isinstance(a, PureState) and isinstance(b, PureState):
+    pure = isinstance(a, PureState) and isinstance(b, PureState)
+    check_state_size(reg.dim, pure)
+    if pure:
         return PureState(reg, np.kron(a.amplitudes, b.amplitudes))
     ma = to_density(a).matrix
     mb = to_density(b).matrix
     return DensityOperator(reg, np.kron(ma, mb))
 
 
-def _einsum_letters(n: int):
-    if 2 * n > len(string.ascii_letters):
-        raise ValueError(f"register too large to trace ({n} slots)")
-    return string.ascii_letters
-
-
 def partial_trace(state: State, keep: Iterable[SlotLike]) -> DensityOperator:
     """Reduced density matrix over the kept slots, which stay in their
-    original relative order regardless of how `keep` is ordered."""
-    rho = to_density(state)
-    reg = rho.register
+    original relative order regardless of how `keep` is ordered.
+
+    A pure state is traced from its amplitudes: with the kept axes moved to
+    the front and the rest flattened, the amplitudes form a d_keep x d_rest
+    matrix A and the reduced state is A A^H, so |psi><psi| is never formed.
+    """
+    reg = state.register
     keep_slots = [as_slot(s) for s in keep]
     if not keep_slots:
         raise ValueError("must keep at least one slot")
     if len(set(keep_slots)) != len(keep_slots):
         raise ValueError("keep list repeats a slot")
     keep_pos = sorted(reg.index_of(s) for s in keep_slots)
-    keep_slots = [reg.slots[p] for p in keep_pos]
+    rest_pos = [p for p in range(len(reg.slots)) if p not in keep_pos]
+    out_reg = Register(tuple(reg.slots[p] for p in keep_pos),
+                       tuple(reg.dims[p] for p in keep_pos))
+    check_state_size(out_reg.dim, pure=False)
+    d_keep = out_reg.dim
+    d_rest = reg.dim // d_keep
+    perm = keep_pos + rest_pos
 
+    if isinstance(state, PureState):
+        a = state.amplitudes.reshape(reg.dims).transpose(perm)
+        a = a.reshape(d_keep, d_rest)
+        return DensityOperator(out_reg, a @ a.conj().T)
     n = len(reg.slots)
-    letters = _einsum_letters(n)
-    row = list(letters[:n])
-    col = list(letters[n:2 * n])
-    for i in range(n):
-        if i not in keep_pos:
-            col[i] = row[i]
-    out = "".join(row[p] for p in keep_pos) + "".join(col[p] for p in keep_pos)
-    spec = "".join(row) + "".join(col) + "->" + out
-
-    block = rho.matrix.reshape(reg.dims + reg.dims)
-    reduced = np.einsum(spec, block)
-    kept_dims = tuple(reg.dims[p] for p in keep_pos)
-    d = int(np.prod(kept_dims))
-    out_reg = Register(tuple(keep_slots), kept_dims)
-    return DensityOperator(out_reg, reduced.reshape(d, d))
+    block = state.matrix.reshape(reg.dims + reg.dims)
+    block = block.transpose(perm + [p + n for p in perm])
+    block = block.reshape(d_keep, d_rest, d_keep, d_rest)
+    return DensityOperator(out_reg, np.trace(block, axis1=1, axis2=3))
 
 
 def permute_slots(state: State, order: Sequence[SlotLike]) -> State:

@@ -1,9 +1,13 @@
 """Shared fixtures and independent oracles.
 
 The oracles avoid the package's own shortcuts on purpose: partial traces
-are plain index loops, trace norms come from singular values, entropies
-from scipy.stats.  Tests compare the fast implementations against these.
+are plain index loops or one einsum over the full density matrix, gates
+are dense kron(lifted, eye) operators between slot permutations, trace
+norms come from singular values, entropies from scipy.stats.  Tests
+compare the fast implementations against these.
 """
+
+import string
 
 import numpy as np
 import pytest
@@ -73,3 +77,70 @@ def trace_norm_oracle(diff):
 def entropy_oracle(matrix):
     vals = np.linalg.eigvalsh(np.asarray(matrix, dtype=complex))
     return float(stats.entropy(np.clip(vals, 0.0, None), base=2))
+
+
+def lift_oracle(matrix, dims):
+    """A 2^k logical gate on target slots of the given dims, acting as the
+    identity on every basis state where some target is in its vacuum
+    level (index 0 of a dim-3 slot)."""
+    dims = tuple(dims)
+    out = np.eye(int(np.prod(dims)), dtype=complex)
+    logical = [
+        int(np.ravel_multi_index(idx, dims))
+        for idx in np.ndindex(*dims)
+        if all(i >= d - 2 for i, d in zip(idx, dims))
+    ]
+    out[np.ix_(logical, logical)] = matrix
+    return out
+
+
+def dense_gate_oracle(array, dims, gate_matrix, targets):
+    """Apply a gate to the target positions of a state vector or density
+    matrix by permuting the targets to the front, multiplying by
+    kron(lifted, eye) and permuting back."""
+    dims = list(dims)
+    n = len(dims)
+    perm = list(targets) + [i for i in range(n) if i not in targets]
+    inv = list(np.argsort(perm))
+    pdims = [dims[p] for p in perm]
+    tdims = pdims[:len(targets)]
+    d = int(np.prod(dims))
+    lifted = lift_oracle(gate_matrix, tdims)
+    op = np.kron(lifted, np.eye(d // lifted.shape[0]))
+    array = np.asarray(array, dtype=complex)
+    if array.ndim == 1:
+        v = op @ array.reshape(dims).transpose(perm).reshape(-1)
+        return v.reshape(pdims).transpose(inv).reshape(-1)
+    m = array.reshape(dims + dims).transpose(perm + [p + n for p in perm])
+    m = op @ m.reshape(d, d) @ op.conj().T
+    m = m.reshape(pdims + pdims).transpose(inv + [p + n for p in inv])
+    return m.reshape(d, d)
+
+
+def einsum_partial_trace_oracle(matrix, dims, keep_positions):
+    """Partial trace as one einsum over the full density matrix; kept
+    positions come out in ascending order."""
+    dims = tuple(dims)
+    n = len(dims)
+    keep = sorted(keep_positions)
+    row = list(string.ascii_letters[:n])
+    col = list(string.ascii_letters[n:2 * n])
+    for i in range(n):
+        if i not in keep:
+            col[i] = row[i]
+    spec = ("".join(row) + "".join(col) + "->"
+            + "".join(row[p] for p in keep) + "".join(col[p] for p in keep))
+    reduced = np.einsum(spec, np.asarray(matrix).reshape(dims + dims))
+    d = int(np.prod([dims[p] for p in keep]))
+    return reduced.reshape(d, d)
+
+
+def dense_project_oracle(matrix, dims, position, projector):
+    """Unnormalized state of the other slots after finding the slot at
+    `position` in the range of `projector`: Tr_slot[(I x P x I) rho]."""
+    dims = tuple(dims)
+    before = int(np.prod(dims[:position]))
+    after = int(np.prod(dims[position + 1:]))
+    op = np.kron(np.kron(np.eye(before), projector), np.eye(after))
+    keep = [i for i in range(len(dims)) if i != position]
+    return einsum_partial_trace_oracle(op @ matrix, dims, keep)

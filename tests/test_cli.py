@@ -182,6 +182,19 @@ def test_circuit_subcommand_reports_parse_errors(capsys, tmp_path):
     assert "error:" in err
 
 
+def test_circuit_subcommand_refuses_oversized_program(capsys, tmp_path):
+    lines = ["prepare q1 @0 |1>", "prepare q2 @0 |0>", "cnot q1 q2 @0"]
+    for c in range(1, 9):
+        lines += ["dilate q1 +1", f"cnot q1 q2 @{c}"]
+    path = tmp_path / "deep.txt"
+    path.write_text("\n".join(lines + ["output q2 @8"]) + "\n")
+    code, out, err = _run(capsys, "circuit", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: line 19:")
+    assert "MiB limit" in err
+
+
 def test_alpha_and_beta_flags_are_exclusive(capsys):
     code, _, err = _run(capsys, "fig2", "--beta-sq", "0.5", "--alpha-sq",
                         "0.5")

@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tdesim import (
+    MAX_STATE_BYTES,
     CircuitExecutionError,
     CircuitParseError,
     SlotId,
@@ -92,6 +95,23 @@ output a @0
     rep, final = run_program(parse_circuit(text))
     assert final.register.slots == (SlotId("a", 0),)
     assert abs(rep.probabilities["1"] - 1.0) < 1e-12
+
+
+def test_discard_guard_counts_each_site_once():
+    text = """\
+prepare a @0 |0>
+prepare b @0 |0>
+prepare c @0 |0>
+cnot a b @0
+discard c
+discard b
+output a @0
+"""
+    rep, final = run_program(parse_circuit(text))
+    assert final.register.slots == (SlotId("a", 0),)
+    assert abs(rep.probabilities["0"] - 1.0) < 1e-12
+    with pytest.raises(CircuitParseError, match="only remaining site"):
+        parse_circuit("prepare a @0 |0>\ndiscard a\noutput a @0\n")
 
 
 def test_implicit_expansion_without_dilate_directive():
@@ -237,3 +257,50 @@ def test_report_json_schema():
     assert set(body) == {"output_slot", "rho_out", "probabilities",
                          "entropy_bits"}
     assert body["output_slot"] == {"site": "q2", "cycle": 1}
+
+
+def k_round_program(k):
+    """k rounds of `dilate q1 +1; cnot q1 q2 @c`; each expansion doubles
+    the register, which holds 4, 8, 8 and 16 slots after rounds 1-4 and
+    first needs 32 slots at round 8."""
+    lines = ["prepare q1 @0 0.6|0>+0.8|1>", "prepare q2 @0 |0>",
+             "cnot q1 q2 @0"]
+    for c in range(1, k + 1):
+        lines += ["dilate q1 +1", f"cnot q1 q2 @{c}"]
+    lines.append(f"output q2 @{k}")
+    return "\n".join(lines) + "\n"
+
+
+def test_sixteen_slot_program_runs_in_small_memory():
+    program = parse_circuit(k_round_program(4))
+    tracemalloc.start()
+    try:
+        rep, final = run_program(program)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(final.register.slots) == 16
+    assert peak < 64 * 2**20
+    m = rep.rho_out.matrix
+    assert m.shape == (2, 2)
+    assert np.abs(m - m.conj().T).max() < 1e-12
+    assert abs(np.trace(m) - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(m).min() > -1e-12
+
+
+def test_oversized_programs_are_refused_at_parse_time():
+    # round 8 doubles the 16-slot pure state to 32 slots (64 GiB)
+    text = k_round_program(8)
+    with pytest.raises(CircuitParseError, match="MiB limit") as err:
+        parse_circuit(text)
+    assert err.value.line_no == text.splitlines().index("cnot q1 q2 @8") + 1
+
+    # 14 pure qubits fit in 256 KiB; tracing one out leaves a 13-qubit
+    # density matrix of 1 GiB
+    sites = [f"s{i}" for i in range(14)]
+    text = "".join(f"prepare {s} @0 |0>\n" for s in sites)
+    assert 16 * 2**14 <= MAX_STATE_BYTES < 16 * 2**26
+    parse_circuit(text + "output s0 @0\n")
+    with pytest.raises(CircuitParseError, match="density matrix") as err:
+        parse_circuit(text + "discard s13\noutput s0 @0\n")
+    assert err.value.line_no == 15

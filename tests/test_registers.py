@@ -7,6 +7,7 @@ from tdesim import (
     InvariantViolationError,
     OverlappingSlotError,
     PureState,
+    RegisterSizeError,
     Register,
     SlotId,
     UnknownSlotError,
@@ -166,6 +167,20 @@ def test_tensor_rejects_overlap(rng):
     reg = two_qubit_register()
     with pytest.raises(OverlappingSlotError):
         tensor(random_pure(rng, reg), qubit_state("1", 0, 1.0, 0.0))
+
+
+def test_size_limit_is_checked_before_allocating():
+    def qubits(prefix, n):
+        return Register(tuple(SlotId(f"{prefix}{i}", 0) for i in range(n)),
+                        (2,) * n)
+
+    # a 2^13-dimensional density matrix holds 1 GiB
+    with pytest.raises(RegisterSizeError, match="density matrix"):
+        tensor(maximally_mixed(qubits("a", 7)),
+               maximally_mixed(qubits("b", 6)))
+    big = basis_state(qubits("a", 14), [0] * 14)
+    with pytest.raises(RegisterSizeError, match="density matrix"):
+        partial_trace(big, big.register.slots[:13])
 
 
 def test_partial_trace_against_index_loop(rng):
