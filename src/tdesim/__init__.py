@@ -89,6 +89,7 @@ from .scenarios import (
     run_no_signaling,
     run_proper_vs_improper,
     run_reverse,
+    run_sweep,
 )
 from .dsl import (
     CircuitProgram,

@@ -37,6 +37,7 @@ from .registers import (
     as_slot,
     level_index,
     level_label,
+    on_register,
     partial_trace,
     relabel_cycles,
     tensor,
@@ -152,6 +153,21 @@ def _lift_logical(matrix: np.ndarray, dims: Sequence[int]) -> np.ndarray:
 def apply_gate(state: State, gate: Gate, targets: Sequence[SlotLike]) -> State:
     """Apply a gate to target slots, which must all sit at one cycle."""
     reg = state.register
+    lifted, axes = _gate_block(reg, gate, targets)
+    if isinstance(state, PureState):
+        psi = state.amplitudes.reshape(reg.dims)
+        return PureState(reg, _left_multiply(lifted, psi, axes))
+    n = len(reg.slots)
+    rho = state.matrix.reshape(reg.dims + reg.dims)
+    rho = _left_multiply(lifted, rho, axes)
+    rho = _left_multiply(lifted.conj(), rho, [n + a for a in axes])
+    return DensityOperator(reg, rho.reshape(reg.dim, reg.dim))
+
+
+def _gate_block(reg: Register, gate: Gate, targets: Sequence[SlotLike]):
+    """Check a gate's targets against a register and return the lifted
+    gate, shaped (target dims..., target dims...), with the register axes
+    of the targets."""
     slots = [as_slot(t) for t in targets]
     if len(slots) != gate.arity:
         raise ValueError(
@@ -167,15 +183,7 @@ def apply_gate(state: State, gate: Gate, targets: Sequence[SlotLike]) -> State:
             "slots at different cycles are separate tensor factors"
         )
     dims = [reg.dims[a] for a in axes]
-    lifted = _lift_logical(gate.matrix, dims).reshape(dims + dims)
-    if isinstance(state, PureState):
-        psi = state.amplitudes.reshape(reg.dims)
-        return PureState(reg, _left_multiply(lifted, psi, axes))
-    n = len(reg.slots)
-    rho = state.matrix.reshape(reg.dims + reg.dims)
-    rho = _left_multiply(lifted, rho, axes)
-    rho = _left_multiply(lifted.conj(), rho, [n + a for a in axes])
-    return DensityOperator(reg, rho.reshape(reg.dim, reg.dim))
+    return _lift_logical(gate.matrix, dims).reshape(dims + dims), axes
 
 
 def _left_multiply(op: np.ndarray, t: np.ndarray, axes) -> np.ndarray:
@@ -238,6 +246,7 @@ def _as_branches(state, mode: Optional[CorrelationMode]):
         raise ValueError(f"ensemble weights sum to {total:.12g}, expected 1")
     if not out:
         raise ValueError("all ensemble weights are zero")
+    out = renormalized(out)
     if mode is CorrelationMode.UNCORRELATED_COPIES:
         return "density", ensemble_density(out)
     return "branches", out
@@ -253,14 +262,28 @@ def ensemble_density(branches: Ensemble) -> DensityOperator:
     return DensityOperator(reg, m)
 
 
+def renormalized(branches: Ensemble) -> list:
+    """The (weight, state) pairs with their weights rescaled to sum to 1.
+
+    Callers accept weights that sum to 1 within 1e-9, or drop branches
+    of weight below 1e-12; the mixture they build must still have unit
+    trace to 1e-12.
+    """
+    total = sum(float(w) for w, _ in branches)
+    return [(float(w) / total, psi) for w, psi in branches]
+
+
 def spectral_ensemble(rho: DensityOperator) -> list:
-    """Eigendecomposition of a density matrix as a (weight, state) list."""
+    """Eigendecomposition of a density matrix as a (weight, state) list.
+
+    Eigenvalues up to 1e-12 are dropped as roundoff and the kept weights
+    renormalized to sum to 1.
+    """
     vals, vecs = np.linalg.eigh(rho.matrix)
-    out = []
-    for i in range(len(vals)):
-        if vals[i] > 1e-12:
-            out.append((float(vals[i]), PureState(rho.register, vecs[:, i])))
-    return out
+    return renormalized([
+        (float(vals[i]), PureState(rho.register, vecs[:, i]))
+        for i in range(len(vals)) if vals[i] > 1e-12
+    ])
 
 
 def _run_expansion(state, policy, expand_one):
@@ -316,21 +339,32 @@ def displaced_expansion(state, tau: int, dilated_site: str, policy=None) -> Stat
         raise ValueError(f"dilation must be at least one cycle, got {tau}")
 
     def expand_one(st):
-        reg = st.register
-        if len(reg.slots) != 2:
-            raise ValueError("displaced expansion expects a two-slot pair")
-        sites = reg.sites
-        if len(sites) != 2:
-            raise ValueError("the two slots must sit on distinct sites")
-        if dilated_site not in sites:
-            raise UnknownSlotError(f"register has no site {dilated_site!r}")
-        _single_cycle(reg)
-        other = sites[0] if sites[1] == dilated_site else sites[1]
-        copy_a = relabel_cycles(st, other, -tau)
-        copy_b = _shift_all(copy_a, tau)
-        return tensor(copy_a, copy_b)
+        reg_a, reg_b = displaced_copies(st.register, tau, dilated_site)
+        return tensor(on_register(st, reg_a), on_register(st, reg_b))
 
     return _run_expansion(state, policy, expand_one)
+
+
+def displaced_copies(reg: Register, tau: int, dilated_site: str) -> tuple:
+    """Registers of the two copies in the displaced expansion of a pair.
+
+    Copy A pulls the undilated site back by tau cycles and copy B pushes
+    copy A forward by tau, each keeping the input's slot order; the
+    expanded state lives on copy A's slots followed by copy B's.
+    """
+    if len(reg.slots) != 2:
+        raise ValueError("displaced expansion expects a two-slot pair")
+    sites = reg.sites
+    if len(sites) != 2:
+        raise ValueError("the two slots must sit on distinct sites")
+    if dilated_site not in sites:
+        raise UnknownSlotError(f"register has no site {dilated_site!r}")
+    _single_cycle(reg)
+    other = sites[0] if sites[1] == dilated_site else sites[1]
+    slots_a = tuple(s.shifted(-tau) if s.site == other else s
+                    for s in reg.slots)
+    return (Register(slots_a, reg.dims),
+            Register(tuple(s.shifted(tau) for s in slots_a), reg.dims))
 
 
 def measure_at_cycle(state: State, cycle: int) -> DensityOperator:

@@ -191,8 +191,10 @@ class DensityOperator:
     """Density matrix on a register, validated on construction.
 
     Construction checks hermiticity and unit trace to 1e-12 and rejects
-    eigenvalues below -1e-10; anything worse indicates a bug upstream, not
-    roundoff, so it raises InvariantViolationError.
+    eigenvalues below -1e-10 (see check_densities); anything worse
+    indicates a bug upstream, not roundoff, so it raises
+    InvariantViolationError.  The eigenvalues computed by that check are
+    kept, read-only, as ``eigenvalues``.
     """
 
     def __init__(self, register: Register, matrix):
@@ -201,25 +203,16 @@ class DensityOperator:
             raise ValueError(
                 f"expected a {register.dim}x{register.dim} matrix, got {m.shape}"
             )
-        herm = float(np.abs(m - m.conj().T).max())
-        if herm > ATOL:
-            raise InvariantViolationError(
-                f"matrix is not hermitian (deviation {herm:.3e})"
-            )
-        tr = complex(np.trace(m))
-        if abs(tr - 1.0) > ATOL:
-            raise InvariantViolationError(
-                f"trace is {tr:.15g}, expected 1"
-            )
-        lo = float(np.linalg.eigvalsh(m).min())
-        if lo < PSD_FLOOR:
-            raise InvariantViolationError(
-                f"negative eigenvalue {lo:.3e} below tolerance"
-            )
-        m = m.copy()
-        m.flags.writeable = False
+        vals = check_densities(m)
+        self._set(register, m.copy(), vals)
+
+    def _set(self, register: Register, matrix: np.ndarray,
+             eigenvalues: np.ndarray) -> None:
+        matrix.flags.writeable = False
+        eigenvalues.flags.writeable = False
         self.register = register
-        self.matrix = m
+        self.matrix = matrix
+        self.eigenvalues = eigenvalues
 
     @property
     def dim(self) -> int:
@@ -227,6 +220,66 @@ class DensityOperator:
 
     def __repr__(self) -> str:
         return f"DensityOperator({list(self.register.slots)})"
+
+
+def check_densities(matrices: np.ndarray) -> np.ndarray:
+    """Validate one density matrix or a stack of them, shaped (..., d, d),
+    and return their eigenvalues, shaped (..., d), ascending per row.
+
+    Every row must be hermitian and of unit trace to ATOL, checked over
+    the whole stack first, and then have no eigenvalue below PSD_FLOOR.
+    The first row that fails raises InvariantViolationError, naming its
+    index when there is a stack.
+    """
+    m = matrices
+    dev = abs(m - m.conj().swapaxes(-1, -2))
+    trace_err = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
+    if not (dev.max() <= ATOL and trace_err.max() <= ATOL):
+        _reject(m, dev.max(axis=(-2, -1)), trace_err)
+    vals = np.linalg.eigvalsh(m)
+    if not vals.min() >= PSD_FLOOR:
+        _reject(m, dev.max(axis=(-2, -1)), trace_err, vals[..., 0])
+    return vals
+
+
+def _reject(m, herm, trace_err, lowest=None):
+    """Raise InvariantViolationError for the first row of m that fails
+    check_densities, with the first check it fails."""
+    bad = ~(herm <= ATOL) | ~(trace_err <= ATOL)
+    if lowest is not None:
+        bad = bad | ~(lowest >= PSD_FLOOR)
+    i = tuple(int(k) for k in np.argwhere(bad)[0])
+    where = f"row {i}: " if m.ndim > 2 else ""
+    if not herm[i] <= ATOL:
+        what = f"matrix is not hermitian (deviation {float(herm[i]):.3e})"
+    elif not trace_err[i] <= ATOL:
+        what = f"trace is {complex(m[i].trace()):.15g}, expected 1"
+    else:
+        what = f"negative eigenvalue {float(lowest[i]):.3e} below tolerance"
+    raise InvariantViolationError(where + what)
+
+
+def density_rows(register: Register, matrices) -> list:
+    """One DensityOperator per row of an (N, d, d) stack on one register.
+
+    The stack is validated by check_densities in one pass, with exactly
+    the checks a single construction makes, and each operator keeps its
+    row's eigenvalues.
+    """
+    m = np.asarray(matrices, dtype=complex)
+    if m.ndim != 3 or m.shape[1:] != (register.dim, register.dim):
+        raise ValueError(
+            f"expected a stack of {register.dim}x{register.dim} matrices, "
+            f"got {m.shape}"
+        )
+    vals = check_densities(m)
+    m = m.copy()
+    out = []
+    for row, row_vals in zip(m, vals):
+        rho = DensityOperator.__new__(DensityOperator)
+        rho._set(register, row, row_vals)
+        out.append(rho)
+    return out
 
 
 State = Union[PureState, DensityOperator]
@@ -336,14 +389,37 @@ def partial_trace(state: State, keep: Iterable[SlotLike]) -> DensityOperator:
     perm = keep_pos + rest_pos
 
     if isinstance(state, PureState):
-        a = state.amplitudes.reshape(reg.dims).transpose(perm)
-        a = a.reshape(d_keep, d_rest)
-        return DensityOperator(out_reg, a @ a.conj().T)
+        return DensityOperator(
+            out_reg, _trace_amplitudes(state.amplitudes, reg.dims, keep_pos)
+        )
     n = len(reg.slots)
     block = state.matrix.reshape(reg.dims + reg.dims)
     block = block.transpose(perm + [p + n for p in perm])
     block = block.reshape(d_keep, d_rest, d_keep, d_rest)
     return DensityOperator(out_reg, np.trace(block, axis1=1, axis2=3))
+
+
+def _trace_amplitudes(amps: np.ndarray, dims: tuple,
+                      keep_pos: Sequence[int]) -> np.ndarray:
+    """Reduced density matrices of amplitude vectors over the slots at the
+    sorted positions keep_pos.
+
+    amps is shaped (..., prod(dims)); any leading axes are rows, kept as
+    they are.  With the kept axes moved to the front and the rest
+    flattened, each row is a d_keep x d_rest matrix A and its reduced
+    state is A A^H, so |psi><psi| is never formed.
+    """
+    lead = amps.shape[:-1]
+    nb = len(lead)
+    rest_pos = [p for p in range(len(dims)) if p not in keep_pos]
+    d_keep = 1
+    for p in keep_pos:
+        d_keep *= dims[p]
+    a = amps.reshape(lead + tuple(dims))
+    a = a.transpose(list(range(nb))
+                    + [nb + p for p in list(keep_pos) + rest_pos])
+    a = a.reshape(lead + (d_keep, -1))
+    return a @ a.conj().swapaxes(-1, -2)
 
 
 def permute_slots(state: State, order: Sequence[SlotLike]) -> State:
@@ -378,10 +454,14 @@ def relabel_cycles(state: State, site, delta: int) -> State:
         s.shifted(delta) if site is None or s.site == site else s
         for s in reg.slots
     )
-    new_reg = Register(new_slots, reg.dims)
+    return on_register(state, Register(new_slots, reg.dims))
+
+
+def on_register(state: State, register: Register) -> State:
+    """The same amplitudes or matrix on another register of equal dims."""
     if isinstance(state, PureState):
-        return PureState(new_reg, state.amplitudes)
-    return DensityOperator(new_reg, state.matrix)
+        return PureState(register, state.amplitudes)
+    return DensityOperator(register, state.matrix)
 
 
 def density_to_json(rho: DensityOperator) -> dict:

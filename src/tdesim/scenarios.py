@@ -21,7 +21,10 @@ from .registers import (
     Register,
     SlotId,
     State,
+    _trace_amplitudes,
     bell_phi_plus,
+    check_densities,
+    density_rows,
     density_to_json,
     maximally_mixed,
     partial_trace,
@@ -29,20 +32,34 @@ from .registers import (
     relabel_cycles,
     tensor,
     to_density,
-    vacuum_state,
 )
 from .dynamics import (
     CorrelationMode,
+    _as_mode,
+    _gate_block,
+    _left_multiply,
     apply_gate,
     cnot,
+    displaced_copies,
     displaced_expansion,
     ensemble_density,
     free_expansion,
     measure_at_cycle,
     project,
+    renormalized,
+    spectral_ensemble,
 )
-from .analytics import CurvePoint, trace_norm_distance, von_neumann_entropy
+from .analytics import (
+    CurvePoint,
+    _entropy_bits,
+    trace_norm_distance,
+    von_neumann_entropy,
+)
 from .channel import QubitDensity
+
+# Rows run through the circuit at once when a grid is swept, so that the
+# arrays held at one time do not grow with the grid.
+ROW_BLOCK = 256
 
 
 def _normalize_input(state, tau: int, site: Optional[str]) -> State:
@@ -61,20 +78,129 @@ def _normalize_input(state, tau: int, site: Optional[str]) -> State:
     raise ValueError(f"unsupported circuit input: {type(state).__name__}")
 
 
-def _close_displaced(pair: State, tau: int, in_slot: SlotId,
-                     anc_slot: SlotId, policy=None):
-    """Expand a prepared pair across the dilation and close with a CNOT.
+def _check_tau(tau) -> int:
+    tau = int(tau)
+    if tau < 1:
+        raise ValueError(f"dilation must be at least one cycle, got {tau}")
+    return tau
 
-    Returns (rho_d, closed, rho_out): the single-cycle readout before the
-    closing gate, the full four-slot state after it, and the reduced
-    output on the ancilla slot.
+
+def _slots(site: str, tau: int) -> tuple:
+    """The input slot and its ancilla's slot at the preparation cycle."""
+    anc = "2" if site != "2" else "anc"
+    return SlotId(site, tau), SlotId(anc, tau)
+
+
+def _outer(rows: np.ndarray) -> np.ndarray:
+    """|psi><psi| of each row of an (N, d) amplitude stack."""
+    return rows[:, :, None] * rows[:, None, :].conj()
+
+
+def _mix(weights, stack: np.ndarray) -> np.ndarray:
+    """Weighted sum over the leading row axis."""
+    return np.tensordot(np.asarray(weights, dtype=float), stack, axes=1)
+
+
+def row_blocks(n: int):
+    """Slices of at most ROW_BLOCK rows covering range(n)."""
+    for start in range(0, n, ROW_BLOCK):
+        yield slice(start, min(start + ROW_BLOCK, n))
+
+
+def grid_inputs(grid, dim: int = 2) -> tuple:
+    """beta^2 values and the input rows sqrt(1 - b2)|0> + sqrt(b2)|1>.
+
+    Returns (b2, amplitudes): an (N,) float array and an (N, dim) stack
+    of normalized rows; with dim 3 the vacuum amplitude is zero.  A value
+    outside [0, 1] raises ValueError.
     """
-    expanded = displaced_expansion(pair, tau, dilated_site=in_slot.site,
-                                   policy=policy)
-    rho_d = measure_at_cycle(expanded, in_slot.cycle)
-    closed = apply_gate(expanded, cnot(), [in_slot, anc_slot])
-    rho_out = partial_trace(closed, [anc_slot])
-    return rho_d, closed, rho_out
+    b2 = np.array([float(b) for b in grid])
+    bad = ~((b2 >= 0.0) & (b2 <= 1.0))
+    if bad.any():
+        raise ValueError(f"beta^2 out of range: {b2[bad][0]}")
+    amps = np.zeros((len(b2), dim), dtype=complex)
+    amps[:, dim - 2] = np.sqrt(1.0 - b2)
+    amps[:, dim - 1] = np.sqrt(b2)
+    return b2, amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def _gate_rows(rows: np.ndarray, reg: Register, targets) -> np.ndarray:
+    """CNOT on the target slots of every row of an (N, reg.dim) stack."""
+    lifted, axes = _gate_block(reg, cnot(), targets)
+    t = rows.reshape((len(rows),) + reg.dims)
+    out = _left_multiply(lifted, t, [a + 1 for a in axes])
+    return out.reshape(len(rows), reg.dim)
+
+
+@dataclass
+class CircuitRows:
+    """The displaced-CNOT circuit run on a stack of N pure inputs.
+
+    The registers are shared by every row; each array has a leading row
+    axis.  `pair` is the (input, ancilla) state rho_s comes from, `four`
+    the four-slot state after the closing CNOT.
+    """
+
+    input_register: Register
+    pair_register: Register
+    four_register: Register
+    readout_register: Register
+    output_register: Register
+    inputs: np.ndarray
+    pair: np.ndarray
+    four: np.ndarray
+    rho_d: np.ndarray
+    rho_out: np.ndarray
+
+    def densities(self) -> dict:
+        """The input, rho_s, rho_d and rho_out density matrix of every
+        row, as (N, d, d) stacks by name, each checked by
+        check_densities."""
+        out = {"input": _outer(self.inputs), "rho_s": _outer(self.pair),
+               "rho_d": self.rho_d, "rho_out": self.rho_out}
+        for stack in out.values():
+            check_densities(stack)
+        return out
+
+
+def displaced_cnot_rows(amplitudes, tau: int, site: str = "1") -> CircuitRows:
+    """Run the displaced-CNOT circuit on a stack of pure single-slot inputs.
+
+    amplitudes is (N, d) with d = 2 or 3, each row a normalized input on
+    the slot (site, tau).  Every row gets a fresh ancilla in |0> and a
+    CNOT; the site is then dilated by tau, the pair expanded into its two
+    copies (dynamics.displaced_copies), read out at cycle tau for rho_d,
+    and closed by a second CNOT whose ancilla slot is traced out for
+    rho_out.  All of it runs as array operations over the row axis.
+    """
+    tau = _check_tau(tau)
+    amps = np.asarray(amplitudes, dtype=complex)
+    n, dim = amps.shape
+    in_slot, anc_slot = _slots(site, tau)
+    targets = (in_slot, anc_slot)
+    pair_reg = Register(targets, (dim, 2))
+    pair = np.zeros((n, dim, 2), dtype=complex)
+    pair[:, :, 0] = amps
+    pair = _gate_rows(pair.reshape(n, -1), pair_reg, targets)
+
+    reg_a, reg_b = displaced_copies(pair_reg, tau, site)
+    four_reg = Register(reg_a.slots + reg_b.slots, reg_a.dims + reg_b.dims)
+    four = (pair[:, :, None] * pair[:, None, :]).reshape(n, four_reg.dim)
+    read_pos = [i for i, s in enumerate(four_reg.slots) if s.cycle == tau]
+    rho_d = _trace_amplitudes(four, four_reg.dims, read_pos)
+    four = _gate_rows(four, four_reg, targets)
+    out_pos = [four_reg.index_of(anc_slot)]
+    rho_out = _trace_amplitudes(four, four_reg.dims, out_pos)
+
+    return CircuitRows(
+        input_register=Register((in_slot,), (dim,)),
+        pair_register=pair_reg,
+        four_register=four_reg,
+        readout_register=Register(tuple(four_reg.slots[p] for p in read_pos),
+                                  tuple(four_reg.dims[p] for p in read_pos)),
+        output_register=Register((anc_slot,), (2,)),
+        inputs=amps, pair=pair, four=four, rho_d=rho_d, rho_out=rho_out,
+    )
 
 
 @dataclass
@@ -99,6 +225,30 @@ class CircuitReport:
         }
 
 
+def _report(inp, rho_s, rho_d, rho_out, four, tau) -> CircuitReport:
+    entropies = {
+        "input": von_neumann_entropy(inp),
+        "rho_s": von_neumann_entropy(rho_s),
+        "rho_d": von_neumann_entropy(rho_d),
+        "rho_out": von_neumann_entropy(rho_out),
+    }
+    return CircuitReport(inp, rho_s, rho_d, rho_out, four, entropies, tau)
+
+
+def _pure_reports(rows: CircuitRows, tau: int) -> list:
+    """One CircuitReport per row, every density validated in one pass."""
+    columns = zip(
+        density_rows(rows.input_register, _outer(rows.inputs)),
+        density_rows(rows.pair_register, _outer(rows.pair)),
+        density_rows(rows.readout_register, rows.rho_d),
+        density_rows(rows.output_register, rows.rho_out),
+        rows.four,
+    )
+    return [_report(inp, rho_s, rho_d, rho_out,
+                    PureState(rows.four_register, four), tau)
+            for inp, rho_s, rho_d, rho_out, four in columns]
+
+
 def run_fig1(state, tau: int = 1, input_site: Optional[str] = None,
              policy=CorrelationMode.UNCORRELATED_COPIES) -> CircuitReport:
     """Run the displaced-CNOT circuit on one input qubit.
@@ -109,30 +259,54 @@ def run_fig1(state, tau: int = 1, input_site: Optional[str] = None,
     closing CNOT plus partial trace give the channel output on the ancilla.
 
     Mixed inputs are expanded per `policy`, uncorrelated copies by default.
-    Pure inputs never consult it.
+    Under COHERENT_HISTORY the input's spectral branches run through the
+    circuit as rows and are mixed afterwards.  Pure inputs never consult
+    the policy.
     """
-    tau = int(tau)
-    if tau < 1:
-        raise ValueError(f"dilation must be at least one cycle, got {tau}")
+    tau = _check_tau(tau)
     inp = _normalize_input(state, tau, input_site)
     site = inp.register.slots[0].site
-    anc = "2" if site != "2" else "anc"
-    in_slot = SlotId(site, tau)
-    anc_slot = SlotId(anc, tau)
+    if isinstance(inp, PureState):
+        rows = displaced_cnot_rows(inp.amplitudes[None], tau, site)
+        return _pure_reports(rows, tau)[0]
+    if _as_mode(policy) is CorrelationMode.COHERENT_HISTORY:
+        branches = spectral_ensemble(inp)
+        weights = [w for w, _ in branches]
+        rows = displaced_cnot_rows([psi.amplitudes for _, psi in branches],
+                                   tau, site)
+        return _report(
+            inp,
+            DensityOperator(rows.pair_register,
+                            _mix(weights, _outer(rows.pair))),
+            DensityOperator(rows.readout_register, _mix(weights, rows.rho_d)),
+            DensityOperator(rows.output_register,
+                            _mix(weights, rows.rho_out)),
+            DensityOperator(rows.four_register,
+                            _mix(weights, _outer(rows.four))),
+            tau,
+        )
 
-    joint = tensor(inp, qubit_state(anc, tau, 1.0, 0.0))
+    in_slot, anc_slot = _slots(site, tau)
+    joint = tensor(inp, qubit_state(anc_slot.site, tau, 1.0, 0.0))
     pair = apply_gate(joint, cnot(), [in_slot, anc_slot])
-    rho_s = to_density(pair)
-    rho_d, closed, rho_out = _close_displaced(pair, tau, in_slot, anc_slot,
-                                              policy=policy)
-    entropies = {
-        "input": von_neumann_entropy(to_density(inp)),
-        "rho_s": von_neumann_entropy(rho_s),
-        "rho_d": von_neumann_entropy(rho_d),
-        "rho_out": von_neumann_entropy(rho_out),
-    }
-    return CircuitReport(to_density(inp), rho_s, rho_d, rho_out, closed,
-                         entropies, tau)
+    expanded = displaced_expansion(pair, tau, dilated_site=site,
+                                   policy=policy)
+    rho_d = measure_at_cycle(expanded, tau)
+    closed = apply_gate(expanded, cnot(), [in_slot, anc_slot])
+    rho_out = partial_trace(closed, [anc_slot])
+    return _report(inp, pair, rho_d, rho_out, closed, tau)
+
+
+def run_sweep(grid: Sequence[float], tau: int = 1) -> list:
+    """run_fig1 on the inputs sqrt(1 - b2)|0> + sqrt(b2)|1> of site "1" for
+    every beta^2 on the grid, one CircuitReport per point; the grid runs
+    through the circuit in blocks of ROW_BLOCK rows."""
+    tau = _check_tau(tau)
+    _, amps = grid_inputs(grid)
+    reports = []
+    for block in row_blocks(len(amps)):
+        reports += _pure_reports(displaced_cnot_rows(amps[block], tau), tau)
+    return reports
 
 
 @dataclass
@@ -311,7 +485,7 @@ def run_proper_vs_improper(ensemble: Optional[Sequence] = None,
     uncorrelated copies.  A linear channel could never tell the two
     apart, so any gap is a direct readout of the channel's nonlinearity.
     """
-    tau = int(tau)
+    tau = _check_tau(tau)
     if ensemble is None:
         ensemble = [(0.5, qubit_state("1", tau, 1.0, 0.0)),
                     (0.5, qubit_state("1", tau, 0.0, 1.0))]
@@ -324,16 +498,20 @@ def run_proper_vs_improper(ensemble: Optional[Sequence] = None,
         raise ValueError("empty ensemble")
     if abs(sum(w for w, _ in branches) - 1.0) > 1e-9:
         raise ValueError("ensemble weights must sum to 1")
-    if len({psi.register.slots[0].site for _, psi in branches}) != 1:
+    sites = {psi.register.slots[0].site for _, psi in branches}
+    if len(sites) != 1:
         raise ValueError("ensemble branches must share one site")
+    if len({psi.register.dims for _, psi in branches}) != 1:
+        raise ValueError("ensemble branches must share one slot dimension")
 
-    reports = [(w, run_fig1(psi, tau=tau)) for w, psi in branches]
-    out_reg = reports[0][1].rho_out.register
-    proper = DensityOperator(
-        out_reg, sum(w * rep.rho_out.matrix for w, rep in reports)
-    )
+    pinned = [(w, _normalize_input(psi, tau, None))
+              for w, psi in renormalized(branches)]
+    weights = [w for w, _ in pinned]
+    rows = displaced_cnot_rows([psi.amplitudes for _, psi in pinned], tau,
+                               sites.pop())
+    proper = DensityOperator(rows.output_register,
+                             _mix(weights, rows.densities()["rho_out"]))
 
-    pinned = [(w, _normalize_input(psi, tau, None)) for w, psi in branches]
     avg_in = ensemble_density(pinned)
     improper = run_fig1(avg_in, tau=tau,
                         policy=CorrelationMode.UNCORRELATED_COPIES).rho_out
@@ -370,55 +548,46 @@ def run_entropy_study(p_vac: float, grid: Sequence[float],
     p_vac = float(p_vac)
     if not 0.0 <= p_vac <= 1.0:
         raise ValueError(f"vacuum weight out of range: {p_vac}")
-    tau = int(tau)
-    if tau < 1:
-        raise ValueError(f"dilation must be at least one cycle, got {tau}")
+    tau = _check_tau(tau)
+    b2, qubits = grid_inputs(grid, dim=3)
 
-    in_slot = SlotId("1", tau)
-    anc_slot = SlotId("2", tau)
+    # The vacuum branch is the same at every point: one row, run once.
+    if p_vac > 0.0:
+        vacuum = displaced_cnot_rows([[1.0, 0.0, 0.0]], tau).densities()
+
+    def branches(block):
+        if p_vac > 0.0:
+            yield p_vac, vacuum
+        if p_vac < 1.0:
+            yield 1.0 - p_vac, \
+                displaced_cnot_rows(qubits[block], tau).densities()
+
     points = []
     drops = []
-    for b2 in grid:
-        b2 = float(b2)
-        if not 0.0 <= b2 <= 1.0:
-            raise ValueError(f"beta^2 out of range: {b2}")
-        alpha = np.sqrt(1.0 - b2)
-        beta = np.sqrt(b2)
-        branches = []
-        if p_vac > 0.0:
-            branches.append((p_vac, vacuum_state("1", tau)))
-        if p_vac < 1.0:
-            branches.append((1.0 - p_vac,
-                             qubit_state("1", tau, alpha, beta, dim=3)))
-
-        rho_in = ensemble_density(branches)
-        acc = {}
-        for w, psi in branches:
-            joint = tensor(psi, qubit_state("2", tau, 1.0, 0.0))
-            pair_b = apply_gate(joint, cnot(), [in_slot, anc_slot])
-            rho_d_b, _, rho_out_b = _close_displaced(pair_b, tau, in_slot,
-                                                     anc_slot)
-            for key, rho in (("rho_d", rho_d_b), ("rho_out", rho_out_b)):
-                if key not in acc:
-                    acc[key] = (rho.register,
-                                np.zeros_like(rho.matrix))
-                acc[key] = (acc[key][0], acc[key][1] + w * rho.matrix)
-
-        rho_d = DensityOperator(*acc["rho_d"])
-        rho_out = DensityOperator(*acc["rho_out"])
-        s_in = von_neumann_entropy(rho_in)
-        s_d = von_neumann_entropy(rho_d)
-        s_out = von_neumann_entropy(rho_out)
-        if s_in > s_d + 1e-9:
+    for block in row_blocks(len(b2)):
+        n = block.stop - block.start
+        mixed = None
+        for w, dens in branches(block):
+            parts = (dens["input"], dens["rho_d"], dens["rho_out"])
+            if mixed is None:
+                mixed = [np.zeros((n,) + p.shape[1:], dtype=complex)
+                         for p in parts]
+            mixed = [acc + w * p for acc, p in zip(mixed, parts)]
+        s_in, s_d, s_out = (_entropy_bits(check_densities(m)) for m in mixed)
+        below = s_in > s_d + 1e-9
+        if below.any():
+            i = int(np.argmax(below))
             raise InvariantViolationError(
-                f"readout entropy {s_d:.12g} fell below input entropy "
-                f"{s_in:.12g} at beta^2={b2:.12g}"
+                f"readout entropy {s_d[i]:.12g} fell below input entropy "
+                f"{s_in[i]:.12g} at beta^2={b2[block][i]:.12g}"
             )
-        if s_out < s_d - 1e-12:
-            drops.append(b2)
-        points.append(
-            CurvePoint(b2, {"S_in": s_in, "S_rho_d": s_d, "S_out": s_out})
-        )
+        for b, si, sd, so in zip(b2[block].tolist(), s_in.tolist(),
+                                 s_d.tolist(), s_out.tolist()):
+            if so < sd - 1e-12:
+                drops.append(b)
+            points.append(
+                CurvePoint(b, {"S_in": si, "S_rho_d": sd, "S_out": so})
+            )
     return EntropyStudyReport(p_vac, tau, points, drops)
 
 

@@ -144,3 +144,31 @@ def dense_project_oracle(matrix, dims, position, projector):
     op = np.kron(np.kron(np.eye(before), projector), np.eye(after))
     keep = [i for i in range(len(dims)) if i != position]
     return einsum_partial_trace_oracle(op @ matrix, dims, keep)
+
+
+CNOT_MATRIX = np.array([[1, 0, 0, 0],
+                        [0, 1, 0, 0],
+                        [0, 0, 0, 1],
+                        [0, 0, 1, 0]], dtype=complex)
+
+
+def displaced_cnot_oracle(amps):
+    """The displaced-CNOT circuit on one pure input, from dense operators.
+
+    Returns (rho_s, rho_d, rho_out, closed): the (input, ancilla) density
+    after the opening CNOT, the readout at the preparation cycle, the
+    ancilla output, and the four-slot amplitudes after the closing CNOT.
+    The four-slot layout (input@tau, ancilla@0, input@2tau, ancilla@tau)
+    is written out here rather than looked up.
+    """
+    amps = np.asarray(amps, dtype=complex)
+    dims = (len(amps), 2, len(amps), 2)
+    pair = dense_gate_oracle(np.kron(amps, [1.0, 0.0]), dims[:2],
+                             CNOT_MATRIX, [0, 1])
+    four = np.kron(pair, pair)
+    rho_d = einsum_partial_trace_oracle(np.outer(four, four.conj()), dims,
+                                        [0, 3])
+    closed = dense_gate_oracle(four, dims, CNOT_MATRIX, [0, 3])
+    rho_out = einsum_partial_trace_oracle(np.outer(closed, closed.conj()),
+                                          dims, [3])
+    return np.outer(pair, pair.conj()), rho_d, rho_out, closed

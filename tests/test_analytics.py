@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -149,3 +151,12 @@ def test_amplification_region_split():
     assert amplification_points(points, "D_in_tracenorm") == []
     with pytest.raises(ValueError):
         amplification_points(points, "D_in_bogus")
+
+
+def test_import_does_not_load_scipy():
+    # scipy is a test-only dependency: the oracles use it as an
+    # independent reference, the package itself never imports it
+    code = "import sys, tdesim; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "False"

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from tdesim import RunConfig, execute, parse_circuit
-from tdesim.cli import main
+from tdesim.cli import MAX_GRID_STEPS, main
 
 FIG1_PROGRAM = """\
 prepare q1 @0 0.5|0>+0.8660254037844386|1>
@@ -234,3 +234,14 @@ def test_run_config_validation():
         RunConfig(format="xml")
     with pytest.raises(ValueError):
         RunConfig(beta_sq=1.5)
+
+
+def test_grid_steps_are_bounded(capsys):
+    with pytest.raises(ValueError, match="between 2 and"):
+        RunConfig(steps=MAX_GRID_STEPS + 1)
+    assert RunConfig(steps=MAX_GRID_STEPS).steps == MAX_GRID_STEPS
+    code, out, err = _run(capsys, "fig2", "--steps", str(10**12))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: grid steps must be between 2 and ")
+    assert err.count("\n") == 1

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdesim import (
     CorrelationMode,
@@ -9,9 +11,11 @@ from tdesim import (
     SlotId,
     basis_index,
     dilation_from_round_trip,
+    free_expansion,
     maximally_mixed,
     nonlinear_map,
     partial_trace,
+    project,
     purity,
     qubit_state,
     run_displaced_backend,
@@ -26,7 +30,7 @@ from tdesim import (
     trace_norm_distance,
 )
 
-from conftest import random_density, random_pure
+from conftest import random_density, random_pure, trace_norm_oracle
 
 H_QUARTER = 0.8112781244591328
 
@@ -276,3 +280,50 @@ def test_scenario_states_satisfy_subadditivity(rng):
         rep = run_fig1(_pure_input(b2))
         assert subadditivity_margin(rep.rho_s) >= -1e-9
         assert subadditivity_margin(rep.rho_d) >= -1e-9
+
+
+PROPERTY_SETTINGS = settings(deadline=None, max_examples=25)
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.sampled_from((2, 3)),
+       st.integers(1, 3))
+def test_reverse_recovers_random_pure_inputs(seed, dim, tau):
+    rng = np.random.default_rng(seed)
+    psi = random_pure(rng, Register((SlotId("1", 0),), (dim,)))
+    rep = run_reverse(psi, tau=tau)
+    assert abs(rep.fidelity - 1.0) <= 1e-12
+    v = psi.amplitudes
+    np.testing.assert_allclose(rep.recovered.matrix, np.outer(v, v.conj()),
+                               atol=1e-12)
+
+
+def _random_basis(rng):
+    z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    return np.linalg.qr(z)[0].T
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3),
+       st.sampled_from([None] + list(CorrelationMode)),
+       st.booleans())
+def test_backend_is_no_signaling_for_random_states_and_bases(
+        seed, tau, mode, alice_late):
+    # Alice measures one of her slots in a random projective basis; Bob's
+    # outcome-averaged box output must equal the box on his unconditioned
+    # two-cycle state (mode None draws a pure shared state)
+    rng = np.random.default_rng(seed)
+    reg = Register((SlotId("a", tau), SlotId("b", tau)), (2, 2))
+    shared = random_pure(rng, reg) if mode is None \
+        else random_density(rng, reg)
+    history = free_expansion(shared, [0, tau], policy=mode)
+    bob = [SlotId("b", 0), SlotId("b", tau)]
+    alice = SlotId("a", tau if alice_late else 0)
+    reference = run_displaced_backend(partial_trace(history, bob), "b")
+    for _ in range(2):
+        average = np.zeros((2, 2), dtype=complex)
+        for vec in _random_basis(rng):
+            m = project(history, alice, vec)
+            out = run_displaced_backend(partial_trace(m.post_state, bob), "b")
+            average += m.probability * out.matrix
+        assert trace_norm_oracle(average - reference.matrix) <= 1e-12

@@ -1,0 +1,232 @@
+"""Stacked sweeps: grids and ensemble branches run through the
+displaced-CNOT circuit as rows of one array, checked point by point
+against the dense oracles in conftest, plus the row validation."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tdesim import (
+    CorrelationMode,
+    DensityOperator,
+    InvariantViolationError,
+    Register,
+    SlotId,
+    apply_gate,
+    cnot,
+    displaced_expansion,
+    fig2_curves,
+    free_expansion,
+    measure_at_cycle,
+    partial_trace,
+    qubit_state,
+    run_entropy_study,
+    run_fig1,
+    run_proper_vs_improper,
+    run_sweep,
+    tensor,
+)
+from tdesim.registers import check_densities, density_rows
+from tdesim.scenarios import ROW_BLOCK, displaced_cnot_rows
+
+from conftest import (
+    displaced_cnot_oracle,
+    entropy_oracle,
+    random_density,
+    trace_norm_oracle,
+)
+
+TOL = 1e-12
+GRID_POINTS = 1001
+SWEEP_SETTINGS = settings(deadline=None, max_examples=3)
+
+
+@st.composite
+def grids(draw):
+    """GRID_POINTS values of beta^2 in random order, both endpoints
+    included, and a dilation of 1 to 3 cycles."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grid = np.concatenate([[0.0, 1.0],
+                           rng.uniform(0.0, 1.0, GRID_POINTS - 2)])
+    rng.shuffle(grid)
+    return [float(b) for b in grid], draw(st.integers(1, 3))
+
+
+def _qubit(b2, dim=2):
+    amps = np.zeros(dim, dtype=complex)
+    amps[dim - 2:] = np.sqrt(1.0 - b2), np.sqrt(b2)
+    return amps
+
+
+@SWEEP_SETTINGS
+@given(grids())
+def test_fig2_sweep_matches_dense_oracle(drawn):
+    grid, tau = drawn
+    points = fig2_curves(grid, tau=tau)
+    assert len(points) == GRID_POINTS
+    ref_in = np.diag([1.0, 0.0])
+    ref_out = displaced_cnot_oracle([1.0, 0.0])[2]
+    for b2, p in zip(grid, points):
+        amps = _qubit(b2)
+        rho_out = displaced_cnot_oracle(amps)[2]
+        assert p.beta_sq == b2
+        assert p.values["D_in_paper"] == 2.0 * b2
+        assert abs(p.values["D_in_tracenorm"]
+                   - trace_norm_oracle(np.outer(amps, amps) - ref_in)) <= TOL
+        assert abs(p.values["D_out"]
+                   - trace_norm_oracle(rho_out - ref_out)) <= TOL
+
+
+@SWEEP_SETTINGS
+@given(grids(), st.sampled_from((0.0, 0.3, 0.5, 0.85, 1.0)))
+def test_entropy_sweep_matches_dense_oracle(drawn, p_vac):
+    grid, tau = drawn
+    rep = run_entropy_study(p_vac, grid, tau=tau)
+    assert len(rep.points) == GRID_POINTS
+    vac = np.array([1.0, 0.0, 0.0])
+    _, vac_d, vac_out, _ = displaced_cnot_oracle(vac)
+    for b2, p in zip(grid, rep.points):
+        amps = _qubit(b2, dim=3)
+        _, rho_d, rho_out, _ = displaced_cnot_oracle(amps)
+        want = {
+            "S_in": p_vac * np.outer(vac, vac)
+            + (1.0 - p_vac) * np.outer(amps, amps.conj()),
+            "S_rho_d": p_vac * vac_d + (1.0 - p_vac) * rho_d,
+            "S_out": p_vac * vac_out + (1.0 - p_vac) * rho_out,
+        }
+        assert p.beta_sq == b2
+        for key, rho in want.items():
+            assert abs(p.values[key] - entropy_oracle(rho)) <= TOL
+    assert rep.drop_points == [
+        p.beta_sq for p in rep.points
+        if p.values["S_out"] < p.values["S_rho_d"] - 1e-12
+    ]
+
+
+@SWEEP_SETTINGS
+@given(grids())
+def test_sweep_reports_match_dense_oracle(drawn):
+    grid, tau = drawn
+    reports = run_sweep(grid, tau=tau)
+    assert len(reports) == GRID_POINTS
+    inputs = [_qubit(b2) for b2 in grid]
+    want = list(zip(*(displaced_cnot_oracle(a) for a in inputs)))
+    expected = {
+        "input_state": [np.outer(a, a) for a in inputs],
+        "rho_s": want[0], "rho_d": want[1], "rho_out": want[2],
+    }
+    for name, matrices in expected.items():
+        np.testing.assert_allclose(
+            [getattr(rep, name).matrix for rep in reports], matrices,
+            atol=TOL)
+    np.testing.assert_allclose(
+        [rep.four_slot_state.amplitudes for rep in reports], want[3],
+        atol=TOL)
+    for rep, rho_out in zip(reports, want[2]):
+        assert abs(rep.entropies["rho_out"] - entropy_oracle(rho_out)) \
+            <= TOL
+    assert reports[0].four_slot_state.register.slots == (
+        SlotId("1", tau), SlotId("2", 0), SlotId("1", 2 * tau),
+        SlotId("2", tau))
+
+
+def test_sweep_point_equals_single_run():
+    grid = np.linspace(0.0, 1.0, 2 * ROW_BLOCK + 3)
+    reports = run_sweep(grid, tau=2)
+    for i in (0, ROW_BLOCK - 1, ROW_BLOCK, len(grid) - 1):
+        single = run_fig1(qubit_state("1", 0, np.sqrt(1.0 - grid[i]),
+                                      np.sqrt(grid[i])), tau=2)
+        for name in ("input_state", "rho_s", "rho_d", "rho_out"):
+            np.testing.assert_allclose(getattr(reports[i], name).matrix,
+                                       getattr(single, name).matrix,
+                                       atol=TOL)
+            assert getattr(reports[i], name).register == \
+                getattr(single, name).register
+
+
+def _invalid_rows():
+    return {
+        "not hermitian": np.array([[0.5, 0.5], [0.2, 0.5]]),
+        "trace": np.diag([0.9, 0.3]),
+        "negative eigenvalue": np.diag([1.2, -0.2]),
+    }
+
+
+@pytest.mark.parametrize("kind", sorted(_invalid_rows()))
+def test_stack_with_one_invalid_row_raises(kind):
+    reg = Register((SlotId("a", 0),), (2,))
+    stack = np.array([np.eye(2) / 2.0] * 5, dtype=complex)
+    stack[3] = _invalid_rows()[kind]
+    with pytest.raises(InvariantViolationError, match=r"^row \(3,\): "):
+        check_densities(stack)
+    with pytest.raises(InvariantViolationError, match=r"^row \(3,\): "):
+        density_rows(reg, stack)
+    with pytest.raises(InvariantViolationError):
+        DensityOperator(reg, stack[3])
+
+
+def test_unnormalized_circuit_row_is_rejected():
+    rows = displaced_cnot_rows([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]], 1)
+    with pytest.raises(InvariantViolationError, match=r"^row \(2,\): trace"):
+        rows.densities()
+
+
+def test_validator_returns_the_spectrum_entropy_uses(rng):
+    reg = Register((SlotId("a", 0), SlotId("b", 0)), (2, 3))
+    rhos = [random_density(rng, reg) for _ in range(4)]
+    stack = np.array([r.matrix for r in rhos])
+    vals = check_densities(stack)
+    for row, rho, built in zip(vals, rhos, density_rows(reg, stack)):
+        np.testing.assert_array_equal(rho.eigenvalues,
+                                      np.linalg.eigvalsh(rho.matrix))
+        np.testing.assert_allclose(row, rho.eigenvalues, atol=TOL)
+        np.testing.assert_array_equal(built.matrix, rho.matrix)
+        assert not built.matrix.flags.writeable
+        assert not built.eigenvalues.flags.writeable
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_coherent_history_rows_match_object_expansion(rng, dim):
+    # with a non-degenerate spectrum the input's eigenbranches are the
+    # pair's, so mixing rows equals expanding the pair's ensemble
+    reg = Register((SlotId("1", 2),), (dim,))
+    for _ in range(3):
+        rho = random_density(rng, reg)
+        rep = run_fig1(rho, tau=2, policy=CorrelationMode.COHERENT_HISTORY)
+        pair = apply_gate(tensor(rho, qubit_state("2", 2, 1.0, 0.0)), cnot(),
+                          [SlotId("1", 2), SlotId("2", 2)])
+        expanded = displaced_expansion(
+            pair, 2, "1", policy=CorrelationMode.COHERENT_HISTORY)
+        closed = apply_gate(expanded, cnot(),
+                            [SlotId("1", 2), SlotId("2", 2)])
+        np.testing.assert_allclose(rep.rho_s.matrix, pair.matrix, atol=TOL)
+        np.testing.assert_allclose(rep.rho_d.matrix,
+                                   measure_at_cycle(expanded, 2).matrix,
+                                   atol=TOL)
+        np.testing.assert_allclose(rep.four_slot_state.matrix, closed.matrix,
+                                   atol=TOL)
+        np.testing.assert_allclose(
+            rep.rho_out.matrix,
+            partial_trace(closed, [SlotId("2", 2)]).matrix, atol=TOL)
+        assert rep.four_slot_state.register == closed.register
+
+
+def test_coherent_history_accepts_input_with_roundoff_eigenvalue():
+    # DensityOperator accepts the -5e-11 eigenvalue; dropping it must not
+    # leave the branch weights summing to 1 + 5e-11
+    reg = Register((SlotId("1", 0),), (2,))
+    rho = DensityOperator(reg, np.diag([1.0 + 5e-11, -5e-11]))
+    rep = run_fig1(rho, policy=CorrelationMode.COHERENT_HISTORY)
+    np.testing.assert_allclose(rep.rho_out.matrix, np.diag([1.0, 0.0]),
+                               atol=TOL)
+
+
+def test_ensemble_weights_off_by_roundoff_are_renormalized():
+    ens = [(0.5 + 4e-10, qubit_state("1", 0, 1.0, 0.0)),
+           (0.5, qubit_state("1", 0, 0.0, 1.0))]
+    rep = run_proper_vs_improper(ens)
+    assert abs(rep.trace_distance - 1.0) < 1e-9
+    for mode in CorrelationMode:
+        out = free_expansion(ens, [0, 1], policy=mode)
+        assert abs(np.trace(out.matrix) - 1.0) <= TOL
