@@ -41,7 +41,7 @@ from .scenarios import (
     run_entropy_study,
     run_no_signaling,
     run_proper_vs_improper,
-    run_reverse,
+    run_reverse_sweep,
     run_sweep,
 )
 from .dsl import CircuitProgram, parse_circuit, run_program
@@ -103,10 +103,6 @@ def _grid(config: RunConfig):
     if config.beta_sq is not None:
         return [float(config.beta_sq)]
     return [float(b) for b in np.linspace(0.0, 1.0, config.steps)]
-
-
-def _input_state(beta_sq: float, site: str = "1"):
-    return qubit_state(site, 0, np.sqrt(1.0 - beta_sq), np.sqrt(beta_sq))
 
 
 def execute(program: CircuitProgram, config: Optional[RunConfig] = None) -> str:
@@ -208,12 +204,11 @@ def _cmd_decohere(args, config: RunConfig):
 
 
 def _cmd_reverse(args, config: RunConfig):
-    points = []
-    worst = 0.0
-    for b2 in _grid(config):
-        rep = run_reverse(_input_state(b2), tau=config.tau)
-        points.append((b2, rep.fidelity, purity(rep.recovered)))
-        worst = max(worst, abs(rep.fidelity - 1.0))
+    grid = _grid(config)
+    reports = run_reverse_sweep(grid, tau=config.tau)
+    points = [(b2, rep.fidelity, purity(rep.recovered))
+              for b2, rep in zip(grid, reports)]
+    worst = max(abs(f - 1.0) for _, f, _ in points)
     code = 0 if worst <= config.tolerance else 1
     if config.format == "csv":
         return _csv("beta2,fidelity,purity", points), code

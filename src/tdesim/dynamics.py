@@ -20,6 +20,7 @@ physics, so the caller must choose a CorrelationMode:
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from itertools import product as _iproduct
 from typing import Iterable, Optional, Sequence, Union
@@ -113,6 +114,9 @@ class Gate:
         return f"Gate({self.name!r}, arity={self.arity})"
 
 
+# The fixed gates are built and checked for unitarity once; every call
+# returns the same Gate, whose matrix is read-only.
+@functools.lru_cache(maxsize=None)
 def cnot() -> Gate:
     return Gate("cnot", [[1, 0, 0, 0],
                          [0, 1, 0, 0],
@@ -120,10 +124,12 @@ def cnot() -> Gate:
                          [0, 0, 1, 0]])
 
 
+@functools.lru_cache(maxsize=None)
 def pauli_x() -> Gate:
     return Gate("x", [[0, 1], [1, 0]])
 
 
+@functools.lru_cache(maxsize=None)
 def hadamard() -> Gate:
     s = 1.0 / np.sqrt(2.0)
     return Gate("h", [[s, s], [s, -s]])
@@ -483,12 +489,24 @@ def _scalar_probability(state: State, proj: np.ndarray) -> float:
 def joint_outcome_distribution(state: State, slots: Sequence[SlotLike]) -> dict:
     """Born probabilities of every joint basis outcome on the given slots.
 
-    Keys concatenate one character per slot ('v', '0', '1').  All outcomes
-    appear, including zero-probability ones.
+    Keys concatenate one character per slot ('v', '0', '1'), in register
+    order.  All outcomes appear, including zero-probability ones.  When the
+    slots are the whole register the probabilities are read off the state
+    itself, without building its (identical) reduced state.
     """
-    reduced = partial_trace(state, slots)
-    dims = reduced.register.dims
-    probs = np.clip(np.diag(reduced.matrix).real, 0.0, None)
+    reg = state.register
+    slots = [as_slot(s) for s in slots]
+    if len(slots) == len(reg.slots) and set(slots) == set(reg.slots):
+        if isinstance(state, PureState):
+            diag = state.amplitudes * state.amplitudes.conj()
+        else:
+            diag = np.diag(state.matrix)
+        dims = reg.dims
+    else:
+        reduced = partial_trace(state, slots)
+        diag = np.diag(reduced.matrix)
+        dims = reduced.register.dims
+    probs = np.clip(diag.real, 0.0, None)
     out = {}
     for flat, p in enumerate(probs):
         idx = np.unravel_index(flat, dims)

@@ -273,13 +273,17 @@ def density_rows(register: Register, matrices) -> list:
             f"got {m.shape}"
         )
     vals = check_densities(m)
-    m = m.copy()
-    out = []
-    for row, row_vals in zip(m, vals):
-        rho = DensityOperator.__new__(DensityOperator)
-        rho._set(register, row, row_vals)
-        out.append(rho)
-    return out
+    return [_validated(register, row, row_vals)
+            for row, row_vals in zip(m.copy(), vals)]
+
+
+def _validated(register: Register, matrix: np.ndarray,
+               eigenvalues: np.ndarray) -> DensityOperator:
+    """A DensityOperator around a matrix check_densities has already
+    accepted, with the eigenvalues that check computed."""
+    rho = DensityOperator.__new__(DensityOperator)
+    rho._set(register, matrix, eigenvalues)
+    return rho
 
 
 State = Union[PureState, DensityOperator]
@@ -380,23 +384,16 @@ def partial_trace(state: State, keep: Iterable[SlotLike]) -> DensityOperator:
     if len(set(keep_slots)) != len(keep_slots):
         raise ValueError("keep list repeats a slot")
     keep_pos = sorted(reg.index_of(s) for s in keep_slots)
-    rest_pos = [p for p in range(len(reg.slots)) if p not in keep_pos]
     out_reg = Register(tuple(reg.slots[p] for p in keep_pos),
                        tuple(reg.dims[p] for p in keep_pos))
     check_state_size(out_reg.dim, pure=False)
-    d_keep = out_reg.dim
-    d_rest = reg.dim // d_keep
-    perm = keep_pos + rest_pos
-
     if isinstance(state, PureState):
         return DensityOperator(
             out_reg, _trace_amplitudes(state.amplitudes, reg.dims, keep_pos)
         )
-    n = len(reg.slots)
-    block = state.matrix.reshape(reg.dims + reg.dims)
-    block = block.transpose(perm + [p + n for p in perm])
-    block = block.reshape(d_keep, d_rest, d_keep, d_rest)
-    return DensityOperator(out_reg, np.trace(block, axis1=1, axis2=3))
+    return DensityOperator(
+        out_reg, _trace_matrices(state.matrix, reg.dims, keep_pos)
+    )
 
 
 def _trace_amplitudes(amps: np.ndarray, dims: tuple,
@@ -420,6 +417,32 @@ def _trace_amplitudes(amps: np.ndarray, dims: tuple,
                     + [nb + p for p in list(keep_pos) + rest_pos])
     a = a.reshape(lead + (d_keep, -1))
     return a @ a.conj().swapaxes(-1, -2)
+
+
+def _trace_matrices(matrices: np.ndarray, dims: tuple,
+                    keep_pos: Sequence[int]) -> np.ndarray:
+    """Reduced density matrices of density matrices over the slots at the
+    sorted positions keep_pos.
+
+    matrices is shaped (..., prod(dims), prod(dims)); any leading axes are
+    rows, kept as they are.  Each row is reshaped to one axis per slot,
+    rows and columns, the kept axes are moved to the front of both, and
+    the rest is traced.
+    """
+    lead = matrices.shape[:-2]
+    nb = len(lead)
+    n = len(dims)
+    rest_pos = [p for p in range(n) if p not in keep_pos]
+    perm = list(keep_pos) + rest_pos
+    d_keep = 1
+    for p in keep_pos:
+        d_keep *= dims[p]
+    d_rest = matrices.shape[-1] // d_keep
+    block = matrices.reshape(lead + tuple(dims) + tuple(dims))
+    block = block.transpose(list(range(nb)) + [nb + p for p in perm]
+                            + [nb + n + p for p in perm])
+    block = block.reshape(lead + (d_keep, d_rest, d_keep, d_rest))
+    return np.trace(block, axis1=nb + 1, axis2=nb + 3)
 
 
 def permute_slots(state: State, order: Sequence[SlotLike]) -> State:
@@ -458,10 +481,20 @@ def relabel_cycles(state: State, site, delta: int) -> State:
 
 
 def on_register(state: State, register: Register) -> State:
-    """The same amplitudes or matrix on another register of equal dims."""
+    """The same amplitudes or matrix on another register of equal dims.
+
+    A density matrix keeps the matrix and spectrum its validation
+    accepted: relabeling slots changes neither, so it is not checked
+    again.
+    """
     if isinstance(state, PureState):
         return PureState(register, state.amplitudes)
-    return DensityOperator(register, state.matrix)
+    if register.dim != state.register.dim:
+        raise ValueError(
+            f"expected a {register.dim}x{register.dim} matrix, "
+            f"got {state.matrix.shape}"
+        )
+    return _validated(register, state.matrix, state.eigenvalues)
 
 
 def density_to_json(rho: DensityOperator) -> dict:

@@ -3,12 +3,16 @@
 Every scenario here is built from the same primitive moves: prepare a pair
 at one cycle, dilate one site so the pair straddles cycles, expand into the
 two-copy form, and either read out at a single cycle or close the circuit
-with a second gate.  The runners return report objects carrying the exact
-intermediate states so tests and the command line can interrogate any step.
+with a second gate.  The displaced-CNOT circuit is laid out once per input
+dimension, dilation and site (circuit_plan), with each CNOT an index
+permutation, and runs on stacks of pure or density rows.  The runners
+return report objects carrying the exact intermediate states so tests and
+the command line can interrogate any step.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -22,15 +26,15 @@ from .registers import (
     SlotId,
     State,
     _trace_amplitudes,
+    _trace_matrices,
     bell_phi_plus,
     check_densities,
     density_rows,
     density_to_json,
     maximally_mixed,
+    on_register,
     partial_trace,
     qubit_state,
-    relabel_cycles,
-    tensor,
     to_density,
 )
 from .dynamics import (
@@ -38,13 +42,10 @@ from .dynamics import (
     _as_mode,
     _gate_block,
     _left_multiply,
-    apply_gate,
     cnot,
     displaced_copies,
-    displaced_expansion,
     ensemble_density,
     free_expansion,
-    measure_at_cycle,
     project,
     renormalized,
     spectral_ensemble,
@@ -71,10 +72,7 @@ def _normalize_input(state, tau: int, site: Optional[str]) -> State:
         if len(reg.slots) != 1:
             raise ValueError("circuit input must occupy a single slot")
         target = SlotId(site or reg.slots[0].site, tau)
-        new_reg = Register((target,), reg.dims)
-        if isinstance(state, PureState):
-            return PureState(new_reg, state.amplitudes)
-        return DensityOperator(new_reg, state.matrix)
+        return on_register(state, Register((target,), reg.dims))
     raise ValueError(f"unsupported circuit input: {type(state).__name__}")
 
 
@@ -94,6 +92,12 @@ def _slots(site: str, tau: int) -> tuple:
 def _outer(rows: np.ndarray) -> np.ndarray:
     """|psi><psi| of each row of an (N, d) amplitude stack."""
     return rows[:, :, None] * rows[:, None, :].conj()
+
+
+def _density(rows: np.ndarray) -> np.ndarray:
+    """An (N, d, d) density stack as it is, an (N, d) amplitude stack as
+    its rank-one densities."""
+    return rows if rows.ndim == 3 else _outer(rows)
 
 
 def _mix(weights, stack: np.ndarray) -> np.ndarray:
@@ -124,28 +128,111 @@ def grid_inputs(grid, dim: int = 2) -> tuple:
     return b2, amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 
-def _gate_rows(rows: np.ndarray, reg: Register, targets) -> np.ndarray:
-    """CNOT on the target slots of every row of an (N, reg.dim) stack."""
-    lifted, axes = _gate_block(reg, cnot(), targets)
-    t = rows.reshape((len(rows),) + reg.dims)
-    out = _left_multiply(lifted, t, [a + 1 for a in axes])
-    return out.reshape(len(rows), reg.dim)
+def _cnot_permutation(reg: Register, targets) -> np.ndarray:
+    """A CNOT on the target slots of reg as a flat index permutation p: it
+    maps amplitudes psi to psi[p] and a density matrix m to m[p[:, None], p].
+
+    p is read off the lifted gate block of dynamics._gate_block, which
+    must be exactly a 0/1 permutation matrix: applied to the register's
+    flat indices, the gate returns p itself.
+    """
+    block, axes = _gate_block(reg, cnot(), targets)
+    k = int(np.prod(block.shape[:block.ndim // 2]))
+    flat = block.reshape(k, k)
+    assert (((flat == 0) | (flat == 1)).all()
+            and (flat.sum(axis=0) == 1).all()
+            and (flat.sum(axis=1) == 1).all()), "CNOT block is no permutation"
+    index = np.arange(reg.dim, dtype=float).reshape(reg.dims)
+    perm = _left_multiply(block.real, index, axes).reshape(-1)
+    perm = perm.astype(np.intp)
+    perm.flags.writeable = False
+    return perm
 
 
-@dataclass
-class CircuitRows:
-    """The displaced-CNOT circuit run on a stack of N pure inputs.
+@dataclass(frozen=True, eq=False)
+class CircuitPlan:
+    """The displaced-CNOT circuit laid out for one input dimension,
+    dilation tau and input site.
 
-    The registers are shared by every row; each array has a leading row
-    axis.  `pair` is the (input, ancilla) state rho_s comes from, `four`
-    the four-slot state after the closing CNOT.
+    The input sits on (site, tau) and its ancilla on the slot _slots
+    names; the four-slot register is the pair's two displaced copies
+    (dynamics.displaced_copies).  rho_d keeps the four-slot positions
+    read_pos (the slots at cycle tau) and rho_out the position out_pos
+    (the ancilla at tau).  Each CNOT is a flat index permutation of its
+    register (see _cnot_permutation): pair_cnot opens the pair,
+    four_cnot closes the circuit, and reverse_cnot undoes both CNOTs of
+    the reversal on reverse_register, the four-slot register with the
+    ancilla site dilated by tau, whose position recovered_pos holds the
+    recovered input.
     """
 
+    tau: int
     input_register: Register
     pair_register: Register
     four_register: Register
     readout_register: Register
     output_register: Register
+    read_pos: tuple
+    out_pos: tuple
+    pair_cnot: np.ndarray
+    four_cnot: np.ndarray
+    reverse_register: Register
+    reverse_cnot: np.ndarray
+    recovered_register: Register
+    recovered_pos: tuple
+
+
+@functools.lru_cache(maxsize=64)
+def circuit_plan(dim: int, tau: int, site: str) -> CircuitPlan:
+    """The CircuitPlan of a dim-level input on `site`, dilated by tau;
+    built once per (dim, tau, site) and shared."""
+    in_slot, anc_slot = _slots(site, tau)
+    targets = (in_slot, anc_slot)
+    pair_reg = Register(targets, (dim, 2))
+    reg_a, reg_b = displaced_copies(pair_reg, tau, site)
+    four_reg = Register(reg_a.slots + reg_b.slots, reg_a.dims + reg_b.dims)
+    read_pos = tuple(i for i, s in enumerate(four_reg.slots)
+                     if s.cycle == tau)
+
+    # Reversal: dilating the ancilla site by tau realigns it with both
+    # copies of the input site; the CNOT at cycle tau, then the one at
+    # 2 tau, compose into one gather.
+    anc = anc_slot.site
+    rev_reg = Register(tuple(s.shifted(tau) if s.site == anc else s
+                             for s in four_reg.slots), four_reg.dims)
+    late = (SlotId(site, 2 * tau), SlotId(anc, 2 * tau))
+    undo = _cnot_permutation(rev_reg, targets)[
+        _cnot_permutation(rev_reg, late)]
+    return CircuitPlan(
+        tau=tau,
+        input_register=Register((in_slot,), (dim,)),
+        pair_register=pair_reg,
+        four_register=four_reg,
+        readout_register=Register(tuple(four_reg.slots[p] for p in read_pos),
+                                  tuple(four_reg.dims[p] for p in read_pos)),
+        output_register=Register((anc_slot,), (2,)),
+        read_pos=read_pos,
+        out_pos=(four_reg.index_of(anc_slot),),
+        pair_cnot=_cnot_permutation(pair_reg, targets),
+        four_cnot=_cnot_permutation(four_reg, targets),
+        reverse_register=rev_reg,
+        reverse_cnot=undo,
+        recovered_register=Register((late[0],), (dim,)),
+        recovered_pos=(rev_reg.index_of(late[0]),),
+    )
+
+
+@dataclass
+class CircuitRows:
+    """The displaced-CNOT circuit run on a stack of N inputs.
+
+    Every row shares `plan`; each array has a leading row axis.  The
+    inputs, the pair rho_s comes from and the four-slot state after the
+    closing CNOT are (N, d) amplitude rows for pure inputs and (N, d, d)
+    density rows for mixed ones; rho_d and rho_out are always densities.
+    """
+
+    plan: CircuitPlan
     inputs: np.ndarray
     pair: np.ndarray
     four: np.ndarray
@@ -156,7 +243,7 @@ class CircuitRows:
         """The input, rho_s, rho_d and rho_out density matrix of every
         row, as (N, d, d) stacks by name, each checked by
         check_densities."""
-        out = {"input": _outer(self.inputs), "rho_s": _outer(self.pair),
+        out = {"input": _density(self.inputs), "rho_s": _density(self.pair),
                "rho_d": self.rho_d, "rho_out": self.rho_out}
         for stack in out.values():
             check_densities(stack)
@@ -171,36 +258,69 @@ def displaced_cnot_rows(amplitudes, tau: int, site: str = "1") -> CircuitRows:
     CNOT; the site is then dilated by tau, the pair expanded into its two
     copies (dynamics.displaced_copies), read out at cycle tau for rho_d,
     and closed by a second CNOT whose ancilla slot is traced out for
-    rho_out.  All of it runs as array operations over the row axis.
+    rho_out.  The layout comes from circuit_plan, the CNOTs are index
+    gathers, and all of it runs as array operations over the row axis.
     """
     tau = _check_tau(tau)
     amps = np.asarray(amplitudes, dtype=complex)
     n, dim = amps.shape
-    in_slot, anc_slot = _slots(site, tau)
-    targets = (in_slot, anc_slot)
-    pair_reg = Register(targets, (dim, 2))
+    plan = circuit_plan(dim, tau, site)
     pair = np.zeros((n, dim, 2), dtype=complex)
     pair[:, :, 0] = amps
-    pair = _gate_rows(pair.reshape(n, -1), pair_reg, targets)
+    pair = pair.reshape(n, -1)[:, plan.pair_cnot]
+    four = (pair[:, :, None] * pair[:, None, :]).reshape(n, -1)
+    dims = plan.four_register.dims
+    rho_d = _trace_amplitudes(four, dims, plan.read_pos)
+    four = four[:, plan.four_cnot]
+    rho_out = _trace_amplitudes(four, dims, plan.out_pos)
+    return CircuitRows(plan, amps, pair, four, rho_d, rho_out)
 
-    reg_a, reg_b = displaced_copies(pair_reg, tau, site)
-    four_reg = Register(reg_a.slots + reg_b.slots, reg_a.dims + reg_b.dims)
-    four = (pair[:, :, None] * pair[:, None, :]).reshape(n, four_reg.dim)
-    read_pos = [i for i, s in enumerate(four_reg.slots) if s.cycle == tau]
-    rho_d = _trace_amplitudes(four, four_reg.dims, read_pos)
-    four = _gate_rows(four, four_reg, targets)
-    out_pos = [four_reg.index_of(anc_slot)]
-    rho_out = _trace_amplitudes(four, four_reg.dims, out_pos)
 
-    return CircuitRows(
-        input_register=Register((in_slot,), (dim,)),
-        pair_register=pair_reg,
-        four_register=four_reg,
-        readout_register=Register(tuple(four_reg.slots[p] for p in read_pos),
-                                  tuple(four_reg.dims[p] for p in read_pos)),
-        output_register=Register((anc_slot,), (2,)),
-        inputs=amps, pair=pair, four=four, rho_d=rho_d, rho_out=rho_out,
-    )
+def displaced_cnot_density_rows(matrices, tau: int,
+                                site: str = "1") -> CircuitRows:
+    """Run the displaced-CNOT circuit on a stack of mixed single-slot
+    inputs, expanded as uncorrelated copies.
+
+    matrices is (N, d, d) with d = 2 or 3, each row a density matrix on
+    the slot (site, tau).  Row by row: pair = CNOT (rho x |0><0|) CNOT^H,
+    the four-slot state is pair x pair (CorrelationMode.UNCORRELATED_COPIES
+    on the layout of circuit_plan), rho_d its readout at cycle tau, and
+    rho_out the ancilla after the closing CNOT.
+    """
+    tau = _check_tau(tau)
+    m = np.asarray(matrices, dtype=complex)
+    n, dim = m.shape[:2]
+    plan = circuit_plan(dim, tau, site)
+    pair = np.zeros((n, dim, 2, dim, 2), dtype=complex)
+    pair[:, :, 0, :, 0] = m
+    p = plan.pair_cnot
+    pair = pair.reshape(n, 2 * dim, 2 * dim)[:, p[:, None], p]
+    d4 = plan.four_register.dim
+    four = (pair[:, :, None, :, None] * pair[:, None, :, None, :])
+    four = four.reshape(n, d4, d4)
+    dims = plan.four_register.dims
+    rho_d = _trace_matrices(four, dims, plan.read_pos)
+    q = plan.four_cnot
+    four = four[:, q[:, None], q]
+    rho_out = _trace_matrices(four, dims, plan.out_pos)
+    return CircuitRows(plan, m, pair, four, rho_d, rho_out)
+
+
+def _psd_part(rho: DensityOperator) -> np.ndarray:
+    """rho's matrix, projected onto the positive semidefinite cone when
+    its stored spectrum has a negative eigenvalue.
+
+    Validation lets eigenvalues down to -1e-10 through as roundoff; copied
+    into rho (x) rho their cross terms can push a traced output below
+    that floor.  The projection sets them to zero and renormalizes the
+    rest, the treatment spectral_ensemble gives COHERENT_HISTORY inputs.
+    A spectrum with no negative entry leaves the matrix untouched.
+    """
+    if rho.eigenvalues[0] >= 0.0:
+        return rho.matrix
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    vals = np.clip(vals, 0.0, None)
+    return (vecs * (vals / vals.sum())) @ vecs.conj().T
 
 
 @dataclass
@@ -235,18 +355,25 @@ def _report(inp, rho_s, rho_d, rho_out, four, tau) -> CircuitReport:
     return CircuitReport(inp, rho_s, rho_d, rho_out, four, entropies, tau)
 
 
-def _pure_reports(rows: CircuitRows, tau: int) -> list:
-    """One CircuitReport per row, every density validated in one pass."""
+def _reports(rows: CircuitRows, inputs=None) -> list:
+    """One CircuitReport per row, every density validated once: one
+    check_densities per stack.  `inputs` are the input operators when the
+    rows ran on DensityOperators, which were validated when built."""
+    plan = rows.plan
+    if inputs is None:
+        inputs = density_rows(plan.input_register, _outer(rows.inputs))
+    if rows.four.ndim == 2:
+        fours = [PureState(plan.four_register, f) for f in rows.four]
+    else:
+        fours = density_rows(plan.four_register, rows.four)
     columns = zip(
-        density_rows(rows.input_register, _outer(rows.inputs)),
-        density_rows(rows.pair_register, _outer(rows.pair)),
-        density_rows(rows.readout_register, rows.rho_d),
-        density_rows(rows.output_register, rows.rho_out),
-        rows.four,
+        inputs,
+        density_rows(plan.pair_register, _density(rows.pair)),
+        density_rows(plan.readout_register, rows.rho_d),
+        density_rows(plan.output_register, rows.rho_out),
+        fours,
     )
-    return [_report(inp, rho_s, rho_d, rho_out,
-                    PureState(rows.four_register, four), tau)
-            for inp, rho_s, rho_d, rho_out, four in columns]
+    return [_report(*column, plan.tau) for column in columns]
 
 
 def run_fig1(state, tau: int = 1, input_site: Optional[str] = None,
@@ -258,43 +385,42 @@ def run_fig1(state, tau: int = 1, input_site: Optional[str] = None,
     four slots; reading out at the preparation cycle gives rho_d, and the
     closing CNOT plus partial trace give the channel output on the ancilla.
 
-    Mixed inputs are expanded per `policy`, uncorrelated copies by default.
-    Under COHERENT_HISTORY the input's spectral branches run through the
-    circuit as rows and are mixed afterwards.  Pure inputs never consult
-    the policy.
+    Every input runs as one row of the compiled circuit (circuit_plan).
+    Pure inputs never consult the policy.  Mixed inputs are expanded per
+    `policy`, uncorrelated copies by default: the input is one density
+    row (displaced_cnot_density_rows), projected onto the positive
+    semidefinite cone first if its spectrum dips below zero, and the
+    four-slot state is a density.  Under COHERENT_HISTORY the input's
+    spectral branches run through the circuit as pure rows and are mixed
+    afterwards.  A mixed input with no correlation mode raises ValueError.
     """
     tau = _check_tau(tau)
     inp = _normalize_input(state, tau, input_site)
     site = inp.register.slots[0].site
     if isinstance(inp, PureState):
-        rows = displaced_cnot_rows(inp.amplitudes[None], tau, site)
-        return _pure_reports(rows, tau)[0]
-    if _as_mode(policy) is CorrelationMode.COHERENT_HISTORY:
-        branches = spectral_ensemble(inp)
-        weights = [w for w, _ in branches]
-        rows = displaced_cnot_rows([psi.amplitudes for _, psi in branches],
-                                   tau, site)
-        return _report(
-            inp,
-            DensityOperator(rows.pair_register,
-                            _mix(weights, _outer(rows.pair))),
-            DensityOperator(rows.readout_register, _mix(weights, rows.rho_d)),
-            DensityOperator(rows.output_register,
-                            _mix(weights, rows.rho_out)),
-            DensityOperator(rows.four_register,
-                            _mix(weights, _outer(rows.four))),
-            tau,
+        return _reports(displaced_cnot_rows(inp.amplitudes[None], tau,
+                                            site))[0]
+    mode = _as_mode(policy)
+    if mode is None:
+        raise ValueError(
+            "expanding a mixed state needs an explicit correlation mode"
         )
-
-    in_slot, anc_slot = _slots(site, tau)
-    joint = tensor(inp, qubit_state(anc_slot.site, tau, 1.0, 0.0))
-    pair = apply_gate(joint, cnot(), [in_slot, anc_slot])
-    expanded = displaced_expansion(pair, tau, dilated_site=site,
-                                   policy=policy)
-    rho_d = measure_at_cycle(expanded, tau)
-    closed = apply_gate(expanded, cnot(), [in_slot, anc_slot])
-    rho_out = partial_trace(closed, [anc_slot])
-    return _report(inp, pair, rho_d, rho_out, closed, tau)
+    if mode is CorrelationMode.UNCORRELATED_COPIES:
+        rows = displaced_cnot_density_rows(_psd_part(inp)[None], tau, site)
+        return _reports(rows, inputs=[inp])[0]
+    branches = spectral_ensemble(inp)
+    weights = [w for w, _ in branches]
+    rows = displaced_cnot_rows([psi.amplitudes for _, psi in branches],
+                               tau, site)
+    plan = rows.plan
+    return _report(
+        inp,
+        DensityOperator(plan.pair_register, _mix(weights, _outer(rows.pair))),
+        DensityOperator(plan.readout_register, _mix(weights, rows.rho_d)),
+        DensityOperator(plan.output_register, _mix(weights, rows.rho_out)),
+        DensityOperator(plan.four_register, _mix(weights, _outer(rows.four))),
+        tau,
+    )
 
 
 def run_sweep(grid: Sequence[float], tau: int = 1) -> list:
@@ -305,7 +431,7 @@ def run_sweep(grid: Sequence[float], tau: int = 1) -> list:
     _, amps = grid_inputs(grid)
     reports = []
     for block in row_blocks(len(amps)):
-        reports += _pure_reports(displaced_cnot_rows(amps[block], tau), tau)
+        reports += _reports(displaced_cnot_rows(amps[block], tau))
     return reports
 
 
@@ -321,36 +447,95 @@ class ReverseReport:
     tau: int
 
 
+def _reverse_reports(amplitudes, tau: int, site: str) -> list:
+    """One ReverseReport per row of an (N, d) stack of pure inputs on
+    (site, tau), from one pass of the circuit and of its reversal."""
+    rows = displaced_cnot_rows(amplitudes, tau, site)
+    plan = rows.plan
+    undone = rows.four[:, plan.reverse_cnot]
+    recovered = _trace_amplitudes(undone, plan.reverse_register.dims,
+                                  plan.recovered_pos)
+    v = rows.inputs
+    fids = np.einsum("ni,nij,nj->n", v.conj(), recovered, v).real
+    slot = plan.recovered_register.slots[0]
+    return [
+        ReverseReport(PureState(plan.input_register, psi), rho, slot,
+                      float(fid), PureState(plan.reverse_register, final),
+                      plan.tau)
+        for psi, rho, fid, final in zip(
+            v, density_rows(plan.recovered_register, recovered), fids,
+            undone)
+    ]
+
+
 def run_reverse(state: PureState, tau: int = 1,
                 input_site: Optional[str] = None) -> ReverseReport:
     """Invert the displaced circuit and hand the input qubit back.
 
     After the forward pass the ancilla site is dilated by the same tau,
     which realigns it with both copies of the input site; undoing the
-    CNOTs at both cycles then frees the input state on the forward copy.
-    The whole history stays pure, so recovery is exact.
+    CNOTs at both cycles then frees the input state on the forward copy,
+    the input site at cycle 2 tau.  The whole history stays pure, so
+    recovery is exact.  The input runs as one pure row of the compiled
+    circuit; the dilation is relabeling the plan's registers and the two
+    CNOTs are index gathers (circuit_plan).
     """
     if not isinstance(state, PureState):
         raise ValueError("reversal is defined for pure inputs")
-    rep = run_fig1(state, tau=tau, input_site=input_site)
-    four = rep.four_slot_state
-    site = rep.rho_s.register.slots[0].site
-    anc = rep.rho_s.register.slots[1].site
-    tau = rep.tau
-
-    shifted = relabel_cycles(four, anc, tau)
-    undone = apply_gate(shifted, cnot(),
-                        [SlotId(site, tau), SlotId(anc, tau)])
-    undone = apply_gate(undone, cnot(),
-                        [SlotId(site, 2 * tau), SlotId(anc, 2 * tau)])
-    out_slot = SlotId(site, 2 * tau)
-    recovered = partial_trace(undone, [out_slot])
-
+    tau = _check_tau(tau)
     inp = _normalize_input(state, tau, input_site)
-    fid = float(np.real(
-        inp.amplitudes.conj() @ recovered.matrix @ inp.amplitudes
-    ))
-    return ReverseReport(inp, recovered, out_slot, fid, undone, tau)
+    return _reverse_reports(inp.amplitudes[None], tau,
+                            inp.register.slots[0].site)[0]
+
+
+def run_reverse_sweep(grid: Sequence[float], tau: int = 1) -> list:
+    """run_reverse on the inputs sqrt(1 - b2)|0> + sqrt(b2)|1> of site "1"
+    for every beta^2 on the grid, one ReverseReport per point; the grid
+    runs through the circuit in blocks of ROW_BLOCK rows."""
+    tau = _check_tau(tau)
+    _, amps = grid_inputs(grid)
+    reports = []
+    for block in row_blocks(len(amps)):
+        reports += _reverse_reports(amps[block], tau, "1")
+    return reports
+
+
+@dataclass(frozen=True, eq=False)
+class _BoxPlan:
+    """The displaced box laid out for one input register: the register
+    dims with the two ancillas appended, the box's three CNOTs composed
+    into one index permutation, and the position and register of the
+    returned late ancilla."""
+
+    dims: tuple
+    cnots: np.ndarray
+    out_pos: tuple
+    output_register: Register
+
+
+@functools.lru_cache(maxsize=64)
+def _box_plan(reg: Register, data_site: str, ancilla_site: str) -> _BoxPlan:
+    c0, c1 = sorted(s.cycle for s in reg.slots)
+    early, late = SlotId(ancilla_site, c0), SlotId(ancilla_site, c1)
+    work = Register(reg.slots + (early, late), reg.dims + (2, 2))
+    opened = _cnot_permutation(work, (SlotId(data_site, c0), early))[
+        _cnot_permutation(work, (SlotId(data_site, c1), late))]
+    # dilating the data site by c1 - c0 moves its early slot to cycle c1
+    dilated = Register(tuple(s.shifted(c1 - c0) if s.site == data_site
+                             else s for s in work.slots), work.dims)
+    folded = opened[_cnot_permutation(dilated, (SlotId(data_site, c1), late))]
+    return _BoxPlan(work.dims, folded, (len(work.slots) - 1,),
+                    Register((late,), (2,)))
+
+
+def _box_rows(plan: _BoxPlan, matrices: np.ndarray) -> np.ndarray:
+    """The box's output for each row of an (N, d, d) stack of inputs."""
+    n, d = matrices.shape[:2]
+    work = np.zeros((n, d, 4, d, 4), dtype=complex)
+    work[:, :, 0, :, 0] = matrices
+    p = plan.cnots
+    work = work.reshape(n, 4 * d, 4 * d)[:, p[:, None], p]
+    return _trace_matrices(work, plan.dims, plan.out_pos)
 
 
 def run_displaced_backend(state: State, data_site: str,
@@ -364,7 +549,9 @@ def run_displaced_backend(state: State, data_site: str,
 
     This is the back end a distant party can apply to their half of a
     shared state; it is linear in the two-cycle input, which is exactly
-    why it cannot leak a remote measurement choice.
+    why it cannot leak a remote measurement choice.  The input runs as one
+    density row; the box's layout and its three CNOTs, composed into one
+    index gather, are built once per input register.
     """
     reg = state.register
     if len(reg.slots) != 2 or set(reg.sites) != {data_site}:
@@ -373,17 +560,10 @@ def run_displaced_backend(state: State, data_site: str,
         )
     if ancilla_site == data_site:
         raise ValueError("ancilla site must differ from the data site")
-    c0, c1 = sorted(s.cycle for s in reg.slots)
-    st = tensor(state, tensor(qubit_state(ancilla_site, c0, 1.0, 0.0),
-                              qubit_state(ancilla_site, c1, 1.0, 0.0)))
-    st = apply_gate(st, cnot(),
-                    [SlotId(data_site, c0), SlotId(ancilla_site, c0)])
-    st = apply_gate(st, cnot(),
-                    [SlotId(data_site, c1), SlotId(ancilla_site, c1)])
-    st = relabel_cycles(st, data_site, c1 - c0)
-    st = apply_gate(st, cnot(),
-                    [SlotId(data_site, c1), SlotId(ancilla_site, c1)])
-    return partial_trace(st, [SlotId(ancilla_site, c1)])
+    plan = _box_plan(reg, data_site, ancilla_site)
+    rho = _outer(state.amplitudes[None]) if isinstance(state, PureState) \
+        else state.matrix[None]
+    return density_rows(plan.output_register, _box_rows(plan, rho))[0]
 
 
 @dataclass
@@ -438,26 +618,28 @@ def run_no_signaling(basis: str, tau: int = 1) -> NoSignalReport:
 
     pair = bell_phi_plus("a", "b", tau)
     shared = free_expansion(pair, [0, tau])
-    mixed_ref = None
-    outcomes = []
-    for label, vec in _BASES[basis]:
-        m = project(shared, SlotId("a", tau), vec, label=label)
-        bob = partial_trace(m.post_state, [SlotId("b", 0), SlotId("b", tau)])
-        out = run_displaced_backend(bob, "b")
-        if mixed_ref is None:
-            mixed_ref = maximally_mixed(out.register)
-        outcomes.append((label, m.probability, out))
+    bob = (SlotId("b", 0), SlotId("b", tau))
+    measured = [project(shared, SlotId("a", tau), vec, label=label)
+                for label, vec in _BASES[basis]]
+    # Bob's state for each outcome, then the substitution input: his
+    # reduced state copied independently to both cycles
+    rb = partial_trace(to_density(pair), [bob[1]]).matrix
+    inputs = [partial_trace(m.post_state, bob).matrix for m in measured]
+    inputs.append(np.kron(rb, rb))
+    plan = _box_plan(Register(bob, (2, 2)), "b", "c")
+    outs = density_rows(plan.output_register,
+                        _box_rows(plan, np.array(inputs)))
+    outcomes = [(m.label, m.probability, out)
+                for m, out in zip(measured, outs)]
+    mixed_ref = maximally_mixed(plan.output_register)
 
     avg = DensityOperator(
-        outcomes[0][2].register,
+        plan.output_register,
         sum(p * o.matrix for _, p, o in outcomes),
     )
     devs = [trace_norm_distance(o, mixed_ref) for _, _, o in outcomes]
     devs.append(trace_norm_distance(avg, mixed_ref))
-
-    rb = partial_trace(to_density(pair), [SlotId("b", tau)])
-    sub_in = tensor(relabel_cycles(rb, "b", -tau), rb)
-    sub_out = run_displaced_backend(sub_in, "b")
+    sub_out = outs[-1]
     sub_dev = trace_norm_distance(sub_out, mixed_ref)
 
     return NoSignalReport(basis, outcomes, avg, max(devs), sub_out, sub_dev,
@@ -504,17 +686,20 @@ def run_proper_vs_improper(ensemble: Optional[Sequence] = None,
     if len({psi.register.dims for _, psi in branches}) != 1:
         raise ValueError("ensemble branches must share one slot dimension")
 
+    site = sites.pop()
     pinned = [(w, _normalize_input(psi, tau, None))
               for w, psi in renormalized(branches)]
     weights = [w for w, _ in pinned]
     rows = displaced_cnot_rows([psi.amplitudes for _, psi in pinned], tau,
-                               sites.pop())
-    proper = DensityOperator(rows.output_register,
+                               site)
+    out_reg = rows.plan.output_register
+    proper = DensityOperator(out_reg,
                              _mix(weights, rows.densities()["rho_out"]))
 
-    avg_in = ensemble_density(pinned)
-    improper = run_fig1(avg_in, tau=tau,
-                        policy=CorrelationMode.UNCORRELATED_COPIES).rho_out
+    avg_in = _psd_part(ensemble_density(pinned))
+    improper = density_rows(
+        out_reg, displaced_cnot_density_rows(avg_in[None], tau, site).rho_out
+    )[0]
 
     return ProprietyReport(branches, proper, improper,
                            trace_norm_distance(proper, improper), tau)

@@ -14,7 +14,21 @@ import pytest
 from scipy import linalg as sla
 from scipy import stats
 
-from tdesim import DensityOperator, PureState, Register, SlotId
+from tdesim import (
+    CorrelationMode,
+    DensityOperator,
+    PureState,
+    Register,
+    SlotId,
+    apply_gate,
+    cnot,
+    displaced_expansion,
+    measure_at_cycle,
+    partial_trace,
+    qubit_state,
+    relabel_cycles,
+    tensor,
+)
 
 SEED = 20260818
 
@@ -172,3 +186,42 @@ def displaced_cnot_oracle(amps):
     rho_out = einsum_partial_trace_oracle(np.outer(closed, closed.conj()),
                                           dims, [3])
     return np.outer(pair, pair.conj()), rho_d, rho_out, closed
+
+
+def displaced_cnot_density_oracle(rho, tau):
+    """The displaced-CNOT circuit on one single-slot density input, from
+    the object primitives: tensor with the ancilla, apply_gate, the
+    uncorrelated-copies displaced_expansion, measure_at_cycle and
+    partial_trace.  The input slot is (site, tau) and the ancilla site
+    is "2" ("anc" when the input site is "2").
+
+    Returns (rho_s, rho_d, closed, rho_out) as DensityOperators.
+    """
+    site = rho.register.slots[0].site
+    anc = "anc" if site == "2" else "2"
+    targets = [SlotId(site, tau), SlotId(anc, tau)]
+    pair = apply_gate(tensor(rho, qubit_state(anc, tau, 1.0, 0.0)), cnot(),
+                      targets)
+    expanded = displaced_expansion(
+        pair, tau, site, policy=CorrelationMode.UNCORRELATED_COPIES)
+    closed = apply_gate(expanded, cnot(), targets)
+    return (pair, measure_at_cycle(expanded, tau), closed,
+            partial_trace(closed, [targets[1]]))
+
+
+def displaced_box_oracle(state, data_site, ancilla_site="c"):
+    """The displaced box from the object primitives, gate by gate: a
+    fresh ancilla and a CNOT at each of the input's two cycles, the data
+    site dilated by the cycle gap, and a CNOT folding the early copy onto
+    the late ancilla, which is kept."""
+    c0, c1 = sorted(s.cycle for s in state.register.slots)
+    st = tensor(state, tensor(qubit_state(ancilla_site, c0, 1.0, 0.0),
+                              qubit_state(ancilla_site, c1, 1.0, 0.0)))
+    st = apply_gate(st, cnot(),
+                    [SlotId(data_site, c0), SlotId(ancilla_site, c0)])
+    st = apply_gate(st, cnot(),
+                    [SlotId(data_site, c1), SlotId(ancilla_site, c1)])
+    st = relabel_cycles(st, data_site, c1 - c0)
+    st = apply_gate(st, cnot(),
+                    [SlotId(data_site, c1), SlotId(ancilla_site, c1)])
+    return partial_trace(st, [SlotId(ancilla_site, c1)])

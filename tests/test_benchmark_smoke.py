@@ -1,4 +1,4 @@
-"""Smoke test of the benchmark harness: one short traced run.
+"""Smoke test of the benchmark harness: short traced runs.
 
 The tracer looks up every public function it wraps by name, so a rename
 in the package shows up here as a failed run, not first in a benchmark.
@@ -12,9 +12,9 @@ import sys
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def test_fig_sweeps_traced_run_is_correct():
+def _traced_run_is_correct(workload):
     cmd = [sys.executable, os.path.join("benchmarks", "run.py"),
-           "--workload", "fig-sweeps", "--seed", "1", "--seconds", "1",
+           "--workload", workload, "--seed", "1", "--seconds", "1",
            "--trace", "1"]
     proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True,
                           timeout=300)
@@ -24,3 +24,12 @@ def test_fig_sweeps_traced_run_is_correct():
     assert result["correct"] is True
     assert result["failed"] == 0
     assert "  traced_outputs_identical: True" in lines
+
+
+def test_fig_sweeps_traced_run_is_correct():
+    _traced_run_is_correct("fig-sweeps")
+
+
+def test_mixed_channel_traced_run_is_correct():
+    # the density rows, the stacked box and the propriety paths
+    _traced_run_is_correct("mixed-channel")

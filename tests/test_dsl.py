@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from tdesim import (
     MAX_STATE_BYTES,
@@ -13,6 +15,15 @@ from tdesim import (
     qubit_state,
     run_fig1,
     run_program,
+)
+from tdesim.dsl import (
+    CircuitProgram,
+    Cnot,
+    Discard,
+    Dilate,
+    GateOp,
+    Output,
+    Prepare,
 )
 
 FIG1_PROGRAM = """\
@@ -157,6 +168,77 @@ def test_parse_print_round_trip_corpus():
         printed = format_circuit(program)
         assert parse_circuit(printed) == program
         assert format_circuit(parse_circuit(printed)) == printed
+
+
+_AMPLITUDES = st.one_of(
+    st.floats(-10.0, 10.0),
+    st.complex_numbers(max_magnitude=10.0, allow_nan=False,
+                       allow_infinity=False),
+    st.sampled_from((0.0, 1.0, -1.0, 1j, -0.0)),
+)
+
+
+@st.composite
+def _programs(draw):
+    """Valid programs: sites prepared at one cycle, gates there, and
+    optionally a dilation whose gate forces an expansion, more gates at
+    the later cycle and a discard, then an output."""
+    sites = [f"s{i}" for i in range(draw(st.integers(2, 4)))]
+    cycle = draw(st.integers(0, 3))
+    directives = []
+    for site in sites:
+        if draw(st.integers(0, 3)) == 0:
+            directives.append(Prepare(site, cycle, "vac"))
+            continue
+        a0, a1 = complex(draw(_AMPLITUDES)), complex(draw(_AMPLITUDES))
+        assume(abs(a0) + abs(a1) >= 1e-12)
+        directives.append(Prepare(site, cycle, "qubit", a0, a1))
+
+    def gates(at):
+        out = []
+        for _ in range(draw(st.integers(0, 3))):
+            a, b = draw(st.permutations(sites))[:2]
+            name = draw(st.sampled_from(("cnot", "x", "h", "phase")))
+            if name == "cnot":
+                out.append(Cnot(a, b, at))
+            else:
+                theta = draw(st.floats(-100.0, 100.0)) \
+                    if name == "phase" else None
+                out.append(GateOp(name, a, at, theta))
+        return out
+
+    directives += gates(cycle)
+    out_cycle = cycle
+    if draw(st.booleans()):
+        delta = draw(st.integers(1, 3))
+        out_cycle = draw(st.sampled_from((cycle, cycle + delta)))
+        directives += [Dilate(sites[0], delta),
+                       Cnot(sites[0], sites[1], cycle + delta)]
+        directives += gates(cycle + delta)
+        if len(sites) > 2 and draw(st.booleans()):
+            directives.append(Discard(sites[-1]))
+    directives.append(Output(sites[1], out_cycle))
+    return CircuitProgram(tuple(directives))
+
+
+@settings(deadline=None, max_examples=60)
+@given(_programs())
+def test_random_programs_survive_format_and_parse(program):
+    printed = format_circuit(program)
+    assert parse_circuit(printed) == program
+    assert format_circuit(parse_circuit(printed)) == printed
+
+
+def test_output_step_validates_the_reduced_state_once(monkeypatch):
+    # the only density a pure program builds is the output's reduced
+    # state; reading its outcome distribution must not check it again
+    program = parse_circuit(FIG1_PROGRAM)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: calls.append(1) or eigvalsh(m))
+    run_program(program)
+    assert len(calls) == 1
 
 
 def test_execution_deterministic():

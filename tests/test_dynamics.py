@@ -61,6 +61,15 @@ def test_standard_gates():
     )
 
 
+def test_fixed_gates_are_shared_and_read_only():
+    for make in (cnot, pauli_x, hadamard):
+        gate = make()
+        assert make() is gate
+        assert not gate.matrix.flags.writeable
+        with pytest.raises(ValueError):
+            gate.matrix[0, 0] = 2.0
+
+
 def test_apply_gate_matches_dense_matrix(rng):
     reg = two_qubit_register()
     psi = random_pure(rng, reg)
@@ -300,6 +309,27 @@ def test_joint_outcome_distribution(rng):
         sorted(np.diag(rho.matrix).real),
         atol=1e-12,
     )
+
+
+def test_joint_distribution_of_whole_register_reads_the_state(
+        rng, monkeypatch):
+    # the whole register, in any order, needs no reduced state: the
+    # distribution is the state's own diagonal, with no further eigvalsh
+    reg = Register((SlotId("a", 0), SlotId("b", 1)), (3, 2))
+    rho, psi = random_density(rng, reg), random_pure(rng, reg)
+    wants = [np.diag(to_density(st).matrix).real for st in (rho, psi)]
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: calls.append(1) or eigvalsh(m))
+    for state, want in zip((rho, psi), wants):
+        for slots in (reg.slots, reg.slots[::-1]):
+            dist = joint_outcome_distribution(state, slots)
+            np.testing.assert_allclose(list(dist.values()), want, atol=1e-15)
+            assert list(dist) == ["v0", "v1", "00", "01", "10", "11"]
+    assert not calls
+    with pytest.raises(UnknownSlotError):
+        joint_outcome_distribution(rho, [SlotId("a", 0), SlotId("c", 1)])
 
 
 def test_spectral_ensemble_reconstructs(rng):

@@ -26,6 +26,7 @@ from tdesim import (
     to_density,
     vacuum_state,
 )
+from tdesim.registers import on_register
 
 from conftest import (
     partial_trace_oracle,
@@ -250,6 +251,17 @@ def test_relabel_cycles_moves_slots_not_amplitudes(rng):
 
     all_shift = relabel_cycles(psi, None, 5)
     assert all_shift.register.slots == (SlotId("1", 5), SlotId("2", 5))
+
+
+def test_relabeled_density_keeps_its_validated_matrix(rng):
+    reg = two_qubit_register()
+    rho = random_density(rng, reg)
+    shifted = relabel_cycles(rho, "2", 3)
+    assert shifted.register.slots == (SlotId("1", 0), SlotId("2", 3))
+    assert shifted.matrix is rho.matrix
+    assert shifted.eigenvalues is rho.eigenvalues
+    with pytest.raises(ValueError):
+        on_register(rho, Register((SlotId("a", 0),), (3,)))
 
 
 def test_density_json_round_trip(rng):
