@@ -89,7 +89,6 @@ from .scenarios import (
     run_no_signaling,
     run_proper_vs_improper,
     run_reverse,
-    run_reverse_sweep,
     run_sweep,
 )
 from .dsl import (

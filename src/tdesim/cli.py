@@ -38,10 +38,11 @@ from .analytics import (
 )
 from .channel import displaced_bell_channel
 from .scenarios import (
+    grid_reports,
+    reverse_reports,
     run_entropy_study,
     run_no_signaling,
     run_proper_vs_improper,
-    run_reverse_sweep,
     run_sweep,
 )
 from .dsl import CircuitProgram, parse_circuit, run_program
@@ -205,7 +206,7 @@ def _cmd_decohere(args, config: RunConfig):
 
 def _cmd_reverse(args, config: RunConfig):
     grid = _grid(config)
-    reports = run_reverse_sweep(grid, tau=config.tau)
+    reports = grid_reports(grid, config.tau, reverse_reports)
     points = [(b2, rep.fidelity, purity(rep.recovered))
               for b2, rep in zip(grid, reports)]
     worst = max(abs(f - 1.0) for _, f, _ in points)

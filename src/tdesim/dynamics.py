@@ -490,23 +490,25 @@ def joint_outcome_distribution(state: State, slots: Sequence[SlotLike]) -> dict:
     """Born probabilities of every joint basis outcome on the given slots.
 
     Keys concatenate one character per slot ('v', '0', '1'), in register
-    order.  All outcomes appear, including zero-probability ones.  When the
-    slots are the whole register the probabilities are read off the state
-    itself, without building its (identical) reduced state.
+    order.  All outcomes appear, including zero-probability ones.  The
+    probabilities are the marginal of the state's own diagonal over the
+    other slots, so no reduced state is built.
     """
     reg = state.register
     slots = [as_slot(s) for s in slots]
-    if len(slots) == len(reg.slots) and set(slots) == set(reg.slots):
-        if isinstance(state, PureState):
-            diag = state.amplitudes * state.amplitudes.conj()
-        else:
-            diag = np.diag(state.matrix)
-        dims = reg.dims
+    if not slots:
+        raise ValueError("must keep at least one slot")
+    if len(set(slots)) != len(slots):
+        raise ValueError("slot list repeats a slot")
+    keep_pos = sorted(reg.index_of(s) for s in slots)
+    if isinstance(state, PureState):
+        diag = (state.amplitudes * state.amplitudes.conj()).real
     else:
-        reduced = partial_trace(state, slots)
-        diag = np.diag(reduced.matrix)
-        dims = reduced.register.dims
-    probs = np.clip(diag.real, 0.0, None)
+        diag = np.diag(state.matrix).real
+    rest = tuple(p for p in range(len(reg.dims)) if p not in keep_pos)
+    diag = diag.reshape(reg.dims).sum(axis=rest).reshape(-1)
+    dims = tuple(reg.dims[p] for p in keep_pos)
+    probs = np.clip(diag, 0.0, None)
     out = {}
     for flat, p in enumerate(probs):
         idx = np.unravel_index(flat, dims)

@@ -133,20 +133,47 @@ def _cnot_permutation(reg: Register, targets) -> np.ndarray:
     maps amplitudes psi to psi[p] and a density matrix m to m[p[:, None], p].
 
     p is read off the lifted gate block of dynamics._gate_block, which
-    must be exactly a 0/1 permutation matrix: applied to the register's
-    flat indices, the gate returns p itself.
+    must be exactly a 0/1 permutation matrix (InvariantViolationError
+    otherwise): applied to the register's flat indices, the gate returns
+    p itself.
     """
     block, axes = _gate_block(reg, cnot(), targets)
     k = int(np.prod(block.shape[:block.ndim // 2]))
     flat = block.reshape(k, k)
-    assert (((flat == 0) | (flat == 1)).all()
+    if not (((flat == 0) | (flat == 1)).all()
             and (flat.sum(axis=0) == 1).all()
-            and (flat.sum(axis=1) == 1).all()), "CNOT block is no permutation"
+            and (flat.sum(axis=1) == 1).all()):
+        raise InvariantViolationError(
+            "lifted CNOT block is not a permutation matrix")
     index = np.arange(reg.dim, dtype=float).reshape(reg.dims)
     perm = _left_multiply(block.real, index, axes).reshape(-1)
     perm = perm.astype(np.intp)
     perm.flags.writeable = False
     return perm
+
+
+def _gather(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
+    """The gates of the index permutation perm applied to each row of an
+    (N, d) amplitude or (N, d, d) density stack."""
+    if rows.ndim == 2:
+        return rows[:, perm]
+    return rows[:, perm[:, None], perm]
+
+
+def _embed_gather(rows: np.ndarray, anc_dim: int,
+                  perm: np.ndarray) -> np.ndarray:
+    """Each row of an (N, d) amplitude or (N, d, d) density stack with
+    ancillas of anc_dim levels in all appended in their first level, then
+    the gates of the index permutation perm applied."""
+    n, d = rows.shape[:2]
+    if rows.ndim == 2:
+        out = np.zeros((n, d, anc_dim), dtype=complex)
+        out[:, :, 0] = rows
+    else:
+        out = np.zeros((n, d, anc_dim, d, anc_dim), dtype=complex)
+        out[:, :, 0, :, 0] = rows
+    return _gather(out.reshape((n,) + (d * anc_dim,) * (rows.ndim - 1)),
+                   perm)
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,11 +186,8 @@ class CircuitPlan:
     (dynamics.displaced_copies).  rho_d keeps the four-slot positions
     read_pos (the slots at cycle tau) and rho_out the position out_pos
     (the ancilla at tau).  Each CNOT is a flat index permutation of its
-    register (see _cnot_permutation): pair_cnot opens the pair,
-    four_cnot closes the circuit, and reverse_cnot undoes both CNOTs of
-    the reversal on reverse_register, the four-slot register with the
-    ancilla site dilated by tau, whose position recovered_pos holds the
-    recovered input.
+    register (see _cnot_permutation): pair_cnot opens the pair and
+    four_cnot closes the circuit.
     """
 
     tau: int
@@ -176,10 +200,6 @@ class CircuitPlan:
     out_pos: tuple
     pair_cnot: np.ndarray
     four_cnot: np.ndarray
-    reverse_register: Register
-    reverse_cnot: np.ndarray
-    recovered_register: Register
-    recovered_pos: tuple
 
 
 @functools.lru_cache(maxsize=64)
@@ -193,16 +213,6 @@ def circuit_plan(dim: int, tau: int, site: str) -> CircuitPlan:
     four_reg = Register(reg_a.slots + reg_b.slots, reg_a.dims + reg_b.dims)
     read_pos = tuple(i for i, s in enumerate(four_reg.slots)
                      if s.cycle == tau)
-
-    # Reversal: dilating the ancilla site by tau realigns it with both
-    # copies of the input site; the CNOT at cycle tau, then the one at
-    # 2 tau, compose into one gather.
-    anc = anc_slot.site
-    rev_reg = Register(tuple(s.shifted(tau) if s.site == anc else s
-                             for s in four_reg.slots), four_reg.dims)
-    late = (SlotId(site, 2 * tau), SlotId(anc, 2 * tau))
-    undo = _cnot_permutation(rev_reg, targets)[
-        _cnot_permutation(rev_reg, late)]
     return CircuitPlan(
         tau=tau,
         input_register=Register((in_slot,), (dim,)),
@@ -215,10 +225,6 @@ def circuit_plan(dim: int, tau: int, site: str) -> CircuitPlan:
         out_pos=(four_reg.index_of(anc_slot),),
         pair_cnot=_cnot_permutation(pair_reg, targets),
         four_cnot=_cnot_permutation(four_reg, targets),
-        reverse_register=rev_reg,
-        reverse_cnot=undo,
-        recovered_register=Register((late[0],), (dim,)),
-        recovered_pos=(rev_reg.index_of(late[0]),),
     )
 
 
@@ -265,13 +271,11 @@ def displaced_cnot_rows(amplitudes, tau: int, site: str = "1") -> CircuitRows:
     amps = np.asarray(amplitudes, dtype=complex)
     n, dim = amps.shape
     plan = circuit_plan(dim, tau, site)
-    pair = np.zeros((n, dim, 2), dtype=complex)
-    pair[:, :, 0] = amps
-    pair = pair.reshape(n, -1)[:, plan.pair_cnot]
+    pair = _embed_gather(amps, 2, plan.pair_cnot)
     four = (pair[:, :, None] * pair[:, None, :]).reshape(n, -1)
     dims = plan.four_register.dims
     rho_d = _trace_amplitudes(four, dims, plan.read_pos)
-    four = four[:, plan.four_cnot]
+    four = _gather(four, plan.four_cnot)
     rho_out = _trace_amplitudes(four, dims, plan.out_pos)
     return CircuitRows(plan, amps, pair, four, rho_d, rho_out)
 
@@ -291,17 +295,13 @@ def displaced_cnot_density_rows(matrices, tau: int,
     m = np.asarray(matrices, dtype=complex)
     n, dim = m.shape[:2]
     plan = circuit_plan(dim, tau, site)
-    pair = np.zeros((n, dim, 2, dim, 2), dtype=complex)
-    pair[:, :, 0, :, 0] = m
-    p = plan.pair_cnot
-    pair = pair.reshape(n, 2 * dim, 2 * dim)[:, p[:, None], p]
+    pair = _embed_gather(m, 2, plan.pair_cnot)
     d4 = plan.four_register.dim
     four = (pair[:, :, None, :, None] * pair[:, None, :, None, :])
     four = four.reshape(n, d4, d4)
     dims = plan.four_register.dims
     rho_d = _trace_matrices(four, dims, plan.read_pos)
-    q = plan.four_cnot
-    four = four[:, q[:, None], q]
+    four = _gather(four, plan.four_cnot)
     rho_out = _trace_matrices(four, dims, plan.out_pos)
     return CircuitRows(plan, m, pair, four, rho_d, rho_out)
 
@@ -398,8 +398,7 @@ def run_fig1(state, tau: int = 1, input_site: Optional[str] = None,
     inp = _normalize_input(state, tau, input_site)
     site = inp.register.slots[0].site
     if isinstance(inp, PureState):
-        return _reports(displaced_cnot_rows(inp.amplitudes[None], tau,
-                                            site))[0]
+        return _fig1_reports(inp.amplitudes[None], tau, site)[0]
     mode = _as_mode(policy)
     if mode is None:
         raise ValueError(
@@ -423,16 +422,29 @@ def run_fig1(state, tau: int = 1, input_site: Optional[str] = None,
     )
 
 
-def run_sweep(grid: Sequence[float], tau: int = 1) -> list:
-    """run_fig1 on the inputs sqrt(1 - b2)|0> + sqrt(b2)|1> of site "1" for
-    every beta^2 on the grid, one CircuitReport per point; the grid runs
-    through the circuit in blocks of ROW_BLOCK rows."""
+def _fig1_reports(amplitudes, tau: int, site: str = "1") -> list:
+    """One CircuitReport per row of an (N, d) stack of pure inputs on
+    (site, tau), from one pass of the circuit."""
+    return _reports(displaced_cnot_rows(amplitudes, tau, site))
+
+
+def grid_reports(grid: Sequence[float], tau: int, block_reports) -> list:
+    """block_reports(amplitudes, tau) on the inputs
+    sqrt(1 - b2)|0> + sqrt(b2)|1> of site "1" for every beta^2 on the
+    grid, run in blocks of ROW_BLOCK rows; one report per point."""
     tau = _check_tau(tau)
     _, amps = grid_inputs(grid)
     reports = []
     for block in row_blocks(len(amps)):
-        reports += _reports(displaced_cnot_rows(amps[block], tau))
+        reports += block_reports(amps[block], tau)
     return reports
+
+
+def run_sweep(grid: Sequence[float], tau: int = 1) -> list:
+    """run_fig1 on the inputs sqrt(1 - b2)|0> + sqrt(b2)|1> of site "1" for
+    every beta^2 on the grid, one CircuitReport per point; the grid runs
+    through the circuit in blocks of ROW_BLOCK rows."""
+    return grid_reports(grid, tau, _fig1_reports)
 
 
 @dataclass
@@ -447,23 +459,57 @@ class ReverseReport:
     tau: int
 
 
-def _reverse_reports(amplitudes, tau: int, site: str) -> list:
+@dataclass(frozen=True, eq=False)
+class _ReversePlan:
+    """The reversal of the circuit of circuit_plan(dim, tau, site).
+
+    register is the four-slot register with the ancilla site dilated by
+    tau, undo the reversal's two CNOTs composed into one index
+    permutation of it, and recovered_pos the position of the recovered
+    input, the only slot of recovered_register.
+    """
+
+    register: Register
+    undo: np.ndarray
+    recovered_register: Register
+    recovered_pos: tuple
+
+
+@functools.lru_cache(maxsize=64)
+def _reverse_plan(dim: int, tau: int, site: str) -> _ReversePlan:
+    """Dilating the ancilla site by tau realigns it with both copies of
+    the input site; the CNOT at cycle tau, then the one at 2 tau, compose
+    into one gather."""
+    four_reg = circuit_plan(dim, tau, site).four_register
+    in_slot, anc_slot = _slots(site, tau)
+    anc = anc_slot.site
+    reg = Register(tuple(s.shifted(tau) if s.site == anc else s
+                         for s in four_reg.slots), four_reg.dims)
+    late = (SlotId(site, 2 * tau), SlotId(anc, 2 * tau))
+    undo = _cnot_permutation(reg, (in_slot, anc_slot))[
+        _cnot_permutation(reg, late)]
+    return _ReversePlan(reg, undo, Register((late[0],), (dim,)),
+                        (reg.index_of(late[0]),))
+
+
+def reverse_reports(amplitudes, tau: int, site: str = "1") -> list:
     """One ReverseReport per row of an (N, d) stack of pure inputs on
     (site, tau), from one pass of the circuit and of its reversal."""
     rows = displaced_cnot_rows(amplitudes, tau, site)
     plan = rows.plan
-    undone = rows.four[:, plan.reverse_cnot]
-    recovered = _trace_amplitudes(undone, plan.reverse_register.dims,
-                                  plan.recovered_pos)
+    rev = _reverse_plan(rows.inputs.shape[1], plan.tau, site)
+    undone = _gather(rows.four, rev.undo)
+    recovered = _trace_amplitudes(undone, rev.register.dims,
+                                  rev.recovered_pos)
     v = rows.inputs
     fids = np.einsum("ni,nij,nj->n", v.conj(), recovered, v).real
-    slot = plan.recovered_register.slots[0]
+    slot = rev.recovered_register.slots[0]
     return [
         ReverseReport(PureState(plan.input_register, psi), rho, slot,
-                      float(fid), PureState(plan.reverse_register, final),
+                      float(fid), PureState(rev.register, final),
                       plan.tau)
         for psi, rho, fid, final in zip(
-            v, density_rows(plan.recovered_register, recovered), fids,
+            v, density_rows(rev.recovered_register, recovered), fids,
             undone)
     ]
 
@@ -477,27 +523,15 @@ def run_reverse(state: PureState, tau: int = 1,
     CNOTs at both cycles then frees the input state on the forward copy,
     the input site at cycle 2 tau.  The whole history stays pure, so
     recovery is exact.  The input runs as one pure row of the compiled
-    circuit; the dilation is relabeling the plan's registers and the two
-    CNOTs are index gathers (circuit_plan).
+    circuit (circuit_plan); the dilation is a relabeling of its four-slot
+    register and the two CNOTs are one index gather (_reverse_plan).
     """
     if not isinstance(state, PureState):
         raise ValueError("reversal is defined for pure inputs")
     tau = _check_tau(tau)
     inp = _normalize_input(state, tau, input_site)
-    return _reverse_reports(inp.amplitudes[None], tau,
+    return reverse_reports(inp.amplitudes[None], tau,
                             inp.register.slots[0].site)[0]
-
-
-def run_reverse_sweep(grid: Sequence[float], tau: int = 1) -> list:
-    """run_reverse on the inputs sqrt(1 - b2)|0> + sqrt(b2)|1> of site "1"
-    for every beta^2 on the grid, one ReverseReport per point; the grid
-    runs through the circuit in blocks of ROW_BLOCK rows."""
-    tau = _check_tau(tau)
-    _, amps = grid_inputs(grid)
-    reports = []
-    for block in row_blocks(len(amps)):
-        reports += _reverse_reports(amps[block], tau, "1")
-    return reports
 
 
 @dataclass(frozen=True, eq=False)
@@ -530,11 +564,7 @@ def _box_plan(reg: Register, data_site: str, ancilla_site: str) -> _BoxPlan:
 
 def _box_rows(plan: _BoxPlan, matrices: np.ndarray) -> np.ndarray:
     """The box's output for each row of an (N, d, d) stack of inputs."""
-    n, d = matrices.shape[:2]
-    work = np.zeros((n, d, 4, d, 4), dtype=complex)
-    work[:, :, 0, :, 0] = matrices
-    p = plan.cnots
-    work = work.reshape(n, 4 * d, 4 * d)[:, p[:, None], p]
+    work = _embed_gather(matrices, 4, plan.cnots)
     return _trace_matrices(work, plan.dims, plan.out_pos)
 
 
@@ -612,9 +642,7 @@ def run_no_signaling(basis: str, tau: int = 1) -> NoSignalReport:
         raise ValueError(
             f"basis must be one of {sorted(_BASES)}, got {basis!r}"
         )
-    tau = int(tau)
-    if tau < 1:
-        raise ValueError(f"dilation must be at least one cycle, got {tau}")
+    tau = _check_tau(tau)
 
     pair = bell_phi_plus("a", "b", tau)
     shared = free_expansion(pair, [0, tau])

@@ -311,10 +311,9 @@ def test_joint_outcome_distribution(rng):
     )
 
 
-def test_joint_distribution_of_whole_register_reads_the_state(
-        rng, monkeypatch):
-    # the whole register, in any order, needs no reduced state: the
-    # distribution is the state's own diagonal, with no further eigvalsh
+def test_joint_distribution_reads_the_state(rng, monkeypatch):
+    # no reduced state is built: the distribution is the state's own
+    # diagonal, summed over the other slots, with no further eigvalsh
     reg = Register((SlotId("a", 0), SlotId("b", 1)), (3, 2))
     rho, psi = random_density(rng, reg), random_pure(rng, reg)
     wants = [np.diag(to_density(st).matrix).real for st in (rho, psi)]
@@ -328,8 +327,21 @@ def test_joint_distribution_of_whole_register_reads_the_state(
             np.testing.assert_allclose(list(dist.values()), want, atol=1e-15)
             assert list(dist) == ["v0", "v1", "00", "01", "10", "11"]
     assert not calls
+    # a subset of the slots, in any order, is the reduced state's diagonal
+    for state in (rho, psi):
+        for slots in ([reg.slots[0]], [reg.slots[1]]):
+            want = np.diag(partial_trace(state, slots).matrix).real
+            calls.clear()
+            dist = joint_outcome_distribution(state, slots)
+            assert not calls
+            np.testing.assert_allclose(list(dist.values()), want, atol=1e-15)
+    assert list(joint_outcome_distribution(rho, [reg.slots[1]])) == ["0", "1"]
     with pytest.raises(UnknownSlotError):
         joint_outcome_distribution(rho, [SlotId("a", 0), SlotId("c", 1)])
+    with pytest.raises(ValueError, match="repeats"):
+        joint_outcome_distribution(rho, [reg.slots[0], reg.slots[0]])
+    with pytest.raises(ValueError, match="at least one"):
+        joint_outcome_distribution(rho, [])
 
 
 def test_spectral_ensemble_reconstructs(rng):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from tdesim import (
     CorrelationMode,
     DensityOperator,
+    InvariantViolationError,
     PureState,
     Register,
     SlotId,
@@ -24,14 +25,15 @@ from tdesim import (
     run_fig1,
     run_no_signaling,
     run_reverse,
-    run_reverse_sweep,
     to_density,
 )
+from tdesim import scenarios
 from tdesim.scenarios import (
     _psd_part,
-    _reverse_reports,
     circuit_plan,
     displaced_cnot_density_rows,
+    grid_reports,
+    reverse_reports,
 )
 
 from conftest import (
@@ -60,6 +62,22 @@ def test_plan_cnots_are_the_dense_gates(dim, tau):
         np.testing.assert_array_equal(basis[perm], dense)
         assert not perm.flags.writeable
     assert circuit_plan(dim, tau, "1") is plan
+
+
+def test_cnot_permutation_rejects_a_block_that_is_no_permutation(
+        monkeypatch):
+    # a lifted block that is not exactly 0/1 would give wrong gather
+    # indices, so it raises instead of being read off
+    reg = Register((SlotId("1", 1), SlotId("2", 1)), (2, 2))
+    gate_block = scenarios._gate_block
+
+    def halved(reg, gate, targets):
+        block, axes = gate_block(reg, gate, targets)
+        return 0.5 * block, axes
+
+    monkeypatch.setattr(scenarios, "_gate_block", halved)
+    with pytest.raises(InvariantViolationError, match="permutation"):
+        scenarios._cnot_permutation(reg, reg.slots)
 
 
 @PROPERTY_SETTINGS
@@ -115,7 +133,7 @@ def test_stacked_reversal_is_exact(seed, dim, tau, n):
     rng = np.random.default_rng(seed)
     reg = Register((SlotId("1", tau),), (dim,))
     psis = [random_pure(rng, reg) for _ in range(n)]
-    reports = _reverse_reports([p.amplitudes for p in psis], tau, "1")
+    reports = reverse_reports([p.amplitudes for p in psis], tau, "1")
     for psi, rep in zip(psis, reports):
         v = psi.amplitudes
         assert abs(rep.fidelity - 1.0) <= TOL
@@ -129,9 +147,9 @@ def test_stacked_reversal_is_exact(seed, dim, tau, n):
             SlotId("1", 2 * tau)
 
 
-def test_reverse_sweep_matches_single_runs():
+def test_reverse_grid_matches_single_runs():
     grid = np.linspace(0.0, 1.0, 7)
-    for b2, rep in zip(grid, run_reverse_sweep(grid, tau=2)):
+    for b2, rep in zip(grid, grid_reports(grid, 2, reverse_reports)):
         single = run_reverse(PureState(Register((SlotId("1", 0),), (2,)),
                                        [np.sqrt(1 - b2), np.sqrt(b2)]),
                              tau=2)
