@@ -169,11 +169,10 @@ def _embed_gather(rows: np.ndarray, anc_dim: int,
     if rows.ndim == 2:
         out = np.zeros((n, d, anc_dim), dtype=complex)
         out[:, :, 0] = rows
-    else:
-        out = np.zeros((n, d, anc_dim, d, anc_dim), dtype=complex)
-        out[:, :, 0, :, 0] = rows
-    return _gather(out.reshape((n,) + (d * anc_dim,) * (rows.ndim - 1)),
-                   perm)
+        return _gather(out.reshape(n, -1), perm)
+    out = np.zeros((n, d, anc_dim, d, anc_dim), dtype=complex)
+    out[:, :, 0, :, 0] = rows
+    return _gather(out.reshape(n, d * anc_dim, d * anc_dim), perm)
 
 
 @dataclass(frozen=True, eq=False)
