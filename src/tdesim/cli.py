@@ -97,7 +97,9 @@ def _csv(header: str, rows) -> str:
 
 
 def _dumps(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+    # compact, so json uses its C encoder; an indent would select the
+    # pure-Python one, which dominates a 1001-point `sweep`
+    return json.dumps(obj) + "\n"
 
 
 def _grid(config: RunConfig):

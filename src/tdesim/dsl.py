@@ -9,9 +9,10 @@ Grammar, one directive per line, '#' starts a comment:
     discard <site>
     output <site> @<cycle>
 
-Amplitudes are python floats or complex literals; parenthesize complex
-coefficients, as in (0.5+0.5j)|0>+0.5|1>.  States are normalized when the
-program runs.  Every program ends with exactly one output directive.
+Amplitudes are finite python floats or complex literals; parenthesize
+complex coefficients, as in (0.5+0.5j)|0>+0.5|1>.  States are normalized
+when the program is compiled.  Every program ends with exactly one output
+directive.
 
 A gate whose participants lack a slot at the gate's cycle triggers a
 two-copy expansion: the whole state is tensored with a copy of itself
@@ -20,13 +21,27 @@ which is how a dilated site gets gated against an undilated one.  The
 expansion is resolved while parsing, so misaligned programs are rejected
 before anything runs; it also requires a pure state, so it cannot follow
 a discard.
+
+Parsing compiles the program into a CircuitPlan: the slot order after
+every step, each gate's lifted block and axes, each expansion's shift and
+each discard's axes.  run_program executes the plan on one array of
+amplitude rows, shaped (N, *dims).  A pure state is one row; a discard
+moves the discarded axes into the row axis, so a mixed state is carried
+as its own purification and never as a density matrix.  Densities are
+built and validated only where the run returns them: the output's
+reduced state and a mixed final state.
 """
 
 from __future__ import annotations
 
+import cmath
+import functools
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Optional
+
+import numpy as np
 
 from .errors import CircuitExecutionError, CircuitParseError, RegisterSizeError
 from .registers import (
@@ -34,14 +49,12 @@ from .registers import (
     PureState,
     Register,
     SlotId,
-    State,
     check_state_size,
-    partial_trace,
-    relabel_cycles,
-    tensor,
+    gram_density,
 )
 from .dynamics import (
-    apply_gate,
+    _gate_block,
+    _left_multiply,
     cnot,
     hadamard,
     joint_outcome_distribution,
@@ -112,6 +125,12 @@ class CircuitProgram:
         )
         return tuple(seen)
 
+    @functools.cached_property
+    def plan(self) -> "CircuitPlan":
+        """The program compiled by the static check, once; a program that
+        cannot run raises CircuitParseError with the directive's line."""
+        return _static_check(self.directives)
+
 
 def _fail(line: int, message: str):
     raise CircuitParseError(line, message)
@@ -164,9 +183,12 @@ def _parse_coef(text: str, line: int) -> complex:
     if text == "-":
         return -1.0 + 0j
     try:
-        return complex(text)
+        coef = complex(text)
     except ValueError:
         _fail(line, f"bad amplitude {text!r}")
+    if not cmath.isfinite(coef):
+        _fail(line, f"amplitude {text!r} is not finite")
+    return coef
 
 
 def _parse_state(spec: str, line: int):
@@ -184,11 +206,10 @@ def _parse_state(spec: str, line: int):
         if ket in amps:
             _fail(line, f"duplicate |{ket}> term")
         amps[ket] = _parse_coef(m.group("coef"), line)
-    a0 = amps.get("0", 0j)
-    a1 = amps.get("1", 0j)
-    if abs(a0) + abs(a1) < 1e-12:
-        _fail(line, "state has zero norm")
-    return "qubit", complex(a0), complex(a1)
+    a0 = complex(amps.get("0", 0j))
+    a1 = complex(amps.get("1", 0j))
+    _qubit_vector(a0, a1, line)  # rejects a zero norm
+    return "qubit", a0, a1
 
 
 _GATE_RE = re.compile(r"(x|h|phase)(?:\((?P<arg>[^)]*)\))?\Z", re.IGNORECASE)
@@ -204,28 +225,31 @@ def _parse_gate_name(token: str, line: int):
         if arg is None:
             _fail(line, "phase gate needs an angle, e.g. phase(1.57)")
         try:
-            return name, float(arg)
+            theta = float(arg)
         except ValueError:
             _fail(line, f"bad phase angle {arg!r}")
+        if not math.isfinite(theta):
+            _fail(line, f"phase angle {arg!r} is not finite")
+        return name, theta
     if arg is not None:
         _fail(line, f"gate {name!r} takes no argument")
     return name, None
 
 
 def parse_circuit(text: str) -> CircuitProgram:
-    """Parse and statically check a program.
+    """Parse, statically check and compile a program.
 
-    Cycle alignment, slot existence, expansion feasibility, and the size
-    of every state the program builds (at most MAX_STATE_BYTES) are all
-    verified here, so a parsed program is guaranteed runnable.
+    Finite amplitudes and angles, cycle alignment, slot existence,
+    expansion feasibility, and the size of every state the program
+    builds (at most MAX_STATE_BYTES) are all verified here, so a parsed
+    program is guaranteed runnable; its CircuitPlan is kept on it as
+    ``plan``.
     """
     directives = []
-    last_line = 0
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        last_line = ln
         tokens = line.split()
         head = tokens[0].lower()
         args = tokens[1:]
@@ -280,10 +304,9 @@ def parse_circuit(text: str) -> CircuitProgram:
             )
         else:
             _fail(ln, f"unknown directive {head!r}")
-    if not directives:
-        _fail(max(last_line, 1), "missing output directive")
-    _static_check(directives)
-    return CircuitProgram(tuple(directives))
+    program = CircuitProgram(tuple(directives))
+    program.plan  # compiles the program, or rejects it
+    return program
 
 
 def _expansion_shift(site_cycles: dict, participants, cycle: int):
@@ -306,82 +329,183 @@ def _expansion_shift(site_cycles: dict, participants, cycle: int):
     return None
 
 
-def _apply_expansion(site_cycles: dict, delta: int):
-    for s, cs in site_cycles.items():
-        site_cycles[s] = cs | {c + delta for c in cs}
+@dataclass(frozen=True)
+class PlanStep:
+    """One step of a compiled program, with the slot order after it.
+
+    kind is one of
+      "prepare": operand is the normalized vector appended to every row;
+      "expand":  shift is the whole-state shift of the appended copy;
+      "gate":    operand is the lifted block, shaped (target dims...,
+                 target dims...), acting on the register axes in axes;
+      "dilate":  relabels slots only;
+      "discard": axes are the register axes traced out;
+      "output":  axes holds the register axis of the output slot.
+    """
+
+    kind: str
+    line: int
+    slots: tuple
+    operand: Optional[np.ndarray] = None
+    axes: tuple = ()
+    shift: int = 0
 
 
-def _static_check(directives):
-    site_cycles = {}
+@dataclass(frozen=True)
+class CircuitPlan:
+    """A program compiled for run_program: its steps in order, the
+    register of the final state and that of the output's reduced
+    state."""
+
+    steps: tuple
+    register: Register
+    output_register: Register
+
+    @property
+    def pure(self) -> bool:
+        """Whether the final state is pure: no step discards a site."""
+        return all(step.kind != "discard" for step in self.steps)
+
+
+_GATES = {"x": pauli_x, "h": hadamard}
+
+
+def _static_check(directives) -> CircuitPlan:
+    """Check a directive list and compile it, in one pass.
+
+    The slot order follows the state: a prepared slot is appended, an
+    expansion appends the shifted copy of every slot, a dilation relabels
+    in place and a discard removes the site's slots.
+    """
     dims = {}
     discarded = set()
     expandable = True  # the state is still pure
+    slots = []
+    steps = []
+    reg = None  # Register of slots, built when a gate or the plan needs it
+
+    def site_cycles():
+        out = {}
+        for s in slots:
+            out.setdefault(s.site, set()).add(s.cycle)
+        return out
 
     def fits(ln):
-        dim = 1
-        for site, cs in site_cycles.items():
-            dim *= dims[site] ** len(cs)
         try:
-            check_state_size(dim, pure=expandable)
+            check_state_size(math.prod(dims[s.site] for s in slots),
+                             pure=expandable)
         except RegisterSizeError as exc:
             _fail(ln, str(exc))
 
     def live(site, ln):
         if site in discarded:
             _fail(ln, f"site {site!r} was discarded")
-        if site not in site_cycles:
+        if all(s.site != site for s in slots):
             _fail(ln, f"site {site!r} was never prepared")
 
+    def layout(kind, ln, **kw):
+        nonlocal reg
+        reg = None
+        steps.append(PlanStep(kind, ln, tuple(slots), **kw))
+
+    def register():
+        nonlocal reg
+        if reg is None:
+            reg = Register(tuple(slots), tuple(dims[s.site] for s in slots))
+        return reg
+
     def align(participants, cycle, ln):
-        nonlocal expandable
-        delta = _expansion_shift(site_cycles, participants, cycle)
+        delta = _expansion_shift(site_cycles(), participants, cycle)
         if delta is None:
             _fail(ln, f"no dilation aligns {participants} at cycle {cycle}")
         if delta:
             if not expandable:
                 _fail(ln, "expansion after discard needs a pure state")
-            _apply_expansion(site_cycles, delta)
+            slots.extend([s.shifted(delta) for s in slots])
             fits(ln)
+            layout("expand", ln, shift=delta)
 
+    def gate(g, sites, cycle, ln):
+        targets = [SlotId(s, cycle) for s in sites]
+        block, axes = _gate_block(register(), g, targets)
+        steps.append(PlanStep("gate", ln, tuple(slots), block, tuple(axes)))
+
+    if not directives:
+        _fail(1, "missing output directive")
     for i, d in enumerate(directives):
         if isinstance(d, Output) and i != len(directives) - 1:
             _fail(d.line, "output must be the final directive")
         if isinstance(d, Prepare):
-            cs = site_cycles.get(d.site, set())
-            if d.cycle in cs:
+            if SlotId(d.site, d.cycle) in slots:
                 _fail(d.line, f"slot {d.site}@{d.cycle} already prepared")
             dim = 3 if d.kind == "vac" else 2
             if d.site in dims and dims[d.site] != dim:
                 _fail(d.line, f"site {d.site!r} mixes slot dimensions")
-            site_cycles[d.site] = cs | {d.cycle}
             dims[d.site] = dim
             discarded.discard(d.site)
+            slots.append(SlotId(d.site, d.cycle))
             fits(d.line)
+            layout("prepare", d.line, operand=_prepared_vector(d))
         elif isinstance(d, Cnot):
             live(d.control, d.line)
             live(d.target, d.line)
             align([d.control, d.target], d.cycle, d.line)
+            gate(cnot(), [d.control, d.target], d.cycle, d.line)
         elif isinstance(d, GateOp):
             live(d.site, d.line)
             align([d.site], d.cycle, d.line)
+            g = phase_gate(d.theta) if d.name == "phase" \
+                else _GATES[d.name]()
+            gate(g, [d.site], d.cycle, d.line)
         elif isinstance(d, Dilate):
             live(d.site, d.line)
-            site_cycles[d.site] = {c + d.delta for c in site_cycles[d.site]}
+            slots[:] = [s.shifted(d.delta) if s.site == d.site else s
+                        for s in slots]
+            layout("dilate", d.line)
         elif isinstance(d, Discard):
             live(d.site, d.line)
-            if len(site_cycles) == 1:
+            if all(s.site == d.site for s in slots):
                 _fail(d.line, "cannot discard the only remaining site")
             discarded.add(d.site)
-            del site_cycles[d.site]
             expandable = False
+            axes = tuple(p for p, s in enumerate(slots) if s.site == d.site)
+            slots[:] = [s for s in slots if s.site != d.site]
             fits(d.line)
+            layout("discard", d.line, axes=axes)
         elif isinstance(d, Output):
             live(d.site, d.line)
-            if d.cycle not in site_cycles[d.site]:
+            slot = SlotId(d.site, d.cycle)
+            if slot not in slots:
                 _fail(d.line,
                       f"site {d.site!r} has no slot at cycle {d.cycle}")
+            steps.append(PlanStep("output", d.line, tuple(slots),
+                                  axes=(slots.index(slot),)))
     if not isinstance(directives[-1], Output):
         _fail(directives[-1].line, "missing output directive")
+    out = directives[-1]
+    return CircuitPlan(tuple(steps), register(),
+                       Register((SlotId(out.site, out.cycle),),
+                                (dims[out.site],)))
+
+
+def _prepared_vector(d: Prepare) -> np.ndarray:
+    if d.kind == "vac":
+        return np.array([1.0, 0.0, 0.0], dtype=complex)
+    return _qubit_vector(d.amp0, d.amp1, d.line)
+
+
+def _qubit_vector(a0: complex, a1: complex, line: int) -> np.ndarray:
+    """a0|0> + a1|1>, normalized.  It is scaled to its largest real or
+    imaginary component first, so huge amplitudes do not overflow the
+    norm."""
+    scale = max(abs(a0.real), abs(a0.imag), abs(a1.real), abs(a1.imag))
+    if not math.isfinite(scale):
+        _fail(line, "amplitudes are not finite")
+    if scale == 0.0 or scale * (abs(a0 / scale) + abs(a1 / scale)) < 1e-12:
+        _fail(line, "state has zero norm")
+    a0, a1 = a0 / scale, a1 / scale
+    norm = math.hypot(abs(a0), abs(a1))
+    return np.array([a0 / norm, a1 / norm])
 
 
 def _fmt_amp(c: complex) -> str:
@@ -450,66 +574,71 @@ class ExecutionReport:
         }
 
 
-def _prepare_state(d: Prepare) -> PureState:
-    reg = Register((SlotId(d.site, d.cycle),), (3 if d.kind == "vac" else 2,))
-    if d.kind == "vac":
-        return PureState(reg, [1.0, 0.0, 0.0])
-    return PureState(reg, [d.amp0, d.amp1])
-
-
-def _ensure_cycle(state: State, participants, cycle: int, line: int) -> State:
-    site_cycles = {
-        site: set(state.register.cycles_of(site))
-        for site in state.register.sites
-    }
-    delta = _expansion_shift(site_cycles, participants, cycle)
-    if delta is None:
-        raise CircuitExecutionError(
-            f"line {line}: no dilation aligns {participants} at cycle {cycle}"
-        )
-    if delta == 0:
-        return state
-    if not isinstance(state, PureState):
-        raise CircuitExecutionError(
-            f"line {line}: cannot expand a mixed state"
-        )
-    return tensor(state, relabel_cycles(state, None, delta))
-
-
-_GATES = {"x": pauli_x, "h": hadamard}
-
-
 def run_program(program: CircuitProgram):
-    """Execute a parsed program; returns (ExecutionReport, final state)."""
-    state = None
-    result = None
-    for d in program.directives:
-        if isinstance(d, Prepare):
-            fresh = _prepare_state(d)
-            state = fresh if state is None else tensor(state, fresh)
-        elif isinstance(d, Cnot):
-            state = _ensure_cycle(state, [d.control, d.target], d.cycle,
-                                  d.line)
-            state = apply_gate(state, cnot(),
-                               [SlotId(d.control, d.cycle),
-                                SlotId(d.target, d.cycle)])
-        elif isinstance(d, GateOp):
-            state = _ensure_cycle(state, [d.site], d.cycle, d.line)
-            gate = phase_gate(d.theta) if d.name == "phase" \
-                else _GATES[d.name]()
-            state = apply_gate(state, gate, [SlotId(d.site, d.cycle)])
-        elif isinstance(d, Dilate):
-            state = relabel_cycles(state, d.site, d.delta)
-        elif isinstance(d, Discard):
-            keep = [s for s in state.register.slots if s.site != d.site]
-            state = partial_trace(state, keep)
-        elif isinstance(d, Output):
-            slot = SlotId(d.site, d.cycle)
-            rho = partial_trace(state, [slot])
-            result = ExecutionReport(
-                slot,
-                rho,
-                joint_outcome_distribution(rho, rho.register.slots),
-                von_neumann_entropy(rho),
-            )
-    return result, state
+    """Execute a program; returns (ExecutionReport, final state).
+
+    The program's plan runs on one array of amplitude rows, shaped
+    (N, *dims), whose state is the sum of the rows' projectors: gates
+    contract their block with the rows' target axes, a prepare appends
+    its vector to every row and an expansion appends the (single) row's
+    own copy.  A discard moves the discarded axes into the row axis; when
+    that leaves more rows than the kept dimension d, the rows are folded
+    to d by a QR factorization, which keeps the state, so the stack never
+    outgrows a d x d density matrix.
+
+    Each density the run returns is built and validated once, at the
+    end, by registers.gram_density: the output's reduced state and, after
+    a discard, the mixed final state, whose spectrum is read off the
+    smaller Gram matrix of its rows.  A pure final state is a PureState.
+    A hand-built directive list that the static check rejects raises
+    CircuitExecutionError.
+    """
+    try:
+        plan = program.plan
+    except CircuitParseError as exc:
+        raise CircuitExecutionError(str(exc)) from exc
+    rows = None
+    for step in plan.steps:
+        if step.kind == "gate":
+            rows = _left_multiply(step.operand, rows,
+                                  [a + 1 for a in step.axes])
+        elif step.kind == "prepare":
+            rows = step.operand[None] if rows is None \
+                else rows[..., None] * step.operand
+        elif step.kind == "expand":
+            rows = np.multiply.outer(rows, rows[0])
+        elif step.kind == "discard":
+            rows = _discard_rows(rows, step.axes)
+    out = plan.steps[-1]
+    rho = gram_density(plan.output_register, _factor(rows, out.axes))
+    report = ExecutionReport(
+        plan.output_register.slots[0],
+        rho,
+        joint_outcome_distribution(rho, rho.register.slots),
+        von_neumann_entropy(rho),
+    )
+    if plan.pure:
+        return report, PureState(plan.register, rows.reshape(-1))
+    every = range(len(plan.register.slots))
+    return report, gram_density(plan.register, _factor(rows, every))
+
+
+def _factor(rows: np.ndarray, keep) -> np.ndarray:
+    """The (d_keep, M) factor F of amplitude rows whose F F^H is their
+    reduced state over the register axes in keep (ascending): the kept
+    axes lead, and the row axis and every other axis become columns."""
+    lead = [a + 1 for a in keep]
+    rest = [0] + [a for a in range(1, rows.ndim) if a not in lead]
+    t = rows.transpose(lead + rest)
+    return t.reshape(math.prod(t.shape[:len(lead)]), -1)
+
+
+def _discard_rows(rows: np.ndarray, axes) -> np.ndarray:
+    """Amplitude rows of the state with the register axes in axes traced
+    out, at most as many as the kept dimension."""
+    keep = [a for a in range(rows.ndim - 1) if a not in axes]
+    r = _factor(rows, keep).T
+    if r.shape[0] > r.shape[1]:
+        # R = Q T with Q isometric, so T^H T = R^H R: the same state
+        r = np.linalg.qr(r, mode="r")
+    return r.reshape((-1,) + tuple(rows.shape[a + 1] for a in keep))

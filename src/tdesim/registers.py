@@ -231,20 +231,55 @@ def check_densities(matrices: np.ndarray) -> np.ndarray:
     The first row that fails raises InvariantViolationError, naming its
     index when there is a stack.
     """
-    m = matrices
-    dev = abs(m - m.conj().swapaxes(-1, -2))
-    trace_err = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
-    if not (dev.max() <= ATOL and trace_err.max() <= ATOL):
-        _reject(m, dev.max(axis=(-2, -1)), trace_err)
-    vals = np.linalg.eigvalsh(m)
+    _check_hermitian_unit_trace(matrices)
+    return _check_spectrum(matrices, np.linalg.eigvalsh(matrices))
+
+
+def gram_density(register: Register, factor) -> DensityOperator:
+    """The density matrix F F^H of a (d, M) factor F on a register of
+    dimension d, validated once.
+
+    F F^H gets check_densities' hermiticity and trace tests unchanged.
+    Its spectrum comes from the smaller of the two Gram matrices, F F^H
+    or F^H F, which share their nonzero eigenvalues: padded with zeros
+    and sorted ascending, it must have no eigenvalue below PSD_FLOOR and
+    is kept as the operator's ``eigenvalues``.  A density of dimension d
+    held as M < d amplitude columns so costs an M x M eigvalsh.
+    """
+    f = np.asarray(factor, dtype=complex)
+    d, m = f.shape
+    if d != register.dim:
+        raise ValueError(
+            f"expected a factor with {register.dim} rows, got {f.shape}"
+        )
+    rho = f @ f.conj().T
+    _check_hermitian_unit_trace(rho)
+    if m < d:
+        vals = np.linalg.eigvalsh(f.conj().T @ f)
+        vals = np.sort(np.concatenate([np.zeros(d - m), vals]))
+    else:
+        vals = np.linalg.eigvalsh(rho)
+    return _validated(register, rho, _check_spectrum(rho, vals))
+
+
+def _check_hermitian_unit_trace(m: np.ndarray) -> None:
+    dev = abs(m - m.conj().swapaxes(-1, -2)).max()
+    trace_err = abs(m.trace(axis1=-2, axis2=-1) - 1.0).max()
+    if not (dev <= ATOL and trace_err <= ATOL):
+        _reject(m)
+
+
+def _check_spectrum(m: np.ndarray, vals: np.ndarray) -> np.ndarray:
     if not vals.min() >= PSD_FLOOR:
-        _reject(m, dev.max(axis=(-2, -1)), trace_err, vals[..., 0])
+        _reject(m, vals[..., 0])
     return vals
 
 
-def _reject(m, herm, trace_err, lowest=None):
+def _reject(m, lowest=None):
     """Raise InvariantViolationError for the first row of m that fails
     check_densities, with the first check it fails."""
+    herm = abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    trace_err = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
     bad = ~(herm <= ATOL) | ~(trace_err <= ATOL)
     if lowest is not None:
         bad = bad | ~(lowest >= PSD_FLOOR)

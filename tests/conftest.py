@@ -15,19 +15,35 @@ from scipy import linalg as sla
 from scipy import stats
 
 from tdesim import (
+    CircuitExecutionError,
     CorrelationMode,
     DensityOperator,
+    ExecutionReport,
     PureState,
     Register,
     SlotId,
     apply_gate,
     cnot,
     displaced_expansion,
+    hadamard,
+    joint_outcome_distribution,
     measure_at_cycle,
     partial_trace,
+    pauli_x,
+    phase_gate,
     qubit_state,
     relabel_cycles,
     tensor,
+    von_neumann_entropy,
+)
+from tdesim.dsl import (
+    Cnot,
+    Dilate,
+    Discard,
+    GateOp,
+    Output,
+    Prepare,
+    _expansion_shift,
 )
 
 SEED = 20260818
@@ -225,3 +241,63 @@ def displaced_box_oracle(state, data_site, ancilla_site="c"):
     st = apply_gate(st, cnot(),
                     [SlotId(data_site, c1), SlotId(ancilla_site, c1)])
     return partial_trace(st, [SlotId(ancilla_site, c1)])
+
+
+def _oracle_ensure_cycle(state, participants, cycle, line):
+    site_cycles = {
+        site: set(state.register.cycles_of(site))
+        for site in state.register.sites
+    }
+    delta = _expansion_shift(site_cycles, participants, cycle)
+    if delta is None:
+        raise CircuitExecutionError(
+            f"line {line}: no dilation aligns {participants} at cycle {cycle}"
+        )
+    if delta == 0:
+        return state
+    if not isinstance(state, PureState):
+        raise CircuitExecutionError(
+            f"line {line}: cannot expand a mixed state"
+        )
+    return tensor(state, relabel_cycles(state, None, delta))
+
+
+def run_program_oracle(program):
+    """The gate-by-gate circuit interpreter on the object primitives:
+    every step builds a PureState or a validated DensityOperator, a
+    discard forms the reduced density matrix with partial_trace, and the
+    expansion shift is worked out again from the register at each gate.
+    Returns (ExecutionReport, final state) like run_program."""
+    gates = {"x": pauli_x, "h": hadamard}
+    state = None
+    result = None
+    for d in program.directives:
+        if isinstance(d, Prepare):
+            reg = Register((SlotId(d.site, d.cycle),),
+                           (3 if d.kind == "vac" else 2,))
+            fresh = PureState(reg, [1.0, 0.0, 0.0] if d.kind == "vac"
+                              else [d.amp0, d.amp1])
+            state = fresh if state is None else tensor(state, fresh)
+        elif isinstance(d, Cnot):
+            state = _oracle_ensure_cycle(state, [d.control, d.target],
+                                         d.cycle, d.line)
+            state = apply_gate(state, cnot(),
+                               [SlotId(d.control, d.cycle),
+                                SlotId(d.target, d.cycle)])
+        elif isinstance(d, GateOp):
+            state = _oracle_ensure_cycle(state, [d.site], d.cycle, d.line)
+            gate = phase_gate(d.theta) if d.name == "phase" \
+                else gates[d.name]()
+            state = apply_gate(state, gate, [SlotId(d.site, d.cycle)])
+        elif isinstance(d, Dilate):
+            state = relabel_cycles(state, d.site, d.delta)
+        elif isinstance(d, Discard):
+            keep = [s for s in state.register.slots if s.site != d.site]
+            state = partial_trace(state, keep)
+        elif isinstance(d, Output):
+            slot = SlotId(d.site, d.cycle)
+            rho = partial_trace(state, [slot])
+            result = ExecutionReport(
+                slot, rho, joint_outcome_distribution(rho, [slot]),
+                von_neumann_entropy(rho))
+    return result, state

@@ -33,3 +33,8 @@ def test_fig_sweeps_traced_run_is_correct():
 def test_mixed_channel_traced_run_is_correct():
     # the density rows, the stacked box and the propriety paths
     _traced_run_is_correct("mixed-channel")
+
+
+def test_deep_circuits_traced_run_is_correct():
+    # the compiled circuit plans, discards and the 16-slot program
+    _traced_run_is_correct("deep-circuits")

@@ -2,13 +2,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from conftest import run_program_oracle
 from tdesim import (
     MAX_STATE_BYTES,
     CircuitExecutionError,
     CircuitParseError,
+    DensityOperator,
+    PureState,
     SlotId,
     format_circuit,
     parse_circuit,
@@ -181,42 +184,55 @@ _AMPLITUDES = st.one_of(
 @st.composite
 def _programs(draw):
     """Valid programs: sites prepared at one cycle, gates there, and
-    optionally a dilation whose gate forces an expansion, more gates at
-    the later cycle and a discard, then an output."""
+    optionally a dilation whose gate forces an expansion and more gates
+    at the later cycle; then up to two discards, gates on what is left,
+    and possibly the last discarded site prepared again and gated; then
+    an output.  Discarding two of three sites leaves more rows than the
+    kept dimension, which run_program folds."""
     sites = [f"s{i}" for i in range(draw(st.integers(2, 4)))]
     cycle = draw(st.integers(0, 3))
-    directives = []
-    for site in sites:
-        if draw(st.integers(0, 3)) == 0:
-            directives.append(Prepare(site, cycle, "vac"))
-            continue
+    vacuum = {}
+
+    def prepare(site, at):
+        if vacuum.setdefault(site, draw(st.integers(0, 3)) == 0):
+            return Prepare(site, at, "vac")
         a0, a1 = complex(draw(_AMPLITUDES)), complex(draw(_AMPLITUDES))
         assume(abs(a0) + abs(a1) >= 1e-12)
-        directives.append(Prepare(site, cycle, "qubit", a0, a1))
+        return Prepare(site, at, "qubit", a0, a1)
 
-    def gates(at):
+    def gates(at, live):
         out = []
         for _ in range(draw(st.integers(0, 3))):
-            a, b = draw(st.permutations(sites))[:2]
-            name = draw(st.sampled_from(("cnot", "x", "h", "phase")))
+            a, *rest = draw(st.permutations(live))
+            name = draw(st.sampled_from(
+                ("cnot", "x", "h", "phase") if rest else ("x", "h", "phase")))
             if name == "cnot":
-                out.append(Cnot(a, b, at))
+                out.append(Cnot(a, rest[0], at))
             else:
                 theta = draw(st.floats(-100.0, 100.0)) \
                     if name == "phase" else None
                 out.append(GateOp(name, a, at, theta))
         return out
 
-    directives += gates(cycle)
-    out_cycle = cycle
+    directives = [prepare(site, cycle) for site in sites]
+    directives += gates(cycle, sites)
+    at = out_cycle = cycle
     if draw(st.booleans()):
         delta = draw(st.integers(1, 3))
         out_cycle = draw(st.sampled_from((cycle, cycle + delta)))
-        directives += [Dilate(sites[0], delta),
-                       Cnot(sites[0], sites[1], cycle + delta)]
-        directives += gates(cycle + delta)
-        if len(sites) > 2 and draw(st.booleans()):
-            directives.append(Discard(sites[-1]))
+        at = cycle + delta
+        directives += [Dilate(sites[0], delta), Cnot(sites[0], sites[1], at)]
+        directives += gates(at, sites)
+    # sites[1] holds the output and is never discarded
+    others = [s for s in reversed(sites) if s != sites[1]]
+    dropped = others[:draw(st.integers(0, min(2, len(others))))]
+    live = [s for s in sites if s not in dropped]
+    directives += [Discard(s) for s in dropped]
+    if dropped:
+        directives += gates(at, live)
+        if draw(st.booleans()):
+            directives.append(prepare(dropped[-1], at))
+            directives += gates(at, live + [dropped[-1]])
     directives.append(Output(sites[1], out_cycle))
     return CircuitProgram(tuple(directives))
 
@@ -227,6 +243,122 @@ def test_random_programs_survive_format_and_parse(program):
     printed = format_circuit(program)
     assert parse_circuit(printed) == program
     assert format_circuit(parse_circuit(printed)) == printed
+
+
+# three sites, two discarded: 4 rows over the 2-dimensional kept site
+# are folded to 2, and the site prepared again is gated against it
+FOLD_PROGRAM = """\
+prepare a @0 0.6|0>+0.8|1>
+prepare b @0 |0>
+prepare c @0 (0.5+0.5j)|0>-0.5|1>
+gate h c @0
+cnot a b @0
+cnot c b @0
+discard a
+discard c
+prepare c @0 |1>
+cnot b c @0
+gate phase(0.7) b @0
+output b @0
+"""
+
+
+def _assert_same_run(program):
+    rep, final = run_program(program)
+    ref, ref_final = run_program_oracle(program)
+    assert rep.output_slot == ref.output_slot
+    assert rep.rho_out.register == ref.rho_out.register
+    np.testing.assert_allclose(rep.rho_out.matrix, ref.rho_out.matrix,
+                               rtol=0, atol=1e-12)
+    assert rep.probabilities.keys() == ref.probabilities.keys()
+    for key, p in ref.probabilities.items():
+        assert abs(rep.probabilities[key] - p) <= 1e-12
+    assert abs(rep.entropy_bits - ref.entropy_bits) <= 1e-12
+    assert type(final) is type(ref_final)
+    assert final.register == ref_final.register
+    if isinstance(final, PureState):
+        np.testing.assert_allclose(final.amplitudes, ref_final.amplitudes,
+                                   rtol=0, atol=1e-12)
+    else:
+        np.testing.assert_allclose(final.matrix, ref_final.matrix,
+                                   rtol=0, atol=1e-12)
+        np.testing.assert_allclose(final.eigenvalues, ref_final.eigenvalues,
+                                   rtol=0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=60)
+@given(_programs())
+@example(parse_circuit(FOLD_PROGRAM))
+def test_run_program_agrees_with_the_gate_by_gate_oracle(program):
+    _assert_same_run(program)
+
+
+def test_discard_that_leaves_more_rows_than_dimension_folds(monkeypatch):
+    qr = np.linalg.qr
+    calls = []
+    monkeypatch.setattr(np.linalg, "qr",
+                        lambda *a, **k: calls.append(1) or qr(*a, **k))
+    _assert_same_run(parse_circuit(FOLD_PROGRAM))
+    assert len(calls) == 1
+
+
+# five sites expanded to ten slots, two of them discarded: the run
+# returns a 64-dimensional mixed state held as 16 rows
+WIDE_DISCARD_PROGRAM = """\
+prepare s0 @0 0.6|0>+0.8|1>
+prepare s1 @0 |0>
+prepare s2 @0 0.8|0>-0.6j|1>
+prepare s3 @0 |1>
+prepare s4 @0 (0.5+0.5j)|0>+0.5|1>
+cnot s0 s1 @0
+cnot s1 s2 @0
+cnot s2 s3 @0
+cnot s3 s4 @0
+gate h s0 @0
+gate h s4 @0
+dilate s0 +1
+cnot s0 s1 @1
+cnot s1 s2 @1
+cnot s2 s3 @1
+cnot s3 s4 @1
+discard s3
+discard s4
+cnot s0 s1 @1
+gate phase(1.1) s1 @1
+output s1 @1
+"""
+
+
+def test_discards_validate_only_the_returned_densities(monkeypatch):
+    program = parse_circuit(WIDE_DISCARD_PROGRAM)
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: sizes.append(m.shape[-1]) or eigvalsh(m))
+    rep, final = run_program(program)
+    assert isinstance(final, DensityOperator) and final.dim == 64
+    # one spectrum per returned density: rho_out and the final state,
+    # whose 16 rows give a 16 x 16 Gram matrix
+    assert sizes == [2, 16]
+
+
+@pytest.mark.parametrize("text", [WIDE_DISCARD_PROGRAM, FOLD_PROGRAM])
+def test_mixed_final_state_keeps_its_full_spectrum(text):
+    _, final = run_program(parse_circuit(text))
+    assert isinstance(final, DensityOperator)
+    assert final.eigenvalues.shape == (final.dim,)
+    np.testing.assert_allclose(final.eigenvalues,
+                               np.linalg.eigvalsh(final.matrix),
+                               rtol=0, atol=1e-12)
+
+
+def test_huge_amplitudes_are_normalized_without_overflow():
+    for state in ("1e308|0>+1e308|1>", "(1.7e308+1.7e308j)|0>+1.7e308|1>"):
+        rep, final = run_program(
+            parse_circuit(f"prepare a @0 {state}\noutput a @0\n"))
+        assert abs(np.linalg.norm(final.amplitudes) - 1.0) <= 1e-12
+        ratio = 2.0 if "j" in state else 1.0
+        assert abs(rep.probabilities["0"] - ratio / (ratio + 1.0)) <= 1e-12
 
 
 def test_output_step_validates_the_reduced_state_once(monkeypatch):
@@ -280,6 +412,16 @@ MALFORMED_CORPUS = [
     ("cnot a @0\noutput a @0\n", "usage"),
     ("prepare a @0 |0>\nprepare b @1 |0>\ncnot a b @2\noutput a @0\n",
      "no dilation aligns"),
+    ("prepare a @0 nan|0>+1|1>\noutput a @0\n", "not finite"),
+    ("prepare a @0 inf|0>\noutput a @0\n", "not finite"),
+    ("prepare a @0 (1+nanj)|0>\noutput a @0\n", "not finite"),
+    ("prepare a @0 1e309|0>+|1>\noutput a @0\n", "not finite"),
+    ("prepare a @0 |0>\ngate phase(nan) a @0\noutput a @0\n",
+     "not finite"),
+    ("prepare a @0 |0>\ngate phase(inf) a @0\noutput a @0\n",
+     "not finite"),
+    ("prepare a @0 |0>\ngate phase(-inf) a @0\noutput a @0\n",
+     "not finite"),
 ]
 
 

@@ -26,7 +26,7 @@ from tdesim import (
     to_density,
     vacuum_state,
 )
-from tdesim.registers import on_register
+from tdesim.registers import gram_density, on_register
 
 from conftest import (
     partial_trace_oracle,
@@ -108,6 +108,31 @@ def test_density_operator_validation():
         DensityOperator(reg, [[0.9, 0.0], [0.0, 0.3]])  # trace 1.2
     with pytest.raises(InvariantViolationError):
         DensityOperator(reg, [[1.2, 0.0], [0.0, -0.2]])  # negative weight
+
+
+@pytest.mark.parametrize("columns", [1, 3, 8, 20])
+def test_gram_density_matches_a_checked_density(rng, columns):
+    reg = Register(tuple(SlotId(s, 0) for s in "abc"), (2, 2, 2))
+    f = rng.standard_normal((8, columns)) \
+        + 1j * rng.standard_normal((8, columns))
+    f /= np.linalg.norm(f)
+    rho = gram_density(reg, f)
+    ref = DensityOperator(reg, f @ f.conj().T)
+    assert rho.register == reg
+    np.testing.assert_allclose(rho.matrix, ref.matrix, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rho.eigenvalues, ref.eigenvalues,
+                               rtol=0, atol=1e-12)
+    assert not rho.matrix.flags.writeable
+
+
+def test_gram_density_rejects_what_density_operator_rejects():
+    reg = Register((SlotId("a", 0),), (2,))
+    with pytest.raises(InvariantViolationError, match="trace"):
+        gram_density(reg, [[0.9], [0.3]])
+    with pytest.raises(InvariantViolationError, match="hermitian"):
+        gram_density(reg, [[np.nan], [0.0]])
+    with pytest.raises(ValueError):
+        gram_density(reg, [[1.0], [0.0], [0.0]])
 
 
 def test_basis_index_orders_first_slot_most_significant():
