@@ -11,7 +11,7 @@ Grammar, one directive per line, '#' starts a comment:
 
 Amplitudes are finite python floats or complex literals; parenthesize
 complex coefficients, as in (0.5+0.5j)|0>+0.5|1>.  States are normalized
-when the program is compiled.  Every program ends with exactly one output
+when the program is parsed.  Every program ends with exactly one output
 directive.
 
 A gate whose participants lack a slot at the gate's cycle triggers a
@@ -23,13 +23,15 @@ before anything runs; it also requires a pure state, so it cannot follow
 a discard.
 
 Parsing compiles the program into a CircuitPlan: the slot order after
-every step, each gate's lifted block and axes, each expansion's shift and
-each discard's axes.  run_program executes the plan on one array of
-amplitude rows, shaped (N, *dims).  A pure state is one row; a discard
-moves the discarded axes into the row axis, so a mixed state is carried
-as its own purification and never as a density matrix.  Densities are
-built and validated only where the run returns them: the output's
-reduced state and a mixed final state.
+every step, each expansion's shift, each discard's axes and the gates.
+Each run of adjacent X, CNOT and phase gates, whose lifted blocks are
+monomial, becomes one flat index gather with optional phases; H stays a
+dense block.  run_program executes the plan on one array of amplitude
+rows, shaped (N, *dims).  A pure state is one row; a discard moves the
+discarded axes into the row axis, so a mixed state is carried as its own
+purification and never as a density matrix.  Densities are built and
+validated only where the run returns them: the output's reduced state
+and a mixed final state.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -53,8 +55,10 @@ from .registers import (
     gram_density,
 )
 from .dynamics import (
-    _gate_block,
+    _gather_axes,
     _left_multiply,
+    _lift_logical,
+    _monomial,
     cnot,
     hadamard,
     joint_outcome_distribution,
@@ -75,6 +79,14 @@ class Prepare:
     amp0: complex = 0j
     amp1: complex = 0j
     line: int = field(default=0, compare=False, repr=False)
+
+    @functools.cached_property
+    def vector(self) -> np.ndarray:
+        """The normalized state vector, computed once per directive; a
+        zero or non-finite state raises CircuitParseError."""
+        if self.kind == "vac":
+            return _VACUUM
+        return _qubit_vector(self.amp0, self.amp1, self.line)
 
 
 @dataclass(frozen=True)
@@ -208,7 +220,6 @@ def _parse_state(spec: str, line: int):
         amps[ket] = _parse_coef(m.group("coef"), line)
     a0 = complex(amps.get("0", 0j))
     a1 = complex(amps.get("1", 0j))
-    _qubit_vector(a0, a1, line)  # rejects a zero norm
     return "qubit", a0, a1
 
 
@@ -258,8 +269,10 @@ def parse_circuit(text: str) -> CircuitProgram:
                 _fail(ln, "usage: prepare <site> @<cycle> <state>")
             site = _parse_site(args[0], ln)
             cycle = _parse_cycle(args[1], ln)
-            kind, a0, a1 = _parse_state("".join(args[2:]), ln)
-            directives.append(Prepare(site, cycle, kind, a0, a1, line=ln))
+            prep = Prepare(site, cycle, *_parse_state("".join(args[2:]), ln),
+                           line=ln)
+            prep.vector  # rejects a zero norm
+            directives.append(prep)
         elif head == "cnot":
             if len(args) != 3:
                 _fail(ln, "usage: cnot <control> <target> @<cycle>")
@@ -329,15 +342,20 @@ def _expansion_shift(site_cycles: dict, participants, cycle: int):
     return None
 
 
-@dataclass(frozen=True)
-class PlanStep:
-    """One step of a compiled program, with the slot order after it.
+class PlanStep(NamedTuple):
+    """One step of a compiled program, with the slot order after it as
+    (site, cycle) pairs.
 
     kind is one of
       "prepare": operand is the normalized vector appended to every row;
       "expand":  shift is the whole-state shift of the appended copy;
-      "gate":    operand is the lifted block, shaped (target dims...,
-                 target dims...), acting on the register axes in axes;
+      "gather":  adjacent monomial gates (X, CNOT, phase), also across
+                 dilations, composed: each flattened row becomes
+                 row[perm], times operand if not None; line is the first
+                 gate's and the step sits where the run ends;
+      "gate":    a dense gate (H): operand is the lifted block, shaped
+                 (target dims..., target dims...), acting on the register
+                 axes in axes;
       "dilate":  relabels slots only;
       "discard": axes are the register axes traced out;
       "output":  axes holds the register axis of the output slot.
@@ -349,6 +367,7 @@ class PlanStep:
     operand: Optional[np.ndarray] = None
     axes: tuple = ()
     shift: int = 0
+    perm: Optional[np.ndarray] = None
 
 
 @dataclass(frozen=True)
@@ -367,68 +386,103 @@ class CircuitPlan:
         return all(step.kind != "discard" for step in self.steps)
 
 
-_GATES = {"x": pauli_x, "h": hadamard}
+_GATES = {"x": pauli_x, "h": hadamard, "cnot": cnot}
+
+
+@functools.lru_cache(maxsize=256)
+def _lifted_gate(name: str, theta: Optional[float], dims: tuple):
+    """A gate's lifted block on targets of the given dims, shaped dims +
+    dims, and its gather read off by dynamics._monomial, None if dense."""
+    gate = phase_gate(theta) if name == "phase" else _GATES[name]()
+    block = _lift_logical(gate.matrix, dims).reshape(dims + dims)
+    block.flags.writeable = False
+    return block, _monomial(block, permutation=name in ("x", "cnot"))
 
 
 def _static_check(directives) -> CircuitPlan:
     """Check a directive list and compile it, in one pass.
 
-    The slot order follows the state: a prepared slot is appended, an
-    expansion appends the shifted copy of every slot, a dilation relabels
-    in place and a discard removes the site's slots.
+    slots lists the state's (site, cycle) pairs in register order and
+    shape their dimensions: a prepared slot is appended, an expansion
+    appends the shifted copy of every slot, a dilation relabels in place
+    and a discard removes the site's slots.  pos (pair -> register axis)
+    and cycles (live site -> its cycles) follow them step by step.  A
+    monomial gate extends the open run, which any other step except a
+    dilation closes into one gather step.
     """
     dims = {}
+    cycles = {}
     discarded = set()
     expandable = True  # the state is still pure
     slots = []
+    shape = []
+    pos = {}
     steps = []
-    reg = None  # Register of slots, built when a gate or the plan needs it
-
-    def site_cycles():
-        out = {}
-        for s in slots:
-            out.setdefault(s.site, set()).add(s.cycle)
-        return out
+    run = None  # (line, perm, phase) of the open run of monomial gates
 
     def fits(ln):
         try:
-            check_state_size(math.prod(dims[s.site] for s in slots),
-                             pure=expandable)
+            check_state_size(math.prod(shape), pure=expandable)
         except RegisterSizeError as exc:
             _fail(ln, str(exc))
 
     def live(site, ln):
         if site in discarded:
             _fail(ln, f"site {site!r} was discarded")
-        if all(s.site != site for s in slots):
+        if site not in cycles:
             _fail(ln, f"site {site!r} was never prepared")
 
-    def layout(kind, ln, **kw):
-        nonlocal reg
-        reg = None
-        steps.append(PlanStep(kind, ln, tuple(slots), **kw))
+    def step(kind, ln, operand=None, **kw):
+        steps.append(PlanStep(kind, ln, tuple(slots), operand, **kw))
 
-    def register():
-        nonlocal reg
-        if reg is None:
-            reg = Register(tuple(slots), tuple(dims[s.site] for s in slots))
-        return reg
+    def close():
+        nonlocal run
+        if run is not None:
+            first, perm, phase = run
+            run = None
+            step("gather", first,
+                 None if phase is None else phase.reshape(-1),
+                 perm=perm.reshape(-1))
+
+    def reindex():
+        pos.clear()
+        pos.update(zip(slots, range(len(slots))))
 
     def align(participants, cycle, ln):
-        delta = _expansion_shift(site_cycles(), participants, cycle)
+        delta = _expansion_shift(cycles, participants, cycle)
         if delta is None:
             _fail(ln, f"no dilation aligns {participants} at cycle {cycle}")
         if delta:
             if not expandable:
                 _fail(ln, "expansion after discard needs a pure state")
-            slots.extend([s.shifted(delta) for s in slots])
+            close()
+            slots.extend([(s, c + delta) for s, c in slots])
+            shape.extend(shape)
+            reindex()
+            for cs in cycles.values():
+                cs.update([c + delta for c in cs])
             fits(ln)
-            layout("expand", ln, shift=delta)
+            step("expand", ln, shift=delta)
 
-    def gate(g, sites, cycle, ln):
-        targets = [SlotId(s, cycle) for s in sites]
-        block, axes = _gate_block(register(), g, targets)
-        steps.append(PlanStep("gate", ln, tuple(slots), block, tuple(axes)))
+    def gate(name, theta, axes, tdims, ln):
+        nonlocal run
+        block, gather = _lifted_gate(name, theta, tdims)
+        if gather is None:
+            close()
+            step("gate", ln, block, axes=axes)
+            return
+        first, perm, phase = run or (
+            ln, np.arange(math.prod(shape)).reshape(shape), None)
+        q, phases = gather
+        perm = _gather_axes(perm, q, axes)
+        if phase is not None:
+            phase = _gather_axes(phase, q, axes)
+        if phases is not None:  # on the target axes, broadcast elsewhere
+            k = len(axes)
+            phases = phases.reshape(tdims + (1,) * (len(shape) - k))
+            phase = np.broadcast_to(np.moveaxis(phases, range(k), axes)
+                                    * (1 if phase is None else phase), shape)
+        run = first, perm, phase
 
     if not directives:
         _fail(1, "missing output directive")
@@ -436,62 +490,71 @@ def _static_check(directives) -> CircuitPlan:
         if isinstance(d, Output) and i != len(directives) - 1:
             _fail(d.line, "output must be the final directive")
         if isinstance(d, Prepare):
-            if SlotId(d.site, d.cycle) in slots:
+            if (d.site, d.cycle) in pos:
                 _fail(d.line, f"slot {d.site}@{d.cycle} already prepared")
             dim = 3 if d.kind == "vac" else 2
             if d.site in dims and dims[d.site] != dim:
                 _fail(d.line, f"site {d.site!r} mixes slot dimensions")
             dims[d.site] = dim
             discarded.discard(d.site)
-            slots.append(SlotId(d.site, d.cycle))
+            close()
+            pos[d.site, d.cycle] = len(slots)
+            slots.append((d.site, d.cycle))
+            shape.append(dim)
+            cycles.setdefault(d.site, set()).add(d.cycle)
             fits(d.line)
-            layout("prepare", d.line, operand=_prepared_vector(d))
+            step("prepare", d.line, d.vector)
         elif isinstance(d, Cnot):
             live(d.control, d.line)
             live(d.target, d.line)
+            if d.control == d.target:
+                _fail(d.line, "control and target must differ")
             align([d.control, d.target], d.cycle, d.line)
-            gate(cnot(), [d.control, d.target], d.cycle, d.line)
+            gate("cnot", None,
+                 (pos[d.control, d.cycle], pos[d.target, d.cycle]),
+                 (dims[d.control], dims[d.target]), d.line)
         elif isinstance(d, GateOp):
             live(d.site, d.line)
             align([d.site], d.cycle, d.line)
-            g = phase_gate(d.theta) if d.name == "phase" \
-                else _GATES[d.name]()
-            gate(g, [d.site], d.cycle, d.line)
+            gate(d.name, d.theta, (pos[d.site, d.cycle],), (dims[d.site],),
+                 d.line)
         elif isinstance(d, Dilate):
             live(d.site, d.line)
-            slots[:] = [s.shifted(d.delta) if s.site == d.site else s
-                        for s in slots]
-            layout("dilate", d.line)
+            slots[:] = [(s, c + d.delta) if s == d.site else (s, c)
+                        for s, c in slots]
+            reindex()
+            cycles[d.site] = {c + d.delta for c in cycles[d.site]}
+            step("dilate", d.line)
         elif isinstance(d, Discard):
             live(d.site, d.line)
-            if all(s.site == d.site for s in slots):
+            if len(cycles) == 1:
                 _fail(d.line, "cannot discard the only remaining site")
             discarded.add(d.site)
             expandable = False
-            axes = tuple(p for p, s in enumerate(slots) if s.site == d.site)
-            slots[:] = [s for s in slots if s.site != d.site]
+            close()
+            axes = tuple(p for p, (s, _) in enumerate(slots) if s == d.site)
+            slots[:] = [slot for slot in slots if slot[0] != d.site]
+            shape[:] = [dims[s] for s, _ in slots]
+            reindex()
+            del cycles[d.site]
             fits(d.line)
-            layout("discard", d.line, axes=axes)
+            step("discard", d.line, axes=axes)
         elif isinstance(d, Output):
             live(d.site, d.line)
-            slot = SlotId(d.site, d.cycle)
-            if slot not in slots:
+            if (d.site, d.cycle) not in pos:
                 _fail(d.line,
                       f"site {d.site!r} has no slot at cycle {d.cycle}")
-            steps.append(PlanStep("output", d.line, tuple(slots),
-                                  axes=(slots.index(slot),)))
+            close()
+            step("output", d.line, axes=(pos[d.site, d.cycle],))
     if not isinstance(directives[-1], Output):
         _fail(directives[-1].line, "missing output directive")
     out = directives[-1]
-    return CircuitPlan(tuple(steps), register(),
-                       Register((SlotId(out.site, out.cycle),),
-                                (dims[out.site],)))
+    return CircuitPlan(tuple(steps), Register(tuple(slots), tuple(shape)),
+                       Register(((out.site, out.cycle),), (dims[out.site],)))
 
 
-def _prepared_vector(d: Prepare) -> np.ndarray:
-    if d.kind == "vac":
-        return np.array([1.0, 0.0, 0.0], dtype=complex)
-    return _qubit_vector(d.amp0, d.amp1, d.line)
+_VACUUM = np.array([1.0, 0.0, 0.0], dtype=complex)
+_VACUUM.flags.writeable = False
 
 
 def _qubit_vector(a0: complex, a1: complex, line: int) -> np.ndarray:
@@ -578,8 +641,10 @@ def run_program(program: CircuitProgram):
     """Execute a program; returns (ExecutionReport, final state).
 
     The program's plan runs on one array of amplitude rows, shaped
-    (N, *dims), whose state is the sum of the rows' projectors: gates
-    contract their block with the rows' target axes, a prepare appends
+    (N, *dims), whose state is the sum of the rows' projectors.  A fused
+    run of monomial gates (X, CNOT, phase) is one gather of the flattened
+    rows, row[perm], times its phases if it has any; a dense gate (H)
+    contracts its block with the rows' target axes.  A prepare appends
     its vector to every row and an expansion appends the (single) row's
     own copy.  A discard moves the discarded axes into the row axis; when
     that leaves more rows than the kept dimension d, the rows are folded
@@ -599,7 +664,12 @@ def run_program(program: CircuitProgram):
         raise CircuitExecutionError(str(exc)) from exc
     rows = None
     for step in plan.steps:
-        if step.kind == "gate":
+        if step.kind == "gather":
+            flat = rows.reshape(len(rows), -1).take(step.perm, axis=1)
+            if step.operand is not None:
+                flat *= step.operand
+            rows = flat.reshape(rows.shape)
+        elif step.kind == "gate":
             rows = _left_multiply(step.operand, rows,
                                   [a + 1 for a in step.axes])
         elif step.kind == "prepare":

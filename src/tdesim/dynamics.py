@@ -27,7 +27,8 @@ from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import CycleMisalignmentError, UnknownSlotError, ZeroProbabilityError
+from .errors import (CycleMisalignmentError, InvariantViolationError,
+                     UnknownSlotError, ZeroProbabilityError)
 from .registers import (
     BasisLevel,
     DensityOperator,
@@ -198,6 +199,35 @@ def _left_multiply(op: np.ndarray, t: np.ndarray, axes) -> np.ndarray:
     k = len(axes)
     out = np.tensordot(op, t, axes=(list(range(k, 2 * k)), axes))
     return np.moveaxis(out, list(range(k)), axes)
+
+
+def _monomial(block: np.ndarray, permutation: bool = False):
+    """Read a lifted gate block, shaped (target dims..., target dims...),
+    off as a gather on its flat target index: (q, phases) with block @ v
+    == phases * v[q], phases None if every nonzero is exactly 1.  None if
+    some row or column has other than one nonzero (no tolerance).  With
+    permutation=True the block claims to be a 0/1 permutation matrix and
+    anything else raises InvariantViolationError."""
+    k = int(np.prod(block.shape[:block.ndim // 2]))
+    nonzero = block.reshape(k, k) != 0
+    q = nonzero.argmax(axis=1)
+    phases = block.reshape(k, k)[np.arange(k), q]
+    monomial = (nonzero.sum(axis=0) == 1).all() \
+        and (nonzero.sum(axis=1) == 1).all()
+    unit = monomial and (phases == 1).all()
+    if permutation and not unit:
+        raise InvariantViolationError("lifted block is not a permutation")
+    return (q, None if unit else phases) if monomial else None
+
+
+def _gather_axes(t: np.ndarray, q: np.ndarray, axes) -> np.ndarray:
+    """t gathered by q on the flat index over its given axes, taken in
+    that order: out[..., i, ...] = t[..., q[i], ...].  Every other axis
+    stays where it was."""
+    order = list(axes) + [a for a in range(t.ndim) if a not in axes]
+    front = t.transpose(order)
+    out = front.reshape(len(q), -1).take(q, axis=0).reshape(front.shape)
+    return out.transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
 def _shift_all(state: State, delta: int) -> State:
@@ -509,9 +539,7 @@ def joint_outcome_distribution(state: State, slots: Sequence[SlotLike]) -> dict:
     diag = diag.reshape(reg.dims).sum(axis=rest).reshape(-1)
     dims = tuple(reg.dims[p] for p in keep_pos)
     probs = np.clip(diag, 0.0, None)
-    out = {}
-    for flat, p in enumerate(probs):
-        idx = np.unravel_index(flat, dims)
-        key = "".join(level_label(i, d) for i, d in zip(idx, dims))
-        out[key] = float(p)
-    return out
+    # row-major outcome labels, matching the flattened marginal
+    labels = _iproduct(*("".join(level_label(i, d) for i in range(d))
+                         for d in dims))
+    return dict(zip(map("".join, labels), probs.tolist()))

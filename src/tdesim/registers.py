@@ -14,6 +14,7 @@ so ``basis_index`` of (0, 1) on a two-qubit register is 1.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -78,8 +79,8 @@ class Register:
     dims: tuple
 
     def __post_init__(self):
-        slots = tuple(as_slot(s) for s in self.slots)
-        dims = tuple(int(d) for d in self.dims)
+        slots = tuple(map(as_slot, self.slots))
+        dims = tuple(map(int, self.dims))
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "dims", dims)
         if len(slots) != len(dims):
@@ -91,11 +92,12 @@ class Register:
         for d in dims:
             if d not in (2, 3):
                 raise ValueError(f"slot dimension must be 2 or 3, got {d}")
-        seen = set()
-        for s in slots:
-            if s in seen:
-                raise OverlappingSlotError(f"duplicate slot {s}")
-            seen.add(s)
+        if len(set(slots)) != len(slots):
+            seen = set()
+            for s in slots:
+                if s in seen:
+                    raise OverlappingSlotError(f"duplicate slot {s}")
+                seen.add(s)
 
     @property
     def dim(self) -> int:
@@ -157,7 +159,8 @@ class PureState:
     """Normalized state vector on a register.
 
     The amplitude array is copied, normalized, and frozen.  A vector of
-    numerically zero norm is rejected rather than silently rescaled.
+    numerically zero norm is rejected rather than silently rescaled, and
+    so is one with a non-finite amplitude.
     """
 
     def __init__(self, register: Register, amplitudes):
@@ -166,8 +169,14 @@ class PureState:
             raise ValueError(
                 f"expected {register.dim} amplitudes, got {amps.shape[0]}"
             )
-        norm = float(np.linalg.norm(amps))
-        if norm < 1e-12:
+        norm = math.sqrt(np.vdot(amps, amps).real)
+        if not math.isfinite(norm):  # overflow: scale to the largest part
+            scale = float(np.maximum(abs(amps.real), abs(amps.imag)).max())
+            if not math.isfinite(scale):
+                raise ValueError("state vector is not finite")
+            amps = amps / scale
+            norm = math.sqrt(np.vdot(amps, amps).real)
+        elif norm < 1e-12:
             raise ValueError("state vector has zero norm")
         amps = amps / norm
         amps.flags.writeable = False

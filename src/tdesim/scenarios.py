@@ -41,7 +41,8 @@ from .dynamics import (
     CorrelationMode,
     _as_mode,
     _gate_block,
-    _left_multiply,
+    _gather_axes,
+    _monomial,
     cnot,
     displaced_copies,
     ensemble_density,
@@ -132,22 +133,15 @@ def _cnot_permutation(reg: Register, targets) -> np.ndarray:
     """A CNOT on the target slots of reg as a flat index permutation p: it
     maps amplitudes psi to psi[p] and a density matrix m to m[p[:, None], p].
 
-    p is read off the lifted gate block of dynamics._gate_block, which
-    must be exactly a 0/1 permutation matrix (InvariantViolationError
-    otherwise): applied to the register's flat indices, the gate returns
-    p itself.
+    p is read off the lifted gate block of dynamics._gate_block by
+    dynamics._monomial, which the circuit compiler shares: the block must
+    be exactly a 0/1 permutation matrix (InvariantViolationError
+    otherwise).
     """
     block, axes = _gate_block(reg, cnot(), targets)
-    k = int(np.prod(block.shape[:block.ndim // 2]))
-    flat = block.reshape(k, k)
-    if not (((flat == 0) | (flat == 1)).all()
-            and (flat.sum(axis=0) == 1).all()
-            and (flat.sum(axis=1) == 1).all()):
-        raise InvariantViolationError(
-            "lifted CNOT block is not a permutation matrix")
-    index = np.arange(reg.dim, dtype=float).reshape(reg.dims)
-    perm = _left_multiply(block.real, index, axes).reshape(-1)
-    perm = perm.astype(np.intp)
+    q, _ = _monomial(block, permutation=True)
+    index = np.arange(reg.dim).reshape(reg.dims)
+    perm = _gather_axes(index, q, axes).reshape(-1)
     perm.flags.writeable = False
     return perm
 

@@ -5,13 +5,15 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import run_program_oracle
+from conftest import dense_gate_oracle, run_program_oracle
 from tdesim import (
     MAX_STATE_BYTES,
     CircuitExecutionError,
     CircuitParseError,
     DensityOperator,
+    InvariantViolationError,
     PureState,
+    Register,
     SlotId,
     format_circuit,
     parse_circuit,
@@ -27,7 +29,9 @@ from tdesim.dsl import (
     GateOp,
     Output,
     Prepare,
+    _lifted_gate,
 )
+from tdesim.dynamics import _left_multiply, _monomial
 
 FIG1_PROGRAM = """\
 # displaced pair closed by a second gate
@@ -373,6 +377,182 @@ def test_output_step_validates_the_reduced_state_once(monkeypatch):
     assert len(calls) == 1
 
 
+_GATE_MATRICES = {
+    "x": np.array([[0, 1], [1, 0]]),
+    "h": np.array([[1, 1], [1, -1]]) / np.sqrt(2.0),
+    "cnot": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1],
+                      [0, 0, 1, 0]]),
+}
+
+
+def _gate_matrix(name, theta):
+    if name == "phase":
+        return np.diag([1.0, np.exp(1j * theta)])
+    return _GATE_MATRICES[name]
+
+
+@st.composite
+def _gate_runs(draw):
+    """1-6 sites at cycle 0, qubits or vacuum qutrits, and 1-8 gates
+    drawn from x, cnot, phase and h on random targets in random order."""
+    dims = draw(st.lists(st.sampled_from((2, 3)), min_size=1, max_size=6))
+    names = ("x", "phase", "h", "cnot") if len(dims) > 1 \
+        else ("x", "phase", "h")
+    gates = []
+    for _ in range(draw(st.integers(1, 8))):
+        name = draw(st.sampled_from(names))
+        targets = tuple(draw(st.permutations(range(len(dims))))
+                        [:2 if name == "cnot" else 1])
+        theta = draw(st.floats(-7.0, 7.0)) if name == "phase" else None
+        gates.append((name, theta, targets))
+    return dims, gates, draw(st.integers(0, 2**32 - 1))
+
+
+def _gate_text(name, theta, targets):
+    sites = " ".join(f"s{t}" for t in targets)
+    if name == "cnot":
+        return f"cnot {sites} @0"
+    label = f"phase({theta!r})" if name == "phase" else name
+    return f"gate {label} {sites} @0"
+
+
+@settings(deadline=None, max_examples=80)
+@given(_gate_runs())
+def test_compiled_gate_steps_match_the_dense_oracle(case):
+    dims, gates, seed = case
+    text = "".join(f"prepare s{i} @0 {'|vac>' if d == 3 else '|0>'}\n"
+                   for i, d in enumerate(dims))
+    text += "".join(_gate_text(*g) + "\n" for g in gates) + "output s0 @0\n"
+    steps = parse_circuit(text).plan.steps[len(dims):-1]
+    # every h is a dense step of its own, and each run of x / cnot /
+    # phase between them is one gather
+    runs = []
+    for g in gates:
+        if g[0] == "h" or not runs or runs[-1][0][0] == "h":
+            runs.append([g])
+        else:
+            runs[-1].append(g)
+    assert [s.kind for s in steps] == \
+        ["gate" if run[0][0] == "h" else "gather" for run in runs]
+    rng = np.random.default_rng(seed)
+    d = int(np.prod(dims))
+    for step, run in zip(steps, runs):
+        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        want = v
+        for name, theta, targets in run:
+            want = dense_gate_oracle(want, dims, _gate_matrix(name, theta),
+                                     list(targets))
+        if step.kind == "gate":
+            got = _left_multiply(step.operand, v.reshape(dims), step.axes)
+        else:
+            assert np.array_equal(np.sort(step.perm), np.arange(d))
+            phases = 1.0 if step.operand is None else step.operand
+            if step.operand is not None:
+                assert step.operand.shape == (d,)
+            got = v[step.perm] * phases
+        np.testing.assert_allclose(got.reshape(-1), want, rtol=0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.sampled_from(("x", "cnot")), st.lists(st.sampled_from((2, 3)),
+                                                min_size=2, max_size=2),
+       st.data())
+def test_a_permutation_block_off_exact_zero_or_one_raises(name, dims, data):
+    tdims = tuple(dims[:2 if name == "cnot" else 1])
+    block, (q, phases) = _lifted_gate(name, None, tdims)
+    assert phases is None
+    k = int(np.prod(tdims))
+    flat = block.reshape(k, k).copy()
+    i, j = data.draw(st.integers(0, k - 1)), data.draw(st.integers(0, k - 1))
+    # the nearest float away from the exact entry, upwards
+    flat[i, j] = np.nextafter(flat[i, j].real, 2.0)
+    with pytest.raises(InvariantViolationError, match="permutation"):
+        _monomial(flat.reshape(block.shape), permutation=True)
+
+
+def test_gates_are_classified_by_their_lifted_blocks():
+    for dims in ((2,), (3,)):
+        assert _lifted_gate("x", None, dims)[1] is not None
+        assert _lifted_gate("h", None, dims)[1] is None
+        q, phases = _lifted_gate("phase", 0.3, dims)[1]
+        np.testing.assert_array_equal(q, np.arange(dims[0]))
+        assert phases[-1] == np.exp(0.3j)
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        assert _lifted_gate("cnot", None, dims)[1][1] is None
+    # with no tolerance, an entry off zero by one ulp makes a block dense
+    block = _lifted_gate("phase", 0.3, (2,))[0].copy()
+    block[0, 1] = 5e-324
+    assert _monomial(block) is None
+
+
+def test_monomial_runs_span_dilations():
+    program = parse_circuit("""\
+prepare a @0 0.6|0>+0.8|1>
+prepare b @0 |1>
+prepare c @0 |vac>
+cnot a b @0
+dilate c +1
+gate x c @1
+gate phase(0.3) a @0
+gate h a @0
+cnot a b @0
+output b @0
+""")
+    kinds = [s.kind for s in program.plan.steps]
+    # the dilation of c needs no expansion, so the three monomial gates
+    # around it compose into one gather
+    assert kinds == ["prepare"] * 3 + ["dilate", "gather", "gate",
+                                        "gather", "output"]
+    assert program.plan.steps[4].line == 4
+    _assert_same_run(program)
+
+
+# five sites, an expansion, two dilations and 20 gates
+MANY_GATES_PROGRAM = "".join(
+    f"prepare s{i} @0 {'|vac>' if i == 4 else '0.6|0>+0.8|1>'}\n"
+    for i in range(5)) + "".join(
+    f"cnot s{i % 5} s{(i + 1) % 5} @0\n" for i in range(8)) + """\
+gate h s1 @0
+gate phase(0.5) s2 @0
+dilate s0 +1
+cnot s0 s1 @1
+dilate s3 +1
+gate x s3 @1
+""" + "".join(f"cnot s{i % 5} s{(i + 1) % 5} @1\n" for i in range(1, 5)) \
+    + "gate x s2 @1\ngate h s2 @1\ngate phase(1.5) s4 @1\n" \
+    + "cnot s2 s4 @1\noutput s2 @1\n"
+
+
+def test_parsing_builds_at_most_two_registers(monkeypatch):
+    assert sum(line.startswith(("cnot", "gate"))
+               for line in MANY_GATES_PROGRAM.splitlines()) == 20
+    built = []
+    post_init = Register.__post_init__
+    monkeypatch.setattr(Register, "__post_init__",
+                        lambda self: built.append(1) or post_init(self))
+    program = parse_circuit(MANY_GATES_PROGRAM)
+    # the final state's register and the output's, nothing per gate
+    assert len(built) == 2
+    assert len(program.plan.register.slots) == 10
+    monkeypatch.undo()
+    _assert_same_run(program)
+
+
+def test_monomial_gates_run_without_tensordot(monkeypatch):
+    text = "\n".join(line for line in MANY_GATES_PROGRAM.splitlines()
+                     if not line.startswith("gate h")) + "\n"
+    program = parse_circuit(text)
+    assert all(s.kind != "gate" for s in program.plan.steps)
+    calls = []
+    tensordot = np.tensordot
+    monkeypatch.setattr(np, "tensordot",
+                        lambda *a, **k: calls.append(1) or tensordot(*a, **k))
+    run_program(program)
+    assert calls == []
+    monkeypatch.undo()
+    _assert_same_run(program)
+
+
 def test_execution_deterministic():
     program = parse_circuit(FIG1_PROGRAM)
     a, _ = run_program(program)
@@ -473,6 +653,16 @@ def test_runtime_rejects_mixed_expansion():
 
     with pytest.raises(CircuitExecutionError):
         run_program(CircuitProgram(program_directives))
+
+
+def test_hand_built_cnot_on_one_site_is_a_typed_error():
+    # the parser refuses it; a directive list built by hand reaches the
+    # compiler, which must refuse it too, with the line
+    program = CircuitProgram((Prepare("a", 0, "qubit", 1.0, 0.0, line=1),
+                              Cnot("a", "a", 0, line=2),
+                              Output("a", 0, line=3)))
+    with pytest.raises(CircuitExecutionError, match="line 2: .*must differ"):
+        run_program(program)
 
 
 def test_report_json_schema():

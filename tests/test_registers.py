@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -98,6 +100,28 @@ def test_pure_state_overlap():
     minus = PureState(reg, [1.0, -1.0])
     assert abs(plus.overlap(minus)) < 1e-15
     assert abs(plus.overlap(plus) - 1.0) < 1e-15
+
+
+def test_huge_amplitudes_normalize_without_overflow():
+    # the plain sum of squares overflows; the state is scaled first, with
+    # no warning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = qubit_state("a", 0, 1e308, 1e308)
+        big = qubit_state("a", 0, 1.7e308j, -1.7e308, dim=3)
+    h = 2**-0.5
+    np.testing.assert_allclose(psi.amplitudes, [h, h], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(big.amplitudes, [0, 1j * h, -h],
+                               rtol=0, atol=1e-15)
+
+
+def test_zero_and_non_finite_state_vectors_are_refused():
+    reg = Register((SlotId("a", 0),), (2,))
+    with pytest.raises(ValueError, match="zero norm"):
+        PureState(reg, [1e-13, 0.0])
+    for bad in ([np.inf, 0.0], [np.nan, 1.0], [1.0, complex(0, np.inf)]):
+        with pytest.raises(ValueError, match="not finite"):
+            PureState(reg, bad)
 
 
 def test_density_operator_validation():
