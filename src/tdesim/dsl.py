@@ -47,6 +47,7 @@ import numpy as np
 
 from .errors import CircuitExecutionError, CircuitParseError, RegisterSizeError
 from .registers import (
+    MAX_STATE_BYTES,
     DensityOperator,
     PureState,
     Register,
@@ -352,7 +353,8 @@ class PlanStep(NamedTuple):
       "gather":  adjacent monomial gates (X, CNOT, phase), also across
                  dilations, composed: each flattened row becomes
                  row[perm], times operand if not None; line is the first
-                 gate's and the step sits where the run ends;
+                 gate's and the step sits where the run ends.  A plan's
+                 gathers hold at most MAX_STATE_BYTES in all;
       "gate":    a dense gate (H): operand is the lifted block, shaped
                  (target dims..., target dims...), acting on the register
                  axes in axes;
@@ -408,7 +410,8 @@ def _static_check(directives) -> CircuitPlan:
     and a discard removes the site's slots.  pos (pair -> register axis)
     and cycles (live site -> its cycles) follow them step by step.  A
     monomial gate extends the open run, which any other step except a
-    dilation closes into one gather step.
+    dilation closes into one gather step, unless the plan's gathers would
+    then hold more than MAX_STATE_BYTES.
     """
     dims = {}
     cycles = {}
@@ -419,6 +422,7 @@ def _static_check(directives) -> CircuitPlan:
     pos = {}
     steps = []
     run = None  # (line, perm, phase) of the open run of monomial gates
+    held = 0  # bytes of the closed runs' gathers
 
     def fits(ln):
         try:
@@ -436,13 +440,14 @@ def _static_check(directives) -> CircuitPlan:
         steps.append(PlanStep(kind, ln, tuple(slots), operand, **kw))
 
     def close():
-        nonlocal run
+        nonlocal run, held
         if run is not None:
             first, perm, phase = run
             run = None
-            step("gather", first,
-                 None if phase is None else phase.reshape(-1),
-                 perm=perm.reshape(-1))
+            perm = perm.reshape(-1)
+            phase = None if phase is None else phase.reshape(-1)
+            held += perm.nbytes + (0 if phase is None else phase.nbytes)
+            step("gather", first, phase, perm=perm)
 
     def reindex():
         pos.clear()
@@ -467,7 +472,13 @@ def _static_check(directives) -> CircuitPlan:
     def gate(name, theta, axes, tdims, ln):
         nonlocal run
         block, gather = _lifted_gate(name, theta, tdims)
-        if gather is None:
+        # the plan's gathers hold at most MAX_STATE_BYTES in all (8 bytes
+        # of perm and 16 of phase per amplitude); past that, a monomial
+        # gate stays a dense block like H
+        phased = gather is not None and (
+            gather[1] is not None or run is not None and run[2] is not None)
+        need = math.prod(shape) * (24 if phased else 8)
+        if gather is None or held + need > MAX_STATE_BYTES:
             close()
             step("gate", ln, block, axes=axes)
             return

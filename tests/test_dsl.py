@@ -21,6 +21,7 @@ from tdesim import (
     run_fig1,
     run_program,
 )
+from tdesim import dsl
 from tdesim.dsl import (
     CircuitProgram,
     Cnot,
@@ -504,6 +505,20 @@ output b @0
     assert kinds == ["prepare"] * 3 + ["dilate", "gather", "gate",
                                         "gather", "output"]
     assert program.plan.steps[4].line == 4
+    _assert_same_run(program)
+
+
+def test_gathers_past_the_byte_limit_stay_dense(monkeypatch):
+    # the gathers a plan holds count against MAX_STATE_BYTES: at four
+    # qubits a perm takes 128 bytes and a phase vector 256 more
+    text = "".join(f"prepare s{i} @0 0.6|0>+0.8|1>\n" for i in range(4)) \
+        + "cnot s0 s1 @0\ngate h s0 @0\ncnot s1 s2 @0\ngate h s1 @0\n" \
+        + "cnot s2 s3 @0\ngate phase(0.4) s3 @0\noutput s3 @0\n"
+    monkeypatch.setattr(dsl, "MAX_STATE_BYTES", 300)
+    program = parse_circuit(text)
+    assert [s.kind for s in program.plan.steps[4:-1]] == \
+        ["gather", "gate", "gather", "gate", "gate", "gate"]
+    monkeypatch.undo()
     _assert_same_run(program)
 
 
