@@ -167,26 +167,28 @@ def _parse_cycle(token: str, line: int) -> int:
     return cycle
 
 
+_SPLIT_RE = re.compile(r"[()]|(?<=>)[+-]")
+
+
 def _split_terms(spec: str, line: int):
-    """Split a superposition on top-level +/- that follow a closed ket."""
+    """Split a superposition on top-level +/- that follow a closed ket;
+    only parentheses and a sign right after a '>' are visited."""
     terms = []
-    cur = ""
-    depth = 0
-    for ch in spec:
+    start = depth = 0
+    for m in _SPLIT_RE.finditer(spec):
+        ch = m.group()
         if ch == "(":
             depth += 1
         elif ch == ")":
             depth -= 1
             if depth < 0:
                 _fail(line, f"unbalanced parentheses in {spec!r}")
-        if ch in "+-" and depth == 0 and cur.endswith(">"):
-            terms.append(cur)
-            cur = "-" if ch == "-" else ""
-            continue
-        cur += ch
+        elif depth == 0:
+            terms.append(spec[start:m.start()])
+            start = m.start() + (ch == "+")
     if depth != 0:
         _fail(line, f"unbalanced parentheses in {spec!r}")
-    terms.append(cur)
+    terms.append(spec[start:])
     return terms
 
 
@@ -397,8 +399,11 @@ def _lifted_gate(name: str, theta: Optional[float], dims: tuple):
     dims, and its gather read off by dynamics._monomial, None if dense."""
     gate = phase_gate(theta) if name == "phase" else _GATES[name]()
     block = _lift_logical(gate.matrix, dims).reshape(dims + dims)
-    block.flags.writeable = False
-    return block, _monomial(block, permutation=name in ("x", "cnot"))
+    gather = _monomial(block, permutation=name in ("x", "cnot"))
+    for array in (block,) + (gather or ()):
+        if array is not None:  # shared by every plan that uses the gate
+            array.flags.writeable = False
+    return block, gather
 
 
 def _static_check(directives) -> CircuitPlan:

@@ -169,6 +169,38 @@ ROUND_TRIP_CORPUS = [
 ]
 
 
+def _split_terms_reference(spec):
+    """The character-by-character scan that _split_terms replaced; None
+    for unbalanced parentheses."""
+    terms, cur, depth = [], "", 0
+    for ch in spec:
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                return None
+        if ch in "+-" and depth == 0 and cur.endswith(">"):
+            terms.append(cur)
+            cur = "-" if ch == "-" else ""
+            continue
+        cur += ch
+    return None if depth else terms + [cur]
+
+
+@settings(max_examples=300)
+@given(st.text(alphabet="()+-|01>vac.5je", max_size=16))
+@example("(0.5+0.5j)|0>-0.5|1>")
+@example("(1>+2)|0>")
+def test_split_terms_matches_the_character_scan(spec):
+    want = _split_terms_reference(spec)
+    if want is None:
+        with pytest.raises(CircuitParseError, match="unbalanced"):
+            dsl._split_terms(spec, 1)
+    else:
+        assert dsl._split_terms(spec, 1) == want
+
+
 def test_parse_print_round_trip_corpus():
     assert len(ROUND_TRIP_CORPUS) >= 10
     for text in ROUND_TRIP_CORPUS:
