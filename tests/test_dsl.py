@@ -479,10 +479,10 @@ def test_compiled_gate_steps_match_the_dense_oracle(case):
             got = _left_multiply(step.operand, v.reshape(dims), step.axes)
         else:
             assert np.array_equal(np.sort(step.perm), np.arange(d))
-            phases = 1.0 if step.operand is None else step.operand
+            got = v[step.perm]
             if step.operand is not None:
                 assert step.operand.shape == (d,)
-            got = v[step.perm] * phases
+                got = got * step.operand
         np.testing.assert_allclose(got.reshape(-1), want, rtol=0, atol=1e-12)
 
 
