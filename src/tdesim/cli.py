@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -73,8 +74,10 @@ class RunConfig:
             )
         if self.tau < 1:
             raise ValueError(f"dilation must be at least 1, got {self.tau}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise ValueError(
+                f"tolerance must be finite and positive, got {self.tolerance}"
+            )
         if not 0.0 <= self.p_vac <= 1.0:
             raise ValueError(f"--pvac out of range: {self.p_vac}")
         if self.beta_sq is not None and not 0.0 <= self.beta_sq <= 1.0:
@@ -366,12 +369,12 @@ def main(argv=None) -> int:
     try:
         config = _config_from_args(args)
         text, code = args.handler(args, config)
+        if config.out:
+            with open(config.out, "w") as fh:
+                fh.write(text)
     except (SimulationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if config.out:
-        with open(config.out, "w") as fh:
-            fh.write(text)
-    else:
+    if not config.out:
         sys.stdout.write(text)
     return code

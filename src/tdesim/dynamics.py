@@ -315,11 +315,19 @@ def spectral_ensemble(rho: DensityOperator) -> list:
     Eigenvalues up to 1e-12 are dropped as roundoff and the kept weights
     renormalized to sum to 1.
     """
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    return renormalized([
-        (float(vals[i]), PureState(rho.register, vecs[:, i]))
-        for i in range(len(vals)) if vals[i] > 1e-12
-    ])
+    weights, vectors = _spectral_rows(rho.matrix)
+    return [(w, PureState(rho.register, v))
+            for w, v in zip(weights.tolist(), vectors)]
+
+
+def _spectral_rows(matrix: np.ndarray) -> tuple:
+    """spectral_ensemble as arrays: the eigenvalues of a density matrix
+    above 1e-12, renormalized to sum to 1, and their eigenvectors from
+    eigh as the rows of a (k, d) stack."""
+    vals, vecs = np.linalg.eigh(matrix)
+    keep = vals > 1e-12
+    weights = vals[keep]
+    return weights / weights.sum(), vecs.T[keep]
 
 
 def _run_expansion(state, policy, expand_one):

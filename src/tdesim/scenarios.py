@@ -13,6 +13,7 @@ the command line can interrogate any step.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -28,12 +29,13 @@ from .registers import (
     _trace_amplitudes,
     _trace_matrices,
     bell_phi_plus,
-    check_densities,
+    check_columns,
+    density_columns,
     density_rows,
     density_to_json,
-    maximally_mixed,
     on_register,
     partial_trace,
+    per_dimension,
     qubit_state,
     to_density,
 )
@@ -43,19 +45,19 @@ from .dynamics import (
     _gate_block,
     _gather_axes,
     _monomial,
+    _spectral_rows,
     cnot,
     displaced_copies,
     ensemble_density,
     free_expansion,
     project,
     renormalized,
-    spectral_ensemble,
 )
 from .analytics import (
     CurvePoint,
     _entropy_bits,
+    _trace_norms,
     trace_norm_distance,
-    von_neumann_entropy,
 )
 from .channel import QubitDensity
 
@@ -72,16 +74,25 @@ def _normalize_input(state, tau: int, site: Optional[str]) -> State:
         reg = state.register
         if len(reg.slots) != 1:
             raise ValueError("circuit input must occupy a single slot")
-        target = SlotId(site or reg.slots[0].site, tau)
-        return on_register(state, Register((target,), reg.dims))
+        plan = circuit_plan(reg.dims[0], tau, site or reg.slots[0].site)
+        return on_register(state, plan.input_register)
     raise ValueError(f"unsupported circuit input: {type(state).__name__}")
 
 
 def _check_tau(tau) -> int:
-    tau = int(tau)
-    if tau < 1:
-        raise ValueError(f"dilation must be at least one cycle, got {tau}")
-    return tau
+    """tau as an int; a dilation is a whole number of cycles, at least
+    one, so anything else raises ValueError."""
+    try:
+        cycles = int(tau)
+    except (TypeError, ValueError, OverflowError):
+        cycles = None
+    if cycles is None or cycles != tau:
+        raise ValueError(
+            f"dilation must be a whole number of cycles, got {tau!r}"
+        )
+    if cycles < 1:
+        raise ValueError(f"dilation must be at least one cycle, got {cycles}")
+    return cycles
 
 
 def _slots(site: str, tau: int) -> tuple:
@@ -102,8 +113,10 @@ def _density(rows: np.ndarray) -> np.ndarray:
 
 
 def _mix(weights, stack: np.ndarray) -> np.ndarray:
-    """Weighted sum over the leading row axis."""
-    return np.tensordot(np.asarray(weights, dtype=float), stack, axes=1)
+    """Weighted sum over the leading row axis, as a one-row stack."""
+    n = len(stack)
+    mixed = np.asarray(weights, dtype=float) @ stack.reshape(n, -1)
+    return mixed.reshape((1,) + stack.shape[1:])
 
 
 def row_blocks(n: int):
@@ -150,8 +163,8 @@ def _gather(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
     """The gates of the index permutation perm applied to each row of an
     (N, d) amplitude or (N, d, d) density stack."""
     if rows.ndim == 2:
-        return rows[:, perm]
-    return rows[:, perm[:, None], perm]
+        return rows.take(perm, axis=1)
+    return rows.take(perm, axis=1).take(perm, axis=2)
 
 
 def _embed_gather(rows: np.ndarray, anc_dim: int,
@@ -240,12 +253,11 @@ class CircuitRows:
 
     def densities(self) -> dict:
         """The input, rho_s, rho_d and rho_out density matrix of every
-        row, as (N, d, d) stacks by name, each checked by
-        check_densities."""
+        row, as (N, d, d) stacks by name, checked together by
+        check_columns: one pass per dimension."""
         out = {"input": _density(self.inputs), "rho_s": _density(self.pair),
                "rho_d": self.rho_d, "rho_out": self.rho_out}
-        for stack in out.values():
-            check_densities(stack)
+        check_columns(list(out.values()))
         return out
 
 
@@ -338,35 +350,46 @@ class CircuitReport:
         }
 
 
-def _report(inp, rho_s, rho_d, rho_out, four, tau) -> CircuitReport:
-    entropies = {
-        "input": von_neumann_entropy(inp),
-        "rho_s": von_neumann_entropy(rho_s),
-        "rho_d": von_neumann_entropy(rho_d),
-        "rho_out": von_neumann_entropy(rho_out),
-    }
-    return CircuitReport(inp, rho_s, rho_d, rho_out, four, entropies, tau)
+_ENTROPY_KEYS = ("input", "rho_s", "rho_d", "rho_out")
 
 
 def _reports(rows: CircuitRows, inputs=None) -> list:
-    """One CircuitReport per row, every density validated once: one
-    check_densities per stack.  `inputs` are the input operators when the
-    rows ran on DensityOperators, which were validated when built."""
+    """One CircuitReport per row.
+
+    Every density the rows return (input, rho_s, rho_d, rho_out and a
+    mixed four-slot state) is validated here, in one density_columns
+    pass over all of them: one check and one eigvalsh per dimension.
+    The entropies come from the spectra that check computed, one
+    _entropy_bits call per dimension.  `inputs` are the input operators
+    when the rows ran on DensityOperators, which were validated when
+    built; their entropies come from their stored spectra.
+    """
     plan = rows.plan
+    columns = [(plan.pair_register, _density(rows.pair)),
+               (plan.readout_register, rows.rho_d),
+               (plan.output_register, rows.rho_out)]
     if inputs is None:
-        inputs = density_rows(plan.input_register, _outer(rows.inputs))
+        columns.insert(0, (plan.input_register, _outer(rows.inputs)))
+    if rows.four.ndim == 3:
+        columns.append((plan.four_register, rows.four))
+    checked = density_columns(columns)
+    if inputs is None:
+        inputs, in_vals = checked.pop(0)
+    else:
+        in_vals = np.array([rho.eigenvalues for rho in inputs])
+    (pairs, s_vals), (reads, d_vals), (outs, out_vals) = checked[:3]
     if rows.four.ndim == 2:
         fours = [PureState(plan.four_register, f) for f in rows.four]
     else:
-        fours = density_rows(plan.four_register, rows.four)
-    columns = zip(
-        inputs,
-        density_rows(plan.pair_register, _density(rows.pair)),
-        density_rows(plan.readout_register, rows.rho_d),
-        density_rows(plan.output_register, rows.rho_out),
-        fours,
-    )
-    return [_report(*column, plan.tau) for column in columns]
+        fours = checked[3][0]
+    entropies = zip(*(s.tolist() for s in per_dimension(
+        _entropy_bits, [in_vals, s_vals, d_vals, out_vals])))
+    return [
+        CircuitReport(inp, rho_s, rho_d, rho_out, four,
+                      dict(zip(_ENTROPY_KEYS, ent)), plan.tau)
+        for inp, rho_s, rho_d, rho_out, four, ent
+        in zip(inputs, pairs, reads, outs, fours, entropies)
+    ]
 
 
 def run_fig1(state, tau: int = 1, input_site: Optional[str] = None,
@@ -400,19 +423,13 @@ def run_fig1(state, tau: int = 1, input_site: Optional[str] = None,
     if mode is CorrelationMode.UNCORRELATED_COPIES:
         rows = displaced_cnot_density_rows(_psd_part(inp)[None], tau, site)
         return _reports(rows, inputs=[inp])[0]
-    branches = spectral_ensemble(inp)
-    weights = [w for w, _ in branches]
-    rows = displaced_cnot_rows([psi.amplitudes for _, psi in branches],
-                               tau, site)
-    plan = rows.plan
-    return _report(
-        inp,
-        DensityOperator(plan.pair_register, _mix(weights, _outer(rows.pair))),
-        DensityOperator(plan.readout_register, _mix(weights, rows.rho_d)),
-        DensityOperator(plan.output_register, _mix(weights, rows.rho_out)),
-        DensityOperator(plan.four_register, _mix(weights, _outer(rows.four))),
-        tau,
-    )
+    weights, vectors = _spectral_rows(inp.matrix)
+    rows = displaced_cnot_rows(vectors, tau, site)
+    mixed = CircuitRows(rows.plan, inp.matrix[None],
+                        _mix(weights, _outer(rows.pair)),
+                        _mix(weights, _outer(rows.four)),
+                        _mix(weights, rows.rho_d), _mix(weights, rows.rho_out))
+    return _reports(mixed, inputs=[inp])[0]
 
 
 def _fig1_reports(amplitudes, tau: int, site: str = "1") -> list:
@@ -648,23 +665,22 @@ def run_no_signaling(basis: str, tau: int = 1) -> NoSignalReport:
     inputs = [partial_trace(m.post_state, bob).matrix for m in measured]
     inputs.append(np.kron(rb, rb))
     plan = _box_plan(Register(bob, (2, 2)), "b", "c")
-    outs = density_rows(plan.output_register,
-                        _box_rows(plan, np.array(inputs)))
+    out_reg = plan.output_register
+    stack = _box_rows(plan, np.array(inputs))
+    avg = sum(m.probability * out for m, out in zip(measured, stack))
+    mixed_ref = np.eye(2) / 2.0
+    # Bob's outputs, their average and the I/2 reference are all qubits:
+    # one check for the three columns
+    (outs, _), ((avg,), _), _ = density_columns(
+        [(out_reg, stack), (out_reg, avg[None]), (out_reg, mixed_ref[None])])
     outcomes = [(m.label, m.probability, out)
                 for m, out in zip(measured, outs)]
-    mixed_ref = maximally_mixed(plan.output_register)
-
-    avg = DensityOperator(
-        plan.output_register,
-        sum(p * o.matrix for _, p, o in outcomes),
-    )
-    devs = [trace_norm_distance(o, mixed_ref) for _, _, o in outcomes]
-    devs.append(trace_norm_distance(avg, mixed_ref))
-    sub_out = outs[-1]
-    sub_dev = trace_norm_distance(sub_out, mixed_ref)
-
-    return NoSignalReport(basis, outcomes, avg, max(devs), sub_out, sub_dev,
-                          tau)
+    # deviations of each outcome's output, the average and the
+    # substitution output (the last row) from I/2
+    devs = _trace_norms(np.concatenate([stack[:-1], avg.matrix[None],
+                                        stack[-1:]]) - mixed_ref)
+    return NoSignalReport(basis, outcomes, avg, float(devs[:-1].max()),
+                          outs[-1], float(devs[-1]), tau)
 
 
 @dataclass
@@ -696,7 +712,13 @@ def run_proper_vs_improper(ensemble: Optional[Sequence] = None,
     for w, psi in ensemble:
         if not isinstance(psi, PureState) or len(psi.register.slots) != 1:
             raise ValueError("ensemble branches must be single-slot pure states")
-        branches.append((float(w), psi))
+        w = float(w)
+        if not (math.isfinite(w) and w >= 0.0):
+            raise ValueError(
+                f"ensemble weight {w!r} of branch {len(branches)} is not a "
+                f"finite nonnegative number"
+            )
+        branches.append((w, psi))
     if not branches:
         raise ValueError("empty ensemble")
     if abs(sum(w for w, _ in branches) - 1.0) > 1e-9:
@@ -714,13 +736,13 @@ def run_proper_vs_improper(ensemble: Optional[Sequence] = None,
     rows = displaced_cnot_rows([psi.amplitudes for _, psi in pinned], tau,
                                site)
     out_reg = rows.plan.output_register
-    proper = DensityOperator(out_reg,
-                             _mix(weights, rows.densities()["rho_out"]))
+    proper = _mix(weights, rows.densities()["rho_out"])
 
     avg_in = _psd_part(ensemble_density(pinned))
-    improper = density_rows(
-        out_reg, displaced_cnot_density_rows(avg_in[None], tau, site).rho_out
-    )[0]
+    improper = displaced_cnot_density_rows(avg_in[None], tau, site).rho_out
+    # both outputs are qubits: one check for the two
+    ((proper,), _), ((improper,), _) = density_columns(
+        [(out_reg, proper), (out_reg, improper)])
 
     return ProprietyReport(branches, proper, improper,
                            trace_norm_distance(proper, improper), tau)
@@ -779,7 +801,7 @@ def run_entropy_study(p_vac: float, grid: Sequence[float],
                 mixed = [np.zeros((n,) + p.shape[1:], dtype=complex)
                          for p in parts]
             mixed = [acc + w * p for acc, p in zip(mixed, parts)]
-        s_in, s_d, s_out = (_entropy_bits(check_densities(m)) for m in mixed)
+        s_in, s_d, s_out = per_dimension(_entropy_bits, check_columns(mixed))
         below = s_in > s_d + 1e-9
         if below.any():
             i = int(np.argmax(below))

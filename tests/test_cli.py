@@ -245,3 +245,23 @@ def test_grid_steps_are_bounded(capsys):
     assert out == ""
     assert err.startswith("error: grid steps must be between 2 and ")
     assert err.count("\n") == 1
+
+
+def test_unwritable_out_path_is_reported(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = _run(capsys, "decohere", "--out", str(target))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and "x.json" in err
+    assert err.count("\n") == 1
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-12"])
+def test_tolerance_must_be_finite_and_positive(capsys, value):
+    with pytest.raises(ValueError, match="finite and positive"):
+        RunConfig(tolerance=float(value))
+    code, out, err = _run(capsys, "decohere", f"--tolerance={value}")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: tolerance must be finite and positive")

@@ -104,6 +104,23 @@ def test_fig1_output_independent_of_tau():
         run_fig1(_pure_input(0.3), tau=0)
 
 
+@pytest.mark.parametrize("tau", [1.7, 0.5, float("nan"), float("inf"),
+                                 "2"])
+def test_dilation_must_be_a_whole_number_of_cycles(tau):
+    with pytest.raises(ValueError, match="whole number of cycles"):
+        run_fig1(_pure_input(0.3), tau=tau)
+    with pytest.raises(ValueError, match="whole number of cycles"):
+        run_proper_vs_improper(tau=tau)
+
+
+def test_integral_dilations_of_any_type_run():
+    base = run_fig1(_pure_input(0.3), tau=2)
+    for tau in (np.int64(2), np.int32(2), 2.0):
+        rep = run_fig1(_pure_input(0.3), tau=tau)
+        assert rep.tau == 2 and type(rep.tau) is int
+        np.testing.assert_array_equal(rep.rho_out.matrix, base.rho_out.matrix)
+
+
 def test_fig1_accepts_channel_density_input():
     rep = run_fig1(QubitDensity(0.25, 0.75))
     want = nonlinear_map(QubitDensity(0.25, 0.75)).to_matrix()
@@ -232,6 +249,18 @@ def test_propriety_ensemble_validation(rng):
     reg = Register((SlotId("1", 0),), (2,))
     with pytest.raises(ValueError):
         run_proper_vs_improper([(1.0, random_density(rng, reg))])
+
+
+@pytest.mark.parametrize("bad", [float("nan"), -0.25, float("inf")])
+def test_propriety_refuses_bad_weights_up_front(bad):
+    ens = [(bad, qubit_state("1", 0, 1.0, 0.0)),
+           (1.25, qubit_state("1", 0, 0.0, 1.0))]
+    with pytest.raises(ValueError,
+                       match=rf"^ensemble weight {bad!r} of branch 0 "):
+        run_proper_vs_improper(ens)
+    ens.reverse()
+    with pytest.raises(ValueError, match=r"of branch 1 is not a finite"):
+        run_proper_vs_improper(ens)
 
 
 def test_entropy_study_trivial_point():

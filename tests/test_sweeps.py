@@ -1,6 +1,7 @@
 """Stacked sweeps: grids and ensemble branches run through the
 displaced-CNOT circuit as rows of one array, checked point by point
-against the dense oracles in conftest, plus the row validation."""
+against the dense oracles in conftest, plus the row validation and the
+validation of a report's columns in one pass per dimension."""
 
 import numpy as np
 import pytest
@@ -26,8 +27,16 @@ from tdesim import (
     run_proper_vs_improper,
     run_sweep,
     tensor,
+    von_neumann_entropy,
 )
-from tdesim.registers import check_densities, density_rows
+from tdesim.analytics import _entropy_bits
+from tdesim.registers import (
+    check_columns,
+    check_densities,
+    density_columns,
+    density_rows,
+    per_dimension,
+)
 from tdesim.scenarios import ROW_BLOCK, displaced_cnot_rows
 
 from conftest import (
@@ -230,3 +239,122 @@ def test_ensemble_weights_off_by_roundoff_are_renormalized():
     for mode in CorrelationMode:
         out = free_expansion(ens, [0, 1], policy=mode)
         assert abs(np.trace(out.matrix) - 1.0) <= TOL
+
+
+# Registers by dimension for a report's columns: columns of one dimension
+# share a check, whatever their slots.
+_COLUMN_DIMS = ((2,), (3,), (2, 2), (2, 3))
+
+
+@st.composite
+def report_columns(draw):
+    """1-4 (register, stack) columns of random densities, each of 1-5
+    rows and a dimension of 2, 3, 4 or 6."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = []
+    for k in range(draw(st.integers(1, 4))):
+        dims = draw(st.sampled_from(_COLUMN_DIMS))
+        reg = Register(tuple(SlotId(f"s{k}", c) for c in range(len(dims))),
+                       dims)
+        rows = draw(st.integers(1, 5))
+        columns.append((reg, np.array([random_density(rng, reg).matrix
+                                       for _ in range(rows)])))
+    return columns
+
+
+@settings(deadline=None, max_examples=60)
+@given(report_columns())
+def test_density_columns_equal_the_per_stack_results(columns):
+    checked = density_columns(columns)
+    assert len(checked) == len(columns)
+    entropies = per_dimension(_entropy_bits, [vals for _, vals in checked])
+    for (reg, stack), (ops, vals), column_entropies in zip(
+            columns, checked, entropies):
+        alone = check_densities(stack)
+        np.testing.assert_array_equal(alone, np.linalg.eigvalsh(stack))
+        np.testing.assert_array_equal(vals, alone)
+        assert len(ops) == len(column_entropies) == len(stack)
+        for rho, matrix, row_vals, entropy in zip(
+                ops, stack, alone, column_entropies):
+            assert rho.register == reg
+            np.testing.assert_array_equal(rho.matrix, matrix)
+            np.testing.assert_array_equal(rho.eigenvalues, row_vals)
+            assert entropy == von_neumann_entropy(DensityOperator(reg, matrix))
+            assert not rho.matrix.flags.writeable
+            assert not rho.eigenvalues.flags.writeable
+        for rho, ref in zip(ops, density_rows(reg, stack)):
+            np.testing.assert_array_equal(rho.matrix, ref.matrix)
+            np.testing.assert_array_equal(rho.eigenvalues, ref.eigenvalues)
+    stacks = [stack for _, stack in columns]
+    for vals, stack in zip(check_columns(stacks), stacks):
+        np.testing.assert_array_equal(vals, check_densities(stack))
+
+
+def _spoil(stack, row, kind):
+    bad = stack.copy()
+    d = bad.shape[-1]
+    if kind == "not hermitian":
+        bad[row, 0, d - 1] += 0.1
+    elif kind == "trace":
+        bad[row] *= 1.1
+    else:
+        bad[row] = np.diag([1.2, -0.2] + [0.0] * (d - 2))
+    return bad
+
+
+@settings(deadline=None, max_examples=60)
+@given(report_columns(), st.data())
+def test_bad_row_raises_as_its_own_stack_would(columns, data):
+    k = data.draw(st.integers(0, len(columns) - 1))
+    reg, stack = columns[k]
+    row = data.draw(st.integers(0, len(stack) - 1))
+    kind = data.draw(st.sampled_from(sorted(_invalid_rows())))
+    columns[k] = (reg, _spoil(stack, row, kind))
+    with pytest.raises(InvariantViolationError) as alone:
+        check_densities(columns[k][1])
+    assert str(alone.value).startswith(f"row ({row},): ")
+    with pytest.raises(InvariantViolationError) as joined:
+        density_columns(columns)
+    assert str(joined.value) == str(alone.value)
+    with pytest.raises(InvariantViolationError) as joined:
+        check_columns([stack for _, stack in columns])
+    assert str(joined.value) == str(alone.value)
+
+
+def test_first_bad_column_in_order_raises():
+    reg = Register((SlotId("a", 0),), (2,))
+    reg4 = Register((SlotId("a", 0), SlotId("b", 0)), (2, 2))
+    good2 = np.array([np.eye(2) / 2.0] * 3, dtype=complex)
+    good4 = np.array([np.eye(4) / 4.0] * 2, dtype=complex)
+    columns = [(reg, good2), (reg4, _spoil(good4, 1, "trace")),
+               (reg, _spoil(good2, 2, "negative eigenvalue"))]
+    with pytest.raises(InvariantViolationError, match=r"^row \(1,\): trace"):
+        density_columns(columns)
+    columns[1] = (reg4, good4)
+    with pytest.raises(InvariantViolationError,
+                       match=r"^row \(2,\): negative eigenvalue"):
+        density_columns(columns)
+
+
+def _eigvalsh_sizes(monkeypatch):
+    sizes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh",
+                        lambda m: sizes.append(m.shape[-1]) or eigvalsh(m))
+    return sizes
+
+
+def test_fig1_validates_once_per_dimension(monkeypatch):
+    reg = Register((SlotId("1", 0),), (2,))
+    rho = DensityOperator(reg, np.array([[0.7, 0.2 + 0.1j],
+                                         [0.2 - 0.1j, 0.3]]))
+    psi = qubit_state("1", 0, 0.6, 0.8)
+    sizes = _eigvalsh_sizes(monkeypatch)
+    # input and rho_out on one qubit, rho_s and rho_d on two
+    run_fig1(psi)
+    assert sorted(sizes) == [2, 4]
+    for mode in CorrelationMode:
+        # the input was checked when built; the four-slot state is mixed
+        sizes.clear()
+        run_fig1(rho, policy=mode)
+        assert sorted(sizes) == [2, 4, 16]
