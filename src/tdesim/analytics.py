@@ -141,14 +141,14 @@ def fig2_curves(grid: Sequence[float], tau: int = 1,
     against its closed form 4 (beta^2 - beta^4); disagreement beyond the
     tolerance raises.
     """
-    from .scenarios import displaced_cnot_rows, grid_inputs, row_blocks
+    from .scenarios import _densities, grid_inputs, row_blocks
 
     b2, amps = grid_inputs(grid)
     # row 0 is the |0> reference every grid point is compared against
     amps = np.concatenate([[[1.0, 0.0]], amps])
     d_in, d_out = [], []
     for block in row_blocks(len(amps)):
-        dens = displaced_cnot_rows(amps[block], tau).densities()
+        dens = _densities(amps[block], tau)
         if block.start == 0:
             ref_in, ref_out = dens["input"][0], dens["rho_out"][0]
         d_in.append(_trace_norms(dens["input"] - ref_in))

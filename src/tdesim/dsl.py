@@ -26,12 +26,16 @@ Parsing compiles the program into a CircuitPlan: the slot order after
 every step, each expansion's shift, each discard's axes and the gates.
 Each run of adjacent X, CNOT and phase gates, whose lifted blocks are
 monomial, becomes one flat index gather with optional phases; H stays a
-dense block.  run_program executes the plan on one array of amplitude
-rows, shaped (N, *dims).  A pure state is one row; a discard moves the
-discarded axes into the row axis, so a mixed state is carried as its own
-purification and never as a density matrix.  Densities are built and
-validated only where the run returns them: the output's reduced state
-and a mixed final state.
+dense block.  One executor, _run_steps, runs plan steps on an array of
+amplitude rows shaped (B, N, *dims): B independent states, each the sum
+of the projectors of its N rows.  run_program runs a program as one
+state of one row.  A discard moves the discarded axes into the row axis,
+so a mixed state is carried as its own purification and never as a
+density matrix.  Densities are built and validated only where the run
+returns them: the output's reduced state and a mixed final state.  The
+paper's scenarios (scenarios.py) are circuits compiled here, run on the
+same executor with their own input rows bound in place of the input
+prepares.
 """
 
 from __future__ import annotations
@@ -656,47 +660,21 @@ class ExecutionReport:
 def run_program(program: CircuitProgram):
     """Execute a program; returns (ExecutionReport, final state).
 
-    The program's plan runs on one array of amplitude rows, shaped
-    (N, *dims), whose state is the sum of the rows' projectors.  A fused
-    run of monomial gates (X, CNOT, phase) is one gather of the flattened
-    rows, row[perm], times its phases if it has any; a dense gate (H)
-    contracts its block with the rows' target axes.  A prepare appends
-    its vector to every row and an expansion appends the (single) row's
-    own copy.  A discard moves the discarded axes into the row axis; when
-    that leaves more rows than the kept dimension d, the rows are folded
-    to d by a QR factorization, which keeps the state, so the stack never
-    outgrows a d x d density matrix.
-
-    Each density the run returns is built and validated once, at the
-    end, by registers.gram_density: the output's reduced state and, after
-    a discard, the mixed final state, whose spectrum is read off the
-    smaller Gram matrix of its rows.  A pure final state is a PureState.
-    A hand-built directive list that the static check rejects raises
-    CircuitExecutionError.
+    The program's plan runs through _run_steps on one state held as one
+    amplitude row.  Each density the run returns is built and validated
+    once, at the end, by registers.gram_density: the output's reduced
+    state and, after a discard, the mixed final state, whose spectrum is
+    read off the smaller Gram matrix of its rows.  A pure final state is
+    a PureState.  A hand-built directive list that the static check
+    rejects raises CircuitExecutionError.
     """
     try:
         plan = program.plan
     except CircuitParseError as exc:
         raise CircuitExecutionError(str(exc)) from exc
-    rows = None
-    for step in plan.steps:
-        if step.kind == "gather":
-            flat = rows.reshape(len(rows), -1).take(step.perm, axis=1)
-            if step.operand is not None:
-                flat *= step.operand
-            rows = flat.reshape(rows.shape)
-        elif step.kind == "gate":
-            rows = _left_multiply(step.operand, rows,
-                                  [a + 1 for a in step.axes])
-        elif step.kind == "prepare":
-            rows = step.operand[None] if rows is None \
-                else rows[..., None] * step.operand
-        elif step.kind == "expand":
-            rows = np.multiply.outer(rows, rows[0])
-        elif step.kind == "discard":
-            rows = _discard_rows(rows, step.axes)
+    rows = _run_steps(plan.steps, None)
     out = plan.steps[-1]
-    rho = gram_density(plan.output_register, _factor(rows, out.axes))
+    rho = gram_density(plan.output_register, _factor(rows, out.axes)[0])
     report = ExecutionReport(
         plan.output_register.slots[0],
         rho,
@@ -706,25 +684,78 @@ def run_program(program: CircuitProgram):
     if plan.pure:
         return report, PureState(plan.register, rows.reshape(-1))
     every = range(len(plan.register.slots))
-    return report, gram_density(plan.register, _factor(rows, every))
+    return report, gram_density(plan.register, _factor(rows, every)[0])
+
+
+def _run_steps(steps, rows: Optional[np.ndarray]) -> np.ndarray:
+    """Run plan steps on rows shaped (B, N, *dims): B independent states,
+    each the sum of the projectors of its N amplitude rows.
+
+    rows None starts from nothing, so the first step must be a prepare.
+    A fused run of monomial gates (X, CNOT, phase) is one gather of each
+    flattened row, row[perm], times its phases if it has any; a dense
+    gate (H) contracts its block with the target axes.  A prepare appends
+    its vector to every row.  An expansion takes each state's row set
+    times the row set of its shifted copy, N rows to N**2, whose
+    projectors sum to rho (x) rho: the uncorrelated copies of a mixed
+    state, and the copy of a pure state when N is 1.  A discard moves the
+    discarded axes into the row axis; when that leaves more rows than the
+    kept dimension d, each state's rows are folded to d by a QR
+    factorization, which keeps the state, so no state outgrows a d x d
+    density matrix.  Dilations and the output step leave the rows alone.
+    """
+    for step in steps:
+        if step.kind == "gather":
+            b, n = rows.shape[:2]
+            flat = rows.reshape(b * n, -1).take(step.perm, axis=1)
+            if step.operand is not None:
+                flat *= step.operand
+            rows = flat.reshape(rows.shape)
+        elif step.kind == "gate":
+            rows = _left_multiply(step.operand, rows,
+                                  [a + 2 for a in step.axes])
+        elif step.kind == "prepare":
+            rows = step.operand[None, None] if rows is None \
+                else rows[..., None] * step.operand
+        elif step.kind == "expand":
+            b, n = rows.shape[:2]
+            dims = rows.shape[2:]
+            ones = (1,) * len(dims)
+            rows = (rows.reshape((b, n, 1) + dims + ones)
+                    * rows.reshape((b, 1, n) + ones + dims))
+            rows = rows.reshape((b, n * n) + dims + dims)
+        elif step.kind == "discard":
+            rows = _discard_rows(rows, step.axes)
+    return rows
 
 
 def _factor(rows: np.ndarray, keep) -> np.ndarray:
-    """The (d_keep, M) factor F of amplitude rows whose F F^H is their
-    reduced state over the register axes in keep (ascending): the kept
-    axes lead, and the row axis and every other axis become columns."""
-    lead = [a + 1 for a in keep]
-    rest = [0] + [a for a in range(1, rows.ndim) if a not in lead]
-    t = rows.transpose(lead + rest)
-    return t.reshape(math.prod(t.shape[:len(lead)]), -1)
+    """The (B, d_keep, M) factors F of rows shaped (B, N, *dims): each
+    state's F F^H is its reduced state over the register axes in keep
+    (ascending).  The kept axes lead, and the row axis and every other
+    axis become columns."""
+    lead = [a + 2 for a in keep]
+    rest = [1] + [a for a in range(2, rows.ndim) if a not in lead]
+    t = rows.transpose([0] + lead + rest)
+    return t.reshape(len(t), math.prod(t.shape[1:len(lead) + 1]), -1)
+
+
+def _reduced(rows: np.ndarray, keep) -> np.ndarray:
+    """The reduced state of each state of rows shaped (B, N, *dims) over
+    the register axes in keep (ascending), as a (B, d_keep, d_keep)
+    stack, not validated."""
+    f = _factor(rows, keep)
+    if f.shape[-1] == 1:  # one column: an outer product, no matmul
+        return f * f.conj().swapaxes(-1, -2)
+    return f @ f.conj().swapaxes(-1, -2)
 
 
 def _discard_rows(rows: np.ndarray, axes) -> np.ndarray:
-    """Amplitude rows of the state with the register axes in axes traced
-    out, at most as many as the kept dimension."""
-    keep = [a for a in range(rows.ndim - 1) if a not in axes]
-    r = _factor(rows, keep).T
-    if r.shape[0] > r.shape[1]:
+    """Rows of each state with the register axes in axes traced out, at
+    most as many as the kept dimension."""
+    keep = [a for a in range(rows.ndim - 2) if a not in axes]
+    r = _factor(rows, keep).swapaxes(-1, -2)
+    if r.shape[1] > r.shape[2]:
         # R = Q T with Q isometric, so T^H T = R^H R: the same state
         r = np.linalg.qr(r, mode="r")
-    return r.reshape((-1,) + tuple(rows.shape[a + 1] for a in keep))
+    return r.reshape(r.shape[:2] + tuple(rows.shape[a + 2] for a in keep))

@@ -496,62 +496,18 @@ def partial_trace(state: State, keep: Iterable[SlotLike]) -> DensityOperator:
     out_reg = Register(tuple(reg.slots[p] for p in keep_pos),
                        tuple(reg.dims[p] for p in keep_pos))
     check_state_size(out_reg.dim, pure=False)
+    n, d = len(reg.slots), out_reg.dim
+    perm = keep_pos + [p for p in range(n) if p not in keep_pos]
     if isinstance(state, PureState):
-        return DensityOperator(
-            out_reg, _trace_amplitudes(state.amplitudes, reg.dims, keep_pos)
-        )
-    return DensityOperator(
-        out_reg, _trace_matrices(state.matrix, reg.dims, keep_pos)
-    )
-
-
-def _trace_amplitudes(amps: np.ndarray, dims: tuple,
-                      keep_pos: Sequence[int]) -> np.ndarray:
-    """Reduced density matrices of amplitude vectors over the slots at the
-    sorted positions keep_pos.
-
-    amps is shaped (..., prod(dims)); any leading axes are rows, kept as
-    they are.  With the kept axes moved to the front and the rest
-    flattened, each row is a d_keep x d_rest matrix A and its reduced
-    state is A A^H, so |psi><psi| is never formed.
-    """
-    lead = amps.shape[:-1]
-    nb = len(lead)
-    rest_pos = [p for p in range(len(dims)) if p not in keep_pos]
-    d_keep = 1
-    for p in keep_pos:
-        d_keep *= dims[p]
-    a = amps.reshape(lead + tuple(dims))
-    a = a.transpose(list(range(nb))
-                    + [nb + p for p in list(keep_pos) + rest_pos])
-    a = a.reshape(lead + (d_keep, -1))
-    return a @ a.conj().swapaxes(-1, -2)
-
-
-def _trace_matrices(matrices: np.ndarray, dims: tuple,
-                    keep_pos: Sequence[int]) -> np.ndarray:
-    """Reduced density matrices of density matrices over the slots at the
-    sorted positions keep_pos.
-
-    matrices is shaped (..., prod(dims), prod(dims)); any leading axes are
-    rows, kept as they are.  Each row is reshaped to one axis per slot,
-    rows and columns, the kept axes are moved to the front of both, and
-    the rest is traced.
-    """
-    lead = matrices.shape[:-2]
-    nb = len(lead)
-    n = len(dims)
-    rest_pos = [p for p in range(n) if p not in keep_pos]
-    perm = list(keep_pos) + rest_pos
-    d_keep = 1
-    for p in keep_pos:
-        d_keep *= dims[p]
-    d_rest = matrices.shape[-1] // d_keep
-    block = matrices.reshape(lead + tuple(dims) + tuple(dims))
-    block = block.transpose(list(range(nb)) + [nb + p for p in perm]
-                            + [nb + n + p for p in perm])
-    block = block.reshape(lead + (d_keep, d_rest, d_keep, d_rest))
-    return np.trace(block, axis1=nb + 1, axis2=nb + 3)
+        a = state.amplitudes.reshape(reg.dims).transpose(perm)
+        a = a.reshape(d, -1)
+        return DensityOperator(out_reg, a @ a.conj().T)
+    # one axis per slot, rows and columns, the kept ones first; the rest
+    # is traced
+    block = state.matrix.reshape(reg.dims + reg.dims)
+    block = block.transpose(perm + [n + p for p in perm])
+    block = block.reshape(d, reg.dim // d, d, reg.dim // d)
+    return DensityOperator(out_reg, np.trace(block, axis1=1, axis2=3))
 
 
 def permute_slots(state: State, order: Sequence[SlotLike]) -> State:

@@ -1,13 +1,17 @@
 """End-to-end register-level experiments.
 
-Every scenario here is built from the same primitive moves: prepare a pair
-at one cycle, dilate one site so the pair straddles cycles, expand into the
-two-copy form, and either read out at a single cycle or close the circuit
-with a second gate.  The displaced-CNOT circuit is laid out once per input
-dimension, dilation and site (circuit_plan), with each CNOT an index
-permutation, and runs on stacks of pure or density rows.  The runners
-return report objects carrying the exact intermediate states so tests and
-the command line can interrogate any step.
+Every scenario here is one short circuit of the dsl, built from the same
+primitive moves: prepare a pair at one cycle, dilate one site so the
+pair straddles cycles, expand into the two-copy form, and either read
+out at a single cycle or close the circuit with a second gate.  Each
+circuit is written as a directive tuple, compiled by dsl._static_check
+once per input dimension, dilation and site, and run by the dsl's own
+executor (dsl._run_steps) on rows shaped (B, N, *dims): B states, each
+the sum of the projectors of its N purification rows.  The scenario's
+input rows take the place of the circuit's input prepares, and the
+states a report carries are read between slices of the plan's steps.
+The runners return report objects carrying the exact intermediate
+states so tests and the command line can interrogate any step.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -26,31 +30,19 @@ from .registers import (
     Register,
     SlotId,
     State,
-    _trace_amplitudes,
-    _trace_matrices,
     bell_phi_plus,
     check_columns,
     density_columns,
     density_rows,
     density_to_json,
     on_register,
-    partial_trace,
     per_dimension,
     qubit_state,
-    to_density,
 )
 from .dynamics import (
     CorrelationMode,
     _as_mode,
-    _gate_block,
-    _gather_axes,
-    _monomial,
     _spectral_rows,
-    cnot,
-    displaced_copies,
-    ensemble_density,
-    free_expansion,
-    project,
     renormalized,
 )
 from .analytics import (
@@ -60,8 +52,18 @@ from .analytics import (
     trace_norm_distance,
 )
 from .channel import QubitDensity
+from .dsl import (
+    CircuitPlan,
+    Cnot,
+    Dilate,
+    Output,
+    Prepare,
+    _reduced,
+    _run_steps,
+    _static_check,
+)
 
-# Rows run through the circuit at once when a grid is swept, so that the
+# States run through a circuit at once when a grid is swept, so that the
 # arrays held at one time do not grow with the grid.
 ROW_BLOCK = 256
 
@@ -74,8 +76,8 @@ def _normalize_input(state, tau: int, site: Optional[str]) -> State:
         reg = state.register
         if len(reg.slots) != 1:
             raise ValueError("circuit input must occupy a single slot")
-        plan = circuit_plan(reg.dims[0], tau, site or reg.slots[0].site)
-        return on_register(state, plan.input_register)
+        slot = SlotId(site or reg.slots[0].site, tau)
+        return on_register(state, Register((slot,), reg.dims))
     raise ValueError(f"unsupported circuit input: {type(state).__name__}")
 
 
@@ -95,28 +97,19 @@ def _check_tau(tau) -> int:
     return cycles
 
 
-def _slots(site: str, tau: int) -> tuple:
-    """The input slot and its ancilla's slot at the preparation cycle."""
-    anc = "2" if site != "2" else "anc"
-    return SlotId(site, tau), SlotId(anc, tau)
-
-
-def _outer(rows: np.ndarray) -> np.ndarray:
-    """|psi><psi| of each row of an (N, d) amplitude stack."""
-    return rows[:, :, None] * rows[:, None, :].conj()
-
-
-def _density(rows: np.ndarray) -> np.ndarray:
-    """An (N, d, d) density stack as it is, an (N, d) amplitude stack as
-    its rank-one densities."""
-    return rows if rows.ndim == 3 else _outer(rows)
-
-
 def _mix(weights, stack: np.ndarray) -> np.ndarray:
     """Weighted sum over the leading row axis, as a one-row stack."""
     n = len(stack)
     mixed = np.asarray(weights, dtype=float) @ stack.reshape(n, -1)
     return mixed.reshape((1,) + stack.shape[1:])
+
+
+def _factored(rho: DensityOperator) -> np.ndarray:
+    """rho as the rows sqrt(w) v of its spectral decomposition
+    (dynamics._spectral_rows), one state shaped (1, k, *dims)."""
+    weights, vectors = _spectral_rows(rho.matrix)
+    rows = np.sqrt(weights)[:, None] * vectors
+    return rows.reshape((1, len(rows)) + rho.register.dims)
 
 
 def row_blocks(n: int):
@@ -142,190 +135,99 @@ def grid_inputs(grid, dim: int = 2) -> tuple:
     return b2, amps / np.linalg.norm(amps, axis=1, keepdims=True)
 
 
-def _cnot_permutation(reg: Register, targets) -> np.ndarray:
-    """A CNOT on the target slots of reg as a flat index permutation p: it
-    maps amplitudes psi to psi[p] and a density matrix m to m[p[:, None], p].
-
-    p is read off the lifted gate block of dynamics._gate_block by
-    dynamics._monomial, which the circuit compiler shares: the block must
-    be exactly a 0/1 permutation matrix (InvariantViolationError
-    otherwise).
-    """
-    block, axes = _gate_block(reg, cnot(), targets)
-    q, _ = _monomial(block, permutation=True)
-    index = np.arange(reg.dim).reshape(reg.dims)
-    perm = _gather_axes(index, q, axes).reshape(-1)
-    perm.flags.writeable = False
-    return perm
+def _ancilla(site: str) -> str:
+    """The site of the ancilla paired with an input on site."""
+    return "2" if site != "2" else "anc"
 
 
-def _gather(rows: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    """The gates of the index permutation perm applied to each row of an
-    (N, d) amplitude or (N, d, d) density stack."""
-    if rows.ndim == 2:
-        return rows.take(perm, axis=1)
-    return rows.take(perm, axis=1).take(perm, axis=2)
+def _placeholder(site: str, cycle: int, dim: int) -> Prepare:
+    """A prepare of a dim-level slot, whose step a scenario replaces by
+    its own input rows."""
+    if dim == 3:
+        return Prepare(site, cycle, "vac")
+    return Prepare(site, cycle, "qubit", 1)
 
 
-def _embed_gather(rows: np.ndarray, anc_dim: int,
-                  perm: np.ndarray) -> np.ndarray:
-    """Each row of an (N, d) amplitude or (N, d, d) density stack with
-    ancillas of anc_dim levels in all appended in their first level, then
-    the gates of the index permutation perm applied."""
-    n, d = rows.shape[:2]
-    if rows.ndim == 2:
-        out = np.zeros((n, d, anc_dim), dtype=complex)
-        out[:, :, 0] = rows
-        return _gather(out.reshape(n, -1), perm)
-    out = np.zeros((n, d, anc_dim, d, anc_dim), dtype=complex)
-    out[:, :, 0, :, 0] = rows
-    return _gather(out.reshape(n, d * anc_dim, d * anc_dim), perm)
+def _displaced_cnot(dim: int, tau: int, site: str) -> tuple:
+    """The displaced-CNOT circuit up to its closing CNOT: a dim-level
+    input on site and an ancilla in |0> at cycle 0, the opening CNOT, the
+    site dilated by tau and the closing CNOT at cycle tau, where the
+    ancilla has no slot, so the pair expands into its two copies."""
+    anc = _ancilla(site)
+    return (_placeholder(site, 0, dim), Prepare(anc, 0, "qubit", 1),
+            Cnot(site, anc, 0), Dilate(site, tau), Cnot(site, anc, tau))
 
 
-@dataclass(frozen=True, eq=False)
-class CircuitPlan:
-    """The displaced-CNOT circuit laid out for one input dimension,
-    dilation tau and input site.
+class _Fig1(NamedTuple):
+    """The displaced-CNOT circuit compiled for one input dimension,
+    dilation and input site, with what its reports read off it.
 
-    The input sits on (site, tau) and its ancilla on the slot _slots
-    names; the four-slot register is the pair's two displaced copies
-    (dynamics.displaced_copies).  rho_d keeps the four-slot positions
-    read_pos (the slots at cycle tau) and rho_out the position out_pos
-    (the ancilla at tau).  Each CNOT is a flat index permutation of its
-    register (see _cnot_permutation): pair_cnot opens the pair and
-    four_cnot closes the circuit.
-    """
-
-    tau: int
-    input_register: Register
-    pair_register: Register
-    four_register: Register
-    readout_register: Register
-    output_register: Register
-    read_pos: tuple
-    out_pos: tuple
-    pair_cnot: np.ndarray
-    four_cnot: np.ndarray
-
-
-@functools.lru_cache(maxsize=64)
-def circuit_plan(dim: int, tau: int, site: str) -> CircuitPlan:
-    """The CircuitPlan of a dim-level input on `site`, dilated by tau;
-    built once per (dim, tau, site) and shared."""
-    in_slot, anc_slot = _slots(site, tau)
-    targets = (in_slot, anc_slot)
-    pair_reg = Register(targets, (dim, 2))
-    reg_a, reg_b = displaced_copies(pair_reg, tau, site)
-    four_reg = Register(reg_a.slots + reg_b.slots, reg_a.dims + reg_b.dims)
-    read_pos = tuple(i for i, s in enumerate(four_reg.slots)
-                     if s.cycle == tau)
-    return CircuitPlan(
-        tau=tau,
-        input_register=Register((in_slot,), (dim,)),
-        pair_register=pair_reg,
-        four_register=four_reg,
-        readout_register=Register(tuple(four_reg.slots[p] for p in read_pos),
-                                  tuple(four_reg.dims[p] for p in read_pos)),
-        output_register=Register((anc_slot,), (2,)),
-        read_pos=read_pos,
-        out_pos=(four_reg.index_of(anc_slot),),
-        pair_cnot=_cnot_permutation(pair_reg, targets),
-        four_cnot=_cnot_permutation(four_reg, targets),
-    )
-
-
-@dataclass
-class CircuitRows:
-    """The displaced-CNOT circuit run on a stack of N inputs.
-
-    Every row shares `plan`; each array has a leading row axis.  The
-    inputs, the pair rho_s comes from and the four-slot state after the
-    closing CNOT are (N, d) amplitude rows for pure inputs and (N, d, d)
-    density rows for mixed ones; rho_d and rho_out are always densities.
+    The step at index expand is the expansion: the steps before it
+    build the pair, the steps after it close the circuit.  plan.register
+    is the four-slot register of the pair's two displaced copies and
+    plan.output_register the ancilla at cycle tau.  The input and the
+    pair are reported on cycle tau, the input's preparation cycle, and
+    rho_d keeps the four-slot positions read_pos, the slots at tau.
     """
 
     plan: CircuitPlan
-    inputs: np.ndarray
-    pair: np.ndarray
-    four: np.ndarray
-    rho_d: np.ndarray
-    rho_out: np.ndarray
-
-    def densities(self) -> dict:
-        """The input, rho_s, rho_d and rho_out density matrix of every
-        row, as (N, d, d) stacks by name, checked together by
-        check_columns: one pass per dimension."""
-        out = {"input": _density(self.inputs), "rho_s": _density(self.pair),
-               "rho_d": self.rho_d, "rho_out": self.rho_out}
-        check_columns(list(out.values()))
-        return out
+    expand: int
+    input_register: Register
+    pair_register: Register
+    readout_register: Register
+    read_pos: tuple
 
 
-def displaced_cnot_rows(amplitudes, tau: int, site: str = "1") -> CircuitRows:
-    """Run the displaced-CNOT circuit on a stack of pure single-slot inputs.
+@functools.lru_cache(maxsize=64)
+def _fig1_circuit(dim: int, tau: int, site: str) -> _Fig1:
+    """The _Fig1 of a dim-level input on site dilated by tau, compiled
+    once and shared."""
+    anc = _ancilla(site)
+    plan = _static_check(_displaced_cnot(dim, tau, site)
+                         + (Output(anc, tau),))
+    four = plan.register
+    read_pos = tuple(i for i, s in enumerate(four.slots) if s.cycle == tau)
+    return _Fig1(
+        plan, [step.kind for step in plan.steps].index("expand"),
+        Register(((site, tau),), (dim,)),
+        Register(((site, tau), (anc, tau)), (dim, 2)),
+        Register(tuple(four.slots[p] for p in read_pos),
+                 tuple(four.dims[p] for p in read_pos)),
+        read_pos)
 
-    amplitudes is (N, d) with d = 2 or 3, each row a normalized input on
-    the slot (site, tau).  Every row gets a fresh ancilla in |0> and a
-    CNOT; the site is then dilated by tau, the pair expanded into its two
-    copies (dynamics.displaced_copies), read out at cycle tau for rho_d,
-    and closed by a second CNOT whose ancilla slot is traced out for
-    rho_out.  The layout comes from circuit_plan, the CNOTs are index
-    gathers, and all of it runs as array operations over the row axis.
+
+def _fig1_rows(rows, tau: int, site: str = "1") -> tuple:
+    """The displaced-CNOT circuit on B states of N purification rows
+    each, rows shaped (B, N, d) with d = 2 or 3, on the slot (site, tau).
+
+    Returns (circuit, pair, four, rho_d, rho_out): the _Fig1 it ran, the
+    pair's rows after the opening CNOT, the four-slot rows after the
+    closing CNOT (N**2 per state), and each state's (B, ., .) readout at
+    cycle tau and ancilla output, not validated.
     """
     tau = _check_tau(tau)
+    rows = np.asarray(rows, dtype=complex)
+    circuit = _fig1_circuit(rows.shape[-1], tau, site)
+    steps, e = circuit.plan.steps, circuit.expand
+    pair = _run_steps(steps[1:e], rows)
+    four = _run_steps(steps[e:e + 1], pair)
+    rho_d = _reduced(four, circuit.read_pos)
+    four = _run_steps(steps[e + 1:], four)
+    return circuit, pair, four, rho_d, _reduced(four, steps[-1].axes)
+
+
+def _densities(amplitudes, tau: int, site: str = "1") -> dict:
+    """The input, rho_s, rho_d and rho_out density matrix of the circuit
+    on each pure input of an (N, d) amplitude stack, as (N, d, d) stacks
+    by name, checked together by check_columns: one pass per
+    dimension."""
     amps = np.asarray(amplitudes, dtype=complex)
-    n, dim = amps.shape
-    plan = circuit_plan(dim, tau, site)
-    pair = _embed_gather(amps, 2, plan.pair_cnot)
-    four = (pair[:, :, None] * pair[:, None, :]).reshape(n, -1)
-    dims = plan.four_register.dims
-    rho_d = _trace_amplitudes(four, dims, plan.read_pos)
-    four = _gather(four, plan.four_cnot)
-    rho_out = _trace_amplitudes(four, dims, plan.out_pos)
-    return CircuitRows(plan, amps, pair, four, rho_d, rho_out)
-
-
-def displaced_cnot_density_rows(matrices, tau: int,
-                                site: str = "1") -> CircuitRows:
-    """Run the displaced-CNOT circuit on a stack of mixed single-slot
-    inputs, expanded as uncorrelated copies.
-
-    matrices is (N, d, d) with d = 2 or 3, each row a density matrix on
-    the slot (site, tau).  Row by row: pair = CNOT (rho x |0><0|) CNOT^H,
-    the four-slot state is pair x pair (CorrelationMode.UNCORRELATED_COPIES
-    on the layout of circuit_plan), rho_d its readout at cycle tau, and
-    rho_out the ancilla after the closing CNOT.
-    """
-    tau = _check_tau(tau)
-    m = np.asarray(matrices, dtype=complex)
-    n, dim = m.shape[:2]
-    plan = circuit_plan(dim, tau, site)
-    pair = _embed_gather(m, 2, plan.pair_cnot)
-    d4 = plan.four_register.dim
-    four = (pair[:, :, None, :, None] * pair[:, None, :, None, :])
-    four = four.reshape(n, d4, d4)
-    dims = plan.four_register.dims
-    rho_d = _trace_matrices(four, dims, plan.read_pos)
-    four = _gather(four, plan.four_cnot)
-    rho_out = _trace_matrices(four, dims, plan.out_pos)
-    return CircuitRows(plan, m, pair, four, rho_d, rho_out)
-
-
-def _psd_part(rho: DensityOperator) -> np.ndarray:
-    """rho's matrix, projected onto the positive semidefinite cone when
-    its stored spectrum has a negative eigenvalue.
-
-    Validation lets eigenvalues down to -1e-10 through as roundoff; copied
-    into rho (x) rho their cross terms can push a traced output below
-    that floor.  The projection sets them to zero and renormalizes the
-    rest, the treatment spectral_ensemble gives COHERENT_HISTORY inputs.
-    A spectrum with no negative entry leaves the matrix untouched.
-    """
-    if rho.eigenvalues[0] >= 0.0:
-        return rho.matrix
-    vals, vecs = np.linalg.eigh(rho.matrix)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * (vals / vals.sum())) @ vecs.conj().T
+    _, pair, _, rho_d, rho_out = _fig1_rows(amps[:, None], tau, site)
+    out = {"input": _reduced(amps[:, None], (0,)),
+           "rho_s": _reduced(pair, (0, 1)),
+           "rho_d": rho_d, "rho_out": rho_out}
+    check_columns(list(out.values()))
+    return out
 
 
 @dataclass
@@ -353,40 +255,50 @@ class CircuitReport:
 _ENTROPY_KEYS = ("input", "rho_s", "rho_d", "rho_out")
 
 
-def _reports(rows: CircuitRows, inputs=None) -> list:
-    """One CircuitReport per row.
+def _fig1_reports(rows, tau: int, site: str = "1", inp=None,
+                  weights=None) -> list:
+    """One CircuitReport per state of rows, shaped (B, N, d), from one
+    pass of the circuit (_fig1_rows); with weights, one report of the B
+    states mixed by them.
 
-    Every density the rows return (input, rho_s, rho_d, rho_out and a
-    mixed four-slot state) is validated here, in one density_columns
-    pass over all of them: one check and one eigvalsh per dimension.
-    The entropies come from the spectra that check computed, one
-    _entropy_bits call per dimension.  `inputs` are the input operators
-    when the rows ran on DensityOperators, which were validated when
-    built; their entropies come from their stored spectra.
+    inp is the input operator when the rows factor a DensityOperator,
+    which was validated when built; its entropy comes from its stored
+    spectrum.  Otherwise each state is one pure row, which is its input.
+    A state of one row keeps its four-slot state as amplitudes.  Every
+    density the reports return (input, rho_s, rho_d, rho_out and a mixed
+    four-slot state) is validated here, in one density_columns pass over
+    all of them: one check and one eigvalsh per dimension.  The
+    entropies come from the spectra that check computed, one
+    _entropy_bits call per dimension.
     """
-    plan = rows.plan
-    columns = [(plan.pair_register, _density(rows.pair)),
-               (plan.readout_register, rows.rho_d),
-               (plan.output_register, rows.rho_out)]
-    if inputs is None:
-        columns.insert(0, (plan.input_register, _outer(rows.inputs)))
-    if rows.four.ndim == 3:
-        columns.append((plan.four_register, rows.four))
+    tau = _check_tau(tau)
+    c, pair, four, rho_d, rho_out = _fig1_rows(rows, tau, site)
+    mixed = four.shape[1] > 1 or weights is not None
+    parts = [_reduced(pair, (0, 1)), rho_d, rho_out]
+    if mixed:
+        parts.append(_reduced(four, range(4)))
+    if weights is not None:
+        parts = [_mix(weights, part) for part in parts]
+    columns = list(zip((c.pair_register, c.readout_register,
+                        c.plan.output_register, c.plan.register), parts))
+    if inp is None:
+        columns.insert(0, (c.input_register, _reduced(rows, (0,))))
     checked = density_columns(columns)
-    if inputs is None:
+    if inp is None:
         inputs, in_vals = checked.pop(0)
     else:
-        in_vals = np.array([rho.eigenvalues for rho in inputs])
+        inputs, in_vals = [inp], inp.eigenvalues[None]
     (pairs, s_vals), (reads, d_vals), (outs, out_vals) = checked[:3]
-    if rows.four.ndim == 2:
-        fours = [PureState(plan.four_register, f) for f in rows.four]
-    else:
+    if mixed:
         fours = checked[3][0]
+    else:
+        fours = [PureState(c.plan.register, f)
+                 for f in four.reshape(len(four), -1)]
     entropies = zip(*(s.tolist() for s in per_dimension(
         _entropy_bits, [in_vals, s_vals, d_vals, out_vals])))
     return [
         CircuitReport(inp, rho_s, rho_d, rho_out, four,
-                      dict(zip(_ENTROPY_KEYS, ent)), plan.tau)
+                      dict(zip(_ENTROPY_KEYS, ent)), tau)
         for inp, rho_s, rho_d, rho_out, four, ent
         in zip(inputs, pairs, reads, outs, fours, entropies)
     ]
@@ -401,41 +313,31 @@ def run_fig1(state, tau: int = 1, input_site: Optional[str] = None,
     four slots; reading out at the preparation cycle gives rho_d, and the
     closing CNOT plus partial trace give the channel output on the ancilla.
 
-    Every input runs as one row of the compiled circuit (circuit_plan).
-    Pure inputs never consult the policy.  Mixed inputs are expanded per
-    `policy`, uncorrelated copies by default: the input is one density
-    row (displaced_cnot_density_rows), projected onto the positive
-    semidefinite cone first if its spectrum dips below zero, and the
-    four-slot state is a density.  Under COHERENT_HISTORY the input's
-    spectral branches run through the circuit as pure rows and are mixed
-    afterwards.  A mixed input with no correlation mode raises ValueError.
+    The input runs through the compiled circuit (_fig1_rows) as rows.  A
+    pure input is one state of one row and never consults the policy.  A
+    mixed input is expanded per `policy`, uncorrelated copies by default:
+    it is one state whose rows are sqrt(w) v over its spectral
+    decomposition, so the expansion's N**2 rows purify rho (x) rho and
+    the four-slot state is a density.  Under COHERENT_HISTORY its
+    spectral branches run as states of one row each and are mixed
+    afterwards.  Eigenvalues up to 1e-12 are dropped as roundoff in both
+    modes (dynamics._spectral_rows).  A mixed input with no correlation
+    mode raises ValueError.
     """
     tau = _check_tau(tau)
     inp = _normalize_input(state, tau, input_site)
     site = inp.register.slots[0].site
     if isinstance(inp, PureState):
-        return _fig1_reports(inp.amplitudes[None], tau, site)[0]
+        return _fig1_reports(inp.amplitudes[None, None], tau, site)[0]
     mode = _as_mode(policy)
     if mode is None:
         raise ValueError(
             "expanding a mixed state needs an explicit correlation mode"
         )
     if mode is CorrelationMode.UNCORRELATED_COPIES:
-        rows = displaced_cnot_density_rows(_psd_part(inp)[None], tau, site)
-        return _reports(rows, inputs=[inp])[0]
+        return _fig1_reports(_factored(inp), tau, site, inp)[0]
     weights, vectors = _spectral_rows(inp.matrix)
-    rows = displaced_cnot_rows(vectors, tau, site)
-    mixed = CircuitRows(rows.plan, inp.matrix[None],
-                        _mix(weights, _outer(rows.pair)),
-                        _mix(weights, _outer(rows.four)),
-                        _mix(weights, rows.rho_d), _mix(weights, rows.rho_out))
-    return _reports(mixed, inputs=[inp])[0]
-
-
-def _fig1_reports(amplitudes, tau: int, site: str = "1") -> list:
-    """One CircuitReport per row of an (N, d) stack of pure inputs on
-    (site, tau), from one pass of the circuit."""
-    return _reports(displaced_cnot_rows(amplitudes, tau, site))
+    return _fig1_reports(vectors[:, None], tau, site, inp, weights)[0]
 
 
 def grid_reports(grid: Sequence[float], tau: int, block_reports) -> list:
@@ -453,8 +355,9 @@ def grid_reports(grid: Sequence[float], tau: int, block_reports) -> list:
 def run_sweep(grid: Sequence[float], tau: int = 1) -> list:
     """run_fig1 on the inputs sqrt(1 - b2)|0> + sqrt(b2)|1> of site "1" for
     every beta^2 on the grid, one CircuitReport per point; the grid runs
-    through the circuit in blocks of ROW_BLOCK rows."""
-    return grid_reports(grid, tau, _fig1_reports)
+    through the circuit in blocks of ROW_BLOCK states."""
+    return grid_reports(grid, tau,
+                        lambda amps, t: _fig1_reports(amps[:, None], t))
 
 
 @dataclass
@@ -469,58 +372,36 @@ class ReverseReport:
     tau: int
 
 
-@dataclass(frozen=True, eq=False)
-class _ReversePlan:
-    """The reversal of the circuit of circuit_plan(dim, tau, site).
-
-    register is the four-slot register with the ancilla site dilated by
-    tau, undo the reversal's two CNOTs composed into one index
-    permutation of it, and recovered_pos the position of the recovered
-    input, the only slot of recovered_register.
-    """
-
-    register: Register
-    undo: np.ndarray
-    recovered_register: Register
-    recovered_pos: tuple
-
-
 @functools.lru_cache(maxsize=64)
-def _reverse_plan(dim: int, tau: int, site: str) -> _ReversePlan:
-    """Dilating the ancilla site by tau realigns it with both copies of
-    the input site; the CNOT at cycle tau, then the one at 2 tau, compose
-    into one gather."""
-    four_reg = circuit_plan(dim, tau, site).four_register
-    in_slot, anc_slot = _slots(site, tau)
-    anc = anc_slot.site
-    reg = Register(tuple(s.shifted(tau) if s.site == anc else s
-                         for s in four_reg.slots), four_reg.dims)
-    late = (SlotId(site, 2 * tau), SlotId(anc, 2 * tau))
-    undo = _cnot_permutation(reg, (in_slot, anc_slot))[
-        _cnot_permutation(reg, late)]
-    return _ReversePlan(reg, undo, Register((late[0],), (dim,)),
-                        (reg.index_of(late[0]),))
+def _reversal(dim: int, tau: int, site: str) -> CircuitPlan:
+    """The displaced-CNOT circuit and its reversal, compiled: after the
+    closing CNOT the ancilla site is dilated by tau, which realigns it
+    with both copies of the input site, and the CNOTs at cycles tau and 2
+    tau are undone; the input comes back on (site, 2 tau).  The three
+    CNOTs fuse into one gather."""
+    anc = _ancilla(site)
+    return _static_check(_displaced_cnot(dim, tau, site) + (
+        Dilate(anc, tau), Cnot(site, anc, tau), Cnot(site, anc, 2 * tau),
+        Output(site, 2 * tau)))
 
 
 def reverse_reports(amplitudes, tau: int, site: str = "1") -> list:
     """One ReverseReport per row of an (N, d) stack of pure inputs on
     (site, tau), from one pass of the circuit and of its reversal."""
-    rows = displaced_cnot_rows(amplitudes, tau, site)
-    plan = rows.plan
-    rev = _reverse_plan(rows.inputs.shape[1], plan.tau, site)
-    undone = _gather(rows.four, rev.undo)
-    recovered = _trace_amplitudes(undone, rev.register.dims,
-                                  rev.recovered_pos)
-    v = rows.inputs
+    tau = _check_tau(tau)
+    v = np.asarray(amplitudes, dtype=complex)
+    plan = _reversal(v.shape[1], tau, site)
+    final = _run_steps(plan.steps[1:], v[:, None])
+    recovered = _reduced(final, plan.steps[-1].axes)
     fids = np.einsum("ni,nij,nj->n", v.conj(), recovered, v).real
-    slot = rev.recovered_register.slots[0]
+    in_reg = Register(((site, tau),), (v.shape[1],))
+    out_reg = plan.output_register
     return [
-        ReverseReport(PureState(plan.input_register, psi), rho, slot,
-                      float(fid), PureState(rev.register, final),
-                      plan.tau)
-        for psi, rho, fid, final in zip(
-            v, density_rows(rev.recovered_register, recovered), fids,
-            undone)
+        ReverseReport(PureState(in_reg, psi), rho, out_reg.slots[0],
+                      float(fid), PureState(plan.register, f), tau)
+        for psi, rho, fid, f in zip(
+            v, density_rows(out_reg, recovered), fids,
+            final.reshape(len(final), -1))
     ]
 
 
@@ -533,49 +414,44 @@ def run_reverse(state: PureState, tau: int = 1,
     CNOTs at both cycles then frees the input state on the forward copy,
     the input site at cycle 2 tau.  The whole history stays pure, so
     recovery is exact.  The input runs as one pure row of the compiled
-    circuit (circuit_plan); the dilation is a relabeling of its four-slot
-    register and the two CNOTs are one index gather (_reverse_plan).
+    circuit and its reversal (_reversal), in one pass.
     """
     if not isinstance(state, PureState):
         raise ValueError("reversal is defined for pure inputs")
     tau = _check_tau(tau)
     inp = _normalize_input(state, tau, input_site)
     return reverse_reports(inp.amplitudes[None], tau,
-                            inp.register.slots[0].site)[0]
-
-
-@dataclass(frozen=True, eq=False)
-class _BoxPlan:
-    """The displaced box laid out for one input register: the register
-    dims with the two ancillas appended, the box's three CNOTs composed
-    into one index permutation, and the position and register of the
-    returned late ancilla."""
-
-    dims: tuple
-    cnots: np.ndarray
-    out_pos: tuple
-    output_register: Register
+                           inp.register.slots[0].site)[0]
 
 
 @functools.lru_cache(maxsize=64)
-def _box_plan(reg: Register, data_site: str, ancilla_site: str) -> _BoxPlan:
+def _box(reg: Register, ancilla_site: str) -> CircuitPlan:
+    """The displaced box compiled for a two-cycle input register.
+
+    The input slots at the early and late cycle c0 < c1 become the
+    placeholder sites ancilla_site + ".early" and + ".late", prepared in
+    reg's order (the dsl keeps one dimension per site, and the two slots
+    may differ), so neither collides with the ancilla site.  Each cycle
+    gets a fresh ancilla and a CNOT, the early site is dilated by the gap
+    and a last CNOT at c1 folds it onto the late ancilla, the output.
+    The three CNOTs fuse into one gather.
+    """
     c0, c1 = sorted(s.cycle for s in reg.slots)
-    early, late = SlotId(ancilla_site, c0), SlotId(ancilla_site, c1)
-    work = Register(reg.slots + (early, late), reg.dims + (2, 2))
-    opened = _cnot_permutation(work, (SlotId(data_site, c0), early))[
-        _cnot_permutation(work, (SlotId(data_site, c1), late))]
-    # dilating the data site by c1 - c0 moves its early slot to cycle c1
-    dilated = Register(tuple(s.shifted(c1 - c0) if s.site == data_site
-                             else s for s in work.slots), work.dims)
-    folded = opened[_cnot_permutation(dilated, (SlotId(data_site, c1), late))]
-    return _BoxPlan(work.dims, folded, (len(work.slots) - 1,),
-                    Register((late,), (2,)))
+    early, late = ancilla_site + ".early", ancilla_site + ".late"
+    names = {c0: early, c1: late}
+    inputs = tuple(_placeholder(names[s.cycle], s.cycle, d)
+                   for s, d in zip(reg.slots, reg.dims))
+    a = ancilla_site
+    return _static_check(inputs + (
+        Prepare(a, c0, "qubit", 1), Prepare(a, c1, "qubit", 1),
+        Cnot(early, a, c0), Cnot(late, a, c1), Dilate(early, c1 - c0),
+        Cnot(early, a, c1), Output(a, c1)))
 
 
-def _box_rows(plan: _BoxPlan, matrices: np.ndarray) -> np.ndarray:
-    """The box's output for each row of an (N, d, d) stack of inputs."""
-    work = _embed_gather(matrices, 4, plan.cnots)
-    return _trace_matrices(work, plan.dims, plan.out_pos)
+def _box_outputs(plan: CircuitPlan, rows: np.ndarray) -> np.ndarray:
+    """The box's output for each state of rows shaped (B, N, *dims) on
+    its input register, as a (B, 2, 2) stack, not validated."""
+    return _reduced(_run_steps(plan.steps[2:], rows), plan.steps[-1].axes)
 
 
 def run_displaced_backend(state: State, data_site: str,
@@ -589,9 +465,10 @@ def run_displaced_backend(state: State, data_site: str,
 
     This is the back end a distant party can apply to their half of a
     shared state; it is linear in the two-cycle input, which is exactly
-    why it cannot leak a remote measurement choice.  The input runs as one
-    density row; the box's layout and its three CNOTs, composed into one
-    index gather, are built once per input register.
+    why it cannot leak a remote measurement choice.  The box is compiled
+    once per input register (_box).  A pure input runs as one row, a
+    mixed one as the rows sqrt(w) v of its spectral decomposition, with
+    eigenvalues up to 1e-12 dropped as roundoff.
     """
     reg = state.register
     if len(reg.slots) != 2 or set(reg.sites) != {data_site}:
@@ -600,10 +477,12 @@ def run_displaced_backend(state: State, data_site: str,
         )
     if ancilla_site == data_site:
         raise ValueError("ancilla site must differ from the data site")
-    plan = _box_plan(reg, data_site, ancilla_site)
-    rho = _outer(state.amplitudes[None]) if isinstance(state, PureState) \
-        else state.matrix[None]
-    return density_rows(plan.output_register, _box_rows(plan, rho))[0]
+    plan = _box(reg, ancilla_site)
+    if isinstance(state, PureState):
+        rows = state.amplitudes.reshape((1, 1) + reg.dims)
+    else:
+        rows = _factored(state)
+    return density_rows(plan.output_register, _box_outputs(plan, rows))[0]
 
 
 @dataclass
@@ -647,6 +526,12 @@ def run_no_signaling(basis: str, tau: int = 1) -> NoSignalReport:
     report also evaluates the box on the uncorrelated stand-in (Bob's
     reduced state copied independently to both cycles), which a nonlinear
     box would have to distinguish for signaling to work.
+
+    The shared state is the pair copied to cycles 0 and tau.  Bob's
+    inputs are read straight off its amplitudes, with Alice's two slots
+    as the row axis: once after projecting her slot at tau onto each
+    outcome, and once as they are, which leaves Bob rho_b (x) rho_b.  The
+    three run through the box as one stack of states.
     """
     if basis not in _BASES:
         raise ValueError(
@@ -654,27 +539,27 @@ def run_no_signaling(basis: str, tau: int = 1) -> NoSignalReport:
         )
     tau = _check_tau(tau)
 
-    pair = bell_phi_plus("a", "b", tau)
-    shared = free_expansion(pair, [0, tau])
-    bob = (SlotId("b", 0), SlotId("b", tau))
-    measured = [project(shared, SlotId("a", tau), vec, label=label)
-                for label, vec in _BASES[basis]]
-    # Bob's state for each outcome, then the substitution input: his
-    # reduced state copied independently to both cycles
-    rb = partial_trace(to_density(pair), [bob[1]]).matrix
-    inputs = [partial_trace(m.post_state, bob).matrix for m in measured]
-    inputs.append(np.kron(rb, rb))
-    plan = _box_plan(Register(bob, (2, 2)), "b", "c")
+    pair = bell_phi_plus("a", "b", tau).amplitudes.reshape(2, 2)
+    # axes (a@0, a@tau, b@0, b@tau)
+    shared = np.einsum("ij,kl->ikjl", pair, pair)
+    chis = np.array([vec for _, vec in _BASES[basis]], dtype=complex)
+    chis /= np.linalg.norm(chis, axis=1, keepdims=True)
+    measured = np.einsum("oa,ob,ibjl->oiajl", chis, chis.conj(), shared)
+    probs = (abs(measured) ** 2).sum(axis=(1, 2, 3, 4))
+    rows = np.concatenate([measured / np.sqrt(probs)[:, None, None, None,
+                                                        None],
+                           shared[None]]).reshape(3, 4, 2, 2)
+    plan = _box(Register((SlotId("b", 0), SlotId("b", tau)), (2, 2)), "c")
     out_reg = plan.output_register
-    stack = _box_rows(plan, np.array(inputs))
-    avg = sum(m.probability * out for m, out in zip(measured, stack))
+    stack = _box_outputs(plan, rows)
+    avg = _mix(probs, stack[:-1])
     mixed_ref = np.eye(2) / 2.0
     # Bob's outputs, their average and the I/2 reference are all qubits:
     # one check for the three columns
     (outs, _), ((avg,), _), _ = density_columns(
-        [(out_reg, stack), (out_reg, avg[None]), (out_reg, mixed_ref[None])])
-    outcomes = [(m.label, m.probability, out)
-                for m, out in zip(measured, outs)]
+        [(out_reg, stack), (out_reg, avg), (out_reg, mixed_ref[None])])
+    outcomes = [(label, p, out) for (label, _), p, out
+                in zip(_BASES[basis], probs.tolist(), outs)]
     # deviations of each outcome's output, the average and the
     # substitution output (the last row) from I/2
     devs = _trace_norms(np.concatenate([stack[:-1], avg.matrix[None],
@@ -730,19 +615,18 @@ def run_proper_vs_improper(ensemble: Optional[Sequence] = None,
         raise ValueError("ensemble branches must share one slot dimension")
 
     site = sites.pop()
-    pinned = [(w, _normalize_input(psi, tau, None))
-              for w, psi in renormalized(branches)]
-    weights = [w for w, _ in pinned]
-    rows = displaced_cnot_rows([psi.amplitudes for _, psi in pinned], tau,
-                               site)
-    out_reg = rows.plan.output_register
-    proper = _mix(weights, rows.densities()["rho_out"])
-
-    avg_in = _psd_part(ensemble_density(pinned))
-    improper = displaced_cnot_density_rows(avg_in[None], tau, site).rho_out
-    # both outputs are qubits: one check for the two
+    weights = np.array([w for w, _ in renormalized(branches)])
+    amps = np.array([psi.amplitudes for _, psi in branches])
+    # proper: each branch is a state of its own, mixed afterwards;
+    # improper: one state whose rows sqrt(w) psi purify the average
+    c, *_, proper = _fig1_rows(amps[:, None], tau, site)
+    *_, improper = _fig1_rows((np.sqrt(weights)[:, None] * amps)[None],
+                              tau, site)
+    out_reg = c.plan.output_register
+    # both outputs are qubits: one check for the two, and nothing else
+    # the report does not return is validated
     ((proper,), _), ((improper,), _) = density_columns(
-        [(out_reg, proper), (out_reg, improper)])
+        [(out_reg, _mix(weights, proper)), (out_reg, improper)])
 
     return ProprietyReport(branches, proper, improper,
                            trace_norm_distance(proper, improper), tau)
@@ -781,14 +665,13 @@ def run_entropy_study(p_vac: float, grid: Sequence[float],
 
     # The vacuum branch is the same at every point: one row, run once.
     if p_vac > 0.0:
-        vacuum = displaced_cnot_rows([[1.0, 0.0, 0.0]], tau).densities()
+        vacuum = _densities([[1.0, 0.0, 0.0]], tau)
 
     def branches(block):
         if p_vac > 0.0:
             yield p_vac, vacuum
         if p_vac < 1.0:
-            yield 1.0 - p_vac, \
-                displaced_cnot_rows(qubits[block], tau).densities()
+            yield 1.0 - p_vac, _densities(qubits[block], tau)
 
     points = []
     drops = []

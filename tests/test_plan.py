@@ -1,8 +1,8 @@
-"""The compiled displaced-CNOT plan and the row paths built on it.
+"""The paper's scenarios as compiled dsl circuits on the batched executor.
 
-Density rows, stacked reversal and the stacked no-signaling box are
-checked against the object primitives (the oracles in conftest.py) on
-random inputs.
+Factored mixed inputs, batches of states, stacked reversal and the
+stacked no-signaling box are checked against the object primitives (the
+oracles in conftest.py) on random inputs.
 """
 
 import numpy as np
@@ -27,11 +27,10 @@ from tdesim import (
     run_reverse,
     to_density,
 )
-from tdesim import scenarios
+from tdesim import dsl
 from tdesim.scenarios import (
-    _psd_part,
-    circuit_plan,
-    displaced_cnot_density_rows,
+    _fig1_circuit,
+    _fig1_rows,
     grid_reports,
     reverse_reports,
 )
@@ -52,32 +51,44 @@ SEEDS = st.integers(0, 2**32 - 1)
 @pytest.mark.parametrize("dim", (2, 3))
 @pytest.mark.parametrize("tau", (1, 2))
 def test_plan_cnots_are_the_dense_gates(dim, tau):
-    plan = circuit_plan(dim, tau, "1")
+    # the circuit's two gathers: the opening CNOT on the pair and the
+    # closing one on the four-slot register
+    circuit = _fig1_circuit(dim, tau, "1")
+    gathers = [s for s in circuit.plan.steps if s.kind == "gather"]
+    assert [s.kind for s in circuit.plan.steps].index("expand") == \
+        circuit.expand
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
-    for reg, perm, pos in ((plan.pair_register, plan.pair_cnot, [0, 1]),
-                           (plan.four_register, plan.four_cnot, [0, 3])):
-        basis = np.eye(reg.dim)
-        dense = np.array([dense_gate_oracle(e, reg.dims, cnot, pos)
+    for dims, step, pos in (((dim, 2), gathers[0], [0, 1]),
+                            (circuit.plan.register.dims, gathers[1],
+                             [0, 3])):
+        basis = np.eye(int(np.prod(dims)))
+        dense = np.array([dense_gate_oracle(e, dims, cnot, pos)
                           for e in basis]).T
-        np.testing.assert_array_equal(basis[perm], dense)
-        assert not perm.flags.writeable
-    assert circuit_plan(dim, tau, "1") is plan
+        assert step.operand is None
+        np.testing.assert_array_equal(basis[step.perm], dense)
+    assert _fig1_circuit(dim, tau, "1") is circuit
 
 
 def test_cnot_permutation_rejects_a_block_that_is_no_permutation(
         monkeypatch):
-    # a lifted block that is not exactly 0/1 would give wrong gather
-    # indices, so it raises instead of being read off
-    reg = Register((SlotId("1", 1), SlotId("2", 1)), (2, 2))
-    gate_block = scenarios._gate_block
+    # a lifted CNOT block that is not exactly 0/1 would give wrong gather
+    # indices, so compiling the circuit raises instead of reading it off
+    lift = dsl._lift_logical
+    monkeypatch.setattr(dsl, "_lift_logical",
+                        lambda matrix, dims: 0.5 * lift(matrix, dims))
+    dsl._lifted_gate.cache_clear()
+    try:
+        with pytest.raises(InvariantViolationError, match="permutation"):
+            _fig1_circuit.__wrapped__(2, 1, "1")
+    finally:
+        monkeypatch.undo()
+        dsl._lifted_gate.cache_clear()
 
-    def halved(reg, gate, targets):
-        block, axes = gate_block(reg, gate, targets)
-        return 0.5 * block, axes
 
-    monkeypatch.setattr(scenarios, "_gate_block", halved)
-    with pytest.raises(InvariantViolationError, match="permutation"):
-        scenarios._cnot_permutation(reg, reg.slots)
+def _factor_rows(rho):
+    """Rows sqrt(w) v of a density's eigendecomposition: one state."""
+    vals, vecs = np.linalg.eigh(rho.matrix)
+    return np.sqrt(np.clip(vals, 0.0, None)) * vecs
 
 
 @PROPERTY_SETTINGS
@@ -87,16 +98,20 @@ def test_density_rows_match_object_path(seed, dim, tau, site, n):
     rng = np.random.default_rng(seed)
     reg = Register((SlotId(site, tau),), (dim,))
     rhos = [random_density(rng, reg) for _ in range(n)]
-    rows = displaced_cnot_density_rows([r.matrix for r in rhos], tau, site)
+    rows = np.array([_factor_rows(r).T for r in rhos])
+    circuit, pair, four, rho_d, rho_out = _fig1_rows(rows, tau, site)
     for i, rho in enumerate(rhos):
-        pair, rho_d, closed, rho_out = displaced_cnot_density_oracle(rho, tau)
-        np.testing.assert_allclose(rows.pair[i], pair.matrix, atol=TOL)
-        np.testing.assert_allclose(rows.rho_d[i], rho_d.matrix, atol=TOL)
-        np.testing.assert_allclose(rows.four[i], closed.matrix, atol=TOL)
-        np.testing.assert_allclose(rows.rho_out[i], rho_out.matrix, atol=TOL)
-        assert rows.plan.four_register == closed.register
-        assert rows.plan.readout_register == rho_d.register
-        assert rows.plan.output_register == rho_out.register
+        want_pair, want_d, closed, want_out = \
+            displaced_cnot_density_oracle(rho, tau)
+        np.testing.assert_allclose(dsl._reduced(pair, (0, 1))[i],
+                                   want_pair.matrix, atol=TOL)
+        np.testing.assert_allclose(rho_d[i], want_d.matrix, atol=TOL)
+        np.testing.assert_allclose(dsl._reduced(four, range(4))[i],
+                                   closed.matrix, atol=TOL)
+        np.testing.assert_allclose(rho_out[i], want_out.matrix, atol=TOL)
+        assert circuit.plan.register == closed.register
+        assert circuit.readout_register == want_d.register
+        assert circuit.plan.output_register == want_out.register
 
     rep = run_fig1(rhos[0], tau=tau,
                    policy=CorrelationMode.UNCORRELATED_COPIES)
@@ -106,6 +121,33 @@ def test_density_rows_match_object_path(seed, dim, tau, site, n):
         np.testing.assert_allclose(got.matrix, want.matrix, atol=TOL)
         assert got.register == want.register
     assert rep.input_state.matrix is rhos[0].matrix
+
+
+@PROPERTY_SETTINGS
+@given(SEEDS, st.integers(1, 4), st.integers(1, 3), st.sampled_from((2, 3)),
+       st.integers(1, 3))
+def test_batched_states_match_single_runs_and_the_oracle(seed, b, n, dim,
+                                                         tau):
+    # B states of N rows each run together; each state is the sum of its
+    # rows' projectors and must come out as it does alone
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((b, n, dim)) \
+        + 1j * rng.standard_normal((b, n, dim))
+    rows /= np.linalg.norm(rows, axis=(1, 2), keepdims=True)
+    _, _, four, rho_d, rho_out = _fig1_rows(rows, tau)
+    fours = dsl._reduced(four, range(4))
+    reg = Register((SlotId("1", tau),), (dim,))
+    for i in range(b):
+        _, _, one_four, one_d, one_out = _fig1_rows(rows[i:i + 1], tau)
+        rho = DensityOperator(reg, rows[i].T @ rows[i].conj())
+        _, want_d, closed, want_out = displaced_cnot_density_oracle(rho, tau)
+        for got, alone, want in (
+                (rho_d[i], one_d[0], want_d.matrix),
+                (rho_out[i], one_out[0], want_out.matrix),
+                (fours[i], dsl._reduced(one_four, range(4))[0],
+                 closed.matrix)):
+            np.testing.assert_allclose(got, alone, atol=TOL)
+            np.testing.assert_allclose(got, want, atol=TOL)
 
 
 @pytest.mark.parametrize("mode", list(CorrelationMode))
@@ -118,12 +160,6 @@ def test_input_with_roundoff_eigenvalue_runs_in_both_modes(mode):
     rep = run_fig1(rho, policy=mode)
     np.testing.assert_allclose(rep.rho_out.matrix, np.diag([1.0, 0.0]),
                                atol=TOL)
-
-
-def test_psd_projection_leaves_full_rank_inputs_untouched(rng):
-    reg = Register((SlotId("1", 0),), (3,))
-    rho = random_density(rng, reg)
-    assert _psd_part(rho) is rho.matrix
 
 
 @PROPERTY_SETTINGS

@@ -24,6 +24,7 @@ from tdesim import (
     qubit_state,
     run_entropy_study,
     run_fig1,
+    run_no_signaling,
     run_proper_vs_improper,
     run_sweep,
     tensor,
@@ -37,7 +38,7 @@ from tdesim.registers import (
     density_rows,
     per_dimension,
 )
-from tdesim.scenarios import ROW_BLOCK, displaced_cnot_rows
+from tdesim.scenarios import ROW_BLOCK, _densities
 
 from conftest import (
     displaced_cnot_oracle,
@@ -176,9 +177,8 @@ def test_stack_with_one_invalid_row_raises(kind):
 
 
 def test_unnormalized_circuit_row_is_rejected():
-    rows = displaced_cnot_rows([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]], 1)
     with pytest.raises(InvariantViolationError, match=r"^row \(2,\): trace"):
-        rows.densities()
+        _densities([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]], 1)
 
 
 def test_validator_returns_the_spectrum_entropy_uses(rng):
@@ -358,3 +358,21 @@ def test_fig1_validates_once_per_dimension(monkeypatch):
         sizes.clear()
         run_fig1(rho, policy=mode)
         assert sorted(sizes) == [2, 4, 16]
+
+
+@pytest.mark.parametrize("basis", ("computational", "diagonal"))
+def test_no_signaling_validates_only_its_outputs(monkeypatch, basis):
+    # Bob's inputs are rows, never densities: one check of the joined
+    # qubit outputs and one for the trace norms
+    sizes = _eigvalsh_sizes(monkeypatch)
+    run_no_signaling(basis, tau=2)
+    assert sizes == [2, 2]
+
+
+def test_propriety_validates_only_its_two_outputs(monkeypatch):
+    ensemble = [(0.3, qubit_state("1", 0, 1.0, 0.0)),
+                (0.7, qubit_state("1", 0, 0.6, 0.8))]
+    sizes = _eigvalsh_sizes(monkeypatch)
+    # the two outputs in one check, then their trace distance
+    run_proper_vs_improper(ensemble)
+    assert sizes == [2, 2]
