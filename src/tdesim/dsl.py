@@ -455,6 +455,9 @@ def _static_check(directives) -> CircuitPlan:
             run = None
             perm = perm.reshape(-1)
             phase = None if phase is None else phase.reshape(-1)
+            for array in (perm, phase):
+                if array is not None:  # cached plans share their steps
+                    array.flags.writeable = False
             held += perm.nbytes + (0 if phase is None else phase.nbytes)
             step("gather", first, phase, perm=perm)
 
@@ -588,7 +591,9 @@ def _qubit_vector(a0: complex, a1: complex, line: int) -> np.ndarray:
         _fail(line, "state has zero norm")
     a0, a1 = a0 / scale, a1 / scale
     norm = math.hypot(abs(a0), abs(a1))
-    return np.array([a0 / norm, a1 / norm])
+    vector = np.array([a0 / norm, a1 / norm])
+    vector.flags.writeable = False  # a cached plan's prepare step holds it
+    return vector
 
 
 def _fmt_amp(c: complex) -> str:
@@ -745,8 +750,6 @@ def _reduced(rows: np.ndarray, keep) -> np.ndarray:
     the register axes in keep (ascending), as a (B, d_keep, d_keep)
     stack, not validated."""
     f = _factor(rows, keep)
-    if f.shape[-1] == 1:  # one column: an outer product, no matmul
-        return f * f.conj().swapaxes(-1, -2)
     return f @ f.conj().swapaxes(-1, -2)
 
 

@@ -263,8 +263,9 @@ def _fig1_reports(rows, tau: int, site: str = "1", inp=None,
 
     inp is the input operator when the rows factor a DensityOperator,
     which was validated when built; its entropy comes from its stored
-    spectrum.  Otherwise each state is one pure row, which is its input.
-    A state of one row keeps its four-slot state as amplitudes.  Every
+    spectrum, and its four-slot state is a density however few rows it
+    factors into.  Otherwise each state is one pure row, which is its
+    input, and keeps its four-slot state as amplitudes.  Every
     density the reports return (input, rho_s, rho_d, rho_out and a mixed
     four-slot state) is validated here, in one density_columns pass over
     all of them: one check and one eigvalsh per dimension.  The
@@ -273,7 +274,7 @@ def _fig1_reports(rows, tau: int, site: str = "1", inp=None,
     """
     tau = _check_tau(tau)
     c, pair, four, rho_d, rho_out = _fig1_rows(rows, tau, site)
-    mixed = four.shape[1] > 1 or weights is not None
+    mixed = inp is not None
     parts = [_reduced(pair, (0, 1)), rho_d, rho_out]
     if mixed:
         parts.append(_reduced(four, range(4)))

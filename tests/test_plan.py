@@ -65,7 +65,10 @@ def test_plan_cnots_are_the_dense_gates(dim, tau):
         dense = np.array([dense_gate_oracle(e, dims, cnot, pos)
                           for e in basis]).T
         assert step.operand is None
+        assert not step.perm.flags.writeable
         np.testing.assert_array_equal(basis[step.perm], dense)
+    assert not any(s.operand.flags.writeable for s in circuit.plan.steps
+                   if s.kind == "prepare")
     assert _fig1_circuit(dim, tau, "1") is circuit
 
 
@@ -160,6 +163,20 @@ def test_input_with_roundoff_eigenvalue_runs_in_both_modes(mode):
     rep = run_fig1(rho, policy=mode)
     np.testing.assert_allclose(rep.rho_out.matrix, np.diag([1.0, 0.0]),
                                atol=TOL)
+
+
+@pytest.mark.parametrize("mode", list(CorrelationMode))
+def test_density_input_reports_a_density_four_slot_state(mode):
+    # a rank-1 density factors into one row, yet its report stays a
+    # density report, as in both modes for any other density input
+    reg = Register((SlotId("1", 0),), (2,))
+    psi = PureState(reg, np.array([0.6, 0.8j]))
+    for rho in (to_density(psi),
+                DensityOperator(reg, np.diag([1.0 + 5e-11, -5e-11]))):
+        rep = run_fig1(rho, policy=mode)
+        assert isinstance(rep.four_slot_state, DensityOperator)
+        np.testing.assert_allclose(np.trace(rep.four_slot_state.matrix),
+                                   1.0, atol=TOL)
 
 
 @PROPERTY_SETTINGS
