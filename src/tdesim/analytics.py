@@ -139,7 +139,8 @@ def fig2_curves(grid: Sequence[float], tau: int = 1,
 
     D_out is produced by the full register simulation and cross-checked
     against its closed form 4 (beta^2 - beta^4); disagreement beyond the
-    tolerance raises.
+    tolerance raises.  Only the input and output densities are read off
+    the circuit, both qubits, so each block of the grid costs one check.
     """
     from .scenarios import _densities, grid_inputs, row_blocks
 
@@ -148,11 +149,13 @@ def fig2_curves(grid: Sequence[float], tau: int = 1,
     amps = np.concatenate([[[1.0, 0.0]], amps])
     d_in, d_out = [], []
     for block in row_blocks(len(amps)):
-        dens = _densities(amps[block], tau)
+        ro, stacks = _densities(amps[block], tau, ("input", "rho_out"))
+        ro.check(stacks)
+        inputs, outputs = ro.columns(stacks)
         if block.start == 0:
-            ref_in, ref_out = dens["input"][0], dens["rho_out"][0]
-        d_in.append(_trace_norms(dens["input"] - ref_in))
-        d_out.append(_trace_norms(dens["rho_out"] - ref_out))
+            ref_in, ref_out = inputs[0], outputs[0]
+        d_in.append(_trace_norms(inputs - ref_in))
+        d_out.append(_trace_norms(outputs - ref_out))
     d_in = np.concatenate(d_in)[1:]
     d_out = np.concatenate(d_out)[1:]
 

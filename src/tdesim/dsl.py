@@ -745,14 +745,6 @@ def _factor(rows: np.ndarray, keep) -> np.ndarray:
     return t.reshape(len(t), math.prod(t.shape[1:len(lead) + 1]), -1)
 
 
-def _reduced(rows: np.ndarray, keep) -> np.ndarray:
-    """The reduced state of each state of rows shaped (B, N, *dims) over
-    the register axes in keep (ascending), as a (B, d_keep, d_keep)
-    stack, not validated."""
-    f = _factor(rows, keep)
-    return f @ f.conj().swapaxes(-1, -2)
-
-
 def _discard_rows(rows: np.ndarray, axes) -> np.ndarray:
     """Rows of each state with the register axes in axes traced out, at
     most as many as the kept dimension."""

@@ -303,89 +303,6 @@ def _reject(m, lowest=None):
     raise InvariantViolationError(where + what)
 
 
-def per_dimension(fn, stacks: Sequence[np.ndarray]) -> list:
-    """fn run once per dimension over the rows of several stacks.
-
-    stacks have a leading row axis and their dimension d last, as (N, d,
-    d) densities or (N, d) spectra do.  The stacks of each d are joined
-    in order (a lone one is passed as it is) and fn maps the joined (M,
-    ...) array to M rows; each stack gets its own rows of the result.
-    """
-    groups = {}
-    for i, m in enumerate(stacks):
-        groups.setdefault(m.shape[-1], []).append(i)
-    out = [None] * len(stacks)
-    for members in groups.values():
-        joined = (stacks[members[0]] if len(members) == 1
-                  else np.concatenate([stacks[i] for i in members]))
-        rows = fn(joined)
-        start = 0
-        for i in members:
-            stop = start + len(stacks[i])
-            out[i] = rows[start:stop]
-            start = stop
-    return out
-
-
-def check_columns(stacks: Sequence[np.ndarray]) -> list:
-    """check_densities on the columns of one report at once, returning
-    each column's (N, d) eigenvalues, ascending per row.
-
-    stacks are (N, d, d) density stacks, N and d free per stack.  The
-    stacks of one dimension are joined and get check_densities' tests
-    unchanged (hermiticity and unit trace to ATOL, no eigenvalue below
-    PSD_FLOOR) in one pass, so a report costs one pass and one eigvalsh
-    per dimension.  If a row fails, the stacks are checked alone in
-    order and the first that fails raises as check_densities on it
-    would, naming the row by its index within that stack.
-    """
-    def check(joined):
-        try:
-            return check_densities(joined)
-        except InvariantViolationError:
-            for m in stacks:
-                check_densities(m)
-            raise
-    return per_dimension(check, stacks)
-
-
-def density_columns(columns) -> list:
-    """The columns of one report, each a (register, (N, d, d) stack)
-    pair, as DensityOperators validated together by check_columns: one
-    pass and one eigvalsh per dimension.
-
-    Returns one (operators, eigenvalues) pair per column: its
-    DensityOperators, one per row and each keeping its row's spectrum,
-    and those spectra as one (N, d) array.
-    """
-    registers, stacks = [], []
-    for register, matrices in columns:
-        m = np.asarray(matrices, dtype=complex)
-        if m.ndim != 3 or m.shape[1:] != (register.dim, register.dim):
-            raise ValueError(
-                f"expected a stack of {register.dim}x{register.dim} "
-                f"matrices, got {m.shape}"
-            )
-        registers.append(register)
-        stacks.append(m)
-    return [
-        ([_validated(register, row, row_vals)
-          for row, row_vals in zip(m.copy(), vals)], vals)
-        for register, m, vals
-        in zip(registers, stacks, check_columns(stacks))
-    ]
-
-
-def density_rows(register: Register, matrices) -> list:
-    """One DensityOperator per row of an (N, d, d) stack on one register:
-    density_columns on that one column.
-
-    The stack is validated in one pass, with exactly the checks a single
-    construction makes, and each operator keeps its row's eigenvalues.
-    """
-    return density_columns([(register, matrices)])[0][0]
-
-
 def _validated(register: Register, matrix: np.ndarray,
                eigenvalues: np.ndarray) -> DensityOperator:
     """A DensityOperator around a matrix check_densities has already

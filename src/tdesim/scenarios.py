@@ -8,10 +8,17 @@ circuit is written as a directive tuple, compiled by dsl._static_check
 once per input dimension, dilation and site, and run by the dsl's own
 executor (dsl._run_steps) on rows shaped (B, N, *dims): B states, each
 the sum of the projectors of its N purification rows.  The scenario's
-input rows take the place of the circuit's input prepares, and the
-states a report carries are read between slices of the plan's steps.
-The runners return report objects carrying the exact intermediate
-states so tests and the command line can interrogate any step.
+input rows take the place of the circuit's input prepares.
+
+A report's densities come from the circuit's read-out (_Readout),
+compiled with it once per row count N.  A call runs the plan's step
+slices, taps the rows they leave and concatenates them once per state.
+Then, for each dimension, one gather builds the factor F of every
+density of that dimension the report returns, one batched product
+gives F F^H, and one check_densities pass validates the stack; the
+report's DensityOperators are read-only views of its rows.  The runners
+return report objects carrying the exact intermediate states so tests
+and the command line can interrogate any step.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -30,13 +38,11 @@ from .registers import (
     Register,
     SlotId,
     State,
+    _validated,
     bell_phi_plus,
-    check_columns,
-    density_columns,
-    density_rows,
+    check_densities,
     density_to_json,
     on_register,
-    per_dimension,
     qubit_state,
 )
 from .dynamics import (
@@ -58,7 +64,7 @@ from .dsl import (
     Dilate,
     Output,
     Prepare,
-    _reduced,
+    _factor,
     _run_steps,
     _static_check,
 )
@@ -68,17 +74,15 @@ from .dsl import (
 ROW_BLOCK = 256
 
 
-def _normalize_input(state, tau: int, site: Optional[str]) -> State:
-    """Pin the input onto a single slot at the preparation cycle tau."""
-    if isinstance(state, QubitDensity):
-        return state.to_density(site or "1", tau)
-    if isinstance(state, (PureState, DensityOperator)):
-        reg = state.register
-        if len(reg.slots) != 1:
-            raise ValueError("circuit input must occupy a single slot")
-        slot = SlotId(site or reg.slots[0].site, tau)
-        return on_register(state, Register((slot,), reg.dims))
-    raise ValueError(f"unsupported circuit input: {type(state).__name__}")
+def _input_site(state, site: Optional[str]) -> str:
+    """The site a single-slot circuit input runs on: site if given,
+    else its own."""
+    if not isinstance(state, (PureState, DensityOperator)):
+        raise ValueError(f"unsupported circuit input: {type(state).__name__}")
+    slots = state.register.slots
+    if len(slots) != 1:
+        raise ValueError("circuit input must occupy a single slot")
+    return site or slots[0].site
 
 
 def _check_tau(tau) -> int:
@@ -158,76 +162,156 @@ def _displaced_cnot(dim: int, tau: int, site: str) -> tuple:
             Cnot(site, anc, 0), Dilate(site, tau), Cnot(site, anc, tau))
 
 
-class _Fig1(NamedTuple):
-    """The displaced-CNOT circuit compiled for one input dimension,
-    dilation and input site, with what its reports read off it.
+class _Circuit(NamedTuple):
+    """A scenario circuit compiled, with what its reports read off it.
 
-    The step at index expand is the expansion: the steps before it
-    build the pair, the steps after it close the circuit.  plan.register
-    is the four-slot register of the pair's two displaced copies and
-    plan.output_register the ancilla at cycle tau.  The input and the
-    pair are reported on cycle tau, the input's preparation cycle, and
-    rho_d keeps the four-slot positions read_pos, the slots at tau.
+    A scenario's rows, shaped (B, N, *in_dims), take the place of the
+    plan's input prepares, and segments are the step slices that follow
+    them.  The rows and the rows each segment leaves are the circuit's
+    taps, numbered from 0.  columns maps the name of each density a
+    report can return to (register, tap, keep): its register, and the
+    axes of that tap's register it keeps, ascending.
     """
 
     plan: CircuitPlan
-    expand: int
-    input_register: Register
-    pair_register: Register
-    readout_register: Register
-    read_pos: tuple
+    in_dims: tuple
+    segments: tuple
+    columns: Mapping
 
 
 @functools.lru_cache(maxsize=64)
-def _fig1_circuit(dim: int, tau: int, site: str) -> _Fig1:
-    """The _Fig1 of a dim-level input on site dilated by tau, compiled
-    once and shared."""
+def _fig1_circuit(dim: int, tau: int, site: str) -> _Circuit:
+    """The displaced-CNOT circuit of a dim-level input on site dilated by
+    tau, compiled once and shared.
+
+    Its taps are the input rows, the pair after the opening CNOT, and
+    the four-slot rows after the expansion and after the closing CNOT.
+    plan.register is the four-slot register of the pair's two displaced
+    copies and plan.output_register the ancilla at cycle tau.  The input
+    and the pair are reported on cycle tau, the input's preparation
+    cycle, rho_d keeps the four-slot slots at tau and "four" is the whole
+    closed state.
+    """
     anc = _ancilla(site)
     plan = _static_check(_displaced_cnot(dim, tau, site)
                          + (Output(anc, tau),))
-    four = plan.register
+    steps, four = plan.steps, plan.register
+    e = [step.kind for step in steps].index("expand")
     read_pos = tuple(i for i, s in enumerate(four.slots) if s.cycle == tau)
-    return _Fig1(
-        plan, [step.kind for step in plan.steps].index("expand"),
-        Register(((site, tau),), (dim,)),
-        Register(((site, tau), (anc, tau)), (dim, 2)),
-        Register(tuple(four.slots[p] for p in read_pos),
-                 tuple(four.dims[p] for p in read_pos)),
-        read_pos)
+    readout = Register(tuple(four.slots[p] for p in read_pos),
+                       tuple(four.dims[p] for p in read_pos))
+    segments = (steps[1:e], steps[e:e + 1], steps[e + 1:])
+    return _Circuit(plan, (dim,), segments, MappingProxyType({
+        "input": (Register(((site, tau),), (dim,)), 0, (0,)),
+        "rho_s": (Register(((site, tau), (anc, tau)), (dim, 2)), 1, (0, 1)),
+        "rho_d": (readout, 2, read_pos),
+        "rho_out": (plan.output_register, 3, steps[-1].axes),
+        "four": (four, 3, tuple(range(len(four.slots)))),
+    }))
 
 
-def _fig1_rows(rows, tau: int, site: str = "1") -> tuple:
-    """The displaced-CNOT circuit on B states of N purification rows
-    each, rows shaped (B, N, d) with d = 2 or 3, on the slot (site, tau).
+class _Readout(NamedTuple):
+    """A circuit's read-out, compiled for states of N rows and a report's
+    columns.
 
-    Returns (circuit, pair, four, rho_d, rho_out): the _Fig1 it ran, the
-    pair's rows after the opening CNOT, the four-slot rows after the
-    closing CNOT (N**2 per state), and each state's (B, ., .) readout at
-    cycle tau and ancilla output, not validated.
+    products concatenates each state's taps into one source row and
+    appends a zero.  gathers holds one read-only (K, d, M) index array
+    per dimension d, in the order of each dimension's first column: it
+    gathers from the source the factor F of each of the K columns of
+    dimension d, in dsl._factor's column order, padded with the zero to M
+    columns.  where[j] is the (dimension group, position) of column j
+    and registers[j] its register; register is the circuit's final one.
     """
-    tau = _check_tau(tau)
-    rows = np.asarray(rows, dtype=complex)
-    circuit = _fig1_circuit(rows.shape[-1], tau, site)
-    steps, e = circuit.plan.steps, circuit.expand
-    pair = _run_steps(steps[1:e], rows)
-    four = _run_steps(steps[e:e + 1], pair)
-    rho_d = _reduced(four, circuit.read_pos)
-    four = _run_steps(steps[e + 1:], four)
-    return circuit, pair, four, rho_d, _reduced(four, steps[-1].axes)
+
+    segments: tuple
+    gathers: tuple
+    where: tuple
+    registers: tuple
+    register: Register
+
+    def products(self, rows: np.ndarray) -> tuple:
+        """Run the circuit on rows shaped (B, N, *in_dims).  Returns the
+        rows its last segment leaves and, per dimension group, the
+        (B, K, d, d) stack of F F^H, not validated."""
+        b = len(rows)
+        taps = [rows.reshape(b, -1)]
+        for segment in self.segments:
+            rows = _run_steps(segment, rows)
+            taps.append(rows.reshape(b, -1))
+        taps.append(np.zeros((b, 1), dtype=complex))
+        source = np.concatenate(taps, axis=1)
+        stacks = []
+        for gather in self.gathers:
+            f = source.take(gather, axis=1)
+            stacks.append(f @ f.conj().swapaxes(-1, -2))
+        return rows, stacks
+
+    def columns(self, groups: list) -> list:
+        """Each column's (B, ...) slice of per-group arrays shaped
+        (B, K, ...), in column order."""
+        return [groups[g][:, k] for g, k in self.where]
+
+    def check(self, stacks: list) -> list:
+        """check_densities on each group's stack, unchanged: hermiticity
+        and unit trace to ATOL, no eigenvalue below PSD_FLOOR, one
+        eigvalsh.  Returns the (B, K, d) spectra, ascending per row.  If
+        a row fails, the columns are checked alone in order and the first
+        that fails raises as check_densities on it would, naming the row
+        by its index within that column."""
+        try:
+            return [check_densities(stack) for stack in stacks]
+        except InvariantViolationError:
+            for column in self.columns(stacks):
+                check_densities(column)
+            raise
+
+    def densities(self, stacks: list, spectra: list) -> list:
+        """Freeze checked stacks and their spectra; returns each column's
+        B DensityOperators, read-only views of the stacks' rows."""
+        for array in stacks + spectra:
+            array.flags.writeable = False
+        return [[_validated(reg, m, vals) for m, vals
+                 in zip(stacks[g][:, k], spectra[g][:, k])]
+                for reg, (g, k) in zip(self.registers, self.where)]
 
 
-def _densities(amplitudes, tau: int, site: str = "1") -> dict:
-    """The input, rho_s, rho_d and rho_out density matrix of the circuit
-    on each pure input of an (N, d) amplitude stack, as (N, d, d) stacks
-    by name, checked together by check_columns: one pass per
-    dimension."""
+@functools.lru_cache(maxsize=256)
+def _readout(compile_circuit, key: tuple, n: int, names: tuple) -> _Readout:
+    """The read-out of compile_circuit(*key) for states of n rows and the
+    named columns, built once from the shapes of its taps."""
+    circuit = compile_circuit(*key)
+    rows = np.zeros((1, n) + circuit.in_dims, dtype=complex)
+    shapes = [rows.shape]
+    for segment in circuit.segments:
+        rows = _run_steps(segment, rows)
+        shapes.append(rows.shape)
+    starts = np.cumsum([0] + [math.prod(shape) for shape in shapes])
+    groups = {}
+    for j, name in enumerate(names):
+        reg, tap, keep = circuit.columns[name]
+        index = np.arange(starts[tap], starts[tap + 1]).reshape(shapes[tap])
+        groups.setdefault(reg.dim, []).append((j, _factor(index, keep)[0]))
+    gathers, where = [], [None] * len(names)
+    for g, (d, members) in enumerate(groups.items()):
+        width = max(f.shape[1] for _, f in members)
+        gather = np.full((len(members), d, width), starts[-1])
+        for k, (j, f) in enumerate(members):
+            gather[k, :, :f.shape[1]] = f
+            where[j] = (g, k)
+        gather.flags.writeable = False
+        gathers.append(gather)
+    return _Readout(circuit.segments, tuple(gathers), tuple(where),
+                    tuple(circuit.columns[name][0] for name in names),
+                    circuit.plan.register)
+
+
+def _densities(amplitudes, tau: int, names: tuple) -> tuple:
+    """The displaced-CNOT circuit on each pure input of an (N, d)
+    amplitude stack on site "1": its read-out for the named columns and
+    their stacks, one per dimension, not validated."""
     amps = np.asarray(amplitudes, dtype=complex)
-    _, pair, _, rho_d, rho_out = _fig1_rows(amps[:, None], tau, site)
-    out = {"input": _reduced(amps[:, None], (0,)),
-           "rho_s": _reduced(pair, (0, 1)),
-           "rho_d": rho_d, "rho_out": rho_out}
-    check_columns(list(out.values()))
-    return out
+    ro = _readout(_fig1_circuit, (amps.shape[1], tau, "1"), 1, names)
+    return ro, ro.products(amps[:, None])[1]
 
 
 @dataclass
@@ -253,55 +337,48 @@ class CircuitReport:
 
 
 _ENTROPY_KEYS = ("input", "rho_s", "rho_d", "rho_out")
+_PURE_COLUMNS = _ENTROPY_KEYS
+_MIXED_COLUMNS = ("rho_s", "rho_d", "rho_out", "four")
 
 
 def _fig1_reports(rows, tau: int, site: str = "1", inp=None,
                   weights=None) -> list:
     """One CircuitReport per state of rows, shaped (B, N, d), from one
-    pass of the circuit (_fig1_rows); with weights, one report of the B
-    states mixed by them.
+    pass of the circuit's read-out; with weights, one report of the B
+    states' densities mixed by them.
 
     inp is the input operator when the rows factor a DensityOperator,
     which was validated when built; its entropy comes from its stored
     spectrum, and its four-slot state is a density however few rows it
     factors into.  Otherwise each state is one pure row, which is its
-    input, and keeps its four-slot state as amplitudes.  Every
-    density the reports return (input, rho_s, rho_d, rho_out and a mixed
-    four-slot state) is validated here, in one density_columns pass over
-    all of them: one check and one eigvalsh per dimension.  The
-    entropies come from the spectra that check computed, one
+    input, and keeps its four-slot state as amplitudes.  Every density
+    the reports return is validated by the read-out's one check per
+    dimension, and the entropies come from the spectra it computed, one
     _entropy_bits call per dimension.
     """
-    tau = _check_tau(tau)
-    c, pair, four, rho_d, rho_out = _fig1_rows(rows, tau, site)
-    mixed = inp is not None
-    parts = [_reduced(pair, (0, 1)), rho_d, rho_out]
-    if mixed:
-        parts.append(_reduced(four, range(4)))
+    names = _PURE_COLUMNS if inp is None else _MIXED_COLUMNS
+    ro = _readout(_fig1_circuit, (rows.shape[-1], tau, site), rows.shape[1],
+                  names)
+    closed, stacks = ro.products(rows)
     if weights is not None:
-        parts = [_mix(weights, part) for part in parts]
-    columns = list(zip((c.pair_register, c.readout_register,
-                        c.plan.output_register, c.plan.register), parts))
+        stacks = [_mix(weights, stack) for stack in stacks]
+    spectra = ro.check(stacks)
+    columns = ro.densities(stacks, spectra)
+    entropies = [e.tolist() for e in
+                 ro.columns([_entropy_bits(vals) for vals in spectra])]
     if inp is None:
-        columns.insert(0, (c.input_register, _reduced(rows, (0,))))
-    checked = density_columns(columns)
-    if inp is None:
-        inputs, in_vals = checked.pop(0)
+        fours = [PureState(ro.register, f)
+                 for f in closed.reshape(len(closed), -1)]
     else:
-        inputs, in_vals = [inp], inp.eigenvalues[None]
-    (pairs, s_vals), (reads, d_vals), (outs, out_vals) = checked[:3]
-    if mixed:
-        fours = checked[3][0]
-    else:
-        fours = [PureState(c.plan.register, f)
-                 for f in four.reshape(len(four), -1)]
-    entropies = zip(*(s.tolist() for s in per_dimension(
-        _entropy_bits, [in_vals, s_vals, d_vals, out_vals])))
+        fours = columns.pop()
+        entropies.pop()
+        columns.insert(0, [inp])
+        entropies.insert(0, [float(_entropy_bits(inp.eigenvalues))])
     return [
-        CircuitReport(inp, rho_s, rho_d, rho_out, four,
+        CircuitReport(i, rho_s, rho_d, rho_out, four,
                       dict(zip(_ENTROPY_KEYS, ent)), tau)
-        for inp, rho_s, rho_d, rho_out, four, ent
-        in zip(inputs, pairs, reads, outs, fours, entropies)
+        for i, rho_s, rho_d, rho_out, four, *ent
+        in zip(*columns, fours, *entropies)
     ]
 
 
@@ -314,27 +391,33 @@ def run_fig1(state, tau: int = 1, input_site: Optional[str] = None,
     four slots; reading out at the preparation cycle gives rho_d, and the
     closing CNOT plus partial trace give the channel output on the ancilla.
 
-    The input runs through the compiled circuit (_fig1_rows) as rows.  A
-    pure input is one state of one row and never consults the policy.  A
-    mixed input is expanded per `policy`, uncorrelated copies by default:
-    it is one state whose rows are sqrt(w) v over its spectral
-    decomposition, so the expansion's N**2 rows purify rho (x) rho and
-    the four-slot state is a density.  Under COHERENT_HISTORY its
-    spectral branches run as states of one row each and are mixed
-    afterwards.  Eigenvalues up to 1e-12 are dropped as roundoff in both
-    modes (dynamics._spectral_rows).  A mixed input with no correlation
-    mode raises ValueError.
+    The input runs through the compiled circuit as rows, and the report's
+    densities come from its read-out: one gather, one product and one
+    check per dimension.  A pure input is one state of one row, its
+    amplitudes used as they are on the compiled input register, and
+    never consults the policy.  A mixed input is expanded per `policy`,
+    uncorrelated copies by default: it is one state whose rows are
+    sqrt(w) v over its spectral decomposition, so the expansion's N**2
+    rows purify rho (x) rho and the four-slot state is a density.  Under
+    COHERENT_HISTORY its spectral branches run as states of one row each
+    and their densities are mixed before the check.  Eigenvalues up to
+    1e-12 are dropped as roundoff in both modes
+    (dynamics._spectral_rows).  A mixed input with no correlation mode
+    raises ValueError.
     """
     tau = _check_tau(tau)
-    inp = _normalize_input(state, tau, input_site)
-    site = inp.register.slots[0].site
-    if isinstance(inp, PureState):
-        return _fig1_reports(inp.amplitudes[None, None], tau, site)[0]
+    if isinstance(state, QubitDensity):
+        state = state.to_density(input_site or "1", tau)
+    site = _input_site(state, input_site)
+    if isinstance(state, PureState):
+        return _fig1_reports(state.amplitudes[None, None], tau, site)[0]
     mode = _as_mode(policy)
     if mode is None:
         raise ValueError(
             "expanding a mixed state needs an explicit correlation mode"
         )
+    inp = on_register(state, _fig1_circuit(state.dim, tau, site)
+                      .columns["input"][0])
     if mode is CorrelationMode.UNCORRELATED_COPIES:
         return _fig1_reports(_factored(inp), tau, site, inp)[0]
     weights, vectors = _spectral_rows(inp.matrix)
@@ -374,16 +457,21 @@ class ReverseReport:
 
 
 @functools.lru_cache(maxsize=64)
-def _reversal(dim: int, tau: int, site: str) -> CircuitPlan:
+def _reversal(dim: int, tau: int, site: str) -> _Circuit:
     """The displaced-CNOT circuit and its reversal, compiled: after the
     closing CNOT the ancilla site is dilated by tau, which realigns it
     with both copies of the input site, and the CNOTs at cycles tau and 2
     tau are undone; the input comes back on (site, 2 tau).  The three
-    CNOTs fuse into one gather."""
+    CNOTs fuse into one gather.  Its taps are the input rows and the
+    final rows, whose output slot is the recovered input."""
     anc = _ancilla(site)
-    return _static_check(_displaced_cnot(dim, tau, site) + (
+    plan = _static_check(_displaced_cnot(dim, tau, site) + (
         Dilate(anc, tau), Cnot(site, anc, tau), Cnot(site, anc, 2 * tau),
         Output(site, 2 * tau)))
+    return _Circuit(plan, (dim,), (plan.steps[1:],), MappingProxyType({
+        "input": (Register(((site, tau),), (dim,)), 0, (0,)),
+        "recovered": (plan.output_register, 1, plan.steps[-1].axes),
+    }))
 
 
 def reverse_reports(amplitudes, tau: int, site: str = "1") -> list:
@@ -391,18 +479,17 @@ def reverse_reports(amplitudes, tau: int, site: str = "1") -> list:
     (site, tau), from one pass of the circuit and of its reversal."""
     tau = _check_tau(tau)
     v = np.asarray(amplitudes, dtype=complex)
-    plan = _reversal(v.shape[1], tau, site)
-    final = _run_steps(plan.steps[1:], v[:, None])
-    recovered = _reduced(final, plan.steps[-1].axes)
-    fids = np.einsum("ni,nij,nj->n", v.conj(), recovered, v).real
-    in_reg = Register(((site, tau),), (v.shape[1],))
-    out_reg = plan.output_register
+    key = (v.shape[1], tau, site)
+    ro = _readout(_reversal, key, 1, ("recovered",))
+    final, stacks = ro.products(v[:, None])
+    (recovered,) = ro.densities(stacks, ro.check(stacks))
+    fids = np.einsum("ni,nij,nj->n", v.conj(), stacks[0][:, 0], v).real
+    in_reg = _reversal(*key).columns["input"][0]
     return [
-        ReverseReport(PureState(in_reg, psi), rho, out_reg.slots[0],
-                      float(fid), PureState(plan.register, f), tau)
-        for psi, rho, fid, f in zip(
-            v, density_rows(out_reg, recovered), fids,
-            final.reshape(len(final), -1))
+        ReverseReport(PureState(in_reg, psi), rho, rho.register.slots[0],
+                      float(fid), PureState(ro.register, f), tau)
+        for psi, rho, fid, f in zip(v, recovered, fids,
+                                    final.reshape(len(final), -1))
     ]
 
 
@@ -414,19 +501,20 @@ def run_reverse(state: PureState, tau: int = 1,
     which realigns it with both copies of the input site; undoing the
     CNOTs at both cycles then frees the input state on the forward copy,
     the input site at cycle 2 tau.  The whole history stays pure, so
-    recovery is exact.  The input runs as one pure row of the compiled
-    circuit and its reversal (_reversal), in one pass.
+    recovery is exact.  The input's amplitudes run as they are, one row
+    of the compiled circuit and its reversal (_reversal), in one pass,
+    and the recovered state is the read-out's one density, checked with
+    one eigvalsh.
     """
     if not isinstance(state, PureState):
         raise ValueError("reversal is defined for pure inputs")
     tau = _check_tau(tau)
-    inp = _normalize_input(state, tau, input_site)
-    return reverse_reports(inp.amplitudes[None], tau,
-                           inp.register.slots[0].site)[0]
+    site = _input_site(state, input_site)
+    return reverse_reports(state.amplitudes[None], tau, site)[0]
 
 
 @functools.lru_cache(maxsize=64)
-def _box(reg: Register, ancilla_site: str) -> CircuitPlan:
+def _box(reg: Register, ancilla_site: str) -> _Circuit:
     """The displaced box compiled for a two-cycle input register.
 
     The input slots at the early and late cycle c0 < c1 become the
@@ -443,16 +531,12 @@ def _box(reg: Register, ancilla_site: str) -> CircuitPlan:
     inputs = tuple(_placeholder(names[s.cycle], s.cycle, d)
                    for s, d in zip(reg.slots, reg.dims))
     a = ancilla_site
-    return _static_check(inputs + (
+    plan = _static_check(inputs + (
         Prepare(a, c0, "qubit", 1), Prepare(a, c1, "qubit", 1),
         Cnot(early, a, c0), Cnot(late, a, c1), Dilate(early, c1 - c0),
         Cnot(early, a, c1), Output(a, c1)))
-
-
-def _box_outputs(plan: CircuitPlan, rows: np.ndarray) -> np.ndarray:
-    """The box's output for each state of rows shaped (B, N, *dims) on
-    its input register, as a (B, 2, 2) stack, not validated."""
-    return _reduced(_run_steps(plan.steps[2:], rows), plan.steps[-1].axes)
+    return _Circuit(plan, reg.dims, (plan.steps[2:],), MappingProxyType({
+        "output": (plan.output_register, 1, plan.steps[-1].axes)}))
 
 
 def run_displaced_backend(state: State, data_site: str,
@@ -478,12 +562,13 @@ def run_displaced_backend(state: State, data_site: str,
         )
     if ancilla_site == data_site:
         raise ValueError("ancilla site must differ from the data site")
-    plan = _box(reg, ancilla_site)
     if isinstance(state, PureState):
         rows = state.amplitudes.reshape((1, 1) + reg.dims)
     else:
         rows = _factored(state)
-    return density_rows(plan.output_register, _box_outputs(plan, rows))[0]
+    ro = _readout(_box, (reg, ancilla_site), rows.shape[1], ("output",))
+    _, stacks = ro.products(rows)
+    return ro.densities(stacks, ro.check(stacks))[0][0]
 
 
 @dataclass
@@ -550,22 +635,18 @@ def run_no_signaling(basis: str, tau: int = 1) -> NoSignalReport:
     rows = np.concatenate([measured / np.sqrt(probs)[:, None, None, None,
                                                         None],
                            shared[None]]).reshape(3, 4, 2, 2)
-    plan = _box(Register((SlotId("b", 0), SlotId("b", tau)), (2, 2)), "c")
-    out_reg = plan.output_register
-    stack = _box_outputs(plan, rows)
-    avg = _mix(probs, stack[:-1])
-    mixed_ref = np.eye(2) / 2.0
-    # Bob's outputs, their average and the I/2 reference are all qubits:
-    # one check for the three columns
-    (outs, _), ((avg,), _), _ = density_columns(
-        [(out_reg, stack), (out_reg, avg), (out_reg, mixed_ref[None])])
+    reg = Register((SlotId("b", 0), SlotId("b", tau)), (2, 2))
+    ro = _readout(_box, (reg, "c"), 4, ("output",))
+    _, (stack,) = ro.products(rows)
+    # Bob's output for each outcome, their average and the substitution
+    # output (the last row): one check for the four
+    stack = np.concatenate([stack[:-1], _mix(probs, stack[:-1]),
+                            stack[-1:]])
+    (outs,) = ro.densities([stack], ro.check([stack]))
     outcomes = [(label, p, out) for (label, _), p, out
                 in zip(_BASES[basis], probs.tolist(), outs)]
-    # deviations of each outcome's output, the average and the
-    # substitution output (the last row) from I/2
-    devs = _trace_norms(np.concatenate([stack[:-1], avg.matrix[None],
-                                        stack[-1:]]) - mixed_ref)
-    return NoSignalReport(basis, outcomes, avg, float(devs[:-1].max()),
+    devs = _trace_norms(stack[:, 0] - np.eye(2) / 2.0)
+    return NoSignalReport(basis, outcomes, outs[-2], float(devs[:-1].max()),
                           outs[-1], float(devs[-1]), tau)
 
 
@@ -615,22 +696,26 @@ def run_proper_vs_improper(ensemble: Optional[Sequence] = None,
     if len({psi.register.dims for _, psi in branches}) != 1:
         raise ValueError("ensemble branches must share one slot dimension")
 
-    site = sites.pop()
     weights = np.array([w for w, _ in renormalized(branches)])
     amps = np.array([psi.amplitudes for _, psi in branches])
+    key = (amps.shape[1], tau, sites.pop())
     # proper: each branch is a state of its own, mixed afterwards;
-    # improper: one state whose rows sqrt(w) psi purify the average
-    c, *_, proper = _fig1_rows(amps[:, None], tau, site)
-    *_, improper = _fig1_rows((np.sqrt(weights)[:, None] * amps)[None],
-                              tau, site)
-    out_reg = c.plan.output_register
+    # improper: one state whose rows sqrt(w) psi purify the average,
+    # folded by a QR factorization to at most d rows (R^H R = r^H r, the
+    # same state), so the row count is bounded by the dimension
+    rows = np.sqrt(weights)[:, None] * amps
+    if len(rows) > rows.shape[1]:
+        rows = np.linalg.qr(rows, mode="r")
+    ro = _readout(_fig1_circuit, key, 1, ("rho_out",))
+    _, (proper,) = ro.products(amps[:, None])
+    _, (improper,) = _readout(_fig1_circuit, key, len(rows),
+                              ("rho_out",)).products(rows[None])
     # both outputs are qubits: one check for the two, and nothing else
     # the report does not return is validated
-    ((proper,), _), ((improper,), _) = density_columns(
-        [(out_reg, _mix(weights, proper)), (out_reg, improper)])
-
-    return ProprietyReport(branches, proper, improper,
-                           trace_norm_distance(proper, improper), tau)
+    stack = np.concatenate([_mix(weights, proper), improper])
+    (outs,) = ro.densities([stack], ro.check([stack]))
+    return ProprietyReport(branches, outs[0], outs[1],
+                           trace_norm_distance(*outs), tau)
 
 
 @dataclass
@@ -641,6 +726,9 @@ class EntropyStudyReport:
     tau: int
     points: list
     drop_points: list = field(default_factory=list)
+
+
+_ENTROPY_STUDY_COLUMNS = ("input", "rho_d", "rho_out")
 
 
 def run_entropy_study(p_vac: float, grid: Sequence[float],
@@ -657,6 +745,10 @@ def run_entropy_study(p_vac: float, grid: Sequence[float],
     input entropy S_in; the closing gate can then push the output entropy
     S_out back below S_rho_d.  Points where S_out drops strictly below
     S_rho_d are collected in drop_points.
+
+    The branches' input, rho_d and rho_out are read off the circuit and
+    mixed unchecked; only the mixture is validated, one check per
+    dimension per block of grid points.
     """
     p_vac = float(p_vac)
     if not 0.0 <= p_vac <= 1.0:
@@ -665,27 +757,14 @@ def run_entropy_study(p_vac: float, grid: Sequence[float],
     b2, qubits = grid_inputs(grid, dim=3)
 
     # The vacuum branch is the same at every point: one row, run once.
-    if p_vac > 0.0:
-        vacuum = _densities([[1.0, 0.0, 0.0]], tau)
-
-    def branches(block):
-        if p_vac > 0.0:
-            yield p_vac, vacuum
-        if p_vac < 1.0:
-            yield 1.0 - p_vac, _densities(qubits[block], tau)
-
+    _, vacuum = _densities([[1.0, 0.0, 0.0]], tau, _ENTROPY_STUDY_COLUMNS)
     points = []
     drops = []
     for block in row_blocks(len(b2)):
-        n = block.stop - block.start
-        mixed = None
-        for w, dens in branches(block):
-            parts = (dens["input"], dens["rho_d"], dens["rho_out"])
-            if mixed is None:
-                mixed = [np.zeros((n,) + p.shape[1:], dtype=complex)
-                         for p in parts]
-            mixed = [acc + w * p for acc, p in zip(mixed, parts)]
-        s_in, s_d, s_out = per_dimension(_entropy_bits, check_columns(mixed))
+        ro, qubit = _densities(qubits[block], tau, _ENTROPY_STUDY_COLUMNS)
+        mixed = [p_vac * v + (1.0 - p_vac) * q for v, q in zip(vacuum, qubit)]
+        s_in, s_d, s_out = ro.columns(
+            [_entropy_bits(vals) for vals in ro.check(mixed)])
         below = s_in > s_d + 1e-9
         if below.any():
             i = int(np.argmax(below))

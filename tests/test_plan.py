@@ -24,13 +24,15 @@ from tdesim import (
     run_displaced_backend,
     run_fig1,
     run_no_signaling,
+    run_proper_vs_improper,
     run_reverse,
     to_density,
 )
 from tdesim import dsl
 from tdesim.scenarios import (
+    _MIXED_COLUMNS,
     _fig1_circuit,
-    _fig1_rows,
+    _readout,
     grid_reports,
     reverse_reports,
 )
@@ -55,8 +57,7 @@ def test_plan_cnots_are_the_dense_gates(dim, tau):
     # closing one on the four-slot register
     circuit = _fig1_circuit(dim, tau, "1")
     gathers = [s for s in circuit.plan.steps if s.kind == "gather"]
-    assert [s.kind for s in circuit.plan.steps].index("expand") == \
-        circuit.expand
+    assert [s.kind for s in circuit.segments[1]] == ["expand"]
     cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]])
     for dims, step, pos in (((dim, 2), gathers[0], [0, 1]),
                             (circuit.plan.register.dims, gathers[1],
@@ -102,19 +103,14 @@ def test_density_rows_match_object_path(seed, dim, tau, site, n):
     reg = Register((SlotId(site, tau),), (dim,))
     rhos = [random_density(rng, reg) for _ in range(n)]
     rows = np.array([_factor_rows(r).T for r in rhos])
-    circuit, pair, four, rho_d, rho_out = _fig1_rows(rows, tau, site)
+    ro = _readout(_fig1_circuit, (dim, tau, site), dim, _MIXED_COLUMNS)
+    _, stacks = ro.products(rows)
     for i, rho in enumerate(rhos):
-        want_pair, want_d, closed, want_out = \
-            displaced_cnot_density_oracle(rho, tau)
-        np.testing.assert_allclose(dsl._reduced(pair, (0, 1))[i],
-                                   want_pair.matrix, atol=TOL)
-        np.testing.assert_allclose(rho_d[i], want_d.matrix, atol=TOL)
-        np.testing.assert_allclose(dsl._reduced(four, range(4))[i],
-                                   closed.matrix, atol=TOL)
-        np.testing.assert_allclose(rho_out[i], want_out.matrix, atol=TOL)
-        assert circuit.plan.register == closed.register
-        assert circuit.readout_register == want_d.register
-        assert circuit.plan.output_register == want_out.register
+        pair, rho_d, closed, rho_out = displaced_cnot_density_oracle(rho, tau)
+        for got, got_reg, want in zip(ro.columns(stacks), ro.registers,
+                                      (pair, rho_d, rho_out, closed)):
+            np.testing.assert_allclose(got[i], want.matrix, atol=TOL)
+            assert got_reg == want.register
 
     rep = run_fig1(rhos[0], tau=tau,
                    policy=CorrelationMode.UNCORRELATED_COPIES)
@@ -137,20 +133,39 @@ def test_batched_states_match_single_runs_and_the_oracle(seed, b, n, dim,
     rows = rng.standard_normal((b, n, dim)) \
         + 1j * rng.standard_normal((b, n, dim))
     rows /= np.linalg.norm(rows, axis=(1, 2), keepdims=True)
-    _, _, four, rho_d, rho_out = _fig1_rows(rows, tau)
-    fours = dsl._reduced(four, range(4))
+    ro = _readout(_fig1_circuit, (dim, tau, "1"), n, _MIXED_COLUMNS[1:])
+    _, stacks = ro.products(rows)
     reg = Register((SlotId("1", tau),), (dim,))
     for i in range(b):
-        _, _, one_four, one_d, one_out = _fig1_rows(rows[i:i + 1], tau)
+        _, one = ro.products(rows[i:i + 1])
         rho = DensityOperator(reg, rows[i].T @ rows[i].conj())
         _, want_d, closed, want_out = displaced_cnot_density_oracle(rho, tau)
-        for got, alone, want in (
-                (rho_d[i], one_d[0], want_d.matrix),
-                (rho_out[i], one_out[0], want_out.matrix),
-                (fours[i], dsl._reduced(one_four, range(4))[0],
-                 closed.matrix)):
-            np.testing.assert_allclose(got, alone, atol=TOL)
-            np.testing.assert_allclose(got, want, atol=TOL)
+        for got, alone, want in zip(ro.columns(stacks), ro.columns(one),
+                                    (want_d, want_out, closed)):
+            np.testing.assert_allclose(got[i], alone[0], atol=TOL)
+            np.testing.assert_allclose(got[i], want.matrix, atol=TOL)
+
+
+@PROPERTY_SETTINGS
+@given(SEEDS, st.sampled_from((2, 3)), st.integers(1, 3), st.integers(1, 5))
+def test_propriety_outputs_match_the_oracle(seed, dim, tau, k):
+    # an improper ensemble of more branches than the dimension is folded
+    # to d rows, which must keep the averaged state
+    rng = np.random.default_rng(seed)
+    reg = Register((SlotId("1", tau),), (dim,))
+    ensemble = list(zip(rng.dirichlet(np.ones(k)).tolist(),
+                        (random_pure(rng, reg) for _ in range(k))))
+    rep = run_proper_vs_improper(ensemble, tau=tau)
+    average = sum(w * to_density(psi).matrix for w, psi in ensemble)
+    improper = displaced_cnot_density_oracle(DensityOperator(reg, average),
+                                             tau)[3]
+    proper = sum(w * displaced_cnot_density_oracle(to_density(psi),
+                                                   tau)[3].matrix
+                 for w, psi in ensemble)
+    np.testing.assert_allclose(rep.improper_output.matrix, improper.matrix,
+                               atol=TOL)
+    np.testing.assert_allclose(rep.proper_output.matrix, proper, atol=TOL)
+    assert rep.improper_output.register == improper.register
 
 
 @pytest.mark.parametrize("mode", list(CorrelationMode))

@@ -1,7 +1,8 @@
 """Stacked sweeps: grids and ensemble branches run through the
 displaced-CNOT circuit as rows of one array, checked point by point
 against the dense oracles in conftest, plus the row validation and the
-validation of a report's columns in one pass per dimension."""
+circuit's read-out, which builds and checks a report's densities in one
+pass per dimension."""
 
 import numpy as np
 import pytest
@@ -26,24 +27,28 @@ from tdesim import (
     run_fig1,
     run_no_signaling,
     run_proper_vs_improper,
+    run_reverse,
     run_sweep,
     tensor,
     von_neumann_entropy,
 )
-from tdesim.analytics import _entropy_bits
-from tdesim.registers import (
-    check_columns,
-    check_densities,
-    density_columns,
-    density_rows,
-    per_dimension,
+from tdesim import dsl
+from tdesim.registers import check_densities
+from tdesim.scenarios import (
+    ROW_BLOCK,
+    _PURE_COLUMNS,
+    _densities,
+    _fig1_circuit,
+    _readout,
+    _reversal,
 )
-from tdesim.scenarios import ROW_BLOCK, _densities
 
 from conftest import (
+    displaced_cnot_density_oracle,
     displaced_cnot_oracle,
     entropy_oracle,
     random_density,
+    random_pure,
     trace_norm_oracle,
 )
 
@@ -170,29 +175,41 @@ def test_stack_with_one_invalid_row_raises(kind):
     stack[3] = _invalid_rows()[kind]
     with pytest.raises(InvariantViolationError, match=r"^row \(3,\): "):
         check_densities(stack)
+    # the reversal's read-out has one qubit column
+    ro = _readout(_reversal, (2, 1, "1"), 1, ("recovered",))
     with pytest.raises(InvariantViolationError, match=r"^row \(3,\): "):
-        density_rows(reg, stack)
+        ro.check([stack[:, None]])
     with pytest.raises(InvariantViolationError):
         DensityOperator(reg, stack[3])
 
 
 def test_unnormalized_circuit_row_is_rejected():
+    ro, stacks = _densities([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]], 1,
+                            _PURE_COLUMNS)
     with pytest.raises(InvariantViolationError, match=r"^row \(2,\): trace"):
-        _densities([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]], 1)
+        ro.check(stacks)
+
+
+_REPORT_FIELDS = {"input": "input_state", "rho_s": "rho_s", "rho_d": "rho_d",
+                  "rho_out": "rho_out"}
 
 
 def test_validator_returns_the_spectrum_entropy_uses(rng):
-    reg = Register((SlotId("a", 0), SlotId("b", 0)), (2, 3))
-    rhos = [random_density(rng, reg) for _ in range(4)]
-    stack = np.array([r.matrix for r in rhos])
-    vals = check_densities(stack)
-    for row, rho, built in zip(vals, rhos, density_rows(reg, stack)):
-        np.testing.assert_array_equal(rho.eigenvalues,
-                                      np.linalg.eigvalsh(rho.matrix))
-        np.testing.assert_allclose(row, rho.eigenvalues, atol=TOL)
-        np.testing.assert_array_equal(built.matrix, rho.matrix)
-        assert not built.matrix.flags.writeable
-        assert not built.eigenvalues.flags.writeable
+    # each density a report returns keeps, read-only, the spectrum its
+    # check computed, and its entropy is read off that spectrum
+    for dim in (2, 3):
+        reg = Register((SlotId("1", 0),), (dim,))
+        reports = [run_fig1(random_pure(rng, reg), tau=2)]
+        reports += [run_fig1(random_density(rng, reg), tau=2, policy=mode)
+                    for mode in CorrelationMode]
+        for rep in reports:
+            for key, name in _REPORT_FIELDS.items():
+                rho = getattr(rep, name)
+                np.testing.assert_array_equal(rho.eigenvalues,
+                                              np.linalg.eigvalsh(rho.matrix))
+                assert rep.entropies[key] == von_neumann_entropy(rho)
+                assert not rho.matrix.flags.writeable
+                assert not rho.eigenvalues.flags.writeable
 
 
 @pytest.mark.parametrize("dim", (2, 3))
@@ -241,53 +258,74 @@ def test_ensemble_weights_off_by_roundoff_are_renormalized():
         assert abs(np.trace(out.matrix) - 1.0) <= TOL
 
 
-# Registers by dimension for a report's columns: columns of one dimension
-# share a check, whatever their slots.
-_COLUMN_DIMS = ((2,), (3,), (2, 2), (2, 3))
+# Every density the displaced-CNOT read-out can return.  With a qubit
+# input the checks join input with rho_out and rho_s with rho_d; with a
+# qutrit input only rho_s and rho_d share a dimension.
+_ALL_COLUMNS = ("input", "rho_s", "rho_d", "rho_out", "four")
 
 
 @st.composite
-def report_columns(draw):
-    """1-4 (register, stack) columns of random densities, each of 1-5
-    rows and a dimension of 2, 3, 4 or 6."""
+def circuit_rows(draw):
+    """B = 1-4 states of N = 1-3 random rows, normalized per state, with a
+    dimension of 2 or 3, a dilation of 1-3 cycles and an input site."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    columns = []
-    for k in range(draw(st.integers(1, 4))):
-        dims = draw(st.sampled_from(_COLUMN_DIMS))
-        reg = Register(tuple(SlotId(f"s{k}", c) for c in range(len(dims))),
-                       dims)
-        rows = draw(st.integers(1, 5))
-        columns.append((reg, np.array([random_density(rng, reg).matrix
-                                       for _ in range(rows)])))
-    return columns
+    b, n = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    dim = draw(st.sampled_from((2, 3)))
+    rows = rng.standard_normal((b, n, dim)) \
+        + 1j * rng.standard_normal((b, n, dim))
+    rows /= np.linalg.norm(rows, axis=(1, 2), keepdims=True)
+    return rows, draw(st.integers(1, 3)), draw(st.sampled_from(("1", "2",
+                                                                "q")))
 
 
-@settings(deadline=None, max_examples=60)
-@given(report_columns())
-def test_density_columns_equal_the_per_stack_results(columns):
-    checked = density_columns(columns)
-    assert len(checked) == len(columns)
-    entropies = per_dimension(_entropy_bits, [vals for _, vals in checked])
-    for (reg, stack), (ops, vals), column_entropies in zip(
-            columns, checked, entropies):
-        alone = check_densities(stack)
-        np.testing.assert_array_equal(alone, np.linalg.eigvalsh(stack))
+def _fig1_readout(rows, tau, site, names=_ALL_COLUMNS):
+    key = (rows.shape[2], tau, site)
+    return _fig1_circuit(*key), _readout(_fig1_circuit, key, rows.shape[1],
+                                         names)
+
+
+@settings(deadline=None, max_examples=40)
+@given(circuit_rows())
+def test_readout_densities_equal_their_factors_and_the_oracle(drawn):
+    rows, tau, site = drawn
+    circuit, ro = _fig1_readout(rows, tau, site)
+    closed, stacks = ro.products(rows)
+    taps = [rows]
+    for segment in circuit.segments:
+        taps.append(dsl._run_steps(segment, taps[-1]))
+    np.testing.assert_array_equal(closed, taps[-1])
+    columns = ro.columns(stacks)
+    # each density is the product of its own factor ...
+    for name, got in zip(_ALL_COLUMNS, columns):
+        _, tap, keep = circuit.columns[name]
+        f = dsl._factor(taps[tap], keep)
+        np.testing.assert_allclose(got, f @ f.conj().swapaxes(-1, -2),
+                                   atol=TOL)
+    # ... and the object path's density of the state its rows purify
+    in_reg = circuit.columns["input"][0]
+    for i, state in enumerate(rows):
+        rho = DensityOperator(in_reg, state.T @ state.conj())
+        want = dict(zip(("rho_s", "rho_d", "four", "rho_out"),
+                        displaced_cnot_density_oracle(rho, tau)), input=rho)
+        for name, got, reg in zip(_ALL_COLUMNS, columns, ro.registers):
+            np.testing.assert_allclose(got[i], want[name].matrix, atol=TOL)
+            assert reg == want[name].register
+    # the joined checks give each column the spectra its own check would,
+    # and the report's operators are read-only views of the stacks
+    spectra = ro.check(stacks)
+    for column, vals, reg, ops in zip(columns, ro.columns(spectra),
+                                      ro.registers,
+                                      ro.densities(stacks, spectra)):
+        alone = check_densities(column)
         np.testing.assert_array_equal(vals, alone)
-        assert len(ops) == len(column_entropies) == len(stack)
-        for rho, matrix, row_vals, entropy in zip(
-                ops, stack, alone, column_entropies):
+        np.testing.assert_array_equal(alone, np.linalg.eigvalsh(column))
+        assert len(ops) == len(rows)
+        for rho, matrix, row_vals in zip(ops, column, alone):
             assert rho.register == reg
             np.testing.assert_array_equal(rho.matrix, matrix)
             np.testing.assert_array_equal(rho.eigenvalues, row_vals)
-            assert entropy == von_neumann_entropy(DensityOperator(reg, matrix))
             assert not rho.matrix.flags.writeable
             assert not rho.eigenvalues.flags.writeable
-        for rho, ref in zip(ops, density_rows(reg, stack)):
-            np.testing.assert_array_equal(rho.matrix, ref.matrix)
-            np.testing.assert_array_equal(rho.eigenvalues, ref.eigenvalues)
-    stacks = [stack for _, stack in columns]
-    for vals, stack in zip(check_columns(stacks), stacks):
-        np.testing.assert_array_equal(vals, check_densities(stack))
 
 
 def _spoil(stack, row, kind):
@@ -303,37 +341,43 @@ def _spoil(stack, row, kind):
 
 
 @settings(deadline=None, max_examples=60)
-@given(report_columns(), st.data())
-def test_bad_row_raises_as_its_own_stack_would(columns, data):
-    k = data.draw(st.integers(0, len(columns) - 1))
-    reg, stack = columns[k]
-    row = data.draw(st.integers(0, len(stack) - 1))
+@given(circuit_rows(), st.data())
+def test_bad_row_raises_as_its_own_stack_would(drawn, data):
+    # a spoiled row in a stack joined by dimension raises the message its
+    # own column gives when checked alone
+    rows, tau, site = drawn
+    _, ro = _fig1_readout(rows, tau, site)
+    _, stacks = ro.products(rows)
+    j = data.draw(st.integers(0, len(_ALL_COLUMNS) - 1))
+    row = data.draw(st.integers(0, len(rows) - 1))
     kind = data.draw(st.sampled_from(sorted(_invalid_rows())))
-    columns[k] = (reg, _spoil(stack, row, kind))
+    g, k = ro.where[j]
+    stacks[g][:, k] = _spoil(stacks[g][:, k], row, kind)
     with pytest.raises(InvariantViolationError) as alone:
-        check_densities(columns[k][1])
+        check_densities(ro.columns(stacks)[j])
     assert str(alone.value).startswith(f"row ({row},): ")
     with pytest.raises(InvariantViolationError) as joined:
-        density_columns(columns)
-    assert str(joined.value) == str(alone.value)
-    with pytest.raises(InvariantViolationError) as joined:
-        check_columns([stack for _, stack in columns])
+        ro.check(stacks)
     assert str(joined.value) == str(alone.value)
 
 
 def test_first_bad_column_in_order_raises():
-    reg = Register((SlotId("a", 0),), (2,))
-    reg4 = Register((SlotId("a", 0), SlotId("b", 0)), (2, 2))
-    good2 = np.array([np.eye(2) / 2.0] * 3, dtype=complex)
-    good4 = np.array([np.eye(4) / 4.0] * 2, dtype=complex)
-    columns = [(reg, good2), (reg4, _spoil(good4, 1, "trace")),
-               (reg, _spoil(good2, 2, "negative eigenvalue"))]
+    # rho_s comes before rho_out in the report, though rho_out's qubit
+    # stack, joined with the input's, is checked first
+    ro, stacks = _densities([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], 1,
+                            _PURE_COLUMNS)
+    (g_s, k_s), (g_out, k_out) = ro.where[1], ro.where[3]
+    assert g_out < g_s
+    good = stacks[g_s][:, k_s].copy()
+    stacks[g_s][:, k_s] = _spoil(good, 1, "trace")
+    stacks[g_out][:, k_out] = _spoil(stacks[g_out][:, k_out], 2,
+                                     "negative eigenvalue")
     with pytest.raises(InvariantViolationError, match=r"^row \(1,\): trace"):
-        density_columns(columns)
-    columns[1] = (reg4, good4)
+        ro.check(stacks)
+    stacks[g_s][:, k_s] = good
     with pytest.raises(InvariantViolationError,
                        match=r"^row \(2,\): negative eigenvalue"):
-        density_columns(columns)
+        ro.check(stacks)
 
 
 def _eigvalsh_sizes(monkeypatch):
@@ -376,3 +420,23 @@ def test_propriety_validates_only_its_two_outputs(monkeypatch):
     # the two outputs in one check, then their trace distance
     run_proper_vs_improper(ensemble)
     assert sizes == [2, 2]
+
+
+def test_reverse_validates_only_the_recovered_qubit(monkeypatch):
+    sizes = _eigvalsh_sizes(monkeypatch)
+    run_reverse(qubit_state("1", 0, 0.6, 0.8), tau=2)
+    assert sizes == [2]
+
+
+def test_sweeps_validate_only_what_they_return(monkeypatch):
+    grid = np.linspace(0.0, 1.0, 1001)
+    sizes = _eigvalsh_sizes(monkeypatch)
+    # per block of ROW_BLOCK points: one check of the qubit inputs and
+    # outputs, then the trace norms of the two curves
+    fig2_curves(grid)
+    assert sizes == [2, 2, 2] * 4
+    # per block: the branches are read unchecked and the mixture gets one
+    # check per dimension (input, rho_d and rho_out)
+    sizes.clear()
+    run_entropy_study(0.3, grid)
+    assert sizes == [3, 6, 2] * 4
