@@ -14,7 +14,9 @@ Subcommands map one-to-one onto the library scenarios:
 Reports go to stdout or --out, as CSV (12 significant digits) or JSON
 (full precision); without --format the extension of --out decides, with
 JSON the fallback.  Commands that verify a physical statement (nosignal,
-decohere, reverse, fig2) exit nonzero when the check fails its tolerance.
+decohere, reverse, fig2) exit nonzero when the check fails its tolerance;
+only they take --tolerance.  Every command but circuit takes --tau; a
+circuit program states its own dilations.
 """
 
 from __future__ import annotations
@@ -300,16 +302,22 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, handler, help_text):
+    def add(name, handler, help_text, tau=True, tolerance=False):
+        # --tau only where a circuit is built from it, --tolerance only on
+        # the commands whose exit code checks it
         sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(handler=handler)
-        sp.add_argument("--tau", type=int, default=1,
-                        help="dilation in whole cycles")
-        sp.add_argument("--tolerance", type=float, default=1e-12)
+        if tau:
+            sp.add_argument("--tau", type=int, default=1,
+                            help="dilation in whole cycles")
+        if tolerance:
+            sp.add_argument("--tolerance", type=float, default=1e-12,
+                            help="largest deviation the check accepts")
         _add_output_flags(sp)
         return sp
 
-    sp = add("fig2", _cmd_fig2, "distinguishability in and out of the channel")
+    sp = add("fig2", _cmd_fig2, "distinguishability in and out of the channel",
+             tolerance=True)
     _add_grid_flags(sp)
 
     sp = add("fig3", _cmd_fig3, "entropy sweep with vacuum admixture")
@@ -317,16 +325,19 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--pvac", type=float, default=0.5,
                     help="vacuum weight of the input ensemble")
 
-    sp = add("circuit", _cmd_circuit, "run a circuit program file")
+    sp = add("circuit", _cmd_circuit, "run a circuit program file", tau=False)
     sp.add_argument("path", help="program file, or - for stdin")
 
-    sp = add("nosignal", _cmd_nosignal, "remote measurement invariance")
+    sp = add("nosignal", _cmd_nosignal, "remote measurement invariance",
+             tolerance=True)
     sp.add_argument("--basis", choices=("computational", "diagonal", "both"),
                     default="both")
 
-    add("decohere", _cmd_decohere, "dilated pair readout at one cycle")
+    add("decohere", _cmd_decohere, "dilated pair readout at one cycle",
+        tolerance=True)
 
-    sp = add("reverse", _cmd_reverse, "undo the circuit and check fidelity")
+    sp = add("reverse", _cmd_reverse, "undo the circuit and check fidelity",
+             tolerance=True)
     _add_grid_flags(sp)
 
     sp = add("propriety", _cmd_propriety,
@@ -356,11 +367,11 @@ def _config_from_args(args) -> RunConfig:
         steps=getattr(args, "steps", 101),
         beta_sq=beta,
         p_vac=getattr(args, "pvac", 0.5),
-        tau=args.tau,
+        tau=getattr(args, "tau", 1),
         basis=getattr(args, "basis", None),
         out=args.out,
         format=fmt,
-        tolerance=args.tolerance,
+        tolerance=getattr(args, "tolerance", 1e-12),
     )
 
 

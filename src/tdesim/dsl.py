@@ -10,9 +10,10 @@ Grammar, one directive per line, '#' starts a comment:
     output <site> @<cycle>
 
 Amplitudes are finite python floats or complex literals; parenthesize
-complex coefficients, as in (0.5+0.5j)|0>+0.5|1>.  States are normalized
-when the program is parsed.  Every program ends with exactly one output
-directive.
+complex coefficients, as in (0.5+0.5j)|0>+0.5|1>.  Cycles and dilations
+are ASCII digits only.  States are parsed in one pass over their
+tokens and normalized when the program is parsed.  Every program ends
+with exactly one output directive.
 
 A gate whose participants lack a slot at the gate's cycle triggers a
 two-copy expansion: the whole state is tensored with a copy of itself
@@ -26,16 +27,22 @@ Parsing compiles the program into a CircuitPlan: the slot order after
 every step, each expansion's shift, each discard's axes and the gates.
 Each run of adjacent X, CNOT and phase gates, whose lifted blocks are
 monomial, becomes one flat index gather with optional phases; H stays a
-dense block.  One executor, _run_steps, runs plan steps on an array of
-amplitude rows shaped (B, N, *dims): B independent states, each the sum
-of the projectors of its N rows.  run_program runs a program as one
-state of one row.  A discard moves the discarded axes into the row axis,
-so a mixed state is carried as its own purification and never as a
-density matrix.  Densities are built and validated only where the run
-returns them: the output's reduced state and a mixed final state.  The
-paper's scenarios (scenarios.py) are circuits compiled here, run on the
-same executor with their own input rows bound in place of the input
-prepares.
+dense block.  A run is composed over only the register axes its gates
+touch and expanded to the register's flat gather once, when it closes.
+One executor, _run_steps, runs plan steps on an array of amplitude rows
+shaped (B, N, *dims): B independent states, each the sum of the
+projectors of its N rows.  run_program runs a program as one state of
+one row; that run owns its arrays, so a gather writes into a full-size
+buffer the run has finished with, the output's factor is copied into
+one, and a pure final state is normalized in place.  A discard moves the
+discarded axes into the row axis, so a mixed state is carried as its own
+purification and never as a density matrix.  Densities are built and
+validated only where the run returns them: the output's reduced state,
+formed from dot products of its factor's rows with no conjugate copy,
+and a mixed final state; the hermiticity check reads one triangle in
+bands.  The paper's scenarios (scenarios.py) are circuits compiled here,
+run on the same executor with their own input rows bound in place of the
+input prepares.
 """
 
 from __future__ import annotations
@@ -53,11 +60,12 @@ from .errors import CircuitExecutionError, CircuitParseError, RegisterSizeError
 from .registers import (
     MAX_STATE_BYTES,
     DensityOperator,
-    PureState,
     Register,
     SlotId,
+    _pure_state,
     check_state_size,
     gram_density,
+    level_label,
 )
 from .dynamics import (
     _gather_axes,
@@ -66,14 +74,12 @@ from .dynamics import (
     _monomial,
     cnot,
     hadamard,
-    joint_outcome_distribution,
     pauli_x,
     phase_gate,
 )
 from .analytics import von_neumann_entropy
 
 _SITE_RE = re.compile(r"[A-Za-z0-9_]+\Z")
-_TERM_RE = re.compile(r"(?P<coef>.*?)\|(?P<ket>0|1|vac)>\Z")
 
 
 @dataclass(frozen=True)
@@ -84,14 +90,11 @@ class Prepare:
     amp0: complex = 0j
     amp1: complex = 0j
     line: int = field(default=0, compare=False, repr=False)
-
-    @functools.cached_property
-    def vector(self) -> np.ndarray:
-        """The normalized state vector, computed once per directive; a
-        zero or non-finite state raises CircuitParseError."""
-        if self.kind == "vac":
-            return _VACUUM
-        return _qubit_vector(self.amp0, self.amp1, self.line)
+    # the normalized state vector; the parser computes it once while
+    # checking the amplitudes, and the compiler computes it for a
+    # directive built by hand
+    vector: Optional[np.ndarray] = field(default=None, compare=False,
+                                         repr=False)
 
 
 @dataclass(frozen=True)
@@ -162,38 +165,10 @@ def _parse_site(token: str, line: int) -> str:
 def _parse_cycle(token: str, line: int) -> int:
     if not token.startswith("@"):
         _fail(line, f"expected @<cycle>, got {token!r}")
-    try:
-        cycle = int(token[1:])
-    except ValueError:
+    digits = token[1:]
+    if not (digits.isascii() and digits.isdigit()):
         _fail(line, f"bad cycle {token!r}")
-    if cycle < 0:
-        _fail(line, f"cycle must be nonnegative, got {cycle}")
-    return cycle
-
-
-_SPLIT_RE = re.compile(r"[()]|(?<=>)[+-]")
-
-
-def _split_terms(spec: str, line: int):
-    """Split a superposition on top-level +/- that follow a closed ket;
-    only parentheses and a sign right after a '>' are visited."""
-    terms = []
-    start = depth = 0
-    for m in _SPLIT_RE.finditer(spec):
-        ch = m.group()
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-            if depth < 0:
-                _fail(line, f"unbalanced parentheses in {spec!r}")
-        elif depth == 0:
-            terms.append(spec[start:m.start()])
-            start = m.start() + (ch == "+")
-    if depth != 0:
-        _fail(line, f"unbalanced parentheses in {spec!r}")
-    terms.append(spec[start:])
-    return terms
+    return int(digits)
 
 
 def _parse_coef(text: str, line: int) -> complex:
@@ -210,24 +185,48 @@ def _parse_coef(text: str, line: int) -> complex:
     return coef
 
 
+# One token of a state expression: a parenthesised group without nested
+# parentheses (a complex coefficient), a lone parenthesis, or a sign right
+# after a closed ket, which starts a new term when no parenthesis is open.
+_STATE_TOKEN_RE = re.compile(r"\([^()]*\)|[()]|(?<=>)[+-]")
+
+
 def _parse_state(spec: str, line: int):
-    """Return (kind, amp0, amp1) for a state expression."""
+    """Return (kind, amp0, amp1) for a state expression, in one pass over
+    its tokens.  Unbalanced parentheses are reported before any term."""
     if spec == "|vac>":
         return "vac", 0j, 0j
-    amps = {}
-    for term in _split_terms(spec, line):
-        m = _TERM_RE.match(term)
-        if not m:
-            _fail(line, f"bad state term {term!r}")
-        ket = m.group("ket")
-        if ket == "vac":
+    terms = []
+    start = depth = 0
+    for m in _STATE_TOKEN_RE.finditer(spec):
+        token = m.group()
+        if token == "(":
+            depth += 1
+        elif token == ")":
+            depth -= 1
+            if depth < 0:
+                break
+        elif depth == 0 and len(token) == 1:
+            terms.append(spec[start:m.start()])
+            start = m.start() + (token == "+")
+    if depth != 0:
+        _fail(line, f"unbalanced parentheses in {spec!r}")
+    terms.append(spec[start:])
+    amps = [None, None]
+    for term in terms:
+        if term.endswith("|0>"):
+            ket = 0
+        elif term.endswith("|1>"):
+            ket = 1
+        elif term.endswith("|vac>"):
             _fail(line, "|vac> cannot carry an amplitude or be superposed")
-        if ket in amps:
+        else:
+            _fail(line, f"bad state term {term!r}")
+        if amps[ket] is not None:
             _fail(line, f"duplicate |{ket}> term")
-        amps[ket] = _parse_coef(m.group("coef"), line)
-    a0 = complex(amps.get("0", 0j))
-    a1 = complex(amps.get("1", 0j))
-    return "qubit", a0, a1
+        amps[ket] = _parse_coef(term[:-3], line)
+    a0, a1 = amps
+    return "qubit", 0j if a0 is None else a0, 0j if a1 is None else a1
 
 
 _GATE_RE = re.compile(r"(x|h|phase)(?:\((?P<arg>[^)]*)\))?\Z", re.IGNORECASE)
@@ -276,10 +275,9 @@ def parse_circuit(text: str) -> CircuitProgram:
                 _fail(ln, "usage: prepare <site> @<cycle> <state>")
             site = _parse_site(args[0], ln)
             cycle = _parse_cycle(args[1], ln)
-            prep = Prepare(site, cycle, *_parse_state("".join(args[2:]), ln),
-                           line=ln)
-            prep.vector  # rejects a zero norm
-            directives.append(prep)
+            kind, a0, a1 = _parse_state("".join(args[2:]), ln)
+            directives.append(Prepare(site, cycle, kind, a0, a1, ln,
+                                      _state_vector(kind, a0, a1, ln)))
         elif head == "cnot":
             if len(args) != 3:
                 _fail(ln, "usage: cnot <control> <target> @<cycle>")
@@ -304,10 +302,10 @@ def parse_circuit(text: str) -> CircuitProgram:
             site = _parse_site(args[0], ln)
             if not args[1].startswith("+"):
                 _fail(ln, f"dilation must be written +<n>, got {args[1]!r}")
-            try:
-                delta = int(args[1][1:])
-            except ValueError:
+            digits = args[1][1:]
+            if not (digits.isascii() and digits.isdigit()):
                 _fail(ln, f"bad dilation {args[1]!r}")
+            delta = int(digits)
             if delta < 1:
                 _fail(ln, f"dilation must be at least 1, got {delta}")
             directives.append(Dilate(site, delta, line=ln))
@@ -430,7 +428,9 @@ def _static_check(directives) -> CircuitPlan:
     shape = []
     pos = {}
     steps = []
-    run = None  # (line, perm, phase) of the open run of monomial gates
+    # the open run of monomial gates: (first line, [(gather, axes, target
+    # dims)] in order, whether it has phases), or None
+    run = None
     held = 0  # bytes of the closed runs' gathers
 
     def fits(ln):
@@ -445,19 +445,16 @@ def _static_check(directives) -> CircuitPlan:
         if site not in cycles:
             _fail(ln, f"site {site!r} was never prepared")
 
-    def step(kind, ln, operand=None, **kw):
-        steps.append(PlanStep(kind, ln, tuple(slots), operand, **kw))
+    def step(kind, ln, operand=None, axes=(), shift=0, perm=None):
+        steps.append(PlanStep(kind, ln, tuple(slots), operand, axes, shift,
+                              perm))
 
     def close():
         nonlocal run, held
         if run is not None:
-            first, perm, phase = run
+            first, gates, _ = run
             run = None
-            perm = perm.reshape(-1)
-            phase = None if phase is None else phase.reshape(-1)
-            for array in (perm, phase):
-                if array is not None:  # cached plans share their steps
-                    array.flags.writeable = False
+            perm, phase = _run_gather(shape, gates)
             held += perm.nbytes + (0 if phase is None else phase.nbytes)
             step("gather", first, phase, perm=perm)
 
@@ -466,6 +463,8 @@ def _static_check(directives) -> CircuitPlan:
         pos.update(zip(slots, range(len(slots))))
 
     def align(participants, cycle, ln):
+        if all([cycle in cycles[s] for s in participants]):
+            return
         delta = _expansion_shift(cycles, participants, cycle)
         if delta is None:
             _fail(ln, f"no dilation aligns {participants} at cycle {cycle}")
@@ -488,24 +487,16 @@ def _static_check(directives) -> CircuitPlan:
         # of perm and 16 of phase per amplitude); past that, a monomial
         # gate stays a dense block like H
         phased = gather is not None and (
-            gather[1] is not None or run is not None and run[2] is not None)
+            gather[1] is not None or run is not None and run[2])
         need = math.prod(shape) * (24 if phased else 8)
         if gather is None or held + need > MAX_STATE_BYTES:
             close()
             step("gate", ln, block, axes=axes)
             return
-        first, perm, phase = run or (
-            ln, np.arange(math.prod(shape)).reshape(shape), None)
-        q, phases = gather
-        perm = _gather_axes(perm, q, axes)
-        if phase is not None:
-            phase = _gather_axes(phase, q, axes)
-        if phases is not None:  # on the target axes, broadcast elsewhere
-            k = len(axes)
-            phases = phases.reshape(tdims + (1,) * (len(shape) - k))
-            phase = np.broadcast_to(np.moveaxis(phases, range(k), axes)
-                                    * (1 if phase is None else phase), shape)
-        run = first, perm, phase
+        if run is None:
+            run = ln, [], False
+        run[1].append((gather, axes, tdims))
+        run = run[0], run[1], phased
 
     if not directives:
         _fail(1, "missing output directive")
@@ -526,7 +517,8 @@ def _static_check(directives) -> CircuitPlan:
             shape.append(dim)
             cycles.setdefault(d.site, set()).add(d.cycle)
             fits(d.line)
-            step("prepare", d.line, d.vector)
+            step("prepare", d.line, d.vector if d.vector is not None
+                 else _state_vector(d.kind, d.amp0, d.amp1, d.line))
         elif isinstance(d, Cnot):
             live(d.control, d.line)
             live(d.target, d.line)
@@ -572,12 +564,78 @@ def _static_check(directives) -> CircuitPlan:
     if not isinstance(directives[-1], Output):
         _fail(directives[-1].line, "missing output directive")
     out = directives[-1]
-    return CircuitPlan(tuple(steps), Register(tuple(slots), tuple(shape)),
-                       Register(((out.site, out.cycle),), (dims[out.site],)))
+    return CircuitPlan(tuple(steps),
+                       Register(tuple(SlotId(*slot) for slot in slots),
+                                tuple(shape)),
+                       Register((SlotId(out.site, out.cycle),),
+                                (dims[out.site],)))
+
+
+def _run_gather(shape, gates):
+    """The read-only flat gather and phases (None if it has none) of a run
+    of monomial gates on a register of the given shape, each gate given
+    as ((q, phases), its register axes, their dims) in order.
+
+    The gates are composed over just the axes the run touches, in the
+    order it first touches them, and the result is expanded to the whole
+    register once: each flat index moves by its touched coordinates'
+    offset."""
+    touched = []
+    for _, axes, _ in gates:
+        touched += [a for a in axes if a not in touched]
+    sub = [shape[a] for a in touched]
+    perm = phase = None
+    for (q, phases), axes, dims in gates:
+        at = [touched.index(a) for a in axes]
+        if perm is None and len(at) == len(touched):
+            perm = q.reshape(dims)  # gathering arange by q gives q
+        else:
+            if perm is None:
+                perm = np.arange(math.prod(sub)).reshape(sub)
+            perm = _gather_axes(perm, q, at)
+            if phase is not None:
+                phase = _gather_axes(phase, q, at)
+        if phases is not None:  # on the target axes, broadcast elsewhere
+            spread = [1] * len(sub)
+            for a, n in zip(at, dims):
+                spread[a] = n
+            lined = sorted(range(len(at)), key=at.__getitem__)
+            phase = np.multiply(
+                phases.reshape(dims).transpose(lined).reshape(spread),
+                1 if phase is None else phase,
+                out=np.empty(sub, dtype=complex))
+    rest = [a for a in range(len(shape)) if a not in touched]
+    if rest or touched != sorted(touched):
+        order = touched + rest
+        pad = sub + [1] * len(rest)
+        flat = np.arange(math.prod(shape)).reshape(shape)
+        front = flat.transpose(order)  # a view of flat
+        # the flat offset of each touched subspace index
+        offset = front[(...,) + (0,) * len(rest)]
+        front += (offset.take(perm) - offset).reshape(pad)
+        if phase is not None:
+            full = np.empty(shape, dtype=complex)
+            full.transpose(order)[...] = phase.reshape(pad)
+            phase = full
+        perm = flat
+    # else the touched subspace is the register, in its order
+    perm = perm.reshape(-1)
+    phase = None if phase is None else phase.reshape(-1)
+    for array in (perm, phase):
+        if array is not None:  # cached plans share their steps
+            array.flags.writeable = False
+    return perm, phase
 
 
 _VACUUM = np.array([1.0, 0.0, 0.0], dtype=complex)
 _VACUUM.flags.writeable = False
+
+
+def _state_vector(kind: str, a0: complex, a1: complex,
+                  line: int) -> np.ndarray:
+    """The normalized, read-only vector of a prepared state; a zero or
+    non-finite state raises CircuitParseError."""
+    return _VACUUM if kind == "vac" else _qubit_vector(a0, a1, line)
 
 
 def _qubit_vector(a0: complex, a1: complex, line: int) -> np.ndarray:
@@ -666,33 +724,43 @@ def run_program(program: CircuitProgram):
     """Execute a program; returns (ExecutionReport, final state).
 
     The program's plan runs through _run_steps on one state held as one
-    amplitude row.  Each density the run returns is built and validated
-    once, at the end, by registers.gram_density: the output's reduced
-    state and, after a discard, the mixed final state, whose spectrum is
-    read off the smaller Gram matrix of its rows.  A pure final state is
-    a PureState.  A hand-built directive list that the static check
-    rejects raises CircuitExecutionError.
+    amplitude row, and the run owns its arrays: a gather writes into a
+    full-size buffer the run has finished with when it has one, and the
+    boundary copies the output's factor into such a buffer.  Each
+    density the run returns is built and validated once, at the end, by
+    registers.gram_density: the output's reduced state and, after a
+    discard, the mixed final state, whose spectrum is read off the
+    smaller Gram matrix of its rows.  The output's probabilities are the
+    diagonal of its reduced state.  A pure final state is a PureState on
+    the run's own array, normalized in place; it is copied only when the
+    array is a read-only operand of the plan.  A hand-built directive
+    list that the static check rejects raises CircuitExecutionError.
     """
     try:
         plan = program.plan
     except CircuitParseError as exc:
         raise CircuitExecutionError(str(exc)) from exc
-    rows = _run_steps(plan.steps, None)
+    spare = []
+    rows = _run_steps(plan.steps, None, spare)
     out = plan.steps[-1]
-    rho = gram_density(plan.output_register, _factor(rows, out.axes)[0])
+    rho = gram_density(plan.output_register,
+                       _factor(rows, out.axes, spare)[0])
+    d = rho.dim
+    probs = np.clip(rho.matrix.diagonal().real, 0.0, None).tolist()
     report = ExecutionReport(
         plan.output_register.slots[0],
         rho,
-        joint_outcome_distribution(rho, rho.register.slots),
+        dict(zip([level_label(i, d) for i in range(d)], probs)),
         von_neumann_entropy(rho),
     )
     if plan.pure:
-        return report, PureState(plan.register, rows.reshape(-1))
+        return report, _pure_state(plan.register, rows.reshape(-1))
     every = range(len(plan.register.slots))
     return report, gram_density(plan.register, _factor(rows, every)[0])
 
 
-def _run_steps(steps, rows: Optional[np.ndarray]) -> np.ndarray:
+def _run_steps(steps, rows: Optional[np.ndarray],
+               spare: Optional[list] = None) -> np.ndarray:
     """Run plan steps on rows shaped (B, N, *dims): B independent states,
     each the sum of the projectors of its N amplitude rows.
 
@@ -708,14 +776,28 @@ def _run_steps(steps, rows: Optional[np.ndarray]) -> np.ndarray:
     kept dimension d, each state's rows are folded to d by a QR
     factorization, which keeps the state, so no state outgrows a d x d
     density matrix.  Dilations and the output step leave the rows alone.
+
+    spare, when given, is a list of flat buffers that belong to the run
+    and hold nothing it still needs.  A gather then writes into the last
+    one if its shape fits and hands on the array it gathered from when
+    that is writeable, which, with rows None, means the run made it;
+    only the plan's operands are read-only.
     """
     for step in steps:
         if step.kind == "gather":
             b, n = rows.shape[:2]
-            flat = rows.reshape(b * n, -1).take(step.perm, axis=1)
+            flat = rows.reshape(b * n, -1)
+            if spare is None:
+                out = flat.take(step.perm, axis=1)
+            else:  # every perm is in range, so clip mode checks nothing
+                buf = spare.pop() if spare and \
+                    spare[-1].shape == flat.shape else None
+                out = flat.take(step.perm, axis=1, out=buf, mode="clip")
+                if flat.flags.writeable:
+                    spare.append(flat)
             if step.operand is not None:
-                flat *= step.operand
-            rows = flat.reshape(rows.shape)
+                out *= step.operand
+            rows = out.reshape(rows.shape)
         elif step.kind == "gate":
             rows = _left_multiply(step.operand, rows,
                                   [a + 2 for a in step.axes])
@@ -734,15 +816,22 @@ def _run_steps(steps, rows: Optional[np.ndarray]) -> np.ndarray:
     return rows
 
 
-def _factor(rows: np.ndarray, keep) -> np.ndarray:
+def _factor(rows: np.ndarray, keep, spare: Optional[list] = None) \
+        -> np.ndarray:
     """The (B, d_keep, M) factors F of rows shaped (B, N, *dims): each
     state's F F^H is its reduced state over the register axes in keep
     (ascending).  The kept axes lead, and the row axis and every other
-    axis become columns."""
+    axis become columns.  When that reorder needs a copy and spare (see
+    _run_steps) holds a buffer of the right size, the copy goes there."""
     lead = [a + 2 for a in keep]
     rest = [1] + [a for a in range(2, rows.ndim) if a not in lead]
     t = rows.transpose([0] + lead + rest)
-    return t.reshape(len(t), math.prod(t.shape[1:len(lead) + 1]), -1)
+    shape = (len(t), math.prod(t.shape[1:len(lead) + 1]), -1)
+    if spare and spare[-1].size == t.size and not t.flags.c_contiguous:
+        buf = spare.pop().reshape(t.shape)
+        np.copyto(buf, t)
+        t = buf
+    return t.reshape(shape)
 
 
 def _discard_rows(rows: np.ndarray, axes) -> np.ndarray:

@@ -169,19 +169,8 @@ class PureState:
             raise ValueError(
                 f"expected {register.dim} amplitudes, got {amps.shape[0]}"
             )
-        norm = math.sqrt(np.vdot(amps, amps).real)
-        if not math.isfinite(norm):  # overflow: scale to the largest part
-            scale = float(np.maximum(abs(amps.real), abs(amps.imag)).max())
-            if not math.isfinite(scale):
-                raise ValueError("state vector is not finite")
-            amps = amps / scale
-            norm = math.sqrt(np.vdot(amps, amps).real)
-        elif norm < 1e-12:
-            raise ValueError("state vector has zero norm")
-        amps = amps / norm
-        amps.flags.writeable = False
         self.register = register
-        self.amplitudes = amps
+        self.amplitudes = _normalized(amps, in_place=False)
 
     @property
     def dim(self) -> int:
@@ -194,6 +183,41 @@ class PureState:
 
     def __repr__(self) -> str:
         return f"PureState({list(self.register.slots)})"
+
+
+def _normalized(amps: np.ndarray, in_place: bool) -> np.ndarray:
+    """amps divided by its norm and frozen, in place or as a new array.
+    The norm is rescaled by the largest real or imaginary part when it
+    overflows; a zero norm or a non-finite amplitude raises ValueError."""
+    out = amps if in_place else None
+    norm = math.sqrt(np.vdot(amps, amps).real)
+    if not math.isfinite(norm):  # overflow: scale to the largest part
+        scale = float(np.maximum(abs(amps.real), abs(amps.imag)).max())
+        if not math.isfinite(scale):
+            raise ValueError("state vector is not finite")
+        amps = np.divide(amps, scale, out=out)
+        norm = math.sqrt(np.vdot(amps, amps).real)
+    elif norm < 1e-12:
+        raise ValueError("state vector has zero norm")
+    amps = np.divide(amps, norm, out=out)
+    amps.flags.writeable = False
+    return amps
+
+
+def _pure_state(register: Register, amps: np.ndarray) -> PureState:
+    """A PureState that takes over amps, a flat complex array of
+    register.dim amplitudes that its caller gives up: it is normalized
+    in place, with PureState's checks, and frozen.  A read-only array,
+    such as a view of a shared operand, is copied first."""
+    if amps.shape != (register.dim,):
+        raise ValueError(
+            f"expected {register.dim} amplitudes, got {amps.shape[0]}"
+        )
+    state = PureState.__new__(PureState)
+    state.register = register
+    state.amplitudes = _normalized(
+        amps if amps.flags.writeable else amps.copy(), in_place=True)
+    return state
 
 
 class DensityOperator:
@@ -217,8 +241,9 @@ class DensityOperator:
 
     def _set(self, register: Register, matrix: np.ndarray,
              eigenvalues: np.ndarray) -> None:
-        matrix.flags.writeable = False
-        eigenvalues.flags.writeable = False
+        for array in (matrix, eigenvalues):
+            if array.flags.writeable:  # views of frozen stacks already are
+                array.flags.writeable = False
         self.register = register
         self.matrix = matrix
         self.eigenvalues = eigenvalues
@@ -249,11 +274,14 @@ def gram_density(register: Register, factor) -> DensityOperator:
     dimension d, validated once.
 
     F F^H gets check_densities' hermiticity and trace tests unchanged.
-    Its spectrum comes from the smaller of the two Gram matrices, F F^H
-    or F^H F, which share their nonzero eigenvalues: padded with zeros
-    and sorted ascending, it must have no eigenvalue below PSD_FLOOR and
-    is kept as the operator's ``eigenvalues``.  A density of dimension d
-    held as M < d amplitude columns so costs an M x M eigvalsh.
+    A wide factor (M > d) is multiplied out one entry at a time, as the
+    conjugating dot product of two of its rows, so no conjugate copy of
+    F is made.  The spectrum comes from the smaller of the two Gram
+    matrices, F F^H or F^H F, which share their nonzero eigenvalues:
+    padded with zeros and sorted ascending, it must have no eigenvalue
+    below PSD_FLOOR and is kept as the operator's ``eigenvalues``.  A
+    density of dimension d held as M < d amplitude columns so costs an
+    M x M eigvalsh.
     """
     f = np.asarray(factor, dtype=complex)
     d, m = f.shape
@@ -261,7 +289,14 @@ def gram_density(register: Register, factor) -> DensityOperator:
         raise ValueError(
             f"expected a factor with {register.dim} rows, got {f.shape}"
         )
-    rho = f @ f.conj().T
+    if m > d:
+        f = np.ascontiguousarray(f)
+        rho = np.empty((d, d), dtype=complex)
+        for i in range(d):
+            for j in range(d):
+                rho[i, j] = np.vdot(f[j], f[i])
+    else:
+        rho = f @ f.conj().T
     _check_hermitian_unit_trace(rho)
     if m < d:
         vals = np.linalg.eigvalsh(f.conj().T @ f)
@@ -271,10 +306,27 @@ def gram_density(register: Register, factor) -> DensityOperator:
     return _validated(register, rho, _check_spectrum(rho, vals))
 
 
+# Rows per band of the hermiticity check: a band's temporaries span at
+# most this many rows of the matrix.
+_HERMITIAN_BAND = 32
+
+
 def _check_hermitian_unit_trace(m: np.ndarray) -> None:
-    dev = abs(m - m.conj().swapaxes(-1, -2)).max()
+    """Reject m unless every matrix of the stack is hermitian and of unit
+    trace to ATOL.  |m_ij - conj(m_ji)| and |m_ji - conj(m_ij)| are equal
+    in IEEE arithmetic, so the largest deviation is read off the upper
+    triangle, one band of rows at a time: band i..i+b checks rows i..i+b
+    against columns i.., so no temporary is as large as m once it has
+    more than a few bands.  A NaN anywhere fails."""
+    d = m.shape[-1]
+    b = _HERMITIAN_BAND
+    for i in range(0, d, b):
+        rows, cols = (m[..., i:i + b, i:], m[..., i:, i:i + b]) if d > b \
+            else (m, m)  # a small matrix is one band
+        if not abs(rows - cols.conj().swapaxes(-1, -2)).max() <= ATOL:
+            _reject(m)
     trace_err = abs(m.trace(axis1=-2, axis2=-1) - 1.0).max()
-    if not (dev <= ATOL and trace_err <= ATOL):
+    if not trace_err <= ATOL:
         _reject(m)
 
 

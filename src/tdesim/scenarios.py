@@ -38,6 +38,7 @@ from .registers import (
     Register,
     SlotId,
     State,
+    _pure_state,
     _validated,
     bell_phi_plus,
     check_densities,
@@ -231,8 +232,9 @@ class _Readout(NamedTuple):
 
     def products(self, rows: np.ndarray) -> tuple:
         """Run the circuit on rows shaped (B, N, *in_dims).  Returns the
-        rows its last segment leaves and, per dimension group, the
-        (B, K, d, d) stack of F F^H, not validated."""
+        rows its last segment leaves, a new array that the caller may
+        take over (each circuit's last segment gathers), and, per dimension
+        group, the (B, K, d, d) stack of F F^H, not validated."""
         b = len(rows)
         taps = [rows.reshape(b, -1)]
         for segment in self.segments:
@@ -367,7 +369,7 @@ def _fig1_reports(rows, tau: int, site: str = "1", inp=None,
     entropies = [e.tolist() for e in
                  ro.columns([_entropy_bits(vals) for vals in spectra])]
     if inp is None:
-        fours = [PureState(ro.register, f)
+        fours = [_pure_state(ro.register, f)
                  for f in closed.reshape(len(closed), -1)]
     else:
         fours = columns.pop()
@@ -487,7 +489,7 @@ def reverse_reports(amplitudes, tau: int, site: str = "1") -> list:
     in_reg = _reversal(*key).columns["input"][0]
     return [
         ReverseReport(PureState(in_reg, psi), rho, rho.register.slots[0],
-                      float(fid), PureState(ro.register, f), tau)
+                      float(fid), _pure_state(ro.register, f), tau)
         for psi, rho, fid, f in zip(v, recovered, fids,
                                     final.reshape(len(final), -1))
     ]

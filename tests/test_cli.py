@@ -265,3 +265,36 @@ def test_tolerance_must_be_finite_and_positive(capsys, value):
     assert code == 1
     assert out == ""
     assert err.startswith("error: tolerance must be finite and positive")
+
+
+@pytest.mark.parametrize("argv", [
+    ("fig3", "--tolerance", "1e-9"),
+    ("propriety", "--tolerance", "1e-9"),
+    ("sweep", "--tolerance", "1e-9"),
+    ("circuit", "--tolerance", "1e-9", "-"),
+    ("circuit", "--tau", "5", "-"),
+])
+def test_flags_a_command_ignores_are_usage_errors(capsys, argv):
+    # --tolerance only where the exit code checks it, --tau nowhere a
+    # program states its own dilations; argparse refuses the rest
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: tdesim")
+    assert "unrecognized arguments: " + argv[1] in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("fig2", "--steps", "3", "--tolerance", "1e-9", "--tau", "2"),
+    ("nosignal", "--tolerance", "1e-9", "--tau", "2"),
+    ("decohere", "--tolerance", "1e-9", "--tau", "2"),
+    ("reverse", "--steps", "3", "--tolerance", "1e-9", "--tau", "2"),
+    ("fig3", "--steps", "3", "--tau", "2"),
+    ("propriety", "--tau", "2"),
+    ("sweep", "--beta-sq", "0.5", "--tau", "2"),
+])
+def test_commands_keep_the_flags_they_use(capsys, argv):
+    code, out, _ = _run(capsys, *argv)
+    assert code == 0
+    json.loads(out)

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -188,6 +189,65 @@ def _split_terms_reference(spec):
     return None if depth else terms + [cur]
 
 
+# The state parser that the one-pass _parse_state replaced, kept as its
+# oracle: split on top-level signs after a closed ket, then match each
+# term against a regular expression.
+_SPLIT_RE_REFERENCE = re.compile(r"[()]|(?<=>)[+-]")
+_TERM_RE_REFERENCE = re.compile(r"(?P<coef>.*?)\|(?P<ket>0|1|vac)>\Z")
+
+
+def _split_terms_oracle(spec, line):
+    terms = []
+    start = depth = 0
+    for m in _SPLIT_RE_REFERENCE.finditer(spec):
+        ch = m.group()
+        if ch == "(":
+            depth += 1
+        elif ch == ")":
+            depth -= 1
+            if depth < 0:
+                raise CircuitParseError(
+                    line, f"unbalanced parentheses in {spec!r}")
+        elif depth == 0:
+            terms.append(spec[start:m.start()])
+            start = m.start() + (ch == "+")
+    if depth != 0:
+        raise CircuitParseError(line, f"unbalanced parentheses in {spec!r}")
+    terms.append(spec[start:])
+    return terms
+
+
+def _parse_terms_oracle(terms, line):
+    amps = {}
+    for term in terms:
+        m = _TERM_RE_REFERENCE.match(term)
+        if not m:
+            raise CircuitParseError(line, f"bad state term {term!r}")
+        ket = m.group("ket")
+        if ket == "vac":
+            raise CircuitParseError(
+                line, "|vac> cannot carry an amplitude or be superposed")
+        if ket in amps:
+            raise CircuitParseError(line, f"duplicate |{ket}> term")
+        amps[ket] = dsl._parse_coef(m.group("coef"), line)
+    return "qubit", complex(amps.get("0", 0j)), complex(amps.get("1", 0j))
+
+
+def _parse_state_oracle(spec, line):
+    if spec == "|vac>":
+        return "vac", 0j, 0j
+    return _parse_terms_oracle(_split_terms_oracle(spec, line), line)
+
+
+def _outcome(parse, spec):
+    """What a state parser makes of spec: its (kind, amp0, amp1), or the
+    message of the CircuitParseError it raises."""
+    try:
+        return parse(spec, 7)
+    except CircuitParseError as err:
+        return str(err)
+
+
 @settings(max_examples=300)
 @given(st.text(alphabet="()+-|01>vac.5je", max_size=16))
 @example("(0.5+0.5j)|0>-0.5|1>")
@@ -195,10 +255,72 @@ def _split_terms_reference(spec):
 def test_split_terms_matches_the_character_scan(spec):
     want = _split_terms_reference(spec)
     if want is None:
-        with pytest.raises(CircuitParseError, match="unbalanced"):
-            dsl._split_terms(spec, 1)
-    else:
-        assert dsl._split_terms(spec, 1) == want
+        assert "unbalanced" in _outcome(dsl._parse_state, spec)
+    elif spec != "|vac>":
+        assert _outcome(dsl._parse_state, spec) == \
+            _outcome(lambda s, ln: _parse_terms_oracle(want, ln), spec)
+
+
+_COEFFICIENTS = st.one_of(
+    st.sampled_from(("", "+", "-", "1", "-0.5", "0.6", ".8j", "1e3", "2_0",
+                     "nan", "inf", "-inf", "1e309", "(0.5+0.5j)",
+                     "(1+nanj)", "-(1+2j)", "((1))", "(1", "1)", "0j")),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+    st.complex_numbers(allow_nan=False).map(repr),
+)
+_KETS = st.sampled_from(("|0>", "|1>", "|vac>", "|2>", "|0", "0>", ""))
+
+
+@st.composite
+def _state_specs(draw):
+    """Superpositions of one to three terms, each a coefficient and a
+    ket, mostly well formed; with some chance a stray character is put
+    somewhere into the text."""
+    terms = [draw(_COEFFICIENTS) + draw(_KETS)
+             for _ in range(draw(st.integers(1, 3)))]
+    spec = terms[0]
+    for term in terms[1:]:
+        sign = draw(st.sampled_from("+-"))
+        spec += sign + (term[1:] if term[:1] in "+-" and sign == "+"
+                        else term)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(spec)))
+        spec = spec[:at] + draw(st.sampled_from("()|<>+-j_")) + spec[at:]
+    return spec
+
+
+@settings(max_examples=500)
+@given(st.one_of(_state_specs(),
+                 st.text(alphabet="()+-|01>vacnij.5e_", max_size=24)))
+@example("(0.6+0j)|0>+(0.48+0.64j)|1>")
+@example("((1)|0>+1)|1>")
+@example("|2>+((1))|0>")
+@example("(|0>+1)|1>")
+@example("|0>+|0>")
+@example("0.6|1>-0.8|0>")
+@example("|vac>+|0>")
+@example("|vac>")
+@example(")(|0>")
+def test_parse_state_matches_the_replaced_parser(spec):
+    assert _outcome(dsl._parse_state, spec) == \
+        _outcome(_parse_state_oracle, spec)
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("prepare a @+1 |0>\noutput a @1\n", "bad cycle '@+1'"),
+    ("prepare a @-0 |0>\noutput a @0\n", "bad cycle '@-0'"),
+    ("prepare a @1_0 |0>\noutput a @10\n", "bad cycle '@1_0'"),
+    ("prepare a @\u0661 |0>\noutput a @1\n", "bad cycle '@\u0661'"),
+    ("prepare a @0 |0>\ndilate a +0_1\noutput a @1\n",
+     "bad dilation '+0_1'"),
+])
+def test_cycles_and_dilations_are_ascii_digits(text, needle):
+    # int() would take each of these, and format_circuit would then
+    # write back a different text
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(text)
+    assert needle in str(err.value)
+    assert err.value.line_no == (2 if "dilate" in text else 1)
 
 
 def test_parse_print_round_trip_corpus():
@@ -747,6 +869,41 @@ def test_sixteen_slot_program_runs_in_small_memory():
     assert np.abs(m - m.conj().T).max() < 1e-12
     assert abs(np.trace(m) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(m).min() > -1e-12
+
+
+def _plan_arrays(program):
+    return [a for step in program.plan.steps for a in (step.operand, step.perm)
+            if a is not None]
+
+
+def test_runs_share_no_buffer_with_the_plan_or_each_other():
+    # run_program normalizes the final state in place on the run's own
+    # array and reuses the run's dead buffers, so a reused plan or a
+    # second run must still see nothing of the first
+    program = parse_circuit(k_round_program(4))
+    plan = [a.copy() for a in _plan_arrays(program)]
+    rep_a, a = run_program(program)
+    rep_b, b = run_program(program)
+    _, c = run_program(parse_circuit(k_round_program(4)))
+    for state in (a, b, c):
+        assert not state.amplitudes.flags.writeable
+        np.testing.assert_array_equal(state.amplitudes, a.amplitudes)
+        for array in _plan_arrays(program):
+            assert not np.shares_memory(state.amplitudes, array)
+    assert not np.shares_memory(a.amplitudes, b.amplitudes)
+    assert not np.shares_memory(rep_a.rho_out.matrix, rep_b.rho_out.matrix)
+    for before, after in zip(plan, _plan_arrays(program)):
+        np.testing.assert_array_equal(before, after)
+    assert rep_a.to_json_dict() == rep_b.to_json_dict()
+
+    # a final state that is the plan's own prepared vector is copied
+    program = parse_circuit("prepare a @0 0.6|0>+0.8|1>\noutput a @0\n")
+    vector = program.plan.steps[0].operand
+    before = vector.copy()
+    _, state = run_program(program)
+    assert not np.shares_memory(state.amplitudes, vector)
+    np.testing.assert_allclose(state.amplitudes, before, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(vector, before)
 
 
 def test_oversized_programs_are_refused_at_parse_time():

@@ -2,6 +2,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdesim import (
     BasisLevel,
@@ -28,7 +30,13 @@ from tdesim import (
     to_density,
     vacuum_state,
 )
-from tdesim.registers import gram_density, on_register
+from tdesim.registers import (
+    ATOL,
+    _check_hermitian_unit_trace,
+    _reject,
+    gram_density,
+    on_register,
+)
 
 from conftest import (
     partial_trace_oracle,
@@ -321,3 +329,71 @@ def test_density_json_round_trip(rng):
     back = density_from_json(obj)
     assert back.register == rho.register
     np.testing.assert_allclose(back.matrix, rho.matrix, atol=1e-15)
+
+
+def _old_hermitian_unit_trace_accepts(m):
+    """The whole-matrix check that the banded one replaced."""
+    dev = abs(m - m.conj().swapaxes(-1, -2)).max()
+    trace_err = abs(m.trace(axis1=-2, axis2=-1) - 1.0).max()
+    return dev <= ATOL and trace_err <= ATOL
+
+
+def _hermitian_check_outcome(check, m):
+    try:
+        check(m)
+    except InvariantViolationError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 70),
+       batch=st.sampled_from(((), (1,), (3,), (2, 2))),
+       scale=st.sampled_from((0.0, 1e-14, 1e-12, 1e-11, 1e-3)),
+       where=st.sampled_from(("lower", "upper", "diagonal", "trace")))
+def test_banded_hermiticity_check_decides_as_the_whole_matrix(
+        seed, d, batch, scale, where):
+    rng = np.random.default_rng(seed)
+    shape = batch + (d, d)
+    f = rng.standard_normal(shape + (2,)) @ [1.0, 1j]
+    m = f @ f.conj().swapaxes(-1, -2)
+    m /= np.trace(m, axis1=-2, axis2=-1)[..., None, None]
+    m = (m + m.conj().swapaxes(-1, -2)) / 2
+    i, j = sorted(rng.integers(0, d, 2))
+    kick = scale * np.exp(2j * np.pi * rng.random())
+    if where == "lower":
+        m[..., j, i] += kick
+    elif where == "upper":
+        m[..., i, j] += kick
+    elif where == "diagonal":
+        m[..., i, i] += 1j * scale
+    else:
+        m[..., i, i] += scale
+    got = _hermitian_check_outcome(_check_hermitian_unit_trace, m)
+    if _old_hermitian_unit_trace_accepts(m):
+        assert got is None
+    else:
+        assert got is not None
+        assert got == _hermitian_check_outcome(_reject, m)
+
+
+def test_hermiticity_tolerance_is_inclusive_and_nan_fails():
+    # an asymmetry of exactly ATOL passes and the next float above fails,
+    # also in the last band of a matrix wider than one band
+    d = 40
+    for i, j in ((0, 1), (37, 35), (35, 37), (3, 38)):
+        m = np.eye(d, dtype=complex) / d
+        m[i, j] = ATOL
+        assert _old_hermitian_unit_trace_accepts(m)
+        _check_hermitian_unit_trace(m)
+        m[i, j] = np.nextafter(ATOL, 1.0)
+        assert not _old_hermitian_unit_trace_accepts(m)
+        with pytest.raises(InvariantViolationError, match="not hermitian"):
+            _check_hermitian_unit_trace(m)
+        m[i, j] = np.nan
+        with pytest.raises(InvariantViolationError, match="not hermitian"):
+            _check_hermitian_unit_trace(m)
+    stack = np.broadcast_to(np.eye(2) / 2, (3, 2, 2)).astype(complex)
+    stack[2, 1, 1] = np.nan
+    with pytest.raises(InvariantViolationError, match=r"row \(2,\)"):
+        _check_hermitian_unit_trace(stack)
