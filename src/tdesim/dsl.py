@@ -37,12 +37,12 @@ buffer the run has finished with, the output's factor is copied into
 one, and a pure final state is normalized in place.  A discard moves the
 discarded axes into the row axis, so a mixed state is carried as its own
 purification and never as a density matrix.  Densities are built and
-validated only where the run returns them: the output's reduced state,
-formed from dot products of its factor's rows with no conjugate copy,
-and a mixed final state; the hermiticity check reads one triangle in
-bands.  The paper's scenarios (scenarios.py) are circuits compiled here,
-run on the same executor with their own input rows bound in place of the
-input prepares.
+validated only where the run returns them: the output's reduced state
+(a 16-slot state's wide factor is multiplied out as dot products of its
+rows, with no conjugate copy) and a mixed final state; the hermiticity
+check reads one triangle in bands.  The paper's scenarios (scenarios.py)
+are circuits compiled here, run on the same executor with their own
+input rows bound in place of the input prepares.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ from .registers import (
     _pure_state,
     check_state_size,
     gram_density,
-    level_label,
 )
 from .dynamics import (
     _gather_axes,
@@ -74,6 +73,7 @@ from .dynamics import (
     _monomial,
     cnot,
     hadamard,
+    joint_outcome_distribution,
     pauli_x,
     phase_gate,
 )
@@ -90,11 +90,11 @@ class Prepare:
     amp0: complex = 0j
     amp1: complex = 0j
     line: int = field(default=0, compare=False, repr=False)
-    # the normalized state vector; the parser computes it once while
-    # checking the amplitudes, and the compiler computes it for a
+    # the normalized, read-only state vector: the parser sets it once
+    # while checking the amplitudes, and the compiler computes it for a
     # directive built by hand
-    vector: Optional[np.ndarray] = field(default=None, compare=False,
-                                         repr=False)
+    vector: Optional[np.ndarray] = field(default=None, init=False,
+                                         compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -276,8 +276,10 @@ def parse_circuit(text: str) -> CircuitProgram:
             site = _parse_site(args[0], ln)
             cycle = _parse_cycle(args[1], ln)
             kind, a0, a1 = _parse_state("".join(args[2:]), ln)
-            directives.append(Prepare(site, cycle, kind, a0, a1, ln,
-                                      _state_vector(kind, a0, a1, ln)))
+            prep = Prepare(site, cycle, kind, a0, a1, ln)
+            object.__setattr__(prep, "vector",
+                               _state_vector(kind, a0, a1, ln))
+            directives.append(prep)
         elif head == "cnot":
             if len(args) != 3:
                 _fail(ln, "usage: cnot <control> <target> @<cycle>")
@@ -649,7 +651,8 @@ def _qubit_vector(a0: complex, a1: complex, line: int) -> np.ndarray:
         _fail(line, "state has zero norm")
     a0, a1 = a0 / scale, a1 / scale
     norm = math.hypot(abs(a0), abs(a1))
-    vector = np.array([a0 / norm, a1 / norm])
+    # complex, like every row a run holds, so a run's spare buffers fit
+    vector = np.array([a0 / norm, a1 / norm], dtype=complex)
     vector.flags.writeable = False  # a cached plan's prepare step holds it
     return vector
 
@@ -731,10 +734,12 @@ def run_program(program: CircuitProgram):
     registers.gram_density: the output's reduced state and, after a
     discard, the mixed final state, whose spectrum is read off the
     smaller Gram matrix of its rows.  The output's probabilities are the
-    diagonal of its reduced state.  A pure final state is a PureState on
-    the run's own array, normalized in place; it is copied only when the
-    array is a read-only operand of the plan.  A hand-built directive
-    list that the static check rejects raises CircuitExecutionError.
+    diagonal of its reduced state, read by
+    dynamics.joint_outcome_distribution.  A pure final state is a
+    PureState on the run's own array, normalized in place; it is copied
+    only when the array is a read-only operand of the plan.  A
+    hand-built directive list that the static check rejects raises
+    CircuitExecutionError.
     """
     try:
         plan = program.plan
@@ -745,12 +750,10 @@ def run_program(program: CircuitProgram):
     out = plan.steps[-1]
     rho = gram_density(plan.output_register,
                        _factor(rows, out.axes, spare)[0])
-    d = rho.dim
-    probs = np.clip(rho.matrix.diagonal().real, 0.0, None).tolist()
     report = ExecutionReport(
         plan.output_register.slots[0],
         rho,
-        dict(zip([level_label(i, d) for i in range(d)], probs)),
+        joint_outcome_distribution(rho, rho.register.slots),
         von_neumann_entropy(rho),
     )
     if plan.pure:

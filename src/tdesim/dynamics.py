@@ -530,7 +530,8 @@ def joint_outcome_distribution(state: State, slots: Sequence[SlotLike]) -> dict:
     Keys concatenate one character per slot ('v', '0', '1'), in register
     order.  All outcomes appear, including zero-probability ones.  The
     probabilities are the marginal of the state's own diagonal over the
-    other slots, so no reduced state is built.
+    other slots, so no reduced state is built; on a one-slot register
+    they are its diagonal.
     """
     reg = state.register
     slots = [as_slot(s) for s in slots]
@@ -542,7 +543,11 @@ def joint_outcome_distribution(state: State, slots: Sequence[SlotLike]) -> dict:
     if isinstance(state, PureState):
         diag = (state.amplitudes * state.amplitudes.conj()).real
     else:
-        diag = np.diag(state.matrix).real
+        diag = state.matrix.diagonal().real
+    if len(reg.dims) == 1:
+        d = reg.dims[0]
+        probs = np.clip(diag, 0.0, None).tolist()
+        return dict(zip([level_label(i, d) for i in range(d)], probs))
     rest = tuple(p for p in range(len(reg.dims)) if p not in keep_pos)
     diag = diag.reshape(reg.dims).sum(axis=rest).reshape(-1)
     dims = tuple(reg.dims[p] for p in keep_pos)

@@ -906,6 +906,40 @@ def test_runs_share_no_buffer_with_the_plan_or_each_other():
     np.testing.assert_array_equal(vector, before)
 
 
+def test_hand_built_prepares_get_frozen_vectors_and_rerun_alike():
+    # a caller cannot hand the compiler a prepared vector: it computes a
+    # read-only one itself, so the run's buffer reuse (a gather, a gate
+    # and a second gather) cannot write into the plan or the caller's
+    # data; float amplitudes still give a complex vector, so a reused
+    # buffer keeps the imaginary part the gate makes
+    with pytest.raises(TypeError):
+        Prepare("a", 0, "qubit", 1.0, 0.0, vector=np.array([1, 0j]))
+    directives = (Prepare("a", 0, "qubit", 1.0, 0.0, line=1),
+                  Prepare("b", 0, "qubit", 0.6, 0.8, line=2),
+                  Cnot("b", "a", 0, line=3),
+                  GateOp("h", "a", 0, line=4),
+                  Cnot("a", "b", 0, line=5),
+                  Output("a", 0, line=6))
+    program = CircuitProgram(directives)
+    assert directives[0].vector is None
+    plan = [a.copy() for a in _plan_arrays(program)]
+    for step in program.plan.steps:
+        if step.kind == "prepare":
+            assert not step.operand.flags.writeable
+    rep_a, a = run_program(program)
+    rep_b, b = run_program(program)
+    np.testing.assert_array_equal(a.amplitudes, b.amplitudes)
+    assert rep_a.to_json_dict() == rep_b.to_json_dict()
+    for before, after in zip(plan, _plan_arrays(program)):
+        np.testing.assert_array_equal(before, after)
+    parsed = parse_circuit("prepare a @0 |0>\nprepare b @0 0.6|0>+0.8|1>\n"
+                           "cnot b a @0\ngate h a @0\ncnot a b @0\n"
+                           "output a @0\n")
+    rep_c, c = run_program(parsed)
+    np.testing.assert_allclose(c.amplitudes, a.amplitudes, rtol=0, atol=1e-15)
+    assert rep_c.to_json_dict() == rep_a.to_json_dict()
+
+
 def test_oversized_programs_are_refused_at_parse_time():
     # round 8 doubles the 16-slot pure state to 32 slots (64 GiB)
     text = k_round_program(8)

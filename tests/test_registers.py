@@ -157,6 +157,23 @@ def test_gram_density_matches_a_checked_density(rng, columns):
     assert not rho.matrix.flags.writeable
 
 
+@pytest.mark.parametrize("dim,columns", [(2, 2047), (2, 2048), (3, 4608),
+                                         (2, 32768)])
+def test_gram_density_of_a_wide_factor_matches_the_product(rng, dim, columns):
+    # from _ROW_DOT_WIDTH * d**2 columns on, F F^H is taken from row dot
+    # products; either side of that width, and on a non-contiguous
+    # factor, it is the matrix product's density
+    reg = Register((SlotId("a", 0),), (dim,))
+    f = rng.standard_normal((columns, dim)) \
+        + 1j * rng.standard_normal((columns, dim))
+    f = (f / np.linalg.norm(f)).T
+    rho = gram_density(reg, f)
+    ref = DensityOperator(reg, f @ f.conj().T)
+    np.testing.assert_allclose(rho.matrix, ref.matrix, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(rho.eigenvalues, ref.eigenvalues,
+                               rtol=0, atol=1e-12)
+
+
 def test_gram_density_rejects_what_density_operator_rejects():
     reg = Register((SlotId("a", 0),), (2,))
     with pytest.raises(InvariantViolationError, match="trace"):
