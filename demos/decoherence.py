@@ -37,7 +37,7 @@ def main():
     for outcome, p in sorted(dist.items()):
         print(f"  {outcome}: {p:.6f}")
 
-    # the channel helper packages the same pipeline
+    # the channel helper computes the same state on the compiled circuit
     redo = displaced_bell_channel(tau)
     print("\nhelper agrees:",
           np.abs(redo.matrix - rho.matrix).max() < 1e-15)

@@ -28,7 +28,6 @@ from .registers import (
     basis_index,
     basis_state,
     bell_phi_plus,
-    density_from_json,
     density_to_json,
     level_index,
     maximally_mixed,
@@ -42,7 +41,6 @@ from .registers import (
 )
 from .dynamics import (
     CorrelationMode,
-    ExpansionPolicy,
     Gate,
     MeasurementOutcome,
     apply_gate,
@@ -59,10 +57,8 @@ from .dynamics import (
     spectral_ensemble,
 )
 from .channel import (
-    PopulationPair,
     QubitDensity,
     displaced_bell_channel,
-    generalized_map,
     nonlinear_map,
     nonlinearity_witness,
 )

@@ -13,9 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolationError
-from .registers import DensityOperator, PureState, partial_trace, to_density
-
-_EIG_FLOOR = -1e-10
+from .registers import (ENTROPY_SLACK, PSD_FLOOR, DensityOperator, PureState,
+                        partial_trace, to_density)
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -38,7 +37,7 @@ def von_neumann_entropy(rho) -> float:
     else:
         vals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
         lo = float(vals.min())
-        if lo < _EIG_FLOOR:
+        if lo < PSD_FLOOR:
             raise InvariantViolationError(
                 f"eigenvalue {lo:.3e} below tolerance; not a density matrix"
             )
@@ -111,7 +110,7 @@ def subadditivity_margin(rho: DensityOperator, split: int = 1) -> float:
     part_b = partial_trace(rho, reg.slots[split:])
     margin = (von_neumann_entropy(part_a) + von_neumann_entropy(part_b)
               - von_neumann_entropy(rho))
-    if margin < -1e-9:
+    if margin < -ENTROPY_SLACK:
         raise InvariantViolationError(
             f"subadditivity violated by {margin:.3e}"
         )

@@ -1,4 +1,5 @@
-"""Closed forms for the displaced-CNOT channel and its nonlinearity.
+"""Closed forms for the displaced-CNOT channel and its nonlinearity, and
+one read-out of the compiled circuit.
 
 Sending one half of a CNOT pair through a dilation and closing with a
 second CNOT acts on the input qubit's populations (g00, g11) as
@@ -8,6 +9,8 @@ second CNOT acts on the input qubit's populations (g00, g11) as
 independently of any input coherence.  The map is quadratic in the density
 matrix, so it cannot come from any linear channel; nonlinearity_witness
 quantifies that by how badly the map fails to commute with mixing.
+displaced_bell_channel reads the same circuit, run on the executor, before
+its closing CNOT.
 """
 
 from __future__ import annotations
@@ -16,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registers import DensityOperator, Register, SlotId, bell_phi_plus
-from .dynamics import displaced_expansion, measure_at_cycle
+from .registers import DensityOperator, Register, SlotId, on_register
 
 
 @dataclass(frozen=True)
@@ -63,42 +65,10 @@ class QubitDensity:
         return DensityOperator(reg, self.to_matrix())
 
 
-@dataclass(frozen=True)
-class PopulationPair:
-    """Populations of the two copies feeding the generalized channel."""
-
-    p0: float
-    p1: float
-    q0: float
-    q1: float
-
-    def __post_init__(self):
-        for name in ("p0", "p1", "q0", "q1"):
-            v = float(getattr(self, name))
-            object.__setattr__(self, name, v)
-            if v < -1e-12:
-                raise ValueError(f"negative population {name}={v}")
-        if abs(self.p0 + self.p1 - 1.0) > 1e-12:
-            raise ValueError("first copy populations must sum to 1")
-        if abs(self.q0 + self.q1 - 1.0) > 1e-12:
-            raise ValueError("second copy populations must sum to 1")
-
-
 def nonlinear_map(rho: QubitDensity) -> QubitDensity:
     """Output of the displaced-CNOT channel on one input qubit."""
     return QubitDensity(rho.g00 ** 2 + rho.g11 ** 2,
                         2.0 * rho.g00 * rho.g11)
-
-
-def generalized_map(pair: PopulationPair) -> QubitDensity:
-    """Channel output when the two copies carry different populations.
-
-    The target records the XOR of the two copies' logical values, so the
-    output populations are the parity convolution of the inputs.  The map
-    is symmetric under swapping the copies.
-    """
-    return QubitDensity(pair.p0 * pair.q0 + pair.p1 * pair.q1,
-                        pair.p0 * pair.q1 + pair.p1 * pair.q0)
 
 
 def displaced_bell_channel(tau: int = 1,
@@ -108,11 +78,20 @@ def displaced_bell_channel(tau: int = 1,
 
     The pair is prepared at cycle tau, site_a is dilated by tau cycles,
     and the slots at cycle tau are kept.  Both halves decohere completely,
-    leaving the maximally mixed two-qubit state.
+    leaving the maximally mixed two-qubit state.  This is the rho_d
+    read-out of the displaced-CNOT circuit (scenarios._fig1_circuit) on
+    (|0> + |1>)/sqrt(2), relabeled from its ancilla onto site_b.
     """
-    pair = bell_phi_plus(site_a, site_b, int(tau))
-    expanded = displaced_expansion(pair, tau, dilated_site=site_a)
-    return measure_at_cycle(expanded, int(tau))
+    # scenarios imports this module, so it is imported here
+    from .scenarios import _check_tau, _fig1_circuit, _readout
+
+    tau = _check_tau(tau)
+    register = Register(((site_a, tau), (site_b, tau)), (2, 2))
+    ro = _readout(_fig1_circuit, (2, tau, site_a), 1, ("rho_d",))
+    # (|0> + |1>)/sqrt(2) as one state of one row
+    _, stacks = ro.products(np.full((1, 1, 2), np.sqrt(0.5), dtype=complex))
+    ((rho,),) = ro.densities(stacks, ro.check(stacks))
+    return on_register(rho, register)
 
 
 def nonlinearity_witness(rho_a: QubitDensity, rho_b: QubitDensity,

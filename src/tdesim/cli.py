@@ -25,7 +25,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -57,7 +57,9 @@ MAX_GRID_STEPS = 10**6
 
 @dataclass
 class RunConfig:
-    """Validated knobs shared by the subcommands."""
+    """Validated knobs shared by the subcommands.  Its defaults are the
+    command line's, which passes only the flags given; a command that
+    takes --basis reads None as its own default."""
 
     steps: int = 101
     beta_sq: Optional[float] = None
@@ -282,12 +284,12 @@ def _cmd_sweep(args, config: RunConfig):
 
 def _add_output_flags(sp):
     sp.add_argument("--out", help="write the report to this file")
-    sp.add_argument("--format", choices=("json", "csv"), default=None,
+    sp.add_argument("--format", choices=("json", "csv"),
                     help="defaults to the --out extension, else json")
 
 
 def _add_grid_flags(sp):
-    sp.add_argument("--steps", type=int, default=101,
+    sp.add_argument("--steps", type=int,
                     help="grid points across beta^2 in [0, 1]")
     sp.add_argument("--beta-sq", type=float, dest="beta_sq",
                     help="single input with this beta^2")
@@ -304,14 +306,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, handler, help_text, tau=True, tolerance=False):
         # --tau only where a circuit is built from it, --tolerance only on
-        # the commands whose exit code checks it
-        sp = sub.add_parser(name, help=help_text)
+        # the commands whose exit code checks it; a flag left out stays off
+        # args, so RunConfig's default applies
+        sp = sub.add_parser(name, help=help_text,
+                            argument_default=argparse.SUPPRESS)
         sp.set_defaults(handler=handler)
         if tau:
-            sp.add_argument("--tau", type=int, default=1,
+            sp.add_argument("--tau", type=int,
                             help="dilation in whole cycles")
         if tolerance:
-            sp.add_argument("--tolerance", type=float, default=1e-12,
+            sp.add_argument("--tolerance", type=float,
                             help="largest deviation the check accepts")
         _add_output_flags(sp)
         return sp
@@ -322,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("fig3", _cmd_fig3, "entropy sweep with vacuum admixture")
     _add_grid_flags(sp)
-    sp.add_argument("--pvac", type=float, default=0.5,
+    sp.add_argument("--pvac", type=float, dest="p_vac", metavar="PVAC",
                     help="vacuum weight of the input ensemble")
 
     sp = add("circuit", _cmd_circuit, "run a circuit program file", tau=False)
@@ -330,8 +334,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("nosignal", _cmd_nosignal, "remote measurement invariance",
              tolerance=True)
-    sp.add_argument("--basis", choices=("computational", "diagonal", "both"),
-                    default="both")
+    sp.add_argument("--basis", choices=("computational", "diagonal", "both"))
 
     add("decohere", _cmd_decohere, "dilated pair readout at one cycle",
         tolerance=True)
@@ -342,8 +345,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("propriety", _cmd_propriety,
              "ensemble-resolved vs averaged output")
-    sp.add_argument("--basis", choices=("computational", "diagonal"),
-                    default="computational")
+    sp.add_argument("--basis", choices=("computational", "diagonal"))
 
     sp = add("sweep", _cmd_sweep, "full circuit reports over an input grid")
     _add_grid_flags(sp)
@@ -360,19 +362,13 @@ def _config_from_args(args) -> RunConfig:
         if not 0.0 <= alpha <= 1.0:
             raise ValueError(f"alpha^2 out of range: {alpha}")
         beta = 1.0 - alpha
-    fmt = args.format
-    if fmt is None:
-        fmt = "csv" if args.out and args.out.endswith(".csv") else "json"
-    return RunConfig(
-        steps=getattr(args, "steps", 101),
-        beta_sq=beta,
-        p_vac=getattr(args, "pvac", 0.5),
-        tau=getattr(args, "tau", 1),
-        basis=getattr(args, "basis", None),
-        out=args.out,
-        format=fmt,
-        tolerance=getattr(args, "tolerance", 1e-12),
-    )
+    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
+             if hasattr(args, f.name)}
+    given["beta_sq"] = beta
+    if "format" not in given:
+        out = given.get("out")
+        given["format"] = "csv" if out and out.endswith(".csv") else "json"
+    return RunConfig(**given)
 
 
 def main(argv=None) -> int:

@@ -90,11 +90,6 @@ class Prepare:
     amp0: complex = 0j
     amp1: complex = 0j
     line: int = field(default=0, compare=False, repr=False)
-    # the normalized, read-only state vector: the parser sets it once
-    # while checking the amplitudes, and the compiler computes it for a
-    # directive built by hand
-    vector: Optional[np.ndarray] = field(default=None, init=False,
-                                         compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -137,13 +132,6 @@ class Output:
 @dataclass(frozen=True)
 class CircuitProgram:
     directives: tuple
-
-    @property
-    def sites(self) -> tuple:
-        seen = dict.fromkeys(
-            d.site for d in self.directives if isinstance(d, Prepare)
-        )
-        return tuple(seen)
 
     @functools.cached_property
     def plan(self) -> "CircuitPlan":
@@ -276,10 +264,7 @@ def parse_circuit(text: str) -> CircuitProgram:
             site = _parse_site(args[0], ln)
             cycle = _parse_cycle(args[1], ln)
             kind, a0, a1 = _parse_state("".join(args[2:]), ln)
-            prep = Prepare(site, cycle, kind, a0, a1, ln)
-            object.__setattr__(prep, "vector",
-                               _state_vector(kind, a0, a1, ln))
-            directives.append(prep)
+            directives.append(Prepare(site, cycle, kind, a0, a1, ln))
         elif head == "cnot":
             if len(args) != 3:
                 _fail(ln, "usage: cnot <control> <target> @<cycle>")
@@ -519,8 +504,8 @@ def _static_check(directives) -> CircuitPlan:
             shape.append(dim)
             cycles.setdefault(d.site, set()).add(d.cycle)
             fits(d.line)
-            step("prepare", d.line, d.vector if d.vector is not None
-                 else _state_vector(d.kind, d.amp0, d.amp1, d.line))
+            step("prepare", d.line,
+                 _state_vector(d.kind, d.amp0, d.amp1, d.line))
         elif isinstance(d, Cnot):
             live(d.control, d.line)
             live(d.target, d.line)

@@ -5,8 +5,14 @@ three pieces: unitary gates acting inside a single cycle, expansions that
 append time-shifted copies of a state, and measurements that keep only the
 slots at one cycle.
 
+These functions act on whole state objects one step at a time: the
+object path.  Nothing else in the package calls it (scenarios and programs
+run on the dsl's executor); it is the independent reference that the tests
+and demos/decoherence.py check the executor against.
+
 Expanding a mixed state is ambiguous and the two readings give different
-physics, so the caller must choose a CorrelationMode:
+physics, so the caller must choose a CorrelationMode, given as the member
+or its string value:
 
 * UNCORRELATED_COPIES tensors the reduced density matrix with its shifted
   copy (rho (x) rho').  The copies share no correlations.
@@ -21,15 +27,18 @@ from __future__ import annotations
 
 import enum
 import functools
+import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from .errors import (CycleMisalignmentError, InvariantViolationError,
                      UnknownSlotError, ZeroProbabilityError)
 from .registers import (
+    WEIGHT_ROUNDOFF,
+    WEIGHT_SUM_SLACK,
     BasisLevel,
     DensityOperator,
     PureState,
@@ -53,37 +62,25 @@ class CorrelationMode(enum.Enum):
     COHERENT_HISTORY = "coherent-history"
 
 
-@dataclass(frozen=True)
-class ExpansionPolicy:
-    """Which cycles to materialize and how to treat non-pure inputs.
-
-    The correlation mode may stay None for pure states, which expand the
-    same way under either reading.
-    """
-
-    cycles: tuple = ()
-    correlation: Optional[CorrelationMode] = None
-
-    def __post_init__(self):
-        cycles = tuple(int(c) for c in self.cycles)
-        if any(b <= a for a, b in zip(cycles, cycles[1:])):
-            raise ValueError(f"cycles must be strictly increasing: {cycles}")
-        object.__setattr__(self, "cycles", cycles)
-        if self.correlation is not None and \
-                not isinstance(self.correlation, CorrelationMode):
-            object.__setattr__(
-                self, "correlation", CorrelationMode(self.correlation)
-            )
-
-
 def _as_mode(policy) -> Optional[CorrelationMode]:
-    if policy is None:
-        return None
-    if isinstance(policy, ExpansionPolicy):
-        return policy.correlation
-    if isinstance(policy, CorrelationMode):
-        return policy
-    return CorrelationMode(policy)
+    """policy as a CorrelationMode, given as one or as its value, or None."""
+    return None if policy is None else CorrelationMode(policy)
+
+
+def _check_tau(tau) -> int:
+    """tau as an int; a dilation is a whole number of cycles, at least
+    one, so anything else raises ValueError."""
+    try:
+        cycles = int(tau)
+    except (TypeError, ValueError, OverflowError):
+        cycles = None
+    if cycles is None or cycles != tau:
+        raise ValueError(
+            f"dilation must be a whole number of cycles, got {tau!r}"
+        )
+    if cycles < 1:
+        raise ValueError(f"dilation must be at least one cycle, got {cycles}")
+    return cycles
 
 
 class Gate:
@@ -267,7 +264,9 @@ def _as_branches(state, mode: Optional[CorrelationMode]):
     out = []
     for w, psi in branches:
         w = float(w)
-        if w < -1e-12:
+        if not math.isfinite(w):
+            raise ValueError(f"ensemble weight {w!r} is not finite")
+        if w < -WEIGHT_ROUNDOFF:
             raise ValueError(f"negative ensemble weight {w}")
         if not isinstance(psi, PureState):
             raise ValueError("ensemble branches must be PureState")
@@ -275,10 +274,10 @@ def _as_branches(state, mode: Optional[CorrelationMode]):
             reg = psi.register
         elif psi.register != reg:
             raise ValueError("ensemble branches live on different registers")
-        if w > 1e-12:
+        if w > WEIGHT_ROUNDOFF:
             out.append((w, psi))
         total += w
-    if abs(total - 1.0) > 1e-9:
+    if abs(total - 1.0) > WEIGHT_SUM_SLACK:
         raise ValueError(f"ensemble weights sum to {total:.12g}, expected 1")
     if not out:
         raise ValueError("all ensemble weights are zero")
@@ -325,7 +324,7 @@ def _spectral_rows(matrix: np.ndarray) -> tuple:
     above 1e-12, renormalized to sum to 1, and their eigenvectors from
     eigh as the rows of a (k, d) stack."""
     vals, vecs = np.linalg.eigh(matrix)
-    keep = vals > 1e-12
+    keep = vals > WEIGHT_ROUNDOFF
     weights = vals[keep]
     return weights / weights.sum(), vecs.T[keep]
 
@@ -339,18 +338,9 @@ def _run_expansion(state, policy, expand_one):
     return expand_one(payload)
 
 
-def free_expansion(state, cycles: Optional[Iterable[int]] = None,
-                   policy=None) -> State:
+def free_expansion(state, cycles: Iterable[int], policy=None) -> State:
     """Tensor product of time-shifted copies of a single-cycle state, one
-    per requested cycle, ascending.  A pure input stays pure.
-
-    Cycles come from the argument or, if omitted, from an ExpansionPolicy
-    passed as `policy`.
-    """
-    if cycles is None:
-        if not (isinstance(policy, ExpansionPolicy) and policy.cycles):
-            raise ValueError("no expansion cycles given")
-        cycles = policy.cycles
+    per requested cycle, ascending.  A pure input stays pure."""
     cs = sorted(int(c) for c in cycles)
     if not cs:
         raise ValueError("need at least one cycle")
@@ -378,9 +368,7 @@ def displaced_expansion(state, tau: int, dilated_site: str, policy=None) -> Stat
     spans four slots ordered (copy A, copy B) with each copy keeping the
     input's slot order.
     """
-    tau = int(tau)
-    if tau < 1:
-        raise ValueError(f"dilation must be at least one cycle, got {tau}")
+    tau = _check_tau(tau)
 
     def expand_one(st):
         reg_a, reg_b = displaced_copies(st.register, tau, dilated_site)

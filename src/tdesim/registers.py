@@ -29,6 +29,14 @@ from .errors import (
 
 ATOL = 1e-12
 PSD_FLOOR = -1e-10
+# Ensemble weights and spectral eigenvalues within this of zero are
+# roundoff: dropped, and never counted as negative.
+WEIGHT_ROUNDOFF = 1e-12
+# How far ensemble weights may sum from 1 before they are refused.
+WEIGHT_SUM_SLACK = 1e-9
+# How far an entropy inequality (subadditivity, S(rho_d) >= S(input)) may
+# fail before the states are taken to be corrupt.
+ENTROPY_SLACK = 1e-9
 
 # Largest state the simulator will build: a pure state on a register of
 # dimension d holds 16*d bytes of complex128 amplitudes, a density matrix
@@ -552,12 +560,3 @@ def density_to_json(rho: DensityOperator) -> dict:
             for row in rho.matrix
         ],
     }
-
-
-def density_from_json(obj: dict) -> DensityOperator:
-    slots = tuple(SlotId(str(e["site"]), int(e["cycle"])) for e in obj["slots"])
-    dims = tuple(int(e["dim"]) for e in obj["slots"])
-    reg = Register(slots, dims)
-    raw = obj["matrix"]
-    m = np.array([[complex(c[0], c[1]) for c in row] for row in raw])
-    return DensityOperator(reg, m)

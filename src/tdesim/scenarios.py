@@ -33,6 +33,8 @@ import numpy as np
 
 from .errors import InvariantViolationError
 from .registers import (
+    ENTROPY_SLACK,
+    WEIGHT_SUM_SLACK,
     DensityOperator,
     PureState,
     Register,
@@ -49,6 +51,7 @@ from .registers import (
 from .dynamics import (
     CorrelationMode,
     _as_mode,
+    _check_tau,
     _spectral_rows,
     renormalized,
 )
@@ -84,22 +87,6 @@ def _input_site(state, site: Optional[str]) -> str:
     if len(slots) != 1:
         raise ValueError("circuit input must occupy a single slot")
     return site or slots[0].site
-
-
-def _check_tau(tau) -> int:
-    """tau as an int; a dilation is a whole number of cycles, at least
-    one, so anything else raises ValueError."""
-    try:
-        cycles = int(tau)
-    except (TypeError, ValueError, OverflowError):
-        cycles = None
-    if cycles is None or cycles != tau:
-        raise ValueError(
-            f"dilation must be a whole number of cycles, got {tau!r}"
-        )
-    if cycles < 1:
-        raise ValueError(f"dilation must be at least one cycle, got {cycles}")
-    return cycles
 
 
 def _mix(weights, stack: np.ndarray) -> np.ndarray:
@@ -690,7 +677,7 @@ def run_proper_vs_improper(ensemble: Optional[Sequence] = None,
         branches.append((w, psi))
     if not branches:
         raise ValueError("empty ensemble")
-    if abs(sum(w for w, _ in branches) - 1.0) > 1e-9:
+    if abs(sum(w for w, _ in branches) - 1.0) > WEIGHT_SUM_SLACK:
         raise ValueError("ensemble weights must sum to 1")
     sites = {psi.register.slots[0].site for _, psi in branches}
     if len(sites) != 1:
@@ -767,7 +754,7 @@ def run_entropy_study(p_vac: float, grid: Sequence[float],
         mixed = [p_vac * v + (1.0 - p_vac) * q for v, q in zip(vacuum, qubit)]
         s_in, s_d, s_out = ro.columns(
             [_entropy_bits(vals) for vals in ro.check(mixed)])
-        below = s_in > s_d + 1e-9
+        below = s_in > s_d + ENTROPY_SLACK
         if below.any():
             i = int(np.argmax(below))
             raise InvariantViolationError(

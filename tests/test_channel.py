@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from tdesim import (
-    PopulationPair,
+    OverlappingSlotError,
     QubitDensity,
+    bell_phi_plus,
     displaced_bell_channel,
-    generalized_map,
+    displaced_expansion,
+    measure_at_cycle,
     nonlinear_map,
     nonlinearity_witness,
 )
@@ -65,38 +67,27 @@ def test_nonlinear_map_output_is_valid_density(rng):
         assert abs(out.g00 + out.g11 - 1.0) < 1e-12
 
 
-def test_generalized_map_is_symmetric(rng):
-    for _ in range(20):
-        p0, q0 = rng.uniform(size=2)
-        pair = PopulationPair(p0, 1 - p0, q0, 1 - q0)
-        flipped = PopulationPair(q0, 1 - q0, p0, 1 - p0)
-        a, b = generalized_map(pair), generalized_map(flipped)
-        assert abs(a.g00 - b.g00) < 1e-12
-        assert abs(a.g11 - b.g11) < 1e-12
-
-
-def test_generalized_map_reduces_to_nonlinear_on_equal_inputs():
-    g00 = 0.3
-    pair = PopulationPair(g00, 1 - g00, g00, 1 - g00)
-    gen = generalized_map(pair)
-    non = nonlinear_map(QubitDensity(g00, 1 - g00))
-    assert abs(gen.g00 - non.g00) < 1e-15
-    assert abs(gen.g11 - non.g11) < 1e-15
-
-
-def test_population_pair_validation():
-    with pytest.raises(ValueError):
-        PopulationPair(0.5, 0.6, 0.5, 0.5)
-    with pytest.raises(ValueError):
-        PopulationPair(-0.1, 1.1, 0.5, 0.5)
-
-
 def test_displaced_bell_channel_fully_decoheres():
-    for tau in (1, 2, 3):
-        rho = displaced_bell_channel(tau)
-        np.testing.assert_allclose(rho.matrix, np.eye(4) / 4.0, atol=1e-12)
-    with pytest.raises(ValueError):
-        displaced_bell_channel(0)
+    # the compiled circuit's read-out against the object path, over a grid
+    # of dilations and site pairs; site_a "2" makes the circuit name its
+    # ancilla "anc", which site_b may then be too
+    for tau in (1, 2, 3, 4):
+        for site_a, site_b in (("1", "2"), ("2", "1"), ("x", "y"),
+                               ("2", "anc")):
+            rho = displaced_bell_channel(tau, site_a, site_b)
+            pair = bell_phi_plus(site_a, site_b, tau)
+            want = measure_at_cycle(displaced_expansion(pair, tau, site_a),
+                                    tau)
+            assert rho.register == want.register
+            np.testing.assert_allclose(rho.matrix, want.matrix, rtol=0,
+                                       atol=1e-12)
+            np.testing.assert_allclose(rho.matrix, np.eye(4) / 4.0, rtol=0,
+                                       atol=1e-12)
+    for tau in (0, 1.9, 2.5):
+        with pytest.raises(ValueError, match="dilation must be"):
+            displaced_bell_channel(tau)
+    with pytest.raises(OverlappingSlotError):
+        displaced_bell_channel(1, "a", "a")
 
 
 def test_witness_on_orthogonal_pure_inputs():

@@ -921,7 +921,6 @@ def test_hand_built_prepares_get_frozen_vectors_and_rerun_alike():
                   Cnot("a", "b", 0, line=5),
                   Output("a", 0, line=6))
     program = CircuitProgram(directives)
-    assert directives[0].vector is None
     plan = [a.copy() for a in _plan_arrays(program)]
     for step in program.plan.steps:
         if step.kind == "prepare":

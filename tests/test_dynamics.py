@@ -5,7 +5,6 @@ from tdesim import (
     CorrelationMode,
     CycleMisalignmentError,
     DensityOperator,
-    ExpansionPolicy,
     Gate,
     PureState,
     Register,
@@ -130,16 +129,6 @@ def test_cnot_with_dim3_control_keeps_vacuum_branch():
     np.testing.assert_allclose(reduced.matrix, [[1, 0], [0, 0]], atol=1e-15)
 
 
-def test_expansion_policy_validation():
-    ExpansionPolicy(cycles=(0, 1, 5))
-    with pytest.raises(ValueError):
-        ExpansionPolicy(cycles=(1, 1))
-    with pytest.raises(ValueError):
-        ExpansionPolicy(cycles=(2, 1))
-    pol = ExpansionPolicy(correlation="coherent-history")
-    assert pol.correlation is CorrelationMode.COHERENT_HISTORY
-
-
 def test_free_expansion_pure_is_product_of_relabeled_copies(rng):
     reg = Register((SlotId("a", 0),), (2,))
     psi = random_pure(rng, reg)
@@ -148,15 +137,6 @@ def test_free_expansion_pure_is_product_of_relabeled_copies(rng):
                                   SlotId("a", 5))
     want = np.kron(np.kron(psi.amplitudes, psi.amplitudes), psi.amplitudes)
     np.testing.assert_allclose(out.amplitudes, want, atol=1e-12)
-
-
-def test_free_expansion_cycles_from_policy(rng):
-    reg = Register((SlotId("a", 0),), (2,))
-    psi = random_pure(rng, reg)
-    out = free_expansion(psi, policy=ExpansionPolicy(cycles=(0, 1)))
-    assert out.register.slots == (SlotId("a", 0), SlotId("a", 1))
-    with pytest.raises(ValueError):
-        free_expansion(psi)
 
 
 def test_free_expansion_mixed_needs_explicit_mode(rng):
@@ -178,6 +158,12 @@ def test_free_expansion_correlation_modes():
                          policy=CorrelationMode.COHERENT_HISTORY)
     want = 0.75 * np.diag([1.0, 0, 0, 0]) + 0.25 * np.diag([0, 0, 0, 1.0])
     np.testing.assert_allclose(coh.matrix, want, atol=1e-12)
+    # a mode may also be given as its string value
+    for mode, out in (("uncorrelated-copies", unc), ("coherent-history", coh)):
+        np.testing.assert_array_equal(
+            free_expansion(rho, [0, 1], policy=mode).matrix, out.matrix)
+    with pytest.raises(ValueError):
+        free_expansion(rho, [0, 1], policy="coherent")
 
 
 def test_free_expansion_ensemble_branches():
@@ -196,6 +182,21 @@ def test_free_expansion_ensemble_branches():
                        policy=CorrelationMode.COHERENT_HISTORY)
 
 
+@pytest.mark.parametrize("mode", list(CorrelationMode))
+@pytest.mark.parametrize("weight", [np.nan, np.inf, -np.inf])
+def test_expansions_refuse_non_finite_weights(weight, mode):
+    # NaN fails every comparison, so without its own check a NaN weight
+    # would pass the sign and sum checks and its branch be dropped
+    single = [(weight, qubit_state("a", 0, 1.0, 0.0)),
+              (1.0, qubit_state("a", 0, 0.0, 1.0))]
+    with pytest.raises(ValueError, match="not finite"):
+        free_expansion(single, [0, 1], policy=mode)
+    pairs = [(weight, bell_phi_plus("1", "2", 1)),
+             (1.0, basis_state(two_qubit_register(cycle=1), (0, 1)))]
+    with pytest.raises(ValueError, match="not finite"):
+        displaced_expansion(pairs, 1, dilated_site="1", policy=mode)
+
+
 def test_displaced_expansion_slot_layout(rng):
     psi = bell_phi_plus("1", "2", 3)
     out = displaced_expansion(psi, 2, dilated_site="1")
@@ -209,8 +210,9 @@ def test_displaced_expansion_slot_layout(rng):
 
 def test_displaced_expansion_errors(rng):
     psi = bell_phi_plus("1", "2", 1)
-    with pytest.raises(ValueError):
-        displaced_expansion(psi, 0, dilated_site="1")
+    for tau in (0, 1.9, 2.5):
+        with pytest.raises(ValueError, match="dilation must be"):
+            displaced_expansion(psi, tau, dilated_site="1")
     with pytest.raises(UnknownSlotError):
         displaced_expansion(psi, 1, dilated_site="7")
     rho = to_density(psi)
