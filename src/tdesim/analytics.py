@@ -13,8 +13,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolationError
-from .registers import (ENTROPY_SLACK, PSD_FLOOR, DensityOperator, PureState,
-                        partial_trace, to_density)
+from .registers import (ATOL, ENTROPY_SLACK, PSD_FLOOR, DensityOperator,
+                        PureState, partial_trace, to_density)
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -26,7 +26,7 @@ def _as_matrix(rho) -> np.ndarray:
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr rho log2 rho.
 
-    Eigenvalues in [-1e-10, 0) are clamped to zero as roundoff; anything
+    Eigenvalues in [PSD_FLOOR, 0) are clamped to zero as roundoff; anything
     more negative is treated as a corrupted state and raises.  A
     DensityOperator's spectrum is the one its validation computed.
     """
@@ -78,10 +78,10 @@ def trace_norm_distance(a, b) -> float:
 
 def _trace_norms(diff: np.ndarray) -> np.ndarray:
     """Tr|D| for each matrix of an (N, d, d) stack: from the eigenvalues
-    where D is hermitian to 1e-12, else from the singular values."""
+    where D is hermitian to ATOL, else from the singular values."""
     herm = np.abs(diff - diff.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
     out = np.empty(len(diff))
-    h = herm <= 1e-12
+    h = herm <= ATOL
     if h.any():
         out[h] = np.abs(np.linalg.eigvalsh(diff[h])).sum(axis=-1)
     if not h.all():
@@ -98,8 +98,9 @@ def purity(rho) -> float:
 def subadditivity_margin(rho: DensityOperator, split: int = 1) -> float:
     """S(A) + S(B) - S(AB) for the bipartition at slot index `split`.
 
-    Nonnegative for every valid state; a margin below -1e-9 means the
-    inputs were not a state at all and raises instead of returning.
+    Nonnegative for every valid state; a margin below -ENTROPY_SLACK
+    means the inputs were not a state at all and raises instead of
+    returning.
     """
     reg = rho.register
     if len(reg.slots) < 2:
@@ -141,8 +142,9 @@ def fig2_curves(grid: Sequence[float], tau: int = 1,
     tolerance raises.  Only the input and output densities are read off
     the circuit, both qubits, so each block of the grid costs one check.
     """
-    from .scenarios import _densities, grid_inputs, row_blocks
+    from .scenarios import _check_tau, _densities, grid_inputs, row_blocks
 
+    tau = _check_tau(tau)
     b2, amps = grid_inputs(grid)
     # row 0 is the |0> reference every grid point is compared against
     amps = np.concatenate([[[1.0, 0.0]], amps])
@@ -185,4 +187,4 @@ def amplification_points(points: Sequence[CurvePoint],
     if definition not in ("D_in_paper", "D_in_tracenorm"):
         raise ValueError(f"unknown input definition {definition!r}")
     return [p.beta_sq for p in points
-            if p.values["D_out"] > p.values[definition] + 1e-12]
+            if p.values["D_out"] > p.values[definition] + ATOL]

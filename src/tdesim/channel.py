@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registers import DensityOperator, Register, SlotId, on_register
+from .registers import (ATOL, WEIGHT_ROUNDOFF, DensityOperator, Register,
+                        SlotId, on_register)
 
 
 @dataclass(frozen=True)
@@ -34,13 +35,13 @@ class QubitDensity:
         object.__setattr__(self, "g00", float(self.g00))
         object.__setattr__(self, "g11", float(self.g11))
         object.__setattr__(self, "g01", complex(self.g01))
-        if self.g00 < -1e-12 or self.g11 < -1e-12:
+        if self.g00 < -WEIGHT_ROUNDOFF or self.g11 < -WEIGHT_ROUNDOFF:
             raise ValueError(f"negative population ({self.g00}, {self.g11})")
-        if abs(self.g00 + self.g11 - 1.0) > 1e-12:
+        if abs(self.g00 + self.g11 - 1.0) > ATOL:
             raise ValueError(
                 f"populations sum to {self.g00 + self.g11:.15g}, expected 1"
             )
-        if abs(self.g01) ** 2 > self.g00 * self.g11 + 1e-12:
+        if abs(self.g01) ** 2 > self.g00 * self.g11 + ATOL:
             raise ValueError("coherence exceeds positivity bound")
 
     @classmethod

@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import SimulationError
 from .registers import density_to_json, maximally_mixed, qubit_state
-from .dynamics import joint_outcome_distribution
+from .dynamics import _check_tau, joint_outcome_distribution
 from .analytics import (
     amplification_points,
     fig2_curves,
@@ -41,6 +41,7 @@ from .analytics import (
 )
 from .channel import displaced_bell_channel
 from .scenarios import (
+    _BASES,
     grid_reports,
     reverse_reports,
     run_entropy_study,
@@ -76,8 +77,7 @@ class RunConfig:
                 f"grid steps must be between 2 and {MAX_GRID_STEPS}, "
                 f"got {self.steps}"
             )
-        if self.tau < 1:
-            raise ValueError(f"dilation must be at least 1, got {self.tau}")
+        self.tau = _check_tau(self.tau)
         if not (math.isfinite(self.tolerance) and self.tolerance > 0):
             raise ValueError(
                 f"tolerance must be finite and positive, got {self.tolerance}"
@@ -233,20 +233,12 @@ def _cmd_reverse(args, config: RunConfig):
     return _dumps(body), code
 
 
-_ENSEMBLES = {
-    "computational": ((0.5, (1.0, 0.0)), (0.5, (0.0, 1.0))),
-    "diagonal": ((0.5, (1.0, 1.0)), (0.5, (1.0, -1.0))),
-}
-
-
 def _cmd_propriety(args, config: RunConfig):
     basis = config.basis or "computational"
-    if basis not in _ENSEMBLES:
-        raise ValueError(f"basis must be one of {sorted(_ENSEMBLES)}")
-    ensemble = [
-        (w, qubit_state("1", 0, a0, a1))
-        for w, (a0, a1) in _ENSEMBLES[basis]
-    ]
+    if basis not in _BASES:
+        raise ValueError(f"basis must be one of {sorted(_BASES)}")
+    # an equal mixture of the basis states, a proper ensemble
+    ensemble = [(0.5, qubit_state("1", 0, *vec)) for _, vec in _BASES[basis]]
     rep = run_proper_vs_improper(ensemble, tau=config.tau)
     if config.format == "csv":
         return _csv("basis,trace_distance",

@@ -59,6 +59,7 @@ import numpy as np
 from .errors import CircuitExecutionError, CircuitParseError, RegisterSizeError
 from .registers import (
     MAX_STATE_BYTES,
+    ZERO_NORM,
     DensityOperator,
     Register,
     SlotId,
@@ -628,14 +629,15 @@ def _state_vector(kind: str, a0: complex, a1: complex,
 def _qubit_vector(a0: complex, a1: complex, line: int) -> np.ndarray:
     """a0|0> + a1|1>, normalized.  It is scaled to its largest real or
     imaginary component first, so huge amplitudes do not overflow the
-    norm."""
+    norm; an L2 norm below ZERO_NORM raises, as it does for a PureState."""
     scale = max(abs(a0.real), abs(a0.imag), abs(a1.real), abs(a1.imag))
     if not math.isfinite(scale):
         _fail(line, "amplitudes are not finite")
-    if scale == 0.0 or scale * (abs(a0 / scale) + abs(a1 / scale)) < 1e-12:
-        _fail(line, "state has zero norm")
-    a0, a1 = a0 / scale, a1 / scale
+    if scale > 0.0:
+        a0, a1 = a0 / scale, a1 / scale
     norm = math.hypot(abs(a0), abs(a1))
+    if scale * norm < ZERO_NORM:
+        _fail(line, "state has zero norm")
     # complex, like every row a run holds, so a run's spare buffers fit
     vector = np.array([a0 / norm, a1 / norm], dtype=complex)
     vector.flags.writeable = False  # a cached plan's prepare step holds it

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
 from typing import Iterable, Optional, Sequence
@@ -37,14 +36,16 @@ import numpy as np
 from .errors import (CycleMisalignmentError, InvariantViolationError,
                      UnknownSlotError, ZeroProbabilityError)
 from .registers import (
+    ATOL,
     WEIGHT_ROUNDOFF,
-    WEIGHT_SUM_SLACK,
+    ZERO_NORM,
     BasisLevel,
     DensityOperator,
     PureState,
     Register,
     SlotLike,
     State,
+    _checked_ensemble,
     as_slot,
     level_index,
     level_label,
@@ -100,7 +101,7 @@ class Gate:
         if 2 ** arity != n:
             raise ValueError(f"gate dimension {n} is not a power of 2")
         dev = float(np.abs(m @ m.conj().T - np.eye(n)).max())
-        if dev > 1e-12:
+        if dev > ATOL:
             raise ValueError(f"gate {name!r} is not unitary (deviation {dev:.3e})")
         m = m.copy()
         m.flags.writeable = False
@@ -244,7 +245,8 @@ def _as_branches(state, mode: Optional[CorrelationMode]):
     """Normalize the expansion input to (kind, payload).
 
     kind 'pure' carries a PureState, 'density' a DensityOperator, and
-    'branches' a validated list of (weight, PureState).
+    'branches' a list of (weight, PureState) as registers._checked_ensemble
+    returns it.
     """
     if isinstance(state, PureState):
         return "pure", state
@@ -256,35 +258,10 @@ def _as_branches(state, mode: Optional[CorrelationMode]):
         if mode is CorrelationMode.UNCORRELATED_COPIES:
             return "density", state
         return "branches", spectral_ensemble(state)
-    branches = list(state)
-    if not branches:
-        raise ValueError("empty ensemble")
-    total = 0.0
-    reg = None
-    out = []
-    for w, psi in branches:
-        w = float(w)
-        if not math.isfinite(w):
-            raise ValueError(f"ensemble weight {w!r} is not finite")
-        if w < -WEIGHT_ROUNDOFF:
-            raise ValueError(f"negative ensemble weight {w}")
-        if not isinstance(psi, PureState):
-            raise ValueError("ensemble branches must be PureState")
-        if reg is None:
-            reg = psi.register
-        elif psi.register != reg:
-            raise ValueError("ensemble branches live on different registers")
-        if w > WEIGHT_ROUNDOFF:
-            out.append((w, psi))
-        total += w
-    if abs(total - 1.0) > WEIGHT_SUM_SLACK:
-        raise ValueError(f"ensemble weights sum to {total:.12g}, expected 1")
-    if not out:
-        raise ValueError("all ensemble weights are zero")
-    out = renormalized(out)
+    branches = _checked_ensemble(state)
     if mode is CorrelationMode.UNCORRELATED_COPIES:
-        return "density", ensemble_density(out)
-    return "branches", out
+        return "density", ensemble_density(branches)
+    return "branches", branches
 
 
 def ensemble_density(branches: Ensemble) -> DensityOperator:
@@ -297,22 +274,11 @@ def ensemble_density(branches: Ensemble) -> DensityOperator:
     return DensityOperator(reg, m)
 
 
-def renormalized(branches: Ensemble) -> list:
-    """The (weight, state) pairs with their weights rescaled to sum to 1.
-
-    Callers accept weights that sum to 1 within 1e-9, or drop branches
-    of weight below 1e-12; the mixture they build must still have unit
-    trace to 1e-12.
-    """
-    total = sum(float(w) for w, _ in branches)
-    return [(float(w) / total, psi) for w, psi in branches]
-
-
 def spectral_ensemble(rho: DensityOperator) -> list:
     """Eigendecomposition of a density matrix as a (weight, state) list.
 
-    Eigenvalues up to 1e-12 are dropped as roundoff and the kept weights
-    renormalized to sum to 1.
+    Eigenvalues up to WEIGHT_ROUNDOFF are dropped as roundoff and the kept
+    weights renormalized to sum to 1.
     """
     weights, vectors = _spectral_rows(rho.matrix)
     return [(w, PureState(rho.register, v))
@@ -321,8 +287,8 @@ def spectral_ensemble(rho: DensityOperator) -> list:
 
 def _spectral_rows(matrix: np.ndarray) -> tuple:
     """spectral_ensemble as arrays: the eigenvalues of a density matrix
-    above 1e-12, renormalized to sum to 1, and their eigenvectors from
-    eigh as the rows of a (k, d) stack."""
+    above WEIGHT_ROUNDOFF, renormalized to sum to 1, and their
+    eigenvectors from eigh as the rows of a (k, d) stack."""
     vals, vecs = np.linalg.eigh(matrix)
     keep = vals > WEIGHT_ROUNDOFF
     weights = vals[keep]
@@ -433,14 +399,14 @@ def _outcome_operator(outcome, dim: int):
         if arr.shape != (dim,):
             raise ValueError(f"outcome vector needs {dim} amplitudes")
         n = float(np.linalg.norm(arr))
-        if n < 1e-12:
+        if n < ZERO_NORM:
             raise ValueError("outcome vector has zero norm")
         v = arr / n
         return v, np.outer(v, v.conj()), "custom"
     if arr.shape != (dim, dim):
         raise ValueError(f"projector must be {dim}x{dim}, got {arr.shape}")
-    if np.abs(arr - arr.conj().T).max() > 1e-12 or \
-            np.abs(arr @ arr - arr).max() > 1e-12:
+    if np.abs(arr - arr.conj().T).max() > ATOL or \
+            np.abs(arr @ arr - arr).max() > ATOL:
         raise ValueError("outcome matrix is not a projector")
     return None, arr, "projector"
 
@@ -499,7 +465,7 @@ def project(state: State, slot: SlotLike, outcome,
 
 
 def _check_probability(p: float, label: str, slot) -> None:
-    if p < 1e-12:
+    if p < WEIGHT_ROUNDOFF:
         raise ZeroProbabilityError(
             f"outcome {label!r} on {slot} has probability {p:.3e}"
         )

@@ -27,13 +27,19 @@ from .errors import (
     UnknownSlotError,
 )
 
+# How far matrix entries and scalars may miss an exact relation
+# (hermiticity, unit trace, unitarity, a projector's P^2 = P, a strict
+# inequality between distances or entropies) and still count as meeting it.
 ATOL = 1e-12
 PSD_FLOOR = -1e-10
-# Ensemble weights and spectral eigenvalues within this of zero are
-# roundoff: dropped, and never counted as negative.
+# Ensemble weights, populations, spectral eigenvalues and outcome
+# probabilities within this of zero are roundoff: dropped, and never
+# counted as negative.
 WEIGHT_ROUNDOFF = 1e-12
 # How far ensemble weights may sum from 1 before they are refused.
 WEIGHT_SUM_SLACK = 1e-9
+# A state vector whose (L2) norm is below this is taken to be zero.
+ZERO_NORM = 1e-12
 # How far an entropy inequality (subadditivity, S(rho_d) >= S(input)) may
 # fail before the states are taken to be corrupt.
 ENTROPY_SLACK = 1e-9
@@ -193,6 +199,39 @@ class PureState:
         return f"PureState({list(self.register.slots)})"
 
 
+def _checked_ensemble(ensemble) -> list:
+    """An ensemble of (weight, PureState) pairs, checked and renormalized.
+
+    Every weight must be finite and at least -WEIGHT_ROUNDOFF, every
+    branch a PureState on one register, and the weights must sum to 1
+    within WEIGHT_SUM_SLACK; a failure raises ValueError naming the
+    branch.  Branches of weight up to WEIGHT_ROUNDOFF are dropped and the
+    rest rescaled to sum to 1, as (float weight, state) pairs.
+    """
+    branches = list(ensemble)
+    if not branches:
+        raise ValueError("empty ensemble")
+    kept, total = [], 0.0
+    for i, (w, psi) in enumerate(branches):
+        w = float(w)
+        if not (math.isfinite(w) and w >= -WEIGHT_ROUNDOFF):
+            raise ValueError(f"ensemble weight {w!r} of branch {i} is not a "
+                             "finite nonnegative number")
+        if not isinstance(psi, PureState):
+            raise ValueError(f"ensemble branch {i} is not a PureState")
+        if psi.register != branches[0][1].register:
+            raise ValueError(
+                f"ensemble branch {i} lives on another register than branch 0"
+            )
+        total += w
+        if w > WEIGHT_ROUNDOFF:
+            kept.append((w, psi))
+    if abs(total - 1.0) > WEIGHT_SUM_SLACK:
+        raise ValueError(f"ensemble weights sum to {total:.12g}, expected 1")
+    total = sum(w for w, _ in kept)
+    return [(w / total, psi) for w, psi in kept]
+
+
 def _normalized(amps: np.ndarray, in_place: bool) -> np.ndarray:
     """amps divided by its norm and frozen, in place or as a new array.
     The norm is rescaled by the largest real or imaginary part when it
@@ -205,7 +244,7 @@ def _normalized(amps: np.ndarray, in_place: bool) -> np.ndarray:
             raise ValueError("state vector is not finite")
         amps = np.divide(amps, scale, out=out)
         norm = math.sqrt(np.vdot(amps, amps).real)
-    elif norm < 1e-12:
+    elif norm < ZERO_NORM:
         raise ValueError("state vector has zero norm")
     amps = np.divide(amps, norm, out=out)
     amps.flags.writeable = False
@@ -231,8 +270,8 @@ def _pure_state(register: Register, amps: np.ndarray) -> PureState:
 class DensityOperator:
     """Density matrix on a register, validated on construction.
 
-    Construction checks hermiticity and unit trace to 1e-12 and rejects
-    eigenvalues below -1e-10 (see check_densities); anything worse
+    Construction checks hermiticity and unit trace to ATOL and rejects
+    eigenvalues below PSD_FLOOR (see check_densities); anything worse
     indicates a bug upstream, not roundoff, so it raises
     InvariantViolationError.  The eigenvalues computed by that check are
     kept, read-only, as ``eigenvalues``.

@@ -8,17 +8,15 @@ circuit is written as a directive tuple, compiled by dsl._static_check
 once per input dimension, dilation and site, and run by the dsl's own
 executor (dsl._run_steps) on rows shaped (B, N, *dims): B states, each
 the sum of the projectors of its N purification rows.  The scenario's
-input rows take the place of the circuit's input prepares.
+input rows, which one binding (_bind) makes of a pure or mixed input,
+take the place of the circuit's input prepares.
 
 A report's densities come from the circuit's read-out (_Readout),
-compiled with it once per row count N.  A call runs the plan's step
-slices, taps the rows they leave and concatenates them once per state.
-Then, for each dimension, one gather builds the factor F of every
-density of that dimension the report returns, one batched product
-gives F F^H, and one check_densities pass validates the stack; the
-report's DensityOperators are read-only views of its rows.  The runners
-return report objects carrying the exact intermediate states so tests
-and the command line can interrogate any step.
+compiled with it once per row count N: per dimension, one gather, one
+batched product F F^H and one check_densities pass, whose checked stack
+the report's DensityOperators view.  The runners return report objects
+carrying the exact intermediate states so tests and the command line
+can interrogate any step.
 """
 
 from __future__ import annotations
@@ -33,13 +31,14 @@ import numpy as np
 
 from .errors import InvariantViolationError
 from .registers import (
+    ATOL,
     ENTROPY_SLACK,
-    WEIGHT_SUM_SLACK,
     DensityOperator,
     PureState,
     Register,
     SlotId,
     State,
+    _checked_ensemble,
     _pure_state,
     _validated,
     bell_phi_plus,
@@ -53,7 +52,6 @@ from .dynamics import (
     _as_mode,
     _check_tau,
     _spectral_rows,
-    renormalized,
 )
 from .analytics import (
     CurvePoint,
@@ -96,12 +94,38 @@ def _mix(weights, stack: np.ndarray) -> np.ndarray:
     return mixed.reshape((1,) + stack.shape[1:])
 
 
-def _factored(rho: DensityOperator) -> np.ndarray:
-    """rho as the rows sqrt(w) v of its spectral decomposition
-    (dynamics._spectral_rows), one state shaped (1, k, *dims)."""
-    weights, vectors = _spectral_rows(rho.matrix)
+def _bind(state, mode) -> tuple:
+    """A circuit input as executor rows shaped (B, N, *dims), and the
+    weights that mix its B states, or None for one state.
+
+    A pure state is one row and never consults mode.  A mixed input's
+    branches (w, v) are a DensityOperator's spectral decomposition
+    (dynamics._spectral_rows) or the pairs of a _checked_ensemble.
+    Under COHERENT_HISTORY each branch is a state of one row, mixed by
+    w; under UNCORRELATED_COPIES the rows sqrt(w) v are one state,
+    folded by a QR factorization to at most d rows (R^H R = r^H r).  A
+    mixed input with no mode raises ValueError.
+    """
+    if isinstance(state, PureState):
+        return state.amplitudes.reshape((1, 1) + state.register.dims), None
+    mode = _as_mode(mode)
+    if mode is None:
+        raise ValueError(
+            "expanding a mixed state needs an explicit correlation mode"
+        )
+    if isinstance(state, DensityOperator):
+        dims = state.register.dims
+        weights, vectors = _spectral_rows(state.matrix)
+    else:
+        dims = state[0][1].register.dims
+        weights = np.array([w for w, _ in state])
+        vectors = np.array([psi.amplitudes for _, psi in state])
+    if mode is CorrelationMode.COHERENT_HISTORY:
+        return vectors.reshape((len(vectors), 1) + dims), weights
     rows = np.sqrt(weights)[:, None] * vectors
-    return rows.reshape((1, len(rows)) + rho.register.dims)
+    if len(rows) > rows.shape[1]:
+        rows = np.linalg.qr(rows, mode="r")
+    return rows.reshape((1, len(rows)) + dims), None
 
 
 def row_blocks(n: int):
@@ -380,37 +404,19 @@ def run_fig1(state, tau: int = 1, input_site: Optional[str] = None,
     four slots; reading out at the preparation cycle gives rho_d, and the
     closing CNOT plus partial trace give the channel output on the ancilla.
 
-    The input runs through the compiled circuit as rows, and the report's
+    The input runs through the compiled circuit as the rows _bind gives
+    it under `policy` (uncorrelated copies by default), and the report's
     densities come from its read-out: one gather, one product and one
-    check per dimension.  A pure input is one state of one row, its
-    amplitudes used as they are on the compiled input register, and
-    never consults the policy.  A mixed input is expanded per `policy`,
-    uncorrelated copies by default: it is one state whose rows are
-    sqrt(w) v over its spectral decomposition, so the expansion's N**2
-    rows purify rho (x) rho and the four-slot state is a density.  Under
-    COHERENT_HISTORY its spectral branches run as states of one row each
-    and their densities are mixed before the check.  Eigenvalues up to
-    1e-12 are dropped as roundoff in both modes
-    (dynamics._spectral_rows).  A mixed input with no correlation mode
-    raises ValueError.
+    check per dimension.  A mixed input's four-slot state is a density.
     """
     tau = _check_tau(tau)
     if isinstance(state, QubitDensity):
         state = state.to_density(input_site or "1", tau)
     site = _input_site(state, input_site)
-    if isinstance(state, PureState):
-        return _fig1_reports(state.amplitudes[None, None], tau, site)[0]
-    mode = _as_mode(policy)
-    if mode is None:
-        raise ValueError(
-            "expanding a mixed state needs an explicit correlation mode"
-        )
-    inp = on_register(state, _fig1_circuit(state.dim, tau, site)
-                      .columns["input"][0])
-    if mode is CorrelationMode.UNCORRELATED_COPIES:
-        return _fig1_reports(_factored(inp), tau, site, inp)[0]
-    weights, vectors = _spectral_rows(inp.matrix)
-    return _fig1_reports(vectors[:, None], tau, site, inp, weights)[0]
+    rows, weights = _bind(state, policy)
+    inp = None if isinstance(state, PureState) else on_register(
+        state, _fig1_circuit(state.dim, tau, site).columns["input"][0])
+    return _fig1_reports(rows, tau, site, inp, weights)[0]
 
 
 def grid_reports(grid: Sequence[float], tau: int, block_reports) -> list:
@@ -497,7 +503,6 @@ def run_reverse(state: PureState, tau: int = 1,
     """
     if not isinstance(state, PureState):
         raise ValueError("reversal is defined for pure inputs")
-    tau = _check_tau(tau)
     site = _input_site(state, input_site)
     return reverse_reports(state.amplitudes[None], tau, site)[0]
 
@@ -530,19 +535,13 @@ def _box(reg: Register, ancilla_site: str) -> _Circuit:
 
 def run_displaced_backend(state: State, data_site: str,
                           ancilla_site: str = "c") -> DensityOperator:
-    """Displaced-CNOT measurement box applied to a two-cycle single site.
-
-    The input occupies one site at two cycles.  Each cycle gets its own
-    fresh ancilla and CNOT, the data site is then dilated by the cycle
-    gap, and a final CNOT at the later cycle folds the early copy onto
-    the late ancilla, which is returned.
+    """Displaced-CNOT measurement box (_box, compiled once per input
+    register) applied to one site at two cycles; returns the late ancilla.
 
     This is the back end a distant party can apply to their half of a
     shared state; it is linear in the two-cycle input, which is exactly
-    why it cannot leak a remote measurement choice.  The box is compiled
-    once per input register (_box).  A pure input runs as one row, a
-    mixed one as the rows sqrt(w) v of its spectral decomposition, with
-    eigenvalues up to 1e-12 dropped as roundoff.
+    why it cannot leak a remote measurement choice.  The input runs as
+    the rows of its UNCORRELATED_COPIES binding (_bind).
     """
     reg = state.register
     if len(reg.slots) != 2 or set(reg.sites) != {data_site}:
@@ -551,10 +550,7 @@ def run_displaced_backend(state: State, data_site: str,
         )
     if ancilla_site == data_site:
         raise ValueError("ancilla site must differ from the data site")
-    if isinstance(state, PureState):
-        rows = state.amplitudes.reshape((1, 1) + reg.dims)
-    else:
-        rows = _factored(state)
+    rows, _ = _bind(state, CorrelationMode.UNCORRELATED_COPIES)
     ro = _readout(_box, (reg, ancilla_site), rows.shape[1], ("output",))
     _, stacks = ro.products(rows)
     return ro.densities(stacks, ro.check(stacks))[0][0]
@@ -655,50 +651,28 @@ def run_proper_vs_improper(ensemble: Optional[Sequence] = None,
     """Compare running the circuit branch by branch against running it on
     the averaged density matrix.
 
-    The branch-by-branch (proper) path copies each pure branch through the
-    expansion; the averaged (improper) path expands the density matrix as
-    uncorrelated copies.  A linear channel could never tell the two
-    apart, so any gap is a direct readout of the channel's nonlinearity.
+    The ensemble is checked by registers._checked_ensemble, and its
+    branches must be single-slot.  The branch-by-branch (proper) path is
+    its COHERENT_HISTORY binding (_bind), the averaged (improper) path
+    its UNCORRELATED_COPIES binding.  A linear channel could never tell
+    the two apart, so any gap is a direct readout of the channel's
+    nonlinearity.
     """
     tau = _check_tau(tau)
     if ensemble is None:
         ensemble = [(0.5, qubit_state("1", tau, 1.0, 0.0)),
                     (0.5, qubit_state("1", tau, 0.0, 1.0))]
-    branches = []
-    for w, psi in ensemble:
-        if not isinstance(psi, PureState) or len(psi.register.slots) != 1:
-            raise ValueError("ensemble branches must be single-slot pure states")
-        w = float(w)
-        if not (math.isfinite(w) and w >= 0.0):
-            raise ValueError(
-                f"ensemble weight {w!r} of branch {len(branches)} is not a "
-                f"finite nonnegative number"
-            )
-        branches.append((w, psi))
-    if not branches:
-        raise ValueError("empty ensemble")
-    if abs(sum(w for w, _ in branches) - 1.0) > WEIGHT_SUM_SLACK:
-        raise ValueError("ensemble weights must sum to 1")
-    sites = {psi.register.slots[0].site for _, psi in branches}
-    if len(sites) != 1:
-        raise ValueError("ensemble branches must share one site")
-    if len({psi.register.dims for _, psi in branches}) != 1:
-        raise ValueError("ensemble branches must share one slot dimension")
-
-    weights = np.array([w for w, _ in renormalized(branches)])
-    amps = np.array([psi.amplitudes for _, psi in branches])
-    key = (amps.shape[1], tau, sites.pop())
-    # proper: each branch is a state of its own, mixed afterwards;
-    # improper: one state whose rows sqrt(w) psi purify the average,
-    # folded by a QR factorization to at most d rows (R^H R = r^H r, the
-    # same state), so the row count is bounded by the dimension
-    rows = np.sqrt(weights)[:, None] * amps
-    if len(rows) > rows.shape[1]:
-        rows = np.linalg.qr(rows, mode="r")
+    branches = _checked_ensemble(ensemble)
+    reg = branches[0][1].register
+    if len(reg.slots) != 1:
+        raise ValueError("ensemble branches must be single-slot pure states")
+    key = (reg.dim, tau, reg.slots[0].site)
+    proper_rows, weights = _bind(branches, CorrelationMode.COHERENT_HISTORY)
+    improper_rows, _ = _bind(branches, CorrelationMode.UNCORRELATED_COPIES)
     ro = _readout(_fig1_circuit, key, 1, ("rho_out",))
-    _, (proper,) = ro.products(amps[:, None])
-    _, (improper,) = _readout(_fig1_circuit, key, len(rows),
-                              ("rho_out",)).products(rows[None])
+    _, (proper,) = ro.products(proper_rows)
+    _, (improper,) = _readout(_fig1_circuit, key, improper_rows.shape[1],
+                              ("rho_out",)).products(improper_rows)
     # both outputs are qubits: one check for the two, and nothing else
     # the report does not return is validated
     stack = np.concatenate([_mix(weights, proper), improper])
@@ -763,7 +737,7 @@ def run_entropy_study(p_vac: float, grid: Sequence[float],
             )
         for b, si, sd, so in zip(b2[block].tolist(), s_in.tolist(),
                                  s_d.tolist(), s_out.tolist()):
-            if so < sd - 1e-12:
+            if so < sd - ATOL:
                 drops.append(b)
             points.append(
                 CurvePoint(b, {"S_in": si, "S_rho_d": sd, "S_out": so})

@@ -140,6 +140,9 @@ def test_fig2_curve_values():
         assert abs(p.values["D_in_paper"] - 2 * b2) < 1e-12
         assert abs(p.values["D_in_tracenorm"] - 2 * np.sqrt(b2)) < 1e-12
         assert abs(p.values["D_out"] - 4 * (b2 - b2 * b2)) < 1e-12
+    for tau in (0, 1.5, -1):
+        with pytest.raises(ValueError, match="dilation must be"):
+            fig2_curves(grid, tau=tau)
 
 
 def test_amplification_region_split():

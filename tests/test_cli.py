@@ -234,6 +234,9 @@ def test_run_config_validation():
         RunConfig(format="xml")
     with pytest.raises(ValueError):
         RunConfig(beta_sq=1.5)
+    for tau in (0, 1.5):
+        with pytest.raises(ValueError, match="dilation must be"):
+            RunConfig(tau=tau)
 
 
 def test_grid_steps_are_bounded(capsys):

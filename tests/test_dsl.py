@@ -751,6 +751,9 @@ MALFORMED_CORPUS = [
     ("prepare a @0 |0>+|vac>\noutput a @0\n", "vac"),
     ("prepare a @0 |0>+|0>\noutput a @0\n", "duplicate"),
     ("prepare a @0 0|0>\noutput a @0\n", "zero norm"),
+    # an L2 norm below ZERO_NORM, as qubit_state refuses it
+    ("prepare a @0 7e-13|0>+7e-13|1>\noutput a @0\n",
+     "line 1: state has zero norm"),
     ("prepare a @0 |2>\noutput a @0\n", "bad state term"),
     ("prepare a @x |0>\noutput a @0\n", "cycle"),
     ("prepare a @-1 |0>\noutput a @0\n", "cycle"),

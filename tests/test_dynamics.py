@@ -180,6 +180,12 @@ def test_free_expansion_ensemble_branches():
     with pytest.raises(ValueError):
         free_expansion(bad, [0, 1],
                        policy=CorrelationMode.COHERENT_HISTORY)
+    # branches at different cycles live on different registers
+    mixed_cycles = [(0.5, qubit_state("a", 0, 1.0, 0.0)),
+                    (0.5, qubit_state("a", 3, 0.0, 1.0))]
+    for mode in CorrelationMode:
+        with pytest.raises(ValueError, match="another register"):
+            free_expansion(mixed_cycles, [0, 1], policy=mode)
 
 
 @pytest.mark.parametrize("mode", list(CorrelationMode))
@@ -189,11 +195,11 @@ def test_expansions_refuse_non_finite_weights(weight, mode):
     # would pass the sign and sum checks and its branch be dropped
     single = [(weight, qubit_state("a", 0, 1.0, 0.0)),
               (1.0, qubit_state("a", 0, 0.0, 1.0))]
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match="not a finite nonnegative number"):
         free_expansion(single, [0, 1], policy=mode)
     pairs = [(weight, bell_phi_plus("1", "2", 1)),
              (1.0, basis_state(two_qubit_register(cycle=1), (0, 1)))]
-    with pytest.raises(ValueError, match="not finite"):
+    with pytest.raises(ValueError, match="not a finite nonnegative number"):
         displaced_expansion(pairs, 1, dilated_site="1", policy=mode)
 
 

@@ -126,6 +126,8 @@ def test_zero_and_non_finite_state_vectors_are_refused():
     reg = Register((SlotId("a", 0),), (2,))
     with pytest.raises(ValueError, match="zero norm"):
         PureState(reg, [1e-13, 0.0])
+    with pytest.raises(ValueError, match="zero norm"):
+        qubit_state("a", 0, 7e-13, 7e-13)
     for bad in ([np.inf, 0.0], [np.nan, 1.0], [1.0, complex(0, np.inf)]):
         with pytest.raises(ValueError, match="not finite"):
             PureState(reg, bad)

@@ -249,6 +249,10 @@ def test_propriety_ensemble_validation(rng):
     reg = Register((SlotId("1", 0),), (2,))
     with pytest.raises(ValueError):
         run_proper_vs_improper([(1.0, random_density(rng, reg))])
+    # branches at different cycles live on different registers
+    with pytest.raises(ValueError, match="branch 1 lives on another"):
+        run_proper_vs_improper([(0.5, qubit_state("1", 0, 1.0, 0.0)),
+                                (0.5, qubit_state("1", 3, 0.0, 1.0))])
 
 
 @pytest.mark.parametrize("bad", [float("nan"), -0.25, float("inf")])

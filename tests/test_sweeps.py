@@ -256,6 +256,17 @@ def test_ensemble_weights_off_by_roundoff_are_renormalized():
     for mode in CorrelationMode:
         out = free_expansion(ens, [0, 1], policy=mode)
         assert abs(np.trace(out.matrix) - 1.0) <= TOL
+    # a weight of -1e-13 is roundoff: both drop its branch
+    ens = [(-1e-13, qubit_state("1", 0, 1.0, 0.0)),
+           (1.0, qubit_state("1", 0, 0.0, 1.0))]
+    rep = run_proper_vs_improper(ens)
+    assert rep.trace_distance == 0.0
+    np.testing.assert_allclose(rep.proper_output.matrix, np.diag([1.0, 0.0]),
+                               atol=TOL)
+    for mode in CorrelationMode:
+        out = free_expansion(ens, [0, 1], policy=mode)
+        np.testing.assert_allclose(out.matrix, np.diag([0.0, 0, 0, 1.0]),
+                                   atol=TOL)
 
 
 # Every density the displaced-CNOT read-out can return.  With a qubit
