@@ -47,9 +47,11 @@ def von_neumann_entropy(rho) -> float:
 def _entropy_bits(vals: np.ndarray) -> np.ndarray:
     """Entropies in bits of spectra shaped (..., d), one per row; values
     at or below zero contribute nothing (they become 1, whose term
-    1 log2 1 is exactly 0)."""
+    1 log2 1 is exactly 0).  Summed left to right, so zeros padding a
+    spectrum change no bit of its entropy."""
     p = np.where(vals > 0.0, vals, 1.0)
-    return np.maximum(-(p * np.log2(p)).sum(axis=-1), 0.0) + 0.0
+    total = np.add.accumulate(p * np.log2(p), axis=-1)[..., -1]
+    return np.maximum(-total, 0.0) + 0.0
 
 
 def binary_entropy(p: float) -> float:
@@ -150,9 +152,9 @@ def fig2_curves(grid: Sequence[float], tau: int = 1,
     amps = np.concatenate([[[1.0, 0.0]], amps])
     d_in, d_out = [], []
     for block in row_blocks(len(amps)):
-        ro, stacks = _densities(amps[block], tau, ("input", "rho_out"))
-        ro.check(stacks)
-        inputs, outputs = ro.columns(stacks)
+        ro, stack = _densities(amps[block], tau, ("input", "rho_out"))
+        ro.check(stack)
+        inputs, outputs = ro.columns(stack)
         if block.start == 0:
             ref_in, ref_out = inputs[0], outputs[0]
         d_in.append(_trace_norms(inputs - ref_in))

@@ -90,8 +90,8 @@ def displaced_bell_channel(tau: int = 1,
     register = Register(((site_a, tau), (site_b, tau)), (2, 2))
     ro = _readout(_fig1_circuit, (2, tau, site_a), 1, ("rho_d",))
     # (|0> + |1>)/sqrt(2) as one state of one row
-    _, stacks = ro.products(np.full((1, 1, 2), np.sqrt(0.5), dtype=complex))
-    ((rho,),) = ro.densities(stacks, ro.check(stacks))
+    _, stack = ro.products(np.full((1, 1, 2), np.sqrt(0.5), dtype=complex))
+    ((rho,),) = ro.densities(stack, ro.check(stack))
     return on_register(rho, register)
 
 

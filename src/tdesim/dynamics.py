@@ -250,11 +250,11 @@ def _as_branches(state, mode: Optional[CorrelationMode]):
     """
     if isinstance(state, PureState):
         return "pure", state
+    if mode is None:
+        raise ValueError(
+            "expanding a mixed state needs an explicit correlation mode"
+        )
     if isinstance(state, DensityOperator):
-        if mode is None:
-            raise ValueError(
-                "expanding a mixed state needs an explicit correlation mode"
-            )
         if mode is CorrelationMode.UNCORRELATED_COPIES:
             return "density", state
         return "branches", spectral_ensemble(state)

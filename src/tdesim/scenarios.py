@@ -12,11 +12,10 @@ input rows, which one binding (_bind) makes of a pure or mixed input,
 take the place of the circuit's input prepares.
 
 A report's densities come from the circuit's read-out (_Readout),
-compiled with it once per row count N: per dimension, one gather, one
-batched product F F^H and one check_densities pass, whose checked stack
-the report's DensityOperators view.  The runners return report objects
-carrying the exact intermediate states so tests and the command line
-can interrogate any step.
+compiled with it once per row count N: one gather, one batched product
+F F^H and one check, on one stack padded to their largest dimension.
+The runners return report objects carrying the exact intermediate states
+so tests and the command line can interrogate any step.
 """
 
 from __future__ import annotations
@@ -38,6 +37,8 @@ from .registers import (
     Register,
     SlotId,
     State,
+    _check_hermitian_unit_trace,
+    _check_spectrum,
     _checked_ensemble,
     _pure_state,
     _validated,
@@ -89,8 +90,7 @@ def _input_site(state, site: Optional[str]) -> str:
 
 def _mix(weights, stack: np.ndarray) -> np.ndarray:
     """Weighted sum over the leading row axis, as a one-row stack."""
-    n = len(stack)
-    mixed = np.asarray(weights, dtype=float) @ stack.reshape(n, -1)
+    mixed = np.asarray(weights, dtype=float) @ stack.reshape(len(stack), -1)
     return mixed.reshape((1,) + stack.shape[1:])
 
 
@@ -227,65 +227,67 @@ class _Readout(NamedTuple):
     columns.
 
     products concatenates each state's taps into one source row and
-    appends a zero.  gathers holds one read-only (K, d, M) index array
-    per dimension d, in the order of each dimension's first column: it
-    gathers from the source the factor F of each of the K columns of
-    dimension d, in dsl._factor's column order, padded with the zero to M
-    columns.  where[j] is the (dimension group, position) of column j
-    and registers[j] its register; register is the circuit's final one.
+    appends a zero.  gather, a read-only (K, D, M) index array, gathers
+    each column's factor F from it, in dsl._factor's column order, padded
+    with the zero to D, the largest dimension, and to M columns.  Column
+    k has dimension dims[k] and register registers[k]; blocks pairs each
+    dimension, in the order of its first column, with the index of its
+    columns; register is the circuit's final one.
     """
 
     segments: tuple
-    gathers: tuple
-    where: tuple
+    gather: np.ndarray
+    dims: tuple
+    blocks: tuple
     registers: tuple
     register: Register
 
     def products(self, rows: np.ndarray) -> tuple:
         """Run the circuit on rows shaped (B, N, *in_dims).  Returns the
         rows its last segment leaves, a new array that the caller may
-        take over (each circuit's last segment gathers), and, per dimension
-        group, the (B, K, d, d) stack of F F^H, not validated."""
+        take over (each circuit's last segment gathers), and the
+        (B, K, D, D) stack of F F^H, not validated."""
         b = len(rows)
         taps = [rows.reshape(b, -1)]
         for segment in self.segments:
             rows = _run_steps(segment, rows)
             taps.append(rows.reshape(b, -1))
         taps.append(np.zeros((b, 1), dtype=complex))
-        source = np.concatenate(taps, axis=1)
-        stacks = []
-        for gather in self.gathers:
-            f = source.take(gather, axis=1)
-            stacks.append(f @ f.conj().swapaxes(-1, -2))
-        return rows, stacks
+        f = np.concatenate(taps, axis=1).take(self.gather, axis=1)
+        return rows, f @ f.conj().swapaxes(-1, -2)
 
-    def columns(self, groups: list) -> list:
-        """Each column's (B, ...) slice of per-group arrays shaped
-        (B, K, ...), in column order."""
-        return [groups[g][:, k] for g, k in self.where]
+    def columns(self, stack: np.ndarray) -> list:
+        """Each column's (B, d, d) view of a (B, K, D, D) stack, in
+        column order."""
+        return [stack[:, k, :d, :d] for k, d in enumerate(self.dims)]
 
-    def check(self, stacks: list) -> list:
-        """check_densities on each group's stack, unchanged: hermiticity
-        and unit trace to ATOL, no eigenvalue below PSD_FLOOR, one
-        eigvalsh.  Returns the (B, K, d) spectra, ascending per row.  If
-        a row fails, the columns are checked alone in order and the first
-        that fails raises as check_densities on it would, naming the row
-        by its index within that column."""
+    def check(self, stack: np.ndarray) -> np.ndarray:
+        """check_densities' tests, unchanged, on a (B, K, D, D) stack:
+        hermiticity and unit trace to ATOL, which zero pads pass, and no
+        eigenvalue below PSD_FLOOR, one eigvalsh per block.  Returns the
+        (B, K, D) spectra, each column's ascending, then zeros.  If a row
+        fails, the columns are checked alone in order and the first that
+        fails raises as check_densities on it would, naming the row by its
+        index within that column."""
+        spectra = np.zeros(stack.shape[:-1])
         try:
-            return [check_densities(stack) for stack in stacks]
+            _check_hermitian_unit_trace(stack)
+            for d, ks in self.blocks:
+                spectra[:, ks, :d] = np.linalg.eigvalsh(stack[:, ks, :d, :d])
+            _check_spectrum(stack, spectra)
         except InvariantViolationError:
-            for column in self.columns(stacks):
+            for column in self.columns(stack):
                 check_densities(column)
             raise
+        return spectra
 
-    def densities(self, stacks: list, spectra: list) -> list:
-        """Freeze checked stacks and their spectra; returns each column's
-        B DensityOperators, read-only views of the stacks' rows."""
-        for array in stacks + spectra:
-            array.flags.writeable = False
+    def densities(self, stack: np.ndarray, spectra: np.ndarray) -> list:
+        """Freeze a checked stack and its spectra; returns each column's
+        B DensityOperators, read-only views of its blocks and spectra."""
+        stack.flags.writeable = spectra.flags.writeable = False
         return [[_validated(reg, m, vals) for m, vals
-                 in zip(stacks[g][:, k], spectra[g][:, k])]
-                for reg, (g, k) in zip(self.registers, self.where)]
+                 in zip(stack[:, k, :d, :d], spectra[:, k, :d])]
+                for k, (reg, d) in enumerate(zip(self.registers, self.dims))]
 
 
 @functools.lru_cache(maxsize=256)
@@ -299,21 +301,22 @@ def _readout(compile_circuit, key: tuple, n: int, names: tuple) -> _Readout:
         rows = _run_steps(segment, rows)
         shapes.append(rows.shape)
     starts = np.cumsum([0] + [math.prod(shape) for shape in shapes])
-    groups = {}
-    for j, name in enumerate(names):
+    factors, blocks = [], {}
+    for k, name in enumerate(names):
         reg, tap, keep = circuit.columns[name]
         index = np.arange(starts[tap], starts[tap + 1]).reshape(shapes[tap])
-        groups.setdefault(reg.dim, []).append((j, _factor(index, keep)[0]))
-    gathers, where = [], [None] * len(names)
-    for g, (d, members) in enumerate(groups.items()):
-        width = max(f.shape[1] for _, f in members)
-        gather = np.full((len(members), d, width), starts[-1])
-        for k, (j, f) in enumerate(members):
-            gather[k, :, :f.shape[1]] = f
-            where[j] = (g, k)
-        gather.flags.writeable = False
-        gathers.append(gather)
-    return _Readout(circuit.segments, tuple(gathers), tuple(where),
+        factors.append(_factor(index, keep)[0])
+        blocks.setdefault(reg.dim, []).append(k)
+    dims = tuple(len(f) for f in factors)
+    gather = np.full((len(names), max(dims),
+                      max(f.shape[1] for f in factors)), starts[-1])
+    for k, f in enumerate(factors):
+        gather[k, :f.shape[0], :f.shape[1]] = f
+    gather.flags.writeable = False
+    # one or two columns are evenly spaced: a slice, which takes a view
+    blocks = tuple((d, slice(ks[0], ks[-1] + 1, ks[-1] - ks[0] or 1)
+                    if len(ks) < 3 else tuple(ks)) for d, ks in blocks.items())
+    return _Readout(circuit.segments, gather, dims, blocks,
                     tuple(circuit.columns[name][0] for name in names),
                     circuit.plan.register)
 
@@ -321,7 +324,7 @@ def _readout(compile_circuit, key: tuple, n: int, names: tuple) -> _Readout:
 def _densities(amplitudes, tau: int, names: tuple) -> tuple:
     """The displaced-CNOT circuit on each pure input of an (N, d)
     amplitude stack on site "1": its read-out for the named columns and
-    their stacks, one per dimension, not validated."""
+    their padded stack, not validated."""
     amps = np.asarray(amplitudes, dtype=complex)
     ro = _readout(_fig1_circuit, (amps.shape[1], tau, "1"), 1, names)
     return ro, ro.products(amps[:, None])[1]
@@ -350,7 +353,6 @@ class CircuitReport:
 
 
 _ENTROPY_KEYS = ("input", "rho_s", "rho_d", "rho_out")
-_PURE_COLUMNS = _ENTROPY_KEYS
 _MIXED_COLUMNS = ("rho_s", "rho_d", "rho_out", "four")
 
 
@@ -364,34 +366,33 @@ def _fig1_reports(rows, tau: int, site: str = "1", inp=None,
     which was validated when built; its entropy comes from its stored
     spectrum, and its four-slot state is a density however few rows it
     factors into.  Otherwise each state is one pure row, which is its
-    input, and keeps its four-slot state as amplitudes.  Every density
-    the reports return is validated by the read-out's one check per
-    dimension, and the entropies come from the spectra it computed, one
-    _entropy_bits call per dimension.
+    input, and keeps its four-slot state as amplitudes.  The read-out's
+    one check validates every density the reports return, and one
+    _entropy_bits call on its spectra gives every entropy.
     """
-    names = _PURE_COLUMNS if inp is None else _MIXED_COLUMNS
+    names = _ENTROPY_KEYS if inp is None else _MIXED_COLUMNS
     ro = _readout(_fig1_circuit, (rows.shape[-1], tau, site), rows.shape[1],
                   names)
-    closed, stacks = ro.products(rows)
+    closed, stack = ro.products(rows)
     if weights is not None:
-        stacks = [_mix(weights, stack) for stack in stacks]
-    spectra = ro.check(stacks)
-    columns = ro.densities(stacks, spectra)
-    entropies = [e.tolist() for e in
-                 ro.columns([_entropy_bits(vals) for vals in spectra])]
+        stack = _mix(weights, stack)
+    spectra = ro.check(stack)
+    columns = ro.densities(stack, spectra)
     if inp is None:
         fours = [_pure_state(ro.register, f)
                  for f in closed.reshape(len(closed), -1)]
     else:
         fours = columns.pop()
-        entropies.pop()
         columns.insert(0, [inp])
-        entropies.insert(0, [float(_entropy_bits(inp.eigenvalues))])
+        vals = np.zeros_like(spectra)
+        vals[0, 0, :inp.dim] = inp.eigenvalues
+        vals[:, 1:] = spectra[:, :-1]
+        spectra = vals
     return [
         CircuitReport(i, rho_s, rho_d, rho_out, four,
                       dict(zip(_ENTROPY_KEYS, ent)), tau)
-        for i, rho_s, rho_d, rho_out, four, *ent
-        in zip(*columns, fours, *entropies)
+        for i, rho_s, rho_d, rho_out, four, ent
+        in zip(*columns, fours, _entropy_bits(spectra).tolist())
     ]
 
 
@@ -407,7 +408,7 @@ def run_fig1(state, tau: int = 1, input_site: Optional[str] = None,
     The input runs through the compiled circuit as the rows _bind gives
     it under `policy` (uncorrelated copies by default), and the report's
     densities come from its read-out: one gather, one product and one
-    check per dimension.  A mixed input's four-slot state is a density.
+    check for all of them.  A mixed input's four-slot state is a density.
     """
     tau = _check_tau(tau)
     if isinstance(state, QubitDensity):
@@ -476,9 +477,9 @@ def reverse_reports(amplitudes, tau: int, site: str = "1") -> list:
     v = np.asarray(amplitudes, dtype=complex)
     key = (v.shape[1], tau, site)
     ro = _readout(_reversal, key, 1, ("recovered",))
-    final, stacks = ro.products(v[:, None])
-    (recovered,) = ro.densities(stacks, ro.check(stacks))
-    fids = np.einsum("ni,nij,nj->n", v.conj(), stacks[0][:, 0], v).real
+    final, stack = ro.products(v[:, None])
+    (recovered,) = ro.densities(stack, ro.check(stack))
+    fids = np.einsum("ni,nij,nj->n", v.conj(), stack[:, 0], v).real
     in_reg = _reversal(*key).columns["input"][0]
     return [
         ReverseReport(PureState(in_reg, psi), rho, rho.register.slots[0],
@@ -552,8 +553,8 @@ def run_displaced_backend(state: State, data_site: str,
         raise ValueError("ancilla site must differ from the data site")
     rows, _ = _bind(state, CorrelationMode.UNCORRELATED_COPIES)
     ro = _readout(_box, (reg, ancilla_site), rows.shape[1], ("output",))
-    _, stacks = ro.products(rows)
-    return ro.densities(stacks, ro.check(stacks))[0][0]
+    _, stack = ro.products(rows)
+    return ro.densities(stack, ro.check(stack))[0][0]
 
 
 @dataclass
@@ -622,12 +623,11 @@ def run_no_signaling(basis: str, tau: int = 1) -> NoSignalReport:
                            shared[None]]).reshape(3, 4, 2, 2)
     reg = Register((SlotId("b", 0), SlotId("b", tau)), (2, 2))
     ro = _readout(_box, (reg, "c"), 4, ("output",))
-    _, (stack,) = ro.products(rows)
+    _, stack = ro.products(rows)
     # Bob's output for each outcome, their average and the substitution
     # output (the last row): one check for the four
-    stack = np.concatenate([stack[:-1], _mix(probs, stack[:-1]),
-                            stack[-1:]])
-    (outs,) = ro.densities([stack], ro.check([stack]))
+    stack = np.concatenate([stack[:-1], _mix(probs, stack[:-1]), stack[-1:]])
+    (outs,) = ro.densities(stack, ro.check(stack))
     outcomes = [(label, p, out) for (label, _), p, out
                 in zip(_BASES[basis], probs.tolist(), outs)]
     devs = _trace_norms(stack[:, 0] - np.eye(2) / 2.0)
@@ -654,9 +654,9 @@ def run_proper_vs_improper(ensemble: Optional[Sequence] = None,
     The ensemble is checked by registers._checked_ensemble, and its
     branches must be single-slot.  The branch-by-branch (proper) path is
     its COHERENT_HISTORY binding (_bind), the averaged (improper) path
-    its UNCORRELATED_COPIES binding.  A linear channel could never tell
-    the two apart, so any gap is a direct readout of the channel's
-    nonlinearity.
+    its UNCORRELATED_COPIES binding; both run in one pass of the circuit.
+    A linear channel could never tell the two apart, so any gap is a
+    direct readout of the channel's nonlinearity.
     """
     tau = _check_tau(tau)
     if ensemble is None:
@@ -669,14 +669,15 @@ def run_proper_vs_improper(ensemble: Optional[Sequence] = None,
     key = (reg.dim, tau, reg.slots[0].site)
     proper_rows, weights = _bind(branches, CorrelationMode.COHERENT_HISTORY)
     improper_rows, _ = _bind(branches, CorrelationMode.UNCORRELATED_COPIES)
-    ro = _readout(_fig1_circuit, key, 1, ("rho_out",))
-    _, (proper,) = ro.products(proper_rows)
-    _, (improper,) = _readout(_fig1_circuit, key, improper_rows.shape[1],
-                              ("rho_out",)).products(improper_rows)
-    # both outputs are qubits: one check for the two, and nothing else
-    # the report does not return is validated
-    stack = np.concatenate([_mix(weights, proper), improper])
-    (outs,) = ro.densities([stack], ro.check([stack]))
+    # one stack of states of one row count: a branch's other rows are zero
+    k = len(proper_rows)
+    rows = np.zeros((k + 1,) + improper_rows.shape[1:], dtype=complex)
+    rows[:k, :1], rows[k:] = proper_rows, improper_rows
+    ro = _readout(_fig1_circuit, key, rows.shape[1], ("rho_out",))
+    _, stack = ro.products(rows)
+    # one check for the two qubit outputs, and nothing else
+    stack = np.concatenate([_mix(weights, stack[:k]), stack[k:]])
+    (outs,) = ro.densities(stack, ro.check(stack))
     return ProprietyReport(branches, outs[0], outs[1],
                            trace_norm_distance(*outs), tau)
 
@@ -689,9 +690,6 @@ class EntropyStudyReport:
     tau: int
     points: list
     drop_points: list = field(default_factory=list)
-
-
-_ENTROPY_STUDY_COLUMNS = ("input", "rho_d", "rho_out")
 
 
 def run_entropy_study(p_vac: float, grid: Sequence[float],
@@ -710,8 +708,8 @@ def run_entropy_study(p_vac: float, grid: Sequence[float],
     S_rho_d are collected in drop_points.
 
     The branches' input, rho_d and rho_out are read off the circuit and
-    mixed unchecked; only the mixture is validated, one check per
-    dimension per block of grid points.
+    mixed unchecked; only the mixture is validated, one check per block
+    of grid points.
     """
     p_vac = float(p_vac)
     if not 0.0 <= p_vac <= 1.0:
@@ -719,15 +717,15 @@ def run_entropy_study(p_vac: float, grid: Sequence[float],
     tau = _check_tau(tau)
     b2, qubits = grid_inputs(grid, dim=3)
 
-    # The vacuum branch is the same at every point: one row, run once.
-    _, vacuum = _densities([[1.0, 0.0, 0.0]], tau, _ENTROPY_STUDY_COLUMNS)
+    vacuum = np.array([[1.0, 0.0, 0.0]])
     points = []
     drops = []
     for block in row_blocks(len(b2)):
-        ro, qubit = _densities(qubits[block], tau, _ENTROPY_STUDY_COLUMNS)
-        mixed = [p_vac * v + (1.0 - p_vac) * q for v, q in zip(vacuum, qubit)]
-        s_in, s_d, s_out = ro.columns(
-            [_entropy_bits(vals) for vals in ro.check(mixed)])
+        # row 0 is the vacuum branch, the same at every grid point
+        ro, stack = _densities(np.concatenate([vacuum, qubits[block]]), tau,
+                               ("input", "rho_d", "rho_out"))
+        mixed = p_vac * stack[:1] + (1.0 - p_vac) * stack[1:]
+        s_in, s_d, s_out = _entropy_bits(ro.check(mixed)).T
         below = s_in > s_d + ENTROPY_SLACK
         if below.any():
             i = int(np.argmax(below))

@@ -49,6 +49,18 @@ from tdesim.dsl import (
 SEED = 20260818
 
 
+def pytest_configure(config):
+    # A complex value written into a real array loses its imaginary part,
+    # and numpy reports that only with a ComplexWarning.  The class moved
+    # to numpy.exceptions in numpy 1.25; numpy 2 has it only there.
+    try:
+        import numpy.exceptions  # noqa: F401
+        category = "numpy.exceptions.ComplexWarning"
+    except ImportError:
+        category = "numpy.ComplexWarning"
+    config.addinivalue_line("filterwarnings", f"error::{category}")
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)

@@ -140,10 +140,15 @@ def test_free_expansion_pure_is_product_of_relabeled_copies(rng):
 
 
 def test_free_expansion_mixed_needs_explicit_mode(rng):
+    # a density and an ensemble are both mixed: neither is expanded under
+    # a mode nobody chose
     reg = Register((SlotId("a", 0),), (2,))
     rho = random_density(rng, reg)
-    with pytest.raises(ValueError):
-        free_expansion(rho, [0, 1])
+    ensemble = [(0.5, qubit_state("a", 0, 1.0, 0.0)),
+                (0.5, qubit_state("a", 0, 0.0, 1.0))]
+    for state in (rho, ensemble):
+        with pytest.raises(ValueError, match="explicit correlation mode"):
+            free_expansion(state, [0, 1])
 
 
 def test_free_expansion_correlation_modes():

@@ -1,8 +1,8 @@
 """Stacked sweeps: grids and ensemble branches run through the
 displaced-CNOT circuit as rows of one array, checked point by point
 against the dense oracles in conftest, plus the row validation and the
-circuit's read-out, which builds and checks a report's densities in one
-pass per dimension."""
+circuit's read-out, which builds and checks all of a report's densities
+in one stack padded to their largest dimension."""
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from tdesim import (
     CorrelationMode,
     DensityOperator,
     InvariantViolationError,
+    PureState,
     Register,
     SlotId,
     apply_gate,
@@ -30,13 +31,14 @@ from tdesim import (
     run_reverse,
     run_sweep,
     tensor,
+    to_density,
     von_neumann_entropy,
 )
-from tdesim import dsl
+from tdesim import dsl, scenarios
 from tdesim.registers import check_densities
 from tdesim.scenarios import (
     ROW_BLOCK,
-    _PURE_COLUMNS,
+    _ENTROPY_KEYS,
     _densities,
     _fig1_circuit,
     _readout,
@@ -178,16 +180,16 @@ def test_stack_with_one_invalid_row_raises(kind):
     # the reversal's read-out has one qubit column
     ro = _readout(_reversal, (2, 1, "1"), 1, ("recovered",))
     with pytest.raises(InvariantViolationError, match=r"^row \(3,\): "):
-        ro.check([stack[:, None]])
+        ro.check(stack[:, None])
     with pytest.raises(InvariantViolationError):
         DensityOperator(reg, stack[3])
 
 
 def test_unnormalized_circuit_row_is_rejected():
-    ro, stacks = _densities([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]], 1,
-                            _PURE_COLUMNS)
+    ro, stack = _densities([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]], 1,
+                           _ENTROPY_KEYS)
     with pytest.raises(InvariantViolationError, match=r"^row \(2,\): trace"):
-        ro.check(stacks)
+        ro.check(stack)
 
 
 _REPORT_FIELDS = {"input": "input_state", "rho_s": "rho_s", "rho_d": "rho_d",
@@ -210,6 +212,60 @@ def test_validator_returns_the_spectrum_entropy_uses(rng):
                 assert rep.entropies[key] == von_neumann_entropy(rho)
                 assert not rho.matrix.flags.writeable
                 assert not rho.eigenvalues.flags.writeable
+
+
+def _fig1_oracle(state, tau, mode):
+    """displaced_cnot_density_oracle's matrices (rho_s, rho_d, closed,
+    rho_out) for a run_fig1 input: under COHERENT_HISTORY those of the
+    input's eigenbranches, mixed by their weights."""
+    rho = to_density(state)
+    if mode is CorrelationMode.UNCORRELATED_COPIES or \
+            isinstance(state, PureState):
+        return [o.matrix for o in displaced_cnot_density_oracle(rho, tau)]
+    weights, vectors = np.linalg.eigh(rho.matrix)
+    branches = [displaced_cnot_density_oracle(
+        to_density(PureState(rho.register, v)), tau) for v in vectors.T]
+    return [sum(w * b[i].matrix for w, b in zip(weights, branches))
+            for i in range(4)]
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((2, 3)), st.integers(1, 3),
+       st.booleans(), st.sampled_from(list(CorrelationMode)))
+def test_padding_never_leaks_into_a_report(seed, dim, tau, pure, mode):
+    # the read-out pads every column to the report's largest dimension:
+    # no pad may show in a density, its spectrum or an entropy
+    rng = np.random.default_rng(seed)
+    reg = Register((SlotId("1", tau),), (dim,))
+    state = random_pure(rng, reg) if pure else random_density(rng, reg)
+    shapes = []
+    entropy_bits = scenarios._entropy_bits
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "_entropy_bits",
+                   lambda vals: shapes.append(vals.shape)
+                   or entropy_bits(vals))
+        rep = run_fig1(state, tau=tau, policy=mode)
+    assert len(shapes) == 1
+    rho_s, rho_d, closed, rho_out = _fig1_oracle(state, tau, mode)
+    want = {"input_state": to_density(state).matrix, "rho_s": rho_s,
+            "rho_d": rho_d, "rho_out": rho_out}
+    if not pure:
+        want["four_slot_state"] = closed
+    for name, matrix in want.items():
+        rho = getattr(rep, name)
+        d = rho.register.dim
+        assert rho.matrix.shape == (d, d)
+        assert rho.eigenvalues.shape == (d,)
+        np.testing.assert_array_equal(rho.eigenvalues,
+                                      check_densities(rho.matrix))
+        np.testing.assert_allclose(rho.matrix, matrix, atol=TOL)
+    if pure:
+        amps = rep.four_slot_state.amplitudes
+        np.testing.assert_allclose(np.outer(amps, amps.conj()), closed,
+                                   atol=TOL)
+    for key, name in _REPORT_FIELDS.items():
+        assert abs(rep.entropies[key]
+                   - von_neumann_entropy(getattr(rep, name))) <= TOL
 
 
 @pytest.mark.parametrize("dim", (2, 3))
@@ -270,8 +326,8 @@ def test_ensemble_weights_off_by_roundoff_are_renormalized():
 
 
 # Every density the displaced-CNOT read-out can return.  With a qubit
-# input the checks join input with rho_out and rho_s with rho_d; with a
-# qutrit input only rho_s and rho_d share a dimension.
+# input one eigvalsh takes input with rho_out and one rho_s with rho_d;
+# with a qutrit input only rho_s and rho_d share a dimension.
 _ALL_COLUMNS = ("input", "rho_s", "rho_d", "rho_out", "four")
 
 
@@ -300,12 +356,19 @@ def _fig1_readout(rows, tau, site, names=_ALL_COLUMNS):
 def test_readout_densities_equal_their_factors_and_the_oracle(drawn):
     rows, tau, site = drawn
     circuit, ro = _fig1_readout(rows, tau, site)
-    closed, stacks = ro.products(rows)
+    closed, stack = ro.products(rows)
     taps = [rows]
     for segment in circuit.segments:
         taps.append(dsl._run_steps(segment, taps[-1]))
     np.testing.assert_array_equal(closed, taps[-1])
-    columns = ro.columns(stacks)
+    columns = ro.columns(stack)
+    # the stack is padded to the largest dimension with exact zeros
+    assert stack.shape == (len(rows), len(_ALL_COLUMNS), max(ro.dims),
+                           max(ro.dims))
+    pads = np.ones(stack.shape, dtype=bool)
+    for k, d in enumerate(ro.dims):
+        pads[:, k, :d, :d] = False
+    assert not stack[pads].any()
     # each density is the product of its own factor ...
     for name, got in zip(_ALL_COLUMNS, columns):
         _, tap, keep = circuit.columns[name]
@@ -321,14 +384,15 @@ def test_readout_densities_equal_their_factors_and_the_oracle(drawn):
         for name, got, reg in zip(_ALL_COLUMNS, columns, ro.registers):
             np.testing.assert_allclose(got[i], want[name].matrix, atol=TOL)
             assert reg == want[name].register
-    # the joined checks give each column the spectra its own check would,
-    # and the report's operators are read-only views of the stacks
-    spectra = ro.check(stacks)
-    for column, vals, reg, ops in zip(columns, ro.columns(spectra),
-                                      ro.registers,
-                                      ro.densities(stacks, spectra)):
+    # the one check gives each column the spectrum its own check would,
+    # padded with zeros, and the report's operators are read-only views
+    # of the stack
+    spectra = ro.check(stack)
+    for k, (column, d, reg, ops) in enumerate(zip(
+            columns, ro.dims, ro.registers, ro.densities(stack, spectra))):
         alone = check_densities(column)
-        np.testing.assert_array_equal(vals, alone)
+        np.testing.assert_array_equal(spectra[:, k, :d], alone)
+        assert not spectra[:, k, d:].any()
         np.testing.assert_array_equal(alone, np.linalg.eigvalsh(column))
         assert len(ops) == len(rows)
         for rho, matrix, row_vals in zip(ops, column, alone):
@@ -354,41 +418,61 @@ def _spoil(stack, row, kind):
 @settings(deadline=None, max_examples=60)
 @given(circuit_rows(), st.data())
 def test_bad_row_raises_as_its_own_stack_would(drawn, data):
-    # a spoiled row in a stack joined by dimension raises the message its
-    # own column gives when checked alone
+    # a spoiled row in the padded stack raises the message its own column
+    # gives when checked alone
     rows, tau, site = drawn
     _, ro = _fig1_readout(rows, tau, site)
-    _, stacks = ro.products(rows)
+    _, stack = ro.products(rows)
     j = data.draw(st.integers(0, len(_ALL_COLUMNS) - 1))
     row = data.draw(st.integers(0, len(rows) - 1))
     kind = data.draw(st.sampled_from(sorted(_invalid_rows())))
-    g, k = ro.where[j]
-    stacks[g][:, k] = _spoil(stacks[g][:, k], row, kind)
+    column = ro.columns(stack)[j]
+    column[...] = _spoil(column, row, kind)
     with pytest.raises(InvariantViolationError) as alone:
-        check_densities(ro.columns(stacks)[j])
+        check_densities(column)
     assert str(alone.value).startswith(f"row ({row},): ")
     with pytest.raises(InvariantViolationError) as joined:
-        ro.check(stacks)
+        ro.check(stack)
     assert str(joined.value) == str(alone.value)
 
 
 def test_first_bad_column_in_order_raises():
-    # rho_s comes before rho_out in the report, though rho_out's qubit
-    # stack, joined with the input's, is checked first
-    ro, stacks = _densities([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], 1,
-                            _PURE_COLUMNS)
-    (g_s, k_s), (g_out, k_out) = ro.where[1], ro.where[3]
-    assert g_out < g_s
-    good = stacks[g_s][:, k_s].copy()
-    stacks[g_s][:, k_s] = _spoil(good, 1, "trace")
-    stacks[g_out][:, k_out] = _spoil(stacks[g_out][:, k_out], 2,
-                                     "negative eigenvalue")
-    with pytest.raises(InvariantViolationError, match=r"^row \(1,\): trace"):
-        ro.check(stacks)
-    stacks[g_s][:, k_s] = good
+    # rho_s comes before rho_out in the report, though the stack's trace
+    # test meets rho_out's bad row first, and its eigvalsh of the qubit
+    # columns (input and rho_out) runs before that of rho_s and rho_d
+    ro, stack = _densities([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], 1,
+                           _ENTROPY_KEYS)
+    assert [(d, np.arange(4)[ks, ].tolist()) for d, ks in ro.blocks] == [
+        (2, [0, 3]), (4, [1, 2])]
+    _, rho_s, _, rho_out = ro.columns(stack)
+    good_s, good_out = rho_s.copy(), rho_out.copy()
+    rho_s[...] = _spoil(good_s, 2, "negative eigenvalue")
+    rho_out[...] = _spoil(good_out, 0, "trace")
     with pytest.raises(InvariantViolationError,
                        match=r"^row \(2,\): negative eigenvalue"):
-        ro.check(stacks)
+        ro.check(stack)
+    rho_s[...] = good_s
+    with pytest.raises(InvariantViolationError, match=r"^row \(0,\): trace"):
+        ro.check(stack)
+    # a bad spectrum in rho_s, found after the qubit block's, still wins
+    rho_s[...] = _spoil(good_s, 1, "negative eigenvalue")
+    rho_out[...] = _spoil(good_out, 0, "negative eigenvalue")
+    with pytest.raises(InvariantViolationError,
+                       match=r"^row \(1,\): negative eigenvalue"):
+        ro.check(stack)
+
+
+def test_unevenly_spaced_columns_are_read_by_index():
+    # qubit columns at 0, 1 and 3 are no slice: their eigvalsh takes them
+    # by index, and each column still gets its own spectrum
+    names = ("input", "rho_out", "rho_s", "input")
+    ro, stack = _densities([[0.6, 0.8j], [1.0, 0.0]], 2, names)
+    assert [(d, np.arange(4)[ks, ].tolist()) for d, ks in ro.blocks] == [
+        (2, [0, 1, 3]), (4, [2])]
+    spectra = ro.check(stack)
+    for k, (column, d) in enumerate(zip(ro.columns(stack), ro.dims)):
+        np.testing.assert_array_equal(spectra[:, k, :d],
+                                      check_densities(column))
 
 
 def _eigvalsh_sizes(monkeypatch):
