@@ -18,24 +18,30 @@ from .registers import (ATOL, ENTROPY_SLACK, PSD_FLOOR, DensityOperator,
 
 
 def _as_matrix(rho) -> np.ndarray:
+    """The matrix of a state, or a raw matrix as a complex array; a raw
+    matrix with a NaN or infinite entry raises InvariantViolationError."""
     if isinstance(rho, (DensityOperator, PureState)):
         return to_density(rho).matrix
-    return np.asarray(rho, dtype=complex)
+    m = np.asarray(rho, dtype=complex)
+    if not np.isfinite(m).all():
+        raise InvariantViolationError("matrix has a non-finite entry")
+    return m
 
 
 def von_neumann_entropy(rho) -> float:
     """S(rho) = -Tr rho log2 rho.
 
     Eigenvalues in [PSD_FLOOR, 0) are clamped to zero as roundoff; anything
-    more negative is treated as a corrupted state and raises.  A
-    DensityOperator's spectrum is the one its validation computed.
+    more negative is treated as a corrupted state and raises, as does a
+    raw matrix with a non-finite entry.  A DensityOperator's spectrum is
+    the one its validation computed.
     """
     if isinstance(rho, PureState):
         rho = to_density(rho)
     if isinstance(rho, DensityOperator):
         vals = rho.eigenvalues
     else:
-        vals = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
+        vals = np.linalg.eigvalsh(_as_matrix(rho))
         lo = float(vals.min())
         if lo < PSD_FLOOR:
             raise InvariantViolationError(
@@ -128,6 +134,17 @@ class CurvePoint:
     values: dict
 
 
+def _check_tolerance(tolerance) -> float:
+    """tolerance as a float; anything but a finite positive number raises
+    ValueError."""
+    tolerance = float(tolerance)
+    if not 0.0 < tolerance < np.inf:
+        raise ValueError(
+            f"tolerance must be finite and positive, got {tolerance}"
+        )
+    return tolerance
+
+
 def fig2_curves(grid: Sequence[float], tau: int = 1,
                 tolerance: float = 1e-12) -> list:
     """Distinguishability before and after the displaced-CNOT channel.
@@ -141,12 +158,14 @@ def fig2_curves(grid: Sequence[float], tau: int = 1,
 
     D_out is produced by the full register simulation and cross-checked
     against its closed form 4 (beta^2 - beta^4); disagreement beyond the
-    tolerance raises.  Only the input and output densities are read off
-    the circuit, both qubits, so each block of the grid costs one check.
+    tolerance, which must be finite and positive, raises.  Only the input
+    and output densities are read off the circuit, both qubits, so each
+    block of the grid costs one check.
     """
     from .scenarios import _check_tau, _densities, grid_inputs, row_blocks
 
     tau = _check_tau(tau)
+    tolerance = _check_tolerance(tolerance)
     b2, amps = grid_inputs(grid)
     # row 0 is the |0> reference every grid point is compared against
     amps = np.concatenate([[[1.0, 0.0]], amps])

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .registers import (ATOL, WEIGHT_ROUNDOFF, DensityOperator, Register,
-                        SlotId, on_register)
+                        SlotId, _normalized, on_register)
 
 
 @dataclass(frozen=True)
@@ -35,20 +35,25 @@ class QubitDensity:
         object.__setattr__(self, "g00", float(self.g00))
         object.__setattr__(self, "g11", float(self.g11))
         object.__setattr__(self, "g01", complex(self.g01))
-        if self.g00 < -WEIGHT_ROUNDOFF or self.g11 < -WEIGHT_ROUNDOFF:
-            raise ValueError(f"negative population ({self.g00}, {self.g11})")
-        if abs(self.g00 + self.g11 - 1.0) > ATOL:
+        # each test is written to fail on NaN
+        if not (self.g00 >= -WEIGHT_ROUNDOFF and self.g11 >= -WEIGHT_ROUNDOFF):
+            raise ValueError(
+                f"populations ({self.g00}, {self.g11}) are not nonnegative"
+            )
+        if not abs(self.g00 + self.g11 - 1.0) <= ATOL:
             raise ValueError(
                 f"populations sum to {self.g00 + self.g11:.15g}, expected 1"
             )
-        if abs(self.g01) ** 2 > self.g00 * self.g11 + ATOL:
-            raise ValueError("coherence exceeds positivity bound")
+        if not abs(self.g01) ** 2 <= self.g00 * self.g11 + ATOL:
+            raise ValueError(f"coherence {self.g01} exceeds positivity bound")
 
     @classmethod
     def from_amplitudes(cls, amp0, amp1) -> "QubitDensity":
-        a, b = complex(amp0), complex(amp1)
-        n = abs(a) ** 2 + abs(b) ** 2
-        return cls(abs(a) ** 2 / n, abs(b) ** 2 / n, a * np.conj(b) / n)
+        """The populations and coherence of amp0|0> + amp1|1>; a zero or
+        non-finite pair raises ValueError, as it does for a PureState."""
+        a, b = _normalized(np.array([amp0, amp1], dtype=complex),
+                           in_place=True)
+        return cls(abs(a) ** 2, abs(b) ** 2, a * np.conj(b))
 
     @classmethod
     def from_matrix(cls, matrix) -> "QubitDensity":

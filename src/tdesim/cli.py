@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass, fields
 from typing import Optional
@@ -34,6 +33,7 @@ from .errors import SimulationError
 from .registers import density_to_json, maximally_mixed, qubit_state
 from .dynamics import _check_tau, joint_outcome_distribution
 from .analytics import (
+    _check_tolerance,
     amplification_points,
     fig2_curves,
     purity,
@@ -78,10 +78,7 @@ class RunConfig:
                 f"got {self.steps}"
             )
         self.tau = _check_tau(self.tau)
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise ValueError(
-                f"tolerance must be finite and positive, got {self.tolerance}"
-            )
+        self.tolerance = _check_tolerance(self.tolerance)
         if not 0.0 <= self.p_vac <= 1.0:
             raise ValueError(f"--pvac out of range: {self.p_vac}")
         if self.beta_sq is not None and not 0.0 <= self.beta_sq <= 1.0:

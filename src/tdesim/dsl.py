@@ -32,17 +32,15 @@ touch and expanded to the register's flat gather once, when it closes.
 One executor, _run_steps, runs plan steps on an array of amplitude rows
 shaped (B, N, *dims): B independent states, each the sum of the
 projectors of its N rows.  run_program runs a program as one state of
-one row; that run owns its arrays, so a gather writes into a full-size
-buffer the run has finished with, the output's factor is copied into
-one, and a pure final state is normalized in place.  A discard moves the
-discarded axes into the row axis, so a mixed state is carried as its own
-purification and never as a density matrix.  Densities are built and
-validated only where the run returns them: the output's reduced state
-(a 16-slot state's wide factor is multiplied out as dot products of its
-rows, with no conjugate copy) and a mixed final state; the hermiticity
-check reads one triangle in bands.  The paper's scenarios (scenarios.py)
-are circuits compiled here, run on the same executor with their own
-input rows bound in place of the input prepares.
+one row, and a pure final state is normalized in place on the run's own
+rows.  A discard moves the discarded axes into the row axis, so a mixed
+state is carried as its own purification and never as a density matrix.
+Densities are built and validated only where the run returns them: the
+output's reduced state (a 16-slot state's wide factor is multiplied out
+as dot products of its rows, with no conjugate copy) and a mixed final
+state; the hermiticity check reads one triangle in bands.  The paper's
+scenarios (scenarios.py) are circuits compiled here, run on the same
+executor with their own input rows bound in place of the input prepares.
 """
 
 from __future__ import annotations
@@ -72,6 +70,7 @@ from .dynamics import (
     _left_multiply,
     _lift_logical,
     _monomial,
+    _row_product,
     cnot,
     hadamard,
     joint_outcome_distribution,
@@ -638,7 +637,8 @@ def _qubit_vector(a0: complex, a1: complex, line: int) -> np.ndarray:
     norm = math.hypot(abs(a0), abs(a1))
     if scale * norm < ZERO_NORM:
         _fail(line, "state has zero norm")
-    # complex, like every row a run holds, so a run's spare buffers fit
+    # complex, like every row a run holds: a gather multiplies its phases
+    # into the rows in place
     vector = np.array([a0 / norm, a1 / norm], dtype=complex)
     vector.flags.writeable = False  # a cached plan's prepare step holds it
     return vector
@@ -714,17 +714,14 @@ def run_program(program: CircuitProgram):
     """Execute a program; returns (ExecutionReport, final state).
 
     The program's plan runs through _run_steps on one state held as one
-    amplitude row, and the run owns its arrays: a gather writes into a
-    full-size buffer the run has finished with when it has one, and the
-    boundary copies the output's factor into such a buffer.  Each
-    density the run returns is built and validated once, at the end, by
-    registers.gram_density: the output's reduced state and, after a
-    discard, the mixed final state, whose spectrum is read off the
-    smaller Gram matrix of its rows.  The output's probabilities are the
-    diagonal of its reduced state, read by
+    amplitude row.  Each density the run returns is built and validated
+    once, at the end, by registers.gram_density: the output's reduced
+    state and, after a discard, the mixed final state, whose spectrum is
+    read off the smaller Gram matrix of its rows.  The output's
+    probabilities are the diagonal of its reduced state, read by
     dynamics.joint_outcome_distribution.  A pure final state is a
-    PureState on the run's own array, normalized in place; it is copied
-    only when the array is a read-only operand of the plan.  A
+    PureState on the run's own final rows, normalized in place; they are
+    copied only when they are a read-only operand of the plan.  A
     hand-built directive list that the static check rejects raises
     CircuitExecutionError.
     """
@@ -732,11 +729,9 @@ def run_program(program: CircuitProgram):
         plan = program.plan
     except CircuitParseError as exc:
         raise CircuitExecutionError(str(exc)) from exc
-    spare = []
-    rows = _run_steps(plan.steps, None, spare)
-    out = plan.steps[-1]
+    rows = _run_steps(plan.steps, None)
     rho = gram_density(plan.output_register,
-                       _factor(rows, out.axes, spare)[0])
+                       _factor(rows, plan.steps[-1].axes)[0])
     report = ExecutionReport(
         plan.output_register.slots[0],
         rho,
@@ -749,8 +744,7 @@ def run_program(program: CircuitProgram):
     return report, gram_density(plan.register, _factor(rows, every)[0])
 
 
-def _run_steps(steps, rows: Optional[np.ndarray],
-               spare: Optional[list] = None) -> np.ndarray:
+def _run_steps(steps, rows: Optional[np.ndarray]) -> np.ndarray:
     """Run plan steps on rows shaped (B, N, *dims): B independent states,
     each the sum of the projectors of its N amplitude rows.
 
@@ -759,32 +753,20 @@ def _run_steps(steps, rows: Optional[np.ndarray],
     flattened row, row[perm], times its phases if it has any; a dense
     gate (H) contracts its block with the target axes.  A prepare appends
     its vector to every row.  An expansion takes each state's row set
-    times the row set of its shifted copy, N rows to N**2, whose
+    times the row set of its shifted copy (dynamics._row_product, which
+    the object path's expansions share), N rows to N**2, whose
     projectors sum to rho (x) rho: the uncorrelated copies of a mixed
     state, and the copy of a pure state when N is 1.  A discard moves the
     discarded axes into the row axis; when that leaves more rows than the
     kept dimension d, each state's rows are folded to d by a QR
     factorization, which keeps the state, so no state outgrows a d x d
     density matrix.  Dilations and the output step leave the rows alone.
-
-    spare, when given, is a list of flat buffers that belong to the run
-    and hold nothing it still needs.  A gather then writes into the last
-    one if its shape fits and hands on the array it gathered from when
-    that is writeable, which, with rows None, means the run made it;
-    only the plan's operands are read-only.
+    No step writes into the rows it is given, so a caller may keep them.
     """
     for step in steps:
         if step.kind == "gather":
             b, n = rows.shape[:2]
-            flat = rows.reshape(b * n, -1)
-            if spare is None:
-                out = flat.take(step.perm, axis=1)
-            else:  # every perm is in range, so clip mode checks nothing
-                buf = spare.pop() if spare and \
-                    spare[-1].shape == flat.shape else None
-                out = flat.take(step.perm, axis=1, out=buf, mode="clip")
-                if flat.flags.writeable:
-                    spare.append(flat)
+            out = rows.reshape(b * n, -1).take(step.perm, axis=1)
             if step.operand is not None:
                 out *= step.operand
             rows = out.reshape(rows.shape)
@@ -795,33 +777,21 @@ def _run_steps(steps, rows: Optional[np.ndarray],
             rows = step.operand[None, None] if rows is None \
                 else rows[..., None] * step.operand
         elif step.kind == "expand":
-            b, n = rows.shape[:2]
-            dims = rows.shape[2:]
-            ones = (1,) * len(dims)
-            rows = (rows.reshape((b, n, 1) + dims + ones)
-                    * rows.reshape((b, 1, n) + ones + dims))
-            rows = rows.reshape((b, n * n) + dims + dims)
+            rows = _row_product(rows, rows)
         elif step.kind == "discard":
             rows = _discard_rows(rows, step.axes)
     return rows
 
 
-def _factor(rows: np.ndarray, keep, spare: Optional[list] = None) \
-        -> np.ndarray:
+def _factor(rows: np.ndarray, keep) -> np.ndarray:
     """The (B, d_keep, M) factors F of rows shaped (B, N, *dims): each
     state's F F^H is its reduced state over the register axes in keep
     (ascending).  The kept axes lead, and the row axis and every other
-    axis become columns.  When that reorder needs a copy and spare (see
-    _run_steps) holds a buffer of the right size, the copy goes there."""
+    axis become columns."""
     lead = [a + 2 for a in keep]
     rest = [1] + [a for a in range(2, rows.ndim) if a not in lead]
     t = rows.transpose([0] + lead + rest)
-    shape = (len(t), math.prod(t.shape[1:len(lead) + 1]), -1)
-    if spare and spare[-1].size == t.size and not t.flags.c_contiguous:
-        buf = spare.pop().reshape(t.shape)
-        np.copyto(buf, t)
-        t = buf
-    return t.reshape(shape)
+    return t.reshape(len(t), math.prod(t.shape[1:len(lead) + 1]), -1)
 
 
 def _discard_rows(rows: np.ndarray, axes) -> np.ndarray:

@@ -7,8 +7,9 @@ slots at one cycle.
 
 These functions act on whole state objects one step at a time: the
 object path.  Nothing else in the package calls it (scenarios and programs
-run on the dsl's executor); it is the independent reference that the tests
-and demos/decoherence.py check the executor against.
+run on the dsl's executor).  Its expansions bind their input to executor
+rows (_bind) and multiply them by the executor's own row product
+(_row_product), so the executor's reference is the tests' dense oracles.
 
 Expanding a mixed state is ambiguous and the two readings give different
 physics, so the caller must choose a CorrelationMode, given as the member
@@ -46,13 +47,13 @@ from .registers import (
     SlotLike,
     State,
     _checked_ensemble,
+    _pure_state,
     as_slot,
+    check_state_size,
+    gram_density,
     level_index,
     level_label,
-    on_register,
     partial_trace,
-    relabel_cycles,
-    tensor,
 )
 
 Ensemble = Sequence  # of (weight, PureState) pairs
@@ -63,22 +64,21 @@ class CorrelationMode(enum.Enum):
     COHERENT_HISTORY = "coherent-history"
 
 
-def _as_mode(policy) -> Optional[CorrelationMode]:
-    """policy as a CorrelationMode, given as one or as its value, or None."""
-    return None if policy is None else CorrelationMode(policy)
+def _whole(value, rule: str) -> int:
+    """value as an int; anything but a whole number raises ValueError
+    with the rule it broke and the value."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{rule}, got {value!r}")
 
 
 def _check_tau(tau) -> int:
     """tau as an int; a dilation is a whole number of cycles, at least
     one, so anything else raises ValueError."""
-    try:
-        cycles = int(tau)
-    except (TypeError, ValueError, OverflowError):
-        cycles = None
-    if cycles is None or cycles != tau:
-        raise ValueError(
-            f"dilation must be a whole number of cycles, got {tau!r}"
-        )
+    cycles = _whole(tau, "dilation must be a whole number of cycles")
     if cycles < 1:
         raise ValueError(f"dilation must be at least one cycle, got {cycles}")
     return cycles
@@ -100,6 +100,8 @@ class Gate:
         arity = int(round(np.log2(n)))
         if 2 ** arity != n:
             raise ValueError(f"gate dimension {n} is not a power of 2")
+        if not np.isfinite(m).all():
+            raise ValueError(f"gate {name!r} has a non-finite entry")
         dev = float(np.abs(m @ m.conj().T - np.eye(n)).max())
         if dev > ATOL:
             raise ValueError(f"gate {name!r} is not unitary (deviation {dev:.3e})")
@@ -228,10 +230,6 @@ def _gather_axes(t: np.ndarray, q: np.ndarray, axes) -> np.ndarray:
     return out.transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
-def _shift_all(state: State, delta: int) -> State:
-    return relabel_cycles(state, None, delta) if delta else state
-
-
 def _single_cycle(reg: Register) -> int:
     cycles = {s.cycle for s in reg.slots}
     if len(cycles) != 1:
@@ -241,31 +239,10 @@ def _single_cycle(reg: Register) -> int:
     return cycles.pop()
 
 
-def _as_branches(state, mode: Optional[CorrelationMode]):
-    """Normalize the expansion input to (kind, payload).
-
-    kind 'pure' carries a PureState, 'density' a DensityOperator, and
-    'branches' a list of (weight, PureState) as registers._checked_ensemble
-    returns it.
-    """
-    if isinstance(state, PureState):
-        return "pure", state
-    if mode is None:
-        raise ValueError(
-            "expanding a mixed state needs an explicit correlation mode"
-        )
-    if isinstance(state, DensityOperator):
-        if mode is CorrelationMode.UNCORRELATED_COPIES:
-            return "density", state
-        return "branches", spectral_ensemble(state)
-    branches = _checked_ensemble(state)
-    if mode is CorrelationMode.UNCORRELATED_COPIES:
-        return "density", ensemble_density(branches)
-    return "branches", branches
-
-
 def ensemble_density(branches: Ensemble) -> DensityOperator:
-    """Average density matrix of a pure-state ensemble."""
+    """Average density matrix of a pure-state ensemble, checked and
+    renormalized by registers._checked_ensemble."""
+    branches = _checked_ensemble(branches)
     reg = branches[0][1].register
     m = np.zeros((reg.dim, reg.dim), dtype=complex)
     for w, psi in branches:
@@ -295,33 +272,98 @@ def _spectral_rows(matrix: np.ndarray) -> tuple:
     return weights / weights.sum(), vecs.T[keep]
 
 
-def _run_expansion(state, policy, expand_one):
-    """Dispatch an expansion over the three input kinds.  expand_one maps a
-    single pure or density state to its expanded product."""
-    kind, payload = _as_branches(state, _as_mode(policy))
-    if kind == "branches":
-        return ensemble_density([(w, expand_one(psi)) for w, psi in payload])
-    return expand_one(payload)
+def _bind(state, mode) -> tuple:
+    """An expansion or circuit input as executor rows shaped (B, N,
+    *dims), and the weights that mix its B states, or None for one state.
+
+    A pure state is one row and never consults mode.  A mixed input's
+    branches (w, v) are a DensityOperator's spectral decomposition
+    (_spectral_rows) or the pairs of an ensemble as
+    registers._checked_ensemble returns it, which is not checked again.
+    Under COHERENT_HISTORY each branch is a state of one row, mixed by
+    w; under UNCORRELATED_COPIES the rows sqrt(w) v are one state,
+    folded by a QR factorization to at most d rows (R^H R = r^H r).  A
+    mixed input with no mode raises ValueError; a mode is a
+    CorrelationMode or its value.
+    """
+    if isinstance(state, PureState):
+        return state.amplitudes.reshape((1, 1) + state.register.dims), None
+    if mode is None:
+        raise ValueError(
+            "expanding a mixed state needs an explicit correlation mode"
+        )
+    mode = CorrelationMode(mode)
+    if isinstance(state, DensityOperator):
+        dims = state.register.dims
+        weights, vectors = _spectral_rows(state.matrix)
+    else:
+        dims = state[0][1].register.dims
+        weights = np.array([w for w, _ in state])
+        vectors = np.array([psi.amplitudes for _, psi in state])
+    if mode is CorrelationMode.COHERENT_HISTORY:
+        return vectors.reshape((len(vectors), 1) + dims), weights
+    rows = np.sqrt(weights)[:, None] * vectors
+    if len(rows) > rows.shape[1]:
+        rows = np.linalg.qr(rows, mode="r")
+    return rows.reshape((1, len(rows)) + dims), None
+
+
+def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each state's rows times the other's: (B, Na, *da) and (B, Nb, *db)
+    to (B, Na*Nb, *da, *db), row i*Nb + j the product of a's row i and
+    b's row j.  The projectors of a state's product rows sum to the
+    tensor product of the two states."""
+    n, na, nb = len(a), a.shape[1], b.shape[1]
+    da, db = a.shape[2:], b.shape[2:]
+    out = (a.reshape((n, na, 1) + da + (1,) * len(db))
+           * b.reshape((n, 1, nb) + (1,) * len(da) + db))
+    return out.reshape((n, na * nb) + da + db)
+
+
+def _expand(state, policy, copies) -> State:
+    """A pure state, DensityOperator or ensemble (checked here) as copies
+    of itself on the registers copies(its register) returns: its rows
+    (_bind) times themselves once per further copy, after one size check.
+    A pure input gives a PureState, any other the gram_density of the
+    product rows, each state's scaled by sqrt(w)."""
+    if isinstance(state, (PureState, DensityOperator)):
+        reg = state.register
+    else:
+        state = _checked_ensemble(state)
+        reg = state[0][1].register
+    rows, weights = _bind(state, policy)
+    pure = isinstance(state, PureState)
+    regs = copies(reg)
+    register = Register(sum((r.slots for r in regs), ()),
+                        sum((r.dims for r in regs), ()))
+    check_state_size(register.dim, pure)
+    out = rows
+    for _ in regs[1:]:
+        out = _row_product(out, rows)
+    if pure:
+        return _pure_state(register, out.reshape(-1))
+    if weights is not None:
+        out = np.sqrt(weights).reshape((-1,) + (1,) * (out.ndim - 1)) * out
+    return gram_density(register, out.reshape(-1, register.dim).T)
 
 
 def free_expansion(state, cycles: Iterable[int], policy=None) -> State:
     """Tensor product of time-shifted copies of a single-cycle state, one
-    per requested cycle, ascending.  A pure input stays pure."""
-    cs = sorted(int(c) for c in cycles)
+    per requested cycle, ascending.  A pure input stays pure.  Each cycle
+    must be a whole number."""
+    cs = sorted(_whole(c, "expansion cycles must be whole numbers")
+                for c in cycles)
     if not cs:
         raise ValueError("need at least one cycle")
     if len(set(cs)) != len(cs):
         raise ValueError("expansion cycles must be distinct")
 
-    def expand_one(st):
-        base = _single_cycle(st.register)
-        out = None
-        for c in cs:
-            copy = _shift_all(st, c - base)
-            out = copy if out is None else tensor(out, copy)
-        return out
+    def copies(reg):
+        base = _single_cycle(reg)
+        return [Register(tuple(s.shifted(c - base) for s in reg.slots),
+                         reg.dims) for c in cs]
 
-    return _run_expansion(state, policy, expand_one)
+    return _expand(state, policy, copies)
 
 
 def displaced_expansion(state, tau: int, dilated_site: str, policy=None) -> State:
@@ -335,12 +377,8 @@ def displaced_expansion(state, tau: int, dilated_site: str, policy=None) -> Stat
     input's slot order.
     """
     tau = _check_tau(tau)
-
-    def expand_one(st):
-        reg_a, reg_b = displaced_copies(st.register, tau, dilated_site)
-        return tensor(on_register(st, reg_a), on_register(st, reg_b))
-
-    return _run_expansion(state, policy, expand_one)
+    return _expand(state, policy,
+                   lambda reg: displaced_copies(reg, tau, dilated_site))
 
 
 def displaced_copies(reg: Register, tau: int, dilated_site: str) -> tuple:

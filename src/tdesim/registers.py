@@ -425,9 +425,11 @@ State = Union[PureState, DensityOperator]
 
 def to_density(state: State) -> DensityOperator:
     """Project a pure state to its rank-one density matrix; pass densities
-    through unchanged."""
+    through unchanged.  A density matrix over MAX_STATE_BYTES raises
+    RegisterSizeError before it is built."""
     if isinstance(state, DensityOperator):
         return state
+    check_state_size(state.dim, pure=False)
     v = state.amplitudes
     return DensityOperator(state.register, np.outer(v, v.conj()))
 

@@ -8,8 +8,9 @@ circuit is written as a directive tuple, compiled by dsl._static_check
 once per input dimension, dilation and site, and run by the dsl's own
 executor (dsl._run_steps) on rows shaped (B, N, *dims): B states, each
 the sum of the projectors of its N purification rows.  The scenario's
-input rows, which one binding (_bind) makes of a pure or mixed input,
-take the place of the circuit's input prepares.
+input rows, which one binding (dynamics._bind, shared with the object
+path's expansions) makes of a pure or mixed input, take the place of
+the circuit's input prepares.
 
 A report's densities come from the circuit's read-out (_Readout),
 compiled with it once per row count N: one gather, one batched product
@@ -48,12 +49,7 @@ from .registers import (
     on_register,
     qubit_state,
 )
-from .dynamics import (
-    CorrelationMode,
-    _as_mode,
-    _check_tau,
-    _spectral_rows,
-)
+from .dynamics import CorrelationMode, _bind, _check_tau
 from .analytics import (
     CurvePoint,
     _entropy_bits,
@@ -92,40 +88,6 @@ def _mix(weights, stack: np.ndarray) -> np.ndarray:
     """Weighted sum over the leading row axis, as a one-row stack."""
     mixed = np.asarray(weights, dtype=float) @ stack.reshape(len(stack), -1)
     return mixed.reshape((1,) + stack.shape[1:])
-
-
-def _bind(state, mode) -> tuple:
-    """A circuit input as executor rows shaped (B, N, *dims), and the
-    weights that mix its B states, or None for one state.
-
-    A pure state is one row and never consults mode.  A mixed input's
-    branches (w, v) are a DensityOperator's spectral decomposition
-    (dynamics._spectral_rows) or the pairs of a _checked_ensemble.
-    Under COHERENT_HISTORY each branch is a state of one row, mixed by
-    w; under UNCORRELATED_COPIES the rows sqrt(w) v are one state,
-    folded by a QR factorization to at most d rows (R^H R = r^H r).  A
-    mixed input with no mode raises ValueError.
-    """
-    if isinstance(state, PureState):
-        return state.amplitudes.reshape((1, 1) + state.register.dims), None
-    mode = _as_mode(mode)
-    if mode is None:
-        raise ValueError(
-            "expanding a mixed state needs an explicit correlation mode"
-        )
-    if isinstance(state, DensityOperator):
-        dims = state.register.dims
-        weights, vectors = _spectral_rows(state.matrix)
-    else:
-        dims = state[0][1].register.dims
-        weights = np.array([w for w, _ in state])
-        vectors = np.array([psi.amplitudes for _, psi in state])
-    if mode is CorrelationMode.COHERENT_HISTORY:
-        return vectors.reshape((len(vectors), 1) + dims), weights
-    rows = np.sqrt(weights)[:, None] * vectors
-    if len(rows) > rows.shape[1]:
-        rows = np.linalg.qr(rows, mode="r")
-    return rows.reshape((1, len(rows)) + dims), None
 
 
 def row_blocks(n: int):
@@ -753,8 +715,10 @@ def dilation_from_round_trip(duration: float, speed_fraction: float) -> float:
     """
     duration = float(duration)
     v = float(speed_fraction)
-    if duration < 0.0:
-        raise ValueError(f"duration must be nonnegative, got {duration}")
+    if not 0.0 <= duration < math.inf:
+        raise ValueError(
+            f"duration must be finite and nonnegative, got {duration}"
+        )
     if not 0.0 <= v < 1.0:
         raise ValueError(f"speed fraction must sit in [0, 1), got {v}")
     return duration * (1.0 - np.sqrt(1.0 - v * v))

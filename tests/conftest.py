@@ -2,11 +2,13 @@
 
 The oracles avoid the package's own shortcuts on purpose: partial traces
 are plain index loops or one einsum over the full density matrix, gates
-are dense kron(lifted, eye) operators between slot permutations, trace
-norms come from singular values, entropies from scipy.stats.  Tests
-compare the fast implementations against these.
+are dense kron(lifted, eye) operators between slot permutations,
+expansions are np.kron of density matrices or projectors, trace norms
+come from singular values, entropies from scipy.stats.  Tests compare
+the fast implementations against these.
 """
 
+import functools
 import string
 
 import numpy as np
@@ -24,10 +26,8 @@ from tdesim import (
     SlotId,
     apply_gate,
     cnot,
-    displaced_expansion,
     hadamard,
     joint_outcome_distribution,
-    measure_at_cycle,
     partial_trace,
     pauli_x,
     phase_gate,
@@ -216,25 +216,68 @@ def displaced_cnot_oracle(amps):
     return np.outer(pair, pair.conj()), rho_d, rho_out, closed
 
 
-def displaced_cnot_density_oracle(rho, tau):
+def expansion_oracle(state, copies, mode):
+    """Dense density matrix of `copies` time-shifted copies of a state,
+    in copy order, from np.kron alone.
+
+    state is a PureState, a DensityOperator, a dense density matrix or an
+    ensemble of (weight, PureState) pairs.  UNCORRELATED_COPIES is the
+    kron of the state's density matrix with itself; COHERENT_HISTORY is
+    sum w kron(P, ..., P) over the ensemble's branches, a density's
+    eigenbranches from eigh, or the one branch of a pure state.
+    """
+    if isinstance(state, DensityOperator):
+        state = state.matrix
+    if isinstance(state, PureState):
+        branches = [(1.0, state.amplitudes)]
+    elif isinstance(state, np.ndarray):
+        vals, vecs = np.linalg.eigh(state)
+        branches = list(zip(vals, vecs.T))
+    else:
+        branches = [(w, psi.amplitudes) for w, psi in state]
+    projectors = [(w, np.outer(v, v.conj())) for w, v in branches]
+
+    def kron_power(m):
+        return functools.reduce(np.kron, [m] * copies)
+
+    if mode is CorrelationMode.COHERENT_HISTORY:
+        return sum(w * kron_power(p) for w, p in projectors)
+    if isinstance(state, np.ndarray):
+        return kron_power(state)
+    return kron_power(sum(w * p for w, p in projectors))
+
+
+def displaced_cnot_density_oracle(rho, tau,
+                                  mode=CorrelationMode.UNCORRELATED_COPIES):
     """The displaced-CNOT circuit on one single-slot density input, from
-    the object primitives: tensor with the ancilla, apply_gate, the
-    uncorrelated-copies displaced_expansion, measure_at_cycle and
-    partial_trace.  The input slot is (site, tau) and the ancilla site
-    is "2" ("anc" when the input site is "2").
+    dense operators: the opening CNOT on rho (x) |0><0|, the two copies
+    of the pair from expansion_oracle under mode, the closing CNOT and
+    partial traces.  The input slot is (site, tau) and the ancilla site
+    is "2" ("anc" when the input site is "2"); the four-slot layout
+    (input@tau, ancilla@0, input@2tau, ancilla@tau) is written out here
+    rather than looked up.
 
     Returns (rho_s, rho_d, closed, rho_out) as DensityOperators.
     """
     site = rho.register.slots[0].site
     anc = "anc" if site == "2" else "2"
-    targets = [SlotId(site, tau), SlotId(anc, tau)]
-    pair = apply_gate(tensor(rho, qubit_state(anc, tau, 1.0, 0.0)), cnot(),
-                      targets)
-    expanded = displaced_expansion(
-        pair, tau, site, policy=CorrelationMode.UNCORRELATED_COPIES)
-    closed = apply_gate(expanded, cnot(), targets)
-    return (pair, measure_at_cycle(expanded, tau), closed,
-            partial_trace(closed, [targets[1]]))
+    dims = (rho.dim, 2, rho.dim, 2)
+    slots = (SlotId(site, tau), SlotId(anc, 0), SlotId(site, 2 * tau),
+             SlotId(anc, tau))
+
+    def on(positions, matrix):
+        return DensityOperator(Register(tuple(slots[p] for p in positions),
+                                        tuple(dims[p] for p in positions)),
+                               matrix)
+
+    pair = dense_gate_oracle(np.kron(rho.matrix, np.diag([1.0, 0.0])),
+                             dims[:2], CNOT_MATRIX, [0, 1])
+    four = expansion_oracle(pair, 2, mode)
+    closed = dense_gate_oracle(four, dims, CNOT_MATRIX, [0, 3])
+    return (on([0, 3], pair),
+            on([0, 3], einsum_partial_trace_oracle(four, dims, [0, 3])),
+            on([0, 1, 2, 3], closed),
+            on([3], einsum_partial_trace_oracle(closed, dims, [3])))
 
 
 def displaced_box_oracle(state, data_site, ancilla_site="c"):

@@ -65,6 +65,18 @@ def test_entropy_rejects_negative_matrix():
         von_neumann_entropy(np.diag([1.5, -0.5]))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_matrix_is_refused(value):
+    # eigvalsh of a NaN matrix is NaN, which passed the PSD test and read
+    # as entropy 0; the trace norm raised numpy's LinAlgError
+    m = np.diag([value, 1.0])
+    for call in (von_neumann_entropy, purity,
+                 lambda x: trace_norm_distance(x, np.eye(2) / 2.0),
+                 lambda x: trace_norm_distance(np.eye(2) / 2.0, x)):
+        with pytest.raises(InvariantViolationError, match="non-finite"):
+            call(m)
+
+
 def test_binary_entropy():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0

@@ -23,6 +23,23 @@ def test_qubit_density_validation():
         QubitDensity(0.5, 0.5, 0.6)  # |coherence| above sqrt(g00 g11)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: QubitDensity(np.nan, 1.0),
+    lambda: QubitDensity(1.0, np.nan),
+    lambda: QubitDensity(1.0, 0.0, np.nan),
+    lambda: QubitDensity(np.inf, 1.0),
+    lambda: QubitDensity(0.5, 0.5, complex(0.0, np.inf)),
+    lambda: QubitDensity.from_amplitudes(0, 0),
+    lambda: QubitDensity.from_amplitudes(np.nan, 1.0),
+    lambda: QubitDensity.from_amplitudes(1.0, np.inf),
+])
+def test_non_finite_or_zero_inputs_are_refused(build):
+    # NaN fails every comparison, so each check is written to fail on it;
+    # a witness of such a density would otherwise read 0, "linear"
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_qubit_density_conversions():
     qd = QubitDensity.from_amplitudes(0.6, 0.8)
     assert abs(qd.g00 - 0.36) < 1e-15

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from tdesim import RunConfig, execute, parse_circuit
+from tdesim import RunConfig, execute, fig2_curves, parse_circuit
 from tdesim.cli import MAX_GRID_STEPS, main
 
 FIG1_PROGRAM = """\
@@ -262,8 +262,12 @@ def test_unwritable_out_path_is_reported(capsys, tmp_path):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-12"])
 def test_tolerance_must_be_finite_and_positive(capsys, value):
+    # RunConfig and fig2_curves share one check; a NaN tolerance used to
+    # skip fig2_curves' cross-check and a negative one fail it
     with pytest.raises(ValueError, match="finite and positive"):
         RunConfig(tolerance=float(value))
+    with pytest.raises(ValueError, match="finite and positive"):
+        fig2_curves([0.5], tolerance=float(value))
     code, out, err = _run(capsys, "decohere", f"--tolerance={value}")
     assert code == 1
     assert out == ""

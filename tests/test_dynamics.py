@@ -1,5 +1,9 @@
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdesim import (
     CorrelationMode,
@@ -8,6 +12,7 @@ from tdesim import (
     Gate,
     PureState,
     Register,
+    RegisterSizeError,
     SlotId,
     UnknownSlotError,
     ZeroProbabilityError,
@@ -32,8 +37,14 @@ from tdesim import (
     to_density,
     vacuum_state,
 )
+from tdesim import dynamics, scenarios
 
-from conftest import random_density, random_pure, two_qubit_register
+from conftest import (
+    expansion_oracle,
+    random_density,
+    random_pure,
+    two_qubit_register,
+)
 
 CNOT = np.array([[1, 0, 0, 0],
                  [0, 1, 0, 0],
@@ -46,6 +57,9 @@ def test_gate_requires_unitary():
         Gate("bad", [[1.0, 0.0], [0.0, 2.0]])
     with pytest.raises(ValueError):
         Gate("bad", np.ones((3, 3)))
+    for value in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            Gate("bad", [[value, 0.0], [0.0, 1.0]])
 
 
 def test_standard_gates():
@@ -137,6 +151,35 @@ def test_free_expansion_pure_is_product_of_relabeled_copies(rng):
                                   SlotId("a", 5))
     want = np.kron(np.kron(psi.amplitudes, psi.amplitudes), psi.amplitudes)
     np.testing.assert_allclose(out.amplitudes, want, atol=1e-12)
+
+
+def test_free_expansion_refuses_cycles_that_are_not_whole():
+    psi = qubit_state("a", 0, 0.6, 0.8)
+    for cycles in ([0, 1.7], [0.5], [0, float("nan")]):
+        with pytest.raises(ValueError, match="whole numbers, got"):
+            free_expansion(psi, cycles)
+    with pytest.raises(ValueError, match="got 1.7"):
+        free_expansion(psi, [0, 1.7])
+    # a whole number in another type is a cycle
+    out = free_expansion(psi, [np.int64(0), 2.0])
+    assert out.register.slots == (SlotId("a", 0), SlotId("a", 2))
+
+
+def test_expansions_check_the_size_limit_before_allocating():
+    def qubits(n):
+        return Register(tuple(SlotId(f"q{i}", 0) for i in range(n)),
+                        (2,) * n)
+
+    # three copies of a 7-qubit density: a 2^21-dimensional density
+    # matrix holds 64 TiB
+    rho = maximally_mixed(qubits(7))
+    for mode in CorrelationMode:
+        with pytest.raises(RegisterSizeError, match="density matrix"):
+            free_expansion(rho, [0, 1, 2], policy=mode)
+    # three copies of a 12-qubit pure state: 2^36 amplitudes, 1 TiB
+    psi = basis_state(qubits(12), [0] * 12)
+    with pytest.raises(RegisterSizeError, match="pure state"):
+        free_expansion(psi, [0, 1, 2])
 
 
 def test_free_expansion_mixed_needs_explicit_mode(rng):
@@ -241,6 +284,58 @@ def test_displaced_expansion_coherent_equals_spectral_mixture(rng):
         term = to_density(displaced_expansion(psi, 1, dilated_site="1"))
         acc = w * term.matrix if acc is None else acc + w * term.matrix
     np.testing.assert_allclose(coh.matrix, acc, atol=1e-12)
+
+
+def _random_input(rng, kind, reg):
+    """A pure state, a density or an ensemble of 1-4 branches on reg."""
+    if kind == "pure":
+        return random_pure(rng, reg)
+    if kind == "density":
+        return random_density(rng, reg)
+    k = int(rng.integers(1, 5))
+    return list(zip(rng.dirichlet(np.ones(k)).tolist(),
+                    [random_pure(rng, reg) for _ in range(k)]))
+
+
+def _check_against_oracle(out, state, copies, mode, register):
+    assert out.register == register
+    if isinstance(state, PureState):
+        assert isinstance(out, PureState)
+        want = functools.reduce(np.kron, [state.amplitudes] * copies)
+        np.testing.assert_allclose(out.amplitudes, want, rtol=0, atol=1e-12)
+    else:
+        assert isinstance(out, DensityOperator)
+        np.testing.assert_allclose(out.matrix,
+                                   expansion_oracle(state, copies, mode),
+                                   rtol=0, atol=1e-12)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.sampled_from(("pure", "density",
+                                                   "ensemble")),
+       st.sampled_from((2, 3)), st.sampled_from((2, 3)), st.integers(1, 3),
+       st.sampled_from(list(CorrelationMode)))
+def test_expansions_match_the_dense_oracle(seed, kind, dim, dim_b, copies,
+                                           mode):
+    rng = np.random.default_rng(seed)
+    t = int(rng.integers(0, 4))
+    # free_expansion: copies at distinct cycles, given in any order
+    state = _random_input(rng, kind, Register((SlotId("a", t),), (dim,)))
+    cycles = rng.choice(8, size=copies, replace=False).tolist()
+    out = free_expansion(state, cycles, policy=mode)
+    _check_against_oracle(out, state, copies, mode, Register(
+        tuple(SlotId("a", c) for c in sorted(cycles)), (dim,) * copies))
+    # displaced_expansion of a pair on sites 1 and 2: copy A pulls the
+    # undilated site back by tau, copy B is copy A pushed forward by tau
+    tau = int(rng.integers(1, 4))
+    site = ("1", "2")[int(rng.integers(0, 2))]
+    pair = _random_input(rng, kind, Register((("1", t), ("2", t)),
+                                             (dim, dim_b)))
+    out = displaced_expansion(pair, tau, site, policy=mode)
+    copy_a = tuple(SlotId(s, t if s == site else t - tau) for s in "12")
+    copy_b = tuple(SlotId(s.site, s.cycle + tau) for s in copy_a)
+    _check_against_oracle(out, pair, 2, mode, Register(
+        copy_a + copy_b, (dim, dim_b) * 2))
 
 
 def test_measure_at_cycle_filters_slots():
@@ -373,6 +468,40 @@ def test_ensemble_density_weighted_sum():
     rho = ensemble_density(branches)
     np.testing.assert_allclose(rho.matrix, np.diag([0.25, 0.75]),
                                atol=1e-15)
+
+
+def test_each_ensemble_is_checked_once_per_call(monkeypatch):
+    # a second check renormalizes the weights again, which moves outputs
+    # by roundoff
+    calls = []
+    for module in (dynamics, scenarios):
+        monkeypatch.setattr(module, "_checked_ensemble",
+                            lambda e, real=module._checked_ensemble:
+                            calls.append(e) or real(e))
+    single = [(0.3, qubit_state("1", 1, 1.0, 0.0)),
+              (0.7, qubit_state("1", 1, 0.6, 0.8))]
+    pairs = [(0.5, bell_phi_plus("1", "2", 1)),
+             (0.5, basis_state(two_qubit_register(cycle=1), (0, 1)))]
+    runs = [lambda: ensemble_density(single),
+            lambda: scenarios.run_proper_vs_improper(single)]
+    for mode in CorrelationMode:
+        runs += [lambda m=mode: free_expansion(single, [0, 1], policy=m),
+                 lambda m=mode: displaced_expansion(pairs, 1, "1", policy=m)]
+    for run in runs:
+        calls.clear()
+        run()
+        assert len(calls) == 1
+
+
+def test_ensemble_density_checks_the_ensemble_as_the_expansions_do():
+    zero = qubit_state("a", 0, 1.0, 0.0)
+    # a negative weight that cancels to |0><0|, and weights short of 1
+    for bad in ([(1.5, zero), (-0.5, zero)], [(0.9, zero)]):
+        with pytest.raises(ValueError, match="ensemble weight"):
+            ensemble_density(bad)
+        for mode in CorrelationMode:
+            with pytest.raises(ValueError, match="ensemble weight"):
+                free_expansion(bad, [0, 1], policy=mode)
 
 
 def test_basis_state_round_trip_through_gates():

@@ -23,11 +23,14 @@ from tdesim import (
     maximally_mixed,
     partial_trace,
     permute_slots,
+    purity,
     qubit_state,
     relabel_cycles,
     tensor,
     to_density,
+    trace_norm_distance,
     vacuum_state,
+    von_neumann_entropy,
 )
 from tdesim.registers import (
     ATOL,
@@ -257,6 +260,13 @@ def test_size_limit_is_checked_before_allocating():
     big = basis_state(qubits("a", 14), [0] * 14)
     with pytest.raises(RegisterSizeError, match="density matrix"):
         partial_trace(big, big.register.slots[:13])
+    # a 2^13-dimensional pure state holds 128 KiB, its density 1 GiB; the
+    # analytics reach that density through to_density
+    pure = basis_state(qubits("a", 13), [0] * 13)
+    for call in (to_density, purity, von_neumann_entropy,
+                 lambda psi: trace_norm_distance(psi, psi)):
+        with pytest.raises(RegisterSizeError, match="density matrix"):
+            call(pure)
 
 
 def test_partial_trace_against_index_loop(rng):

@@ -304,8 +304,10 @@ def test_round_trip_dilation():
     assert all(b > a for a, b in zip(lags, lags[1:]))
     with pytest.raises(ValueError):
         dilation_from_round_trip(1.0, 1.0)
-    with pytest.raises(ValueError):
-        dilation_from_round_trip(-1.0, 0.5)
+    for duration, speed in ((-1.0, 0.5), (np.nan, 0.5), (np.inf, 0.5),
+                            (1.0, np.nan), (1.0, -np.inf)):
+        with pytest.raises(ValueError):
+            dilation_from_round_trip(duration, speed)
 
 
 def test_scenario_states_satisfy_subadditivity(rng):

@@ -13,16 +13,10 @@ from tdesim import (
     CorrelationMode,
     DensityOperator,
     InvariantViolationError,
-    PureState,
     Register,
     SlotId,
-    apply_gate,
-    cnot,
-    displaced_expansion,
     fig2_curves,
     free_expansion,
-    measure_at_cycle,
-    partial_trace,
     qubit_state,
     run_entropy_study,
     run_fig1,
@@ -30,7 +24,6 @@ from tdesim import (
     run_proper_vs_improper,
     run_reverse,
     run_sweep,
-    tensor,
     to_density,
     von_neumann_entropy,
 )
@@ -216,17 +209,9 @@ def test_validator_returns_the_spectrum_entropy_uses(rng):
 
 def _fig1_oracle(state, tau, mode):
     """displaced_cnot_density_oracle's matrices (rho_s, rho_d, closed,
-    rho_out) for a run_fig1 input: under COHERENT_HISTORY those of the
-    input's eigenbranches, mixed by their weights."""
-    rho = to_density(state)
-    if mode is CorrelationMode.UNCORRELATED_COPIES or \
-            isinstance(state, PureState):
-        return [o.matrix for o in displaced_cnot_density_oracle(rho, tau)]
-    weights, vectors = np.linalg.eigh(rho.matrix)
-    branches = [displaced_cnot_density_oracle(
-        to_density(PureState(rho.register, v)), tau) for v in vectors.T]
-    return [sum(w * b[i].matrix for w, b in zip(weights, branches))
-            for i in range(4)]
+    rho_out) for a run_fig1 input under mode."""
+    return [o.matrix for o in
+            displaced_cnot_density_oracle(to_density(state), tau, mode)]
 
 
 @settings(deadline=None, max_examples=40)
@@ -269,29 +254,19 @@ def test_padding_never_leaks_into_a_report(seed, dim, tau, pure, mode):
 
 
 @pytest.mark.parametrize("dim", (2, 3))
-def test_coherent_history_rows_match_object_expansion(rng, dim):
+def test_coherent_history_rows_match_the_dense_oracle(rng, dim):
     # with a non-degenerate spectrum the input's eigenbranches are the
     # pair's, so mixing rows equals expanding the pair's ensemble
     reg = Register((SlotId("1", 2),), (dim,))
     for _ in range(3):
         rho = random_density(rng, reg)
         rep = run_fig1(rho, tau=2, policy=CorrelationMode.COHERENT_HISTORY)
-        pair = apply_gate(tensor(rho, qubit_state("2", 2, 1.0, 0.0)), cnot(),
-                          [SlotId("1", 2), SlotId("2", 2)])
-        expanded = displaced_expansion(
-            pair, 2, "1", policy=CorrelationMode.COHERENT_HISTORY)
-        closed = apply_gate(expanded, cnot(),
-                            [SlotId("1", 2), SlotId("2", 2)])
-        np.testing.assert_allclose(rep.rho_s.matrix, pair.matrix, atol=TOL)
-        np.testing.assert_allclose(rep.rho_d.matrix,
-                                   measure_at_cycle(expanded, 2).matrix,
-                                   atol=TOL)
-        np.testing.assert_allclose(rep.four_slot_state.matrix, closed.matrix,
-                                   atol=TOL)
-        np.testing.assert_allclose(
-            rep.rho_out.matrix,
-            partial_trace(closed, [SlotId("2", 2)]).matrix, atol=TOL)
-        assert rep.four_slot_state.register == closed.register
+        want = displaced_cnot_density_oracle(
+            rho, 2, CorrelationMode.COHERENT_HISTORY)
+        for got, oracle in zip((rep.rho_s, rep.rho_d, rep.four_slot_state,
+                                rep.rho_out), want):
+            np.testing.assert_allclose(got.matrix, oracle.matrix, atol=TOL)
+            assert got.register == oracle.register
 
 
 def test_coherent_history_accepts_input_with_roundoff_eigenvalue():
