@@ -14,7 +14,6 @@ from tdesim import (
     displaced_expansion,
     joint_outcome_distribution,
     measure_at_cycle,
-    to_density,
 )
 
 

@@ -15,6 +15,7 @@ import numpy as np
 from .errors import InvariantViolationError
 from .registers import (ATOL, ENTROPY_SLACK, PSD_FLOOR, DensityOperator,
                         PureState, partial_trace, to_density)
+from .dynamics import _check_tau
 
 
 def _as_matrix(rho) -> np.ndarray:
@@ -65,11 +66,7 @@ def binary_entropy(p: float) -> float:
     p = float(p)
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability out of range: {p}")
-    out = 0.0
-    for q in (p, 1.0 - p):
-        if q > 0.0:
-            out -= q * np.log2(q)
-    return out
+    return float(_entropy_bits(np.array([p, 1.0 - p])))
 
 
 def trace_norm_distance(a, b) -> float:
@@ -162,7 +159,7 @@ def fig2_curves(grid: Sequence[float], tau: int = 1,
     and output densities are read off the circuit, both qubits, so each
     block of the grid costs one check.
     """
-    from .scenarios import _check_tau, _densities, grid_inputs, row_blocks
+    from .scenarios import _densities, grid_inputs, row_blocks
 
     tau = _check_tau(tau)
     tolerance = _check_tolerance(tolerance)

@@ -21,6 +21,8 @@ import numpy as np
 
 from .registers import (ATOL, WEIGHT_ROUNDOFF, DensityOperator, Register,
                         SlotId, _normalized, on_register)
+from .dynamics import _check_tau
+from .analytics import trace_norm_distance
 
 
 @dataclass(frozen=True)
@@ -89,7 +91,7 @@ def displaced_bell_channel(tau: int = 1,
     (|0> + |1>)/sqrt(2), relabeled from its ancilla onto site_b.
     """
     # scenarios imports this module, so it is imported here
-    from .scenarios import _check_tau, _fig1_circuit, _readout
+    from .scenarios import _fig1_circuit, _readout
 
     tau = _check_tau(tau)
     register = Register(((site_a, tau), (site_b, tau)), (2, 2))
@@ -118,4 +120,4 @@ def nonlinearity_witness(rho_a: QubitDensity, rho_b: QubitDensity,
     lhs = nonlinear_map(mixed).to_matrix()
     rhs = (lam * nonlinear_map(rho_a).to_matrix()
            + (1.0 - lam) * nonlinear_map(rho_b).to_matrix())
-    return float(np.abs(np.linalg.eigvalsh(lhs - rhs)).sum())
+    return trace_norm_distance(lhs, rhs)

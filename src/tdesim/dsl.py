@@ -41,6 +41,7 @@ as dot products of its rows, with no conjugate copy) and a mixed final
 state; the hermiticity check reads one triangle in bands.  The paper's
 scenarios (scenarios.py) are circuits compiled here, run on the same
 executor with their own input rows bound in place of the input prepares.
+Its row kernels live in registers, shared with every state operation.
 """
 
 from __future__ import annotations
@@ -61,16 +62,18 @@ from .registers import (
     DensityOperator,
     Register,
     SlotId,
-    _pure_state,
+    _discard_rows,
+    _factor,
+    _from_rows,
+    _left_multiply,
+    _row_product,
     check_state_size,
     gram_density,
 )
 from .dynamics import (
     _gather_axes,
-    _left_multiply,
     _lift_logical,
     _monomial,
-    _row_product,
     cnot,
     hadamard,
     joint_outcome_distribution,
@@ -738,10 +741,7 @@ def run_program(program: CircuitProgram):
         joint_outcome_distribution(rho, rho.register.slots),
         von_neumann_entropy(rho),
     )
-    if plan.pure:
-        return report, _pure_state(plan.register, rows.reshape(-1))
-    every = range(len(plan.register.slots))
-    return report, gram_density(plan.register, _factor(rows, every)[0])
+    return report, _from_rows(plan.register, rows, plan.pure)
 
 
 def _run_steps(steps, rows: Optional[np.ndarray]) -> np.ndarray:
@@ -753,14 +753,13 @@ def _run_steps(steps, rows: Optional[np.ndarray]) -> np.ndarray:
     flattened row, row[perm], times its phases if it has any; a dense
     gate (H) contracts its block with the target axes.  A prepare appends
     its vector to every row.  An expansion takes each state's row set
-    times the row set of its shifted copy (dynamics._row_product, which
-    the object path's expansions share), N rows to N**2, whose
-    projectors sum to rho (x) rho: the uncorrelated copies of a mixed
-    state, and the copy of a pure state when N is 1.  A discard moves the
-    discarded axes into the row axis; when that leaves more rows than the
-    kept dimension d, each state's rows are folded to d by a QR
-    factorization, which keeps the state, so no state outgrows a d x d
-    density matrix.  Dilations and the output step leave the rows alone.
+    times the row set of its shifted copy (registers._row_product), N
+    rows to N**2, whose projectors sum to rho (x) rho: the uncorrelated
+    copies of a mixed state, and the copy of a pure state when N is 1.
+    A discard moves the discarded axes into the row axis; when that
+    leaves more rows than the kept dimension d, each state's rows are
+    folded to d by a QR factorization, which keeps the state, so no
+    state outgrows a d x d density matrix.  Dilations and the output step leave the rows alone.
     No step writes into the rows it is given, so a caller may keep them.
     """
     for step in steps:
@@ -782,24 +781,3 @@ def _run_steps(steps, rows: Optional[np.ndarray]) -> np.ndarray:
             rows = _discard_rows(rows, step.axes)
     return rows
 
-
-def _factor(rows: np.ndarray, keep) -> np.ndarray:
-    """The (B, d_keep, M) factors F of rows shaped (B, N, *dims): each
-    state's F F^H is its reduced state over the register axes in keep
-    (ascending).  The kept axes lead, and the row axis and every other
-    axis become columns."""
-    lead = [a + 2 for a in keep]
-    rest = [1] + [a for a in range(2, rows.ndim) if a not in lead]
-    t = rows.transpose([0] + lead + rest)
-    return t.reshape(len(t), math.prod(t.shape[1:len(lead) + 1]), -1)
-
-
-def _discard_rows(rows: np.ndarray, axes) -> np.ndarray:
-    """Rows of each state with the register axes in axes traced out, at
-    most as many as the kept dimension."""
-    keep = [a for a in range(rows.ndim - 2) if a not in axes]
-    r = _factor(rows, keep).swapaxes(-1, -2)
-    if r.shape[1] > r.shape[2]:
-        # R = Q T with Q isometric, so T^H T = R^H R: the same state
-        r = np.linalg.qr(r, mode="r")
-    return r.reshape(r.shape[:2] + tuple(rows.shape[a + 2] for a in keep))

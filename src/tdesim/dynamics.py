@@ -7,9 +7,8 @@ slots at one cycle.
 
 These functions act on whole state objects one step at a time: the
 object path.  Nothing else in the package calls it (scenarios and programs
-run on the dsl's executor).  Its expansions bind their input to executor
-rows (_bind) and multiply them by the executor's own row product
-(_row_product), so the executor's reference is the tests' dense oracles.
+run on the dsl's executor), and it runs on the executor's own row kernels
+(registers), so the executor's reference is the tests' dense oracles.
 
 Expanding a mixed state is ambiguous and the two readings give different
 physics, so the caller must choose a CorrelationMode, given as the member
@@ -47,10 +46,14 @@ from .registers import (
     SlotLike,
     State,
     _checked_ensemble,
-    _pure_state,
+    _discard_rows,
+    _from_rows,
+    _left_multiply,
+    _row_product,
+    _rows,
+    _spectral_rows,
     as_slot,
     check_state_size,
-    gram_density,
     level_index,
     level_label,
     partial_trace,
@@ -161,14 +164,8 @@ def apply_gate(state: State, gate: Gate, targets: Sequence[SlotLike]) -> State:
     """Apply a gate to target slots, which must all sit at one cycle."""
     reg = state.register
     lifted, axes = _gate_block(reg, gate, targets)
-    if isinstance(state, PureState):
-        psi = state.amplitudes.reshape(reg.dims)
-        return PureState(reg, _left_multiply(lifted, psi, axes))
-    n = len(reg.slots)
-    rho = state.matrix.reshape(reg.dims + reg.dims)
-    rho = _left_multiply(lifted, rho, axes)
-    rho = _left_multiply(lifted.conj(), rho, [n + a for a in axes])
-    return DensityOperator(reg, rho.reshape(reg.dim, reg.dim))
+    rows = _left_multiply(lifted, _rows(state), [a + 2 for a in axes])
+    return _from_rows(reg, rows, isinstance(state, PureState))
 
 
 def _gate_block(reg: Register, gate: Gate, targets: Sequence[SlotLike]):
@@ -191,14 +188,6 @@ def _gate_block(reg: Register, gate: Gate, targets: Sequence[SlotLike]):
         )
     dims = [reg.dims[a] for a in axes]
     return _lift_logical(gate.matrix, dims).reshape(dims + dims), axes
-
-
-def _left_multiply(op: np.ndarray, t: np.ndarray, axes) -> np.ndarray:
-    """Apply op, shaped (out dims..., in dims...), to the given axes of t
-    and leave every other axis where it was."""
-    k = len(axes)
-    out = np.tensordot(op, t, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, list(range(k)), axes)
 
 
 def _monomial(block: np.ndarray, permutation: bool = False):
@@ -241,14 +230,13 @@ def _single_cycle(reg: Register) -> int:
 
 def ensemble_density(branches: Ensemble) -> DensityOperator:
     """Average density matrix of a pure-state ensemble, checked and
-    renormalized by registers._checked_ensemble."""
+    renormalized by registers._checked_ensemble: the gram_density of its
+    rows sqrt(w) psi as _bind gives them."""
     branches = _checked_ensemble(branches)
     reg = branches[0][1].register
-    m = np.zeros((reg.dim, reg.dim), dtype=complex)
-    for w, psi in branches:
-        v = psi.amplitudes
-        m += float(w) * np.outer(v, v.conj())
-    return DensityOperator(reg, m)
+    check_state_size(reg.dim, pure=False)
+    rows, _ = _bind(branches, CorrelationMode.UNCORRELATED_COPIES)
+    return _from_rows(reg, rows, pure=False)
 
 
 def spectral_ensemble(rho: DensityOperator) -> list:
@@ -260,16 +248,6 @@ def spectral_ensemble(rho: DensityOperator) -> list:
     weights, vectors = _spectral_rows(rho.matrix)
     return [(w, PureState(rho.register, v))
             for w, v in zip(weights.tolist(), vectors)]
-
-
-def _spectral_rows(matrix: np.ndarray) -> tuple:
-    """spectral_ensemble as arrays: the eigenvalues of a density matrix
-    above WEIGHT_ROUNDOFF, renormalized to sum to 1, and their
-    eigenvectors from eigh as the rows of a (k, d) stack."""
-    vals, vecs = np.linalg.eigh(matrix)
-    keep = vals > WEIGHT_ROUNDOFF
-    weights = vals[keep]
-    return weights / weights.sum(), vecs.T[keep]
 
 
 def _bind(state, mode) -> tuple:
@@ -287,7 +265,7 @@ def _bind(state, mode) -> tuple:
     CorrelationMode or its value.
     """
     if isinstance(state, PureState):
-        return state.amplitudes.reshape((1, 1) + state.register.dims), None
+        return _rows(state), None
     if mode is None:
         raise ValueError(
             "expanding a mixed state needs an explicit correlation mode"
@@ -308,24 +286,12 @@ def _bind(state, mode) -> tuple:
     return rows.reshape((1, len(rows)) + dims), None
 
 
-def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Each state's rows times the other's: (B, Na, *da) and (B, Nb, *db)
-    to (B, Na*Nb, *da, *db), row i*Nb + j the product of a's row i and
-    b's row j.  The projectors of a state's product rows sum to the
-    tensor product of the two states."""
-    n, na, nb = len(a), a.shape[1], b.shape[1]
-    da, db = a.shape[2:], b.shape[2:]
-    out = (a.reshape((n, na, 1) + da + (1,) * len(db))
-           * b.reshape((n, 1, nb) + (1,) * len(da) + db))
-    return out.reshape((n, na * nb) + da + db)
-
-
 def _expand(state, policy, copies) -> State:
     """A pure state, DensityOperator or ensemble (checked here) as copies
     of itself on the registers copies(its register) returns: its rows
     (_bind) times themselves once per further copy, after one size check.
     A pure input gives a PureState, any other the gram_density of the
-    product rows, each state's scaled by sqrt(w)."""
+    product rows, each state's scaled by sqrt(w) (registers._from_rows)."""
     if isinstance(state, (PureState, DensityOperator)):
         reg = state.register
     else:
@@ -340,11 +306,9 @@ def _expand(state, policy, copies) -> State:
     out = rows
     for _ in regs[1:]:
         out = _row_product(out, rows)
-    if pure:
-        return _pure_state(register, out.reshape(-1))
     if weights is not None:
         out = np.sqrt(weights).reshape((-1,) + (1,) * (out.ndim - 1)) * out
-    return gram_density(register, out.reshape(-1, register.dim).T)
+    return _from_rows(register, out.reshape((1, -1) + register.dims), pure)
 
 
 def free_expansion(state, cycles: Iterable[int], policy=None) -> State:
@@ -425,13 +389,14 @@ class MeasurementOutcome:
 
 
 def _outcome_operator(outcome, dim: int):
-    """Return (vector or None, projector matrix, label) for an outcome
-    given as a basis level, an amplitude vector, or a projector."""
+    """Return (Q, label) for an outcome given as a basis level, an
+    amplitude vector, or a projector: Q is (r, dim), its orthonormal rows
+    span the outcome's range, one row for a level or a vector and the
+    range of a projector, from eigh."""
     if isinstance(outcome, (str, int, BasisLevel)):
         idx = level_index(outcome, dim)
-        v = np.zeros(dim, dtype=complex)
-        v[idx] = 1.0
-        return v, np.outer(v, v.conj()), ("vac", "0", "1")[idx + (3 - dim)]
+        q = np.eye(dim, dtype=complex)[idx:idx + 1]
+        return q, ("vac", "0", "1")[idx + (3 - dim)]
     arr = np.asarray(outcome, dtype=complex)
     if arr.ndim == 1:
         if arr.shape != (dim,):
@@ -439,14 +404,14 @@ def _outcome_operator(outcome, dim: int):
         n = float(np.linalg.norm(arr))
         if n < ZERO_NORM:
             raise ValueError("outcome vector has zero norm")
-        v = arr / n
-        return v, np.outer(v, v.conj()), "custom"
+        return (arr / n)[None], "custom"
     if arr.shape != (dim, dim):
         raise ValueError(f"projector must be {dim}x{dim}, got {arr.shape}")
-    if np.abs(arr - arr.conj().T).max() > ATOL or \
-            np.abs(arr @ arr - arr).max() > ATOL:
+    if not (np.abs(arr - arr.conj().T).max() <= ATOL
+            and np.abs(arr @ arr - arr).max() <= ATOL):
         raise ValueError("outcome matrix is not a projector")
-    return None, arr, "projector"
+    vals, vecs = np.linalg.eigh(arr)
+    return vecs.T[vals > 0.5], "projector"
 
 
 def project(state: State, slot: SlotLike, outcome,
@@ -454,66 +419,31 @@ def project(state: State, slot: SlotLike, outcome,
     """Condition on finding one slot in a given outcome and drop the slot.
 
     The outcome is a basis level, an amplitude vector, or a projector
-    matrix on the slot's dimension.  Slots at other cycles sit in separate
-    tensor factors, so their entanglement survives untouched.
+    matrix on the slot's dimension.  The slot's axis of the state's rows
+    is contracted with the outcome's range Q^H and the index left is
+    traced out with the rows; the probability is their squared norm.  A
+    pure state measured on a level or a vector stays pure.  Slots at
+    other cycles sit in separate tensor factors, so their entanglement
+    survives untouched.
     """
     reg = state.register
     s = as_slot(slot)
-    dim = reg.dim_of(s)
-    chi, proj, auto_label = _outcome_operator(outcome, dim)
-    label = auto_label if label is None else label
-
-    rest = [t for t in reg.slots if t != s]
-    if not rest:
-        p = _scalar_probability(state, proj)
-        _check_probability(p, label, s)
-        return MeasurementOutcome(label, p, None)
-
     axis = reg.index_of(s)
-    rest_reg = Register(tuple(rest),
-                        tuple(reg.dims[reg.index_of(t)] for t in rest))
-
-    if isinstance(state, PureState):
-        # M: the amplitudes as a (slot, rest) matrix
-        m = np.moveaxis(state.amplitudes.reshape(reg.dims), axis, 0)
-        m = m.reshape(dim, rest_reg.dim)
-        if chi is not None:
-            post = chi.conj() @ m
-            p = float(np.linalg.norm(post) ** 2)
-            _check_probability(p, label, s)
-            return MeasurementOutcome(
-                label, p, PureState(rest_reg, post / np.sqrt(p))
-            )
-        # Tr_slot[(P x I)|psi><psi|] = (P M)^T M^*
-        block = (proj @ m).T @ m.conj()
-    else:
-        n = len(reg.slots)
-        rho = state.matrix.reshape(reg.dims + reg.dims)
-        # The outcome index replaces the slot's row axis at the front;
-        # tracing it against the slot's column axis (still at n + axis)
-        # leaves the rest rows then the rest columns.
-        block = np.trace(np.tensordot(proj, rho, axes=(1, axis)),
-                         axis1=0, axis2=n + axis)
-        block = block.reshape(rest_reg.dim, rest_reg.dim)
-    p = float(np.trace(block).real)
-    _check_probability(p, label, s)
-    return MeasurementOutcome(
-        label, p, DensityOperator(rest_reg, block / p)
-    )
-
-
-def _check_probability(p: float, label: str, slot) -> None:
+    q, auto_label = _outcome_operator(outcome, reg.dims[axis])
+    label = auto_label if label is None else label
+    rows = _left_multiply(q.conj(), _rows(state), [axis + 2])
+    p = float(np.vdot(rows, rows).real)
     if p < WEIGHT_ROUNDOFF:
         raise ZeroProbabilityError(
-            f"outcome {label!r} on {slot} has probability {p:.3e}"
+            f"outcome {label!r} on {s} has probability {p:.3e}"
         )
-
-
-def _scalar_probability(state: State, proj: np.ndarray) -> float:
-    if isinstance(state, PureState):
-        v = state.amplitudes
-        return float(np.real(v.conj() @ proj @ v))
-    return float(np.trace(proj @ state.matrix).real)
+    if len(reg.slots) == 1:
+        return MeasurementOutcome(label, p, None)
+    rest_reg = Register(reg.slots[:axis] + reg.slots[axis + 1:],
+                        reg.dims[:axis] + reg.dims[axis + 1:])
+    pure = isinstance(state, PureState) and np.ndim(outcome) < 2
+    rows = _discard_rows(rows, [axis]) / np.sqrt(p)
+    return MeasurementOutcome(label, p, _from_rows(rest_reg, rows, pure))
 
 
 def joint_outcome_distribution(state: State, slots: Sequence[SlotLike]) -> dict:

@@ -9,6 +9,15 @@ the local basis.
 
 Basis ordering is row-major with the first register slot most significant,
 so ``basis_index`` of (0, 1) on a two-qubit register is 1.
+
+The row kernels defined here serve the circuit executor (dsl._run_steps)
+and every state operation alike: amplitude rows shaped (B, N, *dims), B
+states, each the sum of the projectors of its N rows.  An operation takes
+its input's rows (_rows: a pure state's one row, or a density's spectral
+rows sqrt(w) v, one eigh), runs one kernel and returns a PureState or the
+gram_density of the result (_from_rows).  The eigh drops the eigenvalues
+validation lets through as roundoff and renormalizes the rest, so
+diag(1 + 5e-11, -5e-11) acts as |0><0| in every operation.
 """
 
 from __future__ import annotations
@@ -423,6 +432,78 @@ def _validated(register: Register, matrix: np.ndarray,
 State = Union[PureState, DensityOperator]
 
 
+def _spectral_rows(matrix: np.ndarray) -> tuple:
+    """The eigenvalues of a density matrix above WEIGHT_ROUNDOFF,
+    renormalized to sum to 1, and their eigenvectors from eigh as the
+    rows of a (k, d) stack."""
+    vals, vecs = np.linalg.eigh(matrix)
+    keep = vals > WEIGHT_ROUNDOFF
+    weights = vals[keep]
+    return weights / weights.sum(), vecs.T[keep]
+
+
+def _rows(state: State) -> np.ndarray:
+    """One state as rows shaped (1, N, *dims): a pure state's amplitudes
+    as one row, or a density's spectral rows sqrt(w) v."""
+    dims = state.register.dims
+    if isinstance(state, PureState):
+        return state.amplitudes.reshape((1, 1) + dims)
+    weights, vectors = _spectral_rows(state.matrix)
+    return (np.sqrt(weights)[:, None] * vectors).reshape((1, -1) + dims)
+
+
+def _from_rows(register: Register, rows: np.ndarray, pure: bool) -> State:
+    """The state of rows shaped (1, N, *register.dims): a PureState on
+    its one row (_pure_state, which takes the rows over), or the
+    gram_density of its rows."""
+    if pure:
+        return _pure_state(register, rows.reshape(-1))
+    every = range(len(register.dims))
+    return gram_density(register, _factor(rows, every)[0])
+
+
+def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each state's rows times the other's: (B, Na, *da) and (B, Nb, *db)
+    to (B, Na*Nb, *da, *db), row i*Nb + j the product of a's row i and
+    b's row j.  The projectors of a state's product rows sum to the
+    tensor product of the two states."""
+    n, na, nb = len(a), a.shape[1], b.shape[1]
+    da, db = a.shape[2:], b.shape[2:]
+    out = (a.reshape((n, na, 1) + da + (1,) * len(db))
+           * b.reshape((n, 1, nb) + (1,) * len(da) + db))
+    return out.reshape((n, na * nb) + da + db)
+
+
+def _left_multiply(op: np.ndarray, t: np.ndarray, axes) -> np.ndarray:
+    """Apply op, shaped (out dims..., in dims...), to the given axes of t
+    and leave every other axis where it was."""
+    k = len(axes)
+    out = np.tensordot(op, t, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(out, list(range(k)), axes)
+
+
+def _factor(rows: np.ndarray, keep) -> np.ndarray:
+    """The (B, d_keep, M) factors F of rows shaped (B, N, *dims): each
+    state's F F^H is its reduced state over the register axes in keep
+    (ascending).  The kept axes lead, and the row axis and every other
+    axis become columns."""
+    lead = [a + 2 for a in keep]
+    rest = [1] + [a for a in range(2, rows.ndim) if a not in lead]
+    t = rows.transpose([0] + lead + rest)
+    return t.reshape(len(t), math.prod(t.shape[1:len(lead) + 1]), -1)
+
+
+def _discard_rows(rows: np.ndarray, axes) -> np.ndarray:
+    """Rows of each state with the register axes in axes traced out, at
+    most as many as the kept dimension."""
+    keep = [a for a in range(rows.ndim - 2) if a not in axes]
+    r = _factor(rows, keep).swapaxes(-1, -2)
+    if r.shape[1] > r.shape[2]:
+        # R = Q T with Q isometric, so T^H T = R^H R: the same state
+        r = np.linalg.qr(r, mode="r")
+    return r.reshape(r.shape[:2] + tuple(rows.shape[a + 2] for a in keep))
+
+
 def to_density(state: State) -> DensityOperator:
     """Project a pure state to its rank-one density matrix; pass densities
     through unchanged.  A density matrix over MAX_STATE_BYTES raises
@@ -430,8 +511,7 @@ def to_density(state: State) -> DensityOperator:
     if isinstance(state, DensityOperator):
         return state
     check_state_size(state.dim, pure=False)
-    v = state.amplitudes
-    return DensityOperator(state.register, np.outer(v, v.conj()))
+    return _from_rows(state.register, _rows(state), pure=False)
 
 
 def basis_index(register: Register, levels: Sequence) -> int:
@@ -498,21 +578,14 @@ def tensor(a: State, b: State) -> State:
                    a.register.dims + b.register.dims)
     pure = isinstance(a, PureState) and isinstance(b, PureState)
     check_state_size(reg.dim, pure)
-    if pure:
-        return PureState(reg, np.kron(a.amplitudes, b.amplitudes))
-    ma = to_density(a).matrix
-    mb = to_density(b).matrix
-    return DensityOperator(reg, np.kron(ma, mb))
+    return _from_rows(reg, _row_product(_rows(a), _rows(b)), pure)
 
 
 def partial_trace(state: State, keep: Iterable[SlotLike]) -> DensityOperator:
     """Reduced density matrix over the kept slots, which stay in their
-    original relative order regardless of how `keep` is ordered.
-
-    A pure state is traced from its amplitudes: with the kept axes moved to
-    the front and the rest flattened, the amplitudes form a d_keep x d_rest
-    matrix A and the reduced state is A A^H, so |psi><psi| is never formed.
-    """
+    original relative order regardless of how `keep` is ordered: F F^H
+    of the state's rows with the kept axes leading (_factor), so
+    |psi><psi| is never formed."""
     reg = state.register
     keep_slots = [as_slot(s) for s in keep]
     if not keep_slots:
@@ -523,18 +596,7 @@ def partial_trace(state: State, keep: Iterable[SlotLike]) -> DensityOperator:
     out_reg = Register(tuple(reg.slots[p] for p in keep_pos),
                        tuple(reg.dims[p] for p in keep_pos))
     check_state_size(out_reg.dim, pure=False)
-    n, d = len(reg.slots), out_reg.dim
-    perm = keep_pos + [p for p in range(n) if p not in keep_pos]
-    if isinstance(state, PureState):
-        a = state.amplitudes.reshape(reg.dims).transpose(perm)
-        a = a.reshape(d, -1)
-        return DensityOperator(out_reg, a @ a.conj().T)
-    # one axis per slot, rows and columns, the kept ones first; the rest
-    # is traced
-    block = state.matrix.reshape(reg.dims + reg.dims)
-    block = block.transpose(perm + [n + p for p in perm])
-    block = block.reshape(d, reg.dim // d, d, reg.dim // d)
-    return DensityOperator(out_reg, np.trace(block, axis1=1, axis2=3))
+    return gram_density(out_reg, _factor(_rows(state), keep_pos)[0])
 
 
 def permute_slots(state: State, order: Sequence[SlotLike]) -> State:
@@ -545,13 +607,8 @@ def permute_slots(state: State, order: Sequence[SlotLike]) -> State:
         raise ValueError("order must be a permutation of the register slots")
     new_reg = Register(tuple(reg.slots[p] for p in perm),
                        tuple(reg.dims[p] for p in perm))
-    n = len(reg.slots)
-    if isinstance(state, PureState):
-        amps = state.amplitudes.reshape(reg.dims).transpose(perm).reshape(-1)
-        return PureState(new_reg, amps)
-    block = state.matrix.reshape(reg.dims + reg.dims)
-    m = block.transpose(perm + [p + n for p in perm])
-    return DensityOperator(new_reg, m.reshape(new_reg.dim, new_reg.dim))
+    rows = _rows(state).transpose([0, 1] + [p + 2 for p in perm])
+    return _from_rows(new_reg, rows, isinstance(state, PureState))
 
 
 def relabel_cycles(state: State, site, delta: int) -> State:

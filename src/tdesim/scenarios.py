@@ -41,6 +41,7 @@ from .registers import (
     _check_hermitian_unit_trace,
     _check_spectrum,
     _checked_ensemble,
+    _factor,
     _pure_state,
     _validated,
     bell_phi_plus,
@@ -63,7 +64,6 @@ from .dsl import (
     Dilate,
     Output,
     Prepare,
-    _factor,
     _run_steps,
     _static_check,
 )
@@ -190,7 +190,7 @@ class _Readout(NamedTuple):
 
     products concatenates each state's taps into one source row and
     appends a zero.  gather, a read-only (K, D, M) index array, gathers
-    each column's factor F from it, in dsl._factor's column order, padded
+    each column's factor F from it, in registers._factor's column order, padded
     with the zero to D, the largest dimension, and to M columns.  Column
     k has dimension dims[k] and register registers[k]; blocks pairs each
     dimension, in the order of its first column, with the index of its

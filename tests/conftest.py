@@ -1,11 +1,13 @@
 """Shared fixtures and independent oracles.
 
 The oracles avoid the package's own shortcuts on purpose: partial traces
-are plain index loops or one einsum over the full density matrix, gates
-are dense kron(lifted, eye) operators between slot permutations,
-expansions are np.kron of density matrices or projectors, trace norms
-come from singular values, entropies from scipy.stats.  Tests compare
-the fast implementations against these.
+are plain index loops or one einsum over the full density matrix (or a
+state vector and its conjugate), gates are kron(lifted, eye) operators
+between slot permutations, expansions are np.kron of density matrices or
+projectors, trace norms come from singular values, entropies from
+scipy.stats.  None of them calls the package's state operations, which
+share the executor's row kernels.  Tests compare the fast
+implementations against these.
 """
 
 import functools
@@ -24,17 +26,6 @@ from tdesim import (
     PureState,
     Register,
     SlotId,
-    apply_gate,
-    cnot,
-    hadamard,
-    joint_outcome_distribution,
-    partial_trace,
-    pauli_x,
-    phase_gate,
-    qubit_state,
-    relabel_cycles,
-    tensor,
-    von_neumann_entropy,
 )
 from tdesim.dsl import (
     Cnot,
@@ -53,11 +44,8 @@ def pytest_configure(config):
     # A complex value written into a real array loses its imaginary part,
     # and numpy reports that only with a ComplexWarning.  The class moved
     # to numpy.exceptions in numpy 1.25; numpy 2 has it only there.
-    try:
-        import numpy.exceptions  # noqa: F401
-        category = "numpy.exceptions.ComplexWarning"
-    except ImportError:
-        category = "numpy.ComplexWarning"
+    category = "numpy.exceptions.ComplexWarning" \
+        if hasattr(np, "exceptions") else "numpy.ComplexWarning"
     config.addinivalue_line("filterwarnings", f"error::{category}")
 
 
@@ -139,7 +127,10 @@ def lift_oracle(matrix, dims):
 def dense_gate_oracle(array, dims, gate_matrix, targets):
     """Apply a gate to the target positions of a state vector or density
     matrix by permuting the targets to the front, multiplying by
-    kron(lifted, eye) and permuting back."""
+    kron(lifted, eye) and permuting back.  A vector is multiplied one
+    block of the identity at a time, kron(lifted, eye) v being lifted
+    times v as a (targets, rest) matrix, so large registers need no
+    d x d operator."""
     dims = list(dims)
     n = len(dims)
     perm = list(targets) + [i for i in range(n) if i not in targets]
@@ -148,31 +139,34 @@ def dense_gate_oracle(array, dims, gate_matrix, targets):
     tdims = pdims[:len(targets)]
     d = int(np.prod(dims))
     lifted = lift_oracle(gate_matrix, tdims)
-    op = np.kron(lifted, np.eye(d // lifted.shape[0]))
     array = np.asarray(array, dtype=complex)
     if array.ndim == 1:
-        v = op @ array.reshape(dims).transpose(perm).reshape(-1)
-        return v.reshape(pdims).transpose(inv).reshape(-1)
+        v = array.reshape(dims).transpose(perm).reshape(len(lifted), -1)
+        return (lifted @ v).reshape(pdims).transpose(inv).reshape(-1)
+    op = np.kron(lifted, np.eye(d // lifted.shape[0]))
     m = array.reshape(dims + dims).transpose(perm + [p + n for p in perm])
     m = op @ m.reshape(d, d) @ op.conj().T
     m = m.reshape(pdims + pdims).transpose(inv + [p + n for p in inv])
     return m.reshape(d, d)
 
 
-def einsum_partial_trace_oracle(matrix, dims, keep_positions):
-    """Partial trace as one einsum over the full density matrix; kept
+def einsum_partial_trace_oracle(state, dims, keep_positions):
+    """Partial trace as one einsum over the full density matrix, or over a
+    state vector and its conjugate, so that |v><v| is never formed; kept
     positions come out in ascending order."""
     dims = tuple(dims)
     n = len(dims)
     keep = sorted(keep_positions)
-    row = list(string.ascii_letters[:n])
-    col = list(string.ascii_letters[n:2 * n])
-    for i in range(n):
-        if i not in keep:
-            col[i] = row[i]
-    spec = ("".join(row) + "".join(col) + "->"
-            + "".join(row[p] for p in keep) + "".join(col[p] for p in keep))
-    reduced = np.einsum(spec, np.asarray(matrix).reshape(dims + dims))
+    row = "".join(string.ascii_letters[:n])
+    col = "".join(c if i in keep else row[i]
+                  for i, c in enumerate(string.ascii_letters[n:2 * n]))
+    out = "".join(row[p] for p in keep) + "".join(col[p] for p in keep)
+    state = np.asarray(state)
+    if state.ndim == 1:
+        v = state.reshape(dims)
+        reduced = np.einsum(f"{row},{col}->{out}", v, v.conj())
+    else:
+        reduced = np.einsum(f"{row}{col}->{out}", state.reshape(dims + dims))
     d = int(np.prod([dims[p] for p in keep]))
     return reduced.reshape(d, d)
 
@@ -280,29 +274,72 @@ def displaced_cnot_density_oracle(rho, tau,
             on([3], einsum_partial_trace_oracle(closed, dims, [3])))
 
 
-def displaced_box_oracle(state, data_site, ancilla_site="c"):
-    """The displaced box from the object primitives, gate by gate: a
-    fresh ancilla and a CNOT at each of the input's two cycles, the data
-    site dilated by the cycle gap, and a CNOT folding the early copy onto
-    the late ancilla, which is kept."""
-    c0, c1 = sorted(s.cycle for s in state.register.slots)
-    st = tensor(state, tensor(qubit_state(ancilla_site, c0, 1.0, 0.0),
-                              qubit_state(ancilla_site, c1, 1.0, 0.0)))
-    st = apply_gate(st, cnot(),
-                    [SlotId(data_site, c0), SlotId(ancilla_site, c0)])
-    st = apply_gate(st, cnot(),
-                    [SlotId(data_site, c1), SlotId(ancilla_site, c1)])
-    st = relabel_cycles(st, data_site, c1 - c0)
-    st = apply_gate(st, cnot(),
-                    [SlotId(data_site, c1), SlotId(ancilla_site, c1)])
-    return partial_trace(st, [SlotId(ancilla_site, c1)])
+def displaced_box_oracle(state, ancilla_site="c"):
+    """The displaced box on a two-slot state of one site, from dense
+    operators: a fresh ancilla and a CNOT at each of the input's two
+    cycles, then, the data site dilated by the cycle gap, a CNOT folding
+    the early data slot (now at the late cycle) onto the late ancilla,
+    which is kept.  The slot positions are written out here from the
+    input's cycles rather than looked up."""
+    cycles = [s.cycle for s in state.register.slots]
+    early, late = np.argsort(cycles)
+    dims = state.register.dims + (2, 2)
+    if isinstance(state, PureState):
+        st = np.kron(state.amplitudes, [1.0, 0.0, 0.0, 0.0])
+    else:
+        st = np.kron(state.matrix, np.diag([1.0, 0.0, 0.0, 0.0]))
+    # slots: the input's two, then the ancilla at the early and late cycle
+    for control, target in ((early, 2), (late, 3), (early, 3)):
+        st = dense_gate_oracle(st, dims, CNOT_MATRIX, [control, target])
+    return DensityOperator(Register(((ancilla_site, max(cycles)),), (2,)),
+                           einsum_partial_trace_oracle(st, dims, [3]))
+
+
+GATE_MATRICES = {
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "h": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
+}
+
+
+class _DenseState:
+    """A program state for run_program_oracle: its slots and dims, and
+    its amplitudes or density matrix as a plain array."""
+
+    def __init__(self, slots, dims, array):
+        self.slots, self.dims, self.array = list(slots), list(dims), array
+
+    def position(self, site, cycle):
+        return self.slots.index(SlotId(site, cycle))
+
+    def matrix(self):
+        a = self.array
+        return np.outer(a, a.conj()) if a.ndim == 1 else a
+
+    def tensor(self, other):
+        if self.array.ndim == 1 and other.array.ndim == 1:
+            array = np.kron(self.array, other.array)
+        else:
+            array = np.kron(self.matrix(), other.matrix())
+        return _DenseState(self.slots + other.slots, self.dims + other.dims,
+                           array)
+
+    def shifted(self, site, delta):
+        return _DenseState([SlotId(s.site, s.cycle + delta)
+                            if site is None or s.site == site else s
+                            for s in self.slots], self.dims, self.array)
+
+    def reduced(self, keep):
+        """The density matrix, slots and dims over the kept positions,
+        in register order."""
+        keep = sorted(keep)
+        return (einsum_partial_trace_oracle(self.array, self.dims, keep),
+                [self.slots[p] for p in keep], [self.dims[p] for p in keep])
 
 
 def _oracle_ensure_cycle(state, participants, cycle, line):
-    site_cycles = {
-        site: set(state.register.cycles_of(site))
-        for site in state.register.sites
-    }
+    site_cycles = {}
+    for s in state.slots:
+        site_cycles.setdefault(s.site, set()).add(s.cycle)
     delta = _expansion_shift(site_cycles, participants, cycle)
     if delta is None:
         raise CircuitExecutionError(
@@ -310,49 +347,59 @@ def _oracle_ensure_cycle(state, participants, cycle, line):
         )
     if delta == 0:
         return state
-    if not isinstance(state, PureState):
+    if state.array.ndim != 1:
         raise CircuitExecutionError(
             f"line {line}: cannot expand a mixed state"
         )
-    return tensor(state, relabel_cycles(state, None, delta))
+    return state.tensor(state.shifted(None, delta))
 
 
 def run_program_oracle(program):
-    """The gate-by-gate circuit interpreter on the object primitives:
-    every step builds a PureState or a validated DensityOperator, a
-    discard forms the reduced density matrix with partial_trace, and the
-    expansion shift is worked out again from the register at each gate.
+    """The gate-by-gate circuit interpreter on dense arrays: every step
+    holds a state vector or a density matrix, a gate multiplies it by
+    kron(lifted, eye) between slot permutations (dense_gate_oracle), a
+    discard forms the reduced density matrix by einsum, and the expansion
+    shift is worked out again from the slots at each gate.  The output's
+    probabilities are its diagonal and its entropy entropy_oracle's.
     Returns (ExecutionReport, final state) like run_program."""
-    gates = {"x": pauli_x, "h": hadamard}
     state = None
     result = None
     for d in program.directives:
         if isinstance(d, Prepare):
-            reg = Register((SlotId(d.site, d.cycle),),
-                           (3 if d.kind == "vac" else 2,))
-            fresh = PureState(reg, [1.0, 0.0, 0.0] if d.kind == "vac"
-                              else [d.amp0, d.amp1])
-            state = fresh if state is None else tensor(state, fresh)
-        elif isinstance(d, Cnot):
-            state = _oracle_ensure_cycle(state, [d.control, d.target],
-                                         d.cycle, d.line)
-            state = apply_gate(state, cnot(),
-                               [SlotId(d.control, d.cycle),
-                                SlotId(d.target, d.cycle)])
-        elif isinstance(d, GateOp):
-            state = _oracle_ensure_cycle(state, [d.site], d.cycle, d.line)
-            gate = phase_gate(d.theta) if d.name == "phase" \
-                else gates[d.name]()
-            state = apply_gate(state, gate, [SlotId(d.site, d.cycle)])
+            fresh = _DenseState(
+                [SlotId(d.site, d.cycle)], [3 if d.kind == "vac" else 2],
+                np.array([1.0, 0.0, 0.0] if d.kind == "vac"
+                         else [d.amp0, d.amp1], dtype=complex))
+            fresh.array /= np.linalg.norm(fresh.array)
+            state = fresh if state is None else state.tensor(fresh)
+        elif isinstance(d, (Cnot, GateOp)):
+            sites = [d.control, d.target] if isinstance(d, Cnot) \
+                else [d.site]
+            state = _oracle_ensure_cycle(state, sites, d.cycle, d.line)
+            if isinstance(d, Cnot):
+                matrix = CNOT_MATRIX
+            elif d.name == "phase":
+                matrix = np.diag([1.0, np.exp(1j * d.theta)])
+            else:
+                matrix = GATE_MATRICES[d.name]
+            state.array = dense_gate_oracle(
+                state.array, state.dims, matrix,
+                [state.position(s, d.cycle) for s in sites])
         elif isinstance(d, Dilate):
-            state = relabel_cycles(state, d.site, d.delta)
+            state = state.shifted(d.site, d.delta)
         elif isinstance(d, Discard):
-            keep = [s for s in state.register.slots if s.site != d.site]
-            state = partial_trace(state, keep)
+            m, slots, dims = state.reduced(
+                [p for p, s in enumerate(state.slots) if s.site != d.site])
+            state = _DenseState(slots, dims, m)
         elif isinstance(d, Output):
-            slot = SlotId(d.site, d.cycle)
-            rho = partial_trace(state, [slot])
+            m, slots, dims = state.reduced(
+                [state.position(d.site, d.cycle)])
+            labels = "01" if dims[0] == 2 else "v01"
+            probs = np.clip(np.diag(m).real, 0.0, None).tolist()
             result = ExecutionReport(
-                slot, rho, joint_outcome_distribution(rho, [slot]),
-                von_neumann_entropy(rho))
-    return result, state
+                slots[0], DensityOperator(Register(slots, dims), m),
+                dict(zip(labels, probs)), entropy_oracle(m))
+    register = Register(tuple(state.slots), tuple(state.dims))
+    if state.array.ndim == 1:
+        return result, PureState(register, state.array)
+    return result, DensityOperator(register, state.array)

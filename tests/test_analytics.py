@@ -27,7 +27,6 @@ from tdesim import (
 from conftest import (
     entropy_oracle,
     random_density,
-    random_pure,
     trace_norm_oracle,
     two_qubit_register,
 )

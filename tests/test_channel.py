@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from tdesim import (
+    DensityOperator,
     OverlappingSlotError,
     QubitDensity,
-    bell_phi_plus,
+    Register,
+    SlotId,
     displaced_bell_channel,
-    displaced_expansion,
-    measure_at_cycle,
     nonlinear_map,
     nonlinearity_witness,
 )
+
+from conftest import displaced_cnot_density_oracle
 
 
 def test_qubit_density_validation():
@@ -85,17 +87,19 @@ def test_nonlinear_map_output_is_valid_density(rng):
 
 
 def test_displaced_bell_channel_fully_decoheres():
-    # the compiled circuit's read-out against the object path, over a grid
-    # of dilations and site pairs; site_a "2" makes the circuit name its
+    # the compiled circuit's read-out against the dense oracle's rho_d on
+    # (|0> + |1>)/sqrt(2), relabeled onto (site_a, site_b), over a grid of
+    # dilations and site pairs; site_a "2" makes the circuit name its
     # ancilla "anc", which site_b may then be too
+    plus = np.full((2, 2), 0.5)
     for tau in (1, 2, 3, 4):
+        _, want, _, _ = displaced_cnot_density_oracle(
+            DensityOperator(Register((SlotId("1", tau),), (2,)), plus), tau)
         for site_a, site_b in (("1", "2"), ("2", "1"), ("x", "y"),
                                ("2", "anc")):
             rho = displaced_bell_channel(tau, site_a, site_b)
-            pair = bell_phi_plus(site_a, site_b, tau)
-            want = measure_at_cycle(displaced_expansion(pair, tau, site_a),
-                                    tau)
-            assert rho.register == want.register
+            assert rho.register == Register(
+                (SlotId(site_a, tau), SlotId(site_b, tau)), (2, 2))
             np.testing.assert_allclose(rho.matrix, want.matrix, rtol=0,
                                        atol=1e-12)
             np.testing.assert_allclose(rho.matrix, np.eye(4) / 4.0, rtol=0,

@@ -33,7 +33,8 @@ from tdesim.dsl import (
     Prepare,
     _lifted_gate,
 )
-from tdesim.dynamics import _left_multiply, _monomial
+from tdesim.dynamics import _monomial
+from tdesim.registers import _left_multiply
 
 FIG1_PROGRAM = """\
 # displaced pair closed by a second gate

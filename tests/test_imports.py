@@ -1,9 +1,12 @@
-"""Every name a package module imports is used in that module.
+"""Every name a module imports is used in that module.
 
 No linter ships with the project, so this reads each module's syntax
 tree with the standard library: a name bound by an import statement
-must appear as a name somewhere in the module.  __init__.py imports
-names to re-export them and is exempt, and so is `from __future__`.
+must appear as a name somewhere in the module.  It covers the package,
+the tests and the demos.  The package's __init__.py imports names to
+re-export them and is exempt, and so is `from __future__`;
+tests/test_acceptance.py holds the acceptance criteria, which are never
+edited, and is exempt too.
 """
 
 import ast
@@ -11,10 +14,23 @@ import os
 
 import pytest
 
-PACKAGE = os.path.join(os.path.dirname(os.path.dirname(
-    os.path.abspath(__file__))), "src", "tdesim")
-MODULES = sorted(name for name in os.listdir(PACKAGE)
-                 if name.endswith(".py") and name != "__init__.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PACKAGE = os.path.join("src", "tdesim")
+EXEMPT = {os.path.join(PACKAGE, "__init__.py"),
+          os.path.join("tests", "test_acceptance.py")}
+MODULES = sorted(
+    path for path in (os.path.join(folder, name)
+                      for folder in (PACKAGE, "tests", "demos")
+                      for name in os.listdir(os.path.join(ROOT, folder))
+                      if name.endswith(".py"))
+    if path not in EXEMPT)
+
+
+def _module_id(path: str) -> str:
+    """A package module by its file name, any other by its path."""
+    if os.path.dirname(path) == PACKAGE:
+        return os.path.basename(path)
+    return path.replace(os.sep, "/")
 
 
 def unused_imports(source: str) -> list:
@@ -39,7 +55,12 @@ def test_unused_imports_are_found():
     assert unused_imports(source) == ["os", "p", "tau"]
 
 
-@pytest.mark.parametrize("module", MODULES)
+def test_tests_and_demos_are_covered():
+    assert {os.path.dirname(m) for m in MODULES} == {PACKAGE, "tests",
+                                                     "demos"}
+
+
+@pytest.mark.parametrize("module", MODULES, ids=_module_id)
 def test_module_uses_every_import(module):
-    with open(os.path.join(PACKAGE, module)) as f:
+    with open(os.path.join(ROOT, module)) as f:
         assert unused_imports(f.read()) == []

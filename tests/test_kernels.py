@@ -1,9 +1,13 @@
-"""Property tests: the axis-contraction kernels against dense references.
+"""Property tests: the state operations against dense references.
 
-apply_gate, partial_trace and project work on the state tensor in place.
-These tests draw random registers of qubits and qutrits, random states,
-gates, target orders, keep sets and outcomes, and compare every result
-with the dense kron / einsum oracles in conftest to 1e-12.
+Every state operation runs on the executor's row kernels: a density
+enters as its spectral rows, one eigh.  These tests draw random
+registers of qubits and qutrits, random pure, mixed and rank-deficient
+states, gates, target orders, keep sets, slot orders and outcomes, and
+compare every result with np.kron, einsum, np.outer and the dense
+oracles in conftest to 1e-12.  The roundoff rule is pinned too: a
+density's eigenvalues that validation lets through (down to -1e-10) are
+dropped and the rest renormalized, in every operation.
 """
 
 import numpy as np
@@ -18,9 +22,14 @@ from tdesim import (
     SlotId,
     apply_gate,
     cnot,
+    ensemble_density,
     hadamard,
     partial_trace,
+    pauli_x,
+    permute_slots,
     project,
+    qubit_state,
+    tensor,
     to_density,
 )
 
@@ -42,17 +51,36 @@ def _random_unitary(rng, n):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def _register(dims, site="s"):
+    return Register(tuple(SlotId(f"{site}{i}", 0) for i in range(len(dims))),
+                    tuple(dims))
+
+
+def _rank_deficient(rng, register):
+    """A density of rank 1 or 2 from random vectors: its zero eigenvalues
+    come out of eigh as roundoff of either sign."""
+    n = register.dim
+    rank = int(rng.integers(1, 3))
+    a = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    m = a @ a.conj().T
+    return DensityOperator(register, m / np.trace(m))
+
+
+def _random_state(draw, register, rng):
+    kind = draw(st.sampled_from((random_pure, random_density,
+                                 _rank_deficient)))
+    return kind(rng, register)
+
+
+DIMS = st.lists(st.sampled_from((2, 3)), min_size=1, max_size=6)
+
+
 @st.composite
 def states(draw):
-    """A pure or mixed random state on 1-6 slots of dims 2 and 3."""
-    dims = tuple(draw(st.lists(st.sampled_from((2, 3)),
-                               min_size=1, max_size=6)))
-    reg = Register(tuple(SlotId(f"s{i}", 0) for i in range(len(dims))),
-                   dims)
+    """A pure, mixed or rank-deficient random state on 1-6 slots of dims
+    2 and 3."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    if draw(st.booleans()):
-        return random_pure(rng, reg), rng
-    return random_density(rng, reg), rng
+    return _random_state(draw, _register(draw(DIMS)), rng), rng
 
 
 def _dense(state):
@@ -150,3 +178,96 @@ def test_project_matches_dense_projection(drawn, data):
     np.testing.assert_allclose(
         result.probability * to_density(result.post_state).matrix, block,
         atol=TOL, rtol=0)
+
+
+@KERNEL_SETTINGS
+@given(st.lists(st.sampled_from((2, 3)), min_size=2, max_size=6),
+       st.integers(0, 2**32 - 1), st.data())
+def test_tensor_permute_and_densities_match_dense_references(dims, seed,
+                                                             data):
+    rng = np.random.default_rng(seed)
+    split = data.draw(st.integers(1, len(dims) - 1))
+    a = _random_state(data.draw, _register(dims[:split], "a"), rng)
+    b = _random_state(data.draw, _register(dims[split:], "b"), rng)
+
+    ab = tensor(a, b)
+    assert ab.register.slots == a.register.slots + b.register.slots
+    assert ab.register.dims == tuple(dims)
+    if isinstance(a, PureState) and isinstance(b, PureState):
+        assert isinstance(ab, PureState)
+        np.testing.assert_allclose(
+            ab.amplitudes, np.kron(a.amplitudes, b.amplitudes), atol=TOL,
+            rtol=0)
+    else:
+        assert isinstance(ab, DensityOperator)
+        np.testing.assert_allclose(
+            ab.matrix, np.kron(_matrix(a), _matrix(b)), atol=TOL, rtol=0)
+
+    # a permutation that ignored `order` would pass a round trip
+    n = len(dims)
+    perm = data.draw(st.permutations(range(n)))
+    moved = permute_slots(ab, [ab.register.slots[p] for p in perm])
+    assert type(moved) is type(ab)
+    assert moved.register.slots == tuple(ab.register.slots[p] for p in perm)
+    assert moved.register.dims == tuple(dims[p] for p in perm)
+    if isinstance(ab, PureState):
+        want = ab.amplitudes.reshape(dims).transpose(perm).reshape(-1)
+        np.testing.assert_allclose(moved.amplitudes, want, atol=TOL, rtol=0)
+    else:
+        want = ab.matrix.reshape(tuple(dims) * 2).transpose(
+            list(perm) + [p + n for p in perm]).reshape(ab.dim, ab.dim)
+        np.testing.assert_allclose(moved.matrix, want, atol=TOL, rtol=0)
+
+    for state in (a, b, ab):
+        rho = to_density(state)
+        if isinstance(state, DensityOperator):
+            assert rho is state
+        else:
+            np.testing.assert_allclose(rho.matrix, _matrix(state), atol=TOL,
+                                       rtol=0)
+
+    k = data.draw(st.integers(1, 4))
+    branches = [random_pure(rng, ab.register) for _ in range(k)]
+    weights = rng.dirichlet(np.ones(k))
+    mixed = ensemble_density(list(zip(weights, branches)))
+    assert mixed.register == ab.register
+    np.testing.assert_allclose(
+        mixed.matrix, sum(w * _matrix(psi) for w, psi in zip(weights,
+                                                             branches)),
+        atol=TOL, rtol=0)
+
+
+def _matrix(state):
+    """The density matrix of a state, from np.outer for a pure one."""
+    if isinstance(state, PureState):
+        return np.outer(state.amplitudes, state.amplitudes.conj())
+    return state.matrix
+
+
+def test_roundoff_eigenvalues_are_dropped_in_every_operation():
+    # diag(1 + 5e-11, -5e-11) passes validation; every operation drops
+    # its -5e-11 eigenvalue and renormalizes, so it acts as |0><0|, 5e-11
+    # away from what the matrix itself would give
+    a0, b0 = SlotId("a", 0), SlotId("b", 0)
+    near = np.diag([1.0 + 5e-11, -5e-11])
+    rho = DensityOperator(Register((a0,), (2,)), near)
+    one = qubit_state("b", 0, 0.0, 1.0)
+    pair = DensityOperator(Register((a0, b0), (2, 2)),
+                           np.kron(near, np.diag([0.0, 1.0])))
+    zero_one = np.diag([0.0, 1.0, 0.0, 0.0])
+
+    np.testing.assert_allclose(apply_gate(rho, pauli_x(), [a0]).matrix,
+                               np.diag([0.0, 1.0]), atol=TOL, rtol=0)
+    np.testing.assert_allclose(tensor(rho, one).matrix, zero_one, atol=TOL,
+                               rtol=0)
+    np.testing.assert_allclose(partial_trace(pair, [a0]).matrix,
+                               np.diag([1.0, 0.0]), atol=TOL, rtol=0)
+    np.testing.assert_allclose(permute_slots(pair, [a0, b0]).matrix,
+                               zero_one, atol=TOL, rtol=0)
+    for slot, outcome, post in ((a0, 0, np.diag([0.0, 1.0])),
+                                (b0, 1, np.diag([1.0, 0.0]))):
+        result = project(pair, slot, outcome)
+        assert abs(result.probability - 1.0) <= TOL
+        np.testing.assert_allclose(result.post_state.matrix, post, atol=TOL,
+                                   rtol=0)
+    assert abs(project(rho, a0, 0).probability - 1.0) <= TOL

@@ -1,8 +1,8 @@
 """The paper's scenarios as compiled dsl circuits on the batched executor.
 
 Factored mixed inputs, batches of states, stacked reversal and the
-stacked no-signaling box are checked against the object primitives (the
-oracles in conftest.py) on random inputs.
+stacked no-signaling box are checked against the dense oracles in
+conftest.py on random inputs.
 """
 
 import numpy as np
@@ -17,10 +17,6 @@ from tdesim import (
     PureState,
     Register,
     SlotId,
-    bell_phi_plus,
-    free_expansion,
-    partial_trace,
-    project,
     run_displaced_backend,
     run_fig1,
     run_no_signaling,
@@ -39,8 +35,10 @@ from tdesim.scenarios import (
 
 from conftest import (
     dense_gate_oracle,
+    dense_project_oracle,
     displaced_box_oracle,
     displaced_cnot_density_oracle,
+    einsum_partial_trace_oracle,
     random_density,
     random_pure,
 )
@@ -156,7 +154,8 @@ def test_propriety_outputs_match_the_oracle(seed, dim, tau, k):
     ensemble = list(zip(rng.dirichlet(np.ones(k)).tolist(),
                         (random_pure(rng, reg) for _ in range(k))))
     rep = run_proper_vs_improper(ensemble, tau=tau)
-    average = sum(w * to_density(psi).matrix for w, psi in ensemble)
+    average = sum(w * np.outer(psi.amplitudes, psi.amplitudes.conj())
+                  for w, psi in ensemble)
     improper = displaced_cnot_density_oracle(DensityOperator(reg, average),
                                              tau)[3]
     proper = sum(w * displaced_cnot_density_oracle(to_density(psi),
@@ -230,22 +229,27 @@ def test_reverse_grid_matches_single_runs():
 @pytest.mark.parametrize("tau", (1, 2, 3))
 def test_stacked_no_signaling_box_matches_per_input_box(basis, tau):
     rep = run_no_signaling(basis, tau=tau)
-    shared = free_expansion(bell_phi_plus("a", "b", tau), [0, tau])
-    bob = [SlotId("b", 0), SlotId("b", tau)]
+    # the Bell pair at cycle tau and its copy at cycle 0, on
+    # (a@0, b@0, a@tau, b@tau); Alice measures a@tau
+    bell = np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
+    shared = np.kron(np.outer(bell, bell), np.outer(bell, bell))
+    bob = Register((SlotId("b", 0), SlotId("b", tau)), (2, 2))
     vecs = {"computational": ((1, 0), (0, 1)),
             "diagonal": ((1, 1), (1, -1))}[basis]
     for (label, prob, out), vec in zip(rep.outcomes, vecs):
-        m = project(shared, SlotId("a", tau), vec)
-        want = displaced_box_oracle(partial_trace(m.post_state, bob), "b")
-        assert abs(prob - m.probability) <= TOL
+        v = np.array(vec) / np.linalg.norm(vec)
+        block = dense_project_oracle(shared, (2, 2, 2, 2), 2,
+                                     np.outer(v, v))
+        p = float(np.trace(block).real)
+        rho_bob = einsum_partial_trace_oracle(block / p, (2, 2, 2), [1, 2])
+        want = displaced_box_oracle(DensityOperator(bob, rho_bob))
+        assert abs(prob - p) <= TOL
         np.testing.assert_allclose(out.matrix, want.matrix, atol=TOL)
         assert out.register == want.register
-    rb = partial_trace(to_density(bell_phi_plus("a", "b", tau)),
-                       [SlotId("b", tau)])
-    sub_in = DensityOperator(Register(tuple(bob), (2, 2)),
-                             np.kron(rb.matrix, rb.matrix))
+    rb = einsum_partial_trace_oracle(bell, (2, 2), [1])
+    sub_in = DensityOperator(bob, np.kron(rb, rb))
     np.testing.assert_allclose(rep.substitution_output.matrix,
-                               displaced_box_oracle(sub_in, "b").matrix,
+                               displaced_box_oracle(sub_in).matrix,
                                atol=TOL)
 
 
@@ -262,6 +266,6 @@ def test_box_matches_object_path(seed, dims, c0, gap, late_first, pure,
     reg = Register(tuple(slots), dims)
     state = random_pure(rng, reg) if pure else random_density(rng, reg)
     got = run_displaced_backend(state, "b", ancilla_site=ancilla)
-    want = displaced_box_oracle(state, "b", ancilla)
+    want = displaced_box_oracle(state, ancilla)
     np.testing.assert_allclose(got.matrix, want.matrix, atol=TOL)
     assert got.register == want.register

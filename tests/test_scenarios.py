@@ -12,7 +12,6 @@ from tdesim import (
     basis_index,
     dilation_from_round_trip,
     free_expansion,
-    maximally_mixed,
     nonlinear_map,
     partial_trace,
     project,
@@ -25,9 +24,7 @@ from tdesim import (
     run_proper_vs_improper,
     run_reverse,
     subadditivity_margin,
-    tensor,
     to_density,
-    trace_norm_distance,
 )
 
 from conftest import random_density, random_pure, trace_norm_oracle

@@ -28,7 +28,7 @@ from tdesim import (
     von_neumann_entropy,
 )
 from tdesim import dsl, scenarios
-from tdesim.registers import check_densities
+from tdesim.registers import _factor, check_densities
 from tdesim.scenarios import (
     ROW_BLOCK,
     _ENTROPY_KEYS,
@@ -347,10 +347,10 @@ def test_readout_densities_equal_their_factors_and_the_oracle(drawn):
     # each density is the product of its own factor ...
     for name, got in zip(_ALL_COLUMNS, columns):
         _, tap, keep = circuit.columns[name]
-        f = dsl._factor(taps[tap], keep)
+        f = _factor(taps[tap], keep)
         np.testing.assert_allclose(got, f @ f.conj().swapaxes(-1, -2),
                                    atol=TOL)
-    # ... and the object path's density of the state its rows purify
+    # ... and the dense oracle's density of the state its rows purify
     in_reg = circuit.columns["input"][0]
     for i, state in enumerate(rows):
         rho = DensityOperator(in_reg, state.T @ state.conj())
