@@ -61,14 +61,6 @@ def _entropy_bits(vals: np.ndarray) -> np.ndarray:
     return np.maximum(-total, 0.0) + 0.0
 
 
-def binary_entropy(p: float) -> float:
-    """Entropy in bits of a (p, 1-p) distribution."""
-    p = float(p)
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"probability out of range: {p}")
-    return float(_entropy_bits(np.array([p, 1.0 - p])))
-
-
 def trace_norm_distance(a, b) -> float:
     """Tr|a - b| between two operators of matching shape."""
     ma, mb = _as_matrix(a), _as_matrix(b)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .registers import (ATOL, WEIGHT_ROUNDOFF, DensityOperator, Register,
-                        SlotId, _normalized, on_register)
+                        SlotId)
 from .dynamics import _check_tau
 from .analytics import trace_norm_distance
 
@@ -50,14 +50,6 @@ class QubitDensity:
             raise ValueError(f"coherence {self.g01} exceeds positivity bound")
 
     @classmethod
-    def from_amplitudes(cls, amp0, amp1) -> "QubitDensity":
-        """The populations and coherence of amp0|0> + amp1|1>; a zero or
-        non-finite pair raises ValueError, as it does for a PureState."""
-        a, b = _normalized(np.array([amp0, amp1], dtype=complex),
-                           in_place=True)
-        return cls(abs(a) ** 2, abs(b) ** 2, a * np.conj(b))
-
-    @classmethod
     def from_matrix(cls, matrix) -> "QubitDensity":
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (2, 2):
@@ -79,27 +71,25 @@ def nonlinear_map(rho: QubitDensity) -> QubitDensity:
                         2.0 * rho.g00 * rho.g11)
 
 
-def displaced_bell_channel(tau: int = 1,
-                           site_a: str = "1",
-                           site_b: str = "2") -> DensityOperator:
+def displaced_bell_channel(tau: int = 1) -> DensityOperator:
     """Two-site reduced state of a dilated Bell pair at the readout cycle.
 
-    The pair is prepared at cycle tau, site_a is dilated by tau cycles,
-    and the slots at cycle tau are kept.  Both halves decohere completely,
-    leaving the maximally mixed two-qubit state.  This is the rho_d
-    read-out of the displaced-CNOT circuit (scenarios._fig1_circuit) on
-    (|0> + |1>)/sqrt(2), relabeled from its ancilla onto site_b.
+    The pair is prepared at cycle tau on sites "1" and "2", site "1" is
+    dilated by tau cycles, and the slots (1, tau) and (2, tau) are kept.
+    Both halves decohere completely, leaving the maximally mixed two-qubit
+    state.  This is the rho_d read-out of the displaced-CNOT circuit
+    (scenarios._fig1_circuit) on (|0> + |1>)/sqrt(2), whose ancilla is
+    site "2".
     """
     # scenarios imports this module, so it is imported here
     from .scenarios import _fig1_circuit, _readout
 
     tau = _check_tau(tau)
-    register = Register(((site_a, tau), (site_b, tau)), (2, 2))
-    ro = _readout(_fig1_circuit, (2, tau, site_a), 1, ("rho_d",))
+    ro = _readout(_fig1_circuit, (2, tau, "1"), 1, ("rho_d",))
     # (|0> + |1>)/sqrt(2) as one state of one row
     _, stack = ro.products(np.full((1, 1, 2), np.sqrt(0.5), dtype=complex))
     ((rho,),) = ro.densities(stack, ro.check(stack))
-    return on_register(rho, register)
+    return rho
 
 
 def nonlinearity_witness(rho_a: QubitDensity, rho_b: QubitDensity,

@@ -282,8 +282,6 @@ def _add_grid_flags(sp):
                     help="grid points across beta^2 in [0, 1]")
     sp.add_argument("--beta-sq", type=float, dest="beta_sq",
                     help="single input with this beta^2")
-    sp.add_argument("--alpha-sq", type=float, dest="alpha_sq",
-                    help="single input with this alpha^2")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -343,17 +341,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _config_from_args(args) -> RunConfig:
-    beta = getattr(args, "beta_sq", None)
-    alpha = getattr(args, "alpha_sq", None)
-    if alpha is not None:
-        if beta is not None:
-            raise ValueError("--beta-sq and --alpha-sq are mutually exclusive")
-        if not 0.0 <= alpha <= 1.0:
-            raise ValueError(f"alpha^2 out of range: {alpha}")
-        beta = 1.0 - alpha
     given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
              if hasattr(args, f.name)}
-    given["beta_sq"] = beta
     if "format" not in given:
         out = given.get("out")
         given["format"] = "csv" if out and out.endswith(".csv") else "json"

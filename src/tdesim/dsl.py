@@ -55,7 +55,8 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import CircuitExecutionError, CircuitParseError, RegisterSizeError
+from .errors import (CircuitExecutionError, CircuitParseError,
+                     InvariantViolationError, RegisterSizeError)
 from .registers import (
     MAX_STATE_BYTES,
     ZERO_NORM,
@@ -71,9 +72,7 @@ from .registers import (
     gram_density,
 )
 from .dynamics import (
-    _gather_axes,
     _lift_logical,
-    _monomial,
     cnot,
     hadamard,
     joint_outcome_distribution,
@@ -385,10 +384,29 @@ class CircuitPlan:
 _GATES = {"x": pauli_x, "h": hadamard, "cnot": cnot}
 
 
+def _monomial(block: np.ndarray, permutation: bool = False):
+    """Read a lifted gate block, shaped (target dims..., target dims...),
+    off as a gather on its flat target index: (q, phases) with block @ v
+    == phases * v[q], phases None if every nonzero is exactly 1.  None if
+    some row or column has other than one nonzero (no tolerance).  With
+    permutation=True the block claims to be a 0/1 permutation matrix and
+    anything else raises InvariantViolationError."""
+    k = int(np.prod(block.shape[:block.ndim // 2]))
+    nonzero = block.reshape(k, k) != 0
+    q = nonzero.argmax(axis=1)
+    phases = block.reshape(k, k)[np.arange(k), q]
+    monomial = (nonzero.sum(axis=0) == 1).all() \
+        and (nonzero.sum(axis=1) == 1).all()
+    unit = monomial and (phases == 1).all()
+    if permutation and not unit:
+        raise InvariantViolationError("lifted block is not a permutation")
+    return (q, None if unit else phases) if monomial else None
+
+
 @functools.lru_cache(maxsize=256)
 def _lifted_gate(name: str, theta: Optional[float], dims: tuple):
     """A gate's lifted block on targets of the given dims, shaped dims +
-    dims, and its gather read off by dynamics._monomial, None if dense."""
+    dims, and its gather read off by _monomial, None if dense."""
     gate = phase_gate(theta) if name == "phase" else _GATES[name]()
     block = _lift_logical(gate.matrix, dims).reshape(dims + dims)
     gather = _monomial(block, permutation=name in ("x", "cnot"))
@@ -559,6 +577,16 @@ def _static_check(directives) -> CircuitPlan:
                                 tuple(shape)),
                        Register((SlotId(out.site, out.cycle),),
                                 (dims[out.site],)))
+
+
+def _gather_axes(t: np.ndarray, q: np.ndarray, axes) -> np.ndarray:
+    """t gathered by q on the flat index over its given axes, taken in
+    that order: out[..., i, ...] = t[..., q[i], ...].  Every other axis
+    stays where it was."""
+    order = list(axes) + [a for a in range(t.ndim) if a not in axes]
+    front = t.transpose(order)
+    out = front.reshape(len(q), -1).take(q, axis=0).reshape(front.shape)
+    return out.transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
 def _run_gather(shape, gates):

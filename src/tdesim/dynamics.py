@@ -33,8 +33,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .errors import (CycleMisalignmentError, InvariantViolationError,
-                     UnknownSlotError, ZeroProbabilityError)
+from .errors import (CycleMisalignmentError, UnknownSlotError,
+                     ZeroProbabilityError)
 from .registers import (
     ATOL,
     WEIGHT_ROUNDOFF,
@@ -190,35 +190,6 @@ def _gate_block(reg: Register, gate: Gate, targets: Sequence[SlotLike]):
     return _lift_logical(gate.matrix, dims).reshape(dims + dims), axes
 
 
-def _monomial(block: np.ndarray, permutation: bool = False):
-    """Read a lifted gate block, shaped (target dims..., target dims...),
-    off as a gather on its flat target index: (q, phases) with block @ v
-    == phases * v[q], phases None if every nonzero is exactly 1.  None if
-    some row or column has other than one nonzero (no tolerance).  With
-    permutation=True the block claims to be a 0/1 permutation matrix and
-    anything else raises InvariantViolationError."""
-    k = int(np.prod(block.shape[:block.ndim // 2]))
-    nonzero = block.reshape(k, k) != 0
-    q = nonzero.argmax(axis=1)
-    phases = block.reshape(k, k)[np.arange(k), q]
-    monomial = (nonzero.sum(axis=0) == 1).all() \
-        and (nonzero.sum(axis=1) == 1).all()
-    unit = monomial and (phases == 1).all()
-    if permutation and not unit:
-        raise InvariantViolationError("lifted block is not a permutation")
-    return (q, None if unit else phases) if monomial else None
-
-
-def _gather_axes(t: np.ndarray, q: np.ndarray, axes) -> np.ndarray:
-    """t gathered by q on the flat index over its given axes, taken in
-    that order: out[..., i, ...] = t[..., q[i], ...].  Every other axis
-    stays where it was."""
-    order = list(axes) + [a for a in range(t.ndim) if a not in axes]
-    front = t.transpose(order)
-    out = front.reshape(len(q), -1).take(q, axis=0).reshape(front.shape)
-    return out.transpose(sorted(range(t.ndim), key=order.__getitem__))
-
-
 def _single_cycle(reg: Register) -> int:
     cycles = {s.cycle for s in reg.slots}
     if len(cycles) != 1:
@@ -342,10 +313,10 @@ def displaced_expansion(state, tau: int, dilated_site: str, policy=None) -> Stat
     """
     tau = _check_tau(tau)
     return _expand(state, policy,
-                   lambda reg: displaced_copies(reg, tau, dilated_site))
+                   lambda reg: _displaced_copies(reg, tau, dilated_site))
 
 
-def displaced_copies(reg: Register, tau: int, dilated_site: str) -> tuple:
+def _displaced_copies(reg: Register, tau: int, dilated_site: str) -> tuple:
     """Registers of the two copies in the displaced expansion of a pair.
 
     Copy A pulls the undilated site back by tau cycles and copy B pushes
@@ -401,6 +372,8 @@ def _outcome_operator(outcome, dim: int):
     if arr.ndim == 1:
         if arr.shape != (dim,):
             raise ValueError(f"outcome vector needs {dim} amplitudes")
+        if not np.isfinite(arr).all():
+            raise ValueError(f"outcome vector {outcome!r} is not finite")
         n = float(np.linalg.norm(arr))
         if n < ZERO_NORM:
             raise ValueError("outcome vector has zero norm")
@@ -452,8 +425,7 @@ def joint_outcome_distribution(state: State, slots: Sequence[SlotLike]) -> dict:
     Keys concatenate one character per slot ('v', '0', '1'), in register
     order.  All outcomes appear, including zero-probability ones.  The
     probabilities are the marginal of the state's own diagonal over the
-    other slots, so no reduced state is built; on a one-slot register
-    they are its diagonal.
+    other slots, so no reduced state is built.
     """
     reg = state.register
     slots = [as_slot(s) for s in slots]
@@ -466,10 +438,6 @@ def joint_outcome_distribution(state: State, slots: Sequence[SlotLike]) -> dict:
         diag = (state.amplitudes * state.amplitudes.conj()).real
     else:
         diag = state.matrix.diagonal().real
-    if len(reg.dims) == 1:
-        d = reg.dims[0]
-        probs = np.clip(diag, 0.0, None).tolist()
-        return dict(zip([level_label(i, d) for i in range(d)], probs))
     rest = tuple(p for p in range(len(reg.dims)) if p not in keep_pos)
     diag = diag.reshape(reg.dims).sum(axis=rest).reshape(-1)
     dims = tuple(reg.dims[p] for p in keep_pos)

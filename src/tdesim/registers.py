@@ -8,7 +8,7 @@ below the two logical ones, so the logical block always sits at the top of
 the local basis.
 
 Basis ordering is row-major with the first register slot most significant,
-so ``basis_index`` of (0, 1) on a two-qubit register is 1.
+so the basis state |01> of a two-qubit register has flat index 1.
 
 The row kernels defined here serve the circuit executor (dsl._run_steps)
 and every state operation alike: amplitude rows shaped (B, N, *dims), B
@@ -133,9 +133,6 @@ class Register:
     def sites(self) -> tuple:
         return tuple(dict.fromkeys(s.site for s in self.slots))
 
-    def cycles_of(self, site: str) -> tuple:
-        return tuple(s.cycle for s in self.slots if s.site == site)
-
     def index_of(self, slot: SlotLike) -> int:
         s = as_slot(slot)
         try:
@@ -145,9 +142,6 @@ class Register:
 
     def __contains__(self, slot: SlotLike) -> bool:
         return as_slot(slot) in self.slots
-
-    def dim_of(self, slot: SlotLike) -> int:
-        return self.dims[self.index_of(slot)]
 
 
 def level_index(level, dim: int) -> int:
@@ -198,11 +192,6 @@ class PureState:
     @property
     def dim(self) -> int:
         return self.register.dim
-
-    def overlap(self, other: "PureState") -> complex:
-        if other.register != self.register:
-            raise ValueError("overlap requires matching registers")
-        return complex(np.vdot(self.amplitudes, other.amplitudes))
 
     def __repr__(self) -> str:
         return f"PureState({list(self.register.slots)})"
@@ -514,24 +503,6 @@ def to_density(state: State) -> DensityOperator:
     return _from_rows(state.register, _rows(state), pure=False)
 
 
-def basis_index(register: Register, levels: Sequence) -> int:
-    """Flat basis index of a product basis assignment, one level per slot."""
-    if len(levels) != len(register.slots):
-        raise ValueError(
-            f"expected {len(register.slots)} levels, got {len(levels)}"
-        )
-    idx = tuple(
-        level_index(lv, d) for lv, d in zip(levels, register.dims)
-    )
-    return int(np.ravel_multi_index(idx, register.dims))
-
-
-def basis_state(register: Register, levels: Sequence) -> PureState:
-    amps = np.zeros(register.dim, dtype=complex)
-    amps[basis_index(register, levels)] = 1.0
-    return PureState(register, amps)
-
-
 def qubit_state(site: str, cycle: int, amp0, amp1, dim: int = 2) -> PureState:
     """Single-slot state amp0|0> + amp1|1>.  With dim=3 the vacuum
     amplitude is zero and the logical pair sits on the upper levels."""
@@ -540,11 +511,6 @@ def qubit_state(site: str, cycle: int, amp0, amp1, dim: int = 2) -> PureState:
     amps[dim - 2] = amp0
     amps[dim - 1] = amp1
     return PureState(reg, amps)
-
-
-def vacuum_state(site: str, cycle: int) -> PureState:
-    reg = Register((SlotId(site, cycle),), (3,))
-    return PureState(reg, [1.0, 0.0, 0.0])
 
 
 def bell_phi_plus(site_a: str, site_b: str, cycle: int) -> PureState:

@@ -73,15 +73,14 @@ from .dsl import (
 ROW_BLOCK = 256
 
 
-def _input_site(state, site: Optional[str]) -> str:
-    """The site a single-slot circuit input runs on: site if given,
-    else its own."""
+def _input_site(state) -> str:
+    """The site of a single-slot circuit input, which it runs on."""
     if not isinstance(state, (PureState, DensityOperator)):
         raise ValueError(f"unsupported circuit input: {type(state).__name__}")
     slots = state.register.slots
     if len(slots) != 1:
         raise ValueError("circuit input must occupy a single slot")
-    return site or slots[0].site
+    return slots[0].site
 
 
 def _mix(weights, stack: np.ndarray) -> np.ndarray:
@@ -358,14 +357,15 @@ def _fig1_reports(rows, tau: int, site: str = "1", inp=None,
     ]
 
 
-def run_fig1(state, tau: int = 1, input_site: Optional[str] = None,
+def run_fig1(state, tau: int = 1,
              policy=CorrelationMode.UNCORRELATED_COPIES) -> CircuitReport:
     """Run the displaced-CNOT circuit on one input qubit.
 
-    The input is placed at cycle tau, entangled with a fresh ancilla by a
-    CNOT, and its site is dilated by tau cycles.  The expansion then spans
-    four slots; reading out at the preparation cycle gives rho_d, and the
-    closing CNOT plus partial trace give the channel output on the ancilla.
+    The input is placed at cycle tau on its own site (a QubitDensity on
+    site "1"), entangled with a fresh ancilla by a CNOT, and its site is
+    dilated by tau cycles.  The expansion then spans four slots; reading
+    out at the preparation cycle gives rho_d, and the closing CNOT plus
+    partial trace give the channel output on the ancilla.
 
     The input runs through the compiled circuit as the rows _bind gives
     it under `policy` (uncorrelated copies by default), and the report's
@@ -374,8 +374,8 @@ def run_fig1(state, tau: int = 1, input_site: Optional[str] = None,
     """
     tau = _check_tau(tau)
     if isinstance(state, QubitDensity):
-        state = state.to_density(input_site or "1", tau)
-    site = _input_site(state, input_site)
+        state = state.to_density("1", tau)
+    site = _input_site(state)
     rows, weights = _bind(state, policy)
     inp = None if isinstance(state, PureState) else on_register(
         state, _fig1_circuit(state.dim, tau, site).columns["input"][0])
@@ -451,8 +451,7 @@ def reverse_reports(amplitudes, tau: int, site: str = "1") -> list:
     ]
 
 
-def run_reverse(state: PureState, tau: int = 1,
-                input_site: Optional[str] = None) -> ReverseReport:
+def run_reverse(state: PureState, tau: int = 1) -> ReverseReport:
     """Invert the displaced circuit and hand the input qubit back.
 
     After the forward pass the ancilla site is dilated by the same tau,
@@ -466,28 +465,32 @@ def run_reverse(state: PureState, tau: int = 1,
     """
     if not isinstance(state, PureState):
         raise ValueError("reversal is defined for pure inputs")
-    site = _input_site(state, input_site)
+    site = _input_site(state)
     return reverse_reports(state.amplitudes[None], tau, site)[0]
 
 
+# The site of the displaced box's ancilla, and so of its output.
+_BOX_ANCILLA = "c"
+
+
 @functools.lru_cache(maxsize=64)
-def _box(reg: Register, ancilla_site: str) -> _Circuit:
+def _box(reg: Register) -> _Circuit:
     """The displaced box compiled for a two-cycle input register.
 
     The input slots at the early and late cycle c0 < c1 become the
-    placeholder sites ancilla_site + ".early" and + ".late", prepared in
-    reg's order (the dsl keeps one dimension per site, and the two slots
-    may differ), so neither collides with the ancilla site.  Each cycle
-    gets a fresh ancilla and a CNOT, the early site is dilated by the gap
-    and a last CNOT at c1 folds it onto the late ancilla, the output.
-    The three CNOTs fuse into one gather.
+    placeholder sites "c.early" and "c.late", prepared in reg's order
+    (the dsl keeps one dimension per site, and the two slots may differ),
+    so neither collides with the ancilla site "c".  Each cycle gets a
+    fresh ancilla and a CNOT, the early site is dilated by the gap and a
+    last CNOT at c1 folds it onto the late ancilla, the output.  The
+    three CNOTs fuse into one gather.
     """
     c0, c1 = sorted(s.cycle for s in reg.slots)
-    early, late = ancilla_site + ".early", ancilla_site + ".late"
+    a = _BOX_ANCILLA
+    early, late = a + ".early", a + ".late"
     names = {c0: early, c1: late}
     inputs = tuple(_placeholder(names[s.cycle], s.cycle, d)
                    for s, d in zip(reg.slots, reg.dims))
-    a = ancilla_site
     plan = _static_check(inputs + (
         Prepare(a, c0, "qubit", 1), Prepare(a, c1, "qubit", 1),
         Cnot(early, a, c0), Cnot(late, a, c1), Dilate(early, c1 - c0),
@@ -496,10 +499,10 @@ def _box(reg: Register, ancilla_site: str) -> _Circuit:
         "output": (plan.output_register, 1, plan.steps[-1].axes)}))
 
 
-def run_displaced_backend(state: State, data_site: str,
-                          ancilla_site: str = "c") -> DensityOperator:
+def run_displaced_backend(state: State) -> DensityOperator:
     """Displaced-CNOT measurement box (_box, compiled once per input
-    register) applied to one site at two cycles; returns the late ancilla.
+    register) applied to one site at two cycles; returns the late ancilla,
+    on site "c", which the input may not occupy.
 
     This is the back end a distant party can apply to their half of a
     shared state; it is linear in the two-cycle input, which is exactly
@@ -507,14 +510,14 @@ def run_displaced_backend(state: State, data_site: str,
     the rows of its UNCORRELATED_COPIES binding (_bind).
     """
     reg = state.register
-    if len(reg.slots) != 2 or set(reg.sites) != {data_site}:
+    if len(reg.slots) != 2 or len(reg.sites) != 1:
         raise ValueError(
-            f"expected two slots on site {data_site!r}, got {list(reg.slots)}"
+            f"expected two slots on one site, got {list(reg.slots)}"
         )
-    if ancilla_site == data_site:
+    if reg.sites[0] == _BOX_ANCILLA:
         raise ValueError("ancilla site must differ from the data site")
     rows, _ = _bind(state, CorrelationMode.UNCORRELATED_COPIES)
-    ro = _readout(_box, (reg, ancilla_site), rows.shape[1], ("output",))
+    ro = _readout(_box, (reg,), rows.shape[1], ("output",))
     _, stack = ro.products(rows)
     return ro.densities(stack, ro.check(stack))[0][0]
 
@@ -584,7 +587,7 @@ def run_no_signaling(basis: str, tau: int = 1) -> NoSignalReport:
                                                         None],
                            shared[None]]).reshape(3, 4, 2, 2)
     reg = Register((SlotId("b", 0), SlotId("b", tau)), (2, 2))
-    ro = _readout(_box, (reg, "c"), 4, ("output",))
+    ro = _readout(_box, (reg,), 4, ("output",))
     _, stack = ro.products(rows)
     # Bob's output for each outcome, their average and the substitution
     # output (the last row): one check for the four

@@ -274,12 +274,12 @@ def displaced_cnot_density_oracle(rho, tau,
             on([3], einsum_partial_trace_oracle(closed, dims, [3])))
 
 
-def displaced_box_oracle(state, ancilla_site="c"):
+def displaced_box_oracle(state):
     """The displaced box on a two-slot state of one site, from dense
-    operators: a fresh ancilla and a CNOT at each of the input's two
-    cycles, then, the data site dilated by the cycle gap, a CNOT folding
-    the early data slot (now at the late cycle) onto the late ancilla,
-    which is kept.  The slot positions are written out here from the
+    operators: a fresh ancilla on site "c" and a CNOT at each of the
+    input's two cycles, then, the data site dilated by the cycle gap, a
+    CNOT folding the early data slot (now at the late cycle) onto the
+    late ancilla, which is kept.  The slot positions are written out here from the
     input's cycles rather than looked up."""
     cycles = [s.cycle for s in state.register.slots]
     early, late = np.argsort(cycles)
@@ -291,7 +291,7 @@ def displaced_box_oracle(state, ancilla_site="c"):
     # slots: the input's two, then the ancilla at the early and late cycle
     for control, target in ((early, 2), (late, 3), (early, 3)):
         st = dense_gate_oracle(st, dims, CNOT_MATRIX, [control, target])
-    return DensityOperator(Register(((ancilla_site, max(cycles)),), (2,)),
+    return DensityOperator(Register((("c", max(cycles)),), (2,)),
                            einsum_partial_trace_oracle(st, dims, [3]))
 
 

@@ -12,7 +12,6 @@ from tdesim import (
     SlotId,
     amplification_points,
     bell_phi_plus,
-    binary_entropy,
     fig2_curves,
     maximally_mixed,
     purity,
@@ -21,8 +20,8 @@ from tdesim import (
     tensor,
     to_density,
     trace_norm_distance,
-    von_neumann_entropy,
 )
+from tdesim.analytics import von_neumann_entropy
 
 from conftest import (
     entropy_oracle,
@@ -74,15 +73,6 @@ def test_non_finite_matrix_is_refused(value):
                  lambda x: trace_norm_distance(np.eye(2) / 2.0, x)):
         with pytest.raises(InvariantViolationError, match="non-finite"):
             call(m)
-
-
-def test_binary_entropy():
-    assert binary_entropy(0.0) == 0.0
-    assert binary_entropy(1.0) == 0.0
-    assert abs(binary_entropy(0.5) - 1.0) < 1e-15
-    assert abs(binary_entropy(0.25) - H_QUARTER) < 1e-15
-    with pytest.raises(ValueError):
-        binary_entropy(1.5)
 
 
 def test_trace_norm_distance_conventions():

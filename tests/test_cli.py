@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from tdesim import RunConfig, execute, fig2_curves, parse_circuit
-from tdesim.cli import MAX_GRID_STEPS, main
+from tdesim import fig2_curves, parse_circuit
+from tdesim.cli import MAX_GRID_STEPS, RunConfig, execute, main
 
 FIG1_PROGRAM = """\
 prepare q1 @0 0.5|0>+0.8660254037844386|1>
@@ -195,16 +195,13 @@ def test_circuit_subcommand_refuses_oversized_program(capsys, tmp_path):
     assert "MiB limit" in err
 
 
-def test_alpha_and_beta_flags_are_exclusive(capsys):
-    code, _, err = _run(capsys, "fig2", "--beta-sq", "0.5", "--alpha-sq",
-                        "0.5")
-    assert code == 1
-    assert "exclusive" in err
-
-    code, out, _ = _run(capsys, "sweep", "--alpha-sq", "0.75",
+def test_beta_sq_flag_runs_one_input(capsys):
+    code, out, _ = _run(capsys, "sweep", "--beta-sq", "0.25",
                         "--format", "csv")
     assert code == 0
+    assert len(out.splitlines()) == 2
     assert out.splitlines()[1].startswith("0.25,")
+    assert _run(capsys, "fig2", "--beta-sq", "1.5")[0] == 1
 
 
 def test_flag_validation_errors_exit_nonzero(capsys):

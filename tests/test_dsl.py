@@ -32,8 +32,8 @@ from tdesim.dsl import (
     Output,
     Prepare,
     _lifted_gate,
+    _monomial,
 )
-from tdesim.dynamics import _monomial
 from tdesim.registers import _left_multiply
 
 FIG1_PROGRAM = """\

@@ -17,7 +17,6 @@ from tdesim import (
     UnknownSlotError,
     ZeroProbabilityError,
     apply_gate,
-    basis_state,
     bell_phi_plus,
     cnot,
     displaced_expansion,
@@ -35,7 +34,6 @@ from tdesim import (
     spectral_ensemble,
     tensor,
     to_density,
-    vacuum_state,
 )
 from tdesim import dynamics, scenarios
 
@@ -125,7 +123,7 @@ def test_apply_gate_errors(rng):
 
 def test_vacuum_transparency():
     # gates act on the logical block only; the vacuum component rides along
-    psi = vacuum_state("1", 0)
+    psi = PureState(Register((SlotId("1", 0),), (3,)), [1.0, 0.0, 0.0])
     flipped = apply_gate(psi, pauli_x(), [("1", 0)])
     np.testing.assert_allclose(flipped.amplitudes, psi.amplitudes)
 
@@ -136,7 +134,7 @@ def test_vacuum_transparency():
 
 
 def test_cnot_with_dim3_control_keeps_vacuum_branch():
-    vac = vacuum_state("1", 0)
+    vac = PureState(Register((SlotId("1", 0),), (3,)), [1.0, 0.0, 0.0])
     tgt = qubit_state("2", 0, 1.0, 0.0)
     out = apply_gate(tensor(vac, tgt), cnot(), [("1", 0), ("2", 0)])
     reduced = partial_trace(out, [SlotId("2", 0)])
@@ -177,7 +175,7 @@ def test_expansions_check_the_size_limit_before_allocating():
         with pytest.raises(RegisterSizeError, match="density matrix"):
             free_expansion(rho, [0, 1, 2], policy=mode)
     # three copies of a 12-qubit pure state: 2^36 amplitudes, 1 TiB
-    psi = basis_state(qubits(12), [0] * 12)
+    psi = PureState(qubits(12), np.arange(2**12) == 0)
     with pytest.raises(RegisterSizeError, match="pure state"):
         free_expansion(psi, [0, 1, 2])
 
@@ -246,7 +244,7 @@ def test_expansions_refuse_non_finite_weights(weight, mode):
     with pytest.raises(ValueError, match="not a finite nonnegative number"):
         free_expansion(single, [0, 1], policy=mode)
     pairs = [(weight, bell_phi_plus("1", "2", 1)),
-             (1.0, basis_state(two_qubit_register(cycle=1), (0, 1)))]
+             (1.0, PureState(two_qubit_register(cycle=1), [0, 1, 0, 0]))]
     with pytest.raises(ValueError, match="not a finite nonnegative number"):
         displaced_expansion(pairs, 1, dilated_site="1", policy=mode)
 
@@ -399,6 +397,15 @@ def test_project_zero_probability():
         project(psi, ("1", 0), 1)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_project_refuses_a_non_finite_outcome_vector(value):
+    # NaN passes the zero-norm test, so the vector is checked before it is
+    # normalized and the error names the outcome, not the state
+    with pytest.raises(ValueError,
+                       match=r"outcome vector \[.*\] is not finite"):
+        project(bell_phi_plus("a", "b", 0), ("a", 0), [value, 1.0])
+
+
 def test_project_renormalizes(rng):
     reg = two_qubit_register()
     psi = random_pure(rng, reg)
@@ -417,6 +424,16 @@ def test_joint_outcome_distribution(rng):
         sorted(np.diag(rho.matrix).real),
         atol=1e-12,
     )
+
+
+def test_joint_distribution_of_one_slot_is_its_diagonal(rng):
+    for dim, labels in ((2, ["0", "1"]), (3, ["v", "0", "1"])):
+        reg = Register((SlotId("a", 0),), (dim,))
+        for state in (random_density(rng, reg), random_pure(rng, reg)):
+            dist = joint_outcome_distribution(state, reg.slots)
+            assert list(dist) == labels
+            want = np.diag(to_density(state).matrix).real
+            np.testing.assert_allclose(list(dist.values()), want, atol=1e-15)
 
 
 def test_joint_distribution_reads_the_state(rng, monkeypatch):
@@ -481,7 +498,7 @@ def test_each_ensemble_is_checked_once_per_call(monkeypatch):
     single = [(0.3, qubit_state("1", 1, 1.0, 0.0)),
               (0.7, qubit_state("1", 1, 0.6, 0.8))]
     pairs = [(0.5, bell_phi_plus("1", "2", 1)),
-             (0.5, basis_state(two_qubit_register(cycle=1), (0, 1)))]
+             (0.5, PureState(two_qubit_register(cycle=1), [0, 1, 0, 0]))]
     runs = [lambda: ensemble_density(single),
             lambda: scenarios.run_proper_vs_improper(single)]
     for mode in CorrelationMode:
@@ -506,7 +523,7 @@ def test_ensemble_density_checks_the_ensemble_as_the_expansions_do():
 
 def test_basis_state_round_trip_through_gates():
     reg = Register((SlotId("a", 0), SlotId("b", 0)), (2, 2))
-    psi = basis_state(reg, (1, 0))
+    psi = PureState(reg, [0, 0, 1, 0])
     out = apply_gate(psi, cnot(), [("a", 0), ("b", 0)])
     np.testing.assert_array_equal(out.amplitudes, [0, 0, 0, 1])
 

@@ -256,16 +256,16 @@ def test_stacked_no_signaling_box_matches_per_input_box(basis, tau):
 @PROPERTY_SETTINGS
 @given(SEEDS, st.sampled_from(((2, 2), (2, 3), (3, 2), (3, 3))),
        st.integers(0, 3), st.integers(1, 3), st.booleans(), st.booleans(),
-       st.sampled_from(("c", "z")))
+       st.sampled_from(("b", "z")))
 def test_box_matches_object_path(seed, dims, c0, gap, late_first, pure,
-                                 ancilla):
+                                 site):
     rng = np.random.default_rng(seed)
-    slots = [SlotId("b", c0), SlotId("b", c0 + gap)]
+    slots = [SlotId(site, c0), SlotId(site, c0 + gap)]
     if late_first:
         slots.reverse()
     reg = Register(tuple(slots), dims)
     state = random_pure(rng, reg) if pure else random_density(rng, reg)
-    got = run_displaced_backend(state, "b", ancilla_site=ancilla)
-    want = displaced_box_oracle(state, ancilla)
+    got = run_displaced_backend(state)
+    want = displaced_box_oracle(state)
     np.testing.assert_allclose(got.matrix, want.matrix, atol=TOL)
     assert got.register == want.register

@@ -15,11 +15,9 @@ from tdesim import (
     Register,
     SlotId,
     UnknownSlotError,
-    basis_index,
-    basis_state,
     bell_phi_plus,
     density_to_json,
-    level_index,
+    joint_outcome_distribution,
     maximally_mixed,
     partial_trace,
     permute_slots,
@@ -29,14 +27,14 @@ from tdesim import (
     tensor,
     to_density,
     trace_norm_distance,
-    vacuum_state,
-    von_neumann_entropy,
 )
+from tdesim.analytics import von_neumann_entropy
 from tdesim.registers import (
     ATOL,
     _check_hermitian_unit_trace,
     _reject,
     gram_density,
+    level_index,
     on_register,
 )
 
@@ -71,11 +69,9 @@ def test_register_lookup():
     reg = Register((SlotId("a", 0), SlotId("b", 1)), (2, 3))
     assert reg.dim == 6
     assert reg.sites == ("a", "b")
-    assert reg.cycles_of("a") == (0,)
     assert reg.index_of(("b", 1)) == 1
     assert ("a", 0) in reg
     assert ("a", 1) not in reg
-    assert reg.dim_of(("b", 1)) == 3
     with pytest.raises(UnknownSlotError):
         reg.index_of(("c", 0))
 
@@ -102,14 +98,6 @@ def test_pure_state_normalizes_and_freezes():
         psi.amplitudes[0] = 1.0
     with pytest.raises(ValueError):
         PureState(reg, [0.0, 0.0])
-
-
-def test_pure_state_overlap():
-    reg = Register((SlotId("a", 0),), (2,))
-    plus = PureState(reg, [1.0, 1.0])
-    minus = PureState(reg, [1.0, -1.0])
-    assert abs(plus.overlap(minus)) < 1e-15
-    assert abs(plus.overlap(plus) - 1.0) < 1e-15
 
 
 def test_huge_amplitudes_normalize_without_overflow():
@@ -188,22 +176,16 @@ def test_gram_density_rejects_what_density_operator_rejects():
         gram_density(reg, [[1.0], [0.0], [0.0]])
 
 
-def test_basis_index_orders_first_slot_most_significant():
+def test_basis_order_puts_first_slot_most_significant():
     reg = Register((SlotId("a", 0), SlotId("b", 0)), (2, 2))
-    assert basis_index(reg, (0, 0)) == 0
-    assert basis_index(reg, (0, 1)) == 1
-    assert basis_index(reg, (1, 0)) == 2
-    assert basis_index(reg, (1, 1)) == 3
-    psi = basis_state(reg, (1, 0))
-    np.testing.assert_array_equal(psi.amplitudes, [0, 0, 1, 0])
+    for index, label in enumerate(("00", "01", "10", "11")):
+        psi = PureState(reg, np.arange(4) == index)
+        assert joint_outcome_distribution(psi, reg.slots)[label] == 1.0
 
 
 def test_qubit_state_dim3_places_logical_block_on_top():
     psi = qubit_state("a", 0, 0.6, 0.8, dim=3)
     np.testing.assert_allclose(psi.amplitudes, [0.0, 0.6, 0.8])
-    vac = vacuum_state("a", 0)
-    np.testing.assert_allclose(vac.amplitudes, [1.0, 0.0, 0.0])
-    assert abs(psi.overlap(vac)) == 0.0
 
 
 def test_bell_state_amplitudes():
@@ -257,12 +239,12 @@ def test_size_limit_is_checked_before_allocating():
     with pytest.raises(RegisterSizeError, match="density matrix"):
         tensor(maximally_mixed(qubits("a", 7)),
                maximally_mixed(qubits("b", 6)))
-    big = basis_state(qubits("a", 14), [0] * 14)
+    big = PureState(qubits("a", 14), np.arange(2**14) == 0)
     with pytest.raises(RegisterSizeError, match="density matrix"):
         partial_trace(big, big.register.slots[:13])
     # a 2^13-dimensional pure state holds 128 KiB, its density 1 GiB; the
     # analytics reach that density through to_density
-    pure = basis_state(qubits("a", 13), [0] * 13)
+    pure = PureState(qubits("a", 13), np.arange(2**13) == 0)
     for call in (to_density, purity, von_neumann_entropy,
                  lambda psi: trace_norm_distance(psi, psi)):
         with pytest.raises(RegisterSizeError, match="density matrix"):

@@ -9,7 +9,6 @@ from tdesim import (
     QubitDensity,
     Register,
     SlotId,
-    basis_index,
     dilation_from_round_trip,
     free_expansion,
     nonlinear_map,
@@ -67,7 +66,7 @@ def test_fig1_four_slot_state_amplitudes():
     terms = {(0, 0, 0, 0): a * a, (0, 0, 1, 1): a * b,
              (1, 1, 0, 1): b * a, (1, 1, 1, 0): b * b}
     for levels, amp in terms.items():
-        got = st.amplitudes[basis_index(reg, levels)]
+        got = st.amplitudes[np.ravel_multi_index(levels, reg.dims)]
         assert abs(got - amp) < 1e-12
     assert abs(purity(to_density(st)) - 1.0) < 1e-12
 
@@ -177,20 +176,20 @@ def test_backend_is_linear_in_its_input(rng):
     x, y = random_density(rng, reg), random_density(rng, reg)
     lam = 0.3
     mix = DensityOperator(reg, lam * x.matrix + (1 - lam) * y.matrix)
-    out_mix = run_displaced_backend(mix, "b")
-    out_sep = lam * run_displaced_backend(x, "b").matrix \
-        + (1 - lam) * run_displaced_backend(y, "b").matrix
+    out_mix = run_displaced_backend(mix)
+    out_sep = lam * run_displaced_backend(x).matrix \
+        + (1 - lam) * run_displaced_backend(y).matrix
     np.testing.assert_allclose(out_mix.matrix, out_sep, atol=1e-12)
 
 
 def test_backend_register_validation(rng):
     reg = Register((SlotId("b", 0), SlotId("c", 1)), (2, 2))
-    with pytest.raises(ValueError):
-        run_displaced_backend(random_density(rng, reg), "b")
-    reg2 = Register((SlotId("b", 0), SlotId("b", 1)), (2, 2))
-    with pytest.raises(ValueError):
-        run_displaced_backend(random_density(rng, reg2), "b",
-                              ancilla_site="b")
+    with pytest.raises(ValueError, match="two slots on one site"):
+        run_displaced_backend(random_density(rng, reg))
+    # the box's ancilla is site "c"
+    reg2 = Register((SlotId("c", 0), SlotId("c", 1)), (2, 2))
+    with pytest.raises(ValueError, match="ancilla site"):
+        run_displaced_backend(random_density(rng, reg2))
 
 
 def test_no_signaling_outputs_are_flat():
@@ -351,11 +350,11 @@ def test_backend_is_no_signaling_for_random_states_and_bases(
     history = free_expansion(shared, [0, tau], policy=mode)
     bob = [SlotId("b", 0), SlotId("b", tau)]
     alice = SlotId("a", tau if alice_late else 0)
-    reference = run_displaced_backend(partial_trace(history, bob), "b")
+    reference = run_displaced_backend(partial_trace(history, bob))
     for _ in range(2):
         average = np.zeros((2, 2), dtype=complex)
         for vec in _random_basis(rng):
             m = project(history, alice, vec)
-            out = run_displaced_backend(partial_trace(m.post_state, bob), "b")
+            out = run_displaced_backend(partial_trace(m.post_state, bob))
             average += m.probability * out.matrix
         assert trace_norm_oracle(average - reference.matrix) <= 1e-12

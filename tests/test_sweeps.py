@@ -25,9 +25,9 @@ from tdesim import (
     run_reverse,
     run_sweep,
     to_density,
-    von_neumann_entropy,
 )
 from tdesim import dsl, scenarios
+from tdesim.analytics import von_neumann_entropy
 from tdesim.registers import _factor, check_densities
 from tdesim.scenarios import (
     ROW_BLOCK,
