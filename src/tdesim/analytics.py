@@ -149,26 +149,26 @@ def fig2_curves(grid: Sequence[float], tau: int = 1,
     against its closed form 4 (beta^2 - beta^4); disagreement beyond the
     tolerance, which must be finite and positive, raises.  Only the input
     and output densities are read off the circuit, both qubits, so each
-    block of the grid costs one check.
+    block of the grid costs one check and one trace-norm pass over both
+    curves.
     """
-    from .scenarios import _densities, grid_inputs, row_blocks
+    from .scenarios import _fig1_circuit, _readout, grid_inputs, row_blocks
 
     tau = _check_tau(tau)
     tolerance = _check_tolerance(tolerance)
     b2, amps = grid_inputs(grid)
     # row 0 is the |0> reference every grid point is compared against
     amps = np.concatenate([[[1.0, 0.0]], amps])
-    d_in, d_out = [], []
+    ro = _readout(_fig1_circuit, (2, tau, "1"), 1, ("input", "rho_out"))
+    norms = []
     for block in row_blocks(len(amps)):
-        ro, stack = _densities(amps[block], tau, ("input", "rho_out"))
+        _, stack = ro.products(amps[block, None])
         ro.check(stack)
-        inputs, outputs = ro.columns(stack)
         if block.start == 0:
-            ref_in, ref_out = inputs[0], outputs[0]
-        d_in.append(_trace_norms(inputs - ref_in))
-        d_out.append(_trace_norms(outputs - ref_out))
-    d_in = np.concatenate(d_in)[1:]
-    d_out = np.concatenate(d_out)[1:]
+            ref = stack[0]
+        # (B, 2, 2, 2) as input, output, input, ...: one pass for both
+        norms.append(_trace_norms((stack - ref).reshape(-1, 2, 2)))
+    d_in, d_out = np.concatenate(norms).reshape(-1, 2)[1:].T
 
     closed = 4.0 * (b2 - b2 * b2)
     off = np.abs(d_out - closed) > tolerance

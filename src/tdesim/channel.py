@@ -51,9 +51,18 @@ class QubitDensity:
 
     @classmethod
     def from_matrix(cls, matrix) -> "QubitDensity":
+        """The populations and upper coherence of a 2 x 2 matrix, which
+        must be hermitian to ATOL, so that nothing the fields omit (the
+        lower coherence, an imaginary diagonal) is dropped silently."""
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
+        if not np.isfinite(m).all():
+            raise ValueError("matrix has a non-finite entry")
+        deviation = float(abs(m - m.conj().T).max())
+        if not deviation <= ATOL:
+            raise ValueError(
+                f"matrix is not hermitian (deviation {deviation:.3e})")
         return cls(m[0, 0].real, m[1, 1].real, m[0, 1])
 
     def to_matrix(self) -> np.ndarray:

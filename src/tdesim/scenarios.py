@@ -15,8 +15,10 @@ the circuit's input prepares.
 A report's densities come from the circuit's read-out (_Readout),
 compiled with it once per row count N: one gather, one batched product
 F F^H and one check, on one stack padded to their largest dimension.
-The runners return report objects carrying the exact intermediate states
-so tests and the command line can interrogate any step.
+The entropy study, whose densities differ in size, gives each its own
+read-out of one circuit pass instead.  The runners return report objects
+carrying the exact intermediate states so tests and the command line can
+interrogate any step.
 """
 
 from __future__ import annotations
@@ -187,13 +189,15 @@ class _Readout(NamedTuple):
     """A circuit's read-out, compiled for states of N rows and a report's
     columns.
 
-    products concatenates each state's taps into one source row and
-    appends a zero.  gather, a read-only (K, D, M) index array, gathers
-    each column's factor F from it, in registers._factor's column order, padded
-    with the zero to D, the largest dimension, and to M columns.  Column
-    k has dimension dims[k] and register registers[k]; blocks pairs each
-    dimension, in the order of its first column, with the index of its
-    columns; register is the circuit's final one.
+    taps concatenates each state's taps into one source row and appends
+    a zero.  gather, a read-only (K, D, M) index array, gathers each
+    column's factor F from it, in registers._factor's column order,
+    padded with the zero to D, the largest dimension, and to M columns.
+    Column k has dimension dims[k] and register registers[k]; blocks
+    pairs each dimension, in the order of its first column, with the
+    index of its columns; register is the circuit's final one.  The
+    source row depends only on the circuit and N, so every read-out of
+    one circuit and row count gathers from the same one.
     """
 
     segments: tuple
@@ -203,19 +207,30 @@ class _Readout(NamedTuple):
     registers: tuple
     register: Register
 
-    def products(self, rows: np.ndarray) -> tuple:
+    def taps(self, rows: np.ndarray) -> tuple:
         """Run the circuit on rows shaped (B, N, *in_dims).  Returns the
         rows its last segment leaves, a new array that the caller may
-        take over (each circuit's last segment gathers), and the
-        (B, K, D, D) stack of F F^H, not validated."""
+        take over (each circuit's last segment gathers), and the (B, S)
+        source rows: each state's taps, then a zero."""
         b = len(rows)
         taps = [rows.reshape(b, -1)]
         for segment in self.segments:
             rows = _run_steps(segment, rows)
             taps.append(rows.reshape(b, -1))
         taps.append(np.zeros((b, 1), dtype=complex))
-        f = np.concatenate(taps, axis=1).take(self.gather, axis=1)
-        return rows, f @ f.conj().swapaxes(-1, -2)
+        return rows, np.concatenate(taps, axis=1)
+
+    def gram(self, source: np.ndarray) -> np.ndarray:
+        """The (B, K, D, D) stack of F F^H gathered from source rows,
+        not validated."""
+        f = source.take(self.gather, axis=1)
+        return f @ f.conj().swapaxes(-1, -2)
+
+    def products(self, rows: np.ndarray) -> tuple:
+        """taps and gram in one: the rows the circuit's last segment
+        leaves and the (B, K, D, D) stack of F F^H, not validated."""
+        rows, source = self.taps(rows)
+        return rows, self.gram(source)
 
     def columns(self, stack: np.ndarray) -> list:
         """Each column's (B, d, d) view of a (B, K, D, D) stack, in
@@ -280,15 +295,6 @@ def _readout(compile_circuit, key: tuple, n: int, names: tuple) -> _Readout:
     return _Readout(circuit.segments, gather, dims, blocks,
                     tuple(circuit.columns[name][0] for name in names),
                     circuit.plan.register)
-
-
-def _densities(amplitudes, tau: int, names: tuple) -> tuple:
-    """The displaced-CNOT circuit on each pure input of an (N, d)
-    amplitude stack on site "1": its read-out for the named columns and
-    their padded stack, not validated."""
-    amps = np.asarray(amplitudes, dtype=complex)
-    ro = _readout(_fig1_circuit, (amps.shape[1], tau, "1"), 1, names)
-    return ro, ro.products(amps[:, None])[1]
 
 
 @dataclass
@@ -672,9 +678,12 @@ def run_entropy_study(p_vac: float, grid: Sequence[float],
     S_out back below S_rho_d.  Points where S_out drops strictly below
     S_rho_d are collected in drop_points.
 
-    The branches' input, rho_d and rho_out are read off the circuit and
-    mixed unchecked; only the mixture is validated, one check per block
-    of grid points.
+    The branches' input, rho_d and rho_out are read off one pass of the
+    circuit and mixed unchecked; only the mixture is validated.  The
+    three densities differ in size (3 x 3, 6 x 6 and 2 x 2), so each has
+    its own read-out and its own unpadded stack: per block of grid
+    points, one gather and product, one mix and one check per density,
+    in report order, and one entropy pass.
     """
     p_vac = float(p_vac)
     if not 0.0 <= p_vac <= 1.0:
@@ -682,15 +691,26 @@ def run_entropy_study(p_vac: float, grid: Sequence[float],
     tau = _check_tau(tau)
     b2, qubits = grid_inputs(grid, dim=3)
 
+    names = ("input", "rho_d", "rho_out")
+    readouts = [_readout(_fig1_circuit, (3, tau, "1"), 1, (name,))
+                for name in names]
+    width = max(ro.dims[0] for ro in readouts)
     vacuum = np.array([[1.0, 0.0, 0.0]])
-    points = []
-    drops = []
+    entropies = np.empty((len(b2), len(names)))
     for block in row_blocks(len(b2)):
         # row 0 is the vacuum branch, the same at every grid point
-        ro, stack = _densities(np.concatenate([vacuum, qubits[block]]), tau,
-                               ("input", "rho_d", "rho_out"))
-        mixed = p_vac * stack[:1] + (1.0 - p_vac) * stack[1:]
-        s_in, s_d, s_out = _entropy_bits(ro.check(mixed)).T
+        _, source = readouts[0].taps(
+            np.concatenate([vacuum, qubits[block]])[:, None])
+        # zeros pad the spectra and change no bit of an entropy
+        spectra = np.zeros((len(source) - 1, len(names), width))
+        for k, ro in enumerate(readouts):
+            stack = ro.gram(source)
+            mixed = stack[1:]
+            mixed *= 1.0 - p_vac
+            mixed += p_vac * stack[:1]
+            spectra[:, k, :ro.dims[0]] = ro.check(mixed)[:, 0]
+        entropies[block] = _entropy_bits(spectra)
+        s_in, s_d, _ = entropies[block].T
         below = s_in > s_d + ENTROPY_SLACK
         if below.any():
             i = int(np.argmax(below))
@@ -698,14 +718,11 @@ def run_entropy_study(p_vac: float, grid: Sequence[float],
                 f"readout entropy {s_d[i]:.12g} fell below input entropy "
                 f"{s_in[i]:.12g} at beta^2={b2[block][i]:.12g}"
             )
-        for b, si, sd, so in zip(b2[block].tolist(), s_in.tolist(),
-                                 s_d.tolist(), s_out.tolist()):
-            if so < sd - ATOL:
-                drops.append(b)
-            points.append(
-                CurvePoint(b, {"S_in": si, "S_rho_d": sd, "S_out": so})
-            )
-    return EntropyStudyReport(p_vac, tau, points, drops)
+    _, s_d, s_out = entropies.T
+    points = [CurvePoint(b, {"S_in": si, "S_rho_d": sd, "S_out": so})
+              for b, (si, sd, so) in zip(b2.tolist(), entropies.tolist())]
+    return EntropyStudyReport(p_vac, tau, points,
+                              b2[s_out < s_d - ATOL].tolist())
 
 
 def dilation_from_round_trip(duration: float, speed_fraction: float) -> float:
@@ -714,7 +731,9 @@ def dilation_from_round_trip(duration: float, speed_fraction: float) -> float:
     A traveler moving at v (as a fraction of c) for a stay-at-home
     duration T returns younger by T (1 - sqrt(1 - v^2)); that lag, in the
     same units as T, is the dilation to feed the cycle model after
-    rounding to whole cycles.
+    rounding to whole cycles.  It is computed as T v^2 / (1 + sqrt(1 - v^2)),
+    the same function, which keeps its relative precision as v goes to
+    zero, where 1 - sqrt(1 - v^2) cancels.
     """
     duration = float(duration)
     v = float(speed_fraction)
@@ -724,4 +743,4 @@ def dilation_from_round_trip(duration: float, speed_fraction: float) -> float:
         )
     if not 0.0 <= v < 1.0:
         raise ValueError(f"speed fraction must sit in [0, 1), got {v}")
-    return duration * (1.0 - np.sqrt(1.0 - v * v))
+    return duration * v * v / (1.0 + math.sqrt(1.0 - v * v))

@@ -56,6 +56,20 @@ def test_qubit_density_conversions():
     np.testing.assert_allclose(rho.matrix, m, atol=1e-15)
 
 
+@pytest.mark.parametrize("matrix, deviation", [
+    ([[0.5, 0.1], [0.3, 0.5]], "2.000e-01"),    # lower coherence differs
+    ([[0.5 + 0.2j, 0.0], [0.0, 0.5]], "4.000e-01"),  # imaginary diagonal
+])
+def test_from_matrix_refuses_a_matrix_it_would_not_keep(matrix, deviation):
+    # the fields hold the upper coherence and real populations only
+    with pytest.raises(ValueError, match=rf"^matrix is not hermitian "
+                                         rf"\(deviation {deviation}\)$"):
+        QubitDensity.from_matrix(matrix)
+    # a deviation within ATOL is roundoff, and the upper coherence is kept
+    qd = QubitDensity.from_matrix([[0.5, 0.1], [0.1 + 1e-13, 0.5]])
+    assert (qd.g00, qd.g11, qd.g01) == (0.5, 0.5, 0.1)
+
+
 def test_nonlinear_map_closed_form():
     out = nonlinear_map(QubitDensity(0.36, 0.64))
     assert abs(out.g00 - (0.36**2 + 0.64**2)) < 1e-15

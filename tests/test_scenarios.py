@@ -1,3 +1,5 @@
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -304,6 +306,19 @@ def test_round_trip_dilation():
                             (1.0, np.nan), (1.0, -np.inf)):
         with pytest.raises(ValueError):
             dilation_from_round_trip(duration, speed)
+
+
+@pytest.mark.parametrize("v", (1e-8, 1e-5, 1e-2, 0.6, 0.8))
+def test_round_trip_dilation_keeps_its_precision_at_small_speeds(v):
+    # 1 - sqrt(1 - v^2) cancels as v goes to 0: at v = 1e-8 it read
+    # 1.11e-16 against T v^2 / 2 = 5e-17
+    got = dilation_from_round_trip(1.0, v)
+    assert type(got) is float
+    with localcontext() as ctx:
+        ctx.prec = 50
+        d = Decimal(v)
+        want = 1 - (1 - d * d).sqrt()
+        assert abs(Decimal(got) - want) / want <= Decimal("1e-12")
 
 
 def test_scenario_states_satisfy_subadditivity(rng):

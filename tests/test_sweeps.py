@@ -32,7 +32,7 @@ from tdesim.registers import _factor, check_densities
 from tdesim.scenarios import (
     ROW_BLOCK,
     _ENTROPY_KEYS,
-    _densities,
+    _Readout,
     _fig1_circuit,
     _readout,
     _reversal,
@@ -178,9 +178,16 @@ def test_stack_with_one_invalid_row_raises(kind):
         DensityOperator(reg, stack[3])
 
 
+def _qubit_readout(amplitudes, tau, names):
+    """The displaced-CNOT read-out of the named columns for pure qubit
+    inputs on site "1", and its stack for the rows of amplitudes."""
+    ro = _readout(_fig1_circuit, (2, tau, "1"), 1, names)
+    return ro, ro.products(np.asarray(amplitudes, dtype=complex)[:, None])[1]
+
+
 def test_unnormalized_circuit_row_is_rejected():
-    ro, stack = _densities([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]], 1,
-                           _ENTROPY_KEYS)
+    ro, stack = _qubit_readout([[1.0, 0.0], [0.6, 0.8], [1.0, 1.0]], 1,
+                               _ENTROPY_KEYS)
     with pytest.raises(InvariantViolationError, match=r"^row \(2,\): trace"):
         ro.check(stack)
 
@@ -415,8 +422,8 @@ def test_first_bad_column_in_order_raises():
     # rho_s comes before rho_out in the report, though the stack's trace
     # test meets rho_out's bad row first, and its eigvalsh of the qubit
     # columns (input and rho_out) runs before that of rho_s and rho_d
-    ro, stack = _densities([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], 1,
-                           _ENTROPY_KEYS)
+    ro, stack = _qubit_readout([[1.0, 0.0], [0.0, 1.0], [0.6, 0.8]], 1,
+                               _ENTROPY_KEYS)
     assert [(d, np.arange(4)[ks, ].tolist()) for d, ks in ro.blocks] == [
         (2, [0, 3]), (4, [1, 2])]
     _, rho_s, _, rho_out = ro.columns(stack)
@@ -441,7 +448,7 @@ def test_unevenly_spaced_columns_are_read_by_index():
     # qubit columns at 0, 1 and 3 are no slice: their eigvalsh takes them
     # by index, and each column still gets its own spectrum
     names = ("input", "rho_out", "rho_s", "input")
-    ro, stack = _densities([[0.6, 0.8j], [1.0, 0.0]], 2, names)
+    ro, stack = _qubit_readout([[0.6, 0.8j], [1.0, 0.0]], 2, names)
     assert [(d, np.arange(4)[ks, ].tolist()) for d, ks in ro.blocks] == [
         (2, [0, 1, 3]), (4, [2])]
     spectra = ro.check(stack)
@@ -502,11 +509,74 @@ def test_sweeps_validate_only_what_they_return(monkeypatch):
     grid = np.linspace(0.0, 1.0, 1001)
     sizes = _eigvalsh_sizes(monkeypatch)
     # per block of ROW_BLOCK points: one check of the qubit inputs and
-    # outputs, then the trace norms of the two curves
+    # outputs, then one trace-norm pass over both curves
     fig2_curves(grid)
-    assert sizes == [2, 2, 2] * 4
+    assert sizes == [2, 2] * 4
     # per block: the branches are read unchecked and the mixture gets one
-    # check per dimension (input, rho_d and rho_out)
+    # check per density (input, rho_d and rho_out)
     sizes.clear()
     run_entropy_study(0.3, grid)
     assert sizes == [3, 6, 2] * 4
+
+
+def test_sweeps_of_an_empty_grid_return_nothing():
+    assert fig2_curves([]) == []
+    rep = run_entropy_study(0.3, [])
+    assert rep.points == [] and rep.drop_points == []
+
+
+_STUDY_COLUMNS = ("input", "rho_d", "rho_out")
+
+
+def _spoil_study(monkeypatch, tau, spoils):
+    """Make the entropy study's product of each named column spoil its
+    grid row as _spoil does; spoils maps a name to (row, kind).  Row 0
+    of a product is the vacuum branch, so grid row i is product row
+    i + 1."""
+    readouts = {name: _readout(_fig1_circuit, (3, tau, "1"), 1, (name,))
+                for name in _STUDY_COLUMNS}
+    gram = _Readout.gram
+
+    def spoiled(ro, source):
+        stack = gram(ro, source)
+        for name, (row, kind) in spoils.items():
+            if ro is readouts[name]:
+                stack[1:, 0] = _spoil(stack[1:, 0], row, kind)
+        return stack
+
+    monkeypatch.setattr(_Readout, "gram", spoiled)
+
+
+@pytest.mark.parametrize("name", _STUDY_COLUMNS)
+@pytest.mark.parametrize("kind", sorted(_invalid_rows()))
+def test_entropy_study_raises_as_its_bad_column_would(monkeypatch, name,
+                                                      kind):
+    # with no vacuum weight the mixture is the qubit branch itself, so the
+    # spoiled column raises the message check_densities gives on it
+    grid = np.linspace(0.0, 1.0, 6)
+    _, qubits = scenarios.grid_inputs(grid, dim=3)
+    ro = _readout(_fig1_circuit, (3, 2, "1"), 1, (name,))
+    column = _spoil(ro.products(qubits[:, None])[1][:, 0], 4, kind)
+    with pytest.raises(InvariantViolationError) as alone:
+        check_densities(column)
+    assert str(alone.value).startswith("row (4,): ")
+    _spoil_study(monkeypatch, 2, {name: (4, kind)})
+    with pytest.raises(InvariantViolationError) as study:
+        run_entropy_study(0.0, grid, tau=2)
+    assert str(study.value) == str(alone.value)
+
+
+def test_entropy_study_names_the_first_bad_column_in_report_order(
+        monkeypatch):
+    grid = np.linspace(0.0, 1.0, 6)
+    for spoils, want in (
+            ({"rho_out": (0, "trace"), "rho_d": (3, "negative eigenvalue")},
+             r"^row \(3,\): negative eigenvalue"),
+            ({"rho_d": (1, "trace"), "input": (5, "not hermitian")},
+             r"^row \(5,\): matrix is not hermitian"),
+            ({"rho_out": (2, "not hermitian")},
+             r"^row \(2,\): matrix is not hermitian")):
+        with monkeypatch.context() as mp:
+            _spoil_study(mp, 1, spoils)
+            with pytest.raises(InvariantViolationError, match=want):
+                run_entropy_study(0.0, grid)
