@@ -14,7 +14,8 @@ import numpy as np
 
 from .errors import InvariantViolationError
 from .registers import (ATOL, ENTROPY_SLACK, PSD_FLOOR, DensityOperator,
-                        PureState, partial_trace, to_density)
+                        PureState, Register, _factor, _rows, gram_density,
+                        to_density)
 from .dynamics import _check_tau
 
 
@@ -92,20 +93,23 @@ def purity(rho) -> float:
     return float(np.einsum("ij,ji->", m, m).real)
 
 
-def subadditivity_margin(rho: DensityOperator, split: int = 1) -> float:
-    """S(A) + S(B) - S(AB) for the bipartition at slot index `split`.
+def subadditivity_margin(rho: DensityOperator) -> float:
+    """S(A) + S(B) - S(AB), where A is the first slot and B the rest.
 
-    Nonnegative for every valid state; a margin below -ENTROPY_SLACK
-    means the inputs were not a state at all and raises instead of
-    returning.
+    Both marginals come from one set of the state's spectral rows (one
+    eigh).  Nonnegative for every valid state; a margin below
+    -ENTROPY_SLACK means the inputs were not a state at all and raises
+    instead of returning.
     """
     reg = rho.register
-    if len(reg.slots) < 2:
+    n = len(reg.slots)
+    if n < 2:
         raise ValueError("subadditivity needs at least two slots")
-    if not 0 < split < len(reg.slots):
-        raise ValueError(f"split index {split} out of range")
-    part_a = partial_trace(rho, reg.slots[:split])
-    part_b = partial_trace(rho, reg.slots[split:])
+    rows = _rows(rho)
+    part_a = gram_density(Register(reg.slots[:1], reg.dims[:1]),
+                          _factor(rows, [0])[0])
+    part_b = gram_density(Register(reg.slots[1:], reg.dims[1:]),
+                          _factor(rows, range(1, n))[0])
     margin = (von_neumann_entropy(part_a) + von_neumann_entropy(part_b)
               - von_neumann_entropy(rho))
     if margin < -ENTROPY_SLACK:

@@ -59,7 +59,6 @@ from .errors import (CircuitExecutionError, CircuitParseError,
                      InvariantViolationError, RegisterSizeError)
 from .registers import (
     MAX_STATE_BYTES,
-    ZERO_NORM,
     DensityOperator,
     Register,
     SlotId,
@@ -67,8 +66,10 @@ from .registers import (
     _factor,
     _from_rows,
     _left_multiply,
+    _normalized,
     _row_product,
     check_state_size,
+    density_to_json,
     gram_density,
 )
 from .dynamics import (
@@ -419,60 +420,59 @@ def _lifted_gate(name: str, theta: Optional[float], dims: tuple):
 def _static_check(directives) -> CircuitPlan:
     """Check a directive list and compile it, in one pass.
 
-    slots lists the state's (site, cycle) pairs in register order and
-    shape their dimensions: a prepared slot is appended, an expansion
-    appends the shifted copy of every slot, a dilation relabels in place
-    and a discard removes the site's slots.  pos (pair -> register axis)
-    and cycles (live site -> its cycles) follow them step by step.  A
-    monomial gate extends the open run, which any other step except a
-    dilation closes into one gather step, unless the plan's gathers would
-    then hold more than MAX_STATE_BYTES.
+    pos maps the state's (site, cycle) pairs to their register axes, in
+    register order: a prepared slot is appended, an expansion appends the
+    shifted copy of every slot, a dilation relabels in place and a
+    discard removes the site's slots.  A monomial gate extends the open
+    run, which any other step except a dilation closes into one gather
+    step, unless the plan's gathers would then hold more than
+    MAX_STATE_BYTES.
     """
     dims = {}
-    cycles = {}
     discarded = set()
     expandable = True  # the state is still pure
-    slots = []
-    shape = []
     pos = {}
     steps = []
     # the open run of monomial gates: (first line, [(gather, axes, target
-    # dims)] in order, whether it has phases), or None
+    # dims)] in order, whether it has phases, the register's dimension),
+    # or None; no step that changes the register leaves a run open
     run = None
     held = 0  # bytes of the closed runs' gathers
 
+    def shape():
+        return [dims[s] for s, _ in pos]
+
     def fits(ln):
         try:
-            check_state_size(math.prod(shape), pure=expandable)
+            check_state_size(math.prod(shape()), pure=expandable)
         except RegisterSizeError as exc:
             _fail(ln, str(exc))
 
     def live(site, ln):
         if site in discarded:
             _fail(ln, f"site {site!r} was discarded")
-        if site not in cycles:
+        if site not in dims:
             _fail(ln, f"site {site!r} was never prepared")
 
     def step(kind, ln, operand=None, axes=(), shift=0, perm=None):
-        steps.append(PlanStep(kind, ln, tuple(slots), operand, axes, shift,
+        steps.append(PlanStep(kind, ln, tuple(pos), operand, axes, shift,
                               perm))
 
     def close():
         nonlocal run, held
         if run is not None:
-            first, gates, _ = run
+            first, gates = run[:2]
             run = None
-            perm, phase = _run_gather(shape, gates)
+            perm, phase = _run_gather(shape(), gates)
             held += perm.nbytes + (0 if phase is None else phase.nbytes)
             step("gather", first, phase, perm=perm)
 
-    def reindex():
-        pos.clear()
-        pos.update(zip(slots, range(len(slots))))
-
     def align(participants, cycle, ln):
-        if all([cycle in cycles[s] for s in participants]):
+        if all([(s, cycle) in pos for s in participants]):
             return
+        cycles = {}
+        for s, c in pos:
+            cycles.setdefault(s, set()).add(c)
         delta = _expansion_shift(cycles, participants, cycle)
         if delta is None:
             _fail(ln, f"no dilation aligns {participants} at cycle {cycle}")
@@ -480,31 +480,27 @@ def _static_check(directives) -> CircuitPlan:
             if not expandable:
                 _fail(ln, "expansion after discard needs a pure state")
             close()
-            slots.extend([(s, c + delta) for s, c in slots])
-            shape.extend(shape)
-            reindex()
-            for cs in cycles.values():
-                cs.update([c + delta for c in cs])
+            for s, c in list(pos):
+                pos[s, c + delta] = len(pos)
             fits(ln)
             step("expand", ln, shift=delta)
 
     def gate(name, theta, axes, tdims, ln):
         nonlocal run
         block, gather = _lifted_gate(name, theta, tdims)
-        # the plan's gathers hold at most MAX_STATE_BYTES in all (8 bytes
-        # of perm and 16 of phase per amplitude); past that, a monomial
-        # gate stays a dense block like H
-        phased = gather is not None and (
-            gather[1] is not None or run is not None and run[2])
-        need = math.prod(shape) * (24 if phased else 8)
-        if gather is None or held + need > MAX_STATE_BYTES:
-            close()
-            step("gate", ln, block, axes=axes)
-            return
-        if run is None:
-            run = ln, [], False
-        run[1].append((gather, axes, tdims))
-        run = run[0], run[1], phased
+        if gather is not None:
+            first, gates, phased, size = run or (ln, [], False,
+                                                 math.prod(shape()))
+            phased = phased or gather[1] is not None
+            # the plan's gathers hold at most MAX_STATE_BYTES in all (8
+            # bytes of perm and 16 of phase per amplitude); past that, a
+            # monomial gate stays a dense block like H
+            if held + size * (24 if phased else 8) <= MAX_STATE_BYTES:
+                gates.append((gather, axes, tdims))
+                run = first, gates, phased, size
+                return
+        close()
+        step("gate", ln, block, axes=axes)
 
     if not directives:
         _fail(1, "missing output directive")
@@ -520,10 +516,7 @@ def _static_check(directives) -> CircuitPlan:
             dims[d.site] = dim
             discarded.discard(d.site)
             close()
-            pos[d.site, d.cycle] = len(slots)
-            slots.append((d.site, d.cycle))
-            shape.append(dim)
-            cycles.setdefault(d.site, set()).add(d.cycle)
+            pos[d.site, d.cycle] = len(pos)
             fits(d.line)
             step("prepare", d.line,
                  _state_vector(d.kind, d.amp0, d.amp1, d.line))
@@ -543,23 +536,19 @@ def _static_check(directives) -> CircuitPlan:
                  d.line)
         elif isinstance(d, Dilate):
             live(d.site, d.line)
-            slots[:] = [(s, c + d.delta) if s == d.site else (s, c)
-                        for s, c in slots]
-            reindex()
-            cycles[d.site] = {c + d.delta for c in cycles[d.site]}
+            pos = {(s, c + d.delta if s == d.site else c): p
+                   for (s, c), p in pos.items()}
             step("dilate", d.line)
         elif isinstance(d, Discard):
             live(d.site, d.line)
-            if len(cycles) == 1:
+            if all(s == d.site for s, _ in pos):
                 _fail(d.line, "cannot discard the only remaining site")
             discarded.add(d.site)
             expandable = False
             close()
-            axes = tuple(p for p, (s, _) in enumerate(slots) if s == d.site)
-            slots[:] = [slot for slot in slots if slot[0] != d.site]
-            shape[:] = [dims[s] for s, _ in slots]
-            reindex()
-            del cycles[d.site]
+            axes = tuple(p for (s, _), p in pos.items() if s == d.site)
+            pos = {slot: p for p, slot
+                   in enumerate(k for k in pos if k[0] != d.site)}
             fits(d.line)
             step("discard", d.line, axes=axes)
         elif isinstance(d, Output):
@@ -573,8 +562,8 @@ def _static_check(directives) -> CircuitPlan:
         _fail(directives[-1].line, "missing output directive")
     out = directives[-1]
     return CircuitPlan(tuple(steps),
-                       Register(tuple(SlotId(*slot) for slot in slots),
-                                tuple(shape)),
+                       Register(tuple(SlotId(*slot) for slot in pos),
+                                tuple(shape())),
                        Register((SlotId(out.site, out.cycle),),
                                 (dims[out.site],)))
 
@@ -641,7 +630,7 @@ def _run_gather(shape, gates):
     phase = None if phase is None else phase.reshape(-1)
     for array in (perm, phase):
         if array is not None:  # cached plans share their steps
-            array.flags.writeable = False
+            array.setflags(write=False)
     return perm, phase
 
 
@@ -651,28 +640,17 @@ _VACUUM.flags.writeable = False
 
 def _state_vector(kind: str, a0: complex, a1: complex,
                   line: int) -> np.ndarray:
-    """The normalized, read-only vector of a prepared state; a zero or
-    non-finite state raises CircuitParseError."""
-    return _VACUUM if kind == "vac" else _qubit_vector(a0, a1, line)
-
-
-def _qubit_vector(a0: complex, a1: complex, line: int) -> np.ndarray:
-    """a0|0> + a1|1>, normalized.  It is scaled to its largest real or
-    imaginary component first, so huge amplitudes do not overflow the
-    norm; an L2 norm below ZERO_NORM raises, as it does for a PureState."""
-    scale = max(abs(a0.real), abs(a0.imag), abs(a1.real), abs(a1.imag))
-    if not math.isfinite(scale):
-        _fail(line, "amplitudes are not finite")
-    if scale > 0.0:
-        a0, a1 = a0 / scale, a1 / scale
-    norm = math.hypot(abs(a0), abs(a1))
-    if scale * norm < ZERO_NORM:
-        _fail(line, "state has zero norm")
+    """The normalized, read-only vector of a prepared state, by PureState's
+    rule (registers._normalized); a zero or non-finite state raises
+    CircuitParseError."""
+    if kind == "vac":
+        return _VACUUM
     # complex, like every row a run holds: a gather multiplies its phases
     # into the rows in place
-    vector = np.array([a0 / norm, a1 / norm], dtype=complex)
-    vector.flags.writeable = False  # a cached plan's prepare step holds it
-    return vector
+    try:
+        return _normalized(np.array([a0, a1], dtype=complex), in_place=True)
+    except ValueError as exc:
+        _fail(line, str(exc))
 
 
 def _fmt_amp(c: complex) -> str:
@@ -730,8 +708,6 @@ class ExecutionReport:
     entropy_bits: float
 
     def to_json_dict(self) -> dict:
-        from .registers import density_to_json
-
         return {
             "output_slot": {"site": self.output_slot.site,
                             "cycle": self.output_slot.cycle},
@@ -744,17 +720,11 @@ class ExecutionReport:
 def run_program(program: CircuitProgram):
     """Execute a program; returns (ExecutionReport, final state).
 
-    The program's plan runs through _run_steps on one state held as one
-    amplitude row.  Each density the run returns is built and validated
-    once, at the end, by registers.gram_density: the output's reduced
-    state and, after a discard, the mixed final state, whose spectrum is
-    read off the smaller Gram matrix of its rows.  The output's
-    probabilities are the diagonal of its reduced state, read by
-    dynamics.joint_outcome_distribution.  A pure final state is a
-    PureState on the run's own final rows, normalized in place; they are
-    copied only when they are a read-only operand of the plan.  A
-    hand-built directive list that the static check rejects raises
-    CircuitExecutionError.
+    Each density the run returns, the output's reduced state and, after
+    a discard, the mixed final state, is built and validated once, at
+    the end (registers.gram_density).  A pure final state is normalized
+    in place on the run's own rows.  A hand-built directive list that the
+    static check rejects raises CircuitExecutionError.
     """
     try:
         plan = program.plan
@@ -774,21 +744,15 @@ def run_program(program: CircuitProgram):
 
 def _run_steps(steps, rows: Optional[np.ndarray]) -> np.ndarray:
     """Run plan steps on rows shaped (B, N, *dims): B independent states,
-    each the sum of the projectors of its N amplitude rows.
+    each the sum of the projectors of its N amplitude rows; rows None
+    starts from nothing, so the first step must be a prepare.
 
-    rows None starts from nothing, so the first step must be a prepare.
-    A fused run of monomial gates (X, CNOT, phase) is one gather of each
-    flattened row, row[perm], times its phases if it has any; a dense
-    gate (H) contracts its block with the target axes.  A prepare appends
-    its vector to every row.  An expansion takes each state's row set
-    times the row set of its shifted copy (registers._row_product), N
-    rows to N**2, whose projectors sum to rho (x) rho: the uncorrelated
-    copies of a mixed state, and the copy of a pure state when N is 1.
-    A discard moves the discarded axes into the row axis; when that
-    leaves more rows than the kept dimension d, each state's rows are
-    folded to d by a QR factorization, which keeps the state, so no
-    state outgrows a d x d density matrix.  Dilations and the output step leave the rows alone.
-    No step writes into the rows it is given, so a caller may keep them.
+    An expansion takes each state's rows times its shifted copy's
+    (registers._row_product), N rows to N**2, whose projectors sum to
+    rho (x) rho.  A discard moves the discarded axes into the row axis
+    and folds more rows than the kept dimension d to d by a QR
+    factorization, so no state outgrows a d x d density matrix.  No step
+    writes into the rows it is given, so a caller may keep them.
     """
     for step in steps:
         if step.kind == "gather":

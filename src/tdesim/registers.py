@@ -116,18 +116,12 @@ class Register:
             if d not in (2, 3):
                 raise ValueError(f"slot dimension must be 2 or 3, got {d}")
         if len(set(slots)) != len(slots):
-            seen = set()
-            for s in slots:
-                if s in seen:
-                    raise OverlappingSlotError(f"duplicate slot {s}")
-                seen.add(s)
+            dup = next(s for i, s in enumerate(slots) if s in slots[:i])
+            raise OverlappingSlotError(f"duplicate slot {dup}")
 
     @property
     def dim(self) -> int:
-        out = 1
-        for d in self.dims:
-            out *= d
-        return out
+        return math.prod(self.dims)
 
     @property
     def sites(self) -> tuple:
@@ -244,16 +238,15 @@ def _normalized(amps: np.ndarray, in_place: bool) -> np.ndarray:
         norm = math.sqrt(np.vdot(amps, amps).real)
     elif norm < ZERO_NORM:
         raise ValueError("state vector has zero norm")
-    amps = np.divide(amps, norm, out=out)
-    amps.flags.writeable = False
+    amps = np.divide(amps, norm, out)
+    amps.setflags(write=False)
     return amps
 
 
 def _pure_state(register: Register, amps: np.ndarray) -> PureState:
-    """A PureState that takes over amps, a flat complex array of
-    register.dim amplitudes that its caller gives up: it is normalized
-    in place, with PureState's checks, and frozen.  A read-only array,
-    such as a view of a shared operand, is copied first."""
+    """A PureState that takes over amps, a flat complex array its caller
+    gives up, normalized in place with PureState's checks; a read-only
+    array is copied first."""
     if amps.shape != (register.dim,):
         raise ValueError(
             f"expected {register.dim} amplitudes, got {amps.shape[0]}"
@@ -309,7 +302,12 @@ def check_densities(matrices: np.ndarray) -> np.ndarray:
     the whole stack first, and then have no eigenvalue below PSD_FLOOR.
     The first row that fails raises InvariantViolationError, naming its
     index when there is a stack.
+    A NaN or infinite entry is refused first, by the same error.
     """
+    finite = np.isfinite(matrices)
+    if not finite.all():
+        at = np.argwhere(~finite)[0].tolist()
+        raise InvariantViolationError(f"matrix has a non-finite entry at {at}")
     _check_hermitian_unit_trace(matrices)
     return _check_spectrum(matrices, np.linalg.eigvalsh(matrices))
 
@@ -324,18 +322,12 @@ _ROW_DOT_WIDTH = 512
 
 def gram_density(register: Register, factor) -> DensityOperator:
     """The density matrix F F^H of a (d, M) factor F on a register of
-    dimension d, validated once.
+    dimension d, validated once by check_densities' tests.
 
-    F F^H gets check_densities' hermiticity and trace tests unchanged.
-    A factor of few long rows (M >= _ROW_DOT_WIDTH * d**2, such as one
-    slot's (2, 32768) factor of a 16-slot state) is multiplied out one
-    entry at a time, as the conjugating dot product of two of its rows,
-    so no conjugate copy of F is made.  The spectrum comes from the
-    smaller of the two Gram matrices, F F^H or F^H F, which share their
-    nonzero eigenvalues: padded with zeros and sorted ascending, it must
-    have no eigenvalue below PSD_FLOOR and is kept as the operator's
-    ``eigenvalues``.  A density of dimension d held as M < d amplitude
-    columns so costs an M x M eigvalsh.
+    A factor of at least _ROW_DOT_WIDTH * d**2 columns is multiplied out
+    as row dot products, with no conjugate copy of F.  The spectrum, kept
+    as ``eigenvalues``, is that of the smaller of F F^H and F^H F, which
+    share their nonzero eigenvalues, padded with zeros.
     """
     f = np.asarray(factor, dtype=complex)
     d, m = f.shape
@@ -503,14 +495,9 @@ def to_density(state: State) -> DensityOperator:
     return _from_rows(state.register, _rows(state), pure=False)
 
 
-def qubit_state(site: str, cycle: int, amp0, amp1, dim: int = 2) -> PureState:
-    """Single-slot state amp0|0> + amp1|1>.  With dim=3 the vacuum
-    amplitude is zero and the logical pair sits on the upper levels."""
-    reg = Register((SlotId(site, cycle),), (dim,))
-    amps = np.zeros(dim, dtype=complex)
-    amps[dim - 2] = amp0
-    amps[dim - 1] = amp1
-    return PureState(reg, amps)
+def qubit_state(site: str, cycle: int, amp0, amp1) -> PureState:
+    """The qubit amp0|0> + amp1|1> on slot (site, cycle), normalized."""
+    return PureState(Register((SlotId(site, cycle),), (2,)), [amp0, amp1])
 
 
 def bell_phi_plus(site_a: str, site_b: str, cycle: int) -> PureState:

@@ -371,12 +371,9 @@ def run_fig1(state, tau: int = 1,
     site "1"), entangled with a fresh ancilla by a CNOT, and its site is
     dilated by tau cycles.  The expansion then spans four slots; reading
     out at the preparation cycle gives rho_d, and the closing CNOT plus
-    partial trace give the channel output on the ancilla.
-
-    The input runs through the compiled circuit as the rows _bind gives
-    it under `policy` (uncorrelated copies by default), and the report's
-    densities come from its read-out: one gather, one product and one
-    check for all of them.  A mixed input's four-slot state is a density.
+    partial trace give the channel output on the ancilla.  A mixed input
+    runs under `policy` (uncorrelated copies by default), and its
+    four-slot state is a density.
     """
     tau = _check_tau(tau)
     if isinstance(state, QubitDensity):
@@ -463,11 +460,8 @@ def run_reverse(state: PureState, tau: int = 1) -> ReverseReport:
     After the forward pass the ancilla site is dilated by the same tau,
     which realigns it with both copies of the input site; undoing the
     CNOTs at both cycles then frees the input state on the forward copy,
-    the input site at cycle 2 tau.  The whole history stays pure, so
-    recovery is exact.  The input's amplitudes run as they are, one row
-    of the compiled circuit and its reversal (_reversal), in one pass,
-    and the recovered state is the read-out's one density, checked with
-    one eigvalsh.
+    the input site at cycle 2 tau (see _reversal).  The whole history
+    stays pure, so recovery is exact.
     """
     if not isinstance(state, PureState):
         raise ValueError("reversal is defined for pure inputs")
@@ -484,7 +478,7 @@ def _box(reg: Register) -> _Circuit:
     """The displaced box compiled for a two-cycle input register.
 
     The input slots at the early and late cycle c0 < c1 become the
-    placeholder sites "c.early" and "c.late", prepared in reg's order
+    placeholder sites "c_early" and "c_late", prepared in reg's order
     (the dsl keeps one dimension per site, and the two slots may differ),
     so neither collides with the ancilla site "c".  Each cycle gets a
     fresh ancilla and a CNOT, the early site is dilated by the gap and a
@@ -493,7 +487,7 @@ def _box(reg: Register) -> _Circuit:
     """
     c0, c1 = sorted(s.cycle for s in reg.slots)
     a = _BOX_ANCILLA
-    early, late = a + ".early", a + ".late"
+    early, late = a + "_early", a + "_late"
     names = {c0: early, c1: late}
     inputs = tuple(_placeholder(names[s.cycle], s.cycle, d)
                    for s, d in zip(reg.slots, reg.dims))
@@ -678,12 +672,9 @@ def run_entropy_study(p_vac: float, grid: Sequence[float],
     S_out back below S_rho_d.  Points where S_out drops strictly below
     S_rho_d are collected in drop_points.
 
-    The branches' input, rho_d and rho_out are read off one pass of the
-    circuit and mixed unchecked; only the mixture is validated.  The
-    three densities differ in size (3 x 3, 6 x 6 and 2 x 2), so each has
-    its own read-out and its own unpadded stack: per block of grid
-    points, one gather and product, one mix and one check per density,
-    in report order, and one entropy pass.
+    Only the branch mixture is validated, one density at a time in
+    report order; each of the three (3 x 3, 6 x 6 and 2 x 2) has its own
+    unpadded read-out of one pass of the circuit.
     """
     p_vac = float(p_vac)
     if not 0.0 <= p_vac <= 1.0:

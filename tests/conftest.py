@@ -34,7 +34,6 @@ from tdesim.dsl import (
     GateOp,
     Output,
     Prepare,
-    _expansion_shift,
 )
 
 SEED = 20260818
@@ -336,11 +335,24 @@ class _DenseState:
                 [self.slots[p] for p in keep], [self.dims[p] for p in keep])
 
 
+def _oracle_shift(slots, participants, cycle):
+    """The smallest whole-state shift whose copy gives every participant
+    a slot at the cycle and lands on no slot the state holds, found by
+    trying each shift in turn; 0 if every participant has a slot there
+    already, None if no shift does."""
+    held = set(slots)
+    if all(SlotId(p, cycle) in held for p in participants):
+        return 0
+    for delta in range(1, cycle + 1):
+        copy = {SlotId(s.site, s.cycle + delta) for s in held}
+        if not copy & held and \
+                all(SlotId(p, cycle) in held | copy for p in participants):
+            return delta
+    return None
+
+
 def _oracle_ensure_cycle(state, participants, cycle, line):
-    site_cycles = {}
-    for s in state.slots:
-        site_cycles.setdefault(s.site, set()).add(s.cycle)
-    delta = _expansion_shift(site_cycles, participants, cycle)
+    delta = _oracle_shift(state.slots, participants, cycle)
     if delta is None:
         raise CircuitExecutionError(
             f"line {line}: no dilation aligns {participants} at cycle {cycle}"
@@ -359,7 +371,8 @@ def run_program_oracle(program):
     holds a state vector or a density matrix, a gate multiplies it by
     kron(lifted, eye) between slot permutations (dense_gate_oracle), a
     discard forms the reduced density matrix by einsum, and the expansion
-    shift is worked out again from the slots at each gate.  The output's
+    shift is searched for at each gate by _oracle_shift, which shares no
+    code with the compiler.  The output's
     probabilities are its diagonal and its entropy entropy_oracle's.
     Returns (ExecutionReport, final state) like run_program."""
     state = None

@@ -24,6 +24,7 @@ from tdesim import (
 from tdesim.analytics import von_neumann_entropy
 
 from conftest import (
+    einsum_partial_trace_oracle,
     entropy_oracle,
     random_density,
     trace_norm_oracle,
@@ -126,6 +127,24 @@ def test_subadditivity_margin_random(rng):
     reg = two_qubit_register()
     for _ in range(200):
         assert subadditivity_margin(random_density(rng, reg)) >= -1e-9
+
+
+def test_subadditivity_margin_takes_one_eigh(rng, monkeypatch):
+    # both marginals come from one set of spectral rows
+    reg = Register((SlotId("a", 0), SlotId("b", 0), SlotId("c", 0)),
+                   (2, 3, 2))
+    rho = random_density(rng, reg)
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda m: shapes.append(m.shape) or eigh(m))
+    margin = subadditivity_margin(rho)
+    assert shapes == [(12, 12)]
+    m, dims = rho.matrix, list(reg.dims)
+    ref = (entropy_oracle(einsum_partial_trace_oracle(m, dims, [0]))
+           + entropy_oracle(einsum_partial_trace_oracle(m, dims, [1, 2]))
+           - entropy_oracle(m))
+    assert abs(margin - ref) < 1e-10
 
 
 def test_subadditivity_margin_needs_two_slots():

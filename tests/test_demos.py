@@ -1,5 +1,5 @@
 """Each demo script, and the README's library tour, runs to completion as
-a fresh process and prints."""
+a fresh process, with RuntimeWarning an error, and prints."""
 
 import os
 import subprocess
@@ -20,7 +20,8 @@ def _run(args):
     path = os.pathsep.join(
         p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable] + args, cwd=ROOT,
-                          env=dict(os.environ, PYTHONPATH=path),
+                          env=dict(os.environ, PYTHONPATH=path,
+                                   PYTHONWARNINGS="error::RuntimeWarning"),
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     return proc.stdout

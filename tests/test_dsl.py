@@ -423,6 +423,21 @@ output b @0
 """
 
 
+# b lacks a slot at cycle 4, and shifts of 2, 3 and 4 would each give
+# it one from its slots at cycles 2, 1 and 0; a shift of 2 lands on b@2,
+# so the expansion is the smallest shift left, 3
+SHIFT_PROGRAM = """\
+prepare a @0 0.6|0>+0.8|1>
+prepare b @0 |0>
+prepare b @1 (0.5+0.5j)|0>-0.5|1>
+prepare b @2 |1>
+cnot a b @0
+dilate a +4
+cnot a b @4
+output b @4
+"""
+
+
 def _assert_same_run(program):
     rep, final = run_program(program)
     ref, ref_final = run_program_oracle(program)
@@ -449,6 +464,7 @@ def _assert_same_run(program):
 @settings(deadline=None, max_examples=60)
 @given(_programs())
 @example(parse_circuit(FOLD_PROGRAM))
+@example(parse_circuit(SHIFT_PROGRAM))
 def test_run_program_agrees_with_the_gate_by_gate_oracle(program):
     _assert_same_run(program)
 
@@ -519,6 +535,17 @@ def test_huge_amplitudes_are_normalized_without_overflow():
         assert abs(np.linalg.norm(final.amplitudes) - 1.0) <= 1e-12
         ratio = 2.0 if "j" in state else 1.0
         assert abs(rep.probabilities["0"] - ratio / (ratio + 1.0)) <= 1e-12
+
+
+def test_prepared_vectors_hold_qubit_states_bits(rng):
+    # a prepared state is normalized by PureState's own rule
+    for _ in range(200):
+        scale = 10.0 ** rng.integers(-5, 300)
+        a0, a1 = map(complex, rng.standard_normal(4).view(complex) * scale)
+        program = parse_circuit(f"prepare a @0 {a0!r}|0>+{a1!r}|1>\n"
+                                "output a @0\n")
+        np.testing.assert_array_equal(program.plan.steps[0].operand,
+                                      qubit_state("a", 0, a0, a1).amplitudes)
 
 
 def test_output_step_validates_the_reduced_state_once(monkeypatch):
@@ -754,7 +781,7 @@ MALFORMED_CORPUS = [
     ("prepare a @0 0|0>\noutput a @0\n", "zero norm"),
     # an L2 norm below ZERO_NORM, as qubit_state refuses it
     ("prepare a @0 7e-13|0>+7e-13|1>\noutput a @0\n",
-     "line 1: state has zero norm"),
+     "line 1: state vector has zero norm"),
     ("prepare a @0 |2>\noutput a @0\n", "bad state term"),
     ("prepare a @x |0>\noutput a @0\n", "cycle"),
     ("prepare a @-1 |0>\noutput a @0\n", "cycle"),

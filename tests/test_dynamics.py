@@ -127,7 +127,7 @@ def test_vacuum_transparency():
     flipped = apply_gate(psi, pauli_x(), [("1", 0)])
     np.testing.assert_allclose(flipped.amplitudes, psi.amplitudes)
 
-    lifted = apply_gate(qubit_state("1", 0, 0.6, 0.8, dim=3), pauli_x(),
+    lifted = apply_gate(PureState(psi.register, [0.0, 0.6, 0.8]), pauli_x(),
                         [("1", 0)])
     np.testing.assert_allclose(lifted.amplitudes, [0.0, 0.8, 0.6],
                                atol=1e-15)

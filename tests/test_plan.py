@@ -27,7 +27,9 @@ from tdesim import (
 from tdesim import dsl
 from tdesim.scenarios import (
     _MIXED_COLUMNS,
+    _box,
     _fig1_circuit,
+    _reversal,
     _readout,
     grid_reports,
     reverse_reports,
@@ -269,3 +271,18 @@ def test_box_matches_object_path(seed, dims, c0, gap, late_first, pure,
     want = displaced_box_oracle(state)
     np.testing.assert_allclose(got.matrix, want.matrix, atol=TOL)
     assert got.register == want.register
+
+
+def test_scenario_plans_use_sites_the_language_accepts():
+    # every slot a scenario circuit holds could be written in a program
+    plans = [compile_circuit(dim, tau, site).plan
+             for compile_circuit in (_fig1_circuit, _reversal)
+             for dim in (2, 3) for tau in (1, 2, 3)
+             for site in ("1", "2", "q")]
+    plans += [_box(Register((SlotId("x", c0), SlotId("x", c1)), dims)).plan
+              for dims in ((2, 2), (2, 3), (3, 2), (3, 3))
+              for c0, c1 in ((0, 1), (3, 1))]
+    for plan in plans:
+        for step in plan.steps:
+            for site, _ in step.slots:
+                assert dsl._SITE_RE.match(site), site

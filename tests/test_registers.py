@@ -33,6 +33,7 @@ from tdesim.registers import (
     ATOL,
     _check_hermitian_unit_trace,
     _reject,
+    check_densities,
     gram_density,
     level_index,
     on_register,
@@ -106,7 +107,8 @@ def test_huge_amplitudes_normalize_without_overflow():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         psi = qubit_state("a", 0, 1e308, 1e308)
-        big = qubit_state("a", 0, 1.7e308j, -1.7e308, dim=3)
+        big = PureState(Register((SlotId("a", 0),), (3,)),
+                        [0.0, 1.7e308j, -1.7e308])
     h = 2**-0.5
     np.testing.assert_allclose(psi.amplitudes, [h, h], rtol=0, atol=1e-15)
     np.testing.assert_allclose(big.amplitudes, [0, 1j * h, -h],
@@ -132,6 +134,22 @@ def test_density_operator_validation():
         DensityOperator(reg, [[0.9, 0.0], [0.0, 0.3]])  # trace 1.2
     with pytest.raises(InvariantViolationError):
         DensityOperator(reg, [[1.2, 0.0], [0.0, -0.2]])  # negative weight
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_non_finite_density_entries_are_refused_by_name(bad):
+    # refused before the hermiticity check, whose inf - inf would warn
+    # and whose NaN deviation would name the wrong fault
+    reg = Register((SlotId("a", 0),), (2,))
+    stack = np.broadcast_to(np.eye(2) / 2, (2, 2, 2)).astype(complex)
+    stack[1, 0, 1] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvariantViolationError, match="non-finite"):
+            DensityOperator(reg, [[1.0, bad], [bad, 0.0]])
+        with pytest.raises(InvariantViolationError,
+                           match=r"non-finite entry at \[1, 0, 1\]"):
+            check_densities(stack)
 
 
 @pytest.mark.parametrize("columns", [1, 3, 8, 20])
@@ -181,11 +199,6 @@ def test_basis_order_puts_first_slot_most_significant():
     for index, label in enumerate(("00", "01", "10", "11")):
         psi = PureState(reg, np.arange(4) == index)
         assert joint_outcome_distribution(psi, reg.slots)[label] == 1.0
-
-
-def test_qubit_state_dim3_places_logical_block_on_top():
-    psi = qubit_state("a", 0, 0.6, 0.8, dim=3)
-    np.testing.assert_allclose(psi.amplitudes, [0.0, 0.6, 0.8])
 
 
 def test_bell_state_amplitudes():
