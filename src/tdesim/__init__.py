@@ -20,7 +20,6 @@ from .errors import (
 )
 from .registers import (
     MAX_STATE_BYTES,
-    BasisLevel,
     DensityOperator,
     PureState,
     Register,
@@ -28,29 +27,14 @@ from .registers import (
     bell_phi_plus,
     density_to_json,
     maximally_mixed,
-    partial_trace,
-    permute_slots,
     qubit_state,
-    relabel_cycles,
-    tensor,
     to_density,
 )
 from .dynamics import (
     CorrelationMode,
-    Gate,
-    MeasurementOutcome,
-    apply_gate,
-    cnot,
     displaced_expansion,
-    ensemble_density,
-    free_expansion,
-    hadamard,
     joint_outcome_distribution,
     measure_at_cycle,
-    pauli_x,
-    phase_gate,
-    project,
-    spectral_ensemble,
 )
 from .channel import (
     QubitDensity,

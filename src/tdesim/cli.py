@@ -24,14 +24,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, fields
-from typing import Optional
 
 import numpy as np
 
 from .errors import SimulationError
 from .registers import density_to_json, maximally_mixed, qubit_state
-from .dynamics import _check_tau, joint_outcome_distribution
+from .dynamics import joint_outcome_distribution
 from .analytics import (
     _check_tolerance,
     amplification_points,
@@ -49,42 +47,11 @@ from .scenarios import (
     run_proper_vs_improper,
     run_sweep,
 )
-from .dsl import CircuitProgram, parse_circuit, run_program
+from .dsl import parse_circuit, run_program
 
 # Largest --steps accepted, checked before the grid is built.  At the
 # bound `fig2` runs for about 10 s in 0.5 GB (one 2-vCPU x86 core).
 MAX_GRID_STEPS = 10**6
-
-
-@dataclass
-class RunConfig:
-    """Validated knobs shared by the subcommands.  Its defaults are the
-    command line's, which passes only the flags given; a command that
-    takes --basis reads None as its own default."""
-
-    steps: int = 101
-    beta_sq: Optional[float] = None
-    p_vac: float = 0.5
-    tau: int = 1
-    basis: Optional[str] = None
-    out: Optional[str] = None
-    format: str = "json"
-    tolerance: float = 1e-12
-
-    def __post_init__(self):
-        if not 2 <= self.steps <= MAX_GRID_STEPS:
-            raise ValueError(
-                f"grid steps must be between 2 and {MAX_GRID_STEPS}, "
-                f"got {self.steps}"
-            )
-        self.tau = _check_tau(self.tau)
-        self.tolerance = _check_tolerance(self.tolerance)
-        if not 0.0 <= self.p_vac <= 1.0:
-            raise ValueError(f"--pvac out of range: {self.p_vac}")
-        if self.beta_sq is not None and not 0.0 <= self.beta_sq <= 1.0:
-            raise ValueError(f"beta^2 out of range: {self.beta_sq}")
-        if self.format not in ("json", "csv"):
-            raise ValueError(f"unknown format {self.format!r}")
 
 
 def _num(v) -> str:
@@ -106,26 +73,16 @@ def _dumps(obj) -> str:
     return json.dumps(obj) + "\n"
 
 
-def _grid(config: RunConfig):
-    if config.beta_sq is not None:
-        return [float(config.beta_sq)]
-    return [float(b) for b in np.linspace(0.0, 1.0, config.steps)]
+def _grid(args) -> list:
+    if args.beta_sq is not None:
+        return [args.beta_sq]
+    return np.linspace(0.0, 1.0, args.steps).tolist()
 
 
-def execute(program: CircuitProgram, config: Optional[RunConfig] = None) -> str:
-    """Run a parsed program and render its report per the config format."""
-    config = config or RunConfig()
-    report, _ = run_program(program)
-    if config.format == "csv":
-        rows = sorted(report.probabilities.items())
-        return _csv("outcome,probability", rows)
-    return _dumps(report.to_json_dict())
-
-
-def _cmd_fig2(args, config: RunConfig):
-    points = fig2_curves(_grid(config), tau=config.tau,
-                         tolerance=config.tolerance)
-    if config.format == "csv":
+def _cmd_fig2(args):
+    points = fig2_curves(_grid(args), tau=args.tau,
+                         tolerance=args.tolerance)
+    if args.format == "csv":
         rows = [
             (p.beta_sq, p.values["D_in_paper"], p.values["D_in_tracenorm"],
              p.values["D_out"])
@@ -133,7 +90,7 @@ def _cmd_fig2(args, config: RunConfig):
         ]
         return _csv("beta2,D_in_paper,D_in_tracenorm,D_out", rows), 0
     body = {
-        "tau": config.tau,
+        "tau": args.tau,
         "points": [{"beta_sq": p.beta_sq, **p.values} for p in points],
         "amplified_paper": amplification_points(points, "D_in_paper"),
         "amplified_tracenorm": amplification_points(points, "D_in_tracenorm"),
@@ -141,9 +98,9 @@ def _cmd_fig2(args, config: RunConfig):
     return _dumps(body), 0
 
 
-def _cmd_fig3(args, config: RunConfig):
-    report = run_entropy_study(config.p_vac, _grid(config), tau=config.tau)
-    if config.format == "csv":
+def _cmd_fig3(args):
+    report = run_entropy_study(args.p_vac, _grid(args), tau=args.tau)
+    if args.format == "csv":
         rows = [
             (p.beta_sq, p.values["S_in"], p.values["S_rho_d"],
              p.values["S_out"])
@@ -160,25 +117,28 @@ def _cmd_fig3(args, config: RunConfig):
     return _dumps(body), 0
 
 
-def _cmd_circuit(args, config: RunConfig):
+def _cmd_circuit(args):
     if args.path == "-":
         text = sys.stdin.read()
     else:
         with open(args.path) as fh:
             text = fh.read()
-    program = parse_circuit(text)
-    return execute(program, config), 0
+    report, _ = run_program(parse_circuit(text))
+    if args.format == "csv":
+        rows = sorted(report.probabilities.items())
+        return _csv("outcome,probability", rows), 0
+    return _dumps(report.to_json_dict()), 0
 
 
-def _cmd_nosignal(args, config: RunConfig):
-    bases = ["computational", "diagonal"] if config.basis in (None, "both") \
-        else [config.basis]
-    reports = [run_no_signaling(b, tau=config.tau) for b in bases]
+def _cmd_nosignal(args):
+    bases = ["computational", "diagonal"] if args.basis == "both" \
+        else [args.basis]
+    reports = [run_no_signaling(b, tau=args.tau) for b in bases]
     worst = max(
         max(r.max_deviation, r.substitution_deviation) for r in reports
     )
-    code = 0 if worst <= config.tolerance else 1
-    if config.format == "csv":
+    code = 0 if worst <= args.tolerance else 1
+    if args.format == "csv":
         rows = []
         for r in reports:
             for label, prob, out in r.outcomes:
@@ -194,15 +154,15 @@ def _cmd_nosignal(args, config: RunConfig):
     return _dumps(body), code
 
 
-def _cmd_decohere(args, config: RunConfig):
-    rho = displaced_bell_channel(config.tau)
+def _cmd_decohere(args):
+    rho = displaced_bell_channel(args.tau)
     joint = joint_outcome_distribution(rho, rho.register.slots)
     deviation = trace_norm_distance(rho, maximally_mixed(rho.register))
-    code = 0 if deviation <= config.tolerance else 1
-    if config.format == "csv":
+    code = 0 if deviation <= args.tolerance else 1
+    if args.format == "csv":
         return _csv("outcome,probability", sorted(joint.items())), code
     body = {
-        "tau": config.tau,
+        "tau": args.tau,
         "rho": density_to_json(rho),
         "joint": joint,
         "deviation": deviation,
@@ -210,17 +170,17 @@ def _cmd_decohere(args, config: RunConfig):
     return _dumps(body), code
 
 
-def _cmd_reverse(args, config: RunConfig):
-    grid = _grid(config)
-    reports = grid_reports(grid, config.tau, reverse_reports)
+def _cmd_reverse(args):
+    grid = _grid(args)
+    reports = grid_reports(grid, args.tau, reverse_reports)
     points = [(b2, rep.fidelity, purity(rep.recovered))
               for b2, rep in zip(grid, reports)]
     worst = max(abs(f - 1.0) for _, f, _ in points)
-    code = 0 if worst <= config.tolerance else 1
-    if config.format == "csv":
+    code = 0 if worst <= args.tolerance else 1
+    if args.format == "csv":
         return _csv("beta2,fidelity,purity", points), code
     body = {
-        "tau": config.tau,
+        "tau": args.tau,
         "points": [
             {"beta_sq": b, "fidelity": f, "purity": p}
             for b, f, p in points
@@ -230,18 +190,16 @@ def _cmd_reverse(args, config: RunConfig):
     return _dumps(body), code
 
 
-def _cmd_propriety(args, config: RunConfig):
-    basis = config.basis or "computational"
-    if basis not in _BASES:
-        raise ValueError(f"basis must be one of {sorted(_BASES)}")
+def _cmd_propriety(args):
     # an equal mixture of the basis states, a proper ensemble
-    ensemble = [(0.5, qubit_state("1", 0, *vec)) for _, vec in _BASES[basis]]
-    rep = run_proper_vs_improper(ensemble, tau=config.tau)
-    if config.format == "csv":
+    ensemble = [(0.5, qubit_state("1", 0, *vec))
+                for _, vec in _BASES[args.basis]]
+    rep = run_proper_vs_improper(ensemble, tau=args.tau)
+    if args.format == "csv":
         return _csv("basis,trace_distance",
-                    [(basis, rep.trace_distance)]), 0
+                    [(args.basis, rep.trace_distance)]), 0
     body = {
-        "basis": basis,
+        "basis": args.basis,
         "tau": rep.tau,
         "trace_distance": rep.trace_distance,
         "proper": density_to_json(rep.proper_output),
@@ -250,10 +208,10 @@ def _cmd_propriety(args, config: RunConfig):
     return _dumps(body), 0
 
 
-def _cmd_sweep(args, config: RunConfig):
-    grid = _grid(config)
-    reports = list(zip(grid, run_sweep(grid, tau=config.tau)))
-    if config.format == "csv":
+def _cmd_sweep(args):
+    grid = _grid(args)
+    reports = list(zip(grid, run_sweep(grid, tau=args.tau)))
+    if args.format == "csv":
         rows = [
             (b2, rep.rho_out.matrix[0, 0].real, rep.rho_out.matrix[1, 1].real,
              rep.entropies["input"], rep.entropies["rho_s"],
@@ -262,7 +220,7 @@ def _cmd_sweep(args, config: RunConfig):
         ]
         return _csv("beta2,out0,out1,S_in,S_rho_s,S_rho_d,S_out", rows), 0
     body = {
-        "tau": config.tau,
+        "tau": args.tau,
         "points": [
             {"beta_sq": b2, "report": rep.to_json_dict()}
             for b2, rep in reports
@@ -278,7 +236,7 @@ def _add_output_flags(sp):
 
 
 def _add_grid_flags(sp):
-    sp.add_argument("--steps", type=int,
+    sp.add_argument("--steps", type=int, default=101,
                     help="grid points across beta^2 in [0, 1]")
     sp.add_argument("--beta-sq", type=float, dest="beta_sq",
                     help="single input with this beta^2")
@@ -293,16 +251,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def add(name, handler, help_text, tau=True, tolerance=False):
         # --tau only where a circuit is built from it, --tolerance only on
-        # the commands whose exit code checks it; a flag left out stays off
-        # args, so RunConfig's default applies
-        sp = sub.add_parser(name, help=help_text,
-                            argument_default=argparse.SUPPRESS)
+        # the commands whose exit code checks it
+        sp = sub.add_parser(name, help=help_text)
         sp.set_defaults(handler=handler)
         if tau:
-            sp.add_argument("--tau", type=int,
+            sp.add_argument("--tau", type=int, default=1,
                             help="dilation in whole cycles")
         if tolerance:
-            sp.add_argument("--tolerance", type=float,
+            sp.add_argument("--tolerance", type=float, default=1e-12,
                             help="largest deviation the check accepts")
         _add_output_flags(sp)
         return sp
@@ -314,6 +270,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = add("fig3", _cmd_fig3, "entropy sweep with vacuum admixture")
     _add_grid_flags(sp)
     sp.add_argument("--pvac", type=float, dest="p_vac", metavar="PVAC",
+                    default=0.5,
                     help="vacuum weight of the input ensemble")
 
     sp = add("circuit", _cmd_circuit, "run a circuit program file", tau=False)
@@ -321,7 +278,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("nosignal", _cmd_nosignal, "remote measurement invariance",
              tolerance=True)
-    sp.add_argument("--basis", choices=("computational", "diagonal", "both"))
+    sp.add_argument("--basis", choices=("computational", "diagonal", "both"),
+                    default="both")
 
     add("decohere", _cmd_decohere, "dilated pair readout at one cycle",
         tolerance=True)
@@ -332,7 +290,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = add("propriety", _cmd_propriety,
              "ensemble-resolved vs averaged output")
-    sp.add_argument("--basis", choices=("computational", "diagonal"))
+    sp.add_argument("--basis", choices=("computational", "diagonal"),
+                    default="computational")
 
     sp = add("sweep", _cmd_sweep, "full circuit reports over an input grid")
     _add_grid_flags(sp)
@@ -340,26 +299,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
-    given = {f.name: getattr(args, f.name) for f in fields(RunConfig)
-             if hasattr(args, f.name)}
-    if "format" not in given:
-        out = given.get("out")
-        given["format"] = "csv" if out and out.endswith(".csv") else "json"
-    return RunConfig(**given)
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    if args.format is None:
+        args.format = "csv" if (args.out or "").endswith(".csv") else "json"
     try:
-        config = _config_from_args(args)
-        text, code = args.handler(args, config)
-        if config.out:
-            with open(config.out, "w") as fh:
+        # checked before the grid is built, and before a command runs
+        # whose exit code compares against the tolerance
+        if not 2 <= getattr(args, "steps", 2) <= MAX_GRID_STEPS:
+            raise ValueError(
+                f"grid steps must be between 2 and {MAX_GRID_STEPS}, "
+                f"got {args.steps}"
+            )
+        if hasattr(args, "tolerance"):
+            _check_tolerance(args.tolerance)
+        text, code = args.handler(args)
+        if args.out:
+            with open(args.out, "w") as fh:
                 fh.write(text)
     except (SimulationError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if not config.out:
+    if not args.out:
         sys.stdout.write(text)
     return code

@@ -162,6 +162,18 @@ def _parse_cycle(token: str, line: int) -> int:
     return int(digits)
 
 
+def _parse_dilation(token: str, line: int) -> int:
+    if not token.startswith("+"):
+        _fail(line, f"dilation must be written +<n>, got {token!r}")
+    digits = token[1:]
+    if not (digits.isascii() and digits.isdigit()):
+        _fail(line, f"bad dilation {token!r}")
+    delta = int(digits)
+    if delta < 1:
+        _fail(line, f"dilation must be at least 1, got {delta}")
+    return delta
+
+
 def _parse_coef(text: str, line: int) -> complex:
     if text in ("", "+"):
         return 1.0 + 0j
@@ -273,8 +285,6 @@ def parse_circuit(text: str) -> CircuitProgram:
                 _fail(ln, "usage: cnot <control> <target> @<cycle>")
             control = _parse_site(args[0], ln)
             target = _parse_site(args[1], ln)
-            if control == target:
-                _fail(ln, "control and target must differ")
             directives.append(
                 Cnot(control, target, _parse_cycle(args[2], ln), line=ln)
             )
@@ -290,15 +300,8 @@ def parse_circuit(text: str) -> CircuitProgram:
             if len(args) != 2:
                 _fail(ln, "usage: dilate <site> +<n>")
             site = _parse_site(args[0], ln)
-            if not args[1].startswith("+"):
-                _fail(ln, f"dilation must be written +<n>, got {args[1]!r}")
-            digits = args[1][1:]
-            if not (digits.isascii() and digits.isdigit()):
-                _fail(ln, f"bad dilation {args[1]!r}")
-            delta = int(digits)
-            if delta < 1:
-                _fail(ln, f"dilation must be at least 1, got {delta}")
-            directives.append(Dilate(site, delta, line=ln))
+            directives.append(Dilate(site, _parse_dilation(args[1], ln),
+                                     line=ln))
         elif head == "discard":
             if len(args) != 1:
                 _fail(ln, "usage: discard <site>")
@@ -507,7 +510,18 @@ def _static_check(directives) -> CircuitPlan:
     for i, d in enumerate(directives):
         if isinstance(d, Output) and i != len(directives) - 1:
             _fail(d.line, "output must be the final directive")
+        # a hand-built directive list meets the parser's rules, so that
+        # format_circuit's text reads back: a cycle or dilation that is
+        # not a plain int goes through the parser's own check, and a site
+        # name is checked where it is prepared, since every other
+        # directive needs a prepared site
+        cycle = getattr(d, "cycle", 0)
+        if type(cycle) is not int or cycle < 0:
+            _parse_cycle(f"@{cycle}", d.line)
         if isinstance(d, Prepare):
+            _parse_site(f"{d.site}", d.line)
+            if d.kind not in ("vac", "qubit"):
+                _fail(d.line, f"unknown state kind {d.kind!r}")
             if (d.site, d.cycle) in pos:
                 _fail(d.line, f"slot {d.site}@{d.cycle} already prepared")
             dim = 3 if d.kind == "vac" else 2
@@ -521,20 +535,24 @@ def _static_check(directives) -> CircuitPlan:
             step("prepare", d.line,
                  _state_vector(d.kind, d.amp0, d.amp1, d.line))
         elif isinstance(d, Cnot):
-            live(d.control, d.line)
-            live(d.target, d.line)
             if d.control == d.target:
                 _fail(d.line, "control and target must differ")
+            live(d.control, d.line)
+            live(d.target, d.line)
             align([d.control, d.target], d.cycle, d.line)
             gate("cnot", None,
                  (pos[d.control, d.cycle], pos[d.target, d.cycle]),
                  (dims[d.control], dims[d.target]), d.line)
         elif isinstance(d, GateOp):
+            arg = "" if d.theta is None else f"({d.theta})"
+            name, theta = _parse_gate_name(f"{d.name}{arg}", d.line)
             live(d.site, d.line)
             align([d.site], d.cycle, d.line)
-            gate(d.name, d.theta, (pos[d.site, d.cycle],), (dims[d.site],),
+            gate(name, theta, (pos[d.site, d.cycle],), (dims[d.site],),
                  d.line)
         elif isinstance(d, Dilate):
+            if type(d.delta) is not int or d.delta < 1:
+                _parse_dilation(f"+{d.delta}", d.line)
             live(d.site, d.line)
             pos = {(s, c + d.delta if s == d.site else c): p
                    for (s, c), p in pos.items()}
@@ -558,6 +576,8 @@ def _static_check(directives) -> CircuitPlan:
                       f"site {d.site!r} has no slot at cycle {d.cycle}")
             close()
             step("output", d.line, axes=(pos[d.site, d.cycle],))
+        else:
+            _fail(getattr(d, "line", 0), f"unknown directive {d!r}")
     if not isinstance(directives[-1], Output):
         _fail(directives[-1].line, "missing output directive")
     out = directives[-1]

@@ -17,7 +17,6 @@ from tdesim import (
     purity,
     qubit_state,
     subadditivity_margin,
-    tensor,
     to_density,
     trace_norm_distance,
 )
@@ -114,7 +113,9 @@ def test_purity():
 def test_subadditivity_margin_product_state(rng):
     ra = Register((SlotId("a", 0),), (2,))
     rb = Register((SlotId("b", 0),), (2,))
-    rho = tensor(random_density(rng, ra), random_density(rng, rb))
+    a, b = random_density(rng, ra), random_density(rng, rb)
+    rho = DensityOperator(Register(ra.slots + rb.slots, (2, 2)),
+                          np.kron(a.matrix, b.matrix))
     assert abs(subadditivity_margin(rho)) < 1e-9
 
 

@@ -1,10 +1,11 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
-from tdesim import fig2_curves, parse_circuit
-from tdesim.cli import MAX_GRID_STEPS, RunConfig, execute, main
+from tdesim import fig2_curves
+from tdesim.cli import MAX_GRID_STEPS, main
 
 FIG1_PROGRAM = """\
 prepare q1 @0 0.5|0>+0.8660254037844386|1>
@@ -217,34 +218,48 @@ def test_outputs_are_deterministic(capsys):
     assert first == second
 
 
-def test_execute_api_matches_cli_rendering():
-    program = parse_circuit(FIG1_PROGRAM)
-    text = execute(program, RunConfig(format="csv"))
-    assert text.startswith("outcome,probability\n")
-    assert execute(program, RunConfig(format="csv")) == text
+def test_circuit_reads_stdin_like_a_file(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "prog.txt"
+    path.write_text(FIG1_PROGRAM)
+    for fmt in ("csv", "json"):
+        from_file = _run(capsys, "circuit", str(path), "--format", fmt)
+        monkeypatch.setattr("sys.stdin", io.StringIO(FIG1_PROGRAM))
+        assert _run(capsys, "circuit", "-", "--format", fmt) == from_file
+        assert from_file[0] == 0
 
 
-def test_run_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(steps=1)
-    with pytest.raises(ValueError):
-        RunConfig(format="xml")
-    with pytest.raises(ValueError):
-        RunConfig(beta_sq=1.5)
-    for tau in (0, 1.5):
-        with pytest.raises(ValueError, match="dilation must be"):
-            RunConfig(tau=tau)
+def test_invalid_flag_values_exit_one(capsys):
+    # each value reaches the check that owns it: the grid bound in the
+    # command line, the rest in the library
+    for argv, message in [
+        (("fig2", "--steps", "1"), "grid steps must be between 2 and "),
+        (("sweep", "--beta-sq", "1.5"), "beta^2 out of range: 1.5"),
+        (("reverse", "--tau", "0"), "dilation must be at least one cycle"),
+        (("fig3", "--pvac", "1.5"), "vacuum weight out of range: 1.5"),
+    ]:
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: " + message)
+        assert err.count("\n") == 1
+    for argv in (("fig2", "--format", "xml"), ("decohere", "--tau", "1.5")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
 
 def test_grid_steps_are_bounded(capsys):
-    with pytest.raises(ValueError, match="between 2 and"):
-        RunConfig(steps=MAX_GRID_STEPS + 1)
-    assert RunConfig(steps=MAX_GRID_STEPS).steps == MAX_GRID_STEPS
-    code, out, err = _run(capsys, "fig2", "--steps", str(10**12))
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: grid steps must be between 2 and ")
-    assert err.count("\n") == 1
+    for steps in (MAX_GRID_STEPS + 1, 10**12):
+        code, out, err = _run(capsys, "fig2", "--steps", str(steps))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: grid steps must be between 2 and ")
+        assert err.count("\n") == 1
+    # the bound itself passes; --beta-sq keeps the grid to one point
+    code, out, _ = _run(capsys, "fig2", "--steps", str(MAX_GRID_STEPS),
+                        "--beta-sq", "0.5")
+    assert code == 0
+    assert len(json.loads(out)["points"]) == 1
 
 
 def test_unwritable_out_path_is_reported(capsys, tmp_path):
@@ -259,16 +274,15 @@ def test_unwritable_out_path_is_reported(capsys, tmp_path):
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1e-12"])
 def test_tolerance_must_be_finite_and_positive(capsys, value):
-    # RunConfig and fig2_curves share one check; a NaN tolerance used to
-    # skip fig2_curves' cross-check and a negative one fail it
-    with pytest.raises(ValueError, match="finite and positive"):
-        RunConfig(tolerance=float(value))
+    # the command line and fig2_curves share one check; a NaN tolerance
+    # used to skip fig2_curves' cross-check and a negative one fail it
     with pytest.raises(ValueError, match="finite and positive"):
         fig2_curves([0.5], tolerance=float(value))
-    code, out, err = _run(capsys, "decohere", f"--tolerance={value}")
-    assert code == 1
-    assert out == ""
-    assert err.startswith("error: tolerance must be finite and positive")
+    for command in ("fig2", "nosignal", "decohere", "reverse"):
+        code, out, err = _run(capsys, command, f"--tolerance={value}")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: tolerance must be finite and positive")
 
 
 @pytest.mark.parametrize("argv", [

@@ -865,6 +865,38 @@ def test_hand_built_cnot_on_one_site_is_a_typed_error():
         run_program(program)
 
 
+_QUBIT = Prepare("a", 0, "qubit", 1.0, 0.0, line=1)
+
+
+@pytest.mark.parametrize("directives, message", [
+    ((Prepare("a", 0, "qutrit", 1.0, 0.0, line=1), Output("a", 0, line=2)),
+     "line 1: unknown state kind 'qutrit'"),
+    ((_QUBIT, GateOp("zz", "a", 0, line=2), Output("a", 0, line=3)),
+     "line 2: unknown gate 'zz'"),
+    ((_QUBIT, GateOp("phase", "a", 0, line=2), Output("a", 0, line=3)),
+     "line 2: phase gate needs an angle"),
+    ((_QUBIT, GateOp("phase", "a", 0, float("nan"), line=2),
+      Output("a", 0, line=3)),
+     "line 2: phase angle 'nan' is not finite"),
+    ((Prepare("a", -3, "qubit", 1.0, 0.0, line=1), Output("a", -3, line=2)),
+     "line 1: bad cycle '@-3'"),
+    ((Prepare("a b", 0, "qubit", 1.0, 0.0, line=1),
+      Output("a b", 0, line=2)),
+     "line 1: bad site name 'a b'"),
+    ((_QUBIT, Dilate("a", -2, line=2), Output("a", -2, line=3)),
+     "line 2: bad dilation '\\+-2'"),
+    ((_QUBIT, "gate x a @0", Output("a", 0, line=3)),
+     "line 0: unknown directive 'gate x a @0'"),
+], ids=["state-kind", "gate-name", "phase-without-angle", "phase-nan",
+        "negative-cycle", "site-name", "negative-dilation", "not-a-directive"])
+def test_hand_built_directives_get_the_parsers_rules(directives, message):
+    # each would otherwise compile as something else, crash untyped, run
+    # with an element ignored, or run and format to text that
+    # parse_circuit refuses
+    with pytest.raises(CircuitExecutionError, match=message):
+        run_program(CircuitProgram(directives))
+
+
 def test_report_json_schema():
     rep, _ = run_program(parse_circuit(FIG1_PROGRAM))
     body = rep.to_json_dict()

@@ -9,33 +9,34 @@ from tdesim import (
     CorrelationMode,
     CycleMisalignmentError,
     DensityOperator,
-    Gate,
     PureState,
     Register,
     RegisterSizeError,
     SlotId,
     UnknownSlotError,
     ZeroProbabilityError,
-    apply_gate,
     bell_phi_plus,
-    cnot,
     displaced_expansion,
-    ensemble_density,
-    free_expansion,
-    hadamard,
     joint_outcome_distribution,
     maximally_mixed,
     measure_at_cycle,
-    partial_trace,
-    pauli_x,
-    phase_gate,
-    project,
     qubit_state,
-    spectral_ensemble,
-    tensor,
     to_density,
 )
 from tdesim import dynamics, scenarios
+from tdesim.dynamics import (
+    Gate,
+    apply_gate,
+    cnot,
+    ensemble_density,
+    free_expansion,
+    hadamard,
+    pauli_x,
+    phase_gate,
+    project,
+    spectral_ensemble,
+)
+from tdesim.registers import partial_trace, tensor
 
 from conftest import (
     expansion_oracle,

@@ -81,8 +81,6 @@ CALLERS = sorted(
 
 _RAISED = "raised to callers"
 _TYPE = "the argument or return type of a function a caller uses"
-_OBJECT_PATH = ("the object path, spanned by benchmarks/tracer.py; it goes "
-                "once the tracer no longer needs it")
 REASONS = {
     **dict.fromkeys(("CircuitExecutionError", "CycleMisalignmentError",
                      "InvariantViolationError", "OverlappingSlotError",
@@ -90,17 +88,14 @@ REASONS = {
                      "ZeroProbabilityError"), _RAISED),
     **dict.fromkeys(("PureState", "CurvePoint", "CircuitReport",
                      "EntropyStudyReport", "NoSignalReport",
-                     "ProprietyReport", "ReverseReport", "ExecutionReport"),
+                     "ProprietyReport", "ReverseReport", "ExecutionReport",
+                     "CircuitProgram"),
                     _TYPE),
     "MAX_STATE_BYTES": "the stated size limit",
     "dilation_from_round_trip": "the abstract's round trip, kept by the "
                                 "ROADMAP",
-    **dict.fromkeys(("tensor", "permute_slots", "relabel_cycles",
-                     "partial_trace", "apply_gate", "free_expansion",
-                     "project", "ensemble_density", "spectral_ensemble",
-                     "run_displaced_backend", "Gate", "cnot", "hadamard",
-                     "pauli_x", "phase_gate", "MeasurementOutcome",
-                     "BasisLevel"), _OBJECT_PATH),
+    "run_displaced_backend": "the displaced box of the causal argument, "
+                             "which the README documents",
 }
 
 

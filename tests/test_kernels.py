@@ -16,22 +16,22 @@ from hypothesis import strategies as st
 
 from tdesim import (
     DensityOperator,
-    Gate,
     PureState,
     Register,
     SlotId,
+    qubit_state,
+    to_density,
+)
+from tdesim.dynamics import (
+    Gate,
     apply_gate,
     cnot,
     ensemble_density,
     hadamard,
-    partial_trace,
     pauli_x,
-    permute_slots,
     project,
-    qubit_state,
-    tensor,
-    to_density,
 )
+from tdesim.registers import partial_trace, permute_slots, tensor
 
 from conftest import (
     dense_gate_oracle,

@@ -98,7 +98,7 @@ def _factor_rows(rho):
 @PROPERTY_SETTINGS
 @given(SEEDS, st.sampled_from((2, 3)), st.integers(1, 3),
        st.sampled_from(("1", "2", "q")), st.integers(1, 4))
-def test_density_rows_match_object_path(seed, dim, tau, site, n):
+def test_density_rows_match_the_dense_oracle(seed, dim, tau, site, n):
     rng = np.random.default_rng(seed)
     reg = Register((SlotId(site, tau),), (dim,))
     rhos = [random_density(rng, reg) for _ in range(n)]

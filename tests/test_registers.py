@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdesim import (
-    BasisLevel,
     DensityOperator,
     InvariantViolationError,
     OverlappingSlotError,
@@ -19,24 +18,25 @@ from tdesim import (
     density_to_json,
     joint_outcome_distribution,
     maximally_mixed,
-    partial_trace,
-    permute_slots,
     purity,
     qubit_state,
-    relabel_cycles,
-    tensor,
     to_density,
     trace_norm_distance,
 )
 from tdesim.analytics import von_neumann_entropy
 from tdesim.registers import (
     ATOL,
+    BasisLevel,
     _check_hermitian_unit_trace,
     _reject,
     check_densities,
     gram_density,
     level_index,
     on_register,
+    partial_trace,
+    permute_slots,
+    relabel_cycles,
+    tensor,
 )
 
 from conftest import (

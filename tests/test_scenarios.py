@@ -12,10 +12,7 @@ from tdesim import (
     Register,
     SlotId,
     dilation_from_round_trip,
-    free_expansion,
     nonlinear_map,
-    partial_trace,
-    project,
     purity,
     qubit_state,
     run_displaced_backend,
@@ -28,7 +25,14 @@ from tdesim import (
     to_density,
 )
 
-from conftest import random_density, random_pure, trace_norm_oracle
+from conftest import (
+    dense_project_oracle,
+    einsum_partial_trace_oracle,
+    expansion_oracle,
+    random_density,
+    random_pure,
+    trace_norm_oracle,
+)
 
 H_QUARTER = 0.8112781244591328
 
@@ -77,12 +81,11 @@ def test_fig1_rho_d_is_product_of_rho_s_marginals(rng):
     for _ in range(5):
         reg = Register((SlotId("1", 0),), (2,))
         rep = run_fig1(random_pure(rng, reg))
-        slots = rep.rho_s.register.slots
-        left = partial_trace(rep.rho_s, [slots[0]])
-        right = partial_trace(rep.rho_s, [slots[1]])
-        np.testing.assert_allclose(
-            rep.rho_d.matrix, np.kron(left.matrix, right.matrix), atol=1e-12
-        )
+        dims = rep.rho_s.register.dims
+        left = einsum_partial_trace_oracle(rep.rho_s.matrix, dims, [0])
+        right = einsum_partial_trace_oracle(rep.rho_s.matrix, dims, [1])
+        np.testing.assert_allclose(rep.rho_d.matrix, np.kron(left, right),
+                                   atol=1e-12)
 
 
 def test_fig1_entropy_report_keys():
@@ -357,19 +360,26 @@ def test_backend_is_no_signaling_for_random_states_and_bases(
         seed, tau, mode, alice_late):
     # Alice measures one of her slots in a random projective basis; Bob's
     # outcome-averaged box output must equal the box on his unconditioned
-    # two-cycle state (mode None draws a pure shared state)
+    # two-cycle state (mode None draws a pure shared state).  The history
+    # is the dense two-copy expansion, slots (a@0, b@0, a@tau, b@tau).
     rng = np.random.default_rng(seed)
     reg = Register((SlotId("a", tau), SlotId("b", tau)), (2, 2))
     shared = random_pure(rng, reg) if mode is None \
         else random_density(rng, reg)
-    history = free_expansion(shared, [0, tau], policy=mode)
-    bob = [SlotId("b", 0), SlotId("b", tau)]
-    alice = SlotId("a", tau if alice_late else 0)
-    reference = run_displaced_backend(partial_trace(history, bob))
+    history = expansion_oracle(shared, 2, mode)
+    bob = Register((SlotId("b", 0), SlotId("b", tau)), (2, 2))
+    alice = 2 if alice_late else 0
+    reference = run_displaced_backend(DensityOperator(
+        bob, einsum_partial_trace_oracle(history, (2,) * 4, [1, 3])))
     for _ in range(2):
         average = np.zeros((2, 2), dtype=complex)
         for vec in _random_basis(rng):
-            m = project(history, alice, vec)
-            out = run_displaced_backend(partial_trace(m.post_state, bob))
-            average += m.probability * out.matrix
+            rest = dense_project_oracle(history, (2,) * 4, alice,
+                                        np.outer(vec, vec.conj()))
+            # Bob's slots among the three Alice's projection leaves
+            left = einsum_partial_trace_oracle(
+                rest, (2,) * 3, [1, 2] if alice_late else [0, 2])
+            prob = np.trace(left).real
+            out = run_displaced_backend(DensityOperator(bob, left / prob))
+            average += prob * out.matrix
         assert trace_norm_oracle(average - reference.matrix) <= 1e-12

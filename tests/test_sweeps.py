@@ -16,7 +16,6 @@ from tdesim import (
     Register,
     SlotId,
     fig2_curves,
-    free_expansion,
     qubit_state,
     run_entropy_study,
     run_fig1,
@@ -28,6 +27,7 @@ from tdesim import (
 )
 from tdesim import dsl, scenarios
 from tdesim.analytics import von_neumann_entropy
+from tdesim.dynamics import free_expansion
 from tdesim.registers import _factor, check_densities
 from tdesim.scenarios import (
     ROW_BLOCK,
