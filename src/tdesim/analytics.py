@@ -1,8 +1,11 @@
 """Entropy, distance, and curve utilities.
 
-Entropies are in bits.  Trace norm here means the full Schatten 1-norm
-Tr|A - B| with no 1/2 in front, so orthogonal pure states sit at distance
-2 and the distinguishability curves below run on a [0, 2] scale.
+The state analytics take a PureState or a DensityOperator, read through
+registers.to_density, and anything else raises ValueError: they rely on
+the density contract construction checked.  Entropies are in bits.
+Trace norm here means the full Schatten 1-norm Tr|A - B| with no 1/2 in
+front, so orthogonal pure states sit at distance 2 and the
+distinguishability curves below run on a [0, 2] scale.
 """
 
 from __future__ import annotations
@@ -13,43 +16,16 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolationError
-from .registers import (ATOL, ENTROPY_SLACK, PSD_FLOOR, DensityOperator,
-                        PureState, Register, _factor, _rows, gram_density,
-                        to_density)
+from .registers import (ATOL, ENTROPY_SLACK, DensityOperator, Register,
+                        _factor, _rows, gram_density, to_density)
 from .dynamics import _check_tau
 
 
-def _as_matrix(rho) -> np.ndarray:
-    """The matrix of a state, or a raw matrix as a complex array; a raw
-    matrix with a NaN or infinite entry raises InvariantViolationError."""
-    if isinstance(rho, (DensityOperator, PureState)):
-        return to_density(rho).matrix
-    m = np.asarray(rho, dtype=complex)
-    if not np.isfinite(m).all():
-        raise InvariantViolationError("matrix has a non-finite entry")
-    return m
-
-
 def von_neumann_entropy(rho) -> float:
-    """S(rho) = -Tr rho log2 rho.
-
-    Eigenvalues in [PSD_FLOOR, 0) are clamped to zero as roundoff; anything
-    more negative is treated as a corrupted state and raises, as does a
-    raw matrix with a non-finite entry.  A DensityOperator's spectrum is
-    the one its validation computed.
-    """
-    if isinstance(rho, PureState):
-        rho = to_density(rho)
-    if isinstance(rho, DensityOperator):
-        vals = rho.eigenvalues
-    else:
-        vals = np.linalg.eigvalsh(_as_matrix(rho))
-        lo = float(vals.min())
-        if lo < PSD_FLOOR:
-            raise InvariantViolationError(
-                f"eigenvalue {lo:.3e} below tolerance; not a density matrix"
-            )
-    return float(_entropy_bits(vals))
+    """S(rho) = -Tr rho log2 rho of a PureState or DensityOperator, from
+    the spectrum its validation computed; the negative eigenvalues that
+    validation lets through as roundoff count as zero."""
+    return float(_entropy_bits(to_density(rho).eigenvalues))
 
 
 def _entropy_bits(vals: np.ndarray) -> np.ndarray:
@@ -63,15 +39,12 @@ def _entropy_bits(vals: np.ndarray) -> np.ndarray:
 
 
 def trace_norm_distance(a, b) -> float:
-    """Tr|a - b| between two operators of matching shape."""
-    ma, mb = _as_matrix(a), _as_matrix(b)
-    if ma.shape != mb.shape:
-        raise ValueError(f"shape mismatch: {ma.shape} vs {mb.shape}")
-    if isinstance(a, (DensityOperator, PureState)) and \
-            isinstance(b, (DensityOperator, PureState)):
-        if a.register.dims != b.register.dims:
-            raise ValueError("registers have different slot dimensions")
-    return float(_trace_norms((ma - mb)[None])[0])
+    """Tr|a - b| between two states, pure or mixed, whose registers have
+    the same slot dimensions."""
+    ma, mb = to_density(a), to_density(b)
+    if ma.register.dims != mb.register.dims:
+        raise ValueError("registers have different slot dimensions")
+    return float(_trace_norms((ma.matrix - mb.matrix)[None])[0])
 
 
 def _trace_norms(diff: np.ndarray) -> np.ndarray:
@@ -88,8 +61,9 @@ def _trace_norms(diff: np.ndarray) -> np.ndarray:
 
 
 def purity(rho) -> float:
-    """Tr rho^2; 1 for pure states, 1/d for the maximally mixed state."""
-    m = _as_matrix(rho)
+    """Tr rho^2 of a PureState or DensityOperator; 1 for pure states,
+    1/d for the maximally mixed state."""
+    m = to_density(rho).matrix
     return float(np.einsum("ij,ji->", m, m).real)
 
 

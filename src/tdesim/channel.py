@@ -9,8 +9,8 @@ second CNOT acts on the input qubit's populations (g00, g11) as
 independently of any input coherence.  The map is quadratic in the density
 matrix, so it cannot come from any linear channel; nonlinearity_witness
 quantifies that by how badly the map fails to commute with mixing.
-displaced_bell_channel reads the same circuit, run on the executor, before
-its closing CNOT.
+displaced_bell_channel is run_fig1's rho_d: the same circuit, run on the
+executor, read before its closing CNOT.
 """
 
 from __future__ import annotations
@@ -20,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .registers import (ATOL, WEIGHT_ROUNDOFF, DensityOperator, Register,
-                        SlotId)
-from .dynamics import _check_tau
-from .analytics import trace_norm_distance
+                        SlotId, qubit_state)
+from .analytics import _trace_norms
 
 
 @dataclass(frozen=True)
@@ -86,19 +85,14 @@ def displaced_bell_channel(tau: int = 1) -> DensityOperator:
     The pair is prepared at cycle tau on sites "1" and "2", site "1" is
     dilated by tau cycles, and the slots (1, tau) and (2, tau) are kept.
     Both halves decohere completely, leaving the maximally mixed two-qubit
-    state.  This is the rho_d read-out of the displaced-CNOT circuit
-    (scenarios._fig1_circuit) on (|0> + |1>)/sqrt(2), whose ancilla is
-    site "2".
+    state.  This is run_fig1's rho_d on (|0> + |1>)/sqrt(2), whose
+    ancilla is site "2".
     """
     # scenarios imports this module, so it is imported here
-    from .scenarios import _fig1_circuit, _readout
+    from .scenarios import run_fig1
 
-    tau = _check_tau(tau)
-    ro = _readout(_fig1_circuit, (2, tau, "1"), 1, ("rho_d",))
-    # (|0> + |1>)/sqrt(2) as one state of one row
-    _, stack = ro.products(np.full((1, 1, 2), np.sqrt(0.5), dtype=complex))
-    ((rho,),) = ro.densities(stack, ro.check(stack))
-    return rho
+    # sqrt(0.5) is already normalized, so no renormalization moves a bit
+    return run_fig1(qubit_state("1", 0, np.sqrt(0.5), np.sqrt(0.5)), tau).rho_d
 
 
 def nonlinearity_witness(rho_a: QubitDensity, rho_b: QubitDensity,
@@ -119,4 +113,4 @@ def nonlinearity_witness(rho_a: QubitDensity, rho_b: QubitDensity,
     lhs = nonlinear_map(mixed).to_matrix()
     rhs = (lam * nonlinear_map(rho_a).to_matrix()
            + (1.0 - lam) * nonlinear_map(rho_b).to_matrix())
-    return trace_norm_distance(lhs, rhs)
+    return float(_trace_norms((lhs - rhs)[None])[0])

@@ -512,9 +512,10 @@ def _static_check(directives) -> CircuitPlan:
             _fail(d.line, "output must be the final directive")
         # a hand-built directive list meets the parser's rules, so that
         # format_circuit's text reads back: a cycle or dilation that is
-        # not a plain int goes through the parser's own check, and a site
-        # name is checked where it is prepared, since every other
-        # directive needs a prepared site
+        # not a plain int goes through the parser's own check, a gate name
+        # must be the parser's lowercase spelling, and a site name is
+        # checked where it is prepared, since every other directive needs
+        # a prepared site
         cycle = getattr(d, "cycle", 0)
         if type(cycle) is not int or cycle < 0:
             _parse_cycle(f"@{cycle}", d.line)
@@ -546,6 +547,8 @@ def _static_check(directives) -> CircuitPlan:
         elif isinstance(d, GateOp):
             arg = "" if d.theta is None else f"({d.theta})"
             name, theta = _parse_gate_name(f"{d.name}{arg}", d.line)
+            if name != d.name:
+                _fail(d.line, f"unknown gate {d.name!r}")
             live(d.site, d.line)
             align([d.site], d.cycle, d.line)
             gate(name, theta, (pos[d.site, d.cycle],), (dims[d.site],),
@@ -699,7 +702,9 @@ def _fmt_state(d: Prepare) -> str:
 
 def format_circuit(program: CircuitProgram) -> str:
     """Canonical text for a program; parsing it back gives an equal
-    program."""
+    program.  A program the static check refuses raises its
+    CircuitParseError instead."""
+    program.plan
     lines = []
     for d in program.directives:
         if isinstance(d, Prepare):

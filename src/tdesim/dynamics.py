@@ -52,6 +52,7 @@ from .registers import (
     _row_product,
     _rows,
     _spectral_rows,
+    _whole,
     as_slot,
     check_state_size,
     level_index,
@@ -65,17 +66,6 @@ Ensemble = Sequence  # of (weight, PureState) pairs
 class CorrelationMode(enum.Enum):
     UNCORRELATED_COPIES = "uncorrelated-copies"
     COHERENT_HISTORY = "coherent-history"
-
-
-def _whole(value, rule: str) -> int:
-    """value as an int; anything but a whole number raises ValueError
-    with the rule it broke and the value."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{rule}, got {value!r}")
 
 
 def _check_tau(tau) -> int:

@@ -61,6 +61,17 @@ MAX_STATE_BYTES = 256 * 2**20
 _LEVEL_CHARS = {2: "01", 3: "v01"}
 
 
+def _whole(value, rule: str) -> int:
+    """value as an int; anything but a whole number raises ValueError
+    with the rule it broke and the value."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{rule}, got {value!r}")
+
+
 class BasisLevel(enum.Enum):
     """Logical basis levels.  VAC exists only on dim-3 slots."""
 
@@ -71,10 +82,17 @@ class BasisLevel(enum.Enum):
 
 @dataclass(frozen=True, order=True)
 class SlotId:
-    """Address of one tensor factor: which site, at which clock cycle."""
+    """Address of one tensor factor: which site, at which clock cycle.
+    A cycle that is not an int must be a whole number, and is stored as
+    one."""
 
     site: str
     cycle: int
+
+    def __post_init__(self):
+        if type(self.cycle) is not int:
+            object.__setattr__(self, "cycle", _whole(
+                self.cycle, "a cycle must be a whole number"))
 
     def shifted(self, delta: int) -> "SlotId":
         return SlotId(self.site, self.cycle + delta)
@@ -91,7 +109,7 @@ def as_slot(slot: SlotLike) -> SlotId:
     if isinstance(slot, SlotId):
         return slot
     site, cycle = slot
-    return SlotId(str(site), int(cycle))
+    return SlotId(str(site), cycle)
 
 
 @dataclass(frozen=True)
@@ -103,7 +121,8 @@ class Register:
 
     def __post_init__(self):
         slots = tuple(map(as_slot, self.slots))
-        dims = tuple(map(int, self.dims))
+        dims = tuple(_whole(d, "slot dimensions must be whole numbers")
+                     for d in self.dims)
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "dims", dims)
         if len(slots) != len(dims):
@@ -487,10 +506,13 @@ def _discard_rows(rows: np.ndarray, axes) -> np.ndarray:
 
 def to_density(state: State) -> DensityOperator:
     """Project a pure state to its rank-one density matrix; pass densities
-    through unchanged.  A density matrix over MAX_STATE_BYTES raises
-    RegisterSizeError before it is built."""
+    through unchanged.  Anything else raises ValueError naming its type,
+    and a density matrix over MAX_STATE_BYTES raises RegisterSizeError
+    before it is built."""
     if isinstance(state, DensityOperator):
         return state
+    if not isinstance(state, PureState):
+        raise ValueError(f"not a state: {type(state).__name__}")
     check_state_size(state.dim, pure=False)
     return _from_rows(state.register, _rows(state), pure=False)
 

@@ -887,14 +887,30 @@ _QUBIT = Prepare("a", 0, "qubit", 1.0, 0.0, line=1)
      "line 2: bad dilation '\\+-2'"),
     ((_QUBIT, "gate x a @0", Output("a", 0, line=3)),
      "line 0: unknown directive 'gate x a @0'"),
+    ((_QUBIT, GateOp("X", "a", 0, line=2), Output("a", 0, line=3)),
+     "line 2: unknown gate 'X'"),
+    ((_QUBIT, GateOp("H", "a", 0, line=2), Output("a", 0, line=3)),
+     "line 2: unknown gate 'H'"),
+    ((_QUBIT, GateOp("Phase", "a", 0, 0.5, line=2), Output("a", 0, line=3)),
+     "line 2: unknown gate 'Phase'"),
 ], ids=["state-kind", "gate-name", "phase-without-angle", "phase-nan",
-        "negative-cycle", "site-name", "negative-dilation", "not-a-directive"])
+        "negative-cycle", "site-name", "negative-dilation", "not-a-directive",
+        "gate-name-X", "gate-name-H", "gate-name-Phase"])
 def test_hand_built_directives_get_the_parsers_rules(directives, message):
     # each would otherwise compile as something else, crash untyped, run
     # with an element ignored, or run and format to text that
-    # parse_circuit refuses
+    # parse_circuit refuses or reads back as another program
     with pytest.raises(CircuitExecutionError, match=message):
         run_program(CircuitProgram(directives))
+
+
+def test_format_circuit_writes_only_programs_that_compile():
+    # "gate X a @0" would parse back as GateOp("x", ...), and
+    # "gate Phase a @0" (the angle dropped) would not parse at all
+    program = CircuitProgram((_QUBIT, GateOp("X", "a", 0, line=2),
+                              Output("a", 0, line=3)))
+    with pytest.raises(CircuitParseError, match="line 2: unknown gate 'X'"):
+        format_circuit(program)
 
 
 def test_report_json_schema():

@@ -66,6 +66,22 @@ def test_register_rejects_bad_dimension():
         Register((SlotId("a", 0),), (4,))
 
 
+def test_cycles_and_dimensions_must_be_whole_numbers():
+    # truncating any of these would address a neighbouring slot or
+    # dimension
+    for build in (lambda: Register((("a", 1.7),), (2,)),
+                  lambda: Register((SlotId("a", 0),), (2.5,)),
+                  lambda: Register((SlotId("a", 0),), (3.99,)),
+                  lambda: SlotId("a", 1.5),
+                  lambda: qubit_state("1", 0.5, 1, 0)):
+        with pytest.raises(ValueError, match="whole number"):
+            build()
+    reg = Register((("a", np.int64(1)), SlotId("b", 2.0)), (np.int64(2), 3.0))
+    assert reg == Register((SlotId("a", 1), SlotId("b", 2)), (2, 3))
+    assert {type(v) for v in reg.dims + tuple(s.cycle for s in reg.slots)} \
+        == {int}
+
+
 def test_register_lookup():
     reg = Register((SlotId("a", 0), SlotId("b", 1)), (2, 3))
     assert reg.dim == 6
