@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolationError
-from .registers import (ATOL, ENTROPY_SLACK, DensityOperator, Register,
+from .registers import (ATOL, ENTROPY_SLACK, Register,
                         _factor, _rows, gram_density, to_density)
 from .dynamics import _check_tau
 
@@ -67,14 +67,17 @@ def purity(rho) -> float:
     return float(np.einsum("ij,ji->", m, m).real)
 
 
-def subadditivity_margin(rho: DensityOperator) -> float:
-    """S(A) + S(B) - S(AB), where A is the first slot and B the rest.
+def subadditivity_margin(rho) -> float:
+    """S(A) + S(B) - S(AB) of a PureState or DensityOperator, read through
+    registers.to_density, where A is the first slot and B the rest.
 
-    Both marginals come from one set of the state's spectral rows (one
-    eigh).  Nonnegative for every valid state; a margin below
+    Both marginals come from the rows the density keeps (registers._rows),
+    so a density built from rows takes no eigh and any other one at most
+    one.  Nonnegative for every valid state; a margin below
     -ENTROPY_SLACK means the inputs were not a state at all and raises
     instead of returning.
     """
+    rho = to_density(rho)
     reg = rho.register
     n = len(reg.slots)
     if n < 2:

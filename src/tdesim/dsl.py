@@ -263,8 +263,10 @@ def parse_circuit(text: str) -> CircuitProgram:
     expansion feasibility, and the size of every state the program
     builds (at most MAX_STATE_BYTES) are all verified here, so a parsed
     program is guaranteed runnable; its CircuitPlan is kept on it as
-    ``plan``.
+    ``plan``.  Anything but a str raises ValueError naming its type.
     """
+    if not isinstance(text, str):
+        raise ValueError(f"a program is text, got {type(text).__name__}")
     directives = []
     for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -749,8 +751,12 @@ def run_program(program: CircuitProgram):
     a discard, the mixed final state, is built and validated once, at
     the end (registers.gram_density).  A pure final state is normalized
     in place on the run's own rows.  A hand-built directive list that the
-    static check rejects raises CircuitExecutionError.
+    static check rejects raises CircuitExecutionError, and anything but a
+    CircuitProgram raises ValueError naming its type.
     """
+    if not isinstance(program, CircuitProgram):
+        raise ValueError(
+            f"expected a CircuitProgram, got {type(program).__name__}")
     try:
         plan = program.plan
     except CircuitParseError as exc:

@@ -204,9 +204,10 @@ def spectral_ensemble(rho: DensityOperator) -> list:
     """Eigendecomposition of a density matrix as a (weight, state) list.
 
     Eigenvalues up to WEIGHT_ROUNDOFF are dropped as roundoff and the kept
-    weights renormalized to sum to 1.
+    weights renormalized to sum to 1; the decomposition is the one rho
+    keeps (registers._spectral_rows).
     """
-    weights, vectors = _spectral_rows(rho.matrix)
+    weights, vectors = _spectral_rows(rho)
     return [(w, PureState(rho.register, v))
             for w, v in zip(weights.tolist(), vectors)]
 
@@ -216,8 +217,8 @@ def _bind(state, mode) -> tuple:
     *dims), and the weights that mix its B states, or None for one state.
 
     A pure state is one row and never consults mode.  A mixed input's
-    branches (w, v) are a DensityOperator's spectral decomposition
-    (_spectral_rows) or the pairs of an ensemble as
+    branches (w, v) are a DensityOperator's spectral decomposition, which
+    it keeps after one eigh (_spectral_rows), or the pairs of an ensemble as
     registers._checked_ensemble returns it, which is not checked again.
     Under COHERENT_HISTORY each branch is a state of one row, mixed by
     w; under UNCORRELATED_COPIES the rows sqrt(w) v are one state,
@@ -234,7 +235,7 @@ def _bind(state, mode) -> tuple:
     mode = CorrelationMode(mode)
     if isinstance(state, DensityOperator):
         dims = state.register.dims
-        weights, vectors = _spectral_rows(state.matrix)
+        weights, vectors = _spectral_rows(state)
     else:
         dims = state[0][1].register.dims
         weights = np.array([w for w, _ in state])
@@ -331,8 +332,10 @@ def _displaced_copies(reg: Register, tau: int, dilated_site: str) -> tuple:
 def measure_at_cycle(state: State, cycle: int) -> DensityOperator:
     """Reduced state over every slot at one cycle; slots at other cycles
     are traced out, which is where displacement-induced decoherence
-    comes from."""
-    keep = [s for s in state.register.slots if s.cycle == int(cycle)]
+    comes from.  A cycle that is not a whole number raises ValueError,
+    as SlotId's does."""
+    cycle = _whole(cycle, "a cycle must be a whole number")
+    keep = [s for s in state.register.slots if s.cycle == cycle]
     if not keep:
         raise UnknownSlotError(f"no slot at cycle {cycle}")
     return partial_trace(state, keep)

@@ -13,11 +13,14 @@ so the basis state |01> of a two-qubit register has flat index 1.
 The row kernels defined here serve the circuit executor (dsl._run_steps)
 and every state operation alike: amplitude rows shaped (B, N, *dims), B
 states, each the sum of the projectors of its N rows.  An operation takes
-its input's rows (_rows: a pure state's one row, or a density's spectral
-rows sqrt(w) v, one eigh), runs one kernel and returns a PureState or the
-gram_density of the result (_from_rows).  The eigh drops the eigenvalues
-validation lets through as roundoff and renormalizes the rest, so
-diag(1 + 5e-11, -5e-11) acts as |0><0| in every operation.
+its input's rows (_rows), runs one kernel and returns a PureState or the
+gram_density of the result (_from_rows).  A pure state's rows are its one
+row.  A density's are the ones it keeps: the rows it was built from, when
+there are at most as many as its dimension, or else its spectral rows
+sqrt(w) v from one eigh of its matrix, taken on first use and kept.  That
+eigh drops the eigenvalues validation lets through as roundoff and
+renormalizes the rest, so diag(1 + 5e-11, -5e-11) acts as |0><0| in every
+operation.
 """
 
 from __future__ import annotations
@@ -105,10 +108,15 @@ SlotLike = Union[SlotId, tuple]
 
 
 def as_slot(slot: SlotLike) -> SlotId:
-    """Coerce a (site, cycle) tuple to a SlotId."""
+    """Coerce a (site, cycle) tuple to a SlotId; anything that is not a
+    pair raises ValueError."""
     if isinstance(slot, SlotId):
         return slot
-    site, cycle = slot
+    try:
+        site, cycle = slot
+    except (TypeError, ValueError):
+        raise ValueError(
+            f"a slot is a (site, cycle) pair, got {slot!r}") from None
     return SlotId(str(site), cycle)
 
 
@@ -285,7 +293,16 @@ class DensityOperator:
     indicates a bug upstream, not roundoff, so it raises
     InvariantViolationError.  The eigenvalues computed by that check are
     kept, read-only, as ``eigenvalues``.
+
+    A density also keeps, read-only, the one decomposition into rows that
+    every operation on it reads (registers._rows): the N <= d rows a
+    gram_density was built from, and the spectral pair of _spectral_rows,
+    from one eigh of the matrix on the first use that needs it.  No kept
+    array holds more entries than the matrix.
     """
+
+    _kept_rows = None  # (N, d) rows whose Gram matrix is the density
+    _spectral = None  # (weights, eigenvectors) of _spectral_rows
 
     def __init__(self, register: Register, matrix):
         m = np.asarray(matrix, dtype=complex)
@@ -346,7 +363,8 @@ def gram_density(register: Register, factor) -> DensityOperator:
     A factor of at least _ROW_DOT_WIDTH * d**2 columns is multiplied out
     as row dot products, with no conjugate copy of F.  The spectrum, kept
     as ``eigenvalues``, is that of the smaller of F F^H and F^H F, which
-    share their nonzero eigenvalues, padded with zeros.
+    share their nonzero eigenvalues, padded with zeros.  A factor of at
+    most d columns is kept too, copied, as the density's rows F^T.
     """
     f = np.asarray(factor, dtype=complex)
     d, m = f.shape
@@ -368,7 +386,11 @@ def gram_density(register: Register, factor) -> DensityOperator:
         vals = np.sort(np.concatenate([np.zeros(d - m), vals]))
     else:
         vals = np.linalg.eigvalsh(rho)
-    return _validated(register, rho, _check_spectrum(rho, vals))
+    out = _validated(register, rho, _check_spectrum(rho, vals))
+    if m <= d:
+        out._kept_rows = rows = f.T.copy()
+        rows.setflags(write=False)
+    return out
 
 
 # Rows per band of the hermiticity check: a band's temporaries span at
@@ -432,23 +454,31 @@ def _validated(register: Register, matrix: np.ndarray,
 State = Union[PureState, DensityOperator]
 
 
-def _spectral_rows(matrix: np.ndarray) -> tuple:
-    """The eigenvalues of a density matrix above WEIGHT_ROUNDOFF,
-    renormalized to sum to 1, and their eigenvectors from eigh as the
-    rows of a (k, d) stack."""
-    vals, vecs = np.linalg.eigh(matrix)
-    keep = vals > WEIGHT_ROUNDOFF
-    weights = vals[keep]
-    return weights / weights.sum(), vecs.T[keep]
+def _spectral_rows(rho: DensityOperator) -> tuple:
+    """The eigenvalues of a density above WEIGHT_ROUNDOFF, renormalized to
+    sum to 1, and their eigenvectors from eigh as the rows of a (k, d)
+    stack: one eigh of the matrix on first use, kept on rho read-only."""
+    if rho._spectral is None:
+        vals, vecs = np.linalg.eigh(rho.matrix)
+        keep = vals > WEIGHT_ROUNDOFF
+        weights = vals[keep]
+        weights, vectors = weights / weights.sum(), vecs.T[keep]
+        weights.setflags(write=False)
+        vectors.setflags(write=False)
+        rho._spectral = weights, vectors
+    return rho._spectral
 
 
 def _rows(state: State) -> np.ndarray:
-    """One state as rows shaped (1, N, *dims): a pure state's amplitudes
-    as one row, or a density's spectral rows sqrt(w) v."""
+    """One state as rows shaped (1, N, *dims), N <= d: a pure state's
+    amplitudes as one row, a density's kept rows, or else its spectral
+    rows sqrt(w) v.  Kept rows are read-only."""
     dims = state.register.dims
     if isinstance(state, PureState):
         return state.amplitudes.reshape((1, 1) + dims)
-    weights, vectors = _spectral_rows(state.matrix)
+    if state._kept_rows is not None:
+        return state._kept_rows.reshape((1, -1) + dims)
+    weights, vectors = _spectral_rows(state)
     return (np.sqrt(weights)[:, None] * vectors).reshape((1, -1) + dims)
 
 
@@ -608,8 +638,8 @@ def on_register(state: State, register: Register) -> State:
     """The same amplitudes or matrix on another register of equal dims.
 
     A density matrix keeps the matrix and spectrum its validation
-    accepted: relabeling slots changes neither, so it is not checked
-    again.
+    accepted, and the rows and spectral pair it has kept: relabeling
+    slots changes none of them, so it is not checked again.
     """
     if isinstance(state, PureState):
         return PureState(register, state.amplitudes)
@@ -618,7 +648,10 @@ def on_register(state: State, register: Register) -> State:
             f"expected a {register.dim}x{register.dim} matrix, "
             f"got {state.matrix.shape}"
         )
-    return _validated(register, state.matrix, state.eigenvalues)
+    rho = DensityOperator.__new__(DensityOperator)
+    rho.__dict__.update(state.__dict__)
+    rho.register = register
+    return rho
 
 
 def density_to_json(rho: DensityOperator) -> dict:

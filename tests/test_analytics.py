@@ -7,7 +7,9 @@ import pytest
 
 from tdesim import (
     DensityOperator,
+    PureState,
     Register,
+    RegisterSizeError,
     SlotId,
     amplification_points,
     bell_phi_plus,
@@ -20,11 +22,13 @@ from tdesim import (
     trace_norm_distance,
 )
 from tdesim.analytics import von_neumann_entropy
+from tdesim.registers import gram_density, partial_trace, tensor
 
 from conftest import (
     einsum_partial_trace_oracle,
     entropy_oracle,
     random_density,
+    random_pure,
     trace_norm_oracle,
     two_qubit_register,
 )
@@ -140,6 +144,44 @@ def test_subadditivity_margin_takes_one_eigh(rng, monkeypatch):
            + entropy_oracle(einsum_partial_trace_oracle(m, dims, [1, 2]))
            - entropy_oracle(m))
     assert abs(margin - ref) < 1e-10
+
+
+def test_subadditivity_margin_of_a_density_built_from_rows_takes_no_eigh(
+        rng, monkeypatch):
+    # to_density of a pure state keeps its one row; so do the tensor of
+    # two such densities and a gram_density of at most d columns
+    reg = Register((SlotId("a", 0), SlotId("b", 0), SlotId("c", 0)),
+                   (2, 3, 2))
+    f = rng.standard_normal((12, 5)) + 1j * rng.standard_normal((12, 5))
+    built = [
+        to_density(random_pure(rng, reg)),
+        tensor(to_density(random_pure(rng, Register(reg.slots[:1], (2,)))),
+               to_density(random_pure(rng, Register(reg.slots[1:], (3, 2))))),
+        gram_density(reg, f / np.linalg.norm(f)),
+    ]
+    monkeypatch.setattr(np.linalg, "eigh", None)  # any call fails
+    for rho in built:
+        m, dims = rho.matrix, list(reg.dims)
+        ref = (entropy_oracle(einsum_partial_trace_oracle(m, dims, [0]))
+               + entropy_oracle(einsum_partial_trace_oracle(m, dims, [1, 2]))
+               - entropy_oracle(m))
+        assert abs(subadditivity_margin(rho) - ref) < 1e-10
+        for keep in ([0], [1, 2], [0, 2]):
+            np.testing.assert_allclose(
+                partial_trace(rho, [reg.slots[k] for k in keep]).matrix,
+                einsum_partial_trace_oracle(m, dims, keep),
+                atol=1e-12, rtol=0)
+
+
+def test_subadditivity_margin_takes_states_only(rng):
+    with pytest.raises(ValueError, match="^not a state: ndarray$"):
+        subadditivity_margin(np.eye(4) / 4)
+    psi = bell_phi_plus("a", "b", 0)
+    assert subadditivity_margin(psi) == subadditivity_margin(to_density(psi))
+    # a pure state meets to_density's size check before its rows are read
+    reg = Register(tuple(SlotId(f"q{i}", 0) for i in range(13)), (2,) * 13)
+    with pytest.raises(RegisterSizeError, match="density matrix"):
+        subadditivity_margin(PureState(reg, np.arange(2**13) == 0))
 
 
 def test_subadditivity_margin_needs_two_slots():

@@ -855,6 +855,19 @@ def test_runtime_rejects_mixed_expansion():
         run_program(CircuitProgram(program_directives))
 
 
+@pytest.mark.parametrize("text", [None, b"prepare a @0 |0>\n", 3])
+def test_parse_circuit_needs_text(text):
+    name = type(text).__name__
+    with pytest.raises(ValueError, match=f"^a program is text, got {name}$"):
+        parse_circuit(text)
+
+
+def test_run_program_needs_a_program():
+    with pytest.raises(ValueError,
+                       match="^expected a CircuitProgram, got str$"):
+        run_program("prepare a @0 |0>\noutput a @0\n")
+
+
 def test_hand_built_cnot_on_one_site_is_a_typed_error():
     # the parser refuses it; a directive list built by hand reaches the
     # compiler, which must refuse it too, with the line

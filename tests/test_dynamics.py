@@ -347,6 +347,16 @@ def test_measure_at_cycle_filters_slots():
         measure_at_cycle(exp, 9)
 
 
+@pytest.mark.parametrize("cycle", [0.7, "x", "1", None])
+def test_measure_at_cycle_needs_a_whole_cycle(cycle):
+    # the rule SlotId applies; 0.7 used to read as cycle 0
+    psi = bell_phi_plus("1", "2", 0)
+    with pytest.raises(ValueError, match="^a cycle must be a whole number, "):
+        measure_at_cycle(psi, cycle)
+    whole = measure_at_cycle(psi, np.int64(0)).matrix
+    assert measure_at_cycle(psi, 0.0).matrix.tobytes() == whole.tobytes()
+
+
 def test_project_born_rule(rng):
     reg = two_qubit_register()
     psi = random_pure(rng, reg)

@@ -1,9 +1,10 @@
 """Property tests: the state operations against dense references.
 
 Every state operation runs on the executor's row kernels: a density
-enters as its spectral rows, one eigh.  These tests draw random
-registers of qubits and qutrits, random pure, mixed and rank-deficient
-states, gates, target orders, keep sets, slot orders and outcomes, and
+enters as the rows it keeps, those it was built from or its spectral
+rows from one eigh.  These tests draw random registers of qubits and
+qutrits, random pure, mixed and rank-deficient states, densities built
+from rows, gates, target orders, keep sets, slot orders and outcomes, and
 compare every result with np.kron, einsum, np.outer and the dense
 oracles in conftest to 1e-12.  The roundoff rule is pinned too: a
 density's eigenvalues that validation lets through (down to -1e-10) are
@@ -31,7 +32,14 @@ from tdesim.dynamics import (
     pauli_x,
     project,
 )
-from tdesim.registers import partial_trace, permute_slots, tensor
+from tdesim.registers import (
+    _from_rows,
+    _rows,
+    gram_density,
+    partial_trace,
+    permute_slots,
+    tensor,
+)
 
 from conftest import (
     dense_gate_oracle,
@@ -66,9 +74,18 @@ def _rank_deficient(rng, register):
     return DensityOperator(register, m / np.trace(m))
 
 
+def _built(rng, register):
+    """A density built from 1 to d random rows (gram_density), which it
+    keeps and every operation reads in place of an eigh."""
+    n = register.dim
+    k = int(rng.integers(1, n + 1))
+    f = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+    return gram_density(register, f / np.linalg.norm(f))
+
+
 def _random_state(draw, register, rng):
     kind = draw(st.sampled_from((random_pure, random_density,
-                                 _rank_deficient)))
+                                 _rank_deficient, _built)))
     return kind(rng, register)
 
 
@@ -271,3 +288,28 @@ def test_roundoff_eigenvalues_are_dropped_in_every_operation():
         np.testing.assert_allclose(result.post_state.matrix, post, atol=TOL,
                                    rtol=0)
     assert abs(project(rho, a0, 0).probability - 1.0) <= TOL
+
+
+@KERNEL_SETTINGS
+@given(DIMS, st.integers(1, 40), st.integers(0, 2**32 - 1))
+def test_a_density_reads_back_the_rows_it_was_built_from(dims, n, seed):
+    # up to d rows are kept bit for bit; more fall back to at most d
+    # spectral rows of the same density
+    rng = np.random.default_rng(seed)
+    reg = _register(dims)
+    shape = (1, n) + reg.dims
+    rows = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rows /= np.linalg.norm(rows)
+
+    rho = _from_rows(reg, rows, False)
+    out = _rows(rho)
+
+    if n <= reg.dim:
+        assert not out.flags.writeable
+        assert out.shape == rows.shape
+        assert out.tobytes() == rows.tobytes()
+    else:
+        assert out.shape[1] <= reg.dim
+        f = out.reshape(out.shape[1], reg.dim)
+        np.testing.assert_allclose(f.T @ f.conj(), rho.matrix, atol=TOL,
+                                   rtol=0)

@@ -32,6 +32,8 @@ from tdesim.registers import (
     check_densities,
     gram_density,
     level_index,
+    _rows,
+    _spectral_rows,
     on_register,
     partial_trace,
     permute_slots,
@@ -358,6 +360,46 @@ def test_relabeled_density_keeps_its_validated_matrix(rng):
     assert shifted.eigenvalues is rho.eigenvalues
     with pytest.raises(ValueError):
         on_register(rho, Register((SlotId("a", 0),), (3,)))
+
+
+def test_kept_decompositions_are_read_only_and_no_larger_than_the_matrix(
+        rng):
+    reg = Register((SlotId("a", 0), SlotId("b", 0)), (2, 3))
+    built = to_density(random_pure(rng, reg))
+    caller = random_density(rng, reg)
+    assert caller._spectral is None  # taken on first use
+    vectors = _spectral_rows(caller)[1]
+    assert _spectral_rows(caller)[1] is vectors
+    f = rng.standard_normal((6, 7)) + 1j * rng.standard_normal((6, 7))
+    wide = gram_density(reg, f / np.linalg.norm(f))
+    assert wide._kept_rows is None  # more columns than d are not kept
+    assert _rows(wide).shape[:2] == (1, 6)
+    assert not _rows(built).flags.writeable
+
+    for rho in (built, caller, wide):
+        kept = [a for a in (rho._kept_rows,) + (rho._spectral or ())
+                if a is not None]
+        assert kept
+        for array in kept:
+            assert array.size <= rho.matrix.size
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array.flat[0] = 0.0
+    # the relabelled copy carries what the density keeps
+    moved = on_register(caller, Register((SlotId("a", 4), SlotId("c", 1)),
+                                         (2, 3)))
+    assert moved._spectral is caller._spectral
+    assert on_register(built, moved.register)._kept_rows is built._kept_rows
+
+
+def test_a_slot_is_a_site_cycle_pair():
+    psi = qubit_state("a", 0, 1.0, 0.0)
+    for bad in ("1", 3, ("a", 0, 1)):
+        with pytest.raises(ValueError,
+                           match=r"^a slot is a \(site, cycle\) pair, got "):
+            joint_outcome_distribution(psi, [bad])
+    with pytest.raises(ValueError, match="a slot is a"):
+        joint_outcome_distribution(psi, "1")
 
 
 def test_density_json_round_trip(rng):

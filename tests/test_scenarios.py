@@ -137,6 +137,37 @@ def test_fig1_mixed_input_uncorrelated_copies(rng):
                                nonlinear_map(qd).to_matrix(), atol=1e-12)
 
 
+def _report_bytes(rep):
+    """The bits of a CircuitReport's public fields."""
+    states = (rep.input_state, rep.rho_s, rep.rho_d, rep.rho_out,
+              rep.four_slot_state)
+    return ([(s.register, s.matrix.tobytes(), s.eigenvalues.tobytes())
+             for s in states], rep.entropies, rep.tau)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_a_caller_density_is_decomposed_once(rng, monkeypatch, dim):
+    # the eigen-pair _bind takes is kept on the density and carried to
+    # the report's relabelled input, in both modes and at every tau
+    rho = random_density(rng, Register((SlotId("1", 0),), (dim,)))
+    shapes = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh",
+                        lambda m: shapes.append(m.shape) or eigh(m))
+    runs = [(tau, mode) for tau in (1, 2, 3) for mode in CorrelationMode]
+
+    reports = [run_fig1(rho, tau, mode) for tau, mode in runs]
+
+    assert shapes == [(dim, dim)]
+    for rep in reports:
+        assert rep.input_state._spectral is rho._spectral
+    fresh = [run_fig1(DensityOperator(rho.register, rho.matrix), tau, mode)
+             for tau, mode in runs]
+    assert len(shapes) == 1 + len(runs)
+    for rep, ref in zip(reports, fresh):
+        assert _report_bytes(rep) == _report_bytes(ref)
+
+
 def test_fig1_rejects_multi_slot_input(rng):
     reg = Register((SlotId("1", 0), SlotId("1", 1)), (2, 2))
     with pytest.raises(ValueError):
