@@ -8,7 +8,6 @@ scenario runners, and a small circuit language with a command line.
 """
 
 from .errors import (
-    CircuitExecutionError,
     CircuitParseError,
     CycleMisalignmentError,
     InvariantViolationError,

@@ -9,6 +9,9 @@ second CNOT acts on the input qubit's populations (g00, g11) as
 independently of any input coherence.  The map is quadratic in the density
 matrix, so it cannot come from any linear channel; nonlinearity_witness
 quantifies that by how badly the map fails to commute with mixing.
+A QubitDensity meets the density contract of registers.check_densities,
+so it refuses exactly what a DensityOperator refuses, and nonlinear_map
+reads its populations as the simulator reads a density's spectrum.
 displaced_bell_channel is run_fig1's rho_d: the same circuit, run on the
 executor, read before its closing CNOT.
 """
@@ -19,14 +22,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registers import (ATOL, WEIGHT_ROUNDOFF, DensityOperator, Register,
-                        SlotId, qubit_state)
+from .registers import (DensityOperator, Register, SlotId, check_densities,
+                        qubit_state)
 from .analytics import _trace_norms
 
 
 @dataclass(frozen=True)
 class QubitDensity:
-    """Single-qubit density matrix as populations plus one coherence."""
+    """Single-qubit density matrix as populations plus one coherence,
+    held to the density contract (registers.check_densities) on its
+    matrix: what DensityOperator refuses raises the same
+    InvariantViolationError here."""
 
     g00: float
     g11: float
@@ -36,33 +42,23 @@ class QubitDensity:
         object.__setattr__(self, "g00", float(self.g00))
         object.__setattr__(self, "g11", float(self.g11))
         object.__setattr__(self, "g01", complex(self.g01))
-        # each test is written to fail on NaN
-        if not (self.g00 >= -WEIGHT_ROUNDOFF and self.g11 >= -WEIGHT_ROUNDOFF):
-            raise ValueError(
-                f"populations ({self.g00}, {self.g11}) are not nonnegative"
-            )
-        if not abs(self.g00 + self.g11 - 1.0) <= ATOL:
-            raise ValueError(
-                f"populations sum to {self.g00 + self.g11:.15g}, expected 1"
-            )
-        if not abs(self.g01) ** 2 <= self.g00 * self.g11 + ATOL:
-            raise ValueError(f"coherence {self.g01} exceeds positivity bound")
+        check_densities(self.to_matrix())
 
     @classmethod
     def from_matrix(cls, matrix) -> "QubitDensity":
-        """The populations and upper coherence of a 2 x 2 matrix, which
-        must be hermitian to ATOL, so that nothing the fields omit (the
-        lower coherence, an imaginary diagonal) is dropped silently."""
+        """The populations and coherence of a 2 x 2 matrix that meets the
+        density contract, so that nothing the fields omit (an imaginary
+        diagonal, a lower coherence that is not the upper's conjugate) is
+        dropped silently.  The coherence is the conjugate of the lower
+        one, the entry the contract's eigvalsh reads, so the fields hold
+        the spectrum that was checked."""
         m = np.asarray(matrix, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
-        if not np.isfinite(m).all():
-            raise ValueError("matrix has a non-finite entry")
-        deviation = float(abs(m - m.conj().T).max())
-        if not deviation <= ATOL:
-            raise ValueError(
-                f"matrix is not hermitian (deviation {deviation:.3e})")
-        return cls(m[0, 0].real, m[1, 1].real, m[0, 1])
+        check_densities(m)
+        # + 0.0 turns the -0.0 that conj makes of a zero imaginary part
+        # back into the 0.0 of the upper entry of a hermitian matrix
+        return cls(m[0, 0].real, m[1, 1].real, np.conj(m[1, 0]) + 0.0)
 
     def to_matrix(self) -> np.ndarray:
         return np.array([[self.g00, self.g01],
@@ -74,9 +70,15 @@ class QubitDensity:
 
 
 def nonlinear_map(rho: QubitDensity) -> QubitDensity:
-    """Output of the displaced-CNOT channel on one input qubit."""
-    return QubitDensity(rho.g00 ** 2 + rho.g11 ** 2,
-                        2.0 * rho.g00 * rho.g11)
+    """Output of the displaced-CNOT channel on one input qubit.
+
+    The populations are read as the simulator reads a density's spectrum
+    (registers._spectral_rows): a negative one is roundoff and counts as
+    zero, and the rest are divided by their sum before squaring.
+    """
+    g00, g11 = max(rho.g00, 0.0), max(rho.g11, 0.0)
+    g00, g11 = g00 / (g00 + g11), g11 / (g00 + g11)
+    return QubitDensity(g00 ** 2 + g11 ** 2, 2.0 * g00 * g11)
 
 
 def displaced_bell_channel(tau: int = 1) -> DensityOperator:

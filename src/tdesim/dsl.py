@@ -55,13 +55,14 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import (CircuitExecutionError, CircuitParseError,
-                     InvariantViolationError, RegisterSizeError)
+from .errors import (CircuitParseError, InvariantViolationError,
+                     RegisterSizeError)
 from .registers import (
     MAX_STATE_BYTES,
     DensityOperator,
     Register,
     SlotId,
+    _SITE_RE,
     _discard_rows,
     _factor,
     _from_rows,
@@ -81,8 +82,6 @@ from .dynamics import (
     phase_gate,
 )
 from .analytics import von_neumann_entropy
-
-_SITE_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
 @dataclass(frozen=True)
@@ -148,7 +147,7 @@ def _fail(line: int, message: str):
 
 
 def _parse_site(token: str, line: int) -> str:
-    if not _SITE_RE.match(token):
+    if not (isinstance(token, str) and _SITE_RE.match(token)):
         _fail(line, f"bad site name {token!r}")
     return token
 
@@ -522,7 +521,7 @@ def _static_check(directives) -> CircuitPlan:
         if type(cycle) is not int or cycle < 0:
             _parse_cycle(f"@{cycle}", d.line)
         if isinstance(d, Prepare):
-            _parse_site(f"{d.site}", d.line)
+            _parse_site(d.site, d.line)
             if d.kind not in ("vac", "qubit"):
                 _fail(d.line, f"unknown state kind {d.kind!r}")
             if (d.site, d.cycle) in pos:
@@ -751,16 +750,13 @@ def run_program(program: CircuitProgram):
     a discard, the mixed final state, is built and validated once, at
     the end (registers.gram_density).  A pure final state is normalized
     in place on the run's own rows.  A hand-built directive list that the
-    static check rejects raises CircuitExecutionError, and anything but a
+    static check rejects raises its CircuitParseError, and anything but a
     CircuitProgram raises ValueError naming its type.
     """
     if not isinstance(program, CircuitProgram):
         raise ValueError(
             f"expected a CircuitProgram, got {type(program).__name__}")
-    try:
-        plan = program.plan
-    except CircuitParseError as exc:
-        raise CircuitExecutionError(str(exc)) from exc
+    plan = program.plan
     rows = _run_steps(plan.steps, None)
     rho = gram_density(plan.output_register,
                        _factor(rows, plan.steps[-1].axes)[0])

@@ -20,7 +20,9 @@ or its string value:
   branch products.  This preserves branch identity across copies and
   depends on the ensemble, not just on the average density matrix; when
   only a DensityOperator is supplied, its spectral decomposition is used
-  as a stand-in ensemble, which is a canonical but not unique choice.
+  as a stand-in ensemble, and a density whose kept eigenvalues come
+  closer than registers.SPECTRAL_GAP, where that decomposition is not
+  determined by the matrix, is refused.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .errors import (CycleMisalignmentError, UnknownSlotError,
                      ZeroProbabilityError)
 from .registers import (
     ATOL,
+    SPECTRAL_GAP,
     WEIGHT_ROUNDOFF,
     ZERO_NORM,
     BasisLevel,
@@ -221,8 +224,11 @@ def _bind(state, mode) -> tuple:
     it keeps after one eigh (_spectral_rows), or the pairs of an ensemble as
     registers._checked_ensemble returns it, which is not checked again.
     Under COHERENT_HISTORY each branch is a state of one row, mixed by
-    w; under UNCORRELATED_COPIES the rows sqrt(w) v are one state,
-    folded by a QR factorization to at most d rows (R^H R = r^H r).  A
+    w, and a density whose kept eigenvalues come closer than
+    SPECTRAL_GAP raises ValueError, since its matrix does not determine
+    its eigenvectors, and so the output; under UNCORRELATED_COPIES the
+    rows sqrt(w) v are one state, folded by a QR factorization to at
+    most d rows (R^H R = r^H r).  A
     mixed input with no mode raises ValueError; a mode is a
     CorrelationMode or its value.
     """
@@ -236,6 +242,16 @@ def _bind(state, mode) -> tuple:
     if isinstance(state, DensityOperator):
         dims = state.register.dims
         weights, vectors = _spectral_rows(state)
+        if mode is CorrelationMode.COHERENT_HISTORY:
+            # ascending, so the closest pair is adjacent; lists are
+            # faster than numpy on a handful of weights
+            w = weights.tolist()
+            gap = min((b - a for a, b in zip(w, w[1:])), default=1.0)
+            if gap < SPECTRAL_GAP:
+                raise ValueError(
+                    f"two eigenvalues {gap:.3e} apart, under SPECTRAL_GAP = "
+                    f"{SPECTRAL_GAP:g}, leave coherent history undetermined; "
+                    "pass an explicit (weight, PureState) ensemble")
     else:
         dims = state[0][1].register.dims
         weights = np.array([w for w, _ in state])
@@ -250,8 +266,8 @@ def _bind(state, mode) -> tuple:
 
 def _expand(state, policy, copies) -> State:
     """A pure state, DensityOperator or ensemble (checked here) as copies
-    of itself on the registers copies(its register) returns: its rows
-    (_bind) times themselves once per further copy, after one size check.
+    of itself on the registers copies(its register) returns: after one
+    size check, its rows (_bind) times themselves once per further copy.
     A pure input gives a PureState, any other the gram_density of the
     product rows, each state's scaled by sqrt(w) (registers._from_rows)."""
     if isinstance(state, (PureState, DensityOperator)):
@@ -259,12 +275,12 @@ def _expand(state, policy, copies) -> State:
     else:
         state = _checked_ensemble(state)
         reg = state[0][1].register
-    rows, weights = _bind(state, policy)
     pure = isinstance(state, PureState)
     regs = copies(reg)
     register = Register(sum((r.slots for r in regs), ()),
                         sum((r.dims for r in regs), ()))
     check_state_size(register.dim, pure)
+    rows, weights = _bind(state, policy)
     out = rows
     for _ in regs[1:]:
         out = _row_product(out, rows)

@@ -44,7 +44,3 @@ class CircuitParseError(SimulationError):
         self.line_no = line_no
         self.message = message
         super().__init__(f"line {line_no}: {message}")
-
-
-class CircuitExecutionError(SimulationError):
-    """A parsed program could not be executed on the evolving state."""

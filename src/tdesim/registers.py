@@ -1,6 +1,8 @@
 """Registers of clock-cycle-labeled slots and the states living on them.
 
-A slot is a (site, cycle) pair.  Slots at different cycles are independent
+A slot is a (site, cycle) pair, and a site is named by ASCII letters,
+digits and underscores, as the circuit language names it, so every state
+can be written as a program.  Slots at different cycles are independent
 tensor factors even when they share a site, which is what lets a single
 physical qubit appear several times in one register.  Slots are qubits
 (dim 2) or qutrits (dim 3); the three-level case prepends a vacuum level
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -52,6 +55,12 @@ WEIGHT_ROUNDOFF = 1e-12
 WEIGHT_SUM_SLACK = 1e-9
 # A state vector whose (L2) norm is below this is taken to be zero.
 ZERO_NORM = 1e-12
+# The least distance between two kept eigenvalues of a density that
+# COHERENT_HISTORY reads by its eigenvectors (dynamics._bind).  The output
+# moves by about 1.3 eps / gap for a change eps in the matrix entries, so
+# at this gap roundoff up to ~8e-15 in a caller's matrix moves it less
+# than 1e-12; closer eigenvalues leave the eigenvectors undetermined.
+SPECTRAL_GAP = 1e-2
 # How far an entropy inequality (subadditivity, S(rho_d) >= S(input)) may
 # fail before the states are taken to be corrupt.
 ENTROPY_SLACK = 1e-9
@@ -62,6 +71,9 @@ ENTROPY_SLACK = 1e-9
 MAX_STATE_BYTES = 256 * 2**20
 
 _LEVEL_CHARS = {2: "01", 3: "v01"}
+
+# SlotId's site rule, which the circuit language's parser reads too
+_SITE_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
 def _whole(value, rule: str) -> int:
@@ -86,13 +98,17 @@ class BasisLevel(enum.Enum):
 @dataclass(frozen=True, order=True)
 class SlotId:
     """Address of one tensor factor: which site, at which clock cycle.
-    A cycle that is not an int must be a whole number, and is stored as
-    one."""
+    A site must be a str of ASCII letters, digits and underscores, and a
+    cycle that is not an int a whole number, stored as one; anything else
+    raises ValueError naming it."""
 
     site: str
     cycle: int
 
     def __post_init__(self):
+        if not (isinstance(self.site, str) and _SITE_RE.match(self.site)):
+            raise ValueError("a site is a name of ASCII letters, digits and "
+                             f"underscores, got {self.site!r}")
         if type(self.cycle) is not int:
             object.__setattr__(self, "cycle", _whole(
                 self.cycle, "a cycle must be a whole number"))
@@ -117,7 +133,7 @@ def as_slot(slot: SlotLike) -> SlotId:
     except (TypeError, ValueError):
         raise ValueError(
             f"a slot is a (site, cycle) pair, got {slot!r}") from None
-    return SlotId(str(site), cycle)
+    return SlotId(site, cycle)
 
 
 @dataclass(frozen=True)

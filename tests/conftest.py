@@ -19,7 +19,7 @@ from scipy import linalg as sla
 from scipy import stats
 
 from tdesim import (
-    CircuitExecutionError,
+    CircuitParseError,
     CorrelationMode,
     DensityOperator,
     ExecutionReport,
@@ -354,15 +354,12 @@ def _oracle_shift(slots, participants, cycle):
 def _oracle_ensure_cycle(state, participants, cycle, line):
     delta = _oracle_shift(state.slots, participants, cycle)
     if delta is None:
-        raise CircuitExecutionError(
-            f"line {line}: no dilation aligns {participants} at cycle {cycle}"
-        )
+        raise CircuitParseError(
+            line, f"no dilation aligns {participants} at cycle {cycle}")
     if delta == 0:
         return state
     if state.array.ndim != 1:
-        raise CircuitExecutionError(
-            f"line {line}: cannot expand a mixed state"
-        )
+        raise CircuitParseError(line, "cannot expand a mixed state")
     return state.tensor(state.shifted(None, delta))
 
 

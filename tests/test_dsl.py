@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import dense_gate_oracle, run_program_oracle
 from tdesim import (
     MAX_STATE_BYTES,
-    CircuitExecutionError,
     CircuitParseError,
     DensityOperator,
     InvariantViolationError,
@@ -851,7 +850,7 @@ def test_runtime_rejects_mixed_expansion():
     )
     from tdesim import CircuitProgram
 
-    with pytest.raises(CircuitExecutionError):
+    with pytest.raises(CircuitParseError):
         run_program(CircuitProgram(program_directives))
 
 
@@ -874,7 +873,7 @@ def test_hand_built_cnot_on_one_site_is_a_typed_error():
     program = CircuitProgram((Prepare("a", 0, "qubit", 1.0, 0.0, line=1),
                               Cnot("a", "a", 0, line=2),
                               Output("a", 0, line=3)))
-    with pytest.raises(CircuitExecutionError, match="line 2: .*must differ"):
+    with pytest.raises(CircuitParseError, match="line 2: .*must differ"):
         run_program(program)
 
 
@@ -896,6 +895,8 @@ _QUBIT = Prepare("a", 0, "qubit", 1.0, 0.0, line=1)
     ((Prepare("a b", 0, "qubit", 1.0, 0.0, line=1),
       Output("a b", 0, line=2)),
      "line 1: bad site name 'a b'"),
+    ((Prepare(1, 0, "qubit", 1.0, 0.0, line=1), Output(1, 0, line=2)),
+     "line 1: bad site name 1"),
     ((_QUBIT, Dilate("a", -2, line=2), Output("a", -2, line=3)),
      "line 2: bad dilation '\\+-2'"),
     ((_QUBIT, "gate x a @0", Output("a", 0, line=3)),
@@ -907,13 +908,13 @@ _QUBIT = Prepare("a", 0, "qubit", 1.0, 0.0, line=1)
     ((_QUBIT, GateOp("Phase", "a", 0, 0.5, line=2), Output("a", 0, line=3)),
      "line 2: unknown gate 'Phase'"),
 ], ids=["state-kind", "gate-name", "phase-without-angle", "phase-nan",
-        "negative-cycle", "site-name", "negative-dilation", "not-a-directive",
-        "gate-name-X", "gate-name-H", "gate-name-Phase"])
+        "negative-cycle", "site-name", "site-not-str", "negative-dilation",
+        "not-a-directive", "gate-name-X", "gate-name-H", "gate-name-Phase"])
 def test_hand_built_directives_get_the_parsers_rules(directives, message):
     # each would otherwise compile as something else, crash untyped, run
     # with an element ignored, or run and format to text that
     # parse_circuit refuses or reads back as another program
-    with pytest.raises(CircuitExecutionError, match=message):
+    with pytest.raises(CircuitParseError, match=message):
         run_program(CircuitProgram(directives))
 
 

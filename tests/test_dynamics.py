@@ -36,7 +36,7 @@ from tdesim.dynamics import (
     project,
     spectral_ensemble,
 )
-from tdesim.registers import partial_trace, tensor
+from tdesim.registers import SPECTRAL_GAP, partial_trace, tensor
 
 from conftest import (
     expansion_oracle,
@@ -285,12 +285,18 @@ def test_displaced_expansion_coherent_equals_spectral_mixture(rng):
     np.testing.assert_allclose(coh.matrix, acc, atol=1e-12)
 
 
-def _random_input(rng, kind, reg):
-    """A pure state, a density or an ensemble of 1-4 branches on reg."""
+def _random_input(rng, kind, reg, mode):
+    """A pure state, a density or an ensemble of 1-4 branches on reg.  A
+    density under COHERENT_HISTORY is redrawn until its eigenvalues lie
+    SPECTRAL_GAP apart, as that mode requires."""
     if kind == "pure":
         return random_pure(rng, reg)
     if kind == "density":
-        return random_density(rng, reg)
+        rho = random_density(rng, reg)
+        while mode is CorrelationMode.COHERENT_HISTORY and \
+                np.diff(rho.eigenvalues).min() < SPECTRAL_GAP:
+            rho = random_density(rng, reg)
+        return rho
     k = int(rng.integers(1, 5))
     return list(zip(rng.dirichlet(np.ones(k)).tolist(),
                     [random_pure(rng, reg) for _ in range(k)]))
@@ -319,7 +325,8 @@ def test_expansions_match_the_dense_oracle(seed, kind, dim, dim_b, copies,
     rng = np.random.default_rng(seed)
     t = int(rng.integers(0, 4))
     # free_expansion: copies at distinct cycles, given in any order
-    state = _random_input(rng, kind, Register((SlotId("a", t),), (dim,)))
+    state = _random_input(rng, kind, Register((SlotId("a", t),), (dim,)),
+                          mode)
     cycles = rng.choice(8, size=copies, replace=False).tolist()
     out = free_expansion(state, cycles, policy=mode)
     _check_against_oracle(out, state, copies, mode, Register(
@@ -329,7 +336,7 @@ def test_expansions_match_the_dense_oracle(seed, kind, dim, dim_b, copies,
     tau = int(rng.integers(1, 4))
     site = ("1", "2")[int(rng.integers(0, 2))]
     pair = _random_input(rng, kind, Register((("1", t), ("2", t)),
-                                             (dim, dim_b)))
+                                             (dim, dim_b)), mode)
     out = displaced_expansion(pair, tau, site, policy=mode)
     copy_a = tuple(SlotId(s, t if s == site else t - tau) for s in "12")
     copy_b = tuple(SlotId(s.site, s.cycle + tau) for s in copy_a)

@@ -82,10 +82,9 @@ CALLERS = sorted(
 _RAISED = "raised to callers"
 _TYPE = "the argument or return type of a function a caller uses"
 REASONS = {
-    **dict.fromkeys(("CircuitExecutionError", "CycleMisalignmentError",
-                     "InvariantViolationError", "OverlappingSlotError",
-                     "RegisterSizeError", "UnknownSlotError",
-                     "ZeroProbabilityError"), _RAISED),
+    **dict.fromkeys(("CycleMisalignmentError", "InvariantViolationError",
+                     "OverlappingSlotError", "RegisterSizeError",
+                     "UnknownSlotError", "ZeroProbabilityError"), _RAISED),
     **dict.fromkeys(("PureState", "CurvePoint", "CircuitReport",
                      "EntropyStudyReport", "NoSignalReport",
                      "ProprietyReport", "ReverseReport", "ExecutionReport",

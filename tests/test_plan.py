@@ -25,6 +25,7 @@ from tdesim import (
     to_density,
 )
 from tdesim import dsl
+from tdesim.registers import _SITE_RE
 from tdesim.scenarios import (
     _MIXED_COLUMNS,
     _box,
@@ -285,4 +286,4 @@ def test_scenario_plans_use_sites_the_language_accepts():
     for plan in plans:
         for step in plan.steps:
             for site, _ in step.slots:
-                assert dsl._SITE_RE.match(site), site
+                assert _SITE_RE.match(site), site

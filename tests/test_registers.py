@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -82,6 +83,26 @@ def test_cycles_and_dimensions_must_be_whole_numbers():
     assert reg == Register((SlotId("a", 1), SlotId("b", 2)), (2, 3))
     assert {type(v) for v in reg.dims + tuple(s.cycle for s in reg.slots)} \
         == {int}
+
+
+@pytest.mark.parametrize("build, site", [
+    (lambda: SlotId("a b", 0), "'a b'"),
+    (lambda: SlotId("", 0), "''"),
+    (lambda: SlotId(1, 0), "1"),
+    (lambda: Register(((1, 0),), (2,)), "1"),  # no longer read as "1"
+    (lambda: SlotId("q\n", 0), "'q\\n'"),
+    (lambda: SlotId("\u00e9", 0), "'\u00e9'"),
+    (lambda: qubit_state("x-y", 0, 1, 0), "'x-y'"),
+    (lambda: bell_phi_plus("1", "a.b", 0), "'a.b'"),
+])
+def test_a_site_is_a_name_the_circuit_language_reads(build, site):
+    # the language's site rule: a state could hold a slot a program
+    # cannot name, and a scenario's compile then refused it at line 0
+    with pytest.raises(ValueError, match="^a site is a name of ASCII "
+                       f"letters, digits and underscores, got {re.escape(site)}$"):
+        build()
+    for name in ("q", "Q_1", "_", "0", "anc"):
+        assert SlotId(name, 0).site == name
 
 
 def test_register_lookup():

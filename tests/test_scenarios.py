@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import linalg as sla
 
 from tdesim import (
     CorrelationMode,
@@ -12,6 +13,8 @@ from tdesim import (
     Register,
     SlotId,
     dilation_from_round_trip,
+    displaced_expansion,
+    maximally_mixed,
     nonlinear_map,
     purity,
     qubit_state,
@@ -24,6 +27,8 @@ from tdesim import (
     subadditivity_margin,
     to_density,
 )
+from tdesim.dynamics import free_expansion
+from tdesim.registers import SPECTRAL_GAP
 
 from conftest import (
     dense_project_oracle,
@@ -414,3 +419,119 @@ def test_backend_is_no_signaling_for_random_states_and_bases(
             out = run_displaced_backend(DensityOperator(bob, left / prob))
             average += prob * out.matrix
         assert trace_norm_oracle(average - reference.matrix) <= 1e-12
+
+
+_COHERENT = CorrelationMode.COHERENT_HISTORY
+_GAP_REFUSAL = (r"^two eigenvalues .* apart, under SPECTRAL_GAP = 0\.01, "
+                r"leave coherent history undetermined; pass an explicit "
+                r"\(weight, PureState\) ensemble$")
+
+
+@pytest.mark.parametrize("state", [
+    maximally_mixed(Register((SlotId("1", 0),), (2,))),
+    QubitDensity(0.5, 0.5),
+    QubitDensity(0.504, 0.496),  # eigenvalues 8e-3 apart
+    maximally_mixed(Register((SlotId("1", 0),), (3,))),
+], ids=["I/2", "QubitDensity(0.5, 0.5)", "gap-8e-3", "I/3"])
+def test_coherent_history_refuses_an_undetermined_eigenbasis(state):
+    # eigh's basis of a degenerate spectrum is arbitrary: I/2 used to give
+    # |0><0|, and I/2 with a 1e-9 coherence gives I/2
+    with pytest.raises(ValueError, match=_GAP_REFUSAL):
+        run_fig1(state, policy=_COHERENT)
+    rho = state.to_density("1", 0) if isinstance(state, QubitDensity) \
+        else state
+    with pytest.raises(ValueError, match=_GAP_REFUSAL):
+        free_expansion(rho, [0, 1], policy=_COHERENT)
+    out = run_fig1(state, policy=CorrelationMode.UNCORRELATED_COPIES)
+    if rho.dim == 2:
+        # N(rho) of its populations
+        want = nonlinear_map(QubitDensity.from_matrix(rho.matrix))
+        np.testing.assert_allclose(out.rho_out.matrix, want.to_matrix(),
+                                   rtol=0, atol=1e-12)
+
+
+def test_coherent_history_refuses_a_degenerate_pair():
+    pair = maximally_mixed(Register((SlotId("1", 0), SlotId("2", 0)),
+                                    (2, 2)))
+    with pytest.raises(ValueError, match=_GAP_REFUSAL):
+        displaced_expansion(pair, 1, "1", policy=_COHERENT)
+    displaced_expansion(pair, 1, "1",
+                        policy=CorrelationMode.UNCORRELATED_COPIES)
+
+
+@pytest.mark.parametrize("amps, proper", [
+    (((1.0, 0.0), (0.0, 1.0)), np.diag([1.0, 0.0])),
+    (((1.0, 1.0), (1.0, -1.0)), np.eye(2) / 2),
+], ids=["computational", "diagonal"])
+def test_an_explicit_ensemble_of_i_over_2_runs_under_both_modes(amps,
+                                                                proper):
+    # the ensemble says which branches are copied whole, so the coherent
+    # output is defined, and the two ensembles of I/2 give different ones
+    ensemble = [(0.5, qubit_state("1", 0, a0, a1)) for a0, a1 in amps]
+    rep = run_proper_vs_improper(ensemble)
+    np.testing.assert_allclose(rep.proper_output.matrix, proper, rtol=0,
+                               atol=1e-12)
+    np.testing.assert_allclose(rep.improper_output.matrix, np.eye(2) / 2,
+                               rtol=0, atol=1e-12)
+    for mode in CorrelationMode:
+        out = free_expansion(ensemble, [0, 1], policy=mode)
+        np.testing.assert_allclose(out.matrix,
+                                   expansion_oracle(ensemble, 2, mode),
+                                   rtol=0, atol=1e-12)
+
+
+def _coherent_history_oracle(m: np.ndarray) -> np.ndarray:
+    """sum_i lambda_i N(|v_i><v_i|) over scipy's eigenpairs of a qubit
+    density, with N(v) = diag(|v0|^4 + |v1|^4, 2 |v0|^2 |v1|^2)."""
+    vals, vecs = sla.eigh(m)
+    p0, p1 = abs(vecs[0]) ** 2, abs(vecs[1]) ** 2
+    return np.diag([vals @ (p0 ** 2 + p1 ** 2), vals @ (2.0 * p0 * p1)])
+
+
+@PROPERTY_SETTINGS
+@given(st.floats(SPECTRAL_GAP * (1 + 1e-9), 1.0), st.floats(0.0, np.pi),
+       st.floats(0.0, 2 * np.pi), st.integers(1, 3))
+def test_coherent_history_is_the_eigenvalue_weighted_map(radius, theta, phi,
+                                                         tau):
+    # a qubit density of Bloch radius r has eigenvalues (1 +- r)/2, so
+    # every radius drawn meets SPECTRAL_GAP
+    bloch = radius * np.array([np.sin(theta) * np.cos(phi),
+                               np.sin(theta) * np.sin(phi), np.cos(theta)])
+    m = 0.5 * np.array([[1 + bloch[2], bloch[0] - 1j * bloch[1]],
+                        [bloch[0] + 1j * bloch[1], 1 - bloch[2]]])
+    rho = DensityOperator(Register((SlotId("1", tau),), (2,)), m)
+    rep = run_fig1(rho, tau=tau, policy=_COHERENT)
+    np.testing.assert_allclose(rep.rho_out.matrix,
+                               _coherent_history_oracle(m), rtol=0,
+                               atol=1e-12)
+
+
+_SITES = st.one_of(st.from_regex(r"[A-Za-z0-9_]{1,8}", fullmatch=True),
+                   st.text(max_size=4))
+
+
+@PROPERTY_SETTINGS
+@given(_SITES, st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_no_runner_refuses_a_state_the_library_built(site, cycle, seed):
+    # a runner compiles its circuit on the input's site: a state refuses
+    # a site the circuit language does not read, so no runner raises
+    # CircuitParseError (run_fig1 of qubit_state("a b", ...) raised "line
+    # 0: bad site name 'a b'")
+    try:
+        one = Register((SlotId(site, cycle),), (2,))
+    except ValueError as exc:
+        assert str(exc).startswith("a site is a name of ASCII letters")
+        return
+    rng = np.random.default_rng(seed)
+    psi, rho = random_pure(rng, one), random_density(rng, one)
+    run_fig1(psi)
+    run_fig1(rho)
+    run_reverse(psi)
+    run_proper_vs_improper([(0.5, psi), (0.5, random_pure(rng, one))])
+    pair = random_density(rng, Register(
+        (SlotId(site, cycle), SlotId(site, cycle + 1)), (2, 2)))
+    if site == "c":  # the box's ancilla
+        with pytest.raises(ValueError, match="ancilla site"):
+            run_displaced_backend(pair)
+    else:
+        run_displaced_backend(pair)
