@@ -35,22 +35,16 @@ from .dynamics import (
     joint_outcome_distribution,
     measure_at_cycle,
 )
-from .channel import (
-    QubitDensity,
-    displaced_bell_channel,
-    nonlinear_map,
-    nonlinearity_witness,
-)
-from .analytics import (
-    CurvePoint,
-    amplification_points,
-    fig2_curves,
-    purity,
-    subadditivity_margin,
-    trace_norm_distance,
+from .dsl import (
+    CircuitProgram,
+    ExecutionReport,
+    format_circuit,
+    parse_circuit,
+    run_program,
 )
 from .scenarios import (
     CircuitReport,
+    CurvePoint,
     EntropyStudyReport,
     NoSignalReport,
     ProprietyReport,
@@ -64,12 +58,18 @@ from .scenarios import (
     run_reverse,
     run_sweep,
 )
-from .dsl import (
-    CircuitProgram,
-    ExecutionReport,
-    format_circuit,
-    parse_circuit,
-    run_program,
+from .analytics import (
+    amplification_points,
+    fig2_curves,
+    purity,
+    subadditivity_margin,
+    trace_norm_distance,
+)
+from .channel import (
+    QubitDensity,
+    displaced_bell_channel,
+    nonlinear_map,
+    nonlinearity_witness,
 )
 # loaded with the package: benchmarks/tracer.py wraps the calls of every
 # tdesim module that `import tdesim` loads, the command line's included

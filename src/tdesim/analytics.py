@@ -1,8 +1,10 @@
 """Entropy, distance, and curve utilities.
 
-The state analytics take a PureState or a DensityOperator, read through
-registers.to_density, and anything else raises ValueError: they rely on
-the density contract construction checked.  Entropies are in bits.
+The analytics read the engine (scenarios and registers), and no module
+of the engine imports them.  The state analytics take a PureState or a
+DensityOperator, read through registers.to_density, and anything else
+raises ValueError: they rely on the density contract construction
+checked.  Entropies are in bits.
 Trace norm here means the full Schatten 1-norm Tr|A - B| with no 1/2 in
 front, so orthogonal pure states sit at distance 2 and the
 distinguishability curves below run on a [0, 2] scale.
@@ -10,15 +12,16 @@ distinguishability curves below run on a [0, 2] scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .errors import InvariantViolationError
-from .registers import (ATOL, ENTROPY_SLACK, Register,
-                        _factor, _rows, gram_density, to_density)
+from .registers import (ATOL, ENTROPY_SLACK, _entropy_bits, _trace_norms,
+                        partial_trace, to_density)
 from .dynamics import _check_tau
+from .scenarios import (CurvePoint, _fig1_circuit, _readout, grid_inputs,
+                        row_blocks)
 
 
 def von_neumann_entropy(rho) -> float:
@@ -28,16 +31,6 @@ def von_neumann_entropy(rho) -> float:
     return float(_entropy_bits(to_density(rho).eigenvalues))
 
 
-def _entropy_bits(vals: np.ndarray) -> np.ndarray:
-    """Entropies in bits of spectra shaped (..., d), one per row; values
-    at or below zero contribute nothing (they become 1, whose term
-    1 log2 1 is exactly 0).  Summed left to right, so zeros padding a
-    spectrum change no bit of its entropy."""
-    p = np.where(vals > 0.0, vals, 1.0)
-    total = np.add.accumulate(p * np.log2(p), axis=-1)[..., -1]
-    return np.maximum(-total, 0.0) + 0.0
-
-
 def trace_norm_distance(a, b) -> float:
     """Tr|a - b| between two states, pure or mixed, whose registers have
     the same slot dimensions."""
@@ -45,19 +38,6 @@ def trace_norm_distance(a, b) -> float:
     if ma.register.dims != mb.register.dims:
         raise ValueError("registers have different slot dimensions")
     return float(_trace_norms((ma.matrix - mb.matrix)[None])[0])
-
-
-def _trace_norms(diff: np.ndarray) -> np.ndarray:
-    """Tr|D| for each matrix of an (N, d, d) stack: from the eigenvalues
-    where D is hermitian to ATOL, else from the singular values."""
-    herm = np.abs(diff - diff.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
-    out = np.empty(len(diff))
-    h = herm <= ATOL
-    if h.any():
-        out[h] = np.abs(np.linalg.eigvalsh(diff[h])).sum(axis=-1)
-    if not h.all():
-        out[~h] = np.linalg.svd(diff[~h], compute_uv=False).sum(axis=-1)
-    return out
 
 
 def purity(rho) -> float:
@@ -71,22 +51,18 @@ def subadditivity_margin(rho) -> float:
     """S(A) + S(B) - S(AB) of a PureState or DensityOperator, read through
     registers.to_density, where A is the first slot and B the rest.
 
-    Both marginals come from the rows the density keeps (registers._rows),
-    so a density built from rows takes no eigh and any other one at most
-    one.  Nonnegative for every valid state; a margin below
-    -ENTROPY_SLACK means the inputs were not a state at all and raises
-    instead of returning.
+    Both marginals are registers.partial_trace of it, which reads the
+    rows the density keeps, so a density built from rows takes no eigh
+    and any other one at most one.  Nonnegative for every valid state; a
+    margin below -ENTROPY_SLACK means the inputs were not a state at all
+    and raises instead of returning.
     """
     rho = to_density(rho)
-    reg = rho.register
-    n = len(reg.slots)
-    if n < 2:
+    slots = rho.register.slots
+    if len(slots) < 2:
         raise ValueError("subadditivity needs at least two slots")
-    rows = _rows(rho)
-    part_a = gram_density(Register(reg.slots[:1], reg.dims[:1]),
-                          _factor(rows, [0])[0])
-    part_b = gram_density(Register(reg.slots[1:], reg.dims[1:]),
-                          _factor(rows, range(1, n))[0])
+    part_a = partial_trace(rho, slots[:1])
+    part_b = partial_trace(rho, slots[1:])
     margin = (von_neumann_entropy(part_a) + von_neumann_entropy(part_b)
               - von_neumann_entropy(rho))
     if margin < -ENTROPY_SLACK:
@@ -94,14 +70,6 @@ def subadditivity_margin(rho) -> float:
             f"subadditivity violated by {margin:.3e}"
         )
     return margin
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """One abscissa of a parameter sweep plus its named curve values."""
-
-    beta_sq: float
-    values: dict
 
 
 def _check_tolerance(tolerance) -> float:
@@ -133,8 +101,6 @@ def fig2_curves(grid: Sequence[float], tau: int = 1,
     block of the grid costs one check and one trace-norm pass over both
     curves.
     """
-    from .scenarios import _fig1_circuit, _readout, grid_inputs, row_blocks
-
     tau = _check_tau(tau)
     tolerance = _check_tolerance(tolerance)
     b2, amps = grid_inputs(grid)

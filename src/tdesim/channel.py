@@ -12,8 +12,9 @@ quantifies that by how badly the map fails to commute with mixing.
 A QubitDensity meets the density contract of registers.check_densities,
 so it refuses exactly what a DensityOperator refuses, and nonlinear_map
 reads its populations as the simulator reads a density's spectrum.
-displaced_bell_channel is run_fig1's rho_d: the same circuit, run on the
-executor, read before its closing CNOT.
+displaced_bell_channel is run_fig1's rho_d, read alone from the same
+compiled circuit (scenarios._readout) before its closing CNOT.  The
+closed forms refuse anything but a QubitDensity with ValueError.
 """
 
 from __future__ import annotations
@@ -22,9 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registers import (DensityOperator, Register, SlotId, check_densities,
-                        qubit_state)
-from .analytics import _trace_norms
+from .registers import (DensityOperator, Register, SlotId, _trace_norms,
+                        check_densities)
+from .dynamics import _check_tau
+from .scenarios import _fig1_circuit, _readout
 
 
 @dataclass(frozen=True)
@@ -74,8 +76,11 @@ def nonlinear_map(rho: QubitDensity) -> QubitDensity:
 
     The populations are read as the simulator reads a density's spectrum
     (registers._spectral_rows): a negative one is roundoff and counts as
-    zero, and the rest are divided by their sum before squaring.
+    zero, and the rest are divided by their sum before squaring.  Anything
+    but a QubitDensity raises ValueError naming its type.
     """
+    if not isinstance(rho, QubitDensity):
+        raise ValueError(f"expected a QubitDensity, got {type(rho).__name__}")
     g00, g11 = max(rho.g00, 0.0), max(rho.g11, 0.0)
     g00, g11 = g00 / (g00 + g11), g11 / (g00 + g11)
     return QubitDensity(g00 ** 2 + g11 ** 2, 2.0 * g00 * g11)
@@ -88,13 +93,12 @@ def displaced_bell_channel(tau: int = 1) -> DensityOperator:
     dilated by tau cycles, and the slots (1, tau) and (2, tau) are kept.
     Both halves decohere completely, leaving the maximally mixed two-qubit
     state.  This is run_fig1's rho_d on (|0> + |1>)/sqrt(2), whose
-    ancilla is site "2".
+    ancilla is site "2", from a read-out of that one column.
     """
-    # scenarios imports this module, so it is imported here
-    from .scenarios import run_fig1
-
-    # sqrt(0.5) is already normalized, so no renormalization moves a bit
-    return run_fig1(qubit_state("1", 0, np.sqrt(0.5), np.sqrt(0.5)), tau).rho_d
+    tau = _check_tau(tau)
+    ro = _readout(_fig1_circuit, (2, tau, "1"), 1, ("rho_d",))
+    _, stack = ro.products(np.full((1, 1, 2), np.sqrt(0.5), dtype=complex))
+    return ro.densities(stack, ro.check(stack))[0][0]
 
 
 def nonlinearity_witness(rho_a: QubitDensity, rho_b: QubitDensity,
@@ -107,12 +111,13 @@ def nonlinearity_witness(rho_a: QubitDensity, rho_b: QubitDensity,
     lam = float(lam)
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must sit in [0, 1], got {lam}")
+    # nonlinear_map refuses a rho_a or rho_b that is not a QubitDensity
+    rhs = (lam * nonlinear_map(rho_a).to_matrix()
+           + (1.0 - lam) * nonlinear_map(rho_b).to_matrix())
     mixed = QubitDensity(
         lam * rho_a.g00 + (1.0 - lam) * rho_b.g00,
         lam * rho_a.g11 + (1.0 - lam) * rho_b.g11,
         lam * rho_a.g01 + (1.0 - lam) * rho_b.g01,
     )
     lhs = nonlinear_map(mixed).to_matrix()
-    rhs = (lam * nonlinear_map(rho_a).to_matrix()
-           + (1.0 - lam) * nonlinear_map(rho_b).to_matrix())
     return float(_trace_norms((lhs - rhs)[None])[0])

@@ -30,14 +30,7 @@ import numpy as np
 from .errors import SimulationError
 from .registers import density_to_json, maximally_mixed, qubit_state
 from .dynamics import joint_outcome_distribution
-from .analytics import (
-    _check_tolerance,
-    amplification_points,
-    fig2_curves,
-    purity,
-    trace_norm_distance,
-)
-from .channel import displaced_bell_channel
+from .dsl import parse_circuit, run_program
 from .scenarios import (
     _BASES,
     grid_reports,
@@ -47,7 +40,14 @@ from .scenarios import (
     run_proper_vs_improper,
     run_sweep,
 )
-from .dsl import parse_circuit, run_program
+from .analytics import (
+    _check_tolerance,
+    amplification_points,
+    fig2_curves,
+    purity,
+    trace_norm_distance,
+)
+from .channel import displaced_bell_channel
 
 # Largest --steps accepted, checked before the grid is built.  At the
 # bound `fig2` runs for about 10 s in 0.5 GB (one 2-vCPU x86 core).

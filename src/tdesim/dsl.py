@@ -64,6 +64,7 @@ from .registers import (
     SlotId,
     _SITE_RE,
     _discard_rows,
+    _entropy_bits,
     _factor,
     _from_rows,
     _left_multiply,
@@ -81,7 +82,6 @@ from .dynamics import (
     pauli_x,
     phase_gate,
 )
-from .analytics import von_neumann_entropy
 
 
 @dataclass(frozen=True)
@@ -764,7 +764,7 @@ def run_program(program: CircuitProgram):
         plan.output_register.slots[0],
         rho,
         joint_outcome_distribution(rho, rho.register.slots),
-        von_neumann_entropy(rho),
+        float(_entropy_bits(rho.eigenvalues)),
     )
     return report, _from_rows(plan.register, rows, plan.pure)
 

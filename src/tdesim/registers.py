@@ -23,6 +23,10 @@ sqrt(w) v from one eigh of its matrix, taken on first use and kept.  That
 eigh drops the eigenvalues validation lets through as roundoff and
 renormalizes the rest, so diag(1 + 5e-11, -5e-11) acts as |0><0| in every
 operation.
+
+The spectral kernels _entropy_bits and _trace_norms sit next to
+check_densities, whose spectra they read; the engine and the analytics
+both call them.
 """
 
 from __future__ import annotations
@@ -364,6 +368,29 @@ def check_densities(matrices: np.ndarray) -> np.ndarray:
     return _check_spectrum(matrices, np.linalg.eigvalsh(matrices))
 
 
+def _entropy_bits(vals: np.ndarray) -> np.ndarray:
+    """Entropies in bits of spectra shaped (..., d), one per row; values
+    at or below zero contribute nothing (they become 1, whose term
+    1 log2 1 is exactly 0).  Summed left to right, so zeros padding a
+    spectrum change no bit of its entropy."""
+    p = np.where(vals > 0.0, vals, 1.0)
+    total = np.add.accumulate(p * np.log2(p), axis=-1)[..., -1]
+    return np.maximum(-total, 0.0) + 0.0
+
+
+def _trace_norms(diff: np.ndarray) -> np.ndarray:
+    """Tr|D| for each matrix of an (N, d, d) stack: from the eigenvalues
+    where D is hermitian to ATOL, else from the singular values."""
+    herm = np.abs(diff - diff.conj().swapaxes(-1, -2)).max(axis=(-2, -1))
+    out = np.empty(len(diff))
+    h = herm <= ATOL
+    if h.any():
+        out[h] = np.abs(np.linalg.eigvalsh(diff[h])).sum(axis=-1)
+    if not h.all():
+        out[~h] = np.linalg.svd(diff[~h], compute_uv=False).sum(axis=-1)
+    return out
+
+
 # Columns per entry of F F^H from which gram_density takes its d**2 row
 # dot products in place of the matrix product f @ f.conj().T.  Measured on
 # one core, the dot products win from (2, 2048) (8 against 12 us) and
@@ -670,8 +697,10 @@ def on_register(state: State, register: Register) -> State:
     return rho
 
 
-def density_to_json(rho: DensityOperator) -> dict:
-    """JSON-friendly encoding: slot list plus a [re, im] matrix."""
+def density_to_json(rho: State) -> dict:
+    """JSON-friendly encoding of a state read through to_density: slot
+    list plus a [re, im] matrix."""
+    rho = to_density(rho)
     return {
         "slots": [
             {"site": s.site, "cycle": s.cycle, "dim": d}

@@ -43,8 +43,10 @@ from .registers import (
     _check_hermitian_unit_trace,
     _check_spectrum,
     _checked_ensemble,
+    _entropy_bits,
     _factor,
     _pure_state,
+    _trace_norms,
     _validated,
     bell_phi_plus,
     check_densities,
@@ -53,13 +55,6 @@ from .registers import (
     qubit_state,
 )
 from .dynamics import CorrelationMode, _bind, _check_tau
-from .analytics import (
-    CurvePoint,
-    _entropy_bits,
-    _trace_norms,
-    trace_norm_distance,
-)
-from .channel import QubitDensity
 from .dsl import (
     CircuitPlan,
     Cnot,
@@ -367,17 +362,16 @@ def run_fig1(state, tau: int = 1,
              policy=CorrelationMode.UNCORRELATED_COPIES) -> CircuitReport:
     """Run the displaced-CNOT circuit on one input qubit.
 
-    The input is placed at cycle tau on its own site (a QubitDensity on
-    site "1"), entangled with a fresh ancilla by a CNOT, and its site is
-    dilated by tau cycles.  The expansion then spans four slots; reading
-    out at the preparation cycle gives rho_d, and the closing CNOT plus
-    partial trace give the channel output on the ancilla.  A mixed input
-    runs under `policy` (uncorrelated copies by default), and its
-    four-slot state is a density.
+    The input, a PureState or DensityOperator on one slot, is placed at
+    cycle tau on its own site, entangled with a fresh ancilla by a CNOT,
+    and its site is dilated by tau cycles.  The expansion then spans four
+    slots; reading out at the preparation cycle gives rho_d, and the
+    closing CNOT plus partial trace give the channel output on the
+    ancilla.  A mixed input runs under `policy` (uncorrelated copies by
+    default), and its four-slot state is a density.  Anything else, a
+    QubitDensity included (pass q.to_density()), raises ValueError.
     """
     tau = _check_tau(tau)
-    if isinstance(state, QubitDensity):
-        state = state.to_density("1", tau)
     site = _input_site(state)
     rows, weights = _bind(state, policy)
     inp = None if isinstance(state, PureState) else on_register(
@@ -643,8 +637,16 @@ def run_proper_vs_improper(ensemble: Optional[Sequence] = None,
     # one check for the two qubit outputs, and nothing else
     stack = np.concatenate([_mix(weights, stack[:k]), stack[k:]])
     (outs,) = ro.densities(stack, ro.check(stack))
-    return ProprietyReport(branches, outs[0], outs[1],
-                           trace_norm_distance(*outs), tau)
+    distance = _trace_norms((outs[0].matrix - outs[1].matrix)[None])[0]
+    return ProprietyReport(branches, outs[0], outs[1], float(distance), tau)
+
+
+@dataclass(frozen=True)
+class CurvePoint:
+    """One abscissa of a parameter sweep plus its named curve values."""
+
+    beta_sq: float
+    values: dict
 
 
 @dataclass

@@ -12,8 +12,11 @@ from tdesim import (
     displaced_bell_channel,
     nonlinear_map,
     nonlinearity_witness,
+    qubit_state,
     run_fig1,
+    to_density,
 )
+from tdesim import scenarios
 from tdesim.registers import ATOL, PSD_FLOOR
 
 from conftest import displaced_cnot_density_oracle
@@ -121,9 +124,43 @@ def test_displaced_bell_channel_fully_decoheres():
                                    atol=1e-12)
         np.testing.assert_allclose(rho.matrix, np.eye(4) / 4.0, rtol=0,
                                    atol=1e-12)
-    for tau in (0, 1.9, 2.5):
+    for tau in (0, 1.5, 1.9, 2.5):
         with pytest.raises(ValueError, match="dilation must be"):
             displaced_bell_channel(tau)
+
+
+def test_displaced_bell_channel_reads_one_column(monkeypatch):
+    # run_fig1's rho_d bit for bit, from one validated density where
+    # run_fig1 builds four
+    for tau in (1, 2, 3):
+        want = run_fig1(qubit_state("1", 0, np.sqrt(0.5), np.sqrt(0.5)),
+                        tau).rho_d
+        calls = []
+        validated = scenarios._validated
+        monkeypatch.setattr(scenarios, "_validated",
+                            lambda *a: calls.append(a) or validated(*a))
+        rho = displaced_bell_channel(tau)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        assert rho.register == want.register
+        assert rho.matrix.tobytes() == want.matrix.tobytes()
+        assert rho.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+
+
+_RHO = to_density(qubit_state("1", 0, 0.6, 0.8))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: nonlinear_map(_RHO), "DensityOperator"),
+    (lambda: nonlinear_map(None), "NoneType"),
+    (lambda: nonlinearity_witness(None, None, 0.5), "NoneType"),
+    (lambda: nonlinearity_witness(QubitDensity(0.5, 0.5), _RHO, 0.5),
+     "DensityOperator"),
+], ids=["map-density", "map-None", "witness-None", "witness-density"])
+def test_closed_forms_refuse_anything_but_a_qubit_density(call, name):
+    with pytest.raises(ValueError,
+                       match=f"^expected a QubitDensity, got {name}$"):
+        call()
 
 
 def test_witness_on_orthogonal_pure_inputs():
@@ -206,7 +243,7 @@ def test_from_matrix_keeps_a_roundoff_eigenvalue():
     m = np.diag([1.0 + 5e-11, -5e-11])
     qd = QubitDensity.from_matrix(m)
     assert (qd.g00, qd.g11) == (1.0 + 5e-11, -5e-11)
-    assert run_fig1(qd).rho_out.matrix.tobytes() == \
+    assert run_fig1(qd.to_density()).rho_out.matrix.tobytes() == \
         run_fig1(DensityOperator(_QUBIT, m)).rho_out.matrix.tobytes()
 
 
@@ -235,8 +272,9 @@ def test_nonlinear_map_reads_populations_as_the_simulator_does(fields, want):
     # 1 + 1.6e-12
     np.testing.assert_array_equal(
         nonlinear_map(QubitDensity(*fields)).to_matrix(), want)
-    np.testing.assert_allclose(run_fig1(QubitDensity(*fields)).rho_out.matrix,
-                               want, rtol=0, atol=1e-15)
+    rho = QubitDensity(*fields).to_density()
+    np.testing.assert_allclose(run_fig1(rho).rho_out.matrix, want, rtol=0,
+                               atol=1e-15)
 
 
 def test_nonlinear_map_is_the_closed_form_on_unit_populations():

@@ -72,6 +72,45 @@ def test_module_uses_every_import(module):
         assert unused_imports(f.read()) == []
 
 
+# The package's modules in import order: a module imports only modules of
+# an earlier tier, so the engine (dsl, scenarios) reads neither the
+# analytics nor the closed form, and the graph has no cycle.
+CHAIN = (("errors",), ("registers",), ("dynamics",), ("dsl",),
+         ("scenarios",), ("analytics", "channel"), ("cli",),
+         ("__init__", "__main__"))
+TIER = {name: tier for tier, names in enumerate(CHAIN) for name in names}
+
+
+def package_imports(source: str) -> tuple:
+    """(in_function, relative): the line numbers of the import statements
+    inside a function body, and the package modules the source imports
+    by relative imports."""
+    tree = ast.parse(source)
+    in_function = sorted(
+        inner.lineno for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for inner in ast.walk(node)
+        if isinstance(inner, (ast.Import, ast.ImportFrom)))
+    relative = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module is None:  # from . import cli
+                relative.update(alias.name for alias in node.names)
+            else:
+                relative.add(node.module.split(".")[0])
+    return in_function, relative
+
+
+@pytest.mark.parametrize("name", sorted(TIER))
+def test_module_imports_only_earlier_modules_at_module_level(name):
+    assert sorted(f[:-3] for f in os.listdir(os.path.join(ROOT, PACKAGE))
+                  if f.endswith(".py")) == sorted(TIER)
+    with open(os.path.join(ROOT, PACKAGE, name + ".py")) as f:
+        in_function, relative = package_imports(f.read())
+    assert in_function == []
+    assert sorted(m for m in relative if TIER[m] >= TIER[name]) == []
+
+
 CALLERS = sorted(
     [os.path.join(PACKAGE, "cli.py"),
      os.path.join("tests", "test_acceptance.py")]

@@ -434,6 +434,19 @@ def test_density_json_round_trip(rng):
     np.testing.assert_array_equal(back, rho.matrix)
 
 
+def test_density_json_encodes_a_pure_state_as_its_density():
+    psi = qubit_state("1", 0, 0.6, 0.8)
+    assert density_to_json(psi) == density_to_json(to_density(psi))
+
+
+@pytest.mark.parametrize("bad", [None, np.eye(2) / 2],
+                         ids=["None", "ndarray"])
+def test_density_json_refuses_a_non_state(bad):
+    with pytest.raises(ValueError,
+                       match=f"^not a state: {type(bad).__name__}$"):
+        density_to_json(bad)
+
+
 def _old_hermitian_unit_trace_accepts(m):
     """The whole-matrix check that the banded one replaced."""
     dev = abs(m - m.conj().swapaxes(-1, -2)).max()

@@ -128,9 +128,22 @@ def test_integral_dilations_of_any_type_run():
 
 
 def test_fig1_accepts_channel_density_input():
-    rep = run_fig1(QubitDensity(0.25, 0.75))
+    rep = run_fig1(QubitDensity(0.25, 0.75).to_density())
     want = nonlinear_map(QubitDensity(0.25, 0.75)).to_matrix()
     np.testing.assert_allclose(rep.rho_out.matrix, want, atol=1e-12)
+
+
+def test_fig1_takes_states_only():
+    q = QubitDensity(0.25, 0.75)
+    with pytest.raises(ValueError,
+                       match="^unsupported circuit input: QubitDensity$"):
+        run_fig1(q)
+    for tau in (1, 2, 3):
+        # the runner moves its input to cycle tau, so the cycle q is put
+        # on changes no bit
+        ref = run_fig1(q.to_density("1", tau), tau)
+        assert _report_bytes(run_fig1(q.to_density(), tau)) == \
+            _report_bytes(ref)
 
 
 def test_fig1_mixed_input_uncorrelated_copies(rng):
@@ -436,13 +449,13 @@ _GAP_REFUSAL = (r"^two eigenvalues .* apart, under SPECTRAL_GAP = 0\.01, "
 def test_coherent_history_refuses_an_undetermined_eigenbasis(state):
     # eigh's basis of a degenerate spectrum is arbitrary: I/2 used to give
     # |0><0|, and I/2 with a 1e-9 coherence gives I/2
-    with pytest.raises(ValueError, match=_GAP_REFUSAL):
-        run_fig1(state, policy=_COHERENT)
     rho = state.to_density("1", 0) if isinstance(state, QubitDensity) \
         else state
     with pytest.raises(ValueError, match=_GAP_REFUSAL):
+        run_fig1(rho, policy=_COHERENT)
+    with pytest.raises(ValueError, match=_GAP_REFUSAL):
         free_expansion(rho, [0, 1], policy=_COHERENT)
-    out = run_fig1(state, policy=CorrelationMode.UNCORRELATED_COPIES)
+    out = run_fig1(rho, policy=CorrelationMode.UNCORRELATED_COPIES)
     if rho.dim == 2:
         # N(rho) of its populations
         want = nonlinear_map(QubitDensity.from_matrix(rho.matrix))
