@@ -19,21 +19,17 @@ from .errors import (
 )
 from .registers import (
     MAX_STATE_BYTES,
+    CorrelationMode,
     DensityOperator,
     PureState,
     Register,
     SlotId,
     bell_phi_plus,
     density_to_json,
+    joint_outcome_distribution,
     maximally_mixed,
     qubit_state,
     to_density,
-)
-from .dynamics import (
-    CorrelationMode,
-    displaced_expansion,
-    joint_outcome_distribution,
-    measure_at_cycle,
 )
 from .dsl import (
     CircuitProgram,
@@ -42,6 +38,7 @@ from .dsl import (
     parse_circuit,
     run_program,
 )
+from .dynamics import displaced_expansion, measure_at_cycle
 from .scenarios import (
     CircuitReport,
     CurvePoint,

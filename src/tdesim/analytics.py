@@ -17,9 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvariantViolationError
-from .registers import (ATOL, ENTROPY_SLACK, _entropy_bits, _trace_norms,
-                        partial_trace, to_density)
-from .dynamics import _check_tau
+from .registers import (ATOL, ENTROPY_SLACK, _check_tau, _entropy_bits,
+                        _trace_norms, partial_trace, to_density)
 from .scenarios import (CurvePoint, _fig1_circuit, _readout, grid_inputs,
                         row_blocks)
 

@@ -23,9 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .registers import (DensityOperator, Register, SlotId, _trace_norms,
-                        check_densities)
-from .dynamics import _check_tau
+from .registers import (DensityOperator, Register, SlotId, _check_tau,
+                        _trace_norms, check_densities)
 from .scenarios import _fig1_circuit, _readout
 
 

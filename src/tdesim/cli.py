@@ -28,8 +28,8 @@ import sys
 import numpy as np
 
 from .errors import SimulationError
-from .registers import density_to_json, maximally_mixed, qubit_state
-from .dynamics import joint_outcome_distribution
+from .registers import (density_to_json, joint_outcome_distribution,
+                        maximally_mixed, qubit_state)
 from .dsl import parse_circuit, run_program
 from .scenarios import (
     _BASES,

@@ -42,6 +42,8 @@ state; the hermiticity check reads one triangle in bands.  The paper's
 scenarios (scenarios.py) are circuits compiled here, run on the same
 executor with their own input rows bound in place of the input prepares.
 Its row kernels live in registers, shared with every state operation.
+The matrices of the gates the language names live here, next to the
+gate grammar, and the object path's Gate constructors read them.
 """
 
 from __future__ import annotations
@@ -51,7 +53,9 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from itertools import product as _iproduct
+from types import MappingProxyType
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -73,14 +77,7 @@ from .registers import (
     check_state_size,
     density_to_json,
     gram_density,
-)
-from .dynamics import (
-    _lift_logical,
-    cnot,
-    hadamard,
     joint_outcome_distribution,
-    pauli_x,
-    phase_gate,
 )
 
 
@@ -323,10 +320,8 @@ def parse_circuit(text: str) -> CircuitProgram:
 
 def _expansion_shift(site_cycles: dict, participants, cycle: int):
     """Smallest whole-state shift that gives every participant a slot at
-    the cycle, or None.  0 means no expansion is needed."""
+    the cycle, or None."""
     missing = [s for s in participants if cycle not in site_cycles[s]]
-    if not missing:
-        return 0
     candidates = None
     for s in missing:
         deltas = {cycle - c for c in site_cycles[s] if cycle - c >= 1}
@@ -386,7 +381,38 @@ class CircuitPlan:
         return all(step.kind != "discard" for step in self.steps)
 
 
-_GATES = {"x": pauli_x, "h": hadamard, "cnot": cnot}
+# The matrices of the fixed gates the language names, on their logical
+# levels, read-only; dynamics' Gate constructors read the same arrays.
+# CNOT is the identity with |10> and |11> swapped.
+_GATE_MATRICES = MappingProxyType({
+    "x": np.array([[0, 1], [1, 0]], dtype=complex),
+    "h": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),
+    "cnot": np.eye(4, dtype=complex)[[0, 1, 3, 2]],
+})
+for _matrix in _GATE_MATRICES.values():
+    _matrix.flags.writeable = False
+
+
+def _phase_matrix(theta: float) -> np.ndarray:
+    """diag(1, e^{i theta}), the phase(theta) gate's matrix."""
+    return np.diag([1.0, np.exp(1j * float(theta))])
+
+
+def _lift_logical(matrix: np.ndarray, dims: Sequence[int]) -> np.ndarray:
+    """Embed a 2^k logical unitary into the full product space of the
+    target slots, identity on anything involving a vacuum level."""
+    if all(d == 2 for d in dims):
+        return matrix
+    full = int(np.prod(dims))
+    lifted = np.eye(full, dtype=complex)
+    lattice = [
+        int(np.ravel_multi_index(
+            tuple(b + (d - 2) for b, d in zip(bits, dims)), tuple(dims)
+        ))
+        for bits in _iproduct((0, 1), repeat=len(dims))
+    ]
+    lifted[np.ix_(lattice, lattice)] = matrix
+    return lifted
 
 
 def _monomial(block: np.ndarray, permutation: bool = False):
@@ -412,8 +438,8 @@ def _monomial(block: np.ndarray, permutation: bool = False):
 def _lifted_gate(name: str, theta: Optional[float], dims: tuple):
     """A gate's lifted block on targets of the given dims, shaped dims +
     dims, and its gather read off by _monomial, None if dense."""
-    gate = phase_gate(theta) if name == "phase" else _GATES[name]()
-    block = _lift_logical(gate.matrix, dims).reshape(dims + dims)
+    matrix = _phase_matrix(theta) if name == "phase" else _GATE_MATRICES[name]
+    block = _lift_logical(matrix, dims).reshape(dims + dims)
     gather = _monomial(block, permutation=name in ("x", "cnot"))
     for array in (block,) + (gather or ()):
         if array is not None:  # shared by every plan that uses the gate
@@ -480,14 +506,13 @@ def _static_check(directives) -> CircuitPlan:
         delta = _expansion_shift(cycles, participants, cycle)
         if delta is None:
             _fail(ln, f"no dilation aligns {participants} at cycle {cycle}")
-        if delta:
-            if not expandable:
-                _fail(ln, "expansion after discard needs a pure state")
-            close()
-            for s, c in list(pos):
-                pos[s, c + delta] = len(pos)
-            fits(ln)
-            step("expand", ln, shift=delta)
+        if not expandable:
+            _fail(ln, "expansion after discard needs a pure state")
+        close()
+        for s, c in list(pos):
+            pos[s, c + delta] = len(pos)
+        fits(ln)
+        step("expand", ln, shift=delta)
 
     def gate(name, theta, axes, tdims, ln):
         nonlocal run

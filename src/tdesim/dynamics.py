@@ -1,18 +1,20 @@
-"""Gates, two-copy expansions, and cycle-filtered measurement.
+"""The object path: gates, two-copy expansions and cycle-filtered
+measurement on whole state objects, one step at a time.
 
 Free evolution between cycles is a relabeling, so dynamics here splits into
 three pieces: unitary gates acting inside a single cycle, expansions that
 append time-shifted copies of a state, and measurements that keep only the
 slots at one cycle.
 
-These functions act on whole state objects one step at a time: the
-object path.  Nothing else in the package calls it (scenarios and programs
-run on the dsl's executor), and it runs on the executor's own row kernels
-(registers), so the executor's reference is the tests' dense oracles.
+Only the package's __init__ imports this module: the scenarios and
+programs run on the dsl's executor and never read the object path.  It
+runs on the executor's own pieces, the row kernels and the binding rule
+of registers and the gate matrices of dsl, so the executor's reference
+is the tests' dense oracles.
 
 Expanding a mixed state is ambiguous and the two readings give different
-physics, so the caller must choose a CorrelationMode, given as the member
-or its string value:
+physics, so the caller must choose a registers.CorrelationMode, given as
+the member or its string value:
 
 * UNCORRELATED_COPIES tensors the reduced density matrix with its shifted
   copy (rho (x) rho').  The copies share no correlations.
@@ -27,10 +29,8 @@ or its string value:
 
 from __future__ import annotations
 
-import enum
 import functools
 from dataclasses import dataclass
-from itertools import product as _iproduct
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -39,15 +39,17 @@ from .errors import (CycleMisalignmentError, UnknownSlotError,
                      ZeroProbabilityError)
 from .registers import (
     ATOL,
-    SPECTRAL_GAP,
     WEIGHT_ROUNDOFF,
     ZERO_NORM,
     BasisLevel,
+    CorrelationMode,
     DensityOperator,
     PureState,
     Register,
     SlotLike,
     State,
+    _bind,
+    _check_tau,
     _checked_ensemble,
     _discard_rows,
     _from_rows,
@@ -59,25 +61,11 @@ from .registers import (
     as_slot,
     check_state_size,
     level_index,
-    level_label,
     partial_trace,
 )
+from .dsl import _GATE_MATRICES, _lift_logical, _phase_matrix
 
 Ensemble = Sequence  # of (weight, PureState) pairs
-
-
-class CorrelationMode(enum.Enum):
-    UNCORRELATED_COPIES = "uncorrelated-copies"
-    COHERENT_HISTORY = "coherent-history"
-
-
-def _check_tau(tau) -> int:
-    """tau as an int; a dilation is a whole number of cycles, at least
-    one, so anything else raises ValueError."""
-    cycles = _whole(tau, "dilation must be a whole number of cycles")
-    if cycles < 1:
-        raise ValueError(f"dilation must be at least one cycle, got {cycles}")
-    return cycles
 
 
 class Gate:
@@ -111,46 +99,26 @@ class Gate:
         return f"Gate({self.name!r}, arity={self.arity})"
 
 
-# The fixed gates are built and checked for unitarity once; every call
-# returns the same Gate, whose matrix is read-only.
+# The fixed gates are built and checked for unitarity once, from the
+# language's matrices; every call returns the same Gate, whose matrix is
+# read-only.
 @functools.lru_cache(maxsize=None)
 def cnot() -> Gate:
-    return Gate("cnot", [[1, 0, 0, 0],
-                         [0, 1, 0, 0],
-                         [0, 0, 0, 1],
-                         [0, 0, 1, 0]])
+    return Gate("cnot", _GATE_MATRICES["cnot"])
 
 
 @functools.lru_cache(maxsize=None)
 def pauli_x() -> Gate:
-    return Gate("x", [[0, 1], [1, 0]])
+    return Gate("x", _GATE_MATRICES["x"])
 
 
 @functools.lru_cache(maxsize=None)
 def hadamard() -> Gate:
-    s = 1.0 / np.sqrt(2.0)
-    return Gate("h", [[s, s], [s, -s]])
+    return Gate("h", _GATE_MATRICES["h"])
 
 
 def phase_gate(theta: float) -> Gate:
-    return Gate(f"phase({theta:g})", np.diag([1.0, np.exp(1j * float(theta))]))
-
-
-def _lift_logical(matrix: np.ndarray, dims: Sequence[int]) -> np.ndarray:
-    """Embed a 2^k logical unitary into the full product space of the
-    target slots, identity on anything involving a vacuum level."""
-    if all(d == 2 for d in dims):
-        return matrix
-    full = int(np.prod(dims))
-    lifted = np.eye(full, dtype=complex)
-    lattice = [
-        int(np.ravel_multi_index(
-            tuple(b + (d - 2) for b, d in zip(bits, dims)), tuple(dims)
-        ))
-        for bits in _iproduct((0, 1), repeat=len(dims))
-    ]
-    lifted[np.ix_(lattice, lattice)] = matrix
-    return lifted
+    return Gate(f"phase({theta:g})", _phase_matrix(theta))
 
 
 def apply_gate(state: State, gate: Gate, targets: Sequence[SlotLike]) -> State:
@@ -195,7 +163,7 @@ def _single_cycle(reg: Register) -> int:
 def ensemble_density(branches: Ensemble) -> DensityOperator:
     """Average density matrix of a pure-state ensemble, checked and
     renormalized by registers._checked_ensemble: the gram_density of its
-    rows sqrt(w) psi as _bind gives them."""
+    rows sqrt(w) psi as registers._bind gives them."""
     branches = _checked_ensemble(branches)
     reg = branches[0][1].register
     check_state_size(reg.dim, pure=False)
@@ -213,55 +181,6 @@ def spectral_ensemble(rho: DensityOperator) -> list:
     weights, vectors = _spectral_rows(rho)
     return [(w, PureState(rho.register, v))
             for w, v in zip(weights.tolist(), vectors)]
-
-
-def _bind(state, mode) -> tuple:
-    """An expansion or circuit input as executor rows shaped (B, N,
-    *dims), and the weights that mix its B states, or None for one state.
-
-    A pure state is one row and never consults mode.  A mixed input's
-    branches (w, v) are a DensityOperator's spectral decomposition, which
-    it keeps after one eigh (_spectral_rows), or the pairs of an ensemble as
-    registers._checked_ensemble returns it, which is not checked again.
-    Under COHERENT_HISTORY each branch is a state of one row, mixed by
-    w, and a density whose kept eigenvalues come closer than
-    SPECTRAL_GAP raises ValueError, since its matrix does not determine
-    its eigenvectors, and so the output; under UNCORRELATED_COPIES the
-    rows sqrt(w) v are one state, folded by a QR factorization to at
-    most d rows (R^H R = r^H r).  A
-    mixed input with no mode raises ValueError; a mode is a
-    CorrelationMode or its value.
-    """
-    if isinstance(state, PureState):
-        return _rows(state), None
-    if mode is None:
-        raise ValueError(
-            "expanding a mixed state needs an explicit correlation mode"
-        )
-    mode = CorrelationMode(mode)
-    if isinstance(state, DensityOperator):
-        dims = state.register.dims
-        weights, vectors = _spectral_rows(state)
-        if mode is CorrelationMode.COHERENT_HISTORY:
-            # ascending, so the closest pair is adjacent; lists are
-            # faster than numpy on a handful of weights
-            w = weights.tolist()
-            gap = min((b - a for a, b in zip(w, w[1:])), default=1.0)
-            if gap < SPECTRAL_GAP:
-                raise ValueError(
-                    f"two eigenvalues {gap:.3e} apart, under SPECTRAL_GAP = "
-                    f"{SPECTRAL_GAP:g}, leave coherent history undetermined; "
-                    "pass an explicit (weight, PureState) ensemble")
-    else:
-        dims = state[0][1].register.dims
-        weights = np.array([w for w, _ in state])
-        vectors = np.array([psi.amplitudes for _, psi in state])
-    if mode is CorrelationMode.COHERENT_HISTORY:
-        return vectors.reshape((len(vectors), 1) + dims), weights
-    rows = np.sqrt(weights)[:, None] * vectors
-    if len(rows) > rows.shape[1]:
-        rows = np.linalg.qr(rows, mode="r")
-    return rows.reshape((1, len(rows)) + dims), None
 
 
 def _expand(state, policy, copies) -> State:
@@ -426,32 +345,3 @@ def project(state: State, slot: SlotLike, outcome,
     pure = isinstance(state, PureState) and np.ndim(outcome) < 2
     rows = _discard_rows(rows, [axis]) / np.sqrt(p)
     return MeasurementOutcome(label, p, _from_rows(rest_reg, rows, pure))
-
-
-def joint_outcome_distribution(state: State, slots: Sequence[SlotLike]) -> dict:
-    """Born probabilities of every joint basis outcome on the given slots.
-
-    Keys concatenate one character per slot ('v', '0', '1'), in register
-    order.  All outcomes appear, including zero-probability ones.  The
-    probabilities are the marginal of the state's own diagonal over the
-    other slots, so no reduced state is built.
-    """
-    reg = state.register
-    slots = [as_slot(s) for s in slots]
-    if not slots:
-        raise ValueError("must keep at least one slot")
-    if len(set(slots)) != len(slots):
-        raise ValueError("slot list repeats a slot")
-    keep_pos = sorted(reg.index_of(s) for s in slots)
-    if isinstance(state, PureState):
-        diag = (state.amplitudes * state.amplitudes.conj()).real
-    else:
-        diag = state.matrix.diagonal().real
-    rest = tuple(p for p in range(len(reg.dims)) if p not in keep_pos)
-    diag = diag.reshape(reg.dims).sum(axis=rest).reshape(-1)
-    dims = tuple(reg.dims[p] for p in keep_pos)
-    probs = np.clip(diag, 0.0, None)
-    # row-major outcome labels, matching the flattened marginal
-    labels = _iproduct(*("".join(level_label(i, d) for i in range(d))
-                         for d in dims))
-    return dict(zip(map("".join, labels), probs.tolist()))

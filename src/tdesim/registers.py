@@ -24,6 +24,11 @@ eigh drops the eigenvalues validation lets through as roundoff and
 renormalizes the rest, so diag(1 + 5e-11, -5e-11) acts as |0><0| in every
 operation.
 
+The binding rule lives here too, next to _rows: _bind turns a caller's
+pure state, density or ensemble into executor rows under a
+CorrelationMode, for the scenarios and the object path's expansions
+alike.
+
 The spectral kernels _entropy_bits and _trace_norms sit next to
 check_densities, whose spectra they read; the engine and the analytics
 both call them.
@@ -35,6 +40,7 @@ import enum
 import math
 import re
 from dataclasses import dataclass
+from itertools import product as _iproduct
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -59,15 +65,21 @@ WEIGHT_ROUNDOFF = 1e-12
 WEIGHT_SUM_SLACK = 1e-9
 # A state vector whose (L2) norm is below this is taken to be zero.
 ZERO_NORM = 1e-12
-# The least distance between two kept eigenvalues of a density that
-# COHERENT_HISTORY reads by its eigenvectors (dynamics._bind).  The output
-# moves by about 1.3 eps / gap for a change eps in the matrix entries, so
-# at this gap roundoff up to ~8e-15 in a caller's matrix moves it less
-# than 1e-12; closer eigenvalues leave the eigenvectors undetermined.
-SPECTRAL_GAP = 1e-2
 # How far an entropy inequality (subadditivity, S(rho_d) >= S(input)) may
 # fail before the states are taken to be corrupt.
 ENTROPY_SLACK = 1e-9
+# The least distance between two kept eigenvalues of a density that
+# COHERENT_HISTORY reads by its eigenvectors (_bind).  The output moves by
+# about 1.3 eps / gap for a change eps in the matrix entries, so at this
+# gap roundoff up to ~8e-15 in a caller's matrix moves it less than
+# 1e-12; closer eigenvalues leave the eigenvectors undetermined.
+SPECTRAL_GAP = 1e-2
+
+
+class CorrelationMode(enum.Enum):
+    UNCORRELATED_COPIES = "uncorrelated-copies"
+    COHERENT_HISTORY = "coherent-history"
+
 
 # Largest state the simulator will build: a pure state on a register of
 # dimension d holds 16*d bytes of complex128 amplitudes, a density matrix
@@ -80,6 +92,16 @@ _LEVEL_CHARS = {2: "01", 3: "v01"}
 _SITE_RE = re.compile(r"[A-Za-z0-9_]+\Z")
 
 
+def _items(value, what: str) -> tuple:
+    """The items of a sequence as a tuple; anything that cannot be
+    iterated raises ValueError naming what it should be and its type."""
+    try:
+        return tuple(value)
+    except TypeError:
+        raise ValueError(f"{what} must be a sequence, got "
+                         f"{type(value).__name__}") from None
+
+
 def _whole(value, rule: str) -> int:
     """value as an int; anything but a whole number raises ValueError
     with the rule it broke and the value."""
@@ -89,6 +111,15 @@ def _whole(value, rule: str) -> int:
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{rule}, got {value!r}")
+
+
+def _check_tau(tau) -> int:
+    """tau as an int; a dilation is a whole number of cycles, at least
+    one, so anything else raises ValueError."""
+    cycles = _whole(tau, "dilation must be a whole number of cycles")
+    if cycles < 1:
+        raise ValueError(f"dilation must be at least one cycle, got {cycles}")
+    return cycles
 
 
 class BasisLevel(enum.Enum):
@@ -148,9 +179,9 @@ class Register:
     dims: tuple
 
     def __post_init__(self):
-        slots = tuple(map(as_slot, self.slots))
+        slots = tuple(map(as_slot, _items(self.slots, "a register's slots")))
         dims = tuple(_whole(d, "slot dimensions must be whole numbers")
-                     for d in self.dims)
+                     for d in _items(self.dims, "a register's dims"))
         object.__setattr__(self, "slots", slots)
         object.__setattr__(self, "dims", dims)
         if len(slots) != len(dims):
@@ -525,6 +556,55 @@ def _rows(state: State) -> np.ndarray:
     return (np.sqrt(weights)[:, None] * vectors).reshape((1, -1) + dims)
 
 
+def _bind(state, mode) -> tuple:
+    """An expansion or circuit input as executor rows shaped (B, N,
+    *dims), and the weights that mix its B states, or None for one state.
+
+    A pure state is one row and never consults mode.  A mixed input's
+    branches (w, v) are a DensityOperator's spectral decomposition, which
+    it keeps after one eigh (_spectral_rows), or the pairs of an ensemble as
+    _checked_ensemble returns it, which is not checked again.
+    Under COHERENT_HISTORY each branch is a state of one row, mixed by
+    w, and a density whose kept eigenvalues come closer than
+    SPECTRAL_GAP raises ValueError, since its matrix does not determine
+    its eigenvectors, and so the output; under UNCORRELATED_COPIES the
+    rows sqrt(w) v are one state, folded by a QR factorization to at
+    most d rows (R^H R = r^H r).  A
+    mixed input with no mode raises ValueError; a mode is a
+    CorrelationMode or its value.
+    """
+    if isinstance(state, PureState):
+        return _rows(state), None
+    if mode is None:
+        raise ValueError(
+            "expanding a mixed state needs an explicit correlation mode"
+        )
+    mode = CorrelationMode(mode)
+    if isinstance(state, DensityOperator):
+        dims = state.register.dims
+        weights, vectors = _spectral_rows(state)
+        if mode is CorrelationMode.COHERENT_HISTORY:
+            # ascending, so the closest pair is adjacent; lists are
+            # faster than numpy on a handful of weights
+            w = weights.tolist()
+            gap = min((b - a for a, b in zip(w, w[1:])), default=1.0)
+            if gap < SPECTRAL_GAP:
+                raise ValueError(
+                    f"two eigenvalues {gap:.3e} apart, under SPECTRAL_GAP = "
+                    f"{SPECTRAL_GAP:g}, leave coherent history undetermined; "
+                    "pass an explicit (weight, PureState) ensemble")
+    else:
+        dims = state[0][1].register.dims
+        weights = np.array([w for w, _ in state])
+        vectors = np.array([psi.amplitudes for _, psi in state])
+    if mode is CorrelationMode.COHERENT_HISTORY:
+        return vectors.reshape((len(vectors), 1) + dims), weights
+    rows = np.sqrt(weights)[:, None] * vectors
+    if len(rows) > rows.shape[1]:
+        rows = np.linalg.qr(rows, mode="r")
+    return rows.reshape((1, len(rows)) + dims), None
+
+
 def _from_rows(register: Register, rows: np.ndarray, pure: bool) -> State:
     """The state of rows shaped (1, N, *register.dims): a PureState on
     its one row (_pure_state, which takes the rows over), or the
@@ -647,6 +727,35 @@ def partial_trace(state: State, keep: Iterable[SlotLike]) -> DensityOperator:
     return gram_density(out_reg, _factor(_rows(state), keep_pos)[0])
 
 
+def joint_outcome_distribution(state: State, slots: Sequence[SlotLike]) -> dict:
+    """Born probabilities of every joint basis outcome on the given slots.
+
+    Keys concatenate one character per slot ('v', '0', '1'), in register
+    order.  All outcomes appear, including zero-probability ones.  The
+    probabilities are the marginal of the state's own diagonal over the
+    other slots, so no reduced state is built.
+    """
+    reg = state.register
+    slots = [as_slot(s) for s in slots]
+    if not slots:
+        raise ValueError("must keep at least one slot")
+    if len(set(slots)) != len(slots):
+        raise ValueError("slot list repeats a slot")
+    keep_pos = sorted(reg.index_of(s) for s in slots)
+    if isinstance(state, PureState):
+        diag = (state.amplitudes * state.amplitudes.conj()).real
+    else:
+        diag = state.matrix.diagonal().real
+    rest = tuple(p for p in range(len(reg.dims)) if p not in keep_pos)
+    diag = diag.reshape(reg.dims).sum(axis=rest).reshape(-1)
+    dims = tuple(reg.dims[p] for p in keep_pos)
+    probs = np.clip(diag, 0.0, None)
+    # row-major outcome labels, matching the flattened marginal
+    labels = _iproduct(*("".join(level_label(i, d) for i in range(d))
+                         for d in dims))
+    return dict(zip(map("".join, labels), probs.tolist()))
+
+
 def permute_slots(state: State, order: Sequence[SlotLike]) -> State:
     """Reorder the register slots; amplitudes follow the permutation."""
     reg = state.register
@@ -664,9 +773,9 @@ def relabel_cycles(state: State, site, delta: int) -> State:
 
     With site=None every slot shifts, which is how a whole state is carried
     forward in time.  A shift that would land two slots of one site on the
-    same cycle is rejected.
+    same cycle is rejected, and so is one that is not a whole number.
     """
-    delta = int(delta)
+    delta = _whole(delta, "a cycle shift must be a whole number")
     reg = state.register
     if site is not None and site not in reg.sites:
         raise UnknownSlotError(f"register has no site {site!r}")

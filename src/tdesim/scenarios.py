@@ -8,7 +8,7 @@ circuit is written as a directive tuple, compiled by dsl._static_check
 once per input dimension, dilation and site, and run by the dsl's own
 executor (dsl._run_steps) on rows shaped (B, N, *dims): B states, each
 the sum of the projectors of its N purification rows.  The scenario's
-input rows, which one binding (dynamics._bind, shared with the object
+input rows, which one binding (registers._bind, shared with the object
 path's expansions) makes of a pure or mixed input, take the place of
 the circuit's input prepares.
 
@@ -35,16 +35,20 @@ from .errors import InvariantViolationError
 from .registers import (
     ATOL,
     ENTROPY_SLACK,
+    CorrelationMode,
     DensityOperator,
     PureState,
     Register,
     SlotId,
     State,
+    _bind,
     _check_hermitian_unit_trace,
     _check_spectrum,
+    _check_tau,
     _checked_ensemble,
     _entropy_bits,
     _factor,
+    _items,
     _pure_state,
     _trace_norms,
     _validated,
@@ -54,7 +58,6 @@ from .registers import (
     on_register,
     qubit_state,
 )
-from .dynamics import CorrelationMode, _bind, _check_tau
 from .dsl import (
     CircuitPlan,
     Cnot,
@@ -96,10 +99,10 @@ def grid_inputs(grid, dim: int = 2) -> tuple:
     """beta^2 values and the input rows sqrt(1 - b2)|0> + sqrt(b2)|1>.
 
     Returns (b2, amplitudes): an (N,) float array and an (N, dim) stack
-    of normalized rows; with dim 3 the vacuum amplitude is zero.  A value
-    outside [0, 1] raises ValueError.
+    of normalized rows; with dim 3 the vacuum amplitude is zero.  A grid
+    that is not a sequence, or a value outside [0, 1], raises ValueError.
     """
-    b2 = np.array([float(b) for b in grid])
+    b2 = np.array([float(b) for b in _items(grid, "a beta^2 grid")])
     bad = ~((b2 >= 0.0) & (b2 <= 1.0))
     if bad.any():
         raise ValueError(f"beta^2 out of range: {b2[bad][0]}")
@@ -477,20 +480,23 @@ def _box(reg: Register) -> _Circuit:
     so neither collides with the ancilla site "c".  Each cycle gets a
     fresh ancilla and a CNOT, the early site is dilated by the gap and a
     last CNOT at c1 folds it onto the late ancilla, the output.  The
-    three CNOTs fuse into one gather.
+    three CNOTs fuse into one gather.  The circuit is compiled on cycles
+    0 and c1 - c0, since the language has no negative cycle, and its
+    output is labelled (c, c1).
     """
     c0, c1 = sorted(s.cycle for s in reg.slots)
-    a = _BOX_ANCILLA
+    a, gap = _BOX_ANCILLA, c1 - c0
     early, late = a + "_early", a + "_late"
-    names = {c0: early, c1: late}
-    inputs = tuple(_placeholder(names[s.cycle], s.cycle, d)
+    inputs = tuple(_placeholder(late if s.cycle == c1 else early,
+                                s.cycle - c0, d)
                    for s, d in zip(reg.slots, reg.dims))
     plan = _static_check(inputs + (
-        Prepare(a, c0, "qubit", 1), Prepare(a, c1, "qubit", 1),
-        Cnot(early, a, c0), Cnot(late, a, c1), Dilate(early, c1 - c0),
-        Cnot(early, a, c1), Output(a, c1)))
+        Prepare(a, 0, "qubit", 1), Prepare(a, gap, "qubit", 1),
+        Cnot(early, a, 0), Cnot(late, a, gap), Dilate(early, gap),
+        Cnot(early, a, gap), Output(a, gap)))
+    output = Register(((a, c1),), plan.output_register.dims)
     return _Circuit(plan, reg.dims, (plan.steps[2:],), MappingProxyType({
-        "output": (plan.output_register, 1, plan.steps[-1].axes)}))
+        "output": (output, 1, plan.steps[-1].axes)}))
 
 
 def run_displaced_backend(state: State) -> DensityOperator:

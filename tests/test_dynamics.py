@@ -23,7 +23,7 @@ from tdesim import (
     qubit_state,
     to_density,
 )
-from tdesim import dynamics, scenarios
+from tdesim import dsl, dynamics, scenarios
 from tdesim.dynamics import (
     Gate,
     apply_gate,
@@ -36,7 +36,7 @@ from tdesim.dynamics import (
     project,
     spectral_ensemble,
 )
-from tdesim.registers import SPECTRAL_GAP, partial_trace, tensor
+from tdesim.registers import ATOL, SPECTRAL_GAP, partial_trace, tensor
 
 from conftest import (
     expansion_oracle,
@@ -71,6 +71,23 @@ def test_standard_gates():
     np.testing.assert_allclose(
         ph.matrix, np.diag([1.0, np.exp(1j * np.pi / 3)])
     )
+
+
+def test_gate_constructors_read_the_languages_matrices():
+    # the language's table and the object path's gates are one set of
+    # arrays, bit for bit, each unitary
+    def same_bits(a, b):
+        return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape,
+                                                   b.tobytes())
+
+    for name, make in (("cnot", cnot), ("x", pauli_x), ("h", hadamard)):
+        matrix = dsl._GATE_MATRICES[name]
+        assert same_bits(make().matrix, matrix)
+        assert not matrix.flags.writeable
+        deviation = np.abs(matrix @ matrix.conj().T - np.eye(len(matrix)))
+        assert deviation.max() <= ATOL
+    for theta in (0.0, np.pi, -np.pi / 3, 1.3, 10.0):
+        assert same_bits(phase_gate(theta).matrix, dsl._phase_matrix(theta))
 
 
 def test_fixed_gates_are_shared_and_read_only():

@@ -258,7 +258,7 @@ def test_stacked_no_signaling_box_matches_per_input_box(basis, tau):
 
 @PROPERTY_SETTINGS
 @given(SEEDS, st.sampled_from(((2, 2), (2, 3), (3, 2), (3, 3))),
-       st.integers(0, 3), st.integers(1, 3), st.booleans(), st.booleans(),
+       st.integers(-3, 3), st.integers(1, 3), st.booleans(), st.booleans(),
        st.sampled_from(("b", "z")))
 def test_box_matches_object_path(seed, dims, c0, gap, late_first, pure,
                                  site):

@@ -17,10 +17,13 @@ from tdesim import (
     UnknownSlotError,
     bell_phi_plus,
     density_to_json,
+    fig2_curves,
     joint_outcome_distribution,
     maximally_mixed,
     purity,
     qubit_state,
+    run_entropy_study,
+    run_sweep,
     to_density,
     trace_norm_distance,
 )
@@ -370,6 +373,30 @@ def test_relabel_cycles_moves_slots_not_amplitudes(rng):
 
     all_shift = relabel_cycles(psi, None, 5)
     assert all_shift.register.slots == (SlotId("1", 5), SlotId("2", 5))
+
+
+def test_a_cycle_shift_is_a_whole_number(rng):
+    psi = random_pure(rng, two_qubit_register())
+    with pytest.raises(ValueError, match="whole number, got 1.7"):
+        relabel_cycles(psi, None, 1.7)
+    for delta in (2.0, np.int64(2)):
+        assert relabel_cycles(psi, "2", delta).register.slots == (
+            SlotId("1", 0), SlotId("2", 2))
+
+
+@pytest.mark.parametrize("call, what", [
+    (lambda: run_sweep(None), "a beta\\^2 grid"),
+    (lambda: fig2_curves(None), "a beta\\^2 grid"),
+    (lambda: run_entropy_study(0.5, None), "a beta\\^2 grid"),
+    (lambda: Register(None, None), "a register's slots"),
+    (lambda: Register((("a", 0),), None), "a register's dims"),
+], ids=["run_sweep", "fig2_curves", "run_entropy_study", "register_slots",
+        "register_dims"])
+def test_a_grid_or_register_that_is_no_sequence_is_refused_by_name(call,
+                                                                   what):
+    with pytest.raises(ValueError,
+                       match=f"{what} must be a sequence, got NoneType"):
+        call()
 
 
 def test_relabeled_density_keeps_its_validated_matrix(rng):
