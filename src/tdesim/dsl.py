@@ -23,12 +23,17 @@ expansion is resolved while parsing, so misaligned programs are rejected
 before anything runs; it also requires a pure state, so it cannot follow
 a discard.
 
-Parsing compiles the program into a CircuitPlan: the slot order after
-every step, each expansion's shift, each discard's axes and the gates.
-Each run of adjacent X, CNOT and phase gates, whose lifted blocks are
-monomial, becomes one flat index gather with optional phases; H stays a
-dense block.  A run is composed over only the register axes its gates
-touch and expanded to the register's flat gather once, when it closes.
+Parsing compiles the program into a CircuitPlan, in one pass over the
+directives: the slot order after every step, each expansion's shift,
+each discard's axes and the gates.  The slot order is one tuple, which
+only a prepare, an expansion, a dilation or a discard replaces, so the
+steps in between share it; the plan's registers are built once, at the
+end, and the output's slot is the final register's own.  Each run of
+adjacent X, CNOT and phase gates, whose lifted blocks are monomial,
+becomes one flat index gather with optional phases; H stays a dense
+block.  A run is composed over only the register axes its gates touch,
+starting from its first gate's own gather, and expanded to the
+register's flat gather once, when it closes.
 One executor, _run_steps, runs plan steps on an array of amplitude rows
 shaped (B, N, *dims): B independent states, each the sum of the
 projectors of its N rows.  run_program runs a program as one state of
@@ -265,52 +270,43 @@ def parse_circuit(text: str) -> CircuitProgram:
         raise ValueError(f"a program is text, got {type(text).__name__}")
     directives = []
     for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        head, *args = raw.partition("#")[0].split() or ("",)
+        if not head:
             continue
-        tokens = line.split()
-        head = tokens[0].lower()
-        args = tokens[1:]
-        if head == "prepare":
+        head = head.lower()
+        if head == "cnot":
+            if len(args) != 3:
+                _fail(ln, "usage: cnot <control> <target> @<cycle>")
+            directives.append(Cnot(_parse_site(args[0], ln),
+                                   _parse_site(args[1], ln),
+                                   _parse_cycle(args[2], ln), ln))
+        elif head == "dilate":
+            if len(args) != 2:
+                _fail(ln, "usage: dilate <site> +<n>")
+            directives.append(Dilate(_parse_site(args[0], ln),
+                                     _parse_dilation(args[1], ln), ln))
+        elif head == "prepare":
             if len(args) < 3:
                 _fail(ln, "usage: prepare <site> @<cycle> <state>")
             site = _parse_site(args[0], ln)
             cycle = _parse_cycle(args[1], ln)
             kind, a0, a1 = _parse_state("".join(args[2:]), ln)
             directives.append(Prepare(site, cycle, kind, a0, a1, ln))
-        elif head == "cnot":
-            if len(args) != 3:
-                _fail(ln, "usage: cnot <control> <target> @<cycle>")
-            control = _parse_site(args[0], ln)
-            target = _parse_site(args[1], ln)
-            directives.append(
-                Cnot(control, target, _parse_cycle(args[2], ln), line=ln)
-            )
         elif head == "gate":
             if len(args) != 3:
                 _fail(ln, "usage: gate <name> <site> @<cycle>")
             name, theta = _parse_gate_name(args[0], ln)
-            site = _parse_site(args[1], ln)
-            directives.append(
-                GateOp(name, site, _parse_cycle(args[2], ln), theta, line=ln)
-            )
-        elif head == "dilate":
-            if len(args) != 2:
-                _fail(ln, "usage: dilate <site> +<n>")
-            site = _parse_site(args[0], ln)
-            directives.append(Dilate(site, _parse_dilation(args[1], ln),
-                                     line=ln))
+            directives.append(GateOp(name, _parse_site(args[1], ln),
+                                     _parse_cycle(args[2], ln), theta, ln))
         elif head == "discard":
             if len(args) != 1:
                 _fail(ln, "usage: discard <site>")
-            directives.append(Discard(_parse_site(args[0], ln), line=ln))
+            directives.append(Discard(_parse_site(args[0], ln), ln))
         elif head == "output":
             if len(args) != 2:
                 _fail(ln, "usage: output <site> @<cycle>")
-            directives.append(
-                Output(_parse_site(args[0], ln), _parse_cycle(args[1], ln),
-                       line=ln)
-            )
+            directives.append(Output(_parse_site(args[0], ln),
+                                     _parse_cycle(args[1], ln), ln))
         else:
             _fail(ln, f"unknown directive {head!r}")
     program = CircuitProgram(tuple(directives))
@@ -318,20 +314,17 @@ def parse_circuit(text: str) -> CircuitProgram:
     return program
 
 
-def _expansion_shift(site_cycles: dict, participants, cycle: int):
+def _expansion_shift(slots, participants, cycle: int):
     """Smallest whole-state shift that gives every participant a slot at
-    the cycle, or None."""
-    missing = [s for s in participants if cycle not in site_cycles[s]]
+    the cycle and copies no slot onto one the state holds, or None."""
+    held = set(slots)
     candidates = None
-    for s in missing:
-        deltas = {cycle - c for c in site_cycles[s] if cycle - c >= 1}
-        candidates = deltas if candidates is None else candidates & deltas
+    for p in participants:
+        if (p, cycle) not in held:
+            deltas = {cycle - c for s, c in slots if s == p and c < cycle}
+            candidates = deltas if candidates is None else candidates & deltas
     for delta in sorted(candidates or ()):
-        ok = all(
-            not (cs & {c + delta for c in cs})
-            for cs in site_cycles.values()
-        )
-        if ok:
+        if held.isdisjoint([(s, c + delta) for s, c in slots]):
             return delta
     return None
 
@@ -378,7 +371,7 @@ class CircuitPlan:
     @property
     def pure(self) -> bool:
         """Whether the final state is pure: no step discards a site."""
-        return all(step.kind != "discard" for step in self.steps)
+        return "discard" not in [step.kind for step in self.steps]
 
 
 # The matrices of the fixed gates the language names, on their logical
@@ -450,31 +443,44 @@ def _lifted_gate(name: str, theta: Optional[float], dims: tuple):
 def _static_check(directives) -> CircuitPlan:
     """Check a directive list and compile it, in one pass.
 
-    pos maps the state's (site, cycle) pairs to their register axes, in
-    register order: a prepared slot is appended, an expansion appends the
-    shifted copy of every slot, a dilation relabels in place and a
-    discard removes the site's slots.  A monomial gate extends the open
-    run, which any other step except a dilation closes into one gather
-    step, unless the plan's gathers would then hold more than
-    MAX_STATE_BYTES.
+    slots holds the state's (site, cycle) pairs in register order and
+    shape their dims, as tuples replaced only when a step changes them,
+    so the steps in between share one: a prepared slot is appended, an
+    expansion appends the shifted copy of every slot, a dilation relabels
+    in place and a discard removes the site's slots.  A monomial gate
+    extends the open run, which any other step except a dilation closes
+    into one gather step, unless the plan's gathers would then hold more
+    than MAX_STATE_BYTES.
     """
+    if not directives:
+        _fail(1, "missing output directive")
+    final = len(directives) - 1
     dims = {}
     discarded = set()
-    expandable = True  # the state is still pure
-    pos = {}
+    pure = True  # no site discarded, so the state may expand
+    slots = shape = ()
+    size = 1
     steps = []
-    # the open run of monomial gates: (first line, [(gather, axes, target
-    # dims)] in order, whether it has phases, the register's dimension),
-    # or None; no step that changes the register leaves a run open
-    run = None
+    # the open run of monomial gates, [(gather, axes, target dims)] in
+    # order, with its first line and whether it has phases; no step that
+    # changes the register leaves a run open
+    run, first, phased = [], 0, False
     held = 0  # bytes of the closed runs' gathers
 
-    def shape():
-        return [dims[s] for s, _ in pos]
+    def close():
+        nonlocal held, phased
+        perm, phase = _run_gather(shape, run)
+        held += perm.nbytes + (0 if phase is None else phase.nbytes)
+        steps.append(PlanStep("gather", first, slots, phase, (), 0, perm))
+        run.clear()
+        phased = False
 
-    def fits(ln):
+    def resize(new, ln):
+        nonlocal slots, shape, size
+        slots, shape = new, tuple([dims[s] for s, _ in new])
+        size = math.prod(shape)
         try:
-            check_state_size(math.prod(shape()), pure=expandable)
+            check_state_size(size, pure)
         except RegisterSizeError as exc:
             _fail(ln, str(exc))
 
@@ -484,58 +490,10 @@ def _static_check(directives) -> CircuitPlan:
         if site not in dims:
             _fail(ln, f"site {site!r} was never prepared")
 
-    def step(kind, ln, operand=None, axes=(), shift=0, perm=None):
-        steps.append(PlanStep(kind, ln, tuple(pos), operand, axes, shift,
-                              perm))
-
-    def close():
-        nonlocal run, held
-        if run is not None:
-            first, gates = run[:2]
-            run = None
-            perm, phase = _run_gather(shape(), gates)
-            held += perm.nbytes + (0 if phase is None else phase.nbytes)
-            step("gather", first, phase, perm=perm)
-
-    def align(participants, cycle, ln):
-        if all([(s, cycle) in pos for s in participants]):
-            return
-        cycles = {}
-        for s, c in pos:
-            cycles.setdefault(s, set()).add(c)
-        delta = _expansion_shift(cycles, participants, cycle)
-        if delta is None:
-            _fail(ln, f"no dilation aligns {participants} at cycle {cycle}")
-        if not expandable:
-            _fail(ln, "expansion after discard needs a pure state")
-        close()
-        for s, c in list(pos):
-            pos[s, c + delta] = len(pos)
-        fits(ln)
-        step("expand", ln, shift=delta)
-
-    def gate(name, theta, axes, tdims, ln):
-        nonlocal run
-        block, gather = _lifted_gate(name, theta, tdims)
-        if gather is not None:
-            first, gates, phased, size = run or (ln, [], False,
-                                                 math.prod(shape()))
-            phased = phased or gather[1] is not None
-            # the plan's gathers hold at most MAX_STATE_BYTES in all (8
-            # bytes of perm and 16 of phase per amplitude); past that, a
-            # monomial gate stays a dense block like H
-            if held + size * (24 if phased else 8) <= MAX_STATE_BYTES:
-                gates.append((gather, axes, tdims))
-                run = first, gates, phased, size
-                return
-        close()
-        step("gate", ln, block, axes=axes)
-
-    if not directives:
-        _fail(1, "missing output directive")
     for i, d in enumerate(directives):
-        if isinstance(d, Output) and i != len(directives) - 1:
-            _fail(d.line, "output must be the final directive")
+        ln = getattr(d, "line", 0)
+        if i != final and isinstance(d, Output):
+            _fail(ln, "output must be the final directive")
         # a hand-built directive list meets the parser's rules, so that
         # format_circuit's text reads back: a cycle or dilation that is
         # not a plain int goes through the parser's own check, a gate name
@@ -544,77 +502,100 @@ def _static_check(directives) -> CircuitPlan:
         # a prepared site
         cycle = getattr(d, "cycle", 0)
         if type(cycle) is not int or cycle < 0:
-            _parse_cycle(f"@{cycle}", d.line)
-        if isinstance(d, Prepare):
-            _parse_site(d.site, d.line)
-            if d.kind not in ("vac", "qubit"):
-                _fail(d.line, f"unknown state kind {d.kind!r}")
-            if (d.site, d.cycle) in pos:
-                _fail(d.line, f"slot {d.site}@{d.cycle} already prepared")
-            dim = 3 if d.kind == "vac" else 2
-            if d.site in dims and dims[d.site] != dim:
-                _fail(d.line, f"site {d.site!r} mixes slot dimensions")
-            dims[d.site] = dim
-            discarded.discard(d.site)
-            close()
-            pos[d.site, d.cycle] = len(pos)
-            fits(d.line)
-            step("prepare", d.line,
-                 _state_vector(d.kind, d.amp0, d.amp1, d.line))
-        elif isinstance(d, Cnot):
-            if d.control == d.target:
-                _fail(d.line, "control and target must differ")
-            live(d.control, d.line)
-            live(d.target, d.line)
-            align([d.control, d.target], d.cycle, d.line)
-            gate("cnot", None,
-                 (pos[d.control, d.cycle], pos[d.target, d.cycle]),
-                 (dims[d.control], dims[d.target]), d.line)
-        elif isinstance(d, GateOp):
-            arg = "" if d.theta is None else f"({d.theta})"
-            name, theta = _parse_gate_name(f"{d.name}{arg}", d.line)
-            if name != d.name:
-                _fail(d.line, f"unknown gate {d.name!r}")
-            live(d.site, d.line)
-            align([d.site], d.cycle, d.line)
-            gate(name, theta, (pos[d.site, d.cycle],), (dims[d.site],),
-                 d.line)
+            _parse_cycle(f"@{cycle}", ln)
+        if isinstance(d, (Cnot, GateOp)):
+            if isinstance(d, Cnot):
+                if d.control == d.target:
+                    _fail(ln, "control and target must differ")
+                sites, name, theta = [d.control, d.target], "cnot", None
+                targets = [(d.control, cycle), (d.target, cycle)]
+            else:
+                name, theta = d.name, d.theta
+                if name not in ("x", "h") or theta is not None:
+                    arg = "" if theta is None else f"({theta})"
+                    name, theta = _parse_gate_name(f"{name}{arg}", ln)
+                    if name != d.name:
+                        _fail(ln, f"unknown gate {d.name!r}")
+                sites, targets = [d.site], [(d.site, cycle)]
+            for s in sites:
+                live(s, ln)
+            if not all(map(slots.__contains__, targets)):
+                delta = _expansion_shift(slots, sites, cycle)
+                if delta is None:
+                    _fail(ln, f"no dilation aligns {sites} at cycle {cycle}")
+                if not pure:
+                    _fail(ln, "expansion after discard needs a pure state")
+                if run:
+                    close()
+                resize(slots + tuple([(s, c + delta) for s, c in slots]), ln)
+                steps.append(PlanStep("expand", ln, slots, None, (), delta))
+            axes = tuple(map(slots.index, targets))
+            tdims = tuple(map(dims.__getitem__, sites))
+            block, gather = _lifted_gate(name, theta, tdims)
+            if gather is not None:
+                more = phased or gather[1] is not None
+                # the plan's gathers hold at most MAX_STATE_BYTES in all (8
+                # bytes of perm and 16 of phase per amplitude); past that,
+                # a monomial gate stays a dense block like H
+                if held + size * (24 if more else 8) <= MAX_STATE_BYTES:
+                    if not run:
+                        first = ln
+                    run.append((gather, axes, tdims))
+                    phased = more
+                    continue
+            if run:
+                close()
+            steps.append(PlanStep("gate", ln, slots, block, axes))
         elif isinstance(d, Dilate):
-            if type(d.delta) is not int or d.delta < 1:
-                _parse_dilation(f"+{d.delta}", d.line)
-            live(d.site, d.line)
-            pos = {(s, c + d.delta if s == d.site else c): p
-                   for (s, c), p in pos.items()}
-            step("dilate", d.line)
+            delta = d.delta
+            if type(delta) is not int or delta < 1:
+                _parse_dilation(f"+{delta}", ln)
+            live(d.site, ln)
+            slots = tuple([(s, c + delta) if s == d.site else (s, c)
+                           for s, c in slots])
+            steps.append(PlanStep("dilate", ln, slots))
+        elif isinstance(d, Prepare):
+            _parse_site(d.site, ln)
+            if d.kind not in ("vac", "qubit"):
+                _fail(ln, f"unknown state kind {d.kind!r}")
+            if (d.site, cycle) in slots:
+                _fail(ln, f"slot {d.site}@{cycle} already prepared")
+            dim = 3 if d.kind == "vac" else 2
+            if dims.setdefault(d.site, dim) != dim:
+                _fail(ln, f"site {d.site!r} mixes slot dimensions")
+            discarded.discard(d.site)
+            if run:
+                close()
+            resize(slots + ((d.site, cycle),), ln)
+            steps.append(PlanStep("prepare", ln, slots, _state_vector(
+                d.kind, d.amp0, d.amp1, ln)))
         elif isinstance(d, Discard):
-            live(d.site, d.line)
-            if all(s == d.site for s, _ in pos):
-                _fail(d.line, "cannot discard the only remaining site")
+            live(d.site, ln)
+            axes = tuple([p for p, (s, _) in enumerate(slots) if s == d.site])
+            if len(axes) == len(slots):
+                _fail(ln, "cannot discard the only remaining site")
             discarded.add(d.site)
-            expandable = False
-            close()
-            axes = tuple(p for (s, _), p in pos.items() if s == d.site)
-            pos = {slot: p for p, slot
-                   in enumerate(k for k in pos if k[0] != d.site)}
-            fits(d.line)
-            step("discard", d.line, axes=axes)
+            pure = False
+            if run:
+                close()
+            resize(tuple([k for k in slots if k[0] != d.site]), ln)
+            steps.append(PlanStep("discard", ln, slots, None, axes))
         elif isinstance(d, Output):
-            live(d.site, d.line)
-            if (d.site, d.cycle) not in pos:
-                _fail(d.line,
-                      f"site {d.site!r} has no slot at cycle {d.cycle}")
-            close()
-            step("output", d.line, axes=(pos[d.site, d.cycle],))
+            live(d.site, ln)
+            if (d.site, cycle) not in slots:
+                _fail(ln, f"site {d.site!r} has no slot at cycle {cycle}")
+            if run:
+                close()
+            steps.append(PlanStep("output", ln, slots, None,
+                                  (slots.index((d.site, cycle)),)))
         else:
-            _fail(getattr(d, "line", 0), f"unknown directive {d!r}")
+            _fail(ln, f"unknown directive {d!r}")
     if not isinstance(directives[-1], Output):
         _fail(directives[-1].line, "missing output directive")
-    out = directives[-1]
-    return CircuitPlan(tuple(steps),
-                       Register(tuple(SlotId(*slot) for slot in pos),
-                                tuple(shape())),
-                       Register((SlotId(out.site, out.cycle),),
-                                (dims[out.site],)))
+    register = Register(tuple([SlotId(*slot) for slot in slots]), shape)
+    axis = steps[-1].axes[0]
+    return CircuitPlan(tuple(steps), register,
+                       Register((register.slots[axis],), (shape[axis],)))
 
 
 def _gather_axes(t: np.ndarray, q: np.ndarray, axes) -> np.ndarray:
@@ -636,18 +617,18 @@ def _run_gather(shape, gates):
     order it first touches them, and the result is expanded to the whole
     register once: each flat index moves by its touched coordinates'
     offset."""
-    touched = []
-    for _, axes, _ in gates:
-        touched += [a for a in axes if a not in touched]
-    sub = [shape[a] for a in touched]
+    touched = list(dict.fromkeys(a for _, axes, _ in gates for a in axes))
+    sub = list(map(shape.__getitem__, touched))
     perm = phase = None
     for (q, phases), axes, dims in gates:
-        at = [touched.index(a) for a in axes]
-        if perm is None and len(at) == len(touched):
-            perm = q.reshape(dims)  # gathering arange by q gives q
+        at = list(map(touched.index, axes))
+        if perm is None:
+            # arange gathered by q on the leading axes, those of the first
+            # gate: entry (i, j) is q[i] * tail + j
+            tail = math.prod(sub[len(at):])
+            perm = (q if tail == 1 else
+                    np.add.outer(q * tail, np.arange(tail))).reshape(sub)
         else:
-            if perm is None:
-                perm = np.arange(math.prod(sub)).reshape(sub)
             perm = _gather_axes(perm, q, at)
             if phase is not None:
                 phase = _gather_axes(phase, q, at)

@@ -130,7 +130,7 @@ class BasisLevel(enum.Enum):
     ONE = "1"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, init=False)
 class SlotId:
     """Address of one tensor factor: which site, at which clock cycle.
     A site must be a str of ASCII letters, digits and underscores, and a
@@ -140,13 +140,14 @@ class SlotId:
     site: str
     cycle: int
 
-    def __post_init__(self):
-        if not (isinstance(self.site, str) and _SITE_RE.match(self.site)):
+    def __init__(self, site: str, cycle: int):
+        if not (isinstance(site, str) and _SITE_RE.match(site)):
             raise ValueError("a site is a name of ASCII letters, digits and "
-                             f"underscores, got {self.site!r}")
-        if type(self.cycle) is not int:
-            object.__setattr__(self, "cycle", _whole(
-                self.cycle, "a cycle must be a whole number"))
+                             f"underscores, got {site!r}")
+        if type(cycle) is not int:
+            cycle = _whole(cycle, "a cycle must be a whole number")
+        # frozen: the fields are written once, past __setattr__
+        self.__dict__["site"], self.__dict__["cycle"] = site, cycle
 
     def shifted(self, delta: int) -> "SlotId":
         return SlotId(self.site, self.cycle + delta)
@@ -179,11 +180,15 @@ class Register:
     dims: tuple
 
     def __post_init__(self):
-        slots = tuple(map(as_slot, _items(self.slots, "a register's slots")))
-        dims = tuple(_whole(d, "slot dimensions must be whole numbers")
-                     for d in _items(self.dims, "a register's dims"))
-        object.__setattr__(self, "slots", slots)
-        object.__setattr__(self, "dims", dims)
+        # slots already SlotIds and dims already ints are kept as given
+        slots = _items(self.slots, "a register's slots")
+        if set(map(type, slots)) != {SlotId}:
+            slots = tuple(map(as_slot, slots))
+        dims = _items(self.dims, "a register's dims")
+        if set(map(type, dims)) != {int}:
+            dims = tuple(_whole(d, "slot dimensions must be whole numbers")
+                         for d in dims)
+        self.__dict__.update(slots=slots, dims=dims)
         if len(slots) != len(dims):
             raise ValueError(
                 f"{len(slots)} slots but {len(dims)} dimensions"
@@ -237,11 +242,6 @@ def level_index(level, dim: int) -> int:
     if name not in ("0", "1"):
         raise ValueError(f"not a basis level: {level!r}")
     return int(name) + (dim - 2)
-
-
-def level_label(index: int, dim: int) -> str:
-    """Inverse of level_index, as a one-character label ('v', '0', '1')."""
-    return _LEVEL_CHARS[dim][index]
 
 
 class PureState:
@@ -484,15 +484,16 @@ def _check_hermitian_unit_trace(m: np.ndarray) -> None:
     for i in range(0, d, b):
         rows, cols = (m[..., i:i + b, i:], m[..., i:, i:i + b]) if d > b \
             else (m, m)  # a small matrix is one band
-        if not abs(rows - cols.conj().swapaxes(-1, -2)).max() <= ATOL:
+        if not np.maximum.reduce(abs(rows - cols.conj().swapaxes(-1, -2)),
+                                 axis=None) <= ATOL:
             _reject(m)
-    trace_err = abs(m.trace(axis1=-2, axis2=-1) - 1.0).max()
-    if not trace_err <= ATOL:
+    trace_err = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
+    if not np.maximum.reduce(trace_err, axis=None) <= ATOL:
         _reject(m)
 
 
 def _check_spectrum(m: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    if not vals.min() >= PSD_FLOOR:
+    if not np.minimum.reduce(vals, axis=None) >= PSD_FLOOR:
         _reject(m, vals[..., 0])
     return vals
 
@@ -620,19 +621,24 @@ def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     to (B, Na*Nb, *da, *db), row i*Nb + j the product of a's row i and
     b's row j.  The projectors of a state's product rows sum to the
     tensor product of the two states."""
-    n, na, nb = len(a), a.shape[1], b.shape[1]
-    da, db = a.shape[2:], b.shape[2:]
-    out = (a.reshape((n, na, 1) + da + (1,) * len(db))
-           * b.reshape((n, 1, nb) + (1,) * len(da) + db))
-    return out.reshape((n, na * nb) + da + db)
+    n, na, nb = a.shape[0], a.shape[1], b.shape[1]
+    # each state's dims flattened, so the product broadcasts over 5 axes
+    out = a.reshape(n, na, 1, -1, 1) * b.reshape(n, 1, nb, 1, -1)
+    return out.reshape((n, na * nb) + a.shape[2:] + b.shape[2:])
 
 
 def _left_multiply(op: np.ndarray, t: np.ndarray, axes) -> np.ndarray:
     """Apply op, shaped (out dims..., in dims...), to the given axes of t
-    and leave every other axis where it was."""
+    and leave every other axis where it was: the one matrix product that
+    np.tensordot(op, t, (op's in axes, axes)) takes, on the same operands,
+    and a view back in t's axis order."""
     k = len(axes)
-    out = np.tensordot(op, t, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(out, list(range(k)), axes)
+    order = list(axes) + [a for a in range(t.ndim) if a not in axes]
+    front = t.transpose(order)
+    size = math.prod(front.shape[:k])
+    out = np.dot(op.reshape(-1, size), front.reshape(size, -1))
+    return out.reshape(op.shape[:k] + front.shape[k:]).transpose(
+        sorted(range(t.ndim), key=order.__getitem__))
 
 
 def _factor(rows: np.ndarray, keep) -> np.ndarray:
@@ -736,23 +742,23 @@ def joint_outcome_distribution(state: State, slots: Sequence[SlotLike]) -> dict:
     other slots, so no reduced state is built.
     """
     reg = state.register
-    slots = [as_slot(s) for s in slots]
+    slots = list(map(as_slot, slots))
     if not slots:
         raise ValueError("must keep at least one slot")
     if len(set(slots)) != len(slots):
         raise ValueError("slot list repeats a slot")
-    keep_pos = sorted(reg.index_of(s) for s in slots)
+    keep_pos = sorted(map(reg.index_of, slots))
     if isinstance(state, PureState):
         diag = (state.amplitudes * state.amplitudes.conj()).real
     else:
         diag = state.matrix.diagonal().real
     rest = tuple(p for p in range(len(reg.dims)) if p not in keep_pos)
-    diag = diag.reshape(reg.dims).sum(axis=rest).reshape(-1)
-    dims = tuple(reg.dims[p] for p in keep_pos)
-    probs = np.clip(diag, 0.0, None)
+    if rest:
+        diag = diag.reshape(reg.dims).sum(axis=rest).reshape(-1)
+    # roundoff below zero reads as 0.0, and so does -0.0
+    probs = np.maximum(diag, 0.0) + 0.0
     # row-major outcome labels, matching the flattened marginal
-    labels = _iproduct(*("".join(level_label(i, d) for i in range(d))
-                         for d in dims))
+    labels = _iproduct(*(_LEVEL_CHARS[reg.dims[p]] for p in keep_pos))
     return dict(zip(map("".join, labels), probs.tolist()))
 
 

@@ -100,9 +100,14 @@ def grid_inputs(grid, dim: int = 2) -> tuple:
 
     Returns (b2, amplitudes): an (N,) float array and an (N, dim) stack
     of normalized rows; with dim 3 the vacuum amplitude is zero.  A grid
-    that is not a sequence, or a value outside [0, 1], raises ValueError.
+    that is not a sequence, a value that is not a real number, or one
+    outside [0, 1], raises ValueError.
     """
-    b2 = np.array([float(b) for b in _items(grid, "a beta^2 grid")])
+    grid = _items(grid, "a beta^2 grid")
+    try:
+        b2 = np.array([float(b) for b in grid])
+    except (TypeError, ValueError):  # raised again, naming the value
+        b2 = [_real(b, "a beta^2 value") for b in grid]
     bad = ~((b2 >= 0.0) & (b2 <= 1.0))
     if bad.any():
         raise ValueError(f"beta^2 out of range: {b2[bad][0]}")
@@ -110,6 +115,16 @@ def grid_inputs(grid, dim: int = 2) -> tuple:
     amps[:, dim - 2] = np.sqrt(1.0 - b2)
     amps[:, dim - 1] = np.sqrt(b2)
     return b2, amps / np.linalg.norm(amps, axis=1, keepdims=True)
+
+
+def _real(value, what: str) -> float:
+    """value as a float; anything float() refuses raises ValueError naming
+    what it should be and the value."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a real number, got {value!r}") \
+            from None
 
 
 def _ancilla(site: str) -> str:
@@ -684,7 +699,7 @@ def run_entropy_study(p_vac: float, grid: Sequence[float],
     report order; each of the three (3 x 3, 6 x 6 and 2 x 2) has its own
     unpadded read-out of one pass of the circuit.
     """
-    p_vac = float(p_vac)
+    p_vac = _real(p_vac, "the vacuum weight")
     if not 0.0 <= p_vac <= 1.0:
         raise ValueError(f"vacuum weight out of range: {p_vac}")
     tau = _check_tau(tau)

@@ -149,6 +149,32 @@ def dense_gate_oracle(array, dims, gate_matrix, targets):
     return m.reshape(d, d)
 
 
+def gather_oracle(dims, gates):
+    """The flat gather and phases of a run of monomial gates on a register
+    of the given dims, each gate a (logical matrix, target positions)
+    pair, from applying the gates one at a time to an arange over the
+    whole register: a gate's lifted block has one nonzero per row, so
+    index i of the result is the entry that nonzero reads, times it."""
+    dims = tuple(dims)
+    perm = np.arange(int(np.prod(dims)))
+    phase = np.ones(len(perm), dtype=complex)
+    for matrix, targets in gates:
+        tdims = tuple(dims[t] for t in targets)
+        lifted = lift_oracle(matrix, tdims)
+        new_perm, new_phase = perm.copy(), phase.copy()
+        for i, coords in enumerate(np.ndindex(*dims)):
+            row = np.ravel_multi_index([coords[t] for t in targets], tdims)
+            (col,) = np.flatnonzero(lifted[row])
+            source = list(coords)
+            for t, c in zip(targets, np.unravel_index(col, tdims)):
+                source[t] = c
+            j = np.ravel_multi_index(source, dims)
+            new_perm[i] = perm[j]
+            new_phase[i] = lifted[row, col] * phase[j]
+        perm, phase = new_perm, new_phase
+    return perm, phase
+
+
 def einsum_partial_trace_oracle(state, dims, keep_positions):
     """Partial trace as one einsum over the full density matrix, or over a
     state vector and its conjugate, so that |v><v| is never formed; kept

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dense_gate_oracle, run_program_oracle
+from conftest import dense_gate_oracle, gather_oracle, run_program_oracle
 from tdesim import (
     MAX_STATE_BYTES,
     CircuitParseError,
@@ -635,6 +635,89 @@ def test_compiled_gate_steps_match_the_dense_oracle(case):
         np.testing.assert_allclose(got.reshape(-1), want, rtol=0, atol=1e-12)
 
 
+@st.composite
+def _staged_programs(draw):
+    """Two or three sites at cycle 0, qubits or vacuum qutrits, and four
+    stages of x, phase, cnot and h gates: at cycle 0; after a dilation
+    of s0, with s0 gated at cycle 1 and the rest at 0; after a CNOT from
+    s0 to s1 at cycle 1, which expands the state; and at cycle 1 after
+    an optional discard of the last site.  Returns the text and the
+    sites' dims."""
+    dims = draw(st.lists(st.sampled_from((2, 3)), min_size=2, max_size=3))
+    lines = [f"prepare s{i} @0 {'|vac>' if d == 3 else '0.6|0>+0.8|1>'}"
+             for i, d in enumerate(dims)]
+
+    def gates(sites, cycle_of, count):
+        for _ in range(draw(st.integers(0, count))):
+            name = draw(st.sampled_from(("x", "phase", "cnot", "h")
+                                        if len(sites) > 1
+                                        else ("x", "phase", "h")))
+            picked = draw(st.permutations(sites))[:2 if name == "cnot" else 1]
+            if name == "cnot" and cycle_of(picked[0]) != cycle_of(picked[1]):
+                continue  # no expansion outside the third stage
+            head = "cnot" if name == "cnot" else "gate " + (
+                f"phase({draw(st.floats(-7.0, 7.0))!r})"
+                if name == "phase" else name)
+            lines.append(f"{head} {' '.join(f's{i}' for i in picked)} "
+                         f"@{cycle_of(picked[0])}")
+
+    every = range(len(dims))
+    gates(every, lambda i: 0, 3)
+    lines.append("dilate s0 +1")
+    gates(every, lambda i: int(i == 0), 3)
+    lines.append("cnot s0 s1 @1")
+    gates(every, lambda i: 1, 3)
+    live = list(every)
+    if len(dims) == 3 and draw(st.booleans()):
+        lines.append("discard s2")
+        live.pop()
+    gates(live, lambda i: 1, 3)
+    lines.append(f"output s{draw(st.sampled_from(live))} @1")
+    return "\n".join(lines) + "\n", dims
+
+
+@settings(deadline=None, max_examples=40)
+@given(_staged_programs())
+def test_gathers_after_expansions_dilations_and_discards(case):
+    text, site_dims = case
+    program = parse_circuit(text)
+    steps = program.plan.steps
+    by_line = {d.line: d for d in program.directives}
+    gathers = 0
+    for k, step in enumerate(steps):
+        if step.kind != "gather":
+            continue
+        gathers += 1
+        # the run is every monomial gate from the step's line up to the
+        # directive that closes it, the next step's; a gate's slot has
+        # moved by the run's later dilations of its site
+        end = steps[k + 1].line
+        moved = {}
+        run = []
+        for ln in range(end - 1, step.line - 1, -1):
+            d = by_line.get(ln)
+            if isinstance(d, Dilate):
+                moved[d.site] = moved.get(d.site, 0) + d.delta
+            elif isinstance(d, (Cnot, GateOp)):
+                sites = [d.control, d.target] if isinstance(d, Cnot) \
+                    else [d.site]
+                matrix = _gate_matrix("cnot" if isinstance(d, Cnot)
+                                      else d.name, d.theta
+                                      if isinstance(d, GateOp) else None)
+                run.insert(0, (matrix, [
+                    step.slots.index((s, d.cycle + moved.get(s, 0)))
+                    for s in sites]))
+        dims = [site_dims[int(s[1:])] for s, _ in step.slots]
+        perm, phase = gather_oracle(dims, run)
+        np.testing.assert_array_equal(step.perm, perm)
+        if step.operand is None:
+            assert (phase == 1).all()
+        else:
+            np.testing.assert_allclose(step.operand, phase, rtol=0,
+                                       atol=1e-12)
+    assert gathers == sum(s.kind == "gather" for s in steps)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from(("x", "cnot")), st.lists(st.sampled_from((2, 3)),
                                                 min_size=2, max_size=2),
@@ -821,6 +904,98 @@ def test_parse_errors_carry_line_numbers():
         assert str(err).startswith("line 2:")
     else:
         raise AssertionError("expected a parse error")
+
+
+_AB = "prepare a @0 |0>\nprepare b @0 |0>\n"
+_FOURTEEN = "".join(f"prepare s{i} @0 |0>\n" for i in range(14))
+
+
+# every refusal of the parser and of the static check, with its line and
+# its whole message
+@pytest.mark.parametrize("text, line, message", [
+    ("prepare a-b @0 |0>\noutput a @0\n", 1, "bad site name 'a-b'"),
+    ("prepare a 0 |0>\noutput a @0\n", 1, "expected @<cycle>, got '0'"),
+    ("prepare a @x |0>\noutput a @0\n", 1, "bad cycle '@x'"),
+    ("prepare a @0 |0>\ndilate a 1\noutput a @1\n", 2,
+     "dilation must be written +<n>, got '1'"),
+    ("prepare a @0 |0>\ndilate a +x\noutput a @1\n", 2,
+     "bad dilation '+x'"),
+    ("prepare a @0 |0>\ndilate a +0\noutput a @0\n", 2,
+     "dilation must be at least 1, got 0"),
+    ("prepare a @0 x|0>\noutput a @0\n", 1, "bad amplitude 'x'"),
+    ("prepare a @0 nan|0>+|1>\noutput a @0\n", 1,
+     "amplitude 'nan' is not finite"),
+    ("prepare a @0 (1+0j|0>\noutput a @0\n", 1,
+     "unbalanced parentheses in '(1+0j|0>'"),
+    ("prepare a @0 |0>+|vac>\noutput a @0\n", 1,
+     "|vac> cannot carry an amplitude or be superposed"),
+    ("prepare a @0 |2>\noutput a @0\n", 1, "bad state term '|2>'"),
+    ("prepare a @0 |0>+|0>\noutput a @0\n", 1, "duplicate |0> term"),
+    ("prepare a @0 0|0>\noutput a @0\n", 1, "state vector has zero norm"),
+    ("prepare a @0 |0>\ngate q a @0\noutput a @0\n", 2, "unknown gate 'q'"),
+    ("prepare a @0 |0>\ngate phase a @0\noutput a @0\n", 2,
+     "phase gate needs an angle, e.g. phase(1.57)"),
+    ("prepare a @0 |0>\ngate phase(x) a @0\noutput a @0\n", 2,
+     "bad phase angle 'x'"),
+    ("prepare a @0 |0>\ngate phase(inf) a @0\noutput a @0\n", 2,
+     "phase angle 'inf' is not finite"),
+    ("prepare a @0 |0>\ngate x(1) a @0\noutput a @0\n", 2,
+     "gate 'x' takes no argument"),
+    ("prepare a @0\noutput a @0\n", 1,
+     "usage: prepare <site> @<cycle> <state>"),
+    (_AB + "cnot a @0\noutput a @0\n", 3,
+     "usage: cnot <control> <target> @<cycle>"),
+    ("prepare a @0 |0>\ngate x a\noutput a @0\n", 2,
+     "usage: gate <name> <site> @<cycle>"),
+    ("prepare a @0 |0>\ndilate a\noutput a @0\n", 2,
+     "usage: dilate <site> +<n>"),
+    (_AB + "discard\noutput a @0\n", 3, "usage: discard <site>"),
+    ("prepare a @0 |0>\noutput a\n", 2, "usage: output <site> @<cycle>"),
+    ("prepare a @0 |0>\nfrob a\noutput a @0\n", 2,
+     "unknown directive 'frob'"),
+    ("", 1, "missing output directive"),
+    ("# only a comment\n\nprepare a @0 |0>\n", 3, "missing output directive"),
+    ("prepare a @0 |0>\noutput a @0\noutput a @0\n", 2,
+     "output must be the final directive"),
+    ("prepare a @0 |0>\nprepare a @0 |1>\noutput a @0\n", 2,
+     "slot a@0 already prepared"),
+    ("prepare a @0 |0>\nprepare a @1 |vac>\noutput a @0\n", 2,
+     "site 'a' mixes slot dimensions"),
+    (_AB + "discard a\ngate x a @0\noutput b @0\n", 4,
+     "site 'a' was discarded"),
+    ("prepare a @0 |0>\ncnot a b @0\noutput a @0\n", 2,
+     "site 'b' was never prepared"),
+    ("prepare a @0 |0>\nprepare b @1 |0>\ncnot a b @2\noutput a @0\n", 3,
+     "no dilation aligns ['a', 'b'] at cycle 2"),
+    (_AB + "prepare c @0 |0>\ndiscard c\ndilate a +1\ncnot a b @1\n"
+     "output b @1\n", 6, "expansion after discard needs a pure state"),
+    (_AB + "cnot a a @0\noutput a @0\n", 3, "control and target must differ"),
+    ("prepare a @0 |0>\ndiscard a\noutput a @0\n", 2,
+     "cannot discard the only remaining site"),
+    ("prepare a @0 |0>\noutput a @5\n", 2, "site 'a' has no slot at cycle 5"),
+    (_FOURTEEN + "discard s13\noutput s0 @0\n", 15,
+     "a density matrix of dimension 8192 needs 1024 MiB, over the 256 MiB "
+     "limit"),
+    ("prepare q1 @0 |0>\nprepare q2 @0 |0>\n" + "".join(
+        f"dilate q1 +1\ncnot q1 q2 @{c}\n" for c in range(1, 9))
+     + "output q2 @8\n", 18,
+     "a pure state of dimension 4294967296 needs 65536 MiB, over the 256 "
+     "MiB limit"),
+], ids=["site", "cycle-at", "cycle", "dilation-plus", "dilation-digits",
+        "dilation-zero", "amplitude", "amplitude-finite", "parentheses",
+        "vac-term", "state-term", "duplicate-term", "zero-norm",
+        "gate-name", "phase-angle-missing", "phase-angle", "phase-finite",
+        "gate-argument", "usage-prepare", "usage-cnot", "usage-gate",
+        "usage-dilate", "usage-discard", "usage-output", "directive",
+        "empty", "output-missing", "output-final", "slot-prepared",
+        "site-dims", "site-discarded", "site-unprepared", "align",
+        "expand-mixed", "control-target", "discard-last", "output-slot",
+        "size-density", "size-pure"])
+def test_every_compile_refusal_keeps_its_message_and_line(text, line,
+                                                           message):
+    with pytest.raises(CircuitParseError) as err:
+        parse_circuit(text)
+    assert (err.value.line_no, err.value.message) == (line, message)
 
 
 def test_comments_and_blank_lines_are_skipped():

@@ -399,6 +399,23 @@ def test_a_grid_or_register_that_is_no_sequence_is_refused_by_name(call,
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_sweep([None]), "a beta\\^2 value must be a real number, "
+     "got None"),
+    (lambda: fig2_curves([0.5, None]), "a beta\\^2 value must be a real "
+     "number, got None"),
+    (lambda: run_entropy_study(0.5, [None]), "a beta\\^2 value must be a "
+     "real number, got None"),
+    (lambda: run_entropy_study(None, [0.5]), "the vacuum weight must be a "
+     "real number, got None"),
+], ids=["run_sweep", "fig2_curves", "run_entropy_study-grid",
+        "run_entropy_study-p_vac"])
+def test_a_grid_value_or_weight_that_is_no_number_is_refused_by_name(
+        call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_relabeled_density_keeps_its_validated_matrix(rng):
     reg = two_qubit_register()
     rho = random_density(rng, reg)
