@@ -78,6 +78,7 @@ from .registers import (
     _from_rows,
     _left_multiply,
     _normalized,
+    _on_axes,
     _row_product,
     check_state_size,
     density_to_json,
@@ -469,6 +470,8 @@ def _static_check(directives) -> CircuitPlan:
 
     def close():
         nonlocal held, phased
+        if not run:
+            return
         perm, phase = _run_gather(shape, run)
         held += perm.nbytes + (0 if phase is None else phase.nbytes)
         steps.append(PlanStep("gather", first, slots, phase, (), 0, perm))
@@ -525,8 +528,7 @@ def _static_check(directives) -> CircuitPlan:
                     _fail(ln, f"no dilation aligns {sites} at cycle {cycle}")
                 if not pure:
                     _fail(ln, "expansion after discard needs a pure state")
-                if run:
-                    close()
+                close()
                 resize(slots + tuple([(s, c + delta) for s, c in slots]), ln)
                 steps.append(PlanStep("expand", ln, slots, None, (), delta))
             axes = tuple(map(slots.index, targets))
@@ -543,8 +545,7 @@ def _static_check(directives) -> CircuitPlan:
                     run.append((gather, axes, tdims))
                     phased = more
                     continue
-            if run:
-                close()
+            close()
             steps.append(PlanStep("gate", ln, slots, block, axes))
         elif isinstance(d, Dilate):
             delta = d.delta
@@ -564,8 +565,7 @@ def _static_check(directives) -> CircuitPlan:
             if dims.setdefault(d.site, dim) != dim:
                 _fail(ln, f"site {d.site!r} mixes slot dimensions")
             discarded.discard(d.site)
-            if run:
-                close()
+            close()
             resize(slots + ((d.site, cycle),), ln)
             steps.append(PlanStep("prepare", ln, slots, _state_vector(
                 d.kind, d.amp0, d.amp1, ln)))
@@ -576,16 +576,14 @@ def _static_check(directives) -> CircuitPlan:
                 _fail(ln, "cannot discard the only remaining site")
             discarded.add(d.site)
             pure = False
-            if run:
-                close()
+            close()
             resize(tuple([k for k in slots if k[0] != d.site]), ln)
             steps.append(PlanStep("discard", ln, slots, None, axes))
         elif isinstance(d, Output):
             live(d.site, ln)
             if (d.site, cycle) not in slots:
                 _fail(ln, f"site {d.site!r} has no slot at cycle {cycle}")
-            if run:
-                close()
+            close()
             steps.append(PlanStep("output", ln, slots, None,
                                   (slots.index((d.site, cycle)),)))
         else:
@@ -596,16 +594,6 @@ def _static_check(directives) -> CircuitPlan:
     axis = steps[-1].axes[0]
     return CircuitPlan(tuple(steps), register,
                        Register((register.slots[axis],), (shape[axis],)))
-
-
-def _gather_axes(t: np.ndarray, q: np.ndarray, axes) -> np.ndarray:
-    """t gathered by q on the flat index over its given axes, taken in
-    that order: out[..., i, ...] = t[..., q[i], ...].  Every other axis
-    stays where it was."""
-    order = list(axes) + [a for a in range(t.ndim) if a not in axes]
-    front = t.transpose(order)
-    out = front.reshape(len(q), -1).take(q, axis=0).reshape(front.shape)
-    return out.transpose(sorted(range(t.ndim), key=order.__getitem__))
 
 
 def _run_gather(shape, gates):
@@ -628,10 +616,10 @@ def _run_gather(shape, gates):
             tail = math.prod(sub[len(at):])
             perm = (q if tail == 1 else
                     np.add.outer(q * tail, np.arange(tail))).reshape(sub)
-        else:
-            perm = _gather_axes(perm, q, at)
+        else:  # gathered by q on the flat index over the gate's axes
+            perm = _on_axes(perm, at, lambda m: m.take(q, axis=0), dims)
             if phase is not None:
-                phase = _gather_axes(phase, q, at)
+                phase = _on_axes(phase, at, lambda m: m.take(q, axis=0), dims)
         if phases is not None:  # on the target axes, broadcast elsewhere
             spread = [1] * len(sub)
             for a, n in zip(at, dims):

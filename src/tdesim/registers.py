@@ -627,18 +627,26 @@ def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape((n, na * nb) + a.shape[2:] + b.shape[2:])
 
 
+def _on_axes(t: np.ndarray, axes, fn, lead) -> np.ndarray:
+    """fn applied to t as one matrix, its rows the flat index over the
+    given axes taken in that order and its columns every other axis; the
+    rows fn returns span axes of the dims in lead, which take the given
+    axes' places, and every other axis stays where it was (a view back in
+    t's axis order)."""
+    order = list(axes) + [a for a in range(t.ndim) if a not in axes]
+    front = t.transpose(order)
+    k = len(axes)
+    out = fn(front.reshape(math.prod(front.shape[:k]), -1))
+    return out.reshape(tuple(lead) + front.shape[k:]).transpose(
+        sorted(range(t.ndim), key=order.__getitem__))
+
+
 def _left_multiply(op: np.ndarray, t: np.ndarray, axes) -> np.ndarray:
     """Apply op, shaped (out dims..., in dims...), to the given axes of t
     and leave every other axis where it was: the one matrix product that
-    np.tensordot(op, t, (op's in axes, axes)) takes, on the same operands,
-    and a view back in t's axis order."""
-    k = len(axes)
-    order = list(axes) + [a for a in range(t.ndim) if a not in axes]
-    front = t.transpose(order)
-    size = math.prod(front.shape[:k])
-    out = np.dot(op.reshape(-1, size), front.reshape(size, -1))
-    return out.reshape(op.shape[:k] + front.shape[k:]).transpose(
-        sorted(range(t.ndim), key=order.__getitem__))
+    np.tensordot(op, t, (op's in axes, axes)) takes, on the same operands."""
+    return _on_axes(t, axes, lambda m: np.dot(op.reshape(-1, len(m)), m),
+                    op.shape[:len(axes)])
 
 
 def _factor(rows: np.ndarray, keep) -> np.ndarray:

@@ -103,11 +103,8 @@ def grid_inputs(grid, dim: int = 2) -> tuple:
     that is not a sequence, a value that is not a real number, or one
     outside [0, 1], raises ValueError.
     """
-    grid = _items(grid, "a beta^2 grid")
-    try:
-        b2 = np.array([float(b) for b in grid])
-    except (TypeError, ValueError):  # raised again, naming the value
-        b2 = [_real(b, "a beta^2 value") for b in grid]
+    b2 = np.array([_real(b, "a beta^2 value")
+                   for b in _items(grid, "a beta^2 grid")])
     bad = ~((b2 >= 0.0) & (b2 <= 1.0))
     if bad.any():
         raise ValueError(f"beta^2 out of range: {b2[bad][0]}")

@@ -1,18 +1,17 @@
 """Time the compile and the run of each deep-circuits program kind.
 
-For one seed of the benchmark's ``deep-circuits`` workload, prints per
-program kind the best-of time of ``parse_circuit`` (which compiles the
-program), the best-of time of ``run_program`` on the compiled program,
+For seed SEED of the benchmark's ``deep-circuits`` workload, prints per
+program kind the best time over REPEATS calls of ``parse_circuit`` (which
+compiles the program) and of ``run_program`` on the compiled program,
 and the compile's share of their sum.  A kind the workload draws several
 times reports the median over its programs.  The programs come from the
 generators in benchmarks/workloads.py, unchanged; the BLAS pools are
 pinned to one thread, as the benchmark pins them.  Uses only the
 standard library, numpy and tdesim:
 
-    python tools/time_programs.py [--seed N] [--repeats R]
+    python tools/time_programs.py
 """
 
-import argparse
 import os
 import statistics
 import sys
@@ -28,9 +27,12 @@ import refcircuit  # noqa: E402
 import workloads  # noqa: E402
 from tdesim import parse_circuit, run_program  # noqa: E402
 
+SEED = 11
+REPEATS = 300
 
-def programs(seed: int) -> dict:
-    """The workload's program texts of one seed, grouped by kind, in the
+
+def programs() -> dict:
+    """The workload's program texts of seed SEED, grouped by kind, in the
     order the workload first draws each kind."""
     kinds = {}
 
@@ -39,33 +41,29 @@ def programs(seed: int) -> dict:
 
     build, workloads._program_op = workloads._program_op, collect
     try:
-        workloads.deep_circuits(seed)
+        workloads.deep_circuits(SEED)
     finally:
         workloads._program_op = build
     return kinds
 
 
-def best(fn, repeats: int) -> float:
-    """Best time of fn in seconds over repeats calls."""
-    return min(timeit.repeat(fn, number=1, repeat=repeats))
+def best(fn) -> float:
+    """Best time of fn in seconds over REPEATS calls."""
+    return min(timeit.repeat(fn, number=1, repeat=REPEATS))
 
 
-def main(argv=None) -> int:
-    p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    p.add_argument("--seed", type=int, default=11)
-    p.add_argument("--repeats", type=int, default=200)
-    args = p.parse_args(argv)
-    print(f"deep-circuits seed {args.seed}, best of {args.repeats}, "
+def main() -> int:
+    print(f"deep-circuits seed {SEED}, best of {REPEATS}, "
           "median over a kind's programs")
     print(f"{'kind':<22} {'programs':>8} {'parse_us':>9} {'run_us':>8} "
           f"{'compile':>8}")
     total_parse = total_run = 0.0
-    for kind, texts in programs(args.seed).items():
+    for kind, texts in programs().items():
         parse_s, run_s = [], []
         for text in texts:
             program = parse_circuit(text)
-            parse_s.append(best(lambda: parse_circuit(text), args.repeats))
-            run_s.append(best(lambda: run_program(program), args.repeats))
+            parse_s.append(best(lambda: parse_circuit(text)))
+            run_s.append(best(lambda: run_program(program)))
         total_parse += sum(parse_s)
         total_run += sum(run_s)
         parse, run = statistics.median(parse_s), statistics.median(run_s)
