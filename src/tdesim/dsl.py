@@ -666,7 +666,7 @@ def _state_vector(kind: str, a0: complex, a1: complex,
     # complex, like every row a run holds: a gather multiplies its phases
     # into the rows in place
     try:
-        return _normalized(np.array([a0, a1], dtype=complex), in_place=True)
+        return _normalized(np.array([a0, a1], dtype=complex))
     except ValueError as exc:
         _fail(line, str(exc))
 

@@ -102,6 +102,16 @@ def _items(value, what: str) -> tuple:
                          f"{type(value).__name__}") from None
 
 
+def _real(value, what: str) -> float:
+    """value as a float; anything float() refuses raises ValueError naming
+    what it should be and the value."""
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{what} must be a real number, got {value!r}") \
+            from None
+
+
 def _whole(value, rule: str) -> int:
     """value as an int; anything but a whole number raises ValueError
     with the rule it broke and the value."""
@@ -253,13 +263,16 @@ class PureState:
     """
 
     def __init__(self, register: Register, amplitudes):
-        amps = np.asarray(amplitudes, dtype=complex).reshape(-1)
+        self._take(register, np.array(amplitudes, dtype=complex).reshape(-1))
+
+    def _take(self, register: Register, amps: np.ndarray) -> None:
+        """Hold amps, a flat complex array given up to the state, on
+        register, normalized in place (_normalized)."""
         if amps.shape != (register.dim,):
             raise ValueError(
                 f"expected {register.dim} amplitudes, got {amps.shape[0]}"
             )
-        self.register = register
-        self.amplitudes = _normalized(amps, in_place=False)
+        self.register, self.amplitudes = register, _normalized(amps)
 
     @property
     def dim(self) -> int:
@@ -272,18 +285,20 @@ class PureState:
 def _checked_ensemble(ensemble) -> list:
     """An ensemble of (weight, PureState) pairs, checked and renormalized.
 
-    Every weight must be finite and at least -WEIGHT_ROUNDOFF, every
-    branch a PureState on one register, and the weights must sum to 1
-    within WEIGHT_SUM_SLACK; a failure raises ValueError naming the
-    branch.  Branches of weight up to WEIGHT_ROUNDOFF are dropped and the
-    rest rescaled to sum to 1, as (float weight, state) pairs.
+    The ensemble and each branch must be sequences, every weight a finite
+    real number at least -WEIGHT_ROUNDOFF, every branch a PureState on one
+    register, and the weights must sum to 1 within WEIGHT_SUM_SLACK; a
+    failure raises ValueError naming the branch.  Branches of weight up
+    to WEIGHT_ROUNDOFF are dropped and the rest rescaled to sum to 1, as
+    (float weight, state) pairs.
     """
-    branches = list(ensemble)
+    branches = _items(ensemble, "an ensemble")
     if not branches:
         raise ValueError("empty ensemble")
     kept, total = [], 0.0
-    for i, (w, psi) in enumerate(branches):
-        w = float(w)
+    for i, branch in enumerate(branches):
+        w, psi = _items(branch, f"ensemble branch {i}")
+        w = _real(w, f"the weight of ensemble branch {i}")
         if not (math.isfinite(w) and w >= -WEIGHT_ROUNDOFF):
             raise ValueError(f"ensemble weight {w!r} of branch {i} is not a "
                              "finite nonnegative number")
@@ -302,21 +317,20 @@ def _checked_ensemble(ensemble) -> list:
     return [(w / total, psi) for w, psi in kept]
 
 
-def _normalized(amps: np.ndarray, in_place: bool) -> np.ndarray:
-    """amps divided by its norm and frozen, in place or as a new array.
-    The norm is rescaled by the largest real or imaginary part when it
-    overflows; a zero norm or a non-finite amplitude raises ValueError."""
-    out = amps if in_place else None
+def _normalized(amps: np.ndarray) -> np.ndarray:
+    """amps divided by its norm in place, and frozen.  The norm is
+    rescaled by the largest real or imaginary part when it overflows; a
+    zero norm or a non-finite amplitude raises ValueError."""
     norm = math.sqrt(np.vdot(amps, amps).real)
     if not math.isfinite(norm):  # overflow: scale to the largest part
         scale = float(np.maximum(abs(amps.real), abs(amps.imag)).max())
         if not math.isfinite(scale):
             raise ValueError("state vector is not finite")
-        amps = np.divide(amps, scale, out=out)
+        np.divide(amps, scale, out=amps)
         norm = math.sqrt(np.vdot(amps, amps).real)
     elif norm < ZERO_NORM:
         raise ValueError("state vector has zero norm")
-    amps = np.divide(amps, norm, out)
+    np.divide(amps, norm, out=amps)
     amps.setflags(write=False)
     return amps
 
@@ -325,14 +339,8 @@ def _pure_state(register: Register, amps: np.ndarray) -> PureState:
     """A PureState that takes over amps, a flat complex array its caller
     gives up, normalized in place with PureState's checks; a read-only
     array is copied first."""
-    if amps.shape != (register.dim,):
-        raise ValueError(
-            f"expected {register.dim} amplitudes, got {amps.shape[0]}"
-        )
     state = PureState.__new__(PureState)
-    state.register = register
-    state.amplitudes = _normalized(
-        amps if amps.flags.writeable else amps.copy(), in_place=True)
+    state._take(register, amps if amps.flags.writeable else amps.copy())
     return state
 
 
@@ -356,22 +364,14 @@ class DensityOperator:
     _spectral = None  # (weights, eigenvectors) of _spectral_rows
 
     def __init__(self, register: Register, matrix):
-        m = np.asarray(matrix, dtype=complex)
+        m = np.array(matrix, dtype=complex)  # the copy the density keeps
         if m.shape != (register.dim, register.dim):
             raise ValueError(
                 f"expected a {register.dim}x{register.dim} matrix, got {m.shape}"
             )
         vals = check_densities(m)
-        self._set(register, m.copy(), vals)
-
-    def _set(self, register: Register, matrix: np.ndarray,
-             eigenvalues: np.ndarray) -> None:
-        for array in (matrix, eigenvalues):
-            if array.flags.writeable:  # views of frozen stacks already are
-                array.flags.writeable = False
-        self.register = register
-        self.matrix = matrix
-        self.eigenvalues = eigenvalues
+        m.flags.writeable = vals.flags.writeable = False
+        self.register, self.matrix, self.eigenvalues = register, m, vals
 
     @property
     def dim(self) -> int:
@@ -406,7 +406,8 @@ def _entropy_bits(vals: np.ndarray) -> np.ndarray:
     spectrum change no bit of its entropy."""
     p = np.where(vals > 0.0, vals, 1.0)
     total = np.add.accumulate(p * np.log2(p), axis=-1)[..., -1]
-    return np.maximum(-total, 0.0) + 0.0
+    # -total, with roundoff above zero and -0.0 read as 0.0
+    return 0.0 - np.minimum(total, 0.0)
 
 
 def _trace_norms(diff: np.ndarray) -> np.ndarray:
@@ -460,7 +461,9 @@ def gram_density(register: Register, factor) -> DensityOperator:
         vals = np.sort(np.concatenate([np.zeros(d - m), vals]))
     else:
         vals = np.linalg.eigvalsh(rho)
-    out = _validated(register, rho, _check_spectrum(rho, vals))
+    vals = _check_spectrum(rho, vals)
+    rho.flags.writeable = vals.flags.writeable = False
+    out = _validated(register, rho, vals)
     if m <= d:
         out._kept_rows = rows = f.T.copy()
         rows.setflags(write=False)
@@ -484,10 +487,12 @@ def _check_hermitian_unit_trace(m: np.ndarray) -> None:
     for i in range(0, d, b):
         rows, cols = (m[..., i:i + b, i:], m[..., i:, i:i + b]) if d > b \
             else (m, m)  # a small matrix is one band
-        if not np.maximum.reduce(abs(rows - cols.conj().swapaxes(-1, -2)),
-                                 axis=None) <= ATOL:
+        # the conjugate transpose copied, so the difference runs on
+        # contiguous operands
+        if not np.maximum.reduce(abs(rows - cols.conj().swapaxes(-1, -2)
+                                     .copy()), axis=None) <= ATOL:
             _reject(m)
-    trace_err = abs(m.trace(axis1=-2, axis2=-1) - 1.0)
+    trace_err = abs(np.add.reduce(m.diagonal(0, -2, -1), -1) - 1.0)
     if not np.maximum.reduce(trace_err, axis=None) <= ATOL:
         _reject(m)
 
@@ -520,9 +525,10 @@ def _reject(m, lowest=None):
 def _validated(register: Register, matrix: np.ndarray,
                eigenvalues: np.ndarray) -> DensityOperator:
     """A DensityOperator around a matrix check_densities has already
-    accepted, with the eigenvalues that check computed."""
+    accepted, with the eigenvalues that check computed; the caller has
+    made both read-only."""
     rho = DensityOperator.__new__(DensityOperator)
-    rho._set(register, matrix, eigenvalues)
+    rho.register, rho.matrix, rho.eigenvalues = register, matrix, eigenvalues
     return rho
 
 
@@ -723,18 +729,24 @@ def tensor(a: State, b: State) -> State:
     return _from_rows(reg, _row_product(_rows(a), _rows(b)), pure)
 
 
+def _positions(register: Register, slots) -> list:
+    """The ascending positions in register of slots, which must be at
+    least one and distinct."""
+    slots = [as_slot(s) for s in slots]
+    if not slots:
+        raise ValueError("must keep at least one slot")
+    if len(set(slots)) != len(slots):
+        raise ValueError("slot list repeats a slot")
+    return sorted(map(register.index_of, slots))
+
+
 def partial_trace(state: State, keep: Iterable[SlotLike]) -> DensityOperator:
     """Reduced density matrix over the kept slots, which stay in their
     original relative order regardless of how `keep` is ordered: F F^H
     of the state's rows with the kept axes leading (_factor), so
     |psi><psi| is never formed."""
     reg = state.register
-    keep_slots = [as_slot(s) for s in keep]
-    if not keep_slots:
-        raise ValueError("must keep at least one slot")
-    if len(set(keep_slots)) != len(keep_slots):
-        raise ValueError("keep list repeats a slot")
-    keep_pos = sorted(reg.index_of(s) for s in keep_slots)
+    keep_pos = _positions(reg, keep)
     out_reg = Register(tuple(reg.slots[p] for p in keep_pos),
                        tuple(reg.dims[p] for p in keep_pos))
     check_state_size(out_reg.dim, pure=False)
@@ -750,12 +762,7 @@ def joint_outcome_distribution(state: State, slots: Sequence[SlotLike]) -> dict:
     other slots, so no reduced state is built.
     """
     reg = state.register
-    slots = list(map(as_slot, slots))
-    if not slots:
-        raise ValueError("must keep at least one slot")
-    if len(set(slots)) != len(slots):
-        raise ValueError("slot list repeats a slot")
-    keep_pos = sorted(map(reg.index_of, slots))
+    keep_pos = _positions(reg, slots)
     if isinstance(state, PureState):
         diag = (state.amplitudes * state.amplitudes.conj()).real
     else:

@@ -16,7 +16,13 @@ A report's densities come from the circuit's read-out (_Readout),
 compiled with it once per row count N: one gather, one batched product
 F F^H and one check, on one stack padded to their largest dimension.
 The entropy study, whose densities differ in size, gives each its own
-read-out of one circuit pass instead.  The runners return report objects
+read-out of one circuit pass instead.  A call on one state runs the
+read-out as a batch of one, with no path of its own, so its report
+equals a sweep's point bit for bit.  What it pays is the read-out's cost
+per call, which the compile keeps low: each column's view of the stack
+is an index built once, columns of one dimension take their spectra
+from one eigvalsh of the stack, with no zero pads, and densities and
+reports are built in plain loops.  The runners return report objects
 carrying the exact intermediate states so tests and the command line can
 interrogate any step.
 """
@@ -50,6 +56,7 @@ from .registers import (
     _factor,
     _items,
     _pure_state,
+    _real,
     _trace_norms,
     _validated,
     bell_phi_plus,
@@ -112,16 +119,6 @@ def grid_inputs(grid, dim: int = 2) -> tuple:
     amps[:, dim - 2] = np.sqrt(1.0 - b2)
     amps[:, dim - 1] = np.sqrt(b2)
     return b2, amps / np.linalg.norm(amps, axis=1, keepdims=True)
-
-
-def _real(value, what: str) -> float:
-    """value as a float; anything float() refuses raises ValueError naming
-    what it should be and the value."""
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{what} must be a real number, got {value!r}") \
-            from None
 
 
 def _ancilla(site: str) -> str:
@@ -203,9 +200,12 @@ class _Readout(NamedTuple):
     a zero.  gather, a read-only (K, D, M) index array, gathers each
     column's factor F from it, in registers._factor's column order,
     padded with the zero to D, the largest dimension, and to M columns.
-    Column k has dimension dims[k] and register registers[k]; blocks
-    pairs each dimension, in the order of its first column, with the
-    index of its columns; register is the circuit's final one.  The
+    Column k has dimension dims[k], register registers[k] and index
+    views[k], which takes its (B, d, d) view of a (B, K, D, D) stack and,
+    without its last slice, its (B, d) view of the (B, K, D) spectra;
+    blocks pairs each dimension, in the order of its first column, with
+    the index of its columns, and is empty when the columns share one
+    dimension; register is the circuit's final one.  The
     source row depends only on the circuit and N, so every read-out of
     one circuit and row count gathers from the same one.
     """
@@ -213,6 +213,7 @@ class _Readout(NamedTuple):
     segments: tuple
     gather: np.ndarray
     dims: tuple
+    views: tuple
     blocks: tuple
     registers: tuple
     register: Register
@@ -245,7 +246,7 @@ class _Readout(NamedTuple):
     def columns(self, stack: np.ndarray) -> list:
         """Each column's (B, d, d) view of a (B, K, D, D) stack, in
         column order."""
-        return [stack[:, k, :d, :d] for k, d in enumerate(self.dims)]
+        return [stack[at] for at in self.views]
 
     def check(self, stack: np.ndarray) -> np.ndarray:
         """check_densities' tests, unchanged, on a (B, K, D, D) stack:
@@ -255,9 +256,11 @@ class _Readout(NamedTuple):
         fails, the columns are checked alone in order and the first that
         fails raises as check_densities on it would, naming the row by its
         index within that column."""
-        spectra = np.zeros(stack.shape[:-1])
         try:
             _check_hermitian_unit_trace(stack)
+            # columns of one dimension need no zero pads in their spectra
+            spectra = np.zeros(stack.shape[:-1]) if self.blocks \
+                else np.linalg.eigvalsh(stack)
             for d, ks in self.blocks:
                 spectra[:, ks, :d] = np.linalg.eigvalsh(stack[:, ks, :d, :d])
             _check_spectrum(stack, spectra)
@@ -271,9 +274,13 @@ class _Readout(NamedTuple):
         """Freeze a checked stack and its spectra; returns each column's
         B DensityOperators, read-only views of its blocks and spectra."""
         stack.flags.writeable = spectra.flags.writeable = False
-        return [[_validated(reg, m, vals) for m, vals
-                 in zip(stack[:, k, :d, :d], spectra[:, k, :d])]
-                for k, (reg, d) in enumerate(zip(self.registers, self.dims))]
+        # a loop, not a comprehension: on Python 3.11 a comprehension is
+        # a function call, which a call on one state pays in full
+        b, columns = len(stack), []
+        for reg, at in zip(self.registers, self.views):
+            columns.append(list(map(_validated, [reg] * b, stack[at],
+                                    spectra[at[:3]])))
+        return columns
 
 
 @functools.lru_cache(maxsize=256)
@@ -299,10 +306,14 @@ def _readout(compile_circuit, key: tuple, n: int, names: tuple) -> _Readout:
     for k, f in enumerate(factors):
         gather[k, :f.shape[0], :f.shape[1]] = f
     gather.flags.writeable = False
-    # one or two columns are evenly spaced: a slice, which takes a view
+    # one or two columns are evenly spaced: a slice, which takes a view;
+    # columns of one dimension leave no block, the stack being its own
     blocks = tuple((d, slice(ks[0], ks[-1] + 1, ks[-1] - ks[0] or 1)
-                    if len(ks) < 3 else tuple(ks)) for d, ks in blocks.items())
-    return _Readout(circuit.segments, gather, dims, blocks,
+                    if len(ks) < 3 else tuple(ks))
+                   for d, ks in blocks.items()) if len(blocks) > 1 else ()
+    views = tuple((slice(None), k, slice(d), slice(d))
+                  for k, d in enumerate(dims))
+    return _Readout(circuit.segments, gather, dims, views, blocks,
                     tuple(circuit.columns[name][0] for name in names),
                     circuit.plan.register)
 
@@ -356,21 +367,21 @@ def _fig1_reports(rows, tau: int, site: str = "1", inp=None,
     spectra = ro.check(stack)
     columns = ro.densities(stack, spectra)
     if inp is None:
-        fours = [_pure_state(ro.register, f)
-                 for f in closed.reshape(len(closed), -1)]
+        fours = list(map(_pure_state, [ro.register] * len(closed),
+                         closed.reshape(len(closed), -1)))
     else:
         fours = columns.pop()
         columns.insert(0, [inp])
-        vals = np.zeros_like(spectra)
+        vals = np.zeros(spectra.shape)
         vals[0, 0, :inp.dim] = inp.eigenvalues
         vals[:, 1:] = spectra[:, :-1]
         spectra = vals
-    return [
-        CircuitReport(i, rho_s, rho_d, rho_out, four,
-                      dict(zip(_ENTROPY_KEYS, ent)), tau)
-        for i, rho_s, rho_d, rho_out, four, ent
-        in zip(*columns, fours, _entropy_bits(spectra).tolist())
-    ]
+    entropies, reports = _entropy_bits(spectra).tolist(), []
+    for b, (i, rho_s, rho_d, rho_out) in enumerate(zip(*columns)):
+        reports.append(CircuitReport(i, rho_s, rho_d, rho_out, fours[b],
+                                     dict(zip(_ENTROPY_KEYS, entropies[b])),
+                                     tau))
+    return reports
 
 
 def run_fig1(state, tau: int = 1,
@@ -390,7 +401,7 @@ def run_fig1(state, tau: int = 1,
     site = _input_site(state)
     rows, weights = _bind(state, policy)
     inp = None if isinstance(state, PureState) else on_register(
-        state, _fig1_circuit(state.dim, tau, site).columns["input"][0])
+        state, _fig1_circuit(rows.shape[-1], tau, site).columns["input"][0])
     return _fig1_reports(rows, tau, site, inp, weights)[0]
 
 
@@ -453,14 +464,15 @@ def reverse_reports(amplitudes, tau: int, site: str = "1") -> list:
     ro = _readout(_reversal, key, 1, ("recovered",))
     final, stack = ro.products(v[:, None])
     (recovered,) = ro.densities(stack, ro.check(stack))
-    fids = np.einsum("ni,nij,nj->n", v.conj(), stack[:, 0], v).real
+    fids = np.einsum("ni,nij,nj->n", v.conj(), stack[:, 0], v).real.tolist()
     in_reg = _reversal(*key).columns["input"][0]
-    return [
-        ReverseReport(PureState(in_reg, psi), rho, rho.register.slots[0],
-                      float(fid), _pure_state(ro.register, f), tau)
-        for psi, rho, fid, f in zip(v, recovered, fids,
-                                    final.reshape(len(final), -1))
-    ]
+    slot = ro.registers[0].slots[0]
+    reports = []
+    for b, rho in enumerate(recovered):
+        reports.append(ReverseReport(
+            PureState(in_reg, v[b]), rho, slot, fids[b],
+            _pure_state(ro.register, final[b].reshape(-1)), tau))
+    return reports
 
 
 def run_reverse(state: PureState, tau: int = 1) -> ReverseReport:
@@ -521,6 +533,8 @@ def run_displaced_backend(state: State) -> DensityOperator:
     why it cannot leak a remote measurement choice.  The input runs as
     the rows of its UNCORRELATED_COPIES binding (_bind).
     """
+    if not isinstance(state, (PureState, DensityOperator)):
+        raise ValueError(f"unsupported circuit input: {type(state).__name__}")
     reg = state.register
     if len(reg.slots) != 2 or len(reg.sites) != 1:
         raise ValueError(
@@ -659,12 +673,16 @@ def run_proper_vs_improper(ensemble: Optional[Sequence] = None,
     return ProprietyReport(branches, outs[0], outs[1], float(distance), tau)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class CurvePoint:
     """One abscissa of a parameter sweep plus its named curve values."""
 
     beta_sq: float
     values: dict
+
+    def __init__(self, beta_sq: float, values: dict):
+        # frozen: the fields are written once, past __setattr__
+        self.__dict__["beta_sq"], self.__dict__["values"] = beta_sq, values
 
 
 @dataclass
@@ -746,8 +764,8 @@ def dilation_from_round_trip(duration: float, speed_fraction: float) -> float:
     the same function, which keeps its relative precision as v goes to
     zero, where 1 - sqrt(1 - v^2) cancels.
     """
-    duration = float(duration)
-    v = float(speed_fraction)
+    duration = _real(duration, "the duration")
+    v = _real(speed_fraction, "the speed fraction")
     if not 0.0 <= duration < math.inf:
         raise ValueError(
             f"duration must be finite and nonnegative, got {duration}"

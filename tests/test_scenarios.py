@@ -360,6 +360,30 @@ def test_round_trip_dilation():
             dilation_from_round_trip(duration, speed)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: run_displaced_backend(None), "unsupported circuit input: "
+     "NoneType"),
+    (lambda: run_displaced_backend("x"), "unsupported circuit input: str"),
+    (lambda: run_displaced_backend(np.nan), "unsupported circuit input: "
+     "float"),
+    (lambda: run_proper_vs_improper(np.nan), "an ensemble must be a "
+     "sequence, got float"),
+    (lambda: run_proper_vs_improper([None]), "ensemble branch 0 must be a "
+     "sequence, got NoneType"),
+    (lambda: run_proper_vs_improper([(None, _pure_input(0.5))]),
+     "the weight of ensemble branch 0 must be a real number, got None"),
+    (lambda: dilation_from_round_trip(None, 0.5), "the duration must be a "
+     "real number, got None"),
+    (lambda: dilation_from_round_trip(1.0, None), "the speed fraction must "
+     "be a real number, got None"),
+], ids=["backend-None", "backend-str", "backend-nan", "propriety-nan",
+        "propriety-None-branch", "propriety-None-weight",
+        "round-trip-None-duration", "round-trip-None-speed"])
+def test_runners_refuse_a_wrong_type_by_name(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("v", (1e-8, 1e-5, 1e-2, 0.6, 0.8))
 def test_round_trip_dilation_keeps_its_precision_at_small_speeds(v):
     # 1 - sqrt(1 - v^2) cancels as v goes to 0: at v = 1e-8 it read

@@ -4,6 +4,8 @@ against the dense oracles in conftest, plus the row validation and the
 circuit's read-out, which builds and checks all of a report's densities
 in one stack padded to their largest dimension."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from tdesim import (
     CorrelationMode,
+    CurvePoint,
     DensityOperator,
     InvariantViolationError,
     Register,
@@ -153,6 +156,41 @@ def test_sweep_point_equals_single_run():
                                        atol=TOL)
             assert getattr(reports[i], name).register == \
                 getattr(single, name).register
+
+
+@pytest.mark.parametrize("tau", (1, 2))
+def test_one_state_call_equals_its_batched_point_bit_for_bit(tau):
+    # a call on one state runs the read-out a sweep runs: no B = 1 path.
+    # Compared on the grid points whose rows PureState's normalization
+    # leaves unchanged, so both sides start from the same bits.
+    grid = np.linspace(0.0, 1.0, ROW_BLOCK + 44)
+    _, amps = scenarios.grid_inputs(grid)
+    singles = [qubit_state("1", 0, *row) for row in amps]
+    kept = [i for i, psi in enumerate(singles)
+            if psi.amplitudes.tobytes() == amps[i].tobytes()]
+    assert len(kept) > len(grid) // 2
+
+    def bits(state):
+        if isinstance(state, DensityOperator):
+            return (state.register, state.matrix.tobytes(),
+                    state.eigenvalues.tobytes())
+        return state.register, state.amplitudes.tobytes()
+
+    sweep = run_sweep(grid, tau)
+    for i in kept:
+        one, point = run_fig1(singles[i], tau), sweep[i]
+        for name in ("input_state", "rho_s", "rho_d", "rho_out",
+                     "four_slot_state"):
+            assert bits(getattr(one, name)) == bits(getattr(point, name))
+        assert one.entropies == point.entropies
+    # the reversal's fidelity is an einsum over the stack, whose sums may
+    # round apart by an ulp between stack sizes
+    reversed_ = scenarios.reverse_reports(amps[kept[:40]], tau)
+    for i, point in zip(kept, reversed_):
+        one = run_reverse(singles[i], tau)
+        for name in ("input_state", "recovered", "final_state"):
+            assert bits(getattr(one, name)) == bits(getattr(point, name))
+        assert abs(one.fidelity - point.fidelity) <= 1e-15
 
 
 def _invalid_rows():
@@ -517,6 +555,18 @@ def test_sweeps_validate_only_what_they_return(monkeypatch):
     sizes.clear()
     run_entropy_study(0.3, grid)
     assert sizes == [3, 6, 2] * 4
+
+
+def test_curve_point_is_frozen_and_compares_by_value():
+    point = CurvePoint(0.25, {"D_out": 0.75})
+    assert point == CurvePoint(0.25, {"D_out": 0.75})
+    assert point != CurvePoint(0.5, {"D_out": 0.75})
+    assert repr(point) == "CurvePoint(beta_sq=0.25, values={'D_out': 0.75})"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        point.beta_sq = 0.5
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        point.values = {}
+    assert fig2_curves([0.25])[0].beta_sq == 0.25
 
 
 def test_sweeps_of_an_empty_grid_return_nothing():

@@ -1,13 +1,17 @@
-"""Time the compile and the run of each deep-circuits program kind.
+"""Time the compile and the run of each deep-circuits program kind, and
+each operation kind of the in-process scenario workloads.
 
 For seed SEED of the benchmark's ``deep-circuits`` workload, prints per
 program kind the best time over REPEATS calls of ``parse_circuit`` (which
 compiles the program) and of ``run_program`` on the compiled program,
 and the compile's share of their sum.  A kind the workload draws several
-times reports the median over its programs.  The programs come from the
-generators in benchmarks/workloads.py, unchanged; the BLAS pools are
-pinned to one thread, as the benchmark pins them.  Uses only the
-standard library, numpy and tdesim:
+times reports the median over its programs.  For the same seed of
+``fig-sweeps`` and ``mixed-channel`` it then prints per operation kind
+the median over its operations of each one's best time over REPEATS
+calls, that time per grid point, and the kind's share of the round.
+The programs and operations come from benchmarks/workloads.py,
+unchanged; the BLAS pools are pinned to one thread, as the benchmark
+pins them.  Uses only the standard library, numpy and tdesim:
 
     python tools/time_programs.py
 """
@@ -72,6 +76,20 @@ def main() -> int:
     print(f"{'round':<22} {'':>8} {total_parse * 1e6:>9.1f} "
           f"{total_run * 1e6:>8.1f} "
           f"{total_parse / (total_parse + total_run):>8.1%}")
+    for workload in ("fig-sweeps", "mixed-channel"):
+        print(f"\n{workload} seed {SEED}, best of {REPEATS}, "
+              "median over a kind's operations")
+        print(f"{'kind':<24} {'ops':>4} {'op_us':>9} {'point_us':>9} "
+              f"{'share':>7}")
+        kinds = {}
+        for op in workloads.WORKLOADS[workload](SEED):
+            kinds.setdefault(op.kind, []).append((best(op.run), op.weight))
+        total = sum(t for times in kinds.values() for t, _ in times)
+        for kind, times in kinds.items():
+            op_s = statistics.median(t for t, _ in times)
+            print(f"{kind:<24} {len(times):>4} {op_s * 1e6:>9.1f} "
+                  f"{op_s / times[0][1] * 1e6:>9.2f} "
+                  f"{sum(t for t, _ in times) / total:>7.1%}")
     return 0
 
 
