@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import InvariantViolationError
 from .registers import (ATOL, ENTROPY_SLACK, _check_tau, _entropy_bits,
-                        _trace_norms, partial_trace, to_density)
+                        _items, _real, _trace_norms, partial_trace,
+                        to_density)
 from .scenarios import (CurvePoint, _fig1_circuit, _readout, grid_inputs,
                         row_blocks)
 
@@ -74,7 +75,7 @@ def subadditivity_margin(rho) -> float:
 def _check_tolerance(tolerance) -> float:
     """tolerance as a float; anything but a finite positive number raises
     ValueError."""
-    tolerance = float(tolerance)
+    tolerance = _real(tolerance, "the tolerance")
     if not 0.0 < tolerance < np.inf:
         raise ValueError(
             f"tolerance must be finite and positive, got {tolerance}"
@@ -138,8 +139,13 @@ def amplification_points(points: Sequence[CurvePoint],
 
     Under the population-gap definition (D_in_paper) the region is
     0 < beta^2 < 1/2; under the strict trace norm it is empty, since
-    4 (beta^2 - beta^4) <= 2 beta everywhere on [0, 1].
+    4 (beta^2 - beta^4) <= 2 beta everywhere on [0, 1].  Points that are
+    not a sequence of CurvePoints raise ValueError naming the type.
     """
+    points = _items(points, "a curve")
+    for p in points:
+        if not isinstance(p, CurvePoint):
+            raise ValueError(f"expected a CurvePoint, got {type(p).__name__}")
     if definition not in ("D_in_paper", "D_in_tracenorm"):
         raise ValueError(f"unknown input definition {definition!r}")
     return [p.beta_sq for p in points

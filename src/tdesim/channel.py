@@ -9,9 +9,10 @@ second CNOT acts on the input qubit's populations (g00, g11) as
 independently of any input coherence.  The map is quadratic in the density
 matrix, so it cannot come from any linear channel; nonlinearity_witness
 quantifies that by how badly the map fails to commute with mixing.
-A QubitDensity meets the density contract of registers.check_densities,
-so it refuses exactly what a DensityOperator refuses, and nonlinear_map
-reads its populations as the simulator reads a density's spectrum.
+A QubitDensity is a DensityOperator on the slot ("1", 0), checked once on
+construction, so it refuses what a DensityOperator refuses and runs
+wherever one runs, run_fig1 included; nonlinear_map reads its
+populations as the simulator reads a density's spectrum.
 displaced_bell_channel is run_fig1's rho_d, read alone from the same
 compiled circuit (scenarios._readout) before its closing CNOT.  The
 closed forms refuse anything but a QubitDensity with ValueError.
@@ -19,55 +20,41 @@ closed forms refuse anything but a QubitDensity with ValueError.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .registers import (DensityOperator, Register, SlotId, _check_tau,
-                        _trace_norms, check_densities)
+from .registers import (DensityOperator, Register, SlotId, _check_tau, _real,
+                        _trace_norms, on_register)
 from .scenarios import _fig1_circuit, _readout
 
+_QUBIT = Register((SlotId("1", 0),), (2,))
 
-@dataclass(frozen=True)
-class QubitDensity:
-    """Single-qubit density matrix as populations plus one coherence,
-    held to the density contract (registers.check_densities) on its
-    matrix: what DensityOperator refuses raises the same
-    InvariantViolationError here."""
 
-    g00: float
-    g11: float
-    g01: complex = 0j
+class QubitDensity(DensityOperator):
+    """The density [[g00, g01], [conj(g01), g11]] on the slot ("1", 0),
+    checked once as a DensityOperator; g00, g11 and g01 read its matrix."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "g00", float(self.g00))
-        object.__setattr__(self, "g11", float(self.g11))
-        object.__setattr__(self, "g01", complex(self.g01))
-        check_densities(self.to_matrix())
+    def __init__(self, g00: float, g11: float, g01: complex = 0j):
+        g00, g11, g01 = _real(g00, "g00"), _real(g11, "g11"), complex(g01)
+        super().__init__(_QUBIT, [[g00, g01], [g01.conjugate(), g11]])
+
+    g00 = property(lambda self: float(self.matrix[0, 0].real))
+    g11 = property(lambda self: float(self.matrix[1, 1].real))
+    g01 = property(lambda self: complex(self.matrix[0, 1]))
 
     @classmethod
     def from_matrix(cls, matrix) -> "QubitDensity":
-        """The populations and coherence of a 2 x 2 matrix that meets the
-        density contract, so that nothing the fields omit (an imaginary
-        diagonal, a lower coherence that is not the upper's conjugate) is
-        dropped silently.  The coherence is the conjugate of the lower
-        one, the entry the contract's eigvalsh reads, so the fields hold
-        the spectrum that was checked."""
-        m = np.asarray(matrix, dtype=complex)
-        if m.shape != (2, 2):
-            raise ValueError(f"expected a 2x2 matrix, got {m.shape}")
-        check_densities(m)
-        # + 0.0 turns the -0.0 that conj makes of a zero imaginary part
-        # back into the 0.0 of the upper entry of a hermitian matrix
-        return cls(m[0, 0].real, m[1, 1].real, np.conj(m[1, 0]) + 0.0)
+        """The density of a 2 x 2 matrix, kept as given once it meets the
+        density contract."""
+        rho = cls.__new__(cls)
+        DensityOperator.__init__(rho, _QUBIT, matrix)
+        return rho
 
     def to_matrix(self) -> np.ndarray:
-        return np.array([[self.g00, self.g01],
-                         [np.conj(self.g01), self.g11]])
+        return self.matrix.copy()
 
     def to_density(self, site: str = "1", cycle: int = 0) -> DensityOperator:
-        reg = Register((SlotId(site, cycle),), (2,))
-        return DensityOperator(reg, self.to_matrix())
+        """The same matrix on the slot (site, cycle), not checked again."""
+        return on_register(self, Register((SlotId(site, cycle),), (2,)))
 
 
 def nonlinear_map(rho: QubitDensity) -> QubitDensity:
@@ -107,16 +94,12 @@ def nonlinearity_witness(rho_a: QubitDensity, rho_b: QubitDensity,
     Zero for every (rho_a, rho_b, lam) would mean the channel is linear;
     the displaced-CNOT channel reaches 1 at lam = 1/2 on the basis states.
     """
-    lam = float(lam)
+    lam = _real(lam, "the mixing weight")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"mixing weight must sit in [0, 1], got {lam}")
     # nonlinear_map refuses a rho_a or rho_b that is not a QubitDensity
-    rhs = (lam * nonlinear_map(rho_a).to_matrix()
-           + (1.0 - lam) * nonlinear_map(rho_b).to_matrix())
-    mixed = QubitDensity(
-        lam * rho_a.g00 + (1.0 - lam) * rho_b.g00,
-        lam * rho_a.g11 + (1.0 - lam) * rho_b.g11,
-        lam * rho_a.g01 + (1.0 - lam) * rho_b.g01,
-    )
-    lhs = nonlinear_map(mixed).to_matrix()
+    rhs = (lam * nonlinear_map(rho_a).matrix
+           + (1.0 - lam) * nonlinear_map(rho_b).matrix)
+    lhs = nonlinear_map(QubitDensity.from_matrix(
+        lam * rho_a.matrix + (1.0 - lam) * rho_b.matrix)).matrix
     return float(_trace_norms((lhs - rhs)[None])[0])

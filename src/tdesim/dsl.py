@@ -698,8 +698,9 @@ def _fmt_state(d: Prepare) -> str:
 def format_circuit(program: CircuitProgram) -> str:
     """Canonical text for a program; parsing it back gives an equal
     program.  A program the static check refuses raises its
-    CircuitParseError instead."""
-    program.plan
+    CircuitParseError instead, and anything but a CircuitProgram raises
+    ValueError naming its type."""
+    _check_program(program).plan
     lines = []
     for d in program.directives:
         if isinstance(d, Prepare):
@@ -737,6 +738,15 @@ class ExecutionReport:
         }
 
 
+def _check_program(program) -> CircuitProgram:
+    """program itself; anything but a CircuitProgram raises ValueError
+    naming its type."""
+    if not isinstance(program, CircuitProgram):
+        raise ValueError(
+            f"expected a CircuitProgram, got {type(program).__name__}")
+    return program
+
+
 def run_program(program: CircuitProgram):
     """Execute a program; returns (ExecutionReport, final state).
 
@@ -747,10 +757,7 @@ def run_program(program: CircuitProgram):
     static check rejects raises its CircuitParseError, and anything but a
     CircuitProgram raises ValueError naming its type.
     """
-    if not isinstance(program, CircuitProgram):
-        raise ValueError(
-            f"expected a CircuitProgram, got {type(program).__name__}")
-    plan = program.plan
+    plan = _check_program(program).plan
     rows = _run_steps(plan.steps, None)
     rho = gram_density(plan.output_register,
                        _factor(rows, plan.steps[-1].axes)[0])

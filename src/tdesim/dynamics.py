@@ -49,6 +49,7 @@ from .registers import (
     SlotLike,
     State,
     _bind,
+    _check_state,
     _check_tau,
     _checked_ensemble,
     _discard_rows,
@@ -268,9 +269,10 @@ def measure_at_cycle(state: State, cycle: int) -> DensityOperator:
     """Reduced state over every slot at one cycle; slots at other cycles
     are traced out, which is where displacement-induced decoherence
     comes from.  A cycle that is not a whole number raises ValueError,
-    as SlotId's does."""
+    as SlotId's does, and so does anything but a state (_check_state)."""
     cycle = _whole(cycle, "a cycle must be a whole number")
-    keep = [s for s in state.register.slots if s.cycle == cycle]
+    keep = [s for s in _check_state(state).register.slots
+            if s.cycle == cycle]
     if not keep:
         raise UnknownSlotError(f"no slot at cycle {cycle}")
     return partial_trace(state, keep)

@@ -231,6 +231,14 @@ class Register:
         return as_slot(slot) in self.slots
 
 
+def _check_register(register) -> Register:
+    """register itself; anything but a Register raises ValueError naming
+    its type."""
+    if not isinstance(register, Register):
+        raise ValueError(f"expected a Register, got {type(register).__name__}")
+    return register
+
+
 def level_index(level, dim: int) -> int:
     """Local basis index of a level label on a slot of the given dimension.
 
@@ -263,7 +271,8 @@ class PureState:
     """
 
     def __init__(self, register: Register, amplitudes):
-        self._take(register, np.array(amplitudes, dtype=complex).reshape(-1))
+        self._take(_check_register(register),
+                   np.array(amplitudes, dtype=complex).reshape(-1))
 
     def _take(self, register: Register, amps: np.ndarray) -> None:
         """Hold amps, a flat complex array given up to the state, on
@@ -364,6 +373,7 @@ class DensityOperator:
     _spectral = None  # (weights, eigenvectors) of _spectral_rows
 
     def __init__(self, register: Register, matrix):
+        _check_register(register)
         m = np.array(matrix, dtype=complex)  # the copy the density keeps
         if m.shape != (register.dim, register.dim):
             raise ValueError(
@@ -378,7 +388,7 @@ class DensityOperator:
         return self.register.dim
 
     def __repr__(self) -> str:
-        return f"DensityOperator({list(self.register.slots)})"
+        return f"{type(self).__name__}({list(self.register.slots)})"
 
 
 def check_densities(matrices: np.ndarray) -> np.ndarray:
@@ -677,16 +687,22 @@ def _discard_rows(rows: np.ndarray, axes) -> np.ndarray:
     return r.reshape(r.shape[:2] + tuple(rows.shape[a + 2] for a in keep))
 
 
+def _check_state(state) -> State:
+    """state itself; anything but a PureState or DensityOperator raises
+    ValueError naming its type."""
+    if not isinstance(state, (PureState, DensityOperator)):
+        raise ValueError(f"not a state: {type(state).__name__}")
+    return state
+
+
 def to_density(state: State) -> DensityOperator:
     """Project a pure state to its rank-one density matrix; pass densities
-    through unchanged.  Anything else raises ValueError naming its type,
-    and a density matrix over MAX_STATE_BYTES raises RegisterSizeError
-    before it is built."""
+    through unchanged.  Anything else raises ValueError naming its type
+    (_check_state), and a density matrix over MAX_STATE_BYTES raises
+    RegisterSizeError before it is built."""
     if isinstance(state, DensityOperator):
         return state
-    if not isinstance(state, PureState):
-        raise ValueError(f"not a state: {type(state).__name__}")
-    check_state_size(state.dim, pure=False)
+    check_state_size(_check_state(state).dim, pure=False)
     return _from_rows(state.register, _rows(state), pure=False)
 
 
@@ -702,7 +718,8 @@ def bell_phi_plus(site_a: str, site_b: str, cycle: int) -> PureState:
 
 
 def maximally_mixed(register: Register) -> DensityOperator:
-    return DensityOperator(register, np.eye(register.dim) / register.dim)
+    d = _check_register(register).dim
+    return DensityOperator(register, np.eye(d) / d)
 
 
 def check_state_size(dim: int, pure: bool) -> None:
@@ -730,9 +747,9 @@ def tensor(a: State, b: State) -> State:
 
 
 def _positions(register: Register, slots) -> list:
-    """The ascending positions in register of slots, which must be at
-    least one and distinct."""
-    slots = [as_slot(s) for s in slots]
+    """The ascending positions in register of slots, a sequence of at
+    least one distinct slot."""
+    slots = [as_slot(s) for s in _items(slots, "a slot list")]
     if not slots:
         raise ValueError("must keep at least one slot")
     if len(set(slots)) != len(slots):
@@ -759,9 +776,10 @@ def joint_outcome_distribution(state: State, slots: Sequence[SlotLike]) -> dict:
     Keys concatenate one character per slot ('v', '0', '1'), in register
     order.  All outcomes appear, including zero-probability ones.  The
     probabilities are the marginal of the state's own diagonal over the
-    other slots, so no reduced state is built.
+    other slots, so no reduced state is built.  Anything but a state
+    raises ValueError naming its type (_check_state).
     """
-    reg = state.register
+    reg = _check_state(state).register
     keep_pos = _positions(reg, slots)
     if isinstance(state, PureState):
         diag = (state.amplitudes * state.amplitudes.conj()).real

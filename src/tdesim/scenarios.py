@@ -388,14 +388,14 @@ def run_fig1(state, tau: int = 1,
              policy=CorrelationMode.UNCORRELATED_COPIES) -> CircuitReport:
     """Run the displaced-CNOT circuit on one input qubit.
 
-    The input, a PureState or DensityOperator on one slot, is placed at
-    cycle tau on its own site, entangled with a fresh ancilla by a CNOT,
-    and its site is dilated by tau cycles.  The expansion then spans four
-    slots; reading out at the preparation cycle gives rho_d, and the
-    closing CNOT plus partial trace give the channel output on the
-    ancilla.  A mixed input runs under `policy` (uncorrelated copies by
-    default), and its four-slot state is a density.  Anything else, a
-    QubitDensity included (pass q.to_density()), raises ValueError.
+    The input, a PureState or DensityOperator on one slot (a
+    channel.QubitDensity is one, on site "1"), is placed at cycle tau on
+    its own site, entangled with a fresh ancilla by a CNOT, and its site
+    is dilated by tau cycles.  The expansion then spans four slots;
+    reading out at the preparation cycle gives rho_d, and the closing
+    CNOT plus partial trace give the channel output on the ancilla.  A
+    mixed input runs under `policy` (uncorrelated copies by default), and
+    its four-slot state is a density.  Anything else raises ValueError.
     """
     tau = _check_tau(tau)
     site = _input_site(state)

@@ -16,7 +16,7 @@ from tdesim import (
     run_fig1,
     to_density,
 )
-from tdesim import scenarios
+from tdesim import registers, scenarios
 from tdesim.registers import ATOL, PSD_FLOOR
 
 from conftest import displaced_cnot_density_oracle
@@ -58,12 +58,28 @@ def test_qubit_density_conversions():
 
     m = qd.to_matrix()
     np.testing.assert_array_equal(m, [[0.36, 0.48], [0.48, 0.64]])
-    assert QubitDensity.from_matrix(m) == qd
+    assert m is not qd.matrix and m.flags.writeable
+    assert QubitDensity.from_matrix(m).matrix.tobytes() == qd.matrix.tobytes()
 
     rho = qd.to_density("s", 4)
     assert rho.register.slots[0].site == "s"
     assert rho.register.slots[0].cycle == 4
-    np.testing.assert_allclose(rho.matrix, m, atol=1e-15)
+    assert rho.matrix.tobytes() == m.tobytes()
+
+
+def test_to_density_relabels_without_a_second_check(monkeypatch):
+    # a QubitDensity is a DensityOperator on ("1", 0), checked once when
+    # it is built; moving it to another slot shares its checked matrix
+    qd = QubitDensity(0.36, 0.64, 0.48)
+    calls = []
+    check = registers.check_densities
+    monkeypatch.setattr(registers, "check_densities",
+                        lambda m: calls.append(m) or check(m))
+    rho = qd.to_density("s", 4)
+    assert calls == []
+    assert type(rho) is DensityOperator
+    assert rho.register == Register((SlotId("s", 4),), (2,))
+    assert rho.matrix is qd.matrix and rho.eigenvalues is qd.eigenvalues
 
 
 @pytest.mark.parametrize("matrix, deviation", [
@@ -71,15 +87,16 @@ def test_qubit_density_conversions():
     ([[0.5 + 0.2j, 0.0], [0.0, 0.5]], "4.000e-01"),  # imaginary diagonal
 ])
 def test_from_matrix_refuses_a_matrix_it_would_not_keep(matrix, deviation):
-    # the fields hold one coherence and real populations only
+    # the density contract refuses what is not hermitian to ATOL
     with pytest.raises(InvariantViolationError,
                        match=rf"^matrix is not hermitian "
                              rf"\(deviation {deviation}\)$"):
         QubitDensity.from_matrix(matrix)
-    # a deviation within ATOL is roundoff, and the coherence kept is the
-    # conjugate of the lower one, which the contract's eigvalsh reads
+    # a deviation within ATOL is roundoff, and the matrix is kept as
+    # given, so g01 reads its upper entry
     qd = QubitDensity.from_matrix([[0.5, 0.1], [0.1 + 1e-13, 0.5]])
-    assert (qd.g00, qd.g11, qd.g01) == (0.5, 0.5, 0.1 + 1e-13)
+    assert (qd.g00, qd.g11, qd.g01) == (0.5, 0.5, 0.1)
+    assert qd.matrix[1, 0] == 0.1 + 1e-13
 
 
 def test_nonlinear_map_closed_form():
@@ -228,9 +245,11 @@ def test_qubit_density_refuses_exactly_what_a_density_refuses(m):
     want = _refusal(lambda: DensityOperator(_QUBIT, m))
     assert _refusal(lambda: QubitDensity.from_matrix(m)) == want
     if want is None:
-        # the fields hold a matrix the contract accepted
+        # the matrix and spectrum the contract accepted, kept as given
         qd = QubitDensity.from_matrix(m)
-        assert QubitDensity(qd.g00, qd.g11, qd.g01) == qd
+        assert qd.matrix.tobytes() == m.astype(complex).tobytes()
+        assert qd.eigenvalues.tobytes() == \
+            DensityOperator(_QUBIT, m).eigenvalues.tobytes()
     fields = (m[0, 0].real, m[1, 1].real, m[0, 1])
     assert _refusal(lambda: QubitDensity(*fields)) == _refusal(
         lambda: DensityOperator(_QUBIT, [[fields[0], fields[2]],
@@ -243,7 +262,7 @@ def test_from_matrix_keeps_a_roundoff_eigenvalue():
     m = np.diag([1.0 + 5e-11, -5e-11])
     qd = QubitDensity.from_matrix(m)
     assert (qd.g00, qd.g11) == (1.0 + 5e-11, -5e-11)
-    assert run_fig1(qd.to_density()).rho_out.matrix.tobytes() == \
+    assert run_fig1(qd).rho_out.matrix.tobytes() == \
         run_fig1(DensityOperator(_QUBIT, m)).rho_out.matrix.tobytes()
 
 
@@ -272,9 +291,8 @@ def test_nonlinear_map_reads_populations_as_the_simulator_does(fields, want):
     # 1 + 1.6e-12
     np.testing.assert_array_equal(
         nonlinear_map(QubitDensity(*fields)).to_matrix(), want)
-    rho = QubitDensity(*fields).to_density()
-    np.testing.assert_allclose(run_fig1(rho).rho_out.matrix, want, rtol=0,
-                               atol=1e-15)
+    np.testing.assert_allclose(run_fig1(QubitDensity(*fields)).rho_out.matrix,
+                               want, rtol=0, atol=1e-15)
 
 
 def test_nonlinear_map_is_the_closed_form_on_unit_populations():

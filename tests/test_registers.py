@@ -11,15 +11,18 @@ from tdesim import (
     InvariantViolationError,
     OverlappingSlotError,
     PureState,
+    QubitDensity,
     RegisterSizeError,
     Register,
     SlotId,
     UnknownSlotError,
     bell_phi_plus,
+    amplification_points,
     density_to_json,
     fig2_curves,
     joint_outcome_distribution,
     maximally_mixed,
+    nonlinearity_witness,
     purity,
     qubit_state,
     run_entropy_study,
@@ -390,8 +393,12 @@ def test_a_cycle_shift_is_a_whole_number(rng):
     (lambda: run_entropy_study(0.5, None), "a beta\\^2 grid"),
     (lambda: Register(None, None), "a register's slots"),
     (lambda: Register((("a", 0),), None), "a register's dims"),
+    (lambda: joint_outcome_distribution(qubit_state("a", 0, 1.0, 0.0), None),
+     "a slot list"),
+    (lambda: amplification_points(None), "a curve"),
 ], ids=["run_sweep", "fig2_curves", "run_entropy_study", "register_slots",
-        "register_dims"])
+        "register_dims", "joint_outcome_distribution-slots",
+        "amplification_points"])
 def test_a_grid_or_register_that_is_no_sequence_is_refused_by_name(call,
                                                                    what):
     with pytest.raises(ValueError,
@@ -408,8 +415,15 @@ def test_a_grid_or_register_that_is_no_sequence_is_refused_by_name(call,
      "real number, got None"),
     (lambda: run_entropy_study(None, [0.5]), "the vacuum weight must be a "
      "real number, got None"),
+    (lambda: nonlinearity_witness(QubitDensity(1.0, 0.0),
+                                  QubitDensity(0.0, 1.0), None),
+     "the mixing weight must be a real number, got None"),
+    (lambda: fig2_curves([0.5], 1, None), "the tolerance must be a real "
+     "number, got None"),
+    (lambda: QubitDensity(None, 1.0), "g00 must be a real number, got None"),
 ], ids=["run_sweep", "fig2_curves", "run_entropy_study-grid",
-        "run_entropy_study-p_vac"])
+        "run_entropy_study-p_vac", "nonlinearity_witness-lam",
+        "fig2_curves-tolerance", "qubit_density-g00"])
 def test_a_grid_value_or_weight_that_is_no_number_is_refused_by_name(
         call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

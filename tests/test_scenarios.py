@@ -9,12 +9,17 @@ from scipy import linalg as sla
 from tdesim import (
     CorrelationMode,
     DensityOperator,
+    PureState,
     QubitDensity,
     Register,
     SlotId,
+    amplification_points,
     dilation_from_round_trip,
     displaced_expansion,
+    format_circuit,
+    joint_outcome_distribution,
     maximally_mixed,
+    measure_at_cycle,
     nonlinear_map,
     purity,
     qubit_state,
@@ -128,22 +133,22 @@ def test_integral_dilations_of_any_type_run():
 
 
 def test_fig1_accepts_channel_density_input():
-    rep = run_fig1(QubitDensity(0.25, 0.75).to_density())
+    rep = run_fig1(QubitDensity(0.25, 0.75))
     want = nonlinear_map(QubitDensity(0.25, 0.75)).to_matrix()
     np.testing.assert_allclose(rep.rho_out.matrix, want, atol=1e-12)
 
 
 def test_fig1_takes_states_only():
-    q = QubitDensity(0.25, 0.75)
-    with pytest.raises(ValueError,
-                       match="^unsupported circuit input: QubitDensity$"):
-        run_fig1(q)
+    # a QubitDensity is a density on site "1", and runs as one
+    q = QubitDensity(0.25, 0.75, 0.2 - 0.1j)
     for tau in (1, 2, 3):
-        # the runner moves its input to cycle tau, so the cycle q is put
-        # on changes no bit
-        ref = run_fig1(q.to_density("1", tau), tau)
-        assert _report_bytes(run_fig1(q.to_density(), tau)) == \
-            _report_bytes(ref)
+        for mode in CorrelationMode:
+            want = _report_bytes(run_fig1(q, tau, mode))
+            assert _report_bytes(run_fig1(q.to_density(), tau, mode)) == want
+            # the runner moves its input to cycle tau, so the cycle q is
+            # put on changes no bit
+            assert _report_bytes(
+                run_fig1(q.to_density("1", tau), tau, mode)) == want
 
 
 def test_fig1_mixed_input_uncorrelated_copies(rng):
@@ -376,9 +381,20 @@ def test_round_trip_dilation():
      "real number, got None"),
     (lambda: dilation_from_round_trip(1.0, None), "the speed fraction must "
      "be a real number, got None"),
+    (lambda: PureState(None, [1.0, 0.0]), "expected a Register, got NoneType"),
+    (lambda: DensityOperator("x", [[1.0]]), "expected a Register, got str"),
+    (lambda: maximally_mixed(np.nan), "expected a Register, got float"),
+    (lambda: joint_outcome_distribution(None, [("1", 0)]),
+     "not a state: NoneType"),
+    (lambda: measure_at_cycle(None, 0), "not a state: NoneType"),
+    (lambda: format_circuit(None), "expected a CircuitProgram, got NoneType"),
+    (lambda: amplification_points(["x"]), "expected a CurvePoint, got str"),
 ], ids=["backend-None", "backend-str", "backend-nan", "propriety-nan",
         "propriety-None-branch", "propriety-None-weight",
-        "round-trip-None-duration", "round-trip-None-speed"])
+        "round-trip-None-duration", "round-trip-None-speed",
+        "pure-state-register", "density-register", "maximally-mixed-register",
+        "joint-outcomes-state", "measure-at-cycle-state",
+        "format-circuit-program", "amplification-points-curve"])
 def test_runners_refuse_a_wrong_type_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
@@ -464,17 +480,15 @@ _GAP_REFUSAL = (r"^two eigenvalues .* apart, under SPECTRAL_GAP = 0\.01, "
                 r"\(weight, PureState\) ensemble$")
 
 
-@pytest.mark.parametrize("state", [
+@pytest.mark.parametrize("rho", [
     maximally_mixed(Register((SlotId("1", 0),), (2,))),
     QubitDensity(0.5, 0.5),
     QubitDensity(0.504, 0.496),  # eigenvalues 8e-3 apart
     maximally_mixed(Register((SlotId("1", 0),), (3,))),
 ], ids=["I/2", "QubitDensity(0.5, 0.5)", "gap-8e-3", "I/3"])
-def test_coherent_history_refuses_an_undetermined_eigenbasis(state):
+def test_coherent_history_refuses_an_undetermined_eigenbasis(rho):
     # eigh's basis of a degenerate spectrum is arbitrary: I/2 used to give
     # |0><0|, and I/2 with a 1e-9 coherence gives I/2
-    rho = state.to_density("1", 0) if isinstance(state, QubitDensity) \
-        else state
     with pytest.raises(ValueError, match=_GAP_REFUSAL):
         run_fig1(rho, policy=_COHERENT)
     with pytest.raises(ValueError, match=_GAP_REFUSAL):
