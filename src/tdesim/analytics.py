@@ -140,13 +140,19 @@ def amplification_points(points: Sequence[CurvePoint],
     Under the population-gap definition (D_in_paper) the region is
     0 < beta^2 < 1/2; under the strict trace norm it is empty, since
     4 (beta^2 - beta^4) <= 2 beta everywhere on [0, 1].  Points that are
-    not a sequence of CurvePoints raise ValueError naming the type.
+    not a sequence of CurvePoints raise ValueError naming the type, and a
+    point without D_out or the definition's value, as an entropy study's,
+    raises ValueError naming the missing key.
     """
     points = _items(points, "a curve")
+    if definition not in ("D_in_paper", "D_in_tracenorm"):
+        raise ValueError(f"unknown input definition {definition!r}")
     for p in points:
         if not isinstance(p, CurvePoint):
             raise ValueError(f"expected a CurvePoint, got {type(p).__name__}")
-    if definition not in ("D_in_paper", "D_in_tracenorm"):
-        raise ValueError(f"unknown input definition {definition!r}")
+        for key in ("D_out", definition):
+            if key not in p.values:
+                raise ValueError(f"the curve point at beta^2={p.beta_sq!r} "
+                                 f"has no {key!r} value")
     return [p.beta_sq for p in points
             if p.values["D_out"] > p.values[definition] + ATOL]

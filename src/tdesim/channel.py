@@ -29,12 +29,22 @@ from .scenarios import _fig1_circuit, _readout
 _QUBIT = Register((SlotId("1", 0),), (2,))
 
 
+def _complex(g01) -> complex:
+    """g01 as a complex number; anything complex() refuses raises
+    ValueError naming g01 and the value, as _real does for g00 and g11."""
+    try:
+        return complex(g01)
+    except (TypeError, ValueError):
+        raise ValueError(f"g01 must be a complex number, got {g01!r}") \
+            from None
+
+
 class QubitDensity(DensityOperator):
     """The density [[g00, g01], [conj(g01), g11]] on the slot ("1", 0),
     checked once as a DensityOperator; g00, g11 and g01 read its matrix."""
 
     def __init__(self, g00: float, g11: float, g01: complex = 0j):
-        g00, g11, g01 = _real(g00, "g00"), _real(g11, "g11"), complex(g01)
+        g00, g11, g01 = _real(g00, "g00"), _real(g11, "g11"), _complex(g01)
         super().__init__(_QUBIT, [[g00, g01], [g01.conjugate(), g11]])
 
     g00 = property(lambda self: float(self.matrix[0, 0].real))

@@ -396,7 +396,8 @@ def check_densities(matrices: np.ndarray) -> np.ndarray:
     and return their eigenvalues, shaped (..., d), ascending per row.
 
     Every row must be hermitian and of unit trace to ATOL, checked over
-    the whole stack first, and then have no eigenvalue below PSD_FLOOR.
+    the whole stack first, and then have no eigenvalue below PSD_FLOOR,
+    from one _eigvalsh of the stack.
     The first row that fails raises InvariantViolationError, naming its
     index when there is a stack.
     A NaN or infinite entry is refused first, by the same error.
@@ -406,7 +407,21 @@ def check_densities(matrices: np.ndarray) -> np.ndarray:
         at = np.argwhere(~finite)[0].tolist()
         raise InvariantViolationError(f"matrix has a non-finite entry at {at}")
     _check_hermitian_unit_trace(matrices)
-    return _check_spectrum(matrices, np.linalg.eigvalsh(matrices))
+    return _check_spectrum(matrices, _eigvalsh(matrices))
+
+
+def _eigvalsh(m: np.ndarray) -> np.ndarray:
+    """The ascending eigenvalues of each matrix of m, a complex128 stack
+    of square matrices shaped (..., d, d), as every caller passes: the
+    LAPACK gufunc that np.linalg.eigvalsh calls, with the same lower
+    triangle, so the same bits, without the wrapper's argument handling
+    and error state, which cost more than a 2 x 2 spectrum.  The
+    wrapper's LinAlgError on a spectrum that does not converge is not
+    raised: the gufunc returns NaN there, which fails _check_spectrum's
+    PSD_FLOOR test, and every result is read through that test.  No NaN
+    input reaches it, since the finiteness and hermiticity tests refuse
+    one first."""
+    return np.linalg._umath_linalg.eigvalsh_lo(m, signature="D->d")
 
 
 def _entropy_bits(vals: np.ndarray) -> np.ndarray:
@@ -447,8 +462,8 @@ def gram_density(register: Register, factor) -> DensityOperator:
 
     A factor of at least _ROW_DOT_WIDTH * d**2 columns is multiplied out
     as row dot products, with no conjugate copy of F.  The spectrum, kept
-    as ``eigenvalues``, is that of the smaller of F F^H and F^H F, which
-    share their nonzero eigenvalues, padded with zeros.  A factor of at
+    as ``eigenvalues``, is _eigvalsh's of the smaller of F F^H and F^H F,
+    which share their nonzero eigenvalues, padded with zeros.  A factor of at
     most d columns is kept too, copied, as the density's rows F^T.
     """
     f = np.asarray(factor, dtype=complex)
@@ -467,10 +482,10 @@ def gram_density(register: Register, factor) -> DensityOperator:
         rho = f @ f.conj().T
     _check_hermitian_unit_trace(rho)
     if m < d:
-        vals = np.linalg.eigvalsh(f.conj().T @ f)
+        vals = _eigvalsh(f.conj().T @ f)
         vals = np.sort(np.concatenate([np.zeros(d - m), vals]))
     else:
-        vals = np.linalg.eigvalsh(rho)
+        vals = _eigvalsh(rho)
     vals = _check_spectrum(rho, vals)
     rho.flags.writeable = vals.flags.writeable = False
     out = _validated(register, rho, vals)
@@ -509,7 +524,8 @@ def _check_hermitian_unit_trace(m: np.ndarray) -> None:
 
 def _check_spectrum(m: np.ndarray, vals: np.ndarray) -> np.ndarray:
     if not np.minimum.reduce(vals, axis=None) >= PSD_FLOOR:
-        _reject(m, vals[..., 0])
+        # each row's least eigenvalue, or NaN wherever a spectrum has one
+        _reject(m, np.minimum.reduce(vals, axis=-1))
     return vals
 
 
@@ -527,6 +543,8 @@ def _reject(m, lowest=None):
         what = f"matrix is not hermitian (deviation {float(herm[i]):.3e})"
     elif not trace_err[i] <= ATOL:
         what = f"trace is {complex(m[i].trace()):.15g}, expected 1"
+    elif np.isnan(lowest[i]):
+        what = "spectrum did not converge"
     else:
         what = f"negative eigenvalue {float(lowest[i]):.3e} below tolerance"
     raise InvariantViolationError(where + what)

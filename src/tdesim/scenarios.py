@@ -21,10 +21,10 @@ read-out as a batch of one, with no path of its own, so its report
 equals a sweep's point bit for bit.  What it pays is the read-out's cost
 per call, which the compile keeps low: each column's view of the stack
 is an index built once, columns of one dimension take their spectra
-from one eigvalsh of the stack, with no zero pads, and densities and
-reports are built in plain loops.  The runners return report objects
-carrying the exact intermediate states so tests and the command line can
-interrogate any step.
+from one registers._eigvalsh of the stack, with no zero pads, and
+densities and reports are built in plain loops.  The runners return
+report objects carrying the exact intermediate states so tests and the
+command line can interrogate any step.
 """
 
 from __future__ import annotations
@@ -52,6 +52,7 @@ from .registers import (
     _check_spectrum,
     _check_tau,
     _checked_ensemble,
+    _eigvalsh,
     _entropy_bits,
     _factor,
     _items,
@@ -251,7 +252,7 @@ class _Readout(NamedTuple):
     def check(self, stack: np.ndarray) -> np.ndarray:
         """check_densities' tests, unchanged, on a (B, K, D, D) stack:
         hermiticity and unit trace to ATOL, which zero pads pass, and no
-        eigenvalue below PSD_FLOOR, one eigvalsh per block.  Returns the
+        eigenvalue below PSD_FLOOR, one _eigvalsh per block.  Returns the
         (B, K, D) spectra, each column's ascending, then zeros.  If a row
         fails, the columns are checked alone in order and the first that
         fails raises as check_densities on it would, naming the row by its
@@ -260,9 +261,9 @@ class _Readout(NamedTuple):
             _check_hermitian_unit_trace(stack)
             # columns of one dimension need no zero pads in their spectra
             spectra = np.zeros(stack.shape[:-1]) if self.blocks \
-                else np.linalg.eigvalsh(stack)
+                else _eigvalsh(stack)
             for d, ks in self.blocks:
-                spectra[:, ks, :d] = np.linalg.eigvalsh(stack[:, ks, :d, :d])
+                spectra[:, ks, :d] = _eigvalsh(stack[:, ks, :d, :d])
             _check_spectrum(stack, spectra)
         except InvariantViolationError:
             for column in self.columns(stack):

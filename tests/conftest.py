@@ -35,6 +35,7 @@ from tdesim.dsl import (
     Output,
     Prepare,
 )
+from tdesim import registers, scenarios
 
 SEED = 20260818
 
@@ -51,6 +52,21 @@ def pytest_configure(config):
 @pytest.fixture
 def rng():
     return np.random.default_rng(SEED)
+
+
+@pytest.fixture
+def spectrum_sizes(monkeypatch):
+    """The size of every matrix whose spectrum is taken, in call order: the
+    validated spectra of registers._eigvalsh, patched where registers and
+    scenarios look it up, and the trace norms' np.linalg.eigvalsh."""
+    sizes = []
+
+    def counting(eigvalsh):
+        return lambda m: sizes.append(m.shape[-1]) or eigvalsh(m)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting(np.linalg.eigvalsh))
+    for module in (registers, scenarios):
+        monkeypatch.setattr(module, "_eigvalsh", counting(module._eigvalsh))
+    return sizes
 
 
 def random_pure(rng, register):

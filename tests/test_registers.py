@@ -26,15 +26,18 @@ from tdesim import (
     purity,
     qubit_state,
     run_entropy_study,
+    run_fig1,
     run_sweep,
     to_density,
     trace_norm_distance,
 )
+from tdesim import registers, scenarios
 from tdesim.analytics import von_neumann_entropy
 from tdesim.registers import (
     ATOL,
     BasisLevel,
     _check_hermitian_unit_trace,
+    _eigvalsh,
     _reject,
     check_densities,
     gram_density,
@@ -229,6 +232,52 @@ def test_gram_density_of_a_wide_factor_matches_the_product(rng, dim, columns):
                                rtol=0, atol=1e-12)
 
 
+def _hermitian_stack(rng, shape):
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return a + a.conj().swapaxes(-1, -2)
+
+
+@pytest.mark.parametrize("d", range(1, 17))
+def test_eigvalsh_takes_the_wrappers_spectra_bit_for_bit(rng, d):
+    # the helper is the gufunc np.linalg.eigvalsh calls: the same bits on
+    # single matrices, stacks, stacks of stacks and the strided views of
+    # a read-out's blocks, hermitian or not (both read the lower triangle)
+    stacks = [_hermitian_stack(rng, (d, d)), _hermitian_stack(rng, (5, d, d)),
+              _hermitian_stack(rng, (3, 4, d, d)),
+              rng.standard_normal((3, d, d)) + 1j
+              * rng.standard_normal((3, d, d))]
+    padded = _hermitian_stack(rng, (3, 4, d + 2, d + 2))
+    stacks += [padded[:, 1:3, :d, :d], padded[:, [0, 1, 3], :d, :d],
+               padded[:, ::-2, :d, :d],
+               padded[:, :2, :d, :d].swapaxes(-1, -2)]
+    for m in stacks:
+        got = _eigvalsh(m)
+        assert got.dtype == np.float64 and got.shape == m.shape[:-1]
+        np.testing.assert_array_equal(got, np.linalg.eigvalsh(m))
+    roundoff = np.diag([1.0 + 5e-11, -5e-11]).astype(complex)
+    np.testing.assert_array_equal(_eigvalsh(roundoff),
+                                  np.linalg.eigvalsh(roundoff))
+
+
+@pytest.mark.parametrize("where, call", [
+    (registers, lambda: check_densities(np.eye(2, dtype=complex) / 2)),
+    (registers, lambda: gram_density(two_qubit_register(),
+                                     np.eye(4, dtype=complex) / 2)),
+    (registers, lambda: gram_density(two_qubit_register(),
+                                     np.eye(4, 1, dtype=complex))),
+    (scenarios, lambda: run_fig1(qubit_state("1", 0, 0.6, 0.8))),
+], ids=["check_densities", "gram_density-square", "gram_density-narrow",
+        "readout_check"])
+def test_a_spectrum_that_does_not_converge_is_refused(monkeypatch, where,
+                                                      call):
+    # LAPACK's NaN spectrum fails the PSD_FLOOR test at each call site of
+    # the helper, patched where that site looks it up
+    monkeypatch.setattr(where, "_eigvalsh",
+                        lambda m: np.full(m.shape[:-1], np.nan))
+    with pytest.raises(InvariantViolationError, match="did not converge"):
+        call()
+
+
 def test_gram_density_rejects_what_density_operator_rejects():
     reg = Register((SlotId("a", 0),), (2,))
     with pytest.raises(InvariantViolationError, match="trace"):
@@ -421,9 +470,11 @@ def test_a_grid_or_register_that_is_no_sequence_is_refused_by_name(call,
     (lambda: fig2_curves([0.5], 1, None), "the tolerance must be a real "
      "number, got None"),
     (lambda: QubitDensity(None, 1.0), "g00 must be a real number, got None"),
+    (lambda: QubitDensity(1.0, 0.0, None),
+     "g01 must be a complex number, got None"),
 ], ids=["run_sweep", "fig2_curves", "run_entropy_study-grid",
         "run_entropy_study-p_vac", "nonlinearity_witness-lam",
-        "fig2_curves-tolerance", "qubit_density-g00"])
+        "fig2_curves-tolerance", "qubit_density-g00", "qubit_density-g01"])
 def test_a_grid_value_or_weight_that_is_no_number_is_refused_by_name(
         call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -389,12 +389,15 @@ def test_round_trip_dilation():
     (lambda: measure_at_cycle(None, 0), "not a state: NoneType"),
     (lambda: format_circuit(None), "expected a CircuitProgram, got NoneType"),
     (lambda: amplification_points(["x"]), "expected a CurvePoint, got str"),
+    (lambda: amplification_points(run_entropy_study(0.5, [0.2]).points),
+     "the curve point at beta\\^2=0.2 has no 'D_out' value"),
 ], ids=["backend-None", "backend-str", "backend-nan", "propriety-nan",
         "propriety-None-branch", "propriety-None-weight",
         "round-trip-None-duration", "round-trip-None-speed",
         "pure-state-register", "density-register", "maximally-mixed-register",
         "joint-outcomes-state", "measure-at-cycle-state",
-        "format-circuit-program", "amplification-points-curve"])
+        "format-circuit-program", "amplification-points-curve",
+        "amplification-points-entropy-study"])
 def test_runners_refuse_a_wrong_type_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()

@@ -495,66 +495,54 @@ def test_unevenly_spaced_columns_are_read_by_index():
                                       check_densities(column))
 
 
-def _eigvalsh_sizes(monkeypatch):
-    sizes = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh",
-                        lambda m: sizes.append(m.shape[-1]) or eigvalsh(m))
-    return sizes
-
-
-def test_fig1_validates_once_per_dimension(monkeypatch):
+def test_fig1_validates_once_per_dimension(spectrum_sizes):
     reg = Register((SlotId("1", 0),), (2,))
     rho = DensityOperator(reg, np.array([[0.7, 0.2 + 0.1j],
                                          [0.2 - 0.1j, 0.3]]))
     psi = qubit_state("1", 0, 0.6, 0.8)
-    sizes = _eigvalsh_sizes(monkeypatch)
+    spectrum_sizes.clear()  # rho's own check
     # input and rho_out on one qubit, rho_s and rho_d on two
     run_fig1(psi)
-    assert sorted(sizes) == [2, 4]
+    assert sorted(spectrum_sizes) == [2, 4]
     for mode in CorrelationMode:
         # the input was checked when built; the four-slot state is mixed
-        sizes.clear()
+        spectrum_sizes.clear()
         run_fig1(rho, policy=mode)
-        assert sorted(sizes) == [2, 4, 16]
+        assert sorted(spectrum_sizes) == [2, 4, 16]
 
 
 @pytest.mark.parametrize("basis", ("computational", "diagonal"))
-def test_no_signaling_validates_only_its_outputs(monkeypatch, basis):
+def test_no_signaling_validates_only_its_outputs(spectrum_sizes, basis):
     # Bob's inputs are rows, never densities: one check of the joined
     # qubit outputs and one for the trace norms
-    sizes = _eigvalsh_sizes(monkeypatch)
     run_no_signaling(basis, tau=2)
-    assert sizes == [2, 2]
+    assert spectrum_sizes == [2, 2]
 
 
-def test_propriety_validates_only_its_two_outputs(monkeypatch):
+def test_propriety_validates_only_its_two_outputs(spectrum_sizes):
     ensemble = [(0.3, qubit_state("1", 0, 1.0, 0.0)),
                 (0.7, qubit_state("1", 0, 0.6, 0.8))]
-    sizes = _eigvalsh_sizes(monkeypatch)
     # the two outputs in one check, then their trace distance
     run_proper_vs_improper(ensemble)
-    assert sizes == [2, 2]
+    assert spectrum_sizes == [2, 2]
 
 
-def test_reverse_validates_only_the_recovered_qubit(monkeypatch):
-    sizes = _eigvalsh_sizes(monkeypatch)
+def test_reverse_validates_only_the_recovered_qubit(spectrum_sizes):
     run_reverse(qubit_state("1", 0, 0.6, 0.8), tau=2)
-    assert sizes == [2]
+    assert spectrum_sizes == [2]
 
 
-def test_sweeps_validate_only_what_they_return(monkeypatch):
+def test_sweeps_validate_only_what_they_return(spectrum_sizes):
     grid = np.linspace(0.0, 1.0, 1001)
-    sizes = _eigvalsh_sizes(monkeypatch)
     # per block of ROW_BLOCK points: one check of the qubit inputs and
     # outputs, then one trace-norm pass over both curves
     fig2_curves(grid)
-    assert sizes == [2, 2] * 4
+    assert spectrum_sizes == [2, 2] * 4
     # per block: the branches are read unchecked and the mixture gets one
     # check per density (input, rho_d and rho_out)
-    sizes.clear()
+    spectrum_sizes.clear()
     run_entropy_study(0.3, grid)
-    assert sizes == [3, 6, 2] * 4
+    assert spectrum_sizes == [3, 6, 2] * 4
 
 
 def test_curve_point_is_frozen_and_compares_by_value():
