@@ -31,9 +31,8 @@ steps in between share it; the plan's registers are built once, at the
 end, and the output's slot is the final register's own.  Each run of
 adjacent X, CNOT and phase gates, whose lifted blocks are monomial,
 becomes one flat index gather with optional phases; H stays a dense
-block.  A run is composed over only the register axes its gates touch,
-starting from its first gate's own gather, and expanded to the
-register's flat gather once, when it closes.
+block.  Each gate's own gather is built on the register's flat index
+and fused into its run's as the gate comes, with its phases on the left.
 One executor, _run_steps, runs plan steps on an array of amplitude rows
 shaped (B, N, *dims): B independent states, each the sum of the
 projectors of its N rows.  run_program runs a program as one state of
@@ -78,7 +77,6 @@ from .registers import (
     _from_rows,
     _left_multiply,
     _normalized,
-    _on_axes,
     _row_product,
     check_state_size,
     density_to_json,
@@ -338,10 +336,11 @@ class PlanStep(NamedTuple):
       "prepare": operand is the normalized vector appended to every row;
       "expand":  shift is the whole-state shift of the appended copy;
       "gather":  adjacent monomial gates (X, CNOT, phase), also across
-                 dilations, composed: each flattened row becomes
-                 row[perm], times operand if not None; line is the first
-                 gate's and the step sits where the run ends.  A plan's
-                 gathers hold at most MAX_STATE_BYTES in all;
+                 dilations, fused: each flattened row becomes row[perm],
+                 times operand if not None, as under the gates' own flat
+                 gathers in turn; line is the first gate's and the step
+                 sits where the run ends.  A plan's gathers hold at most
+                 MAX_STATE_BYTES in all;
       "gate":    a dense gate (H): operand is the lifted block, shaped
                  (target dims..., target dims...), acting on the register
                  axes in axes;
@@ -448,10 +447,10 @@ def _static_check(directives) -> CircuitPlan:
     shape their dims, as tuples replaced only when a step changes them,
     so the steps in between share one: a prepared slot is appended, an
     expansion appends the shifted copy of every slot, a dilation relabels
-    in place and a discard removes the site's slots.  A monomial gate
-    extends the open run, which any other step except a dilation closes
-    into one gather step, unless the plan's gathers would then hold more
-    than MAX_STATE_BYTES.
+    in place and a discard removes the site's slots.  A monomial gate's
+    flat gather is fused into the open run's, which any other step except
+    a dilation closes into one gather step, unless the plan's gathers
+    would then hold more than MAX_STATE_BYTES.
     """
     if not directives:
         _fail(1, "missing output directive")
@@ -462,21 +461,25 @@ def _static_check(directives) -> CircuitPlan:
     slots = shape = ()
     size = 1
     steps = []
-    # the open run of monomial gates, [(gather, axes, target dims)] in
-    # order, with its first line and whether it has phases; no step that
-    # changes the register leaves a run open
-    run, first, phased = [], 0, False
+    # the open run of monomial gates: its gather and phases on the flat
+    # index (phase None if it has none, perm None if no run is open),
+    # shaped like the register, and its first line; no step that changes
+    # the register leaves a run open
+    perm = phase = None
+    first = 0
     held = 0  # bytes of the closed runs' gathers
 
     def close():
-        nonlocal held, phased
-        if not run:
+        nonlocal held, perm, phase
+        if perm is None:
             return
-        perm, phase = _run_gather(shape, run)
-        held += perm.nbytes + (0 if phase is None else phase.nbytes)
-        steps.append(PlanStep("gather", first, slots, phase, (), 0, perm))
-        run.clear()
-        phased = False
+        for array in (perm, phase):
+            if array is not None:  # cached plans share their steps
+                held += array.nbytes
+                array.setflags(write=False)
+        steps.append(PlanStep("gather", first, slots, None if phase is None
+                              else phase.reshape(-1), (), 0, perm.reshape(-1)))
+        perm = phase = None
 
     def resize(new, ln):
         nonlocal slots, shape, size
@@ -535,15 +538,43 @@ def _static_check(directives) -> CircuitPlan:
             tdims = tuple(map(dims.__getitem__, sites))
             block, gather = _lifted_gate(name, theta, tdims)
             if gather is not None:
-                more = phased or gather[1] is not None
+                q, phases = gather
+                more = phase is not None or phases is not None
                 # the plan's gathers hold at most MAX_STATE_BYTES in all (8
                 # bytes of perm and 16 of phase per amplitude); past that,
                 # a monomial gate stays a dense block like H
                 if held + size * (24 if more else 8) <= MAX_STATE_BYTES:
-                    if not run:
-                        first = ln
-                    run.append((gather, axes, tdims))
-                    phased = more
+                    # the gate's own gather on the flat index: each index
+                    # moves by its target coordinates' move times their
+                    # strides; offs is each target index's offset, in gate
+                    # order, and lay spreads a gate-order array over the
+                    # register, broadcast on the other axes
+                    offs, spread = [0], [1] * len(shape)
+                    for a, n in zip(axes, tdims):
+                        stride = math.prod(shape[a + 1:])
+                        offs = [o + c * stride for o in offs for c in range(n)]
+                        spread[a] = n
+                    order = sorted(range(len(axes)), key=axes.__getitem__)
+
+                    def lay(v):
+                        return v.reshape(tdims).transpose(order).reshape(spread)
+
+                    p = np.arange(size).reshape(shape)
+                    p += lay(np.array([offs[j] - o
+                                       for j, o in zip(q.tolist(), offs)]))
+                    # fused after the run: row[perm][p] == row[perm[p]]
+                    if perm is None:
+                        perm, first = p, ln
+                    else:
+                        perm = perm.take(p)
+                        if phase is not None:
+                            phase = phase.take(p)
+                    # the gate's phases on the left: numpy's complex
+                    # multiply can round the other order an ulp apart
+                    if phases is not None:
+                        phase = np.multiply(lay(phases),
+                                            1 if phase is None else phase,
+                                            out=np.empty(shape, complex))
                     continue
             close()
             steps.append(PlanStep("gate", ln, slots, block, axes))
@@ -594,62 +625,6 @@ def _static_check(directives) -> CircuitPlan:
     axis = steps[-1].axes[0]
     return CircuitPlan(tuple(steps), register,
                        Register((register.slots[axis],), (shape[axis],)))
-
-
-def _run_gather(shape, gates):
-    """The read-only flat gather and phases (None if it has none) of a run
-    of monomial gates on a register of the given shape, each gate given
-    as ((q, phases), its register axes, their dims) in order.
-
-    The gates are composed over just the axes the run touches, in the
-    order it first touches them, and the result is expanded to the whole
-    register once: each flat index moves by its touched coordinates'
-    offset."""
-    touched = list(dict.fromkeys(a for _, axes, _ in gates for a in axes))
-    sub = list(map(shape.__getitem__, touched))
-    perm = phase = None
-    for (q, phases), axes, dims in gates:
-        at = list(map(touched.index, axes))
-        if perm is None:
-            # arange gathered by q on the leading axes, those of the first
-            # gate: entry (i, j) is q[i] * tail + j
-            tail = math.prod(sub[len(at):])
-            perm = (q if tail == 1 else
-                    np.add.outer(q * tail, np.arange(tail))).reshape(sub)
-        else:  # gathered by q on the flat index over the gate's axes
-            perm = _on_axes(perm, at, lambda m: m.take(q, axis=0), dims)
-            if phase is not None:
-                phase = _on_axes(phase, at, lambda m: m.take(q, axis=0), dims)
-        if phases is not None:  # on the target axes, broadcast elsewhere
-            spread = [1] * len(sub)
-            for a, n in zip(at, dims):
-                spread[a] = n
-            lined = sorted(range(len(at)), key=at.__getitem__)
-            phase = np.multiply(
-                phases.reshape(dims).transpose(lined).reshape(spread),
-                1 if phase is None else phase,
-                out=np.empty(sub, dtype=complex))
-    rest = [a for a in range(len(shape)) if a not in touched]
-    if rest or touched != sorted(touched):
-        order = touched + rest
-        pad = sub + [1] * len(rest)
-        flat = np.arange(math.prod(shape)).reshape(shape)
-        front = flat.transpose(order)  # a view of flat
-        # the flat offset of each touched subspace index
-        offset = front[(...,) + (0,) * len(rest)]
-        front += (offset.take(perm) - offset).reshape(pad)
-        if phase is not None:
-            full = np.empty(shape, dtype=complex)
-            full.transpose(order)[...] = phase.reshape(pad)
-            phase = full
-        perm = flat
-    # else the touched subspace is the register, in its order
-    perm = perm.reshape(-1)
-    phase = None if phase is None else phase.reshape(-1)
-    for array in (perm, phase):
-        if array is not None:  # cached plans share their steps
-            array.setflags(write=False)
-    return perm, phase
 
 
 _VACUUM = np.array([1.0, 0.0, 0.0], dtype=complex)

@@ -271,8 +271,13 @@ class PureState:
     """
 
     def __init__(self, register: Register, amplitudes):
-        self._take(_check_register(register),
-                   np.array(amplitudes, dtype=complex).reshape(-1))
+        _check_register(register)
+        try:
+            amps = np.array(amplitudes, dtype=complex)
+        except TypeError:
+            raise ValueError("amplitudes must be complex numbers, got "
+                             f"{amplitudes!r}") from None
+        self._take(register, amps.reshape(-1))
 
     def _take(self, register: Register, amps: np.ndarray) -> None:
         """Hold amps, a flat complex array given up to the state, on
@@ -374,7 +379,11 @@ class DensityOperator:
 
     def __init__(self, register: Register, matrix):
         _check_register(register)
-        m = np.array(matrix, dtype=complex)  # the copy the density keeps
+        try:
+            m = np.array(matrix, dtype=complex)  # the copy the density keeps
+        except TypeError:
+            raise ValueError("a density matrix must hold complex numbers, "
+                             f"got {matrix!r}") from None
         if m.shape != (register.dim, register.dim):
             raise ValueError(
                 f"expected a {register.dim}x{register.dim} matrix, got {m.shape}"
@@ -661,26 +670,19 @@ def _row_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape((n, na * nb) + a.shape[2:] + b.shape[2:])
 
 
-def _on_axes(t: np.ndarray, axes, fn, lead) -> np.ndarray:
-    """fn applied to t as one matrix, its rows the flat index over the
-    given axes taken in that order and its columns every other axis; the
-    rows fn returns span axes of the dims in lead, which take the given
-    axes' places, and every other axis stays where it was (a view back in
-    t's axis order)."""
+def _left_multiply(op: np.ndarray, t: np.ndarray, axes) -> np.ndarray:
+    """Apply op, shaped (out dims..., in dims...), to the given axes of t
+    and leave every other axis where it was (a view back in t's axis
+    order): the one matrix product that np.tensordot(op, t, (op's in
+    axes, axes)) takes, on the same operands, its rows the flat index over
+    the given axes taken in that order."""
     order = list(axes) + [a for a in range(t.ndim) if a not in axes]
     front = t.transpose(order)
     k = len(axes)
-    out = fn(front.reshape(math.prod(front.shape[:k]), -1))
-    return out.reshape(tuple(lead) + front.shape[k:]).transpose(
+    m = front.reshape(math.prod(front.shape[:k]), -1)
+    out = np.dot(op.reshape(-1, len(m)), m)
+    return out.reshape(op.shape[:k] + front.shape[k:]).transpose(
         sorted(range(t.ndim), key=order.__getitem__))
-
-
-def _left_multiply(op: np.ndarray, t: np.ndarray, axes) -> np.ndarray:
-    """Apply op, shaped (out dims..., in dims...), to the given axes of t
-    and leave every other axis where it was: the one matrix product that
-    np.tensordot(op, t, (op's in axes, axes)) takes, on the same operands."""
-    return _on_axes(t, axes, lambda m: np.dot(op.reshape(-1, len(m)), m),
-                    op.shape[:len(axes)])
 
 
 def _factor(rows: np.ndarray, keep) -> np.ndarray:

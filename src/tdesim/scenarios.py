@@ -597,7 +597,7 @@ def run_no_signaling(basis: str, tau: int = 1) -> NoSignalReport:
     outcome, and once as they are, which leaves Bob rho_b (x) rho_b.  The
     three run through the box as one stack of states.
     """
-    if basis not in _BASES:
+    if not isinstance(basis, str) or basis not in _BASES:
         raise ValueError(
             f"basis must be one of {sorted(_BASES)}, got {basis!r}"
         )

@@ -710,6 +710,104 @@ def test_gathers_after_expansions_dilations_and_discards(case):
     assert gathers == sum(s.kind == "gather" for s in steps)
 
 
+@st.composite
+def _monomial_programs(draw):
+    """1-6 sites at cycle 0, qubits or vacuum qutrits, and 1-10 x, cnot
+    and phase gates on random targets in random order, descending ones
+    included, with one site dilated by a cycle at a random point; a gate
+    after it reads that site at cycle 1, and a cnot between cycles is
+    dropped.  Also a byte cap for the plan's gathers, None for the real
+    one, that may split the run.  Returns (dims, lines, gates, cap), each
+    gate (name, theta, targets, line)."""
+    dims = draw(st.lists(st.sampled_from((2, 3)), min_size=1, max_size=6))
+    names = ("x", "phase", "cnot") if len(dims) > 1 else ("x", "phase")
+    lines = [f"prepare s{i} @0 {'|vac>' if d == 3 else '0.6|0>+0.8|1>'}"
+             for i, d in enumerate(dims)]
+    count = draw(st.integers(1, 10))
+    dilated, at = draw(st.integers(0, len(dims) - 1)), \
+        draw(st.integers(0, count))
+    gates = []
+    for k in range(count + 1):
+        if k == at:
+            lines.append(f"dilate s{dilated} +1")
+        if k == count:
+            break
+        name = draw(st.sampled_from(names))
+        targets = tuple(draw(st.permutations(range(len(dims))))
+                        [:2 if name == "cnot" else 1])
+        cycles = {int(k >= at and t == dilated) for t in targets}
+        if len(cycles) > 1:
+            continue
+        theta = draw(st.floats(-7.0, 7.0)) if name == "phase" else None
+        text = _gate_text(name, theta, targets)
+        lines.append(text[:-1] + str(cycles.pop()))
+        gates.append((name, theta, targets, len(lines)))
+    lines.append(f"output s{dilated} @1")
+    size = int(np.prod(dims))
+    cap = draw(st.one_of(st.none(), st.integers(0, 60 * size)))
+    return dims, lines, gates, cap
+
+
+@settings(deadline=None, max_examples=120)
+@given(_monomial_programs())
+def test_a_run_of_monomial_gates_fuses_their_flat_gathers(case):
+    dims, lines, gates, cap = case
+    n = len(dims)
+    with pytest.MonkeyPatch.context() as patch:
+        if cap is not None:
+            patch.setattr(dsl, "MAX_STATE_BYTES", cap)
+        steps = parse_circuit("\n".join(lines) + "\n").plan.steps
+    # each gate's own gather, compiled alone on the same register
+    own = {}
+    for name, theta, targets, line in gates:
+        text = "".join(f"{s}\n" for s in lines[:n]) \
+            + _gate_text(name, theta, targets) + "\noutput s0 @0\n"
+        alone = parse_circuit(text).plan.steps[n]
+        assert alone.kind == "gather"
+        own[line] = alone
+    held, fused = 0, set()
+    for k, step in enumerate(steps):
+        if step.kind == "gate":
+            assert step.line in own
+            fused.add(step.line)
+        if step.kind != "gather":
+            continue
+        held += step.perm.nbytes + (0 if step.operand is None
+                                    else step.operand.nbytes)
+        # the run is every gate from the step's line up to the step that
+        # closes it, the next one
+        run = [g for g in gates if step.line <= g[3] < steps[k + 1].line]
+        assert run[0][3] == step.line
+        fused.update(g[3] for g in run)
+        perm, phase = gather_oracle(dims, [(_gate_matrix(name, theta), targets)
+                                           for name, theta, targets, _ in run])
+        np.testing.assert_array_equal(step.perm, perm)
+        if step.operand is None:
+            assert (phase == 1).all()
+        else:
+            np.testing.assert_allclose(step.operand, phase, rtol=0,
+                                       atol=1e-15)
+        # the gates' own gathers in turn: row[perm][p] == row[perm[p]]
+        perm, phase = np.arange(len(perm)), None
+        for *_, line in run:
+            p = own[line].perm
+            perm = perm[p]
+            if phase is not None:
+                phase = phase[p]
+            if own[line].operand is not None:
+                phase = own[line].operand * (1 if phase is None else phase)
+        np.testing.assert_array_equal(step.perm, perm)
+        assert (phase is None) == (step.operand is None)
+        if phase is not None:
+            np.testing.assert_allclose(step.operand, phase, rtol=0,
+                                       atol=1e-15)
+    # every gate is fused into a gather or, past the cap, a dense step
+    assert fused == set(own)
+    assert held <= (MAX_STATE_BYTES if cap is None else cap)
+    if cap is None:
+        assert all(s.kind != "gate" for s in steps)
+
+
 @settings(deadline=None, max_examples=40)
 @given(st.sampled_from(("x", "cnot")), st.lists(st.sampled_from((2, 3)),
                                                 min_size=2, max_size=2),

@@ -21,6 +21,7 @@ from tdesim import (
     maximally_mixed,
     measure_at_cycle,
     qubit_state,
+    subadditivity_margin,
     to_density,
 )
 from tdesim import dsl, dynamics, scenarios
@@ -359,6 +360,67 @@ def test_expansions_match_the_dense_oracle(seed, kind, dim, dim_b, copies,
     copy_b = tuple(SlotId(s.site, s.cycle + tau) for s in copy_a)
     _check_against_oracle(out, pair, 2, mode, Register(
         copy_a + copy_b, (dim, dim_b) * 2))
+
+
+def _site_marginals(matrix, dims):
+    """The two one-site reduced states of a two-site density matrix."""
+    t = matrix.reshape(dims + dims)
+    return np.einsum("ijkj->ik", t), np.einsum("ijil->jl", t)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(0, 2**32 - 1), st.sampled_from((2, 3)),
+       st.sampled_from((2, 3)), st.integers(1, 3), st.sampled_from("12"),
+       st.sampled_from(("pure", "mixed")),
+       st.sampled_from(list(CorrelationMode)))
+def test_a_displaced_pair_reads_out_as_the_product_of_its_marginals(
+        seed, dim_1, dim_2, tau, site, kind, mode):
+    # the decoherence law: at the pair's cycle the dilated site's slot
+    # comes from one copy and the other site's from the other, so the
+    # read-out is rho_dilated (x) rho_other, mixed over the eigenbranches
+    # under coherent history; the oracle is numpy alone
+    rng = np.random.default_rng(seed)
+    dims, d = (dim_1, dim_2), dim_1 * dim_2
+    t = int(rng.integers(0, 4))
+    reg = Register((SlotId("1", t), SlotId("2", t)), dims)
+    z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rank = int(rng.integers(1, d + 1))
+    coherent = kind == "mixed" and mode is CorrelationMode.COHERENT_HISTORY
+    if kind == "pure":
+        v = z[:, 0] / np.linalg.norm(z[:, 0])
+        state, rho = PureState(reg, v), np.outer(v, v.conj())
+    elif coherent:
+        # rank eigenvalues at least 0.7 / 47.7 apart on a random basis,
+        # which SPECTRAL_GAP admits
+        w = np.zeros(d)
+        w[:rank] = rng.permutation(rank) + 1 + rng.uniform(0.0, 0.3, rank)
+        w /= w.sum()
+        assert np.diff(np.sort(w[:rank])).min(initial=1.0) >= SPECTRAL_GAP
+        u = np.linalg.qr(z)[0]
+        state = DensityOperator(reg, (u * w) @ u.conj().T)
+        rho = state.matrix
+    else:
+        a = z[:, :rank]
+        state = DensityOperator(reg, a @ a.conj().T / np.vdot(a, a).real)
+        rho = state.matrix
+    read_out = measure_at_cycle(
+        displaced_expansion(state, tau, site, policy=mode), t)
+    first = 0 if site == "1" else 1
+    assert read_out.register == Register(
+        (SlotId(site, t), SlotId("21"[first], t)),
+        (dims[first], dims[1 - first]))
+    if coherent:
+        vals, vecs = np.linalg.eigh(rho)
+        branches = [(w, np.outer(v, v.conj())) for w, v in zip(vals, vecs.T)]
+    else:
+        branches = [(1.0, rho)]
+    want = 0
+    for w, p in branches:
+        marginals = _site_marginals(p, dims)
+        want = want + w * np.kron(marginals[first], marginals[1 - first])
+    np.testing.assert_allclose(read_out.matrix, want, rtol=0, atol=1e-12)
+    if not coherent:  # no correlation between the slots survives
+        assert abs(subadditivity_margin(read_out)) < 1e-12
 
 
 def test_measure_at_cycle_filters_slots():

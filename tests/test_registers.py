@@ -455,6 +455,9 @@ def test_a_grid_or_register_that_is_no_sequence_is_refused_by_name(call,
         call()
 
 
+_QUBIT = Register((SlotId("1", 0),), (2,))
+
+
 @pytest.mark.parametrize("call, message", [
     (lambda: run_sweep([None]), "a beta\\^2 value must be a real number, "
      "got None"),
@@ -472,9 +475,24 @@ def test_a_grid_or_register_that_is_no_sequence_is_refused_by_name(call,
     (lambda: QubitDensity(None, 1.0), "g00 must be a real number, got None"),
     (lambda: QubitDensity(1.0, 0.0, None),
      "g01 must be a complex number, got None"),
+    (lambda: PureState(_QUBIT, {}),
+     re.escape("amplitudes must be complex numbers, got {}")),
+    (lambda: PureState(_QUBIT, {0.6}),
+     re.escape("amplitudes must be complex numbers, got {0.6}")),
+    (lambda: PureState(_QUBIT, object()), "amplitudes must be complex "
+     "numbers, got <object object at 0x[0-9a-f]+>"),
+    (lambda: DensityOperator(_QUBIT, {}),
+     re.escape("a density matrix must hold complex numbers, got {}")),
+    (lambda: DensityOperator(_QUBIT, [[1.0, set()], [0.0, 0.0]]),
+     re.escape("a density matrix must hold complex numbers, got "
+               "[[1.0, set()], [0.0, 0.0]]")),
+    (lambda: qubit_state("1", 0, {}, 0.8),
+     re.escape("amplitudes must be complex numbers, got [{}, 0.8]")),
 ], ids=["run_sweep", "fig2_curves", "run_entropy_study-grid",
         "run_entropy_study-p_vac", "nonlinearity_witness-lam",
-        "fig2_curves-tolerance", "qubit_density-g00", "qubit_density-g01"])
+        "fig2_curves-tolerance", "qubit_density-g00", "qubit_density-g01",
+        "pure_state-dict", "pure_state-set", "pure_state-object",
+        "density-dict", "density-set-entry", "qubit_state-dict"])
 def test_a_grid_value_or_weight_that_is_no_number_is_refused_by_name(
         call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):

@@ -1,3 +1,4 @@
+import re
 from decimal import Decimal, localcontext
 
 import numpy as np
@@ -391,13 +392,19 @@ def test_round_trip_dilation():
     (lambda: amplification_points(["x"]), "expected a CurvePoint, got str"),
     (lambda: amplification_points(run_entropy_study(0.5, [0.2]).points),
      "the curve point at beta\\^2=0.2 has no 'D_out' value"),
+    (lambda: run_no_signaling([]), re.escape(
+        "basis must be one of ['computational', 'diagonal'], got []")),
+    (lambda: run_no_signaling(np.zeros(2)), re.escape(
+        "basis must be one of ['computational', 'diagonal'], got "
+        "array([0., 0.])")),
 ], ids=["backend-None", "backend-str", "backend-nan", "propriety-nan",
         "propriety-None-branch", "propriety-None-weight",
         "round-trip-None-duration", "round-trip-None-speed",
         "pure-state-register", "density-register", "maximally-mixed-register",
         "joint-outcomes-state", "measure-at-cycle-state",
         "format-circuit-program", "amplification-points-curve",
-        "amplification-points-entropy-study"])
+        "amplification-points-entropy-study", "no-signaling-list",
+        "no-signaling-array"])
 def test_runners_refuse_a_wrong_type_by_name(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
