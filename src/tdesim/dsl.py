@@ -11,9 +11,10 @@ Grammar, one directive per line, '#' starts a comment:
 
 Amplitudes are finite python floats or complex literals; parenthesize
 complex coefficients, as in (0.5+0.5j)|0>+0.5|1>.  Cycles and dilations
-are ASCII digits only.  States are parsed in one pass over their
-tokens and normalized when the program is parsed.  Every program ends
-with exactly one output directive.
+are ASCII digits only.  A well-formed state is read by one match of
+_STATE_RE; anything else goes through one pass over its tokens, which
+words the refusal.  States are normalized when the program is parsed.
+Every program ends with exactly one output directive.
 
 A gate whose participants lack a slot at the gate's cycle triggers a
 two-copy expansion: the whole state is tensored with a copy of itself
@@ -31,8 +32,12 @@ steps in between share it; the plan's registers are built once, at the
 end, and the output's slot is the final register's own.  Each run of
 adjacent X, CNOT and phase gates, whose lifted blocks are monomial,
 becomes one flat index gather with optional phases; H stays a dense
-block.  Each gate's own gather is built on the register's flat index
-and fused into its run's as the gate comes, with its phases on the left.
+block.  Each gate's own gather is built on the register's flat index,
+taken once per register change with the axes' strides: the index moves
+by how far the gate moves each target coordinate, kept with its lifted
+block, times the targets' strides.  It is fused into its run's as the
+gate comes, with its phases on the left; a diagonal gate, phase(theta),
+leaves the run's gather as it is and adds its phases only.
 One executor, _run_steps, runs plan steps on an array of amplitude rows
 shaped (B, N, *dims): B independent states, each the sum of the
 projectors of its N rows.  run_program runs a program as one state of
@@ -42,7 +47,8 @@ state is carried as its own purification and never as a density matrix.
 Densities are built and validated only where the run returns them: the
 output's reduced state (a 16-slot state's wide factor is multiplied out
 as dot products of its rows, with no conjugate copy) and a mixed final
-state; the hermiticity check reads one triangle in bands.  The paper's
+state; the hermiticity check reads one triangle in bands, and a qubit's
+2 x 2 matrix as four Python complex numbers.  The paper's
 scenarios (scenarios.py) are circuits compiled here, run on the same
 executor with their own input rows bound in place of the input prepares.
 Its row kernels live in registers, shared with every state operation.
@@ -85,51 +91,77 @@ from .registers import (
 )
 
 
-@dataclass(frozen=True)
+# The directives are frozen dataclasses whose line is left out of equality,
+# hashing and repr.  Each writes its fields once through __dict__, as
+# SlotId does, where a generated frozen __init__ would make one
+# object.__setattr__ call per field.
+
+@dataclass(frozen=True, init=False)
 class Prepare:
     site: str
     cycle: int
     kind: str  # "vac" or "qubit"
-    amp0: complex = 0j
-    amp1: complex = 0j
-    line: int = field(default=0, compare=False, repr=False)
+    amp0: complex
+    amp1: complex
+    line: int = field(compare=False, repr=False)
+
+    def __init__(self, site, cycle, kind, amp0=0j, amp1=0j, line=0):
+        self.__dict__.update(site=site, cycle=cycle, kind=kind, amp0=amp0,
+                             amp1=amp1, line=line)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Cnot:
     control: str
     target: str
     cycle: int
-    line: int = field(default=0, compare=False, repr=False)
+    line: int = field(compare=False, repr=False)
+
+    def __init__(self, control, target, cycle, line=0):
+        self.__dict__.update(control=control, target=target, cycle=cycle,
+                             line=line)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GateOp:
     name: str  # "x", "h", or "phase"
     site: str
     cycle: int
-    theta: Optional[float] = None
-    line: int = field(default=0, compare=False, repr=False)
+    theta: Optional[float]
+    line: int = field(compare=False, repr=False)
+
+    def __init__(self, name, site, cycle, theta=None, line=0):
+        self.__dict__.update(name=name, site=site, cycle=cycle, theta=theta,
+                             line=line)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dilate:
     site: str
     delta: int
-    line: int = field(default=0, compare=False, repr=False)
+    line: int = field(compare=False, repr=False)
+
+    def __init__(self, site, delta, line=0):
+        self.__dict__.update(site=site, delta=delta, line=line)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Discard:
     site: str
-    line: int = field(default=0, compare=False, repr=False)
+    line: int = field(compare=False, repr=False)
+
+    def __init__(self, site, line=0):
+        self.__dict__.update(site=site, line=line)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Output:
     site: str
     cycle: int
-    line: int = field(default=0, compare=False, repr=False)
+    line: int = field(compare=False, repr=False)
+
+    def __init__(self, site, cycle, line=0):
+        self.__dict__.update(site=site, cycle=cycle, line=line)
 
 
 @dataclass(frozen=True)
@@ -194,11 +226,37 @@ def _parse_coef(text: str, line: int) -> complex:
 _STATE_TOKEN_RE = re.compile(r"\([^()]*\)|[()]|(?<=>)[+-]")
 
 
+# A well-formed qubit state: one or two terms, each a coefficient and a
+# ket, the second after a sign.  A coefficient is parenthesised or holds
+# no parenthesis, and neither holds a bar or a closing angle bracket, so
+# the match splits the terms where the token scan does; complex() takes
+# no other coefficient.
+_COEF = r"\([^()|>]*\)|[^()|>]*"
+_STATE_RE = re.compile(rf"(?P<c0>{_COEF})\|(?P<k0>[01])>"
+                       rf"(?:(?P<sign>[+-])(?P<c1>{_COEF})\|(?P<k1>[01])>)?\Z")
+
+
 def _parse_state(spec: str, line: int):
-    """Return (kind, amp0, amp1) for a state expression, in one pass over
-    its tokens.  Unbalanced parentheses are reported before any term."""
+    """Return (kind, amp0, amp1) for a state expression: one match of
+    _STATE_RE for a well-formed state, whose coefficients are parsed in
+    term order; anything the match rejects, or a repeated ket, goes to
+    the token scan, which words its refusal."""
     if spec == "|vac>":
         return "vac", 0j, 0j
+    m = _STATE_RE.match(spec)
+    if m is None or m["k0"] == m["k1"]:
+        return _scan_state(spec, line)
+    amps = [0j, 0j]
+    amps[int(m["k0"])] = _parse_coef(m["c0"], line)
+    if m["k1"] is not None:
+        c1 = m["c1"] if m["sign"] == "+" else "-" + m["c1"]
+        amps[int(m["k1"])] = _parse_coef(c1, line)
+    return "qubit", amps[0], amps[1]
+
+
+def _scan_state(spec: str, line: int):
+    """_parse_state's result for any state but |vac>, in one pass over its
+    tokens.  Unbalanced parentheses are reported before any term."""
     terms = []
     start = depth = 0
     for m in _STATE_TOKEN_RE.finditer(spec):
@@ -430,14 +488,25 @@ def _monomial(block: np.ndarray, permutation: bool = False):
 @functools.lru_cache(maxsize=256)
 def _lifted_gate(name: str, theta: Optional[float], dims: tuple):
     """A gate's lifted block on targets of the given dims, shaped dims +
-    dims, and its gather read off by _monomial, None if dense."""
+    dims, its gather read off by _monomial (None if dense) and the
+    gather's moves.  The moves, shaped dims + (targets,), are how far the
+    gather moves each target coordinate of each flat target index: the
+    flat gather on a register moves an index by them times the target
+    axes' strides.  They are None where the gather moves no index, as a
+    diagonal gate's does, or the gate is dense."""
     matrix = _phase_matrix(theta) if name == "phase" else _GATE_MATRICES[name]
     block = _lift_logical(matrix, dims).reshape(dims + dims)
     gather = _monomial(block, permutation=name in ("x", "cnot"))
-    for array in (block,) + (gather or ()):
+    moves = None
+    if gather is not None:
+        q = gather[0]
+        moves = np.subtract(np.unravel_index(q, dims),
+                            np.unravel_index(np.arange(q.size), dims))
+        moves = moves.T.reshape(dims + (len(dims),)) if moves.any() else None
+    for array in (block, moves) + (gather or ()):
         if array is not None:  # shared by every plan that uses the gate
             array.flags.writeable = False
-    return block, gather
+    return block, gather, moves
 
 
 def _static_check(directives) -> CircuitPlan:
@@ -468,6 +537,9 @@ def _static_check(directives) -> CircuitPlan:
     perm = phase = None
     first = 0
     held = 0  # bytes of the closed runs' gathers
+    # the register's flat index, shaped like it, and its axes' strides,
+    # taken by the first monomial gate after each register change
+    flat = strides = None
 
     def close():
         nonlocal held, perm, phase
@@ -482,9 +554,10 @@ def _static_check(directives) -> CircuitPlan:
         perm = phase = None
 
     def resize(new, ln):
-        nonlocal slots, shape, size
+        nonlocal slots, shape, size, flat
         slots, shape = new, tuple([dims[s] for s, _ in new])
         size = math.prod(shape)
+        flat = None
         try:
             check_state_size(size, pure)
         except RegisterSizeError as exc:
@@ -536,39 +609,44 @@ def _static_check(directives) -> CircuitPlan:
                 steps.append(PlanStep("expand", ln, slots, None, (), delta))
             axes = tuple(map(slots.index, targets))
             tdims = tuple(map(dims.__getitem__, sites))
-            block, gather = _lifted_gate(name, theta, tdims)
+            block, gather, moves = _lifted_gate(name, theta, tdims)
             if gather is not None:
-                q, phases = gather
+                phases = gather[1]
                 more = phase is not None or phases is not None
                 # the plan's gathers hold at most MAX_STATE_BYTES in all (8
                 # bytes of perm and 16 of phase per amplitude); past that,
                 # a monomial gate stays a dense block like H
                 if held + size * (24 if more else 8) <= MAX_STATE_BYTES:
+                    if flat is None:  # once per register change
+                        flat = np.arange(size).reshape(shape)
+                        strides = [s // flat.itemsize for s in flat.strides]
                     # the gate's own gather on the flat index: each index
-                    # moves by its target coordinates' move times their
-                    # strides; offs is each target index's offset, in gate
-                    # order, and lay spreads a gate-order array over the
-                    # register, broadcast on the other axes
-                    offs, spread = [0], [1] * len(shape)
+                    # moves by its target coordinates' moves times their
+                    # strides; lay spreads an array shaped tdims, in gate
+                    # order, over the register, broadcast on the other
+                    # axes, and a gate has one or two targets, so reversing
+                    # its axes puts them in register order (only a
+                    # one-target gate has phases, shaped tdims as they come)
+                    spread = [1] * len(shape)
                     for a, n in zip(axes, tdims):
-                        stride = math.prod(shape[a + 1:])
-                        offs = [o + c * stride for o in offs for c in range(n)]
                         spread[a] = n
-                    order = sorted(range(len(axes)), key=axes.__getitem__)
 
                     def lay(v):
-                        return v.reshape(tdims).transpose(order).reshape(spread)
+                        return (v.T if axes[0] > axes[-1] else v).reshape(
+                            spread)
 
-                    p = np.arange(size).reshape(shape)
-                    p += lay(np.array([offs[j] - o
-                                       for j, o in zip(q.tolist(), offs)]))
-                    # fused after the run: row[perm][p] == row[perm[p]]
-                    if perm is None:
-                        perm, first = p, ln
+                    if moves is None:  # it moves no index: perm stays
+                        if perm is None:
+                            perm, first = flat, ln
                     else:
-                        perm = perm.take(p)
-                        if phase is not None:
-                            phase = phase.take(p)
+                        p = flat + lay(moves.dot([strides[a] for a in axes]))
+                        # fused after the run: row[perm][p] == row[perm[p]]
+                        if perm is None:
+                            perm, first = p, ln
+                        else:
+                            perm = perm.take(p)
+                            if phase is not None:
+                                phase = phase.take(p)
                     # the gate's phases on the left: numpy's complex
                     # multiply can round the other order an ulp apart
                     if phases is not None:

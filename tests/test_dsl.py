@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import tracemalloc
 
@@ -264,11 +265,20 @@ def test_split_terms_matches_the_character_scan(spec):
 _COEFFICIENTS = st.one_of(
     st.sampled_from(("", "+", "-", "1", "-0.5", "0.6", ".8j", "1e3", "2_0",
                      "nan", "inf", "-inf", "1e309", "(0.5+0.5j)",
-                     "(1+nanj)", "-(1+2j)", "((1))", "(1", "1)", "0j")),
+                     "(1+nanj)", "-(1+2j)", "((1))", "(1", "1)", "0j",
+                     "+(0.5)", "-(0.5)", "(-0.5)", "(+1j)", "()", "j",
+                     "+-0.5", "--0.5", "1>", "(1>)", "(1|2)", "\u0661",
+                     "(1e999j)", " 1")),
     st.floats(allow_nan=True, allow_infinity=True).map(repr),
     st.complex_numbers(allow_nan=False).map(repr),
+    # parenthesised and signed forms of the same numbers
+    st.tuples(st.sampled_from(("", "+", "-")),
+              st.complex_numbers(allow_nan=False, allow_infinity=False)
+              ).map(lambda t: f"{t[0]}({t[1]!r})".replace("((", "(")
+                    .replace("))", ")")),
 )
-_KETS = st.sampled_from(("|0>", "|1>", "|vac>", "|2>", "|0", "0>", ""))
+_KETS = st.sampled_from(("|0>", "|1>", "|vac>", "|2>", "|0", "0>", "",
+                         "|0>|1>"))
 
 
 @st.composite
@@ -282,14 +292,21 @@ def _state_specs(draw):
     for term in terms[1:]:
         sign = draw(st.sampled_from("+-"))
         spec += sign + (term[1:] if term[:1] in "+-" and sign == "+"
-                        else term)
+                        and draw(st.booleans()) else term)
     if draw(st.booleans()):
         at = draw(st.integers(0, len(spec)))
         spec = spec[:at] + draw(st.sampled_from("()|<>+-j_")) + spec[at:]
     return spec
 
 
-@settings(max_examples=500)
+def _scan(spec, line):
+    """_parse_state by the token scan alone."""
+    if spec == "|vac>":
+        return "vac", 0j, 0j
+    return dsl._scan_state(spec, line)
+
+
+@settings(max_examples=800)
 @given(st.one_of(_state_specs(),
                  st.text(alphabet="()+-|01>vacnij.5e_", max_size=24)))
 @example("(0.6+0j)|0>+(0.48+0.64j)|1>")
@@ -301,9 +318,69 @@ def _state_specs(draw):
 @example("|vac>+|0>")
 @example("|vac>")
 @example(")(|0>")
+@example("|0>-(1j)|1>")
+@example("|0>+-0.5|1>")
+@example("1e999|0>+|0>")
+@example("(1>+2)|0>")
 def test_parse_state_matches_the_replaced_parser(spec):
-    assert _outcome(dsl._parse_state, spec) == \
-        _outcome(_parse_state_oracle, spec)
+    got = _outcome(dsl._parse_state, spec)
+    assert got == _outcome(_parse_state_oracle, spec)
+    # both sides of the match agree with the token scan alone, and the
+    # scan refuses whatever _STATE_RE rejects or takes with one ket twice
+    assert got == _outcome(_scan, spec)
+    m = dsl._STATE_RE.match(spec)
+    if spec != "|vac>" and (m is None or m["k0"] == m["k1"]):
+        assert isinstance(got, str)
+
+
+_DIRECTIVE_CASES = [
+    (Prepare, ("a", 1, "qubit", 0.6, 0.8j),
+     "Prepare(site='a', cycle=1, kind='qubit', amp0=0.6, amp1=0.8j)"),
+    (Cnot, ("a", "b", 2), "Cnot(control='a', target='b', cycle=2)"),
+    (GateOp, ("phase", "a", 3, 0.5),
+     "GateOp(name='phase', site='a', cycle=3, theta=0.5)"),
+    (Dilate, ("a", 2), "Dilate(site='a', delta=2)"),
+    (Discard, ("a",), "Discard(site='a')"),
+    (Output, ("a", 4), "Output(site='a', cycle=4)"),
+]
+
+
+@pytest.mark.parametrize("cls, args, text", _DIRECTIVE_CASES,
+                         ids=[c[0].__name__ for c in _DIRECTIVE_CASES])
+def test_a_directive_is_a_frozen_dataclass_that_ignores_its_line(
+        cls, args, text):
+    names = [f.name for f in dataclasses.fields(cls)]
+    assert names[-1] == "line" and len(names) == len(args) + 1
+    d = cls(*args, 7)
+    assert repr(d) == text
+    # keyword construction, and line left out of equality and hashing
+    assert cls(**dict(zip(names, args)), line=7) == d
+    assert d == cls(*args) and hash(d) == hash(cls(*args))
+    assert (d.line, cls(*args).line) == (7, 0)
+    assert [getattr(d, n) for n in names[:-1]] == list(args)
+    assert d != cls(*(["b"] + list(args[1:])))
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(d, name, getattr(d, name))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(d, name)
+
+
+def test_directive_defaults():
+    vac = Prepare("a", 0, "vac")
+    assert (vac.amp0, vac.amp1, vac.line) == (0j, 0j, 0)
+    assert Prepare("a", 0, "qubit", 1) == Prepare(site="a", cycle=0,
+                                                  kind="qubit", amp0=1)
+    assert Prepare("a", 0, "qubit", 1).amp1 == 0j
+    assert GateOp("x", "a", 0).theta is None
+    assert GateOp(name="x", site="a", cycle=0) == GateOp("x", "a", 0, None, 5)
+    for d in (Cnot("a", "b", 0), Dilate("a", 1), Discard("a"),
+              Output("a", 0), GateOp("h", "a", 0)):
+        assert d.line == 0
+    with pytest.raises(TypeError):
+        Cnot("a", "b")
+    with pytest.raises(TypeError):
+        Output("a", 0, 1, 2)
 
 
 @pytest.mark.parametrize("text, needle", [
@@ -814,7 +891,7 @@ def test_a_run_of_monomial_gates_fuses_their_flat_gathers(case):
        st.data())
 def test_a_permutation_block_off_exact_zero_or_one_raises(name, dims, data):
     tdims = tuple(dims[:2 if name == "cnot" else 1])
-    block, (q, phases) = _lifted_gate(name, None, tdims)
+    block, (q, phases), _ = _lifted_gate(name, None, tdims)
     assert phases is None
     k = int(np.prod(tdims))
     flat = block.reshape(k, k).copy()

@@ -184,6 +184,15 @@ def test_density_operator_validation():
         DensityOperator(reg, [[1.2, 0.0], [0.0, -0.2]])  # negative weight
 
 
+def test_a_qubit_deviation_past_the_largest_float_is_not_hermitian():
+    # |1.5e308 (1 + i)| overflows a float: Python's abs raises
+    # OverflowError where numpy's returns inf
+    reg = Register((SlotId("a", 0),), (2,))
+    with pytest.raises(InvariantViolationError,
+                       match=r"not hermitian \(deviation inf\)"):
+        DensityOperator(reg, [[0.5, 1.5e308 + 1.5e308j], [0.0, 0.5]])
+
+
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
 def test_non_finite_density_entries_are_refused_by_name(bad):
     # refused before the hermiticity check, whose inf - inf would warn
@@ -488,15 +497,43 @@ _QUBIT = Register((SlotId("1", 0),), (2,))
                "[[1.0, set()], [0.0, 0.0]]")),
     (lambda: qubit_state("1", 0, {}, 0.8),
      re.escape("amplitudes must be complex numbers, got [{}, 0.8]")),
+    # numpy reads None as NaN, which would be refused as not finite
+    (lambda: PureState(_QUBIT, [None, 1]),
+     re.escape("amplitudes must be complex numbers, got [None, 1]")),
+    (lambda: qubit_state("1", 0, None, 1),
+     re.escape("amplitudes must be complex numbers, got [None, 1]")),
+    (lambda: DensityOperator(_QUBIT, [[0.5, None], [None, 0.5]]),
+     re.escape("a density matrix must hold complex numbers, got "
+               "[[0.5, None], [None, 0.5]]")),
 ], ids=["run_sweep", "fig2_curves", "run_entropy_study-grid",
         "run_entropy_study-p_vac", "nonlinearity_witness-lam",
         "fig2_curves-tolerance", "qubit_density-g00", "qubit_density-g01",
         "pure_state-dict", "pure_state-set", "pure_state-object",
-        "density-dict", "density-set-entry", "qubit_state-dict"])
+        "density-dict", "density-set-entry", "qubit_state-dict",
+        "pure_state-none", "qubit_state-none", "density-none"])
 def test_a_grid_value_or_weight_that_is_no_number_is_refused_by_name(
         call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
+
+
+@pytest.mark.parametrize("bad", [None, {}, "x" * 1000],
+                         ids=["none", "dict", "string"])
+def test_a_refusal_quotes_a_large_input_in_bounded_form(bad):
+    # one bad entry among 65536 amplitudes or matrix entries: the message
+    # quotes the input by its first few entries, not by all of them
+    reg = Register(tuple(SlotId("q", c) for c in range(16)), (2,) * 16)
+    amplitudes = [0.5] * 2**16
+    amplitudes[40000] = bad
+    with pytest.raises(ValueError, match="^amplitudes must be complex "
+                       r"numbers, got \[0\.5, 0\.5, 0\.5, 0\.5, \.\.\.\]$"):
+        PureState(reg, amplitudes)
+    matrix = [[0.0] * 256 for _ in range(256)]
+    matrix[200][100] = bad
+    with pytest.raises(ValueError, match="^a density matrix must hold "
+                       r"complex numbers, got \[\[0\.0, ") as err:
+        DensityOperator(Register(reg.slots[:8], (2,) * 8), matrix)
+    assert len(str(err.value)) < 200
 
 
 def test_relabeled_density_keeps_its_validated_matrix(rng):
